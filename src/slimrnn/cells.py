@@ -1,4 +1,4 @@
-"""Recurrent cell variants and sequence runners.
+"""Recurrent cell variants and the sequence runner.
 
 Four cells share one state convention (h is the output state, c is the
 internal accumulator where present):
@@ -13,8 +13,10 @@ internal accumulator where present):
   lstm_c6  lstm6 with the recurrent matrix U_c reduced to a vector u_c
            applied element-wise: the recurrence term is u_c * h_{t-1}.
 
-Sequences are read strictly left to right; classification reads only
-the final hidden state through a single affine output layer.
+Every step acts on the trailing feature axis only, so the same code
+steps one sample's (n,) state or a batch's (B, n) state. Sequences are
+read strictly left to right; classification reads only the final hidden
+state through a single affine output layer.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import activate, hadamard, init_matrix, matvec
+from .numerics import activate, init_matrix, matvec
 
 VARIANTS = ("srnn", "lstm", "lstm6", "lstm_c6")
 
@@ -128,9 +130,10 @@ def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
 class StepCache:
     """Everything one backward step needs, recorded by the forward step.
 
-    Gate fields are populated only by variants that have them; lstm6 and
-    lstm_c6 record their pinned gates (i = o = 1, f = forget_const) as
-    constant vectors so c_t == f_t*c_prev + i_t*c_tilde replays exactly.
+    Gate fields are populated only by the full cell's steps (lstm_step,
+    gate_override_step). lstm6 and lstm_c6 leave them None: their gates
+    are constants (i = o = 1, f = forget_const), so the cache replays
+    c_t == forget_const*c_prev + c_tilde.
     """
 
     x_t: np.ndarray
@@ -144,15 +147,8 @@ class StepCache:
     c_tilde: np.ndarray | None = None
 
 
-def _check_vec(v: np.ndarray, n: int, what: str):
-    if v.shape != (n,):
-        raise ValueError(f"{what} has shape {v.shape}, expected ({n},)")
-
-
 def srnn_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray):
     """One simple-recurrent step. Returns (h_t, cache)."""
-    _check_vec(x_t, p.m, "x_t")
-    _check_vec(h_prev, p.n, "h_prev")
     h_t = activate(p.act, matvec(p.W_hx, x_t) + matvec(p.W_hh, h_prev) + p.b_h)
     return h_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t)
 
@@ -161,15 +157,12 @@ def lstm_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
               c_prev: np.ndarray):
     """One full-gate step. Gates are always sigmoid; the candidate and the
     cell-output squash use p.act. Returns (h_t, c_t, cache)."""
-    _check_vec(x_t, p.m, "x_t")
-    _check_vec(h_prev, p.n, "h_prev")
-    _check_vec(c_prev, p.n, "c_prev")
     i_t = activate("sigmoid", matvec(p.W_i, x_t) + matvec(p.U_i, h_prev) + p.b_i)
     f_t = activate("sigmoid", matvec(p.W_f, x_t) + matvec(p.U_f, h_prev) + p.b_f)
     o_t = activate("sigmoid", matvec(p.W_o, x_t) + matvec(p.U_o, h_prev) + p.b_o)
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
-    c_t = hadamard(f_t, c_prev) + hadamard(i_t, c_tilde)
-    h_t = hadamard(o_t, activate(p.act, c_t))
+    c_t = f_t * c_prev + i_t * c_tilde
+    h_t = o_t * activate(p.act, c_t)
     return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
                                c_t=c_t, i_t=i_t, f_t=f_t, o_t=o_t,
                                c_tilde=c_tilde)
@@ -179,34 +172,22 @@ def lstm6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
                c_prev: np.ndarray):
     """One gate-free step: c_t = f c_{t-1} + act(W_c x_t + U_c h_{t-1} + b_c),
     h_t = act(c_t). Returns (h_t, c_t, cache)."""
-    _check_vec(x_t, p.m, "x_t")
-    _check_vec(h_prev, p.n, "h_prev")
-    _check_vec(c_prev, p.n, "c_prev")
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
     c_t = p.forget_const * c_prev + c_tilde
     h_t = activate(p.act, c_t)
-    ones = np.ones(p.n)
     return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, i_t=ones, o_t=ones,
-                               f_t=np.full(p.n, p.forget_const),
-                               c_tilde=c_tilde)
+                               c_t=c_t, c_tilde=c_tilde)
 
 
 def lstmc6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
                 c_prev: np.ndarray):
     """lstm6 with the recurrent matvec reduced to an element-wise product:
     the candidate pre-activation is W_c x_t + u_c * h_{t-1} + b_c."""
-    _check_vec(x_t, p.m, "x_t")
-    _check_vec(h_prev, p.n, "h_prev")
-    _check_vec(c_prev, p.n, "c_prev")
-    c_tilde = activate(p.act, matvec(p.W_c, x_t) + hadamard(p.u_c, h_prev) + p.b_c)
+    c_tilde = activate(p.act, matvec(p.W_c, x_t) + p.u_c * h_prev + p.b_c)
     c_t = p.forget_const * c_prev + c_tilde
     h_t = activate(p.act, c_t)
-    ones = np.ones(p.n)
     return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, i_t=ones, o_t=ones,
-                               f_t=np.full(p.n, p.forget_const),
-                               c_tilde=c_tilde)
+                               c_t=c_t, c_tilde=c_tilde)
 
 
 def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
@@ -218,9 +199,6 @@ def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
     (-1, 1]. This is the reference path used to cross-check the slim
     variants against the full cell.
     """
-    _check_vec(x_t, p.m, "x_t")
-    _check_vec(h_prev, p.n, "h_prev")
-    _check_vec(c_prev, p.n, "c_prev")
     bad = set(pins) - {"i", "f", "o"}
     if bad:
         raise ValueError(f"unknown gate pins {sorted(bad)}")
@@ -239,8 +217,8 @@ def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
     f_t = gate("f", p.W_f, p.U_f, p.b_f)
     o_t = gate("o", p.W_o, p.U_o, p.b_o)
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
-    c_t = hadamard(f_t, c_prev) + hadamard(i_t, c_tilde)
-    h_t = hadamard(o_t, activate(p.act, c_t))
+    c_t = f_t * c_prev + i_t * c_tilde
+    h_t = o_t * activate(p.act, c_t)
     return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
                                c_t=c_t, i_t=i_t, f_t=f_t, o_t=o_t,
                                c_tilde=c_tilde)
@@ -270,53 +248,41 @@ def output_layer_apply(out: OutputLayer, h: np.ndarray) -> np.ndarray:
     return matvec(out.W_hy, h) + out.b_y
 
 
-def run_cell(p: CellParams, xs, h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None):
-    """Drive one cell across a whole sequence of input vectors.
+def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
+             c0: np.ndarray | None = None, record: bool = True):
+    """Drive one cell across a whole sequence.
 
-    xs is an iterable of length-m vectors (typically a (T, m) array).
-    Returns (h_T, c_T, caches); c_T is None for srnn. States start at
-    zero unless h0/c0 are given.
+    xs is time-major: (T, m) for one sample, or (T, B, m) for B samples
+    stepped together. States start at zero unless h0/c0 are given, shaped
+    like one step's state: (n,) or (B, n). Shapes are checked here once,
+    not per step. Returns (h_T, c_T, caches); c_T is None for srnn, and
+    caches lists each step's StepCache, or is None when record is False.
     """
-    T = len(xs)
-    if T == 0:
+    xs = np.asarray(xs)
+    if xs.ndim not in (2, 3) or xs.shape[-1] != p.m:
+        raise ValueError(
+            f"inputs have shape {xs.shape}, expected (T, {p.m}) or (T, B, {p.m})")
+    if xs.shape[0] == 0:
         raise ValueError("cannot run a cell over an empty sequence")
-    h = np.zeros(p.n) if h0 is None else h0
-    caches = []
+    state = xs.shape[1:-1] + (p.n,)
+    for what, v in (("h0", h0), ("c0", c0)):
+        if v is not None and v.shape != state:
+            raise ValueError(f"{what} has shape {v.shape}, expected {state}")
+    h = np.zeros(state) if h0 is None else h0
+    caches = [] if record else None
     if p.variant == "srnn":
-        for t in range(T):
-            h, cache = srnn_step(p, xs[t], h)
-            caches.append(cache)
+        for x_t in xs:
+            h, cache = srnn_step(p, x_t, h)
+            if record:
+                caches.append(cache)
         return h, None, caches
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
-    c = np.zeros(p.n) if c0 is None else c0
-    for t in range(T):
-        h, c, cache = step(p, xs[t], h, c)
-        caches.append(cache)
+    c = np.zeros(state) if c0 is None else c0
+    for x_t in xs:
+        h, c, cache = step(p, x_t, h, c)
+        if record:
+            caches.append(cache)
     return h, c, caches
-
-
-def run_sequence(p: CellParams, out: OutputLayer, xs,
-                 h0: np.ndarray | None = None, c0: np.ndarray | None = None):
-    """Full forward pass: run the cell, read out the final hidden state.
-
-    Returns (y_raw, caches). Only h_T feeds the output layer; there is no
-    per-step readout.
-    """
-    h, _, caches = run_cell(p, xs, h0=h0, c0=c0)
-    return output_layer_apply(out, h), caches
-
-
-def bidirectional_run(p_fwd: CellParams, p_bwd: CellParams, xs) -> np.ndarray:
-    """Run two independent cells, one over xs and one over reversed xs,
-    and concatenate their final hidden states as [h_fwd ; h_bwd]."""
-    for a, b, what in ((p_fwd.variant, p_bwd.variant, "variant"),
-                       (p_fwd.m, p_bwd.m, "m"), (p_fwd.n, p_bwd.n, "n")):
-        if a != b:
-            raise ValueError(f"bidirectional cells disagree on {what}: {a} vs {b}")
-    h_f, _, _ = run_cell(p_fwd, xs)
-    h_b, _, _ = run_cell(p_bwd, xs[::-1])
-    return np.concatenate([h_f, h_b])
 
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:

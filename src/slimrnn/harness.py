@@ -7,14 +7,16 @@ File contracts owned here:
   config file   one "key = value" per line, # starts a comment, keys are
                 the CLI flag names without their leading dashes
   checkpoint    text header (variant, dims, activation, forget constant,
-                tensor name+shape list) then the tensors as little-endian
-                float64, concatenated in header order
+                embedding trainable flag, tensor name+shape list) then the
+                tensors as little-endian float64, concatenated in header
+                order
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -213,8 +215,10 @@ def save_checkpoint(path, model: SequenceClassifier, cfg: ExperimentConfig):
              f"activation {model.cell.act}",
              f"forget {model.cell.forget_const!r}",
              f"bidirectional {'true' if model.bidirectional else 'false'}",
-             f"loss {cfg.loss}",
-             f"tensors {len(tensors)}"]
+             f"loss {cfg.loss}"]
+    if model.emb is not None:
+        lines.append(f"trainable {'true' if model.emb.trainable else 'false'}")
+    lines.append(f"tensors {len(tensors)}")
     for name, arr in tensors.items():
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"{name} {dims}")
@@ -227,43 +231,47 @@ def save_checkpoint(path, model: SequenceClassifier, cfg: ExperimentConfig):
         fh.write(payload)
 
 
-def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
-    """Rebuild a model from a checkpoint. Forward passes through the
-    result are bit-identical to the model that was saved."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_end = blob.index(b"\nend\n") + len(b"\nend\n")
-    lines = blob[:head_end].decode("utf-8").splitlines()
-    if lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic {lines[0]!r})")
-    meta: dict = {}
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    n_tensors = None
-    it = iter(lines[1:])
-    for line in it:
-        if line == "end":
-            break
-        key, _, rest = line.partition(" ")
-        if key == "tensors":
-            n_tensors = int(rest)
-            for _ in range(n_tensors):
-                tline = next(it)
-                name, *dims = tline.split()
-                shapes.append((name, tuple(int(d) for d in dims)))
-        else:
-            meta[key] = rest
-    payload = np.frombuffer(blob[head_end:], dtype="<f8")
+def _flag(meta: dict, key: str, default: str) -> bool:
+    value = meta.get(key, default)
+    if value not in ("true", "false"):
+        raise ValueError(f"header field {key} must be true or false, got {value!r}")
+    return value == "true"
+
+
+def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
+    magic = CHECKPOINT_MAGIC.encode("utf-8") + b"\n"
+    if not blob.startswith(magic):
+        raise ValueError(f"not a checkpoint file (bad magic {blob[:len(magic)]!r})")
+    head_end = blob.find(b"\nend\n", len(magic) - 1)
+    if head_end < 0:
+        raise ValueError("header has no end line (file truncated?)")
+    lines = blob[:head_end].decode("utf-8").splitlines()[1:]
+    at = next((i for i, line in enumerate(lines) if line.startswith("tensors ")), None)
+    if at is None:
+        raise ValueError("header has no tensors line")
+    meta = dict(line.partition(" ")[::2] for line in lines[:at])
+    count, listed = int(lines[at].partition(" ")[2]), lines[at + 1:]
+    if len(listed) != count:
+        raise ValueError(f"header promises {count} tensors, lists {len(listed)}")
+    shapes = []
+    for line in listed:
+        name, _, dims = line.partition(" ")
+        shapes.append((name, tuple(int(d) for d in dims.split())))
+    sizes = [math.prod(shape) for _, shape in shapes]
+    payload = blob[head_end + len(b"\nend\n"):]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"payload is {len(payload)} bytes, header describes "
+                         f"{8 * sum(sizes)} (file truncated?)")
+    values = np.frombuffer(payload, dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
-    at = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        arrays[name] = payload[at:at + size].reshape(shape).copy()
-        at += size
-    if at != payload.size:
-        raise ValueError(f"{path}: payload holds {payload.size} values, header "
-                         f"describes {at}")
+    start = 0
+    for (name, shape), size in zip(shapes, sizes):
+        arrays[name] = values[start:start + size].reshape(shape).copy()
+        start += size
 
     variant, m, n = meta["variant"], int(meta["m"]), int(meta["n"])
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     act, f = meta["activation"], float(meta["forget"])
 
     def rebuild_cell(prefix: str) -> CellParams:
@@ -271,13 +279,29 @@ def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
         return CellParams(variant=variant, m=m, n=n, act=act, forget_const=f, **kw)
 
     cell = rebuild_cell("fwd.")
-    cell_bwd = rebuild_cell("bwd.") if meta.get("bidirectional") == "true" else None
+    cell_bwd = rebuild_cell("bwd.") if _flag(meta, "bidirectional", "false") else None
     out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
     emb = None
     if "emb.E" in arrays:
-        emb = EmbeddingTable(E=arrays["emb.E"])
+        emb = EmbeddingTable(E=arrays["emb.E"],
+                             trainable=_flag(meta, "trainable", "true"))
     model = SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
     return model, meta
+
+
+def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
+    """Rebuild a model from a checkpoint. Forward passes through the
+    result are bit-identical to the model that was saved. A file that is
+    not a whole checkpoint raises ValueError naming the path and the cause;
+    one written before the trainable field existed loads as trainable."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return _parse_checkpoint(blob)
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc.args[0]!r}") from None
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_train(cfg: ExperimentConfig, log=None):
@@ -473,8 +497,10 @@ def cmd_params(variant: str, m: int, n: int, bidirectional: bool = False) -> dic
 def cmd_bench(variant: str, m: int = 32, n: int = 100, seq_len: int = 500,
               reps: int = 5, seed: int = 7) -> dict:
     """Median wall-clock of one forward+backward pass over a synthetic
-    sequence, single thread, plus the MAC-count ratio against the full
-    lstm cell as the model-predicted speedup."""
+    sequence, plus the MAC-count ratio against the full lstm cell as the
+    model-predicted speedup. BLAS runs with whatever thread count the
+    process has; perfbench/run.py pins it to one thread and times whole
+    training and evaluation workloads."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rng = make_rng(seed)

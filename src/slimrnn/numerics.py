@@ -1,9 +1,10 @@
 """Dense numeric kernels shared by the whole package.
 
 Conventions: matrices are C-order float64 numpy arrays of shape
-(rows, cols), vectors are float64 arrays of shape (len,). Those two
-shapes are the only numeric carriers anywhere in the engine; batching
-is always a Python loop over samples, never a third array axis.
+(rows, cols). Vectors carry their features on the last axis: a single
+sample is (len,), a batch of samples is (B, len), and every kernel here
+acts on that trailing axis alone, so the same call serves both. A
+sequence adds a leading time axis: (T, len) or (T, B, len).
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y[i] = sum_j a[i, j] x[j]."""
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
+    """y[..., i] = sum_j a[i, j] x[..., j], for x of shape (..., cols).
+
+    Computed as x @ a.T; ndarray.dot gives the same product with less
+    per-call dispatch than the @ operator on these small operands.
+    """
+    if a.ndim != 2 or x.ndim < 1 or a.shape[1] != x.shape[-1]:
         raise ValueError(f"matvec shape mismatch: matrix {a.shape} vs vector {x.shape}")
-    return a @ x
-
-
-def hadamard(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Element-wise product of two equal-length vectors."""
-    if u.shape != v.shape:
-        raise ValueError(f"hadamard length mismatch: {u.shape} vs {v.shape}")
-    return u * v
+    return x.dot(a.T)
 
 
 def activate(kind: str, x: np.ndarray) -> np.ndarray:

@@ -29,12 +29,17 @@ _PROB_FLOOR = 1e-12
 GradientSet = dict
 
 
-def one_hot(label: int, k: int) -> np.ndarray:
-    if not 0 <= label < k:
+# Samples per forward pass in evaluate: big enough to amortize the per-step
+# dispatch, small enough that memory stays flat on any split size.
+EVAL_SLICE = 64
+
+
+def one_hot(label, k: int) -> np.ndarray:
+    """One-hot rows: (k,) for one label, (B, k) for an array of labels."""
+    label = np.asarray(label)
+    if label.size and (label.min() < 0 or label.max() >= k):
         raise ValueError(f"label {label} outside [0, {k})")
-    v = np.zeros(k)
-    v[label] = 1.0
-    return v
+    return (label[..., None] == np.arange(k)).astype(np.float64)
 
 
 def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
@@ -43,29 +48,29 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
     bce: scalar raw score through a sigmoid, target in {0, 1}.
     cce: raw score vector through a softmax, one-hot target.
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, and
-    both gradients reduce to p - y.
+    both gradients reduce to p - y. y_raw and y_true are (k,) for one
+    sample or (B, k) for a batch; the loss is then a float or a (B,)
+    array of per-sample losses.
     """
-    if kind == "bce":
-        if y_raw.shape != (1,) or y_true.shape != (1,):
-            raise ValueError(
-                f"bce needs length-1 vectors, got {y_raw.shape} and {y_true.shape}")
-        if y_true[0] not in (0.0, 1.0):
-            raise ValueError(f"bce target must be 0 or 1, got {y_true[0]}")
+    if kind not in LOSSES:
+        raise ValueError(f"unknown loss {kind!r}")
+    bce = kind == "bce"
+    if (y_raw.shape != y_true.shape or y_raw.ndim not in (1, 2)
+            or (bce and y_raw.shape[-1] != 1)):
+        raise ValueError(f"{kind} needs {'length-1' if bce else 'matching'} "
+                         f"vectors, got {y_raw.shape} and {y_true.shape}")
+    if not ((y_true == 0.0) | (y_true == 1.0)).all():
+        raise ValueError(f"{kind} target must be {'0 or 1' if bce else 'one-hot'}")
+    if bce:
         p = np.clip(expit(y_raw), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        loss = -(y_true[0] * np.log(p[0]) + (1.0 - y_true[0]) * np.log(1.0 - p[0]))
-        return float(loss), p - y_true
-    if kind == "cce":
-        if y_raw.shape != y_true.shape or y_raw.ndim != 1:
-            raise ValueError(
-                f"cce needs matching vectors, got {y_raw.shape} and {y_true.shape}")
-        if not (np.all((y_true == 0.0) | (y_true == 1.0)) and y_true.sum() == 1.0):
+        loss = -np.log(np.where(y_true == 1.0, p, 1.0 - p))[..., 0]
+    else:
+        if not (y_true.sum(axis=-1) == 1.0).all():
             raise ValueError("cce target must be one-hot")
-        z = y_raw - y_raw.max()
-        e = np.exp(z)
-        p = np.clip(e / e.sum(), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        loss = -float(np.log(p[y_true.argmax()]))
-        return loss, p - y_true
-    raise ValueError(f"unknown loss {kind!r}")
+        e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
+        p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+        loss = -np.log(np.sum(p * y_true, axis=-1))
+    return (float(loss) if y_raw.ndim == 1 else loss), p - y_true
 
 
 @dataclass
@@ -80,6 +85,15 @@ class SequenceClassifier:
     out: OutputLayer
     emb: EmbeddingTable | None = None
     cell_bwd: CellParams | None = None
+
+    def __post_init__(self):
+        if self.cell_bwd is None:
+            return
+        for a, b, what in ((self.cell.variant, self.cell_bwd.variant, "variant"),
+                           (self.cell.m, self.cell_bwd.m, "m"),
+                           (self.cell.n, self.cell_bwd.n, "n")):
+            if a != b:
+                raise ValueError(f"bidirectional cells disagree on {what}: {a} vs {b}")
 
     @property
     def bidirectional(self) -> bool:
@@ -104,25 +118,35 @@ class SequenceClassifier:
             d[f"out.{name}"] = arr
         return d
 
-    def sample_inputs(self, batch, i: int) -> np.ndarray:
-        """The (T, m) input matrix for sample i of a batch."""
-        if self.emb is not None:
-            return embed_lookup(self.emb, batch.tokens[i])
-        return batch.inputs[i]
-
-    def forward_sample(self, xs: np.ndarray) -> np.ndarray:
-        """Raw output scores for one (T, m) input sequence."""
-        h, _, _ = run_cell(self.cell, xs)
+    def forward(self, xs: np.ndarray, record: bool = False):
+        """The model's one forward pass over time-major inputs xs, (T, m)
+        for one sample or (T, B, m) for a batch: the forward cell over xs,
+        the backward cell (if any) over reversed time, then the readout of
+        [h_fwd ; h_bwd]. Returns (y_raw, h, caches): h is what the readout
+        read, caches holds each direction's step caches when record is set.
+        """
+        h, _, caches = run_cell(self.cell, xs, record=record)
+        caches = [caches]
         if self.cell_bwd is not None:
-            h_b, _, _ = run_cell(self.cell_bwd, xs[::-1])
-            h = np.concatenate([h, h_b])
-        return output_layer_apply(self.out, h)
+            h_b, _, caches_b = run_cell(self.cell_bwd, xs[::-1], record=record)
+            h = np.concatenate([h, h_b], axis=-1)
+            caches.append(caches_b)
+        return output_layer_apply(self.out, h), h, caches
 
 
-def _target_vector(loss_kind: str, label: int, out_dim: int) -> np.ndarray:
+def _inputs(model: SequenceClassifier, batch, rows) -> np.ndarray:
+    """Time-major inputs of a batch's rows: (T, m) for one sample index,
+    (T, B, m) for a slice."""
+    if model.emb is not None:
+        return embed_lookup(model.emb, batch.tokens[rows].T)
+    return np.swapaxes(batch.inputs[rows], 0, -2)
+
+
+def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
+    """Target rows for one label or an array of labels."""
     if loss_kind == "bce":
-        return np.array([float(label)])
-    return one_hot(int(label), out_dim)
+        return np.asarray(labels, dtype=np.float64)[..., None]
+    return one_hot(labels, out_dim)
 
 
 def _backward_cell(p: CellParams, caches, dh: np.ndarray, grads: GradientSet,
@@ -201,31 +225,23 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     grads: GradientSet = {k: np.zeros_like(v) for k, v in params.items()}
     out_dim = model.out.b_y.shape[0]
     need_dx = model.emb is not None and model.emb.trainable
+    n = model.cell.n
     B = len(batch)
     total = 0.0
     for i in range(B):
-        xs = model.sample_inputs(batch, i)
-        h_f, _, caches_f = run_cell(model.cell, xs)
-        if model.bidirectional:
-            h_b, _, caches_b = run_cell(model.cell_bwd, xs[::-1])
-            h = np.concatenate([h_f, h_b])
-        else:
-            h = h_f
-        y_raw = output_layer_apply(model.out, h)
-        y_true = _target_vector(loss_kind, batch.labels[i], out_dim)
-        loss, dy = loss_eval(loss_kind, y_raw, y_true)
+        y_raw, h, caches = model.forward(_inputs(model, batch, i), record=True)
+        loss, dy = loss_eval(loss_kind, y_raw,
+                             _targets(loss_kind, batch.labels[i], out_dim))
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy
         dh = model.out.W_hy.T @ dy
+        dxs = _backward_cell(model.cell, caches[0], dh[:n], grads, "fwd.", need_dx)
         if model.bidirectional:
-            dx_f = _backward_cell(model.cell, caches_f, dh[: model.cell.n],
-                                  grads, "fwd.", need_dx)
-            dx_b = _backward_cell(model.cell_bwd, caches_b, dh[model.cell.n:],
-                                  grads, "bwd.", need_dx)
-            dxs = (dx_f + dx_b[::-1]) if need_dx else None
-        else:
-            dxs = _backward_cell(model.cell, caches_f, dh, grads, "fwd.", need_dx)
+            dx_b = _backward_cell(model.cell_bwd, caches[1], dh[n:], grads,
+                                  "bwd.", need_dx)
+            if need_dx:
+                dxs = dxs + dx_b[::-1]
         if need_dx:
             np.add.at(grads["emb.E"], batch.tokens[i], dxs)
     for g in grads.values():
@@ -248,20 +264,6 @@ def bptt_gradients(p: CellParams, out: OutputLayer, emb: EmbeddingTable | None,
     model = SequenceClassifier(cell=p, out=out, emb=emb)
     total, grads = model_gradients(model, batch, loss_kind)
     return total, {_strip_prefix(k): v for k, v in grads.items()}
-
-
-def batch_loss(model: SequenceClassifier, batch, loss_kind: str) -> float:
-    """Forward-only mean loss over a batch."""
-    if len(batch) == 0:
-        raise ValueError("cannot evaluate an empty batch")
-    out_dim = model.out.b_y.shape[0]
-    total = 0.0
-    for i in range(len(batch)):
-        y_raw = model.forward_sample(model.sample_inputs(batch, i))
-        y_true = _target_vector(loss_kind, batch.labels[i], out_dim)
-        loss, _ = loss_eval(loss_kind, y_raw, y_true)
-        total += loss
-    return total / len(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,8 @@ def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
 
 
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):
-    """Mean loss and accuracy over a split, forward passes only.
+    """Mean loss and accuracy over a split, forward passes only, run on
+    EVAL_SLICE samples at a time without recording caches.
 
     Binary predictions threshold the sigmoid probability at 0.5;
     multi-class predictions take the arg-max score.
@@ -465,17 +468,17 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
-    for i in range(len(batch)):
-        y_raw = model.forward_sample(model.sample_inputs(batch, i))
-        label = int(batch.labels[i])
-        y_true = _target_vector(loss_kind, label, out_dim)
-        loss, _ = loss_eval(loss_kind, y_raw, y_true)
-        total += loss
+    for start in range(0, len(batch), EVAL_SLICE):
+        rows = slice(start, start + EVAL_SLICE)
+        labels = batch.labels[rows]
+        y_raw, _, _ = model.forward(_inputs(model, batch, rows))
+        losses, _ = loss_eval(loss_kind, y_raw, _targets(loss_kind, labels, out_dim))
+        total += float(losses.sum())
         if loss_kind == "bce":
-            pred = int(expit(y_raw[0]) >= 0.5)
+            pred = expit(y_raw[:, 0]) >= 0.5
         else:
-            pred = int(np.argmax(y_raw))
-        correct += int(pred == label)
+            pred = np.argmax(y_raw, axis=-1)
+        correct += int(np.sum(pred == labels))
     return total / len(batch), correct / len(batch)
 
 

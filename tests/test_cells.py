@@ -12,7 +12,6 @@ from slimrnn.cells import (
     VARIANTS,
     CellParams,
     OutputLayer,
-    bidirectional_run,
     gate_override_step,
     init_cell,
     init_output,
@@ -22,11 +21,11 @@ from slimrnn.cells import (
     output_layer_apply,
     param_count,
     run_cell,
-    run_sequence,
     srnn_step,
     step_mac_count,
 )
 from slimrnn.numerics import make_rng
+from slimrnn.training import SequenceClassifier
 
 
 def zero_cell(variant, m, n, act="sigmoid", forget_const=0.59):
@@ -167,10 +166,15 @@ def test_step_caches_record_the_step():
     npt.assert_allclose(k.f_t * k.c_prev + k.i_t * k.c_tilde, c,
                         rtol=0, atol=1e-16)
 
-    _, _, k6 = lstm6_step(random_cell("lstm6", 3, 2, seed=22), x, h_prev, c_prev)
-    npt.assert_array_equal(k6.i_t, np.ones(2))
-    npt.assert_array_equal(k6.o_t, np.ones(2))
-    npt.assert_array_equal(k6.f_t, np.full(2, 0.59))
+    # the slim cells' gates are constants (i = o = 1, f = forget_const),
+    # so their caches replay c_t == f*c_prev + c_tilde and h_t == act(c_t)
+    for variant, step in (("lstm6", lstm6_step), ("lstm_c6", lstmc6_step)):
+        p6 = random_cell(variant, 3, 2, seed=22)
+        h6, c6, k6 = step(p6, x, h_prev, c_prev)
+        npt.assert_array_equal(k6.c_t, c6)
+        npt.assert_array_equal(k6.h_t, h6)
+        npt.assert_array_equal(p6.forget_const * k6.c_prev + k6.c_tilde, c6)
+        npt.assert_array_equal(expit(k6.c_t), h6)
 
 
 def test_step_dimension_mismatch_rejected():
@@ -356,7 +360,8 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
     p = random_cell("lstm6", 3, 4, seed=44)
     out = init_output(make_rng(440), 4, 2)
     x = make_rng(441).uniform(-1, 1, size=(1, 3))
-    y, caches = run_sequence(p, out, x)
+    h_T, _, caches = run_cell(p, x)
+    y = output_layer_apply(out, h_T)
     h, _, _ = lstm6_step(p, x[0], np.zeros(4), np.zeros(4))
     npt.assert_array_equal(y, output_layer_apply(out, h))
     assert len(caches) == 1
@@ -365,7 +370,7 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
 def test_run_sequence_caches_replay_the_forward_pass():
     p = random_cell("lstm", 2, 3, seed=45, act="tanh")
     xs = make_rng(450).uniform(-1, 1, size=(4, 2))
-    _, caches = run_sequence(p, init_output(make_rng(451), 3, 1), xs)
+    _, _, caches = run_cell(p, xs)
     h = np.zeros(3)
     c = np.zeros(3)
     for t, k in enumerate(caches):
@@ -387,27 +392,69 @@ def test_output_layer_apply_known_values():
         OutputLayer(W_hy=np.zeros((2, 3)), b_y=np.zeros(3))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_cell_over_a_batch_axis_equals_per_sample_runs(variant):
+    p = random_cell(variant, 3, 5, seed=46, act="tanh")
+    xs = make_rng(460).uniform(-2, 2, size=(9, 4, 3))  # (T, B, m)
+    h, c, caches = run_cell(p, xs)
+    assert h.shape == (4, 5) and len(caches) == 9
+    # relative to the state's scale: a batched product may sum in another
+    # order, which moves an entry that cancels to near zero by ~1e-17
+    for b in range(4):
+        h_b, c_b, _ = run_cell(p, xs[:, b])
+        npt.assert_allclose(h[b], h_b, rtol=0, atol=1e-14 * np.abs(h_b).max())
+        if variant == "srnn":
+            assert c is None
+        else:
+            npt.assert_allclose(c[b], c_b, rtol=0, atol=1e-14 * np.abs(c_b).max())
+
+
+def test_run_cell_checks_shapes_once_and_can_skip_caches():
+    p = random_cell("lstm", 2, 3, seed=47)
+    xs = make_rng(470).uniform(-1, 1, size=(4, 2, 2))
+    with pytest.raises(ValueError, match=r"\(T, 2\)"):
+        run_cell(p, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"\(T, 2\)"):
+        run_cell(p, np.zeros(4))
+    with pytest.raises(ValueError, match="h0"):
+        run_cell(p, xs, h0=np.zeros(3))
+    with pytest.raises(ValueError, match="c0"):
+        run_cell(p, xs, c0=np.zeros((3, 3)))
+    h, c, caches = run_cell(p, xs, record=False)
+    assert caches is None
+    h_rec, c_rec, _ = run_cell(p, xs)
+    npt.assert_array_equal(h, h_rec)
+    npt.assert_array_equal(c, c_rec)
+
+
 # --------------------------------------------------------------------------
-# Bidirectional wrapper.
+# Bidirectional models: one forward cell, one over reversed time.
 # --------------------------------------------------------------------------
+
+def bidirectional_model(p_fwd, p_bwd):
+    return SequenceClassifier(cell=p_fwd, cell_bwd=p_bwd,
+                              out=init_output(make_rng(500), 2 * p_fwd.n, 1))
+
 
 def test_bidirectional_output_is_ordered_concatenation():
     p_fwd = random_cell("lstm6", 3, 5, seed=51)
     p_bwd = random_cell("lstm6", 3, 5, seed=52)
     xs = make_rng(510).uniform(-1, 1, size=(7, 3))
-    y = bidirectional_run(p_fwd, p_bwd, xs)
+    model = bidirectional_model(p_fwd, p_bwd)
+    y_raw, y, _ = model.forward(xs)
     assert y.shape == (10,)
     h_f, _, _ = run_cell(p_fwd, xs)
     h_b, _, _ = run_cell(p_bwd, xs[::-1])
     npt.assert_array_equal(y[:5], h_f)
     npt.assert_array_equal(y[5:], h_b)
+    npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
 
 
 def test_bidirectional_palindrome_halves_agree():
     p = random_cell("lstm_c6", 2, 4, seed=53)
     half = make_rng(530).uniform(-1, 1, size=(3, 2))
     xs = np.concatenate([half, half[::-1]])  # palindromic in time
-    y = bidirectional_run(p, p, xs)
+    _, y, _ = bidirectional_model(p, p).forward(xs)
     npt.assert_array_equal(y[:4], y[4:])
 
 
@@ -415,17 +462,17 @@ def test_bidirectional_width_doubles():
     p_fwd = random_cell("lstm6", 4, 128, seed=54)
     p_bwd = random_cell("lstm6", 4, 128, seed=55)
     xs = make_rng(540).uniform(-1, 1, size=(3, 4))
-    assert bidirectional_run(p_fwd, p_bwd, xs).shape == (256,)
+    assert bidirectional_model(p_fwd, p_bwd).forward(xs)[1].shape == (256,)
 
 
 def test_bidirectional_mismatched_cells_rejected():
     a = random_cell("lstm6", 3, 4, seed=56)
     b = random_cell("lstm6", 3, 5, seed=57)
     with pytest.raises(ValueError, match="disagree on n"):
-        bidirectional_run(a, b, np.zeros((2, 3)))
+        bidirectional_model(a, b)
     c = random_cell("lstm_c6", 3, 4, seed=58)
     with pytest.raises(ValueError, match="disagree on variant"):
-        bidirectional_run(a, c, np.zeros((2, 3)))
+        bidirectional_model(a, c)
 
 
 # --------------------------------------------------------------------------

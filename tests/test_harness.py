@@ -28,7 +28,7 @@ from slimrnn.harness import (
     parse_config_text,
     save_checkpoint,
 )
-from slimrnn.training import MetricsRecord, batch_loss
+from slimrnn.training import MetricsRecord, evaluate
 
 
 def tiny_config(tmp_path, **overrides):
@@ -183,7 +183,7 @@ def eval_loss_on_fresh_batch(model, seed=606):
     rng = np.random.default_rng(seed)
     batch = SequenceBatch(tokens=rng.integers(0, 8, size=(4, 6)),
                           labels=rng.integers(0, 2, size=4))
-    return batch_loss(model, batch, "bce")
+    return evaluate(model, batch, "bce")[0]
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -230,6 +230,45 @@ def test_checkpoint_rejects_corruption(tmp_path):
     imposter.write_bytes(b"some other format\nend\n" + blob[blob.index(b"\nend\n") + 5:])
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(imposter)
+
+
+def test_checkpoint_keeps_a_frozen_embedding_frozen(tmp_path):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    model = build_model(cfg, train.n_classes)
+    model.emb.trainable = False
+    path = tmp_path / "frozen.ckpt"
+    save_checkpoint(path, model, cfg)
+    loaded, meta = load_checkpoint(path)
+    assert meta["trainable"] == "false"
+    assert loaded.emb.trainable is False
+    assert list(loaded.param_arrays()) == list(model.param_arrays())
+    assert "emb.E" not in loaded.param_arrays()
+
+
+def test_checkpoint_without_a_trainable_line_loads_trainable(tmp_path):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, build_model(cfg, train.n_classes), cfg)
+    path.write_bytes(path.read_bytes().replace(b"trainable true\n", b"", 1))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.emb.trainable is True
+
+
+def test_every_truncated_checkpoint_is_rejected_by_path(tmp_path):
+    cfg = tiny_config(tmp_path, hidden=2, embed=2, vocab=4)
+    train, _ = build_dataset(cfg)
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, build_model(cfg, train.n_classes), cfg)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for k in range(len(blob)):
+        cut.write_bytes(blob[:k])
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(cut)
+        assert str(info.value).startswith(f"{cut}: "), (k, str(info.value))
+    load_checkpoint(path)
 
 
 # --------------------------------------------------------------------------

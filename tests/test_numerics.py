@@ -1,4 +1,4 @@
-"""Kernel-level checks: matvec/hadamard against loop oracles, activation
+"""Kernel-level checks: matvec against a loop oracle, activation
 values and derivative rules against finite differences, and the Glorot
 initializer's determinism, range, and draw count."""
 
@@ -10,7 +10,6 @@ from slimrnn.numerics import (
     ACTIVATIONS,
     activate,
     activate_grad_from_output,
-    hadamard,
     init_matrix,
     make_rng,
     matvec,
@@ -63,12 +62,16 @@ def test_matvec_shape_mismatch_names_both_shapes():
         matvec(a, np.zeros(4))
 
 
-def test_hadamard_known_value_and_mismatch():
-    npt.assert_array_equal(
-        hadamard(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])),
-        [4.0, 10.0, 18.0])
-    with pytest.raises(ValueError):
-        hadamard(np.zeros(3), np.zeros(2))
+def test_matvec_over_a_batch_axis_applies_to_every_row():
+    rng = make_rng(103)
+    a = rng.uniform(-1.0, 1.0, size=(5, 4))
+    xs = rng.uniform(-1.0, 1.0, size=(6, 4))
+    ys = matvec(a, xs)
+    assert ys.shape == (6, 5)
+    for x, y in zip(xs, ys):
+        npt.assert_allclose(y, loop_matvec(a, x), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match=r"\(5, 4\).*\(6, 3\)"):
+        matvec(a, np.zeros((6, 3)))
 
 
 def test_activate_center_values():

@@ -8,14 +8,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from slimrnn.cells import VARIANTS, init_cell, init_output
+from slimrnn.cells import (VARIANTS, init_cell, init_output, output_layer_apply,
+                           run_cell)
 from slimrnn.data import SequenceBatch, VectorBatch, init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import (
     MetricsRecord,
     OptimizerState,
+    EVAL_SLICE,
     SequenceClassifier,
-    batch_loss,
     bptt_gradients,
     evaluate,
     finite_difference_model,
@@ -104,6 +105,20 @@ def test_losses_nonnegative_and_clamped():
     for k in (2, 5):
         loss, _ = loss_eval("cce", rng.uniform(-5, 5, size=k), one_hot(0, k))
         assert loss > 0.0
+
+
+@pytest.mark.parametrize("kind,k", [("bce", 1), ("cce", 4)])
+def test_loss_over_a_batch_axis_equals_per_row_losses(kind, k):
+    rng = make_rng(1250)
+    raw = rng.uniform(-4, 4, size=(7, k))
+    labels = rng.integers(0, 2 if kind == "bce" else k, size=7)
+    y = labels[:, None].astype(float) if kind == "bce" else one_hot(labels, k)
+    losses, grads = loss_eval(kind, raw, y)
+    assert losses.shape == (7,) and grads.shape == (7, k)
+    for b in range(7):
+        loss, grad = loss_eval(kind, raw[b], y[b])
+        assert losses[b] == loss
+        npt.assert_array_equal(grads[b], grad)
 
 
 @pytest.mark.parametrize("kind,k", [("bce", 1), ("cce", 4)])
@@ -305,8 +320,6 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
         model_gradients(model, empty, "bce")
     with pytest.raises(ValueError, match="empty"):
-        batch_loss(model, empty, "bce")
-    with pytest.raises(ValueError, match="empty"):
         evaluate(model, empty, "bce")
 
 
@@ -438,6 +451,37 @@ def test_evaluate_multiclass_argmax():
     assert acc == float(np.mean(batch.labels == 1))
 
 
+def per_sample_evaluate(model, batch, loss_kind):
+    """Mean loss and accuracy stepping one sample at a time."""
+    k = model.out.b_y.shape[0]
+    total, correct = 0.0, 0
+    for tokens, label in zip(batch.tokens, batch.labels):
+        xs = model.emb.E[tokens]
+        h, _, _ = run_cell(model.cell, xs)
+        if model.cell_bwd is not None:
+            h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])[0]])
+        y_raw = output_layer_apply(model.out, h)
+        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
+        total += loss_eval(loss_kind, y_raw, target)[0]
+        pred = int(y_raw[0] >= 0.0) if loss_kind == "bce" else int(np.argmax(y_raw))
+        correct += int(pred == label)
+    return total / len(batch), correct / len(batch)
+
+
+@pytest.mark.parametrize("variant,loss_kind,bidirectional",
+                         [("lstm", "bce", False), ("lstm_c6", "bce", True),
+                          ("srnn", "cce", False), ("lstm6", "cce", True)])
+def test_evaluate_in_slices_matches_per_sample_runs(variant, loss_kind, bidirectional):
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, 3, 4, seed=3650, act="tanh", out_dim=k,
+                        bidirectional=bidirectional)
+    batch = token_batch(3651, B=2 * EVAL_SLICE + 5, T=6, n_classes=max(k, 2))
+    loss, acc = evaluate(model, batch, loss_kind)
+    want_loss, want_acc = per_sample_evaluate(model, batch, loss_kind)
+    assert abs(loss - want_loss) <= 1e-14 * want_loss
+    assert acc == want_acc
+
+
 def synth_split(seed=3700, n=80, T=8, vocab=12):
     from slimrnn.data import synth_generate
     return synth_generate("keyword_count", n, T, vocab, make_rng(seed))
@@ -447,7 +491,7 @@ def test_train_epoch_reduces_training_loss():
     train, test = synth_split()
     model = small_model("lstm6", 4, 8, seed=3800, act="tanh", vocab=12)
     opt = OptimizerState(kind="adam", eta=2e-3)
-    initial = batch_loss(model, train, "bce")
+    initial = evaluate(model, train, "bce")[0]
     rec = train_epoch(model, train, test, opt, "bce", batch_size=8,
                       seed=99, epoch=1)
     assert isinstance(rec, MetricsRecord)
