@@ -7,10 +7,10 @@ with hand-derived exact gradients, a finite-difference oracle, and a
 text-classification experiment harness.
 """
 
-from .cells import (CellParams, OutputLayer, StepCache, gate_override_step,
-                    init_cell, init_output, lstm6_step, lstm_step,
-                    lstmc6_step, output_layer_apply, param_count, run_cell,
-                    srnn_step, step_mac_count)
+from .cells import (CellParams, OutputLayer, gate_override_step, init_cell,
+                    init_output, lstm6_step, lstm_step, lstmc6_step,
+                    output_layer_apply, param_count, run_cell, srnn_step,
+                    step_mac_count)
 from .data import (EmbeddingTable, SequenceBatch, VectorBatch, build_vocab,
                    embed_lookup, init_embedding, load_frozen_embeddings,
                    load_tsv_corpus, pad_or_truncate, synth_generate)
@@ -27,7 +27,7 @@ from .training import (MetricsRecord, OptimizerState, SequenceClassifier,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellParams", "OutputLayer", "StepCache", "gate_override_step",
+    "CellParams", "OutputLayer", "gate_override_step",
     "init_cell", "init_output", "lstm6_step", "lstm_step", "lstmc6_step",
     "output_layer_apply", "param_count", "run_cell", "srnn_step",
     "step_mac_count",

@@ -126,57 +126,32 @@ def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
                       forget_const=forget_const, **fields)
 
 
-@dataclass(slots=True)
-class StepCache:
-    """Everything one backward step needs, recorded by the forward step.
-
-    Gate fields are populated only by the full cell's steps (lstm_step,
-    gate_override_step). lstm6 and lstm_c6 leave them None: their gates
-    are constants (i = o = 1, f = forget_const), so the cache replays
-    c_t == forget_const*c_prev + c_tilde.
-    """
-
-    x_t: np.ndarray
-    h_prev: np.ndarray
-    h_t: np.ndarray
-    c_prev: np.ndarray | None = None
-    c_t: np.ndarray | None = None
-    i_t: np.ndarray | None = None
-    f_t: np.ndarray | None = None
-    o_t: np.ndarray | None = None
-    c_tilde: np.ndarray | None = None
-
-
 def srnn_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray):
-    """One simple-recurrent step. Returns (h_t, cache)."""
-    h_t = activate(p.act, matvec(p.W_hx, x_t) + matvec(p.W_hh, h_prev) + p.b_h)
-    return h_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t)
+    """One simple-recurrent step. Returns h_t."""
+    return activate(p.act, matvec(p.W_hx, x_t) + matvec(p.W_hh, h_prev) + p.b_h)
 
 
 def lstm_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
               c_prev: np.ndarray):
     """One full-gate step. Gates are always sigmoid; the candidate and the
-    cell-output squash use p.act. Returns (h_t, c_t, cache)."""
+    cell-output squash use p.act. Returns (h_t, c_t, gates), gates being
+    [i | f | o | c_tilde] along the feature axis (width 4n)."""
     i_t = activate("sigmoid", matvec(p.W_i, x_t) + matvec(p.U_i, h_prev) + p.b_i)
     f_t = activate("sigmoid", matvec(p.W_f, x_t) + matvec(p.U_f, h_prev) + p.b_f)
     o_t = activate("sigmoid", matvec(p.W_o, x_t) + matvec(p.U_o, h_prev) + p.b_o)
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
     c_t = f_t * c_prev + i_t * c_tilde
     h_t = o_t * activate(p.act, c_t)
-    return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, i_t=i_t, f_t=f_t, o_t=o_t,
-                               c_tilde=c_tilde)
+    return h_t, c_t, np.concatenate([i_t, f_t, o_t, c_tilde], axis=-1)
 
 
 def lstm6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
                c_prev: np.ndarray):
     """One gate-free step: c_t = f c_{t-1} + act(W_c x_t + U_c h_{t-1} + b_c),
-    h_t = act(c_t). Returns (h_t, c_t, cache)."""
+    h_t = act(c_t). Returns (h_t, c_t, c_tilde)."""
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
     c_t = p.forget_const * c_prev + c_tilde
-    h_t = activate(p.act, c_t)
-    return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, c_tilde=c_tilde)
+    return activate(p.act, c_t), c_t, c_tilde
 
 
 def lstmc6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
@@ -185,9 +160,7 @@ def lstmc6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     the candidate pre-activation is W_c x_t + u_c * h_{t-1} + b_c."""
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + p.u_c * h_prev + p.b_c)
     c_t = p.forget_const * c_prev + c_tilde
-    h_t = activate(p.act, c_t)
-    return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, c_tilde=c_tilde)
+    return activate(p.act, c_t), c_t, c_tilde
 
 
 def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
@@ -219,9 +192,8 @@ def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
     c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
     c_t = f_t * c_prev + i_t * c_tilde
     h_t = o_t * activate(p.act, c_t)
-    return h_t, c_t, StepCache(x_t=x_t, h_prev=h_prev, h_t=h_t, c_prev=c_prev,
-                               c_t=c_t, i_t=i_t, f_t=f_t, o_t=o_t,
-                               c_tilde=c_tilde)
+    gates = np.broadcast_arrays(i_t, f_t, o_t, c_tilde)  # pinned gates are (n,)
+    return h_t, c_t, np.concatenate(gates, axis=-1)
 
 
 @dataclass
@@ -255,34 +227,49 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     xs is time-major: (T, m) for one sample, or (T, B, m) for B samples
     stepped together. States start at zero unless h0/c0 are given, shaped
     like one step's state: (n,) or (B, n). Shapes are checked here once,
-    not per step. Returns (h_T, c_T, caches); c_T is None for srnn, and
-    caches lists each step's StepCache, or is None when record is False.
+    not per step. Returns (h_T, c_T, stacks); c_T is None for srnn.
+
+    With record set, stacks is (H, C, aux), filled step by step into
+    preallocated arrays: H is (T+1, ..., n) with H[0] the initial state,
+    C likewise for the cell state (None for srnn), and aux holds what
+    each step computed beyond its states: c_tilde (T, ..., n) for the
+    slim cells, the gates [i | f | o | c_tilde] (T, ..., 4n) for lstm,
+    None for srnn. Without record only the running state is kept and
+    stacks is None.
     """
     xs = np.asarray(xs)
     if xs.ndim not in (2, 3) or xs.shape[-1] != p.m:
         raise ValueError(
             f"inputs have shape {xs.shape}, expected (T, {p.m}) or (T, B, {p.m})")
-    if xs.shape[0] == 0:
+    T = xs.shape[0]
+    if T == 0:
         raise ValueError("cannot run a cell over an empty sequence")
     state = xs.shape[1:-1] + (p.n,)
     for what, v in (("h0", h0), ("c0", c0)):
         if v is not None and v.shape != state:
             raise ValueError(f"{what} has shape {v.shape}, expected {state}")
     h = np.zeros(state) if h0 is None else h0
-    caches = [] if record else None
+    H = np.empty((T + 1,) + state) if record else None
+    if record:
+        H[0] = h
     if p.variant == "srnn":
-        for x_t in xs:
-            h, cache = srnn_step(p, x_t, h)
+        for t, x_t in enumerate(xs):
+            h = srnn_step(p, x_t, h)
             if record:
-                caches.append(cache)
-        return h, None, caches
+                H[t + 1] = h
+        return h, None, ((H, None, None) if record else None)
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
     c = np.zeros(state) if c0 is None else c0
-    for x_t in xs:
-        h, c, cache = step(p, x_t, h, c)
+    if record:
+        C = np.empty_like(H)
+        C[0] = c
+        width = 4 * p.n if p.variant == "lstm" else p.n
+        aux = np.empty((T,) + state[:-1] + (width,))
+    for t, x_t in enumerate(xs):
+        h, c, a = step(p, x_t, h, c)
         if record:
-            caches.append(cache)
-    return h, c, caches
+            H[t + 1], C[t + 1], aux[t] = h, c, a
+    return h, c, ((H, C, aux) if record else None)
 
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:

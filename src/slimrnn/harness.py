@@ -19,6 +19,7 @@ import itertools
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -272,6 +273,12 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     variant, m, n = meta["variant"], int(meta["m"]), int(meta["n"])
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    loss = meta["loss"]
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}")
+    if loss == "bce" and arrays["out.b_y"].shape != (1,):
+        raise ValueError(f"bce needs an output width of 1, "
+                         f"checkpoint has {arrays['out.b_y'].shape[0]}")
     act, f = meta["activation"], float(meta["forget"])
 
     def rebuild_cell(prefix: str) -> CellParams:
@@ -360,7 +367,8 @@ def _sweep_cells(spec: SweepSpec):
 
 def _run_sweep_cell(cfg: ExperimentConfig) -> str:
     """One grid cell -> one summary CSV row. Never raises: a failed cell
-    reports nan metrics so the rest of the sweep still runs."""
+    reports nan metrics so the rest of the sweep still runs, and leaves
+    its traceback in error.txt under the cell's out directory."""
     try:
         result = cmd_train(cfg)
         records = result["records"]
@@ -371,6 +379,12 @@ def _run_sweep_cell(cfg: ExperimentConfig) -> str:
                 f"{best!r},{best_epoch},{final_train!r}")
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         print(f"sweep cell failed ({cfg.out}): {exc}", file=sys.stderr)
+        out_dir = Path(cfg.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
+        except OSError as err:
+            print(f"cannot write {out_dir / 'error.txt'}: {err}", file=sys.stderr)
         return f"{cfg.variant},{cfg.hidden},{cfg.eta!r},{cfg.forget!r},nan,0,nan"
 
 
@@ -395,27 +409,22 @@ def cmd_sweep(spec: SweepSpec):
     return {"summary": str(summary), "rows": rows}
 
 
-def _relu_kink_margin(p: CellParams, caches) -> float:
+def _relu_kink_margin(p: CellParams, xs: np.ndarray, stacks) -> float:
     """Smallest |pre-activation| a relu net saw across a forward pass.
 
     Central differences are unreliable when any relu argument sits
     within the probe step of its kink, so relu checks skip such nets.
-    The candidate pre-activation is rebuilt from the cache; the cell
-    state c_t is itself the argument of the output squash.
+    The candidate pre-activations of every step are rebuilt at once from
+    xs and the recorded H; the cell state c_t is itself the argument of
+    the output squash.
     """
-    margin = np.inf
-    for k in caches:
-        if p.variant == "srnn":
-            a = p.W_hx @ k.x_t + p.W_hh @ k.h_prev + p.b_h
-            margin = min(margin, float(np.min(np.abs(a))))
-            continue
-        if p.variant == "lstm_c6":
-            a = p.W_c @ k.x_t + p.u_c * k.h_prev + p.b_c
-        else:
-            a = p.W_c @ k.x_t + p.U_c @ k.h_prev + p.b_c
-        margin = min(margin, float(np.min(np.abs(a))),
-                     float(np.min(np.abs(k.c_t))))
-    return margin
+    H, C, _ = stacks
+    X, H_prev = xs.reshape(-1, p.m), H[:-1].reshape(-1, p.n)
+    if p.variant == "srnn":
+        return float(np.min(np.abs(X @ p.W_hx.T + H_prev @ p.W_hh.T + p.b_h)))
+    recur = p.u_c * H_prev if p.variant == "lstm_c6" else H_prev @ p.U_c.T
+    a = X @ p.W_c.T + recur + p.b_c
+    return min(float(np.min(np.abs(a))), float(np.min(np.abs(C[1:]))))
 
 
 def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
@@ -459,10 +468,8 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                 labels = rng.integers(0, 2, size=bb)
                 batch_data = SequenceBatch(tokens=tokens, labels=labels)
                 if act == "relu":
-                    margins = [
-                        _relu_kink_margin(cell, run_cell(cell, emb.E[tokens[i]])[2])
-                        for i in range(bb)]
-                    if min(margins) < 1e-4:
+                    xs = emb.E[tokens.T]
+                    if _relu_kink_margin(cell, xs, run_cell(cell, xs)[2]) < 1e-4:
                         continue
                 used += 1
                 _, analytic = bptt_gradients(cell, out, emb, batch_data, "bce")

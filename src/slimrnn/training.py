@@ -2,10 +2,13 @@
 gradient oracle, optimizers, and the epoch loop.
 
 Gradients are hand-derived per cell variant and flow only from the
-final-step loss; there is no per-step target. Every gradient path here
-is certified against central finite differences in the test suite, so
-treat the two implementations as independent and never "fix" one by
-copying from the other.
+final-step loss; there is no per-step target. Backpropagation runs over
+the stacked arrays run_cell records per sequence: a reverse loop over
+time carries the state gradients and writes each step's pre-activation
+delta, and each weight gradient is then one matrix product over all
+steps. Every gradient path here is certified against central finite
+differences in the test suite, so treat the two implementations as
+independent and never "fix" one by copying from the other.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .cells import (CellParams, OutputLayer, output_layer_apply, run_cell)
+from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer,
+                    output_layer_apply, run_cell)
 from .data import EmbeddingTable, PAD_INDEX, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
@@ -87,13 +91,17 @@ class SequenceClassifier:
     cell_bwd: CellParams | None = None
 
     def __post_init__(self):
-        if self.cell_bwd is None:
-            return
-        for a, b, what in ((self.cell.variant, self.cell_bwd.variant, "variant"),
-                           (self.cell.m, self.cell_bwd.m, "m"),
-                           (self.cell.n, self.cell_bwd.n, "n")):
-            if a != b:
-                raise ValueError(f"bidirectional cells disagree on {what}: {a} vs {b}")
+        if self.cell_bwd is not None:
+            for a, b, what in ((self.cell.variant, self.cell_bwd.variant, "variant"),
+                               (self.cell.m, self.cell_bwd.m, "m"),
+                               (self.cell.n, self.cell_bwd.n, "n")):
+                if a != b:
+                    raise ValueError(
+                        f"bidirectional cells disagree on {what}: {a} vs {b}")
+        width = 2 * self.cell.n if self.bidirectional else self.cell.n
+        if self.out.W_hy.shape[1] != width:
+            raise ValueError(f"output layer reads {self.out.W_hy.shape[1]} features, "
+                             f"the cells give {width}")
 
     @property
     def bidirectional(self) -> bool:
@@ -122,16 +130,17 @@ class SequenceClassifier:
         """The model's one forward pass over time-major inputs xs, (T, m)
         for one sample or (T, B, m) for a batch: the forward cell over xs,
         the backward cell (if any) over reversed time, then the readout of
-        [h_fwd ; h_bwd]. Returns (y_raw, h, caches): h is what the readout
-        read, caches holds each direction's step caches when record is set.
+        [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
+        read, stacks lists each direction's run_cell stacks (None unless
+        record is set); the backward direction's stacks run over reversed time.
         """
-        h, _, caches = run_cell(self.cell, xs, record=record)
-        caches = [caches]
+        h, _, stacks = run_cell(self.cell, xs, record=record)
+        stacks = [stacks]
         if self.cell_bwd is not None:
-            h_b, _, caches_b = run_cell(self.cell_bwd, xs[::-1], record=record)
+            h_b, _, stacks_b = run_cell(self.cell_bwd, xs[::-1], record=record)
             h = np.concatenate([h, h_b], axis=-1)
-            caches.append(caches_b)
-        return output_layer_apply(self.out, h), h, caches
+            stacks.append(stacks_b)
+        return output_layer_apply(self.out, h), h, stacks
 
 
 def _inputs(model: SequenceClassifier, batch, rows) -> np.ndarray:
@@ -149,71 +158,65 @@ def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
     return one_hot(labels, out_dim)
 
 
-def _backward_cell(p: CellParams, caches, dh: np.ndarray, grads: GradientSet,
-                   prefix: str, need_dx: bool):
-    """Backpropagate dh (gradient at the final hidden state) through all
-    cached steps, accumulating into grads. Returns the (T, m) gradient
-    with respect to the inputs, or None when not requested."""
-    T = len(caches)
-    dxs = np.empty((T, p.m)) if need_dx else None
+def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
+                   grads: GradientSet, prefix: str, need_dx: bool):
+    """Backpropagate dh (gradient at the final hidden state) through the
+    stacks run_cell recorded over xs, accumulating into grads. Returns
+    the gradient with respect to xs, or None when not requested.
 
+    The derivative factors are computed once per sequence into D, one row
+    per step. The reverse loop carries only dh and dc and scales each row
+    in place into that step's pre-activation delta; the weight gradients
+    then come from all rows at once: gW += D^T X, gR += D^T H[:-1],
+    gb += column sums of D. Rows may carry a batch axis: everything after
+    the loop works on (rows, width) views.
+    """
+    H, C, aux = stacks
+    names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
+    W = np.concatenate([getattr(p, k) for k in names[0::3]])
+    R = np.concatenate([getattr(p, k) for k in names[1::3]])
+    T, n = len(xs), p.n
     if p.variant == "srnn":
-        gW, gR, gb = grads[prefix + "W_hx"], grads[prefix + "W_hh"], grads[prefix + "b_h"]
+        D = activate_grad_from_output(p.act, H[1:])
         for t in range(T - 1, -1, -1):
-            k = caches[t]
-            da = dh * activate_grad_from_output(p.act, k.h_t)
-            gW += np.outer(da, k.x_t)
-            gR += np.outer(da, k.h_prev)
-            gb += da
-            if need_dx:
-                dxs[t] = p.W_hx.T @ da
-            dh = p.W_hh.T @ da
-        return dxs
-
-    dc = np.zeros(p.n)
-    if p.variant == "lstm":
+            d = D[t]
+            d *= dh
+            dh = d.dot(R)
+    elif p.variant == "lstm":
+        i, f, o, c_tilde = (aux[..., k * n:(k + 1) * n] for k in range(4))
+        s = activate(p.act, C[1:])
+        dc_dh = o * activate_grad_from_output(p.act, s)
+        D = np.empty_like(aux)
+        D[..., :3 * n] = activate_grad_from_output("sigmoid", aux[..., :3 * n])
+        D[..., 3 * n:] = activate_grad_from_output(p.act, c_tilde)
+        D *= np.concatenate([c_tilde, C[:-1], s, i], axis=-1)
+        dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
-            k = caches[t]
-            s = activate(p.act, k.c_t)
-            do = dh * s
-            dc = dc + dh * k.o_t * activate_grad_from_output(p.act, s)
-            da_i = (dc * k.c_tilde) * (k.i_t * (1.0 - k.i_t))
-            da_f = (dc * k.c_prev) * (k.f_t * (1.0 - k.f_t))
-            da_o = do * (k.o_t * (1.0 - k.o_t))
-            da_c = (dc * k.i_t) * activate_grad_from_output(p.act, k.c_tilde)
-            for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("c", da_c)):
-                grads[f"{prefix}W_{gate}"] += np.outer(da, k.x_t)
-                grads[f"{prefix}U_{gate}"] += np.outer(da, k.h_prev)
-                grads[f"{prefix}b_{gate}"] += da
-            dh = (p.U_i.T @ da_i + p.U_f.T @ da_f
-                  + p.U_o.T @ da_o + p.U_c.T @ da_c)
-            if need_dx:
-                dxs[t] = (p.W_i.T @ da_i + p.W_f.T @ da_f
-                          + p.W_o.T @ da_o + p.W_c.T @ da_c)
-            dc = dc * k.f_t
-        return dxs
-
-    # slim variants: h_t = act(c_t), i = o = 1, f constant
-    gW, gb = grads[prefix + "W_c"], grads[prefix + "b_c"]
-    recur_key = prefix + ("U_c" if p.variant == "lstm6" else "u_c")
-    gR = grads[recur_key]
-    f = p.forget_const
-    for t in range(T - 1, -1, -1):
-        k = caches[t]
-        dc = dc + dh * activate_grad_from_output(p.act, k.h_t)
-        da_c = dc * activate_grad_from_output(p.act, k.c_tilde)
-        gW += np.outer(da_c, k.x_t)
-        gb += da_c
-        if p.variant == "lstm6":
-            gR += np.outer(da_c, k.h_prev)
-            dh = p.U_c.T @ da_c
-        else:
-            gR += da_c * k.h_prev
-            dh = p.u_c * da_c
-        if need_dx:
-            dxs[t] = p.W_c.T @ da_c
-        dc = dc * f
-    return dxs
+            dc += dh * dc_dh[t]
+            d = D[t]
+            d *= np.concatenate([dc, dc, dh, dc], axis=-1)
+            dh = d.dot(R)
+            dc *= f[t]
+    else:  # slim cells: i = o = 1, f constant, h_t = act(c_t)
+        dc_dh = activate_grad_from_output(p.act, H[1:])
+        D = activate_grad_from_output(p.act, aux)
+        diag = p.variant == "lstm_c6"
+        dc = np.zeros_like(dh)
+        for t in range(T - 1, -1, -1):
+            dc += dh * dc_dh[t]
+            d = D[t]
+            d *= dc
+            dh = R * d if diag else d.dot(R)
+            dc *= p.forget_const
+    D = D.reshape(-1, D.shape[-1])
+    H_prev = H[:-1].reshape(-1, n)
+    gW, gb = D.T @ xs.reshape(-1, p.m), D.sum(axis=0)
+    gR = (D * H_prev).sum(axis=0) if p.variant == "lstm_c6" else D.T @ H_prev
+    for k in range(len(names) // 3):
+        rows = slice(k * n, (k + 1) * n)
+        for name, g in zip(names[3 * k:3 * k + 3], (gW, gR, gb)):
+            grads[prefix + name] += g[rows]
+    return (D @ W).reshape(xs.shape) if need_dx else None
 
 
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
@@ -229,17 +232,19 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     B = len(batch)
     total = 0.0
     for i in range(B):
-        y_raw, h, caches = model.forward(_inputs(model, batch, i), record=True)
+        xs = _inputs(model, batch, i)
+        y_raw, h, stacks = model.forward(xs, record=True)
         loss, dy = loss_eval(loss_kind, y_raw,
                              _targets(loss_kind, batch.labels[i], out_dim))
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy
         dh = model.out.W_hy.T @ dy
-        dxs = _backward_cell(model.cell, caches[0], dh[:n], grads, "fwd.", need_dx)
+        dxs = _backward_cell(model.cell, xs, stacks[0], dh[:n], grads, "fwd.",
+                             need_dx)
         if model.bidirectional:
-            dx_b = _backward_cell(model.cell_bwd, caches[1], dh[n:], grads,
-                                  "bwd.", need_dx)
+            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks[1], dh[n:],
+                                  grads, "bwd.", need_dx)
             if need_dx:
                 dxs = dxs + dx_b[::-1]
         if need_dx:

@@ -54,10 +54,10 @@ def random_cell(variant, m, n, seed, act="sigmoid", forget_const=0.59):
 
 def test_srnn_step_zero_params():
     p = zero_cell("srnn", 3, 4)
-    h, _ = srnn_step(p, np.ones(3), np.ones(4))
+    h = srnn_step(p, np.ones(3), np.ones(4))
     npt.assert_array_equal(h, np.full(4, 0.5))
     p_tanh = zero_cell("srnn", 3, 4, act="tanh")
-    h, _ = srnn_step(p_tanh, np.ones(3), np.ones(4))
+    h = srnn_step(p_tanh, np.ones(3), np.ones(4))
     npt.assert_array_equal(h, np.zeros(4))
 
 
@@ -105,7 +105,7 @@ def test_srnn_step_matches_inline_transcription():
     rng = make_rng(70)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 2)
-    h, _ = srnn_step(p, x, h_prev)
+    h = srnn_step(p, x, h_prev)
     expected = expit(p.W_hx @ x + p.W_hh @ h_prev + p.b_h)
     npt.assert_allclose(h, expected, rtol=0, atol=1e-15)
 
@@ -152,29 +152,24 @@ def test_lstmc6_step_matches_inline_transcription():
 
 
 def test_step_caches_record_the_step():
-    p = random_cell("lstm", 3, 2, seed=21)
     rng = make_rng(210)
-    x = rng.uniform(-1, 1, 3)
-    h_prev = rng.uniform(-1, 1, 2)
-    c_prev = rng.uniform(-1, 1, 2)
-    h, c, k = lstm_step(p, x, h_prev, c_prev)
-    npt.assert_array_equal(k.h_t, h)
-    npt.assert_array_equal(k.c_t, c)
-    npt.assert_array_equal(k.x_t, x)
-    npt.assert_array_equal(k.h_prev, h_prev)
-    # the cached pieces recompose the state update exactly
-    npt.assert_allclose(k.f_t * k.c_prev + k.i_t * k.c_tilde, c,
-                        rtol=0, atol=1e-16)
+    xs = rng.uniform(-1, 1, (4, 3))
+    p = random_cell("lstm", 3, 2, seed=21)
+    _, _, (H, C, gates) = run_cell(p, xs)
+    assert gates.shape == (4, 8)
+    i, f, o, c_tilde = np.split(gates, 4, axis=-1)
+    # the recorded gates recompose the state update exactly
+    npt.assert_allclose(f * C[:-1] + i * c_tilde, C[1:], rtol=0, atol=1e-16)
+    npt.assert_array_equal(o * expit(C[1:]), H[1:])
 
     # the slim cells' gates are constants (i = o = 1, f = forget_const),
-    # so their caches replay c_t == f*c_prev + c_tilde and h_t == act(c_t)
-    for variant, step in (("lstm6", lstm6_step), ("lstm_c6", lstmc6_step)):
+    # so their stacks replay C[t+1] == f*C[t] + c_tilde[t], H[t+1] == act(C[t+1])
+    for variant in ("lstm6", "lstm_c6"):
         p6 = random_cell(variant, 3, 2, seed=22)
-        h6, c6, k6 = step(p6, x, h_prev, c_prev)
-        npt.assert_array_equal(k6.c_t, c6)
-        npt.assert_array_equal(k6.h_t, h6)
-        npt.assert_array_equal(p6.forget_const * k6.c_prev + k6.c_tilde, c6)
-        npt.assert_array_equal(expit(k6.c_t), h6)
+        _, _, (H6, C6, c_tilde6) = run_cell(p6, xs)
+        for t in range(4):
+            npt.assert_array_equal(p6.forget_const * C6[t] + c_tilde6[t], C6[t + 1])
+            npt.assert_array_equal(expit(C6[t + 1]), H6[t + 1])
 
 
 def test_step_dimension_mismatch_rejected():
@@ -331,7 +326,7 @@ def test_run_cell_deterministic_and_zero_state_default():
     h2, c2, k2 = run_cell(p, xs)
     npt.assert_array_equal(h1, h2)
     npt.assert_array_equal(c1, c2)
-    assert len(k1) == len(k2) == 6
+    assert k1[0].shape[0] == k2[0].shape[0] == 6 + 1
     h3, c3, _ = run_cell(p, xs, h0=np.zeros(4), c0=np.zeros(4))
     npt.assert_array_equal(h1, h3)
     npt.assert_array_equal(c1, c3)
@@ -340,13 +335,13 @@ def test_run_cell_deterministic_and_zero_state_default():
 def test_run_cell_srnn_has_no_cell_state():
     p = random_cell("srnn", 3, 4, seed=42)
     xs = make_rng(420).uniform(-1, 1, size=(5, 3))
-    h, c, caches = run_cell(p, xs)
-    assert c is None
-    assert len(caches) == 5
+    h, c, (H, C, aux) = run_cell(p, xs)
+    assert c is None and C is None and aux is None
+    assert H.shape[0] == 5 + 1
     # matches stepping by hand
     hh = np.zeros(4)
     for t in range(5):
-        hh, _ = srnn_step(p, xs[t], hh)
+        hh = srnn_step(p, xs[t], hh)
     npt.assert_array_equal(h, hh)
 
 
@@ -360,25 +355,26 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
     p = random_cell("lstm6", 3, 4, seed=44)
     out = init_output(make_rng(440), 4, 2)
     x = make_rng(441).uniform(-1, 1, size=(1, 3))
-    h_T, _, caches = run_cell(p, x)
+    h_T, _, (H, _, _) = run_cell(p, x)
     y = output_layer_apply(out, h_T)
     h, _, _ = lstm6_step(p, x[0], np.zeros(4), np.zeros(4))
     npt.assert_array_equal(y, output_layer_apply(out, h))
-    assert len(caches) == 1
+    assert H.shape[0] == 1 + 1
 
 
 def test_run_sequence_caches_replay_the_forward_pass():
     p = random_cell("lstm", 2, 3, seed=45, act="tanh")
     xs = make_rng(450).uniform(-1, 1, size=(4, 2))
-    _, _, caches = run_cell(p, xs)
+    _, _, (H, C, gates) = run_cell(p, xs)
     h = np.zeros(3)
     c = np.zeros(3)
-    for t, k in enumerate(caches):
-        npt.assert_array_equal(k.h_prev, h)
-        npt.assert_array_equal(k.c_prev, c)
-        h2, c2, _ = lstm_step(p, xs[t], h, c)
-        npt.assert_array_equal(k.h_t, h2)
-        npt.assert_array_equal(k.c_t, c2)
+    for t in range(4):
+        npt.assert_array_equal(H[t], h)
+        npt.assert_array_equal(C[t], c)
+        h2, c2, g2 = lstm_step(p, xs[t], h, c)
+        npt.assert_array_equal(H[t + 1], h2)
+        npt.assert_array_equal(C[t + 1], c2)
+        npt.assert_array_equal(gates[t], g2)
         h, c = h2, c2
 
 
@@ -396,8 +392,8 @@ def test_output_layer_apply_known_values():
 def test_run_cell_over_a_batch_axis_equals_per_sample_runs(variant):
     p = random_cell(variant, 3, 5, seed=46, act="tanh")
     xs = make_rng(460).uniform(-2, 2, size=(9, 4, 3))  # (T, B, m)
-    h, c, caches = run_cell(p, xs)
-    assert h.shape == (4, 5) and len(caches) == 9
+    h, c, (H, _, _) = run_cell(p, xs)
+    assert h.shape == (4, 5) and H.shape == (9 + 1, 4, 5)
     # relative to the state's scale: a batched product may sum in another
     # order, which moves an entry that cancels to near zero by ~1e-17
     for b in range(4):
@@ -473,6 +469,17 @@ def test_bidirectional_mismatched_cells_rejected():
     c = random_cell("lstm_c6", 3, 4, seed=58)
     with pytest.raises(ValueError, match="disagree on variant"):
         bidirectional_model(a, c)
+
+
+def test_readout_width_is_checked_at_construction():
+    fwd = random_cell("lstm6", 3, 4, seed=59)
+    bwd = random_cell("lstm6", 3, 4, seed=60)
+    narrow = init_output(make_rng(590), 4, 1)
+    with pytest.raises(ValueError, match="reads 4 features, the cells give 8"):
+        SequenceClassifier(cell=fwd, cell_bwd=bwd, out=narrow)
+    with pytest.raises(ValueError, match="reads 8 features, the cells give 4"):
+        SequenceClassifier(cell=fwd, out=init_output(make_rng(591), 8, 1))
+    SequenceClassifier(cell=fwd, out=narrow)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import numpy.testing as npt
 import pytest
 from dataclasses import replace
 
+from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
+                           run_cell, srnn_step)
 from slimrnn.cli import main
 from slimrnn.data import SequenceBatch
 from slimrnn.harness import (
@@ -26,8 +28,10 @@ from slimrnn.harness import (
     format_metrics_row,
     load_checkpoint,
     parse_config_text,
+    _relu_kink_margin,
     save_checkpoint,
 )
+from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, evaluate
 
 
@@ -256,6 +260,21 @@ def test_checkpoint_without_a_trainable_line_loads_trainable(tmp_path):
     assert loaded.emb.trainable is True
 
 
+@pytest.mark.parametrize("loss, out_width, cause", [
+    ("hinge", 1, "unknown loss 'hinge'"),
+    ("bce", 3, "bce needs an output width of 1, checkpoint has 3"),
+])
+def test_checkpoint_loss_field_is_validated(tmp_path, loss, out_width, cause):
+    cfg = tiny_config(tmp_path, loss="cce", data="synth:majority_vote")
+    model = build_model(cfg, n_classes=out_width)
+    path = tmp_path / "loss.ckpt"
+    save_checkpoint(path, model, cfg)
+    path.write_bytes(path.read_bytes().replace(b"loss cce\n", f"loss {loss}\n".encode(), 1))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {cause}"
+
+
 def test_every_truncated_checkpoint_is_rejected_by_path(tmp_path):
     cfg = tiny_config(tmp_path, hidden=2, embed=2, vocab=4)
     train, _ = build_dataset(cfg)
@@ -340,9 +359,58 @@ def test_sweep_survives_a_failing_cell(tmp_path, capsys):
     assert ok_fields[0] == "lstm6" and float(ok_fields[4]) >= 0.0
 
 
+def test_failed_sweep_cell_leaves_its_traceback(tmp_path, capsys):
+    missing = tmp_path / "no_such.tsv"
+    base = tiny_config(tmp_path, out=str(tmp_path / "sweep"), data=f"tsv:{missing}")
+    result = cmd_sweep(SweepSpec(base=base, variants=["lstm6"], hiddens=[4],
+                                 etas=[2e-3], forgets=[0.59]))
+    assert result["rows"] == ["lstm6,4,0.002,0.59,nan,0,nan"]
+    summary = (tmp_path / "sweep" / "summary.csv").read_text(encoding="utf-8")
+    assert summary.splitlines()[0] == SWEEP_HEADER
+    cell = tmp_path / "sweep" / "cells" / "cell000_lstm6_h4"
+    assert "sweep cell failed" in capsys.readouterr().err
+    text = (cell / "error.txt").read_text(encoding="utf-8")
+    assert text.startswith("Traceback (most recent call last):")
+    assert "FileNotFoundError" in text and str(missing) in text
+    assert "build_dataset" in text
+
+
+def test_failed_sweep_cell_without_a_writable_out_dir_still_reports(tmp_path, capsys):
+    cell = tmp_path / "sweep" / "cells" / "cell000_lstm6_h4"
+    cell.parent.mkdir(parents=True)
+    cell.write_text("a file where the cell directory goes", encoding="utf-8")
+    base = tiny_config(tmp_path, out=str(tmp_path / "sweep"))
+    result = cmd_sweep(SweepSpec(base=base, variants=["lstm6"], hiddens=[4],
+                                 etas=[2e-3], forgets=[0.59]))
+    assert result["rows"] == ["lstm6,4,0.002,0.59,nan,0,nan"]
+    assert f"cannot write {cell / 'error.txt'}" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # Gradient-check, params, and bench commands.
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["srnn", "lstm", "lstm6", "lstm_c6"])
+def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
+    rng = make_rng(880)
+    cell = init_cell(variant, 3, 4, "relu", 0.59, rng)
+    xs = rng.uniform(-1, 1, size=(5, 2, 3))  # (T, B, m)
+    want = np.inf
+    for b in range(2):
+        h, c = np.zeros(4), np.zeros(4)
+        for x in xs[:, b]:
+            if variant == "srnn":
+                a = cell.W_hx @ x + cell.W_hh @ h + cell.b_h
+                h = srnn_step(cell, x, h)
+                want = min(want, np.abs(a).min())
+                continue
+            recur = cell.u_c * h if variant == "lstm_c6" else cell.U_c @ h
+            a = cell.W_c @ x + recur + cell.b_c
+            h, c, _ = {"lstm": lstm_step, "lstm6": lstm6_step,
+                       "lstm_c6": lstmc6_step}[variant](cell, x, h, c)
+            want = min(want, np.abs(a).min(), np.abs(c).min())
+    got = _relu_kink_margin(cell, xs, run_cell(cell, xs)[2])
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 def test_cmd_gradcheck_passes_on_healthy_gradients():
     report, ok = cmd_gradcheck(seeds=2)
