@@ -102,9 +102,6 @@ class CellParams:
         """Adaptive tensors in canonical order, name -> array."""
         return {name: getattr(self, name) for name in ADAPTIVE_FIELDS[self.variant]}
 
-    def adaptive_count(self) -> int:
-        return sum(a.size for a in self.param_arrays().values())
-
 
 def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
               forget_const: float = 0.59,

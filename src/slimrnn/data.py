@@ -46,10 +46,6 @@ class EmbeddingTable:
     def vocab_size(self) -> int:
         return self.E.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.E.shape[1]
-
 
 def init_embedding(rng: np.random.Generator, vocab_size: int, dim: int,
                    trainable: bool = True) -> EmbeddingTable:

@@ -28,6 +28,10 @@ LOSSES = ("bce", "cce")
 OPTIMIZERS = ("adam", "rmsprop", "sgd")
 
 _PROB_FLOOR = 1e-12
+# _backward_cell zeroes the gradient its reverse loop carries below this squared
+# norm: the rest lies under every gradient entry's last bit, but as subnormals it
+# would slow each product tens of times. The loop runs on, so its cost stays flat.
+_UNDERFLOW = np.finfo(np.float64).tiny
 
 # GradientSet: plain dict, tensor name -> array shaped like the tensor.
 GradientSet = dict
@@ -182,19 +186,24 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
             d = D[t]
             d *= dh
             dh = d.dot(R)
+            if np.vdot(dh, dh) < _UNDERFLOW:
+                dh[...] = 0.0
     elif p.variant == "lstm":
         i, f, o, c_tilde = (aux[..., k * n:(k + 1) * n] for k in range(4))
         s = activate(p.act, C[1:])
         dc_dh = o * activate_grad_from_output(p.act, s)
-        D = np.empty_like(aux)
-        D[..., :3 * n] = activate_grad_from_output("sigmoid", aux[..., :3 * n])
+        D = activate_grad_from_output("sigmoid", aux)  # the c block is redone below
         D[..., 3 * n:] = activate_grad_from_output(p.act, c_tilde)
-        D *= np.concatenate([c_tilde, C[:-1], s, i], axis=-1)
+        for k, factor in enumerate((c_tilde, C[:-1], s, i)):
+            D[..., k * n:(k + 1) * n] *= factor
         dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
             dc += dh * dc_dh[t]
+            g = np.concatenate([dc, dc, dh, dc], axis=-1)
+            if np.vdot(g, g) < _UNDERFLOW:  # g is all of dc and dh still used
+                g[...] = dc[...] = 0.0
             d = D[t]
-            d *= np.concatenate([dc, dc, dh, dc], axis=-1)
+            d *= g
             dh = d.dot(R)
             dc *= f[t]
     else:  # slim cells: i = o = 1, f constant, h_t = act(c_t)
@@ -204,6 +213,8 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
         dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
             dc += dh * dc_dh[t]
+            if np.vdot(dc, dc) < _UNDERFLOW:  # from here dh acts only via dc
+                dc[...] = 0.0
             d = D[t]
             d *= dc
             dh = R * d if diag else d.dot(R)

@@ -8,8 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from slimrnn.cells import (VARIANTS, init_cell, init_output, output_layer_apply,
-                           run_cell)
+from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
+                           output_layer_apply, run_cell)
 from slimrnn.data import SequenceBatch, VectorBatch, init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import (
@@ -27,6 +27,7 @@ from slimrnn.training import (
     one_hot,
     optimizer_step,
     train_epoch,
+    _backward_cell,
 )
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
@@ -254,6 +255,31 @@ def test_single_step_recurrent_gradients_are_zero():
             npt.assert_array_equal(grads[f"fwd.{name}"],
                                    np.zeros_like(grads[f"fwd.{name}"]),
                                    err_msg=f"{variant}.{name}")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
+    """A carried gradient that decays past float64's normal range stops at
+    exact zeros instead of passing through subnormal values: every step's
+    input gradient is either zero, in an unbroken run from the start, or
+    far above the subnormal range."""
+    rng = make_rng(2750)
+    p = init_cell(variant, 3, 4, "sigmoid", 0.01, rng)
+    for name in ADAPTIVE_FIELDS[variant][1::3]:  # shrink the recurrent gain
+        getattr(p, name)[...] *= 1e-3
+    if variant == "lstm":
+        p.b_f[...] = -30.0  # forget gate ~1e-13: dc decays as fast
+    xs = rng.uniform(-1.0, 1.0, size=(300, 3))
+    _, _, stacks = run_cell(p, xs, record=True)
+    grads = {name: np.zeros_like(getattr(p, name))
+             for name in ADAPTIVE_FIELDS[variant]}
+    dxs = _backward_cell(p, xs, stacks, np.ones(4), grads, "", need_dx=True)
+    size = np.abs(dxs).max(axis=1)
+    flushed = int(np.argmax(size > 0))  # steps [0, flushed) were flushed
+    assert 0 < flushed < len(xs) - 1, variant
+    assert size[flushed:].min() > 1e-200, variant
+    for name, g in grads.items():
+        assert np.all((g == 0) | (np.abs(g) > 1e-200)), f"{variant}.{name}"
 
 
 def test_gradient_sets_have_no_gate_entries_and_f_is_live():
