@@ -29,24 +29,23 @@ from .numerics import activate, init_matrix, matvec
 
 VARIANTS = ("srnn", "lstm", "lstm6", "lstm_c6")
 
-# Adaptive tensors per variant, in canonical (init / serialization) order.
-ADAPTIVE_FIELDS = {
-    "srnn": ("W_hx", "W_hh", "b_h"),
-    "lstm": ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
-             "W_o", "U_o", "b_o", "W_c", "U_c", "b_c"),
-    "lstm6": ("W_c", "U_c", "b_c"),
-    "lstm_c6": ("W_c", "u_c", "b_c"),
+# Adaptive tensors per variant, in canonical (init / serialization) order,
+# each with its kind: "in" is (n, m), "rec" is (n, n), "diag" and "bias"
+# are (n,). Biases start at zero; the other kinds are drawn.
+_TENSORS = {
+    "srnn": {"W_hx": "in", "W_hh": "rec", "b_h": "bias"},
+    "lstm": {f"{w}_{g}": kind for g in "ifoc"
+             for w, kind in (("W", "in"), ("U", "rec"), ("b", "bias"))},
+    "lstm6": {"W_c": "in", "U_c": "rec", "b_c": "bias"},
+    "lstm_c6": {"W_c": "in", "u_c": "diag", "b_c": "bias"},
 }
+ADAPTIVE_FIELDS = {variant: tuple(t) for variant, t in _TENSORS.items()}
 
 _SLIM = ("lstm6", "lstm_c6")
 
 
-def _expected_shape(name: str, m: int, n: int) -> tuple[int, ...]:
-    if name.startswith("W"):
-        return (n, m) if name in ("W_hx",) or name[2:] in ("i", "f", "o", "c") else (n, n)
-    if name.startswith("U") or name == "W_hh":
-        return (n, n)
-    return (n,)  # biases and u_c
+def _tensor_shape(kind: str, m: int, n: int) -> tuple[int, ...]:
+    return {"in": (n, m), "rec": (n, n), "diag": (n,), "bias": (n,)}[kind]
 
 
 @dataclass
@@ -89,11 +88,11 @@ class CellParams:
         if self.variant in _SLIM and not -1.0 < self.forget_const < 1.0:
             raise ValueError(
                 f"forget_const must satisfy -1 < f < 1, got {self.forget_const}")
-        for name in ADAPTIVE_FIELDS[self.variant]:
+        for name, kind in _TENSORS[self.variant].items():
             arr = getattr(self, name)
             if arr is None:
                 raise ValueError(f"{self.variant} cell missing tensor {name}")
-            want = _expected_shape(name, self.m, self.n)
+            want = _tensor_shape(kind, self.m, self.n)
             if arr.shape != want:
                 raise ValueError(
                     f"tensor {name} has shape {arr.shape}, expected {want}")
@@ -111,14 +110,13 @@ def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
     if rng is None:
         raise ValueError("init_cell needs an explicit rng")
     fields: dict[str, np.ndarray] = {}
-    for name in ADAPTIVE_FIELDS[variant]:
-        if name.startswith("b"):
+    for name, kind in _TENSORS[variant].items():
+        if kind == "bias":
             fields[name] = np.zeros(n)
-        elif name == "u_c":
+        elif kind == "diag":
             fields[name] = init_matrix(rng, n, 1).reshape(n)
         else:
-            rows, cols = _expected_shape(name, m, n)
-            fields[name] = init_matrix(rng, rows, cols)
+            fields[name] = init_matrix(rng, *_tensor_shape(kind, m, n))
     return CellParams(variant=variant, m=m, n=n, act=act,
                       forget_const=forget_const, **fields)
 

@@ -60,21 +60,31 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
     sample or (B, k) for a batch; the loss is then a float or a (B,)
     array of per-sample losses.
     """
+    _check_loss_inputs(kind, y_raw.shape, y_true)
+    return _loss_body(kind, y_raw, y_true)
+
+
+def _check_loss_inputs(kind: str, raw_shape: tuple, y_true: np.ndarray):
+    """loss_eval's checks of the loss kind, the shapes and the targets."""
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
     bce = kind == "bce"
-    if (y_raw.shape != y_true.shape or y_raw.ndim not in (1, 2)
-            or (bce and y_raw.shape[-1] != 1)):
+    if (raw_shape != y_true.shape or len(raw_shape) not in (1, 2)
+            or (bce and raw_shape[-1] != 1)):
         raise ValueError(f"{kind} needs {'length-1' if bce else 'matching'} "
-                         f"vectors, got {y_raw.shape} and {y_true.shape}")
+                         f"vectors, got {raw_shape} and {y_true.shape}")
     if not ((y_true == 0.0) | (y_true == 1.0)).all():
         raise ValueError(f"{kind} target must be {'0 or 1' if bce else 'one-hot'}")
-    if bce:
+    if not bce and not (y_true.sum(axis=-1) == 1.0).all():
+        raise ValueError("cce target must be one-hot")
+
+
+def _loss_body(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
+    """loss_eval without its checks, for inputs that passed them."""
+    if kind == "bce":
         p = np.clip(expit(y_raw), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.where(y_true == 1.0, p, 1.0 - p))[..., 0]
     else:
-        if not (y_true.sum(axis=-1) == 1.0).all():
-            raise ValueError("cce target must be one-hot")
         e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
         p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.sum(p * y_true, axis=-1))
@@ -241,12 +251,13 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     need_dx = model.emb is not None and model.emb.trainable
     n = model.cell.n
     B = len(batch)
+    targets = _targets(loss_kind, batch.labels, out_dim)
+    _check_loss_inputs(loss_kind, (B, out_dim), targets)
     total = 0.0
     for i in range(B):
         xs = _inputs(model, batch, i)
         y_raw, h, stacks = model.forward(xs, record=True)
-        loss, dy = loss_eval(loss_kind, y_raw,
-                             _targets(loss_kind, batch.labels[i], out_dim))
+        loss, dy = _loss_body(loss_kind, y_raw, targets[i])
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy
@@ -292,16 +303,25 @@ def bptt_gradients(p: CellParams, out: OutputLayer, emb: EmbeddingTable | None,
 # entries of magnitude 1e-6 to a relative 1e-6. Extended precision pushes
 # the cancellation floor below 1e-13, and sharing no code with the engine
 # keeps the check two-route.
+#
+# Every tensor the transcription reads carries a leading perturbation axis
+# of size K or 1, so one forward pass evaluates K models at once: states
+# are (K, B, n). finite_difference_model perturbs one tensor FD_BLOCK
+# entries at a time and stacks the block's +eps and -eps copies on that
+# axis (K = 2 * block), so a tensor of N entries costs ceil(N / FD_BLOCK)
+# forward passes. Products sum in the same index order for any K, and the
+# per-sample losses are added in sample order, so the result does not
+# depend on FD_BLOCK.
 # ---------------------------------------------------------------------------
+
+# Entries of one tensor perturbed together in one oracle forward pass.
+FD_BLOCK = 128
+
 
 def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == "sigmoid":
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        e = np.exp(x[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, else exp(x): never overflows
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
     if kind == "tanh":
         return np.tanh(x)
     return np.maximum(x, 0.0)
@@ -309,91 +329,102 @@ def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
 
 def _ld_final_hidden(variant: str, act: str, f, A: dict, prefix: str,
                      xs: np.ndarray) -> np.ndarray:
-    n = A[prefix + ("W_hx" if variant == "srnn" else "W_c")].shape[0]
-    h = np.zeros(n, dtype=np.longdouble)
+    """Final hidden state (K, B, n) of one direction over xs, (T, K, B, m)."""
+
+    def lin(name, v):  # A[name] @ v for every model and sample
+        return v @ np.swapaxes(A[prefix + name], -1, -2)
+
+    def vec(name):
+        return A[prefix + name][:, None, :]
+
+    n = A[prefix + ("W_hx" if variant == "srnn" else "W_c")].shape[1]
+    h = np.zeros((1, 1, n), dtype=np.longdouble)
     if variant == "srnn":
-        W, R, b = A[prefix + "W_hx"], A[prefix + "W_hh"], A[prefix + "b_h"]
         for x in xs:
-            h = _ld_activate(act, W @ x + R @ h + b)
+            h = _ld_activate(act, lin("W_hx", x) + lin("W_hh", h) + vec("b_h"))
         return h
-    c = np.zeros(n, dtype=np.longdouble)
+    c = np.zeros_like(h)
     if variant == "lstm":
         for x in xs:
-            i = _ld_activate("sigmoid", A[prefix + "W_i"] @ x + A[prefix + "U_i"] @ h + A[prefix + "b_i"])
-            fg = _ld_activate("sigmoid", A[prefix + "W_f"] @ x + A[prefix + "U_f"] @ h + A[prefix + "b_f"])
-            o = _ld_activate("sigmoid", A[prefix + "W_o"] @ x + A[prefix + "U_o"] @ h + A[prefix + "b_o"])
-            ct = _ld_activate(act, A[prefix + "W_c"] @ x + A[prefix + "U_c"] @ h + A[prefix + "b_c"])
+            i = _ld_activate("sigmoid", lin("W_i", x) + lin("U_i", h) + vec("b_i"))
+            fg = _ld_activate("sigmoid", lin("W_f", x) + lin("U_f", h) + vec("b_f"))
+            o = _ld_activate("sigmoid", lin("W_o", x) + lin("U_o", h) + vec("b_o"))
+            ct = _ld_activate(act, lin("W_c", x) + lin("U_c", h) + vec("b_c"))
             c = fg * c + i * ct
             h = o * _ld_activate(act, c)
         return h
-    W, b = A[prefix + "W_c"], A[prefix + "b_c"]
     for x in xs:
         if variant == "lstm6":
-            a = W @ x + A[prefix + "U_c"] @ h + b
+            a = lin("W_c", x) + lin("U_c", h) + vec("b_c")
         else:
-            a = W @ x + A[prefix + "u_c"] * h + b
+            a = lin("W_c", x) + vec("u_c") * h + vec("b_c")
         c = f * c + _ld_activate(act, a)
         h = _ld_activate(act, c)
     return h
 
 
 def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
-                   loss_kind: str) -> np.longdouble:
+                   loss_kind: str) -> np.ndarray:
+    """Mean batch loss of each model on the perturbation axis, (K,). Every
+    tensor in A, the frozen embedding included, carries that axis."""
     cell = model.cell
-    out_dim = model.out.b_y.shape[0]
     floor = np.longdouble(_PROB_FLOOR)
-    total = np.longdouble(0.0)
-    for i in range(len(batch)):
-        if model.emb is not None:
-            xs = A["emb.E"][batch.tokens[i]]
-        else:
-            xs = np.asarray(batch.inputs[i], dtype=np.longdouble)
-        h = _ld_final_hidden(cell.variant, cell.act, cell.forget_const, A,
-                             "fwd.", xs)
-        if model.bidirectional:
-            h_b = _ld_final_hidden(cell.variant, cell.act, cell.forget_const,
-                                   A, "bwd.", xs[::-1])
-            h = np.concatenate([h, h_b])
-        y_raw = A["out.W_hy"] @ h + A["out.b_y"]
-        label = int(batch.labels[i])
-        if loss_kind == "bce":
-            p = np.clip(_ld_activate("sigmoid", y_raw)[0], floor, 1.0 - floor)
-            total += -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
-        else:
-            z = y_raw - y_raw.max()
-            e = np.exp(z)
-            p = np.clip(e / e.sum(), floor, 1.0 - floor)
-            total += -np.log(p[label])
+    if model.emb is not None:
+        X = A["emb.E"][:, batch.tokens]
+    else:
+        X = np.asarray(batch.inputs, dtype=np.longdouble)[None]
+    xs = np.moveaxis(X, 2, 0)  # (T, K, B, m)
+    h = _ld_final_hidden(cell.variant, cell.act, cell.forget_const, A,
+                         "fwd.", xs)
+    if model.bidirectional:
+        h_b = _ld_final_hidden(cell.variant, cell.act, cell.forget_const,
+                               A, "bwd.", xs[::-1])
+        h = np.concatenate(np.broadcast_arrays(h, h_b), axis=-1)
+    y_raw = h @ np.swapaxes(A["out.W_hy"], -1, -2) + A["out.b_y"][:, None, :]
+    labels = np.asarray(batch.labels).astype(np.int64)
+    if loss_kind == "bce":
+        p = np.clip(_ld_activate("sigmoid", y_raw)[..., 0], floor, 1.0 - floor)
+        losses = -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))
+    else:
+        z = y_raw - y_raw.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = np.clip(e / e.sum(axis=-1, keepdims=True), floor, 1.0 - floor)
+        losses = -np.log(p[:, np.arange(len(labels)), labels])
+    total = np.zeros(len(losses), dtype=np.longdouble)
+    for loss in losses.T:  # in sample order: np.sum would pair them up
+        total += loss
     return total / len(batch)
 
 
 def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
                             epsilon: float = 1e-6) -> GradientSet:
     """Central-difference gradient of the mean batch loss for every
-    trainable tensor. O(#parameters) forward passes through the
-    extended-precision transcription: a certification tool for tiny
-    nets, never a training path."""
+    trainable tensor, through the extended-precision transcription. Each
+    forward pass evaluates the +eps and -eps copies of up to FD_BLOCK
+    entries of one tensor at once, so a tensor of N entries costs
+    ceil(N / FD_BLOCK) passes over the batch. A certification tool for
+    tiny nets, never a training path."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     eps = np.longdouble(epsilon)
-    A = {k: np.asarray(v, dtype=np.longdouble)
+    A = {k: np.asarray(v, dtype=np.longdouble)[None]
          for k, v in model.param_arrays(include_frozen=True).items()}
     grads: GradientSet = {}
     for name in model.param_arrays():
-        arr = A[name]
-        g = np.zeros(arr.shape)
-        flat = arr.reshape(-1)
+        base = A[name]
+        g = np.zeros(base.shape[1:])
         gflat = g.reshape(-1)
         # the padding row is pinned, not a free parameter: skip it
-        start = arr.shape[1] if name == "emb.E" else 0
-        for j in range(start, flat.size):
-            keep = flat[j]
-            flat[j] = keep + eps
-            up = _ld_batch_loss(model, A, batch, loss_kind)
-            flat[j] = keep - eps
-            down = _ld_batch_loss(model, A, batch, loss_kind)
-            flat[j] = keep
-            gflat[j] = float((up - down) / (2.0 * eps))
+        start = base.shape[2] if name == "emb.E" else 0
+        for lo in range(start, g.size, FD_BLOCK):
+            idx = np.arange(lo, min(lo + FD_BLOCK, g.size))
+            k = len(idx)
+            stack = np.repeat(base, 2 * k, axis=0)
+            flat = stack.reshape(2 * k, -1)
+            flat[np.arange(k), idx] += eps
+            flat[np.arange(k, 2 * k), idx] -= eps
+            loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
+            gflat[idx] = (loss[:k] - loss[k:]) / (2.0 * eps)
         grads[name] = g
     return grads
 

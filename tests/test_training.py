@@ -3,6 +3,7 @@ against the extended-precision finite-difference oracle, optimizer update
 rules against scalar transcriptions, and epoch-level determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,8 @@ import pytest
 
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
                            output_layer_apply, run_cell)
-from slimrnn.data import SequenceBatch, VectorBatch, init_embedding
+from slimrnn import training
+from slimrnn.data import PAD_INDEX, SequenceBatch, VectorBatch, init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import (
     MetricsRecord,
@@ -28,6 +30,7 @@ from slimrnn.training import (
     optimizer_step,
     train_epoch,
     _backward_cell,
+    _ld_batch_loss,
 )
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
@@ -307,6 +310,78 @@ def test_oracle_wrapper_uses_bare_names():
     assert set(numeric) == {"E", "W_c", "u_c", "b_c", "W_hy", "b_y"}
 
 
+def ld_params(model):
+    """Every tensor in long double with a size-1 perturbation axis."""
+    return {k: np.asarray(v, dtype=np.longdouble)[None]
+            for k, v in model.param_arrays(include_frozen=True).items()}
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_oracle_result_does_not_depend_on_the_block_size(monkeypatch, block):
+    model = small_model("lstm", 3, 4, seed=2910, act="tanh", out_dim=3,
+                        bidirectional=True)
+    batch = token_batch(2911, B=3, T=3, n_classes=3)
+    want = finite_difference_model(model, batch, "cce")
+    monkeypatch.setattr(training, "FD_BLOCK", block)
+    got = finite_difference_model(model, batch, "cce")
+    assert set(got) == set(want)
+    for name in want:
+        npt.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_oracle_entry_is_a_central_difference_of_two_batch_losses():
+    model = small_model("lstm6", 3, 4, seed=2920, bidirectional=True)
+    batch = token_batch(2921, B=3, T=4)
+    eps = np.longdouble(1e-6)
+    numeric = finite_difference_model(model, batch, "bce", epsilon=1e-6)
+    A = ld_params(model)
+    for name, entry in (("emb.E", (4, 1)), ("bwd.U_c", (2, 3)), ("out.W_hy", (0, 5))):
+        keep = A[name][(0,) + entry]
+        A[name][(0,) + entry] = keep + eps
+        up = _ld_batch_loss(model, A, batch, "bce")
+        A[name][(0,) + entry] = keep - eps
+        down = _ld_batch_loss(model, A, batch, "bce")
+        A[name][(0,) + entry] = keep
+        assert up.shape == down.shape == (1,)
+        assert numeric[name][entry] == float((up[0] - down[0]) / (2.0 * eps)), name
+
+
+@pytest.mark.parametrize("seed", [2926, 2927, 2928])
+def test_oracle_batch_loss_adds_the_samples_in_order(seed):
+    # np.sum's pairwise order changes the last bits for some of these batches
+    model = small_model("srnn", 3, 4, seed=2925, out_dim=3)
+    batch = token_batch(seed, B=16, T=3, n_classes=3)
+    A = ld_params(model)
+    total = np.longdouble(0.0)
+    for i in range(len(batch)):
+        total += _ld_batch_loss(model, A, batch.subset([i]), "cce")[0]
+    assert _ld_batch_loss(model, A, batch, "cce")[0] == total / len(batch)
+
+
+def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
+    batch = token_batch(2931, B=3, T=4)
+    batch.tokens[:, 0] = PAD_INDEX
+    numeric = finite_difference_model(small_model("srnn", 3, 4, seed=2930),
+                                      batch, "bce")
+    npt.assert_array_equal(numeric["emb.E"][PAD_INDEX], np.zeros(3))
+    used = np.unique(batch.tokens[batch.tokens != PAD_INDEX])
+    assert np.all(numeric["emb.E"][used] != 0.0)
+    frozen = small_model("srnn", 3, 4, seed=2930, trainable_emb=False)
+    assert "emb.E" not in finite_difference_model(frozen, batch, "bce")
+
+
+def test_oracle_memory_stays_small_at_the_gradcheck_caps():
+    model = small_model("lstm", 8, 8, seed=2940, bidirectional=True)
+    batch = token_batch(2941, B=8, T=5)
+    tracemalloc.start()
+    try:
+        finite_difference_model(model, batch, "bce")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_zero_net_symmetric_batch_has_zero_bias_gradient():
     # all-zero weights predict 0.5 everywhere; with labels split evenly
     # the output-bias pulls cancel exactly
@@ -347,6 +422,16 @@ def test_empty_batch_rejected():
         model_gradients(model, empty, "bce")
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, empty, "bce")
+
+
+def test_invalid_target_rejected_by_model_gradients():
+    model = small_model("lstm6", 3, 4, seed=3310)
+    batch = token_batch(3311, B=3, T=3)
+    batch.labels[1] = 2
+    with pytest.raises(ValueError, match="bce target must be 0 or 1"):
+        model_gradients(model, batch, "bce")
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        model_gradients(small_model("lstm6", 3, 4, seed=3310, out_dim=2), batch, "cce")
 
 
 def test_gradient_rel_error_definition():
