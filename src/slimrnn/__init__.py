@@ -12,8 +12,8 @@ from .cells import (CellParams, OutputLayer, gate_override_step, init_cell,
                     output_layer_apply, param_count, run_cell, srnn_step,
                     step_mac_count)
 from .data import (EmbeddingTable, SequenceBatch, VectorBatch, build_vocab,
-                   embed_lookup, init_embedding, load_frozen_embeddings,
-                   load_tsv_corpus, pad_or_truncate, synth_generate)
+                   embed_lookup, init_embedding, load_tsv_corpus,
+                   pad_or_truncate, synth_generate)
 from .harness import (ExperimentConfig, SweepSpec, build_dataset, build_model,
                       cmd_bench, cmd_gradcheck, cmd_params, cmd_sweep,
                       cmd_train, load_checkpoint, save_checkpoint)
@@ -32,8 +32,8 @@ __all__ = [
     "output_layer_apply", "param_count", "run_cell", "srnn_step",
     "step_mac_count",
     "EmbeddingTable", "SequenceBatch", "VectorBatch", "build_vocab",
-    "embed_lookup", "init_embedding", "load_frozen_embeddings",
-    "load_tsv_corpus", "pad_or_truncate", "synth_generate",
+    "embed_lookup", "init_embedding", "load_tsv_corpus",
+    "pad_or_truncate", "synth_generate",
     "ExperimentConfig", "SweepSpec", "build_dataset", "build_model",
     "cmd_bench", "cmd_gradcheck", "cmd_params", "cmd_sweep", "cmd_train",
     "load_checkpoint", "save_checkpoint",

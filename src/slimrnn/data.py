@@ -293,32 +293,3 @@ def load_tsv_corpus(path) -> list[tuple[int, list[str]]]:
         corpus.append((label, tokenize_text(text)))
     return corpus
 
-
-def load_frozen_embeddings(path) -> tuple[dict[str, int], EmbeddingTable]:
-    """Read a frozen embedding file: a "vocab dim" header line, then one
-    line per token holding the token and dim reals, space-separated.
-
-    Returns the token -> index mapping (indices from 2; 0/1 reserved)
-    and a non-trainable table whose padding and OOV rows are zero.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty embedding file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'vocab dim', got {lines[0]!r}")
-    vocab_n, dim = int(head[0]), int(head[1])
-    if len(lines) - 1 != vocab_n:
-        raise ValueError(
-            f"{path}: header promises {vocab_n} rows, file has {len(lines) - 1}")
-    vocab: dict[str, int] = {}
-    E = np.zeros((vocab_n + 2, dim))
-    for r, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise ValueError(f"{path}: line {r + 2}: expected token + {dim} values")
-        vocab[parts[0]] = r + 2
-        E[r + 2] = [float(v) for v in parts[1:]]
-    return vocab, EmbeddingTable(E=E, trainable=False)

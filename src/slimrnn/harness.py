@@ -314,7 +314,9 @@ def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
 def cmd_train(cfg: ExperimentConfig, log=None):
     """Run one training job: per-epoch metrics CSV plus a final
     checkpoint under cfg.out. Returns a result dict with the paths and
-    the metric records."""
+    the metric records. A diverging epoch (see train_epoch) writes no
+    metrics row: the model as it stood is checkpointed and the
+    FloatingPointError re-raised."""
     cfg.validate()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,19 +325,23 @@ def cmd_train(cfg: ExperimentConfig, log=None):
     opt = OptimizerState(kind=cfg.optimizer, eta=cfg.eta)
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
     csv_path = out_dir / "metrics.csv"
+    ckpt_path = out_dir / "model.ckpt"
     records: list[MetricsRecord] = []
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")
         for epoch in range(1, cfg.epochs + 1):
-            rec = train_epoch(model, train, test, opt, cfg.loss, cfg.batch,
-                              cfg.seed, epoch)
+            try:
+                rec = train_epoch(model, train, test, opt, cfg.loss, cfg.batch,
+                                  cfg.seed, epoch)
+            except FloatingPointError:
+                save_checkpoint(ckpt_path, model, cfg)
+                raise
             records.append(rec)
             fh.write(format_metrics_row(rec) + "\n")
             fh.flush()
             if log is not None:
                 log(f"epoch {rec.epoch}: train_acc={rec.train_acc:.4f} "
                     f"test_acc={rec.test_acc:.4f} ({rec.seconds:.2f}s)")
-    ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt_path, model, cfg)
     return {"csv": str(csv_path), "checkpoint": str(ckpt_path), "records": records}
 
@@ -505,9 +511,11 @@ def cmd_bench(variant: str, m: int = 32, n: int = 100, seq_len: int = 500,
               reps: int = 5, seed: int = 7) -> dict:
     """Median wall-clock of one forward+backward pass over a synthetic
     sequence, plus the MAC-count ratio against the full lstm cell as the
-    model-predicted speedup. BLAS runs with whatever thread count the
-    process has; perfbench/run.py pins it to one thread and times whole
-    training and evaluation workloads."""
+    model-predicted speedup. The one-sample batch is a chunk of one in
+    model_gradients (its stacks are used in place), so the time is one
+    sequence's forward and reverse pass at any CACHE_BUDGET. BLAS runs
+    with whatever thread count the process has; perfbench/run.py pins it
+    to one thread and times whole training and evaluation workloads."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rng = make_rng(seed)

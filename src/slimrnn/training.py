@@ -3,12 +3,16 @@ gradient oracle, optimizers, and the epoch loop.
 
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
-the stacked arrays run_cell records per sequence: a reverse loop over
-time carries the state gradients and writes each step's pre-activation
-delta, and each weight gradient is then one matrix product over all
-steps. Every gradient path here is certified against central finite
-differences in the test suite, so treat the two implementations as
-independent and never "fix" one by copying from the other.
+the stacked arrays run_cell records: a minibatch is walked in chunks
+whose stacks fit CACHE_BUDGET bytes, each sample's stacks fill one column
+of its chunk's arrays (a chunk of one sample uses its own stacks as
+size-1 batch-axis views), and one reverse loop over time per chunk and
+direction carries the state gradients and writes each step's
+pre-activation delta. Each weight gradient is then one matrix product
+over all steps of the chunk. Every gradient path here is certified
+against central finite differences in the test suite, so treat the two
+implementations as independent and never "fix" one by copying from the
+other.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ GradientSet = dict
 # Samples per forward pass in evaluate: big enough to amortize the per-step
 # dispatch, small enough that memory stays flat on any split size.
 EVAL_SLICE = 64
+
+# Bytes of recorded stacks one model_gradients chunk may hold. Every sample
+# in a chunk shares one reverse pass, which amortizes its per-step dispatch;
+# a sequence whose stacks alone pass the budget runs as a chunk of one.
+CACHE_BUDGET = 1 << 20
 
 
 def one_hot(label, k: int) -> np.ndarray:
@@ -240,9 +249,25 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     return (D @ W).reshape(xs.shape) if need_dx else None
 
 
+def _step_bytes(p: CellParams) -> int:
+    """Bytes run_cell records per sample-step: the H, C and aux rows."""
+    return 8 * p.n * {"srnn": 1, "lstm": 6}.get(p.variant, 3)
+
+
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss over a batch and exact gradients for every trainable
-    tensor, keyed like model.param_arrays()."""
+    tensor, keyed like model.param_arrays().
+
+    The batch is walked in chunks of max(1, CACHE_BUDGET // (T x recorded
+    bytes per sample-step x directions)) samples. Each sample runs its own
+    forward pass, and its inputs and stacks are copied into column j of
+    the chunk's (T+1, b, n) / (T, b, width) arrays; a chunk of one sample
+    uses that sample's arrays as size-1 batch-axis views instead, so a
+    long sequence costs no copy. Each chunk then takes one readout
+    gradient product, one reverse pass per direction and one embedding
+    scatter. Losses add in sample order, as in a per-sample loop; the
+    gradients sum in chunk-product order.
+    """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
     params = model.param_arrays()
@@ -250,27 +275,48 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     need_dx = model.emb is not None and model.emb.trainable
     n = model.cell.n
-    B = len(batch)
+    B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
     _check_loss_inputs(loss_kind, (B, out_dim), targets)
+    dirs = 2 if model.bidirectional else 1
+    rows = max(1, CACHE_BUDGET // (T * _step_bytes(model.cell) * dirs))
     total = 0.0
-    for i in range(B):
-        xs = _inputs(model, batch, i)
-        y_raw, h, stacks = model.forward(xs, record=True)
-        loss, dy = _loss_body(loss_kind, y_raw, targets[i])
-        total += loss
-        grads["out.W_hy"] += np.outer(dy, h)
-        grads["out.b_y"] += dy
-        dh = model.out.W_hy.T @ dy
-        dxs = _backward_cell(model.cell, xs, stacks[0], dh[:n], grads, "fwd.",
-                             need_dx)
+    for start in range(0, B, rows):
+        stop = min(start + rows, B)
+        b = stop - start
+        dY = np.empty((b, out_dim))
+        h_T = np.empty((b, dirs * n))
+        # The forward stays per sample: perfbench's traced counts pin one step
+        # call per sample-step. Batching it means one model.forward(X_chunk,
+        # record=True) in place of this fill loop once those counts move.
+        for j in range(b):
+            xs = _inputs(model, batch, start + j)
+            y_raw, h_T[j], stacks = model.forward(xs, record=True)
+            loss, dY[j] = _loss_body(loss_kind, y_raw, targets[start + j])
+            total += loss
+            parts = [xs, *(a for s in stacks for a in s)]  # xs, (H, C, aux) per direction
+            if b == 1:
+                chunk = [None if a is None else a[:, None] for a in parts]
+                continue
+            if j == 0:
+                chunk = [None if a is None else np.empty((len(a), b) + a.shape[1:])
+                         for a in parts]
+            for c, a in zip(chunk, parts):
+                if a is not None:
+                    c[:, j] = a
+        grads["out.W_hy"] += dY.T @ h_T
+        grads["out.b_y"] += dY.sum(axis=0)
+        dH = dY @ model.out.W_hy
+        X = chunk[0]
+        dX = _backward_cell(model.cell, X, chunk[1:4], dH[:, :n], grads, "fwd.",
+                            need_dx)
         if model.bidirectional:
-            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks[1], dh[n:],
+            dX_b = _backward_cell(model.cell_bwd, X[::-1], chunk[4:7], dH[:, n:],
                                   grads, "bwd.", need_dx)
             if need_dx:
-                dxs = dxs + dx_b[::-1]
+                dX = dX + dX_b[::-1]
         if need_dx:
-            np.add.at(grads["emb.E"], batch.tokens[i], dxs)
+            np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
     for g in grads.values():
         g /= B
     if "emb.E" in grads:
@@ -548,6 +594,10 @@ def train_epoch(model: SequenceClassifier, train, test, opt: OptimizerState,
     splits. The visit order is a fresh Fisher-Yates shuffle seeded with
     seed + epoch, so a run is reproducible from (seed, epoch) alone and
     identical whether or not earlier epochs ran in the same process.
+
+    A minibatch whose loss or any gradient is not finite raises
+    FloatingPointError, naming it and the epoch, before the optimizer
+    step: the model keeps the weights it had.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -558,7 +608,11 @@ def train_epoch(model: SequenceClassifier, train, test, opt: OptimizerState,
     params = model.param_arrays()
     for start in range(0, len(order), batch_size):
         sub = train.subset(order[start:start + batch_size])
-        _, grads = model_gradients(model, sub, loss_kind)
+        loss, grads = model_gradients(model, sub, loss_kind)
+        bad = next((k for k, v in (("loss", loss), *grads.items())
+                    if not np.isfinite(v).all()), None)
+        if bad is not None:
+            raise FloatingPointError(f"non-finite {bad} in epoch {epoch}")
         optimizer_step(opt, params, grads)
     train_loss, train_acc = evaluate(model, train, loss_kind)
     test_loss, test_acc = evaluate(model, test, loss_kind)

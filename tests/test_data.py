@@ -1,6 +1,6 @@
 """Data-path checks: vocabulary ranking, encoding, padding conventions,
 synthetic task generation (determinism, balance, labeling rule, linear
-separability), the TSV loader, and frozen embedding files."""
+separability), and the TSV loader."""
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +18,6 @@ from slimrnn.data import (
     embed_lookup,
     encode_tokens,
     init_embedding,
-    load_frozen_embeddings,
     load_tsv_corpus,
     pad_or_truncate,
     synth_generate,
@@ -242,31 +241,3 @@ def test_load_tsv_corpus_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2.*unknown label"):
         load_tsv_corpus(f)
 
-
-# --------------------------------------------------------------------------
-# Frozen embedding files.
-# --------------------------------------------------------------------------
-
-def test_load_frozen_embeddings(tmp_path):
-    f = tmp_path / "vec.txt"
-    f.write_text("2 3\nhello 1 2 3\nworld 4 5 6\n", encoding="utf-8")
-    vocab, emb = load_frozen_embeddings(f)
-    assert vocab == {"hello": 2, "world": 3}
-    assert not emb.trainable
-    npt.assert_array_equal(emb.E[0], np.zeros(3))
-    npt.assert_array_equal(emb.E[1], np.zeros(3))
-    npt.assert_array_equal(emb.E[2], [1.0, 2.0, 3.0])
-    npt.assert_array_equal(emb.E[3], [4.0, 5.0, 6.0])
-
-
-def test_load_frozen_embeddings_validates_layout(tmp_path):
-    f = tmp_path / "vec.txt"
-    f.write_text("3 3\nhello 1 2 3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="promises 3 rows"):
-        load_frozen_embeddings(f)
-    f.write_text("1 3\nhello 1 2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_frozen_embeddings(f)
-    f.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        load_frozen_embeddings(f)

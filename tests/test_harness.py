@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from dataclasses import replace
 
+from slimrnn import harness, training
 from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
                            run_cell, srnn_step)
 from slimrnn.cli import main
@@ -164,6 +165,36 @@ def test_cmd_train_writes_config_metrics_and_checkpoint(tmp_path):
     assert len(result["records"]) == cfg.epochs
     model, meta = load_checkpoint(result["checkpoint"])
     assert meta["variant"] == "lstm6"
+
+
+def test_a_diverging_run_exits_and_keeps_the_last_finite_model(tmp_path, monkeypatch):
+    real_gradients, real_epoch = training.model_gradients, harness.train_epoch
+    current = {}
+
+    def poisoned(model, batch, loss_kind):  # epoch 2 meets a nan gradient
+        loss, grads = real_gradients(model, batch, loss_kind)
+        if current["epoch"] == 2:
+            grads["fwd.U_c"][0, 0] = np.nan
+        return loss, grads
+
+    def tracked(*args):
+        current["epoch"] = args[-1]
+        return real_epoch(*args)
+
+    monkeypatch.setattr(training, "model_gradients", poisoned)
+    monkeypatch.setattr(harness, "train_epoch", tracked)
+    args = cli_train_args(tmp_path)
+    args[args.index("--epochs") + 1] = "3"
+    with pytest.raises(FloatingPointError, match="non-finite fwd.U_c in epoch 2"):
+        main(args)
+    run = tmp_path / "cli_run"
+    lines = (run / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[0] == METRICS_HEADER and "nan" not in lines[1]
+    model, _ = load_checkpoint(run / "model.ckpt")
+    assert main(cli_train_args(tmp_path, out="one_epoch")) == 0
+    want, _ = load_checkpoint(tmp_path / "one_epoch" / "model.ckpt")
+    for key, arr in want.param_arrays(include_frozen=True).items():
+        npt.assert_array_equal(model.param_arrays(include_frozen=True)[key], arr)
 
 
 def test_metrics_header_and_row_format():

@@ -434,6 +434,113 @@ def test_invalid_target_rejected_by_model_gradients():
         model_gradients(small_model("lstm6", 3, 4, seed=3310, out_dim=2), batch, "cce")
 
 
+# --------------------------------------------------------------------------
+# Chunked reverse pass.
+# --------------------------------------------------------------------------
+
+def per_sample_gradients(model, batch, loss_kind):
+    """Mean loss and gradients one sample at a time, each sample through
+    its own run_cell and _backward_cell calls: the chunked pass's reference."""
+    grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
+    need_dx = "emb.E" in grads
+    k, n = model.out.b_y.shape[0], model.cell.n
+    total = 0.0
+    for i, label in enumerate(batch.labels):
+        xs = batch.inputs[i] if model.emb is None else model.emb.E[batch.tokens[i]]
+        h, _, stacks = run_cell(model.cell, xs)
+        if model.bidirectional:
+            h_b, _, stacks_b = run_cell(model.cell_bwd, xs[::-1])
+            h = np.concatenate([h, h_b])
+        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
+        loss, dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+        total += loss
+        grads["out.W_hy"] += np.outer(dy, h)
+        grads["out.b_y"] += dy
+        dh = model.out.W_hy.T @ dy
+        dxs = _backward_cell(model.cell, xs, stacks, dh[:n], grads, "fwd.", need_dx)
+        if model.bidirectional:
+            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks_b, dh[n:], grads,
+                                  "bwd.", need_dx)
+            if need_dx:
+                dxs = dxs + dx_b[::-1]
+        if need_dx:
+            np.add.at(grads["emb.E"], batch.tokens[i], dxs)
+    for g in grads.values():
+        g /= len(batch)
+    if need_dx:
+        grads["emb.E"][PAD_INDEX] = 0.0
+    return total / len(batch), grads
+
+
+def chunk_budget(model, T, rows):
+    """A CACHE_BUDGET that gives chunks of exactly `rows` samples."""
+    dirs = 2 if model.bidirectional else 1
+    return rows * T * training._step_bytes(model.cell) * dirs
+
+
+@pytest.mark.parametrize("variant,loss_kind,bidirectional,inputs", [
+    ("srnn", "bce", False, "trainable"), ("srnn", "cce", True, "vector"),
+    ("lstm", "cce", True, "frozen"), ("lstm", "bce", False, "vector"),
+    ("lstm6", "bce", True, "trainable"), ("lstm6", "cce", False, "vector"),
+    ("lstm_c6", "cce", True, "trainable"), ("lstm_c6", "bce", False, "frozen")])
+def test_chunked_gradients_match_the_per_sample_reference(
+        monkeypatch, variant, loss_kind, bidirectional, inputs):
+    B, T, m = 7, 6, 3
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, m, 4, seed=3320, act="tanh", out_dim=k,
+                        trainable_emb=inputs == "trainable",
+                        bidirectional=bidirectional)
+    batch = token_batch(3321, B, T, n_classes=max(k, 2))
+    if inputs == "vector":
+        model.emb = None
+        batch = VectorBatch(inputs=make_rng(3322).uniform(-1.0, 1.0, (B, T, m)),
+                            labels=batch.labels, n_classes=batch.n_classes)
+    else:
+        assert (batch.tokens == PAD_INDEX).any()
+    want_loss, want = per_sample_gradients(model, batch, loss_kind)
+    widths = []
+
+    def spy(p, xs, stacks, dh, grads, prefix, need_dx):
+        if prefix == "fwd.":
+            widths.append(xs.shape[1])
+        return _backward_cell(p, xs, stacks, dh, grads, prefix, need_dx)
+
+    monkeypatch.setattr(training, "_backward_cell", spy)
+    for rows, chunks in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (B, [B])):
+        monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        widths.clear()
+        loss, grads = model_gradients(model, batch, loss_kind)
+        assert widths == chunks
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(g - want[name])) <= 1e-13 * scale, (rows, name)
+        if "emb.E" in grads:
+            npt.assert_array_equal(grads["emb.E"][PAD_INDEX], np.zeros(m))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
+    # a long sequence whose stacks outweigh everything else the pass allocates
+    T = 2000
+    model = small_model("lstm6", 4, 16, seed=3330, act="tanh")
+    batch = token_batch(3331, B=1, T=T)
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 1))
+    stack_bytes = T * training._step_bytes(model.cell)
+    reference = traced_peak(per_sample_gradients, model, batch, "bce")
+    peak = traced_peak(model_gradients, model, batch, "bce")
+    assert peak < reference + stack_bytes / 2, (peak, reference, stack_bytes)
+
+
 def test_gradient_rel_error_definition():
     a = np.array([1.0, 0.0])
     b = np.array([1.0 + 1e-6, 0.0])
@@ -650,6 +757,19 @@ def test_embedding_padding_row_survives_training():
     for epoch in (1, 2):
         train_epoch(model, train, test, opt, "bce", 8, seed=7, epoch=epoch)
     npt.assert_array_equal(model.emb.E[0], np.zeros(4))
+
+
+def test_train_epoch_stops_on_a_non_finite_loss_before_the_update():
+    train, test = synth_split()
+    model = small_model("lstm6", 4, 6, seed=4300, vocab=12)
+    model.cell.U_c[0, 0] = np.nan
+    before = {k: v.copy() for k, v in model.param_arrays().items()}
+    opt = OptimizerState(kind="adam", eta=1e-3)
+    with pytest.raises(FloatingPointError, match="non-finite loss in epoch 3"):
+        train_epoch(model, train, test, opt, "bce", 8, seed=1, epoch=3)
+    assert opt.t == 0
+    for k, v in model.param_arrays().items():
+        npt.assert_array_equal(v, before[k])
 
 
 def test_train_epoch_validation():
