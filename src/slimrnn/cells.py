@@ -21,13 +21,12 @@ state through a single affine output layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import activate, init_matrix, matvec
-
-VARIANTS = ("srnn", "lstm", "lstm6", "lstm_c6")
 
 # Adaptive tensors per variant, in canonical (init / serialization) order,
 # each with its kind: "in" is (n, m), "rec" is (n, n), "diag" and "bias"
@@ -39,6 +38,7 @@ _TENSORS = {
     "lstm6": {"W_c": "in", "U_c": "rec", "b_c": "bias"},
     "lstm_c6": {"W_c": "in", "u_c": "diag", "b_c": "bias"},
 }
+VARIANTS = tuple(_TENSORS)
 ADAPTIVE_FIELDS = {variant: tuple(t) for variant, t in _TENSORS.items()}
 
 _SLIM = ("lstm6", "lstm_c6")
@@ -46,6 +46,15 @@ _SLIM = ("lstm6", "lstm_c6")
 
 def _tensor_shape(kind: str, m: int, n: int) -> tuple[int, ...]:
     return {"in": (n, m), "rec": (n, n), "diag": (n,), "bias": (n,)}[kind]
+
+
+def _cell_kinds(variant: str, m: int, n: int) -> dict[str, str]:
+    """_TENSORS[variant], once the variant and the dims are known good."""
+    if variant not in _TENSORS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if m < 1 or n < 1:
+        raise ValueError(f"dims must be >= 1, got m={m} n={n}")
+    return _TENSORS[variant]
 
 
 @dataclass
@@ -81,14 +90,11 @@ class CellParams:
     u_c: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"dims must be >= 1, got m={self.m} n={self.n}")
+        kinds = _cell_kinds(self.variant, self.m, self.n)
         if self.variant in _SLIM and not -1.0 < self.forget_const < 1.0:
             raise ValueError(
                 f"forget_const must satisfy -1 < f < 1, got {self.forget_const}")
-        for name, kind in _TENSORS[self.variant].items():
+        for name, kind in kinds.items():
             arr = getattr(self, name)
             if arr is None:
                 raise ValueError(f"{self.variant} cell missing tensor {name}")
@@ -269,32 +275,20 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:
     """Adaptive parameter count of one cell (embedding and output layer
-    excluded). A bidirectional pair holds exactly twice the tensors."""
-    if m < 1 or n < 1:
-        raise ValueError(f"dims must be >= 1, got m={m} n={n}")
-    if variant == "lstm":
-        count = 4 * n * (m + n + 1)
-    elif variant in ("lstm6", "srnn"):
-        count = n * (m + n + 1)
-    elif variant == "lstm_c6":
-        count = n * (m + 2)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    excluded): the summed sizes of its tensors. A bidirectional pair holds
+    exactly twice the tensors."""
+    count = sum(math.prod(_tensor_shape(kind, m, n))
+                for kind in _cell_kinds(variant, m, n).values())
     return 2 * count if bidirectional else count
 
 
 def step_mac_count(variant: str, m: int, n: int) -> int:
     """Multiply-accumulates in one forward step's matrix/vector products.
 
-    lstm runs eight matvecs (two per gate plus candidate), lstm6 two,
-    lstm_c6 one matvec plus the n-wide element-wise recurrence, srnn two.
+    Each weight entry is one MAC per step, so this is the parameter count
+    less the biases: lstm runs eight matvecs (two per gate plus candidate),
+    lstm6 two, lstm_c6 one matvec plus the n-wide element-wise recurrence,
+    srnn two.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"dims must be >= 1, got m={m} n={n}")
-    if variant == "lstm":
-        return 4 * n * (m + n)
-    if variant in ("lstm6", "srnn"):
-        return n * (m + n)
-    if variant == "lstm_c6":
-        return n * m + n
-    raise ValueError(f"unknown variant {variant!r}")
+    return sum(math.prod(_tensor_shape(kind, m, n))
+               for kind in _cell_kinds(variant, m, n).values() if kind != "bias")

@@ -10,15 +10,18 @@ import argparse
 import json
 import sys
 
-from .harness import (ExperimentConfig, SweepSpec, cmd_bench, cmd_gradcheck,
-                      cmd_params, cmd_sweep, cmd_train, load_config_file)
+from .cells import VARIANTS
+from .harness import (CHOICES, FIELD_TYPES, SWEEP_AXES, ExperimentConfig,
+                      SweepSpec, cmd_bench, cmd_gradcheck, cmd_params,
+                      cmd_sweep, cmd_train, load_config_file)
 
+# Help per ExperimentConfig field; the flag is the field name with - for _.
 _FLAG_HELP = {
     "variant": "cell variant",
     "activation": "candidate/output squash (gates stay sigmoid)",
     "hidden": "hidden state width n",
     "embed": "embedding width m",
-    "seq-len": "sequence length T after pre-pad/pre-truncate",
+    "seq_len": "sequence length T after pre-pad/pre-truncate",
     "vocab": "vocabulary size including pad/oov rows",
     "eta": "learning rate",
     "forget": "constant forget value for lstm6/lstm_c6, -1 < f < 1",
@@ -27,51 +30,41 @@ _FLAG_HELP = {
     "optimizer": "update rule",
     "loss": "bce (sigmoid) or cce (softmax)",
     "seed": "master seed for data, init, and shuffling",
+    "bidirectional": "train a forward/backward cell pair, concatenated readout",
     "data": "synth:<kind> or tsv:<path>",
     "samples": "synthetic sample count (train+test)",
     "out": "output directory",
+}
+
+_AXIS_HELP = {
+    "variants": "comma-separated variant list",
+    "hiddens": "comma-separated hidden widths",
+    "etas": "comma-separated learning rates",
+    "forgets": "comma-separated forget constants",
 }
 
 
 def _add_config_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", default=None, metavar="PATH",
                      help="config file, one key = value per line")
-    sub.add_argument("--variant", choices=["srnn", "lstm", "lstm6", "lstm_c6"],
-                     default=None, help=_FLAG_HELP["variant"])
-    sub.add_argument("--activation", choices=["sigmoid", "tanh", "relu"],
-                     default=None, help=_FLAG_HELP["activation"])
-    sub.add_argument("--hidden", type=int, default=None, help=_FLAG_HELP["hidden"])
-    sub.add_argument("--embed", type=int, default=None, help=_FLAG_HELP["embed"])
-    sub.add_argument("--seq-len", type=int, default=None, help=_FLAG_HELP["seq-len"])
-    sub.add_argument("--vocab", type=int, default=None, help=_FLAG_HELP["vocab"])
-    sub.add_argument("--eta", type=float, default=None, help=_FLAG_HELP["eta"])
-    sub.add_argument("--forget", type=float, default=None, help=_FLAG_HELP["forget"])
-    sub.add_argument("--epochs", type=int, default=None, help=_FLAG_HELP["epochs"])
-    sub.add_argument("--batch", type=int, default=None, help=_FLAG_HELP["batch"])
-    sub.add_argument("--optimizer", choices=["adam", "rmsprop", "sgd"],
-                     default=None, help=_FLAG_HELP["optimizer"])
-    sub.add_argument("--loss", choices=["bce", "cce"], default=None,
-                     help=_FLAG_HELP["loss"])
-    sub.add_argument("--seed", type=int, default=None, help=_FLAG_HELP["seed"])
-    sub.add_argument("--bidirectional", action="store_true", default=None,
-                     help="train a forward/backward cell pair, concatenated readout")
-    sub.add_argument("--data", default=None, help=_FLAG_HELP["data"])
-    sub.add_argument("--samples", type=int, default=None, help=_FLAG_HELP["samples"])
-    sub.add_argument("--out", default=None, help=_FLAG_HELP["out"])
+    for name, kind in FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            sub.add_argument(flag, action="store_true", default=None,
+                             help=_FLAG_HELP[name])
+        else:
+            sub.add_argument(flag, type=kind, choices=CHOICES.get(name),
+                             default=None, help=_FLAG_HELP[name])
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in ExperimentConfig.__dataclass_fields__:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in FIELD_TYPES
+                  if getattr(args, key) is not None)
     return ExperimentConfig(**values)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slimrnn",
         description="Reduced-gate recurrent text classification engine")
@@ -82,14 +75,8 @@ def main(argv=None) -> int:
 
     p_sweep = subs.add_parser("sweep", help="grid of training runs, one summary CSV")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--variants", default=None,
-                         help="comma-separated variant list")
-    p_sweep.add_argument("--hiddens", default=None,
-                         help="comma-separated hidden widths")
-    p_sweep.add_argument("--etas", default=None,
-                         help="comma-separated learning rates")
-    p_sweep.add_argument("--forgets", default=None,
-                         help="comma-separated forget constants")
+    for axis in SWEEP_AXES:
+        p_sweep.add_argument(f"--{axis}", default=None, help=_AXIS_HELP[axis])
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel cell processes")
 
@@ -102,7 +89,7 @@ def main(argv=None) -> int:
     p_grad.add_argument("--seeds", type=int, default=3, help="random nets per cell")
 
     p_params = subs.add_parser("params", help="parameter and per-step MAC counts")
-    p_params.add_argument("variant", choices=["srnn", "lstm", "lstm6", "lstm_c6"])
+    p_params.add_argument("variant", choices=VARIANTS)
     p_params.add_argument("m", type=int, help="input width")
     p_params.add_argument("n", type=int, help="hidden width")
     p_params.add_argument("--bidirectional", action="store_true")
@@ -110,13 +97,17 @@ def main(argv=None) -> int:
                           help="emit one JSON object per line")
 
     p_bench = subs.add_parser("bench", help="time one forward+backward pass")
-    p_bench.add_argument("variant", choices=["srnn", "lstm", "lstm6", "lstm_c6"])
+    p_bench.add_argument("variant", choices=VARIANTS)
     p_bench.add_argument("--embed", type=int, default=32)
     p_bench.add_argument("--hidden", type=int, default=100)
     p_bench.add_argument("--seq-len", type=int, default=500)
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--json-lines", action="store_true")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "train":
@@ -126,16 +117,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        spec = SweepSpec(base=build_config(args), workers=args.workers)
-        if args.variants:
-            spec.variants = args.variants.split(",")
-        if args.hiddens:
-            spec.hiddens = [int(v) for v in args.hiddens.split(",")]
-        if args.etas:
-            spec.etas = [float(v) for v in args.etas.split(",")]
-        if args.forgets:
-            spec.forgets = [float(v) for v in args.forgets.split(",")]
-        result = cmd_sweep(spec)
+        axes = {axis: getattr(args, axis).split(",")
+                for axis in SWEEP_AXES if getattr(args, axis)}
+        result = cmd_sweep(SweepSpec(base=build_config(args),
+                                     workers=args.workers, **axes))
         print(f"summary: {result['summary']}")
         return 0
 

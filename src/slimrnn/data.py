@@ -127,15 +127,6 @@ def encode_tokens(vocab: dict[str, int], tokens) -> list[int]:
     return [vocab.get(t, OOV_INDEX) for t in tokens]
 
 
-def decode_indices(vocab: dict[str, int], indices) -> list[str]:
-    """Inverse of encode_tokens where defined; 0 and 1 come back as
-    the sentinels "<pad>" and "<oov>"."""
-    inverse = {i: t for t, i in vocab.items()}
-    inverse[PAD_INDEX] = "<pad>"
-    inverse[OOV_INDEX] = "<oov>"
-    return [inverse[i] for i in indices]
-
-
 def pad_or_truncate(seq, T: int) -> list[int]:
     """Force a sequence to length exactly T: left-pad with zeros when
     short, keep the last T entries when long."""

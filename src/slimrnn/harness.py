@@ -41,6 +41,11 @@ METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc,seconds"
 SWEEP_HEADER = "variant,hidden,eta,forget,best_test_acc,best_epoch,final_train_acc"
 CHECKPOINT_MAGIC = "slimrnn-ckpt 1"
 
+# The closed value set of each ExperimentConfig field that has one: validate(),
+# checkpoint loading and the CLI's choices all read this map.
+CHOICES = {"variant": VARIANTS, "activation": ACTIVATIONS,
+           "optimizer": OPTIMIZERS, "loss": LOSSES}
+
 
 @dataclass
 class ExperimentConfig:
@@ -67,14 +72,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject unusable values before any compute or file I/O."""
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("hidden", "embed", "seq_len", "epochs", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -97,7 +97,10 @@ class ExperimentConfig:
             raise ValueError(f"data must be synth:<kind> or tsv:<path>, got {self.data!r}")
 
 
-_CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)]
+# Field name -> value type, in declaration order: the config file's keys
+# and the CLI's flags both come from here.
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.type]
+               for f in fields(ExperimentConfig)}
 
 
 def _format_value(v) -> str:
@@ -110,7 +113,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization: every field, declaration order, one
     key = value per line. Parsing this text reproduces cfg exactly."""
     lines = [f"{name.replace('_', '-')} = {_format_value(getattr(cfg, name))}"
-             for name in _CONFIG_FIELDS]
+             for name in FIELD_TYPES]
     return "\n".join(lines) + "\n"
 
 
@@ -127,19 +130,15 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        kind = ExperimentConfig.__dataclass_fields__[key].type
-        if kind == "int":
-            out[key] = int(value)
-        elif kind == "float":
-            out[key] = float(value)
-        elif kind == "bool":
+        kind = FIELD_TYPES[key]
+        if kind is bool:
             if value not in ("true", "false"):
                 raise ValueError(f"line {lineno}: boolean must be true/false, got {value!r}")
             out[key] = value == "true"
         else:
-            out[key] = value
+            out[key] = kind(value)
     return out
 
 
@@ -270,12 +269,10 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
         arrays[name] = values[start:start + size].reshape(shape).copy()
         start += size
 
-    variant, m, n = meta["variant"], int(meta["m"]), int(meta["n"])
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    loss = meta["loss"]
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
+    variant, loss, m, n = meta["variant"], meta["loss"], int(meta["m"]), int(meta["n"])
+    for key in ("variant", "loss"):
+        if meta[key] not in CHOICES[key]:
+            raise ValueError(f"unknown {key} {meta[key]!r}")
     if loss == "bce" and arrays["out.b_y"].shape != (1,):
         raise ValueError(f"bce needs an output width of 1, "
                          f"checkpoint has {arrays['out.b_y'].shape[0]}")
@@ -346,28 +343,36 @@ def cmd_train(cfg: ExperimentConfig, log=None):
     return {"csv": str(csv_path), "checkpoint": str(ckpt_path), "records": records}
 
 
+# SweepSpec axis -> the ExperimentConfig field it varies.
+SWEEP_AXES = {"variants": "variant", "hiddens": "hidden", "etas": "eta",
+              "forgets": "forget"}
+
+
 @dataclass
 class SweepSpec:
-    """Grid of training runs: the cross product of the lists below over
-    a shared base config. Cell i trains with seed base.seed + i."""
+    """Grid of training runs: the cross product of the axis lists below
+    over a shared base config. An empty axis holds the base config's
+    value. Cell i trains with seed base.seed + i."""
 
     base: ExperimentConfig
-    variants: list = field(default_factory=lambda: ["lstm"])
-    hiddens: list = field(default_factory=lambda: [100])
-    etas: list = field(default_factory=lambda: [1e-3])
-    forgets: list = field(default_factory=lambda: [0.59])
+    variants: list = field(default_factory=list)
+    hiddens: list = field(default_factory=list)
+    etas: list = field(default_factory=list)
+    forgets: list = field(default_factory=list)
     workers: int = 1
 
 
 def _sweep_cells(spec: SweepSpec):
+    axes = {}
+    for axis, name in SWEEP_AXES.items():
+        values = getattr(spec, axis) or [getattr(spec.base, name)]
+        axes[name] = [FIELD_TYPES[name](v) for v in values]
     cells = []
-    grid = itertools.product(spec.variants, spec.hiddens, spec.etas, spec.forgets)
-    for idx, (variant, hidden, eta, forget) in enumerate(grid):
-        sub = Path(spec.base.out) / "cells" / f"cell{idx:03d}_{variant}_h{hidden}"
-        cfg = replace(spec.base, variant=variant, hidden=int(hidden),
-                      eta=float(eta), forget=float(forget),
-                      seed=spec.base.seed + idx, out=str(sub))
-        cells.append(cfg)
+    for idx, values in enumerate(itertools.product(*axes.values())):
+        kw = dict(zip(axes, values))
+        name = f"cell{idx:03d}_{kw['variant']}_h{kw['hidden']}"
+        cells.append(replace(spec.base, **kw, seed=spec.base.seed + idx,
+                             out=str(Path(spec.base.out) / "cells" / name)))
     return cells
 
 

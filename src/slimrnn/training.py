@@ -259,11 +259,12 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     tensor, keyed like model.param_arrays().
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // (T x recorded
-    bytes per sample-step x directions)) samples. Each sample runs its own
-    forward pass, and its inputs and stacks are copied into column j of
-    the chunk's (T+1, b, n) / (T, b, width) arrays; a chunk of one sample
-    uses that sample's arrays as size-1 batch-axis views instead, so a
-    long sequence costs no copy. Each chunk then takes one readout
+    bytes per sample-step x directions)) samples. A chunk's inputs are
+    gathered once as (T, b, m); each sample runs its own forward pass on
+    column j of them, and its stacks are copied into column j of the
+    chunk's (T+1, b, n) / (T, b, width) arrays; a chunk of one sample uses
+    that sample's stacks as size-1 batch-axis views instead, so a long
+    sequence costs no copy. Each chunk then takes one readout
     gradient product, one reverse pass per direction and one embedding
     scatter. Losses add in sample order, as in a per-sample loop; the
     gradients sum in chunk-product order.
@@ -286,15 +287,15 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         b = stop - start
         dY = np.empty((b, out_dim))
         h_T = np.empty((b, dirs * n))
+        X = _inputs(model, batch, slice(start, stop))
         # The forward stays per sample: perfbench's traced counts pin one step
-        # call per sample-step. Batching it means one model.forward(X_chunk,
+        # call per sample-step. Batching it means one model.forward(X,
         # record=True) in place of this fill loop once those counts move.
         for j in range(b):
-            xs = _inputs(model, batch, start + j)
-            y_raw, h_T[j], stacks = model.forward(xs, record=True)
+            y_raw, h_T[j], stacks = model.forward(X[:, j], record=True)
             loss, dY[j] = _loss_body(loss_kind, y_raw, targets[start + j])
             total += loss
-            parts = [xs, *(a for s in stacks for a in s)]  # xs, (H, C, aux) per direction
+            parts = [a for s in stacks for a in s]  # (H, C, aux) per direction
             if b == 1:
                 chunk = [None if a is None else a[:, None] for a in parts]
                 continue
@@ -307,11 +308,10 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         grads["out.W_hy"] += dY.T @ h_T
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
-        X = chunk[0]
-        dX = _backward_cell(model.cell, X, chunk[1:4], dH[:, :n], grads, "fwd.",
+        dX = _backward_cell(model.cell, X, chunk[:3], dH[:, :n], grads, "fwd.",
                             need_dx)
         if model.bidirectional:
-            dX_b = _backward_cell(model.cell_bwd, X[::-1], chunk[4:7], dH[:, n:],
+            dX_b = _backward_cell(model.cell_bwd, X[::-1], chunk[3:], dH[:, n:],
                                   grads, "bwd.", need_dx)
             if need_dx:
                 dX = dX + dX_b[::-1]

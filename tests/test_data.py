@@ -14,7 +14,6 @@ from slimrnn.data import (
     EmbeddingTable,
     SequenceBatch,
     build_vocab,
-    decode_indices,
     embed_lookup,
     encode_tokens,
     init_embedding,
@@ -51,9 +50,6 @@ def test_build_vocab_rejects_degenerate_inputs():
 def test_encode_decode_round_trip_and_oov():
     vocab = {"cat": 2, "dog": 3}
     assert encode_tokens(vocab, ["cat", "emu", "dog"]) == [2, OOV_INDEX, 3]
-    assert decode_indices(vocab, [0, 1, 2, 3]) == ["<pad>", "<oov>", "cat", "dog"]
-    tokens = ["dog", "cat", "dog"]
-    assert decode_indices(vocab, encode_tokens(vocab, tokens)) == tokens
 
 
 def test_pad_or_truncate_conventions():

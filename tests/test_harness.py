@@ -5,15 +5,16 @@ parallel), the gradient-check command, and the CLI surface."""
 import numpy as np
 import numpy.testing as npt
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from slimrnn import harness, training
 from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
                            run_cell, srnn_step)
-from slimrnn.cli import main
+from slimrnn.cli import build_parser, main
 from slimrnn.data import SequenceBatch
 from slimrnn.harness import (
     CHECKPOINT_MAGIC,
+    CHOICES,
     METRICS_HEADER,
     SWEEP_HEADER,
     ExperimentConfig,
@@ -566,3 +567,42 @@ def test_cli_sweep_command(tmp_path, capsys):
         encoding="utf-8").splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 5  # 2 variants x 2 etas
+
+
+def test_cli_sweep_omitted_axes_keep_the_base_config(tmp_path):
+    args = ["sweep", "--variant", "lstm6", "--activation", "tanh",
+            "--hidden", "6", "--embed", "3", "--seq-len", "6",
+            "--vocab", "8", "--eta", "0.002", "--forget", "0.3",
+            "--epochs", "1", "--batch", "4", "--samples", "12",
+            "--out", str(tmp_path / "base_sweep")]
+    assert main(args) == 0
+    lines = (tmp_path / "base_sweep" / "summary.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("lstm6,6,0.002,0.3,")
+    assert (tmp_path / "base_sweep" / "cells" / "cell000_lstm6_h6").is_dir()
+
+
+def test_cli_config_flags_follow_the_config_schema():
+    parser = build_parser()
+    defaults = ExperimentConfig()
+    for command in ("train", "sweep"):
+        for f in fields(ExperimentConfig):
+            flag = "--" + f.name.replace("_", "-")
+            kind = type(getattr(defaults, f.name))
+            if kind is bool:
+                args = parser.parse_args([command, flag])
+                assert getattr(args, f.name) is True, (command, flag)
+                continue
+            sample = {int: "7", float: "0.25"}.get(kind) or CHOICES.get(
+                f.name, ("some-text",))[-1]
+            value = getattr(parser.parse_args([command, flag, sample]), f.name)
+            assert type(value) is kind and value == kind(sample), (command, flag)
+        for name in CHOICES:
+            flag = "--" + name.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag, "bogus"])
+            assert exc.value.code == 2
+    for name in CHOICES:
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+            replace(defaults, **{name: "bogus"}).validate()
