@@ -14,9 +14,11 @@ internal accumulator where present):
            applied element-wise: the recurrence term is u_c * h_{t-1}.
 
 Every step acts on the trailing feature axis only, so the same code
-steps one sample's (n,) state or a batch's (B, n) state. Sequences are
-read strictly left to right; classification reads only the final hidden
-state through a single affine output layer.
+steps one sample's (n,) state or a batch's (B, n) state. A step takes its
+input term W x_t + b precomputed (run_cell projects a block of steps at
+once), and lstm's four gates are stacked, so a step makes one recurrent
+product. Sequences are read strictly left to right; classification reads
+only the final hidden state through a single affine output layer.
 """
 
 from __future__ import annotations
@@ -127,51 +129,97 @@ def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
                       forget_const=forget_const, **fields)
 
 
-def srnn_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray):
-    """One simple-recurrent step. Returns h_t."""
-    return activate(p.act, matvec(p.W_hx, x_t) + matvec(p.W_hh, h_prev) + p.b_h)
+def stack_gates(p: CellParams, transposed: bool = False):
+    """The cell's (W, R, b): input weights, recurrent tensor (u_c for
+    lstm_c6) and bias. lstm's four gate blocks are stacked in
+    [i | f | o | c] order into (4n, m), (4n, n) and (4n,) copies; every
+    other cell returns its own tensors. With transposed set, W and R come
+    as C-ordered (m, width) and (n, width) copies, the layout the forward
+    products x W and h R read fastest (u_c stays a vector)."""
+    names = ADAPTIVE_FIELDS[p.variant]
+    if p.variant == "lstm":
+        W, R, b = (np.concatenate([getattr(p, k) for k in names[j::3]])
+                   for j in range(3))
+    else:
+        W, R, b = (getattr(p, k) for k in names)
+    if transposed:
+        W, R = np.ascontiguousarray(W.T), np.ascontiguousarray(R.T)
+    return W, R, b
 
 
-def lstm_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray):
-    """One full-gate step. Gates are always sigmoid; the candidate and the
-    cell-output squash use p.act. Returns (h_t, c_t, gates), gates being
-    [i | f | o | c_tilde] along the feature axis (width 4n)."""
-    i_t = activate("sigmoid", matvec(p.W_i, x_t) + matvec(p.U_i, h_prev) + p.b_i)
-    f_t = activate("sigmoid", matvec(p.W_f, x_t) + matvec(p.U_f, h_prev) + p.b_f)
-    o_t = activate("sigmoid", matvec(p.W_o, x_t) + matvec(p.U_o, h_prev) + p.b_o)
-    c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
+def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The input term x W + b of one step's input x, (m,) or (B, m), with
+    (W, b) from stack_gates(p, transposed=True). Stacked steps (t, B, m)
+    take one product per step, so a step's term has the same bits alone
+    as inside any block of steps."""
+    z = np.matmul(x, W)
+    z += b
+    return z
+
+
+# The step functions take the step's input term a_t (input_term) and the
+# recurrent tensor R, both laid out by stack_gates(p, transposed=True).
+
+def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray):
+    """One simple-recurrent step: h_t = act(a_t + W_hh h_{t-1})."""
+    z = a_t + h_prev.dot(R)
+    return activate(p.act, z, out=z)
+
+
+def _lstm_update(p: CellParams, z: np.ndarray, c_prev: np.ndarray, pins: dict):
+    """The gate buffer z (width 4n, every pre-activation) activated in
+    place, pinned gates overwritten, then the state update."""
+    n = p.n
+    activate("sigmoid", z[..., :3 * n], out=z[..., :3 * n])
+    activate(p.act, z[..., 3 * n:], out=z[..., 3 * n:])
+    for k, g in enumerate("ifo"):
+        if g in pins:
+            z[..., k * n:(k + 1) * n] = pins[g]
+    i_t, f_t, o_t, c_tilde = (z[..., k * n:(k + 1) * n] for k in range(4))
     c_t = f_t * c_prev + i_t * c_tilde
-    h_t = o_t * activate(p.act, c_t)
-    return h_t, c_t, np.concatenate([i_t, f_t, o_t, c_tilde], axis=-1)
+    h_t = activate(p.act, c_t)
+    h_t *= o_t
+    return h_t, c_t, z
 
 
-def lstm6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
+def lstm_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
+              c_prev: np.ndarray):
+    """One full-gate step: one product with the stacked recurrent matrix
+    gives every gate's pre-activation. Gates are sigmoid; the candidate
+    and the cell-output squash use p.act. Returns (h_t, c_t, gates), gates
+    being [i | f | o | c_tilde] along the feature axis (width 4n)."""
+    return _lstm_update(p, a_t + h_prev.dot(R), c_prev, {})
+
+
+def lstm6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
                c_prev: np.ndarray):
-    """One gate-free step: c_t = f c_{t-1} + act(W_c x_t + U_c h_{t-1} + b_c),
+    """One gate-free step: c_t = f c_{t-1} + act(a_t + U_c h_{t-1}),
     h_t = act(c_t). Returns (h_t, c_t, c_tilde)."""
-    c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
+    z = a_t + h_prev.dot(R)
+    c_tilde = activate(p.act, z, out=z)
     c_t = p.forget_const * c_prev + c_tilde
     return activate(p.act, c_t), c_t, c_tilde
 
 
-def lstmc6_step(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
+def lstmc6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
                 c_prev: np.ndarray):
-    """lstm6 with the recurrent matvec reduced to an element-wise product:
-    the candidate pre-activation is W_c x_t + u_c * h_{t-1} + b_c."""
-    c_tilde = activate(p.act, matvec(p.W_c, x_t) + p.u_c * h_prev + p.b_c)
+    """lstm6 with the recurrent product reduced to an element-wise one:
+    the candidate pre-activation is a_t + u_c * h_{t-1}."""
+    z = a_t + R * h_prev
+    c_tilde = activate(p.act, z, out=z)
     c_t = p.forget_const * c_prev + c_tilde
     return activate(p.act, c_t), c_t, c_tilde
 
 
-def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
+def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray,
                        h_prev: np.ndarray, c_prev: np.ndarray):
     """Full-gate step with selected gates pinned to constants.
 
     pins maps gate names ("i", "f", "o") to scalars. The input and output
     gates may only be pinned to exactly 1.0; the forget pin must lie in
-    (-1, 1]. This is the reference path used to cross-check the slim
-    variants against the full cell.
+    (-1, 1]. The unpinned gates use lstm_step's arithmetic. This is the
+    reference path used to cross-check the slim variants against the
+    full cell.
     """
     bad = set(pins) - {"i", "f", "o"}
     if bad:
@@ -181,20 +229,7 @@ def gate_override_step(p: CellParams, pins: dict, x_t: np.ndarray,
             raise ValueError(f"{g} gate may only be pinned to exactly 1.0")
     if "f" in pins and not -1.0 < pins["f"] <= 1.0:
         raise ValueError(f"f pin must lie in (-1, 1], got {pins['f']}")
-
-    def gate(name, W, U, b):
-        if name in pins:
-            return np.full(p.n, float(pins[name]))
-        return activate("sigmoid", matvec(W, x_t) + matvec(U, h_prev) + b)
-
-    i_t = gate("i", p.W_i, p.U_i, p.b_i)
-    f_t = gate("f", p.W_f, p.U_f, p.b_f)
-    o_t = gate("o", p.W_o, p.U_o, p.b_o)
-    c_tilde = activate(p.act, matvec(p.W_c, x_t) + matvec(p.U_c, h_prev) + p.b_c)
-    c_t = f_t * c_prev + i_t * c_tilde
-    h_t = o_t * activate(p.act, c_t)
-    gates = np.broadcast_arrays(i_t, f_t, o_t, c_tilde)  # pinned gates are (n,)
-    return h_t, c_t, np.concatenate(gates, axis=-1)
+    return _lstm_update(p, a_t + h_prev.dot(R), c_prev, pins)
 
 
 @dataclass
@@ -221,6 +256,20 @@ def output_layer_apply(out: OutputLayer, h: np.ndarray) -> np.ndarray:
     return matvec(out.W_hy, h) + out.b_y
 
 
+# Bytes of input terms run_cell computes in one product: a block of steps
+# shares the product's dispatch, and a small block's buffers stay in cache.
+PROJECTION_BUDGET = 1 << 16
+
+
+def _input_terms(W: np.ndarray, b: np.ndarray, xs: np.ndarray):
+    """input_term of each step of xs, PROJECTION_BUDGET bytes at a time."""
+    steps = xs.reshape(len(xs), -1, xs.shape[-1])  # (T, B, m), B = 1 for (T, m)
+    shape = xs.shape[1:-1] + b.shape
+    block = max(1, PROJECTION_BUDGET // (8 * steps.shape[1] * len(b)))
+    for start in range(0, len(xs), block):
+        yield from input_term(W, b, steps[start:start + block]).reshape((-1,) + shape)
+
+
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
              c0: np.ndarray | None = None, record: bool = True):
     """Drive one cell across a whole sequence.
@@ -228,7 +277,10 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     xs is time-major: (T, m) for one sample, or (T, B, m) for B samples
     stepped together. States start at zero unless h0/c0 are given, shaped
     like one step's state: (n,) or (B, n). Shapes are checked here once,
-    not per step. Returns (h_T, c_T, stacks); c_T is None for srnn.
+    not per step. The input terms are computed a block of steps at a time
+    (see PROJECTION_BUDGET), so the loop over steps holds only the
+    recurrent product and the element-wise work. Returns (h_T, c_T,
+    stacks); c_T is None for srnn.
 
     With record set, stacks is (H, C, aux), filled step by step into
     preallocated arrays: H is (T+1, ..., n) with H[0] the initial state,
@@ -249,25 +301,26 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     for what, v in (("h0", h0), ("c0", c0)):
         if v is not None and v.shape != state:
             raise ValueError(f"{what} has shape {v.shape}, expected {state}")
+    W, R, b = stack_gates(p, transposed=True)
+    terms = _input_terms(W, b, xs)
     h = np.zeros(state) if h0 is None else h0
     H = np.empty((T + 1,) + state) if record else None
     if record:
         H[0] = h
     if p.variant == "srnn":
-        for t, x_t in enumerate(xs):
-            h = srnn_step(p, x_t, h)
+        for t, a_t in enumerate(terms, 1):
+            h = srnn_step(p, R, a_t, h)
             if record:
-                H[t + 1] = h
+                H[t] = h
         return h, None, ((H, None, None) if record else None)
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
     c = np.zeros(state) if c0 is None else c0
     if record:
         C = np.empty_like(H)
         C[0] = c
-        width = 4 * p.n if p.variant == "lstm" else p.n
-        aux = np.empty((T,) + state[:-1] + (width,))
-    for t, x_t in enumerate(xs):
-        h, c, a = step(p, x_t, h, c)
+        aux = np.empty((T,) + state[:-1] + b.shape)
+    for t, a_t in enumerate(terms):
+        h, c, a = step(p, R, a_t, h, c)
         if record:
             H[t + 1], C[t + 1], aux[t] = h, c, a
     return h, c, ((H, C, aux) if record else None)
@@ -286,9 +339,9 @@ def step_mac_count(variant: str, m: int, n: int) -> int:
     """Multiply-accumulates in one forward step's matrix/vector products.
 
     Each weight entry is one MAC per step, so this is the parameter count
-    less the biases: lstm runs eight matvecs (two per gate plus candidate),
-    lstm6 two, lstm_c6 one matvec plus the n-wide element-wise recurrence,
-    srnn two.
+    less the biases: lstm's stacked (4n, m) input and (4n, n) recurrent
+    products, lstm6's and srnn's (n, m) and (n, n) ones, lstm_c6's (n, m)
+    product plus the n-wide element-wise recurrence.
     """
     return sum(math.prod(_tensor_shape(kind, m, n))
                for kind in _cell_kinds(variant, m, n).values() if kind != "bias")

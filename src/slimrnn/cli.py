@@ -110,8 +110,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    if args.command in ("train", "sweep"):
+        try:
+            cfg = build_config(args)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+
     if args.command == "train":
-        result = cmd_train(build_config(args), log=print)
+        result = cmd_train(cfg, log=print)
         print(f"metrics: {result['csv']}")
         print(f"checkpoint: {result['checkpoint']}")
         return 0
@@ -119,8 +125,10 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         axes = {axis: getattr(args, axis).split(",")
                 for axis in SWEEP_AXES if getattr(args, axis)}
-        result = cmd_sweep(SweepSpec(base=build_config(args),
-                                     workers=args.workers, **axes))
+        try:
+            result = cmd_sweep(SweepSpec(base=cfg, workers=args.workers, **axes))
+        except ValueError as exc:  # a bad base config or axis; cells never raise
+            parser.error(str(exc))
         print(f"summary: {result['summary']}")
         return 0
 

@@ -117,9 +117,21 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _typed(name: str, value):
+    """value as the type of field name; the ValueError names both."""
+    kind = FIELD_TYPES[name]
+    try:
+        return kind(value)
+    except ValueError:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, "
+                         f"got {value!r}") from None
+
+
 def parse_config_text(text: str) -> dict:
     """Parse config-file text into a field -> typed value dict. Unknown
-    keys and malformed lines raise; # starts a comment."""
+    keys, malformed lines and values of the wrong type raise, naming the
+    line; # starts a comment."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,19 +144,26 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        kind = FIELD_TYPES[key]
-        if kind is bool:
+        if FIELD_TYPES[key] is bool:
             if value not in ("true", "false"):
                 raise ValueError(f"line {lineno}: boolean must be true/false, got {value!r}")
             out[key] = value == "true"
-        else:
-            out[key] = kind(value)
+            continue
+        try:
+            out[key] = _typed(key, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 
 def load_config_file(path) -> dict:
+    """parse_config_text over a file; its errors read "<path>: line N: <reason>"."""
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_config_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -363,10 +382,20 @@ class SweepSpec:
 
 
 def _sweep_cells(spec: SweepSpec):
+    """One config per grid cell. Every axis value is typed and checked
+    against CHOICES here, so a typo fails before any cell trains; a cell
+    that fails later still gives a nan row."""
     axes = {}
     for axis, name in SWEEP_AXES.items():
-        values = getattr(spec, axis) or [getattr(spec.base, name)]
-        axes[name] = [FIELD_TYPES[name](v) for v in values]
+        axes[name] = []
+        for value in getattr(spec, axis) or [getattr(spec.base, name)]:
+            try:
+                value = _typed(name, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep axis {axis}: {exc}") from None
+            if value not in CHOICES.get(name, (value,)):
+                raise ValueError(f"sweep axis {axis}: unknown {name} {value!r}")
+            axes[name].append(value)
     cells = []
     for idx, values in enumerate(itertools.product(*axes.values())):
         kw = dict(zip(axes, values))

@@ -31,18 +31,19 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x.dot(a.T)
 
 
-def activate(kind: str, x: np.ndarray) -> np.ndarray:
-    """Apply an activation element-wise.
+def activate(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply an activation element-wise, into out when given (out=x works
+    in place).
 
     expit is the branch-stable sigmoid (never exponentiates a positive
     argument), so large-magnitude inputs cannot overflow.
     """
     if kind == "sigmoid":
-        return expit(x)
+        return expit(x, out=out)
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer,
-                    output_layer_apply, run_cell)
+                    output_layer_apply, run_cell, stack_gates)
 from .data import EmbeddingTable, PAD_INDEX, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
@@ -196,8 +196,7 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
-    W = np.concatenate([getattr(p, k) for k in names[0::3]])
-    R = np.concatenate([getattr(p, k) for k in names[1::3]])
+    W, R, _ = stack_gates(p)
     T, n = len(xs), p.n
     if p.variant == "srnn":
         D = activate_grad_from_output(p.act, H[1:])

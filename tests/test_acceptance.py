@@ -43,6 +43,8 @@ from slimrnn.training import (
     train_epoch,
 )
 
+from conftest import operands
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -144,9 +146,9 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         full.W_c = slim.W_c.copy()
         full.U_c = slim.U_c.copy()
         full.b_c = slim.b_c.copy()
-        h_a, c_a, _ = lstm6_step(slim, x, h_prev, c_prev)
+        h_a, c_a, _ = lstm6_step(slim, *operands(slim, x), h_prev, c_prev)
         h_b, c_b, _ = gate_override_step(full, {"i": 1.0, "f": f, "o": 1.0},
-                                         x, h_prev, c_prev)
+                                         *operands(full, x), h_prev, c_prev)
         worst = max(worst, float(np.max(np.abs(h_a - h_b))),
                     float(np.max(np.abs(c_a - c_b))))
 
@@ -156,8 +158,8 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         mat.W_c = vec.W_c.copy()
         mat.U_c = np.diag(vec.u_c)
         mat.b_c = vec.b_c.copy()
-        h_a, c_a, _ = lstmc6_step(vec, x, h_prev, c_prev)
-        h_b, c_b, _ = lstm6_step(mat, x, h_prev, c_prev)
+        h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
+        h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         worst = max(worst, float(np.max(np.abs(h_a - h_b))),
                     float(np.max(np.abs(c_a - c_b))))
 
@@ -187,7 +189,7 @@ def test_criterion_4_bibo_stability(acceptance_report):
                 decay = 1.0
                 for t in range(1, steps + 1):
                     x = rng.uniform(-4.0, 4.0, 4)
-                    h, c, _ = step(p, x, h, c)
+                    h, c, _ = step(p, *operands(p, x), h, c)
                     decay *= abs(f)
                     bound = decay * c0_scale + (1.0 - decay) / (1.0 - abs(f))
                     assert np.all(np.abs(c) <= bound + 1e-9), (

@@ -2,11 +2,14 @@
 transcriptions, cross-variant equivalences through the gate-pin hook, cell
 state boundedness, and the parameter/MAC accounting."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
+from slimrnn import cells
 from slimrnn.cells import (
     ADAPTIVE_FIELDS,
     VARIANTS,
@@ -15,6 +18,7 @@ from slimrnn.cells import (
     gate_override_step,
     init_cell,
     init_output,
+    input_term,
     lstm6_step,
     lstm_step,
     lstmc6_step,
@@ -22,10 +26,13 @@ from slimrnn.cells import (
     param_count,
     run_cell,
     srnn_step,
+    stack_gates,
     step_mac_count,
 )
 from slimrnn.numerics import make_rng
 from slimrnn.training import SequenceClassifier
+
+from conftest import operands
 
 
 def zero_cell(variant, m, n, act="sigmoid", forget_const=0.59):
@@ -54,10 +61,10 @@ def random_cell(variant, m, n, seed, act="sigmoid", forget_const=0.59):
 
 def test_srnn_step_zero_params():
     p = zero_cell("srnn", 3, 4)
-    h = srnn_step(p, np.ones(3), np.ones(4))
+    h = srnn_step(p, *operands(p, np.ones(3)), np.ones(4))
     npt.assert_array_equal(h, np.full(4, 0.5))
     p_tanh = zero_cell("srnn", 3, 4, act="tanh")
-    h = srnn_step(p_tanh, np.ones(3), np.ones(4))
+    h = srnn_step(p_tanh, *operands(p_tanh, np.ones(3)), np.ones(4))
     npt.assert_array_equal(h, np.zeros(4))
 
 
@@ -65,33 +72,33 @@ def test_lstm_step_zero_params_frozen_value():
     # All gates sigmoid(0)=0.5, candidate 0.5, so c = 0.25 and
     # h = 0.5 * sigmoid(0.25) exactly.
     p = zero_cell("lstm", 2, 3)
-    h, c, _ = lstm_step(p, np.ones(2), np.zeros(3), np.zeros(3))
+    h, c, _ = lstm_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
     npt.assert_allclose(c, np.full(3, 0.25), rtol=0, atol=0)
     npt.assert_allclose(h, np.full(3, 0.28108825044289905), rtol=0, atol=1e-16)
 
 
 def test_lstm_step_zero_params_tanh_is_zero():
     p = zero_cell("lstm", 2, 3, act="tanh")
-    h, c, _ = lstm_step(p, np.ones(2), np.zeros(3), np.zeros(3))
+    h, c, _ = lstm_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
     npt.assert_array_equal(c, np.zeros(3))
     npt.assert_array_equal(h, np.zeros(3))
 
 
 def test_lstm6_step_zero_params_frozen_values():
     p = zero_cell("lstm6", 2, 3, forget_const=0.0)
-    h, c, _ = lstm6_step(p, np.ones(2), np.zeros(3), np.zeros(3))
+    h, c, _ = lstm6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
     npt.assert_array_equal(c, np.full(3, 0.5))
     npt.assert_allclose(h, np.full(3, 0.6224593312018546), rtol=0, atol=1e-16)
 
     p = zero_cell("lstm6", 2, 3, forget_const=0.5)
-    h, c, _ = lstm6_step(p, np.ones(2), np.zeros(3), np.ones(3))
+    h, c, _ = lstm6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.ones(3))
     npt.assert_array_equal(c, np.ones(3))
     npt.assert_allclose(h, np.full(3, 0.7310585786300049), rtol=0, atol=1e-16)
 
 
 def test_lstmc6_step_zero_params_frozen_value():
     p = zero_cell("lstm_c6", 2, 3, forget_const=0.0)
-    h, c, _ = lstmc6_step(p, np.ones(2), np.zeros(3), np.zeros(3))
+    h, c, _ = lstmc6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
     npt.assert_array_equal(c, np.full(3, 0.5))
     npt.assert_allclose(h, np.full(3, 0.6224593312018546), rtol=0, atol=1e-16)
 
@@ -105,7 +112,7 @@ def test_srnn_step_matches_inline_transcription():
     rng = make_rng(70)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 2)
-    h = srnn_step(p, x, h_prev)
+    h = srnn_step(p, *operands(p, x), h_prev)
     expected = expit(p.W_hx @ x + p.W_hh @ h_prev + p.b_h)
     npt.assert_allclose(h, expected, rtol=0, atol=1e-15)
 
@@ -116,7 +123,7 @@ def test_lstm_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 2)
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
-    h, c, _ = lstm_step(p, x, h_prev, c_prev)
+    h, c, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
     i = expit(p.W_i @ x + p.U_i @ h_prev + p.b_i)
     f = expit(p.W_f @ x + p.U_f @ h_prev + p.b_f)
     o = expit(p.W_o @ x + p.U_o @ h_prev + p.b_o)
@@ -133,7 +140,7 @@ def test_lstm6_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
     c_prev = rng.uniform(-1, 1, 4)
-    h, c, _ = lstm6_step(p, x, h_prev, c_prev)
+    h, c, _ = lstm6_step(p, *operands(p, x), h_prev, c_prev)
     c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.U_c @ h_prev + p.b_c)
     npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
     npt.assert_allclose(h, expit(c_ref), rtol=0, atol=1e-15)
@@ -145,7 +152,7 @@ def test_lstmc6_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 4)
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
-    h, c, _ = lstmc6_step(p, x, h_prev, c_prev)
+    h, c, _ = lstmc6_step(p, *operands(p, x), h_prev, c_prev)
     c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.u_c * h_prev + p.b_c)
     npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
     npt.assert_allclose(h, expit(c_ref), rtol=0, atol=1e-15)
@@ -175,11 +182,12 @@ def test_step_caches_record_the_step():
 def test_step_dimension_mismatch_rejected():
     p = random_cell("lstm6", 3, 2, seed=23)
     with pytest.raises(ValueError):
-        lstm6_step(p, np.zeros(4), np.zeros(2), np.zeros(2))
+        lstm6_step(p, *operands(p, np.zeros(4)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        lstm6_step(p, np.zeros(3), np.zeros(3), np.zeros(2))
+        lstm6_step(p, *operands(p, np.zeros(3)), np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
-        srnn_step(random_cell("srnn", 3, 2, seed=24), np.zeros(3), np.zeros(3))
+        p = random_cell("srnn", 3, 2, seed=24)
+        srnn_step(p, *operands(p, np.zeros(3)), np.zeros(3))
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +219,9 @@ def test_gate_pinned_full_cell_equals_lstm6_step():
         x = rng.uniform(-1, 1, m)
         h_prev = rng.uniform(-1, 1, n)
         c_prev = rng.uniform(-1, 1, n)
-        h_a, c_a, _ = lstm6_step(slim, x, h_prev, c_prev)
+        h_a, c_a, _ = lstm6_step(slim, *operands(slim, x), h_prev, c_prev)
         h_b, c_b, _ = gate_override_step(full, {"i": 1.0, "f": f, "o": 1.0},
-                                         x, h_prev, c_prev)
+                                         *operands(full, x), h_prev, c_prev)
         npt.assert_allclose(h_a, h_b, rtol=0, atol=1e-15)
         npt.assert_allclose(c_a, c_b, rtol=0, atol=1e-15)
 
@@ -231,8 +239,8 @@ def test_diagonal_recurrence_equals_lstm6_with_diagonal_matrix():
         x = rng.uniform(-1, 1, m)
         h_prev = rng.uniform(-1, 1, n)
         c_prev = rng.uniform(-1, 1, n)
-        h_a, c_a, _ = lstmc6_step(vec, x, h_prev, c_prev)
-        h_b, c_b, _ = lstm6_step(mat, x, h_prev, c_prev)
+        h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
+        h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         npt.assert_allclose(h_a, h_b, rtol=0, atol=1e-15)
         npt.assert_allclose(c_a, c_b, rtol=0, atol=1e-15)
 
@@ -243,8 +251,8 @@ def test_gate_override_with_no_pins_is_plain_lstm_step():
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
     c_prev = rng.uniform(-1, 1, 4)
-    h_a, c_a, _ = lstm_step(p, x, h_prev, c_prev)
-    h_b, c_b, _ = gate_override_step(p, {}, x, h_prev, c_prev)
+    h_a, c_a, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
+    h_b, c_b, _ = gate_override_step(p, {}, *operands(p, x), h_prev, c_prev)
     npt.assert_array_equal(h_a, h_b)
     npt.assert_array_equal(c_a, c_b)
 
@@ -254,14 +262,15 @@ def test_gate_override_forget_zero_forgets_the_state():
     rng = make_rng(320)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
-    _, c_a, _ = gate_override_step(p, {"f": 0.0}, x, h_prev, np.zeros(4))
-    _, c_b, _ = gate_override_step(p, {"f": 0.0}, x, h_prev, rng.uniform(-5, 5, 4))
+    _, c_a, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x), h_prev, np.zeros(4))
+    _, c_b, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x), h_prev,
+                                   rng.uniform(-5, 5, 4))
     npt.assert_array_equal(c_a, c_b)
 
 
 def test_gate_override_pin_validation():
     p = random_cell("lstm", 2, 2, seed=33)
-    args = (np.zeros(2), np.zeros(2), np.zeros(2))
+    args = (*operands(p, np.zeros(2)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="unknown gate pins"):
         gate_override_step(p, {"q": 1.0}, *args)
     with pytest.raises(ValueError, match="exactly 1.0"):
@@ -275,7 +284,7 @@ def test_gate_override_pin_validation():
     c = np.zeros(2)
     for _ in range(3):
         _, c, _ = gate_override_step(zero, {"i": 1.0, "f": 1.0, "o": 1.0},
-                                     np.zeros(2), np.zeros(2), c)
+                                     *operands(zero, np.zeros(2)), np.zeros(2), c)
     npt.assert_array_equal(c, np.full(2, 1.5))  # three additions of sigmoid(0)
 
 
@@ -301,7 +310,7 @@ def test_cell_state_geometric_bound(variant, f):
     decay = 1.0
     for t in range(1, steps + 1):
         x = rng.uniform(-4.0, 4.0, 4)
-        h, c, _ = step(p, x, h, c)
+        h, c, _ = step(p, *operands(p, x), h, c)
         decay *= abs(f)
         bound = decay * 3.0 + (1.0 - decay) / (1.0 - abs(f))
         assert np.all(np.abs(c) <= bound + 1e-9), f"step {t}: |c| above bound"
@@ -341,7 +350,7 @@ def test_run_cell_srnn_has_no_cell_state():
     # matches stepping by hand
     hh = np.zeros(4)
     for t in range(5):
-        hh = srnn_step(p, xs[t], hh)
+        hh = srnn_step(p, *operands(p, xs[t]), hh)
     npt.assert_array_equal(h, hh)
 
 
@@ -357,7 +366,7 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
     x = make_rng(441).uniform(-1, 1, size=(1, 3))
     h_T, _, (H, _, _) = run_cell(p, x)
     y = output_layer_apply(out, h_T)
-    h, _, _ = lstm6_step(p, x[0], np.zeros(4), np.zeros(4))
+    h, _, _ = lstm6_step(p, *operands(p, x[0]), np.zeros(4), np.zeros(4))
     npt.assert_array_equal(y, output_layer_apply(out, h))
     assert H.shape[0] == 1 + 1
 
@@ -371,7 +380,7 @@ def test_run_sequence_caches_replay_the_forward_pass():
     for t in range(4):
         npt.assert_array_equal(H[t], h)
         npt.assert_array_equal(C[t], c)
-        h2, c2, g2 = lstm_step(p, xs[t], h, c)
+        h2, c2, g2 = lstm_step(p, *operands(p, xs[t]), h, c)
         npt.assert_array_equal(H[t + 1], h2)
         npt.assert_array_equal(C[t + 1], c2)
         npt.assert_array_equal(gates[t], g2)
@@ -421,6 +430,36 @@ def test_run_cell_checks_shapes_once_and_can_skip_caches():
     h_rec, c_rec, _ = run_cell(p, xs)
     npt.assert_array_equal(h, h_rec)
     npt.assert_array_equal(c, c_rec)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [(11, 3), (11, 4, 3)])
+@pytest.mark.parametrize("record", [True, False])
+def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
+                                                  record):
+    # each step's input term is its own product, so a budget of one step's
+    # bytes (one block per step) gives the bits of the default (one block)
+    p = random_cell(variant, 3, 5, seed=48, act="tanh")
+    xs = make_rng(480).uniform(-2, 2, size=shape)
+    calls = []
+
+    def spy(W, b, x):
+        calls.append(len(x))
+        return input_term(W, b, x)
+
+    monkeypatch.setattr(cells, "input_term", spy)
+    want = run_cell(p, xs, record=record)
+    assert calls == [11]
+    width = len(stack_gates(p)[2])
+    monkeypatch.setattr(cells, "PROJECTION_BUDGET", 8 * width * math.prod(shape[1:-1]))
+    calls.clear()
+    got = run_cell(p, xs, record=record)
+    assert calls == [1] * 11
+    for a, b in zip(got[:2] + (got[2] or ()), want[:2] + (want[2] or ())):
+        if b is None:
+            assert a is None
+        else:
+            npt.assert_array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +561,7 @@ def test_slim_forget_constant_must_be_inside_open_interval(variant, bad_f):
 
 def test_negative_forget_constant_is_allowed():
     p = random_cell("lstm6", 2, 2, seed=65, forget_const=-0.4)
-    h, c, _ = lstm6_step(p, np.zeros(2), np.zeros(2), np.ones(2))
+    h, c, _ = lstm6_step(p, *operands(p, np.zeros(2)), np.zeros(2), np.ones(2))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(h))
 
 

@@ -29,12 +29,15 @@ from slimrnn.harness import (
     config_to_text,
     format_metrics_row,
     load_checkpoint,
+    load_config_file,
     parse_config_text,
     _relu_kink_margin,
     save_checkpoint,
 )
 from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, evaluate
+
+from conftest import operands
 
 
 def tiny_config(tmp_path, **overrides):
@@ -80,6 +83,36 @@ def test_config_parse_rejects_bad_lines():
         parse_config_text("just some words\n")
     with pytest.raises(ValueError, match="true/false"):
         parse_config_text("bidirectional = yes\n")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("epochs = ten\n", "line 1: epochs must be an int, got 'ten'"),
+    ("eta = 0.1\nbogus = 3\n", "line 2: unknown config key 'bogus'"),
+    ("# lr\n\neta = fast\n", "line 3: eta must be a float, got 'fast'"),
+    ("hidden = 4.5\n", "line 1: hidden must be an int, got '4.5'"),
+    ("variant = lstm6\njust some words\n",
+     "line 2: expected key = value, got 'just some words'"),
+    ("bidirectional = yes\n", "line 1: boolean must be true/false, got 'yes'"),
+])
+def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text,
+                                                                  reason):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}: {reason}"
+
+
+def test_cli_config_file_error_exits_2_with_the_message(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = ten\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 1: epochs must be an int, got 'ten'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_validation_rejects_unusable_values(tmp_path):
@@ -391,6 +424,30 @@ def test_sweep_survives_a_failing_cell(tmp_path, capsys):
     assert ok_fields[0] == "lstm6" and float(ok_fields[4]) >= 0.0
 
 
+@pytest.mark.parametrize("axes, message", [
+    (dict(variants=["lstm6", "lsmt6"]), "sweep axis variants: unknown variant 'lsmt6'"),
+    (dict(hiddens=["4", "x"]), "sweep axis hiddens: hidden must be an int, got 'x'"),
+    (dict(etas=["fast"]), "sweep axis etas: eta must be a float, got 'fast'"),
+])
+def test_sweep_rejects_a_bad_axis_value_before_any_cell_trains(tmp_path, axes,
+                                                               message):
+    base = tiny_config(tmp_path, out=str(tmp_path / "sweep"))
+    with pytest.raises(ValueError) as err:
+        cmd_sweep(SweepSpec(base=base, **axes))
+    assert str(err.value) == message
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_rejects_an_unknown_variant_with_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--variants", "lstm6,lsmt6", "--hiddens", "4",
+              "--epochs", "1", "--out", str(tmp_path / "sweep")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "sweep axis variants: unknown variant 'lsmt6'" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_failed_sweep_cell_leaves_its_traceback(tmp_path, capsys):
     missing = tmp_path / "no_such.tsv"
     base = tiny_config(tmp_path, out=str(tmp_path / "sweep"), data=f"tsv:{missing}")
@@ -433,13 +490,13 @@ def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
         for x in xs[:, b]:
             if variant == "srnn":
                 a = cell.W_hx @ x + cell.W_hh @ h + cell.b_h
-                h = srnn_step(cell, x, h)
+                h = srnn_step(cell, *operands(cell, x), h)
                 want = min(want, np.abs(a).min())
                 continue
             recur = cell.u_c * h if variant == "lstm_c6" else cell.U_c @ h
             a = cell.W_c @ x + recur + cell.b_c
             h, c, _ = {"lstm": lstm_step, "lstm6": lstm6_step,
-                       "lstm_c6": lstmc6_step}[variant](cell, x, h, c)
+                       "lstm_c6": lstmc6_step}[variant](cell, *operands(cell, x), h, c)
             want = min(want, np.abs(a).min(), np.abs(c).min())
     got = _relu_kink_margin(cell, xs, run_cell(cell, xs)[2])
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)

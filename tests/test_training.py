@@ -541,6 +541,27 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
     assert peak < reference + stack_bytes / 2, (peak, reference, stack_bytes)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_bytes_is_what_run_cell_records_per_sample_step(variant):
+    # CACHE_BUDGET sizes chunks by _step_bytes: it must match the stacks
+    T, B = 6, 3
+    p = init_cell(variant, 3, 4, "tanh", 0.59, make_rng(3340))
+    H, C, aux = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
+    rows = (H[1:], None if C is None else C[1:], aux)  # H[0], C[0]: the start
+    recorded = sum(a.nbytes for a in rows if a is not None)
+    assert recorded == T * B * training._step_bytes(p)
+
+
+def test_evaluate_memory_stays_flat_at_paper_shape():
+    # the whole sequence's (T, B, 4n) input terms would add 48.8 MiB here;
+    # run_cell computes them PROJECTION_BUDGET bytes at a time
+    m, n, T, B = 32, 100, 500, 32
+    model = small_model("lstm", m, n, seed=3350, vocab=5000)
+    batch = token_batch(3351, B, T, vocab=5000)
+    peak = traced_peak(evaluate, model, batch, "bce")
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_gradient_rel_error_definition():
     a = np.array([1.0, 0.0])
     b = np.array([1.0 + 1e-6, 0.0])
