@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import activate, init_matrix, matvec
+from .numerics import ACTIVATIONS, activate, init_matrix, matvec
 
 # Adaptive tensors per variant, in canonical (init / serialization) order,
 # each with its kind: "in" is (n, m), "rec" is (n, n), "diag" and "bias"
@@ -93,6 +93,8 @@ class CellParams:
 
     def __post_init__(self):
         kinds = _cell_kinds(self.variant, self.m, self.n)
+        if self.act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.act!r}")
         if self.variant in _SLIM and not -1.0 < self.forget_const < 1.0:
             raise ValueError(
                 f"forget_const must satisfy -1 < f < 1, got {self.forget_const}")

@@ -92,6 +92,11 @@ class VectorBatch:
     labels: np.ndarray
     n_classes: int = 2
 
+    def __post_init__(self):
+        if self.inputs.ndim != 3 or self.labels.shape != (self.inputs.shape[0],):
+            raise ValueError(
+                f"batch shapes disagree: inputs {self.inputs.shape}, labels {self.labels.shape}")
+
     def __len__(self) -> int:
         return self.inputs.shape[0]
 

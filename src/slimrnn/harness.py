@@ -130,8 +130,8 @@ def _typed(name: str, value):
 
 def parse_config_text(text: str) -> dict:
     """Parse config-file text into a field -> typed value dict. Unknown
-    keys, malformed lines and values of the wrong type raise, naming the
-    line; # starts a comment."""
+    keys, malformed lines and wrong-typed or out-of-range values raise,
+    naming the line; # starts a comment."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,6 +151,7 @@ def parse_config_text(text: str) -> dict:
             continue
         try:
             out[key] = _typed(key, value)
+            replace(ExperimentConfig(), **{key: out[key]}).validate()
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out

@@ -69,31 +69,21 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
     sample or (B, k) for a batch; the loss is then a float or a (B,)
     array of per-sample losses.
     """
-    _check_loss_inputs(kind, y_raw.shape, y_true)
-    return _loss_body(kind, y_raw, y_true)
-
-
-def _check_loss_inputs(kind: str, raw_shape: tuple, y_true: np.ndarray):
-    """loss_eval's checks of the loss kind, the shapes and the targets."""
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
     bce = kind == "bce"
-    if (raw_shape != y_true.shape or len(raw_shape) not in (1, 2)
-            or (bce and raw_shape[-1] != 1)):
+    if (y_raw.shape != y_true.shape or y_raw.ndim not in (1, 2)
+            or (bce and y_raw.shape[-1] != 1)):
         raise ValueError(f"{kind} needs {'length-1' if bce else 'matching'} "
-                         f"vectors, got {raw_shape} and {y_true.shape}")
+                         f"vectors, got {y_raw.shape} and {y_true.shape}")
     if not ((y_true == 0.0) | (y_true == 1.0)).all():
         raise ValueError(f"{kind} target must be {'0 or 1' if bce else 'one-hot'}")
-    if not bce and not (y_true.sum(axis=-1) == 1.0).all():
-        raise ValueError("cce target must be one-hot")
-
-
-def _loss_body(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
-    """loss_eval without its checks, for inputs that passed them."""
-    if kind == "bce":
+    if bce:
         p = np.clip(expit(y_raw), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.where(y_true == 1.0, p, 1.0 - p))[..., 0]
     else:
+        if not (y_true.sum(axis=-1) == 1.0).all():
+            raise ValueError("cce target must be one-hot")
         e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
         p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.sum(p * y_true, axis=-1))
@@ -261,12 +251,13 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     bytes per sample-step x directions)) samples. A chunk's inputs are
     gathered once as (T, b, m); each sample runs its own forward pass on
     column j of them, and its stacks are copied into column j of the
-    chunk's (T+1, b, n) / (T, b, width) arrays; a chunk of one sample uses
-    that sample's stacks as size-1 batch-axis views instead, so a long
-    sequence costs no copy. Each chunk then takes one readout
-    gradient product, one reverse pass per direction and one embedding
-    scatter. Losses add in sample order, as in a per-sample loop; the
-    gradients sum in chunk-product order.
+    chunk's (T+1, b, n) / (T, b, width) arrays and its raw output into row j
+    of a (b, k) array; a chunk of one sample uses that sample's stacks as
+    size-1 batch-axis views instead, so a long sequence costs no copy.
+    Each chunk then takes one loss_eval call on its (b, k) rows, one
+    readout gradient product, one reverse pass per direction and one
+    embedding scatter. Losses add in sample order, as in a per-sample loop;
+    the gradients sum in chunk-product order.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -277,23 +268,20 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
-    _check_loss_inputs(loss_kind, (B, out_dim), targets)
     dirs = 2 if model.bidirectional else 1
     rows = max(1, CACHE_BUDGET // (T * _step_bytes(model.cell) * dirs))
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
-        dY = np.empty((b, out_dim))
+        Y = np.empty((b, out_dim))
         h_T = np.empty((b, dirs * n))
         X = _inputs(model, batch, slice(start, stop))
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step. Batching it means one model.forward(X,
         # record=True) in place of this fill loop once those counts move.
         for j in range(b):
-            y_raw, h_T[j], stacks = model.forward(X[:, j], record=True)
-            loss, dY[j] = _loss_body(loss_kind, y_raw, targets[start + j])
-            total += loss
+            Y[j], h_T[j], stacks = model.forward(X[:, j], record=True)
             parts = [a for s in stacks for a in s]  # (H, C, aux) per direction
             if b == 1:
                 chunk = [None if a is None else a[:, None] for a in parts]
@@ -304,6 +292,9 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
             for c, a in zip(chunk, parts):
                 if a is not None:
                     c[:, j] = a
+        losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
+        for loss in losses:
+            total += float(loss)
         grads["out.W_hy"] += dY.T @ h_T
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy

@@ -552,6 +552,12 @@ def test_cell_params_shape_validation():
         CellParams(variant="gru", m=3, n=2)
 
 
+@pytest.mark.parametrize("variant", ["srnn", "lstm", "lstm6", "lstm_c6"])
+def test_cell_params_reject_an_unknown_activation(variant):
+    with pytest.raises(ValueError, match="unknown activation 'tahn'"):
+        init_cell(variant, 3, 2, "tahn", 0.59, make_rng(66))
+
+
 @pytest.mark.parametrize("variant", ["lstm6", "lstm_c6"])
 @pytest.mark.parametrize("bad_f", [1.0, -1.0, 1.3])
 def test_slim_forget_constant_must_be_inside_open_interval(variant, bad_f):

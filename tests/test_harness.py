@@ -93,6 +93,10 @@ def test_config_parse_rejects_bad_lines():
     ("variant = lstm6\njust some words\n",
      "line 2: expected key = value, got 'just some words'"),
     ("bidirectional = yes\n", "line 1: boolean must be true/false, got 'yes'"),
+    ("variant = lstm6\neta = -1\n", "line 2: eta must be positive, got -1.0"),
+    ("forget = 1\n", "line 1: forget must satisfy -1 < f < 1, got 1.0"),
+    ("# grid\nvariant = lsmt6\n", "line 2: unknown variant 'lsmt6'"),
+    ("hidden = 0\n", "line 1: hidden must be >= 1, got 0"),
 ])
 def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text,
                                                                   reason):
@@ -111,6 +115,20 @@ def test_cli_config_file_error_exits_2_with_the_message(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {path}: line 1: epochs must be an int, got 'ten'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_config_file_range_error_exits_2_with_the_path_and_line(tmp_path, capsys,
+                                                                     command):
+    path = tmp_path / "neg.cfg"
+    path.write_text("variant = lstm6\neta = -1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 2: eta must be positive, got -1.0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
@@ -338,6 +356,18 @@ def test_checkpoint_loss_field_is_validated(tmp_path, loss, out_width, cause):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {cause}"
+
+
+def test_checkpoint_with_an_unknown_activation_is_rejected_by_path(tmp_path):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    path = tmp_path / "typo.ckpt"
+    save_checkpoint(path, build_model(cfg, train.n_classes), cfg)
+    path.write_bytes(path.read_bytes().replace(b"activation tanh\n",
+                                               b"activation tahn\n", 1))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: unknown activation 'tahn'"
 
 
 def test_every_truncated_checkpoint_is_rejected_by_path(tmp_path):

@@ -520,6 +520,28 @@ def test_chunked_gradients_match_the_per_sample_reference(
             npt.assert_array_equal(grads["emb.E"][PAD_INDEX], np.zeros(m))
 
 
+@pytest.mark.parametrize("loss_kind,bidirectional", [("bce", False), ("cce", True)])
+def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_kind,
+                                                             bidirectional):
+    B, T = 7, 5
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model("lstm6", 3, 4, seed=3325, act="tanh", out_dim=k,
+                        bidirectional=bidirectional)
+    batch = token_batch(3326, B, T, n_classes=max(k, 2))
+    calls = []
+
+    def spy(kind, y_raw, y_true):
+        calls.append((kind, y_raw.shape, y_true.shape))
+        return loss_eval(kind, y_raw, y_true)
+
+    monkeypatch.setattr(training, "loss_eval", spy)
+    for rows, chunks in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (B, [B])):
+        monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        calls.clear()
+        model_gradients(model, batch, loss_kind)
+        assert calls == [(loss_kind, (b, k), (b, k)) for b in chunks]
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
