@@ -23,6 +23,7 @@ only the final hidden state through a single affine output layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ def init_cell(variant: str, m: int, n: int, act: str = "sigmoid",
     if rng is None:
         raise ValueError("init_cell needs an explicit rng")
     fields: dict[str, np.ndarray] = {}
-    for name, kind in _TENSORS[variant].items():
+    for name, kind in _cell_kinds(variant, m, n).items():
         if kind == "bias":
             fields[name] = np.zeros(n)
         elif kind == "diag":
@@ -160,61 +161,81 @@ def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # The step functions take the step's input term a_t (input_term) and the
-# recurrent tensor R, both laid out by stack_gates(p, transposed=True).
+# recurrent tensor R, both laid out by stack_gates(p, transposed=True). Like a
+# ufunc, a step takes an optional out: the array for h_t (srnn) or the
+# (h_t, c_t, aux) arrays it returns, C-contiguous and overlapping neither
+# h_prev nor c_prev. It then writes there and allocates nothing; without out
+# the same operations fill fresh arrays, so the bits are the same.
 
-def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray):
+def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
+              out: np.ndarray | None = None):
     """One simple-recurrent step: h_t = act(a_t + W_hh h_{t-1})."""
-    z = a_t + h_prev.dot(R)
+    z = h_prev.dot(R, out=out)
+    z += a_t
     return activate(p.act, z, out=z)
 
 
-def _lstm_update(p: CellParams, z: np.ndarray, c_prev: np.ndarray, pins: dict):
-    """The gate buffer z (width 4n, every pre-activation) activated in
-    place, pinned gates overwritten, then the state update."""
+def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
+                 c_prev: np.ndarray, pins: dict, out):
+    """The full-gate step: the gate buffer z (width 4n, every
+    pre-activation) activated in place, pinned gates overwritten, then
+    the state update."""
     n = p.n
+    h, c, z = out or (None, None, None)
+    z = h_prev.dot(R, out=z)
+    z += a_t
     activate("sigmoid", z[..., :3 * n], out=z[..., :3 * n])
     activate(p.act, z[..., 3 * n:], out=z[..., 3 * n:])
-    for k, g in enumerate("ifo"):
-        if g in pins:
-            z[..., k * n:(k + 1) * n] = pins[g]
+    if pins:
+        for k, g in enumerate("ifo"):
+            if g in pins:
+                z[..., k * n:(k + 1) * n] = pins[g]
     i_t, f_t, o_t, c_tilde = (z[..., k * n:(k + 1) * n] for k in range(4))
-    c_t = f_t * c_prev + i_t * c_tilde
-    h_t = activate(p.act, c_t)
-    h_t *= o_t
-    return h_t, c_t, z
+    c = np.multiply(f_t, c_prev, out=c)
+    h = np.multiply(i_t, c_tilde, out=h)  # i_t * c_tilde, until h_t replaces it
+    c += h
+    h = activate(p.act, c, out=h)
+    h *= o_t
+    return h, c, z
 
 
 def lstm_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray):
+              c_prev: np.ndarray, out=None):
     """One full-gate step: one product with the stacked recurrent matrix
     gives every gate's pre-activation. Gates are sigmoid; the candidate
     and the cell-output squash use p.act. Returns (h_t, c_t, gates), gates
     being [i | f | o | c_tilde] along the feature axis (width 4n)."""
-    return _lstm_update(p, a_t + h_prev.dot(R), c_prev, {})
+    return _lstm_update(p, R, a_t, h_prev, c_prev, {}, out)
 
 
 def lstm6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-               c_prev: np.ndarray):
+               c_prev: np.ndarray, out=None):
     """One gate-free step: c_t = f c_{t-1} + act(a_t + U_c h_{t-1}),
     h_t = act(c_t). Returns (h_t, c_t, c_tilde)."""
-    z = a_t + h_prev.dot(R)
-    c_tilde = activate(p.act, z, out=z)
-    c_t = p.forget_const * c_prev + c_tilde
-    return activate(p.act, c_t), c_t, c_tilde
+    h, c, z = out or (None, None, None)
+    z = h_prev.dot(R, out=z)
+    z += a_t
+    activate(p.act, z, out=z)
+    c = np.multiply(c_prev, p.forget_const, out=c)
+    c += z
+    return activate(p.act, c, out=h), c, z
 
 
 def lstmc6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-                c_prev: np.ndarray):
+                c_prev: np.ndarray, out=None):
     """lstm6 with the recurrent product reduced to an element-wise one:
     the candidate pre-activation is a_t + u_c * h_{t-1}."""
-    z = a_t + R * h_prev
-    c_tilde = activate(p.act, z, out=z)
-    c_t = p.forget_const * c_prev + c_tilde
-    return activate(p.act, c_t), c_t, c_tilde
+    h, c, z = out or (None, None, None)
+    z = np.multiply(R, h_prev, out=z)
+    z += a_t
+    activate(p.act, z, out=z)
+    c = np.multiply(c_prev, p.forget_const, out=c)
+    c += z
+    return activate(p.act, c, out=h), c, z
 
 
 def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray,
-                       h_prev: np.ndarray, c_prev: np.ndarray):
+                       h_prev: np.ndarray, c_prev: np.ndarray, out=None):
     """Full-gate step with selected gates pinned to constants.
 
     pins maps gate names ("i", "f", "o") to scalars. The input and output
@@ -231,7 +252,7 @@ def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray
             raise ValueError(f"{g} gate may only be pinned to exactly 1.0")
     if "f" in pins and not -1.0 < pins["f"] <= 1.0:
         raise ValueError(f"f pin must lie in (-1, 1], got {pins['f']}")
-    return _lstm_update(p, a_t + h_prev.dot(R), c_prev, pins)
+    return _lstm_update(p, R, a_t, h_prev, c_prev, pins, out)
 
 
 @dataclass
@@ -284,13 +305,15 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     recurrent product and the element-wise work. Returns (h_T, c_T,
     stacks); c_T is None for srnn.
 
-    With record set, stacks is (H, C, aux), filled step by step into
-    preallocated arrays: H is (T+1, ..., n) with H[0] the initial state,
-    C likewise for the cell state (None for srnn), and aux holds what
-    each step computed beyond its states: c_tilde (T, ..., n) for the
-    slim cells, the gates [i | f | o | c_tilde] (T, ..., 4n) for lstm,
-    None for srnn. Without record only the running state is kept and
-    stacks is None.
+    With record set, stacks is (H, C, aux): H is (T+1, ..., n) with H[0]
+    the initial state, C likewise for the cell state (None for srnn), and
+    aux holds what each step computed beyond its states: c_tilde
+    (T, ..., n) for the slim cells, the gates [i | f | o | c_tilde]
+    (T, ..., 4n) for lstm, None for srnn. Each step writes straight into
+    its rows (the steps' out argument), so nothing is copied. Without
+    record, stacks is None and the steps alternate between two preallocated
+    states. Either way h0 and c0 are copied, never written, and h_T and
+    c_T are views of those buffers.
     """
     xs = np.asarray(xs)
     if xs.ndim not in (2, 3) or xs.shape[-1] != p.m:
@@ -305,26 +328,28 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
             raise ValueError(f"{what} has shape {v.shape}, expected {state}")
     W, R, b = stack_gates(p, transposed=True)
     terms = _input_terms(W, b, xs)
-    h = np.zeros(state) if h0 is None else h0
-    H = np.empty((T + 1,) + state) if record else None
-    if record:
-        H[0] = h
+    # Each step writes into the next row of the stacks when recording; else
+    # the steps alternate between two rows.
+    H = np.empty((T + 1 if record else 2,) + state)
+    H[0] = 0.0 if h0 is None else h0
     if p.variant == "srnn":
-        for t, a_t in enumerate(terms, 1):
-            h = srnn_step(p, R, a_t, h)
-            if record:
-                H[t] = h
+        rows = (zip(H[:-1], H[1:]) if record
+                else itertools.cycle(((H[0], H[1]), (H[1], H[0]))))
+        for a_t, (h_prev, h) in zip(terms, rows):
+            srnn_step(p, R, a_t, h_prev, out=h)
         return h, None, ((H, None, None) if record else None)
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
-    c = np.zeros(state) if c0 is None else c0
+    C = np.empty_like(H)
+    C[0] = 0.0 if c0 is None else c0
+    aux = np.empty((T if record else 1,) + state[:-1] + b.shape)
     if record:
-        C = np.empty_like(H)
-        C[0] = c
-        aux = np.empty((T,) + state[:-1] + b.shape)
-    for t, a_t in enumerate(terms):
-        h, c, a = step(p, R, a_t, h, c)
-        if record:
-            H[t + 1], C[t + 1], aux[t] = h, c, a
+        rows = zip(H[:-1], C[:-1], zip(H[1:], C[1:], aux))
+    else:
+        rows = itertools.cycle(((H[0], C[0], (H[1], C[1], aux[0])),
+                                (H[1], C[1], (H[0], C[0], aux[0]))))
+    for a_t, (h_prev, c_prev, out) in zip(terms, rows):
+        step(p, R, a_t, h_prev, c_prev, out=out)
+    h, c, _ = out
     return h, c, ((H, C, aux) if record else None)
 
 

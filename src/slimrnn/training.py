@@ -41,9 +41,10 @@ _UNDERFLOW = np.finfo(np.float64).tiny
 GradientSet = dict
 
 
-# Samples per forward pass in evaluate: big enough to amortize the per-step
-# dispatch, small enough that memory stays flat on any split size.
-EVAL_SLICE = 64
+# Bytes of gathered (T, rows, m) inputs one evaluate slice may hold: a slice
+# amortizes the per-step dispatch over its rows, and the budget keeps memory
+# flat on any split size.
+EVAL_BUDGET = 4 << 20
 
 # Bytes of recorded stacks one model_gradients chunk may hold. Every sample
 # in a chunk shares one reverse pass, which amortizes its per-step dispatch;
@@ -540,8 +541,9 @@ def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
 
 
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):
-    """Mean loss and accuracy over a split, forward passes only, run on
-    EVAL_SLICE samples at a time without recording caches.
+    """Mean loss and accuracy over a split, forward passes only, run
+    without recording caches on slices of max(1, EVAL_BUDGET // (8 T m))
+    samples, so that each slice's gathered inputs fit EVAL_BUDGET bytes.
 
     Binary predictions threshold the sigmoid probability at 0.5;
     multi-class predictions take the arg-max score.
@@ -551,8 +553,9 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
-    for start in range(0, len(batch), EVAL_SLICE):
-        rows = slice(start, start + EVAL_SLICE)
+    size = max(1, EVAL_BUDGET // (8 * batch.T * model.cell.m))
+    for start in range(0, len(batch), size):
+        rows = slice(start, start + size)
         labels = batch.labels[rows]
         y_raw, _, _ = model.forward(_inputs(model, batch, rows))
         losses, _ = loss_eval(loss_kind, y_raw, _targets(loss_kind, labels, out_dim))

@@ -462,6 +462,66 @@ def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
             npt.assert_array_equal(a, b)
 
 
+STEPS = {"srnn": srnn_step, "lstm": lstm_step, "lstm6": lstm6_step,
+         "lstm_c6": lstmc6_step}
+
+
+@pytest.mark.parametrize("variant", VARIANTS + ("gate_override",))
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_a_step_into_out_gives_the_bits_of_an_allocating_step(variant, batch):
+    p = random_cell("lstm" if variant == "gate_override" else variant, 4, 5,
+                    seed=49, act="tanh")
+
+    def step(*args, **kw):
+        if variant == "gate_override":
+            return gate_override_step(p, {"f": 0.3}, *args, **kw)
+        return STEPS[variant](p, *args, **kw)
+
+    rng = make_rng(490)
+    x = rng.uniform(-2, 2, batch + (4,))
+    states = [rng.uniform(-1, 1, batch + (5,))
+              for _ in range(1 if p.variant == "srnn" else 2)]
+    before = [s.copy() for s in states]
+    R, a_t = operands(p, x)
+    want = step(R, a_t, *states)
+    if p.variant == "srnn":
+        out = np.full_like(want, np.nan)
+        assert step(R, a_t, *states, out=out) is out
+        npt.assert_array_equal(out, want)
+    else:
+        out = tuple(np.full_like(w, np.nan) for w in want)
+        got = step(R, a_t, *states, out=out)
+        for g, o, w in zip(got, out, want):
+            assert g is o
+            npt.assert_array_equal(o, w)
+    for s, b in zip(states, before):
+        npt.assert_array_equal(s, b)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [(7, 3), (7, 4, 3)])
+def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, shape):
+    p = random_cell(variant, 3, 5, seed=50, act="tanh")
+    rng = make_rng(500)
+    xs = rng.uniform(-2, 2, shape)
+    h0 = rng.uniform(-1, 1, shape[1:-1] + (5,))
+    c0 = None if variant == "srnn" else rng.uniform(-1, 1, h0.shape)
+    h0_before = h0.copy()
+    c0_before = None if c0 is None else c0.copy()
+    h, c, stacks = run_cell(p, xs, h0, c0, record=False)
+    assert stacks is None
+    h_rec, c_rec, (H, C, _) = run_cell(p, xs, h0, c0)
+    npt.assert_array_equal(h, h_rec)
+    npt.assert_array_equal(H[0], h0)
+    npt.assert_array_equal(h0, h0_before)
+    if variant == "srnn":
+        assert c is None and c_rec is None
+    else:
+        npt.assert_array_equal(c, c_rec)
+        npt.assert_array_equal(C[0], c0)
+        npt.assert_array_equal(c0, c0_before)
+
+
 # --------------------------------------------------------------------------
 # Bidirectional models: one forward cell, one over reversed time.
 # --------------------------------------------------------------------------
@@ -550,6 +610,11 @@ def test_cell_params_shape_validation():
                    U_c=np.zeros((2, 2)), b_c=np.zeros(2))
     with pytest.raises(ValueError, match="variant"):
         CellParams(variant="gru", m=3, n=2)
+
+
+def test_init_cell_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'gru'"):
+        init_cell("gru", 3, 2, rng=make_rng(67))
 
 
 @pytest.mark.parametrize("variant", ["srnn", "lstm", "lstm6", "lstm_c6"])

@@ -17,7 +17,6 @@ from slimrnn.numerics import make_rng
 from slimrnn.training import (
     MetricsRecord,
     OptimizerState,
-    EVAL_SLICE,
     SequenceClassifier,
     bptt_gradients,
     evaluate,
@@ -584,6 +583,17 @@ def test_evaluate_memory_stays_flat_at_paper_shape():
     assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("B", [2000, 4000])
+def test_evaluate_memory_stays_within_the_budget_at_desk_shape(B):
+    # a slice gathers up to EVAL_BUDGET bytes of inputs (819 samples here);
+    # its states, input terms and readout take the rest
+    m, n, T = 16, 32, 40
+    model = small_model("lstm6", m, n, seed=3352, act="tanh", vocab=50)
+    batch = token_batch(3353, B, T, vocab=50)
+    peak = traced_peak(evaluate, model, batch, "bce")
+    assert peak < training.EVAL_BUDGET + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_gradient_rel_error_definition():
     a = np.array([1.0, 0.0])
     b = np.array([1.0 + 1e-6, 0.0])
@@ -729,18 +739,47 @@ def per_sample_evaluate(model, batch, loss_kind):
     return total / len(batch), correct / len(batch)
 
 
+def eval_budget(T, m, rows):
+    """An EVAL_BUDGET that gives evaluate slices of `rows` samples."""
+    return rows * 8 * T * m
+
+
 @pytest.mark.parametrize("variant,loss_kind,bidirectional",
                          [("lstm", "bce", False), ("lstm_c6", "bce", True),
                           ("srnn", "cce", False), ("lstm6", "cce", True)])
-def test_evaluate_in_slices_matches_per_sample_runs(variant, loss_kind, bidirectional):
+def test_evaluate_in_slices_matches_per_sample_runs(monkeypatch, variant, loss_kind,
+                                                     bidirectional):
     k = 1 if loss_kind == "bce" else 3
     model = small_model(variant, 3, 4, seed=3650, act="tanh", out_dim=k,
                         bidirectional=bidirectional)
-    batch = token_batch(3651, B=2 * EVAL_SLICE + 5, T=6, n_classes=max(k, 2))
+    batch = token_batch(3651, B=2 * 64 + 5, T=6, n_classes=max(k, 2))
+    monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 64))  # 64 + 64 + 5
     loss, acc = evaluate(model, batch, loss_kind)
     want_loss, want_acc = per_sample_evaluate(model, batch, loss_kind)
     assert abs(loss - want_loss) <= 1e-14 * want_loss
     assert acc == want_acc
+
+
+@pytest.mark.parametrize("budget,slices", [
+    (1, [1] * 7),                    # below one row: a slice of one sample
+    (eval_budget(5, 3, 2), [2, 2, 2, 1]),
+    (eval_budget(5, 3, 3) + 8 * 5 * 3 - 1, [3, 3, 1]),  # rounds down
+    (eval_budget(5, 3, 7), [7]),
+    (training.EVAL_BUDGET, [7]),
+])
+def test_evaluate_slices_follow_the_byte_budget(monkeypatch, budget, slices):
+    model = small_model("lstm6", 3, 4, seed=3660)
+    batch = token_batch(3661, B=7, T=5)
+    seen = []
+
+    def spy(kind, y_raw, y_true):
+        seen.append(len(y_raw))
+        return loss_eval(kind, y_raw, y_true)
+
+    monkeypatch.setattr(training, "loss_eval", spy)
+    monkeypatch.setattr(training, "EVAL_BUDGET", budget)
+    evaluate(model, batch, "bce")
+    assert seen == slices
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
