@@ -150,12 +150,13 @@ def stack_gates(p: CellParams, transposed: bool = False):
     return W, R, b
 
 
-def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The input term x W + b of one step's input x, (m,) or (B, m), with
     (W, b) from stack_gates(p, transposed=True). Stacked steps (t, B, m)
     take one product per step, so a step's term has the same bits alone
-    as inside any block of steps."""
-    z = np.matmul(x, W)
+    as inside any block of steps. Like a step, it may write into out."""
+    z = np.matmul(x, W, out=out)
     z += b
     return z
 
@@ -285,12 +286,16 @@ PROJECTION_BUDGET = 1 << 16
 
 
 def _input_terms(W: np.ndarray, b: np.ndarray, xs: np.ndarray):
-    """input_term of each step of xs, PROJECTION_BUDGET bytes at a time."""
+    """input_term of each step of xs, PROJECTION_BUDGET bytes at a time.
+    Every block overwrites one buffer, which holds the only terms alive:
+    a step reads its term before the next block is projected."""
     steps = xs.reshape(len(xs), -1, xs.shape[-1])  # (T, B, m), B = 1 for (T, m)
     shape = xs.shape[1:-1] + b.shape
     block = max(1, PROJECTION_BUDGET // (8 * steps.shape[1] * len(b)))
+    buf = np.empty(steps[:block].shape[:-1] + b.shape)
     for start in range(0, len(xs), block):
-        yield from input_term(W, b, steps[start:start + block]).reshape((-1,) + shape)
+        x = steps[start:start + block]
+        yield from input_term(W, b, x, out=buf[:len(x)]).reshape((-1,) + shape)
 
 
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,

@@ -83,32 +83,6 @@ class SequenceBatch:
                              n_classes=self.n_classes)
 
 
-@dataclass
-class VectorBatch:
-    """Pre-embedded input sequences, for running the engine without a
-    token embedding. inputs is (B, T, m) float64."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-    n_classes: int = 2
-
-    def __post_init__(self):
-        if self.inputs.ndim != 3 or self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError(
-                f"batch shapes disagree: inputs {self.inputs.shape}, labels {self.labels.shape}")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.inputs.shape[1]
-
-    def subset(self, idx) -> "VectorBatch":
-        return VectorBatch(inputs=self.inputs[idx], labels=self.labels[idx],
-                           n_classes=self.n_classes)
-
-
 def build_vocab(corpus, max_words: int) -> dict[str, int]:
     """Frequency-ranked vocabulary over a list of token lists.
 

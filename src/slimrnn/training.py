@@ -41,10 +41,10 @@ _UNDERFLOW = np.finfo(np.float64).tiny
 GradientSet = dict
 
 
-# Bytes of gathered (T, rows, m) inputs one evaluate slice may hold: a slice
-# amortizes the per-step dispatch over its rows, and the budget keeps memory
-# flat on any split size.
-EVAL_BUDGET = 4 << 20
+# Bytes one evaluate slice may hold (see evaluate): a slice amortizes the
+# per-step dispatch over its rows. At 5.25 MiB each benchmark split keeps the
+# slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
+EVAL_BUDGET = 21 << 18
 
 # Bytes of recorded stacks one model_gradients chunk may hold. Every sample
 # in a chunk shares one reverse pass, which amortizes its per-step dispatch;
@@ -93,7 +93,8 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
 
 @dataclass
 class SequenceClassifier:
-    """Embedding (optional) + one or two cells + affine readout.
+    """Embedding (m wide; a frozen one feeds fixed inputs) + one or two
+    cells + affine readout.
 
     With cell_bwd set the model is bidirectional: the output layer reads
     the concatenation [h_fwd_T ; h_bwd_T] and is 2n wide.
@@ -101,7 +102,7 @@ class SequenceClassifier:
 
     cell: CellParams
     out: OutputLayer
-    emb: EmbeddingTable | None = None
+    emb: EmbeddingTable
     cell_bwd: CellParams | None = None
 
     def __post_init__(self):
@@ -112,6 +113,9 @@ class SequenceClassifier:
                 if a != b:
                     raise ValueError(
                         f"bidirectional cells disagree on {what}: {a} vs {b}")
+        if self.emb.E.shape[1] != self.cell.m:
+            raise ValueError(f"embedding rows are {self.emb.E.shape[1]} wide, "
+                             f"the cells read {self.cell.m}")
         width = 2 * self.cell.n if self.bidirectional else self.cell.n
         if self.out.W_hy.shape[1] != width:
             raise ValueError(f"output layer reads {self.out.W_hy.shape[1]} features, "
@@ -128,9 +132,7 @@ class SequenceClassifier:
         skipped); include_frozen=True lists everything, which is what
         serialization wants.
         """
-        d: dict[str, np.ndarray] = {}
-        if self.emb is not None and (self.emb.trainable or include_frozen):
-            d["emb.E"] = self.emb.E
+        d = {"emb.E": self.emb.E} if self.emb.trainable or include_frozen else {}
         for name, arr in self.cell.param_arrays().items():
             d[f"fwd.{name}"] = arr
         if self.cell_bwd is not None:
@@ -155,14 +157,6 @@ class SequenceClassifier:
             h = np.concatenate([h, h_b], axis=-1)
             stacks.append(stacks_b)
         return output_layer_apply(self.out, h), h, stacks
-
-
-def _inputs(model: SequenceClassifier, batch, rows) -> np.ndarray:
-    """Time-major inputs of a batch's rows: (T, m) for one sample index,
-    (T, B, m) for a slice."""
-    if model.emb is not None:
-        return embed_lookup(model.emb, batch.tokens[rows].T)
-    return np.swapaxes(batch.inputs[rows], 0, -2)
 
 
 def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
@@ -265,7 +259,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     params = model.param_arrays()
     grads: GradientSet = {k: np.zeros_like(v) for k, v in params.items()}
     out_dim = model.out.b_y.shape[0]
-    need_dx = model.emb is not None and model.emb.trainable
+    need_dx = model.emb.trainable
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
@@ -277,7 +271,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         b = stop - start
         Y = np.empty((b, out_dim))
         h_T = np.empty((b, dirs * n))
-        X = _inputs(model, batch, slice(start, stop))
+        X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step. Batching it means one model.forward(X,
         # record=True) in place of this fill loop once those counts move.
@@ -310,7 +304,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
             np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
     for g in grads.values():
         g /= B
-    if "emb.E" in grads:
+    if need_dx:
         grads["emb.E"][PAD_INDEX] = 0.0  # padding row never trains
     return total / B, grads
 
@@ -321,7 +315,7 @@ def _strip_prefix(key: str) -> str:
     return key.split(".", 1)[1]
 
 
-def bptt_gradients(p: CellParams, out: OutputLayer, emb: EmbeddingTable | None,
+def bptt_gradients(p: CellParams, out: OutputLayer, emb: EmbeddingTable,
                    batch, loss_kind: str):
     """Single-cell entry point: mean batch loss and gradients keyed by
     bare tensor names (W_c, ..., W_hy, b_y, and E for the embedding)."""
@@ -406,11 +400,7 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
     tensor in A, the frozen embedding included, carries that axis."""
     cell = model.cell
     floor = np.longdouble(_PROB_FLOOR)
-    if model.emb is not None:
-        X = A["emb.E"][:, batch.tokens]
-    else:
-        X = np.asarray(batch.inputs, dtype=np.longdouble)[None]
-    xs = np.moveaxis(X, 2, 0)  # (T, K, B, m)
+    xs = np.moveaxis(A["emb.E"][:, batch.tokens], 2, 0)  # (T, K, B, m)
     h = _ld_final_hidden(cell.variant, cell.act, cell.forget_const, A,
                          "fwd.", xs)
     if model.bidirectional:
@@ -466,8 +456,8 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
     return grads
 
 
-def finite_difference_oracle(p: CellParams, out: OutputLayer,
-                             emb: EmbeddingTable | None, batch, loss_kind: str,
+def finite_difference_oracle(p: CellParams, out: OutputLayer, emb: EmbeddingTable,
+                             batch, loss_kind: str,
                              epsilon: float = 1e-6) -> GradientSet:
     """Single-cell oracle, keyed like bptt_gradients."""
     model = SequenceClassifier(cell=p, out=out, emb=emb)
@@ -542,8 +532,11 @@ def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
 
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss and accuracy over a split, forward passes only, run
-    without recording caches on slices of max(1, EVAL_BUDGET // (8 T m))
-    samples, so that each slice's gathered inputs fit EVAL_BUDGET bytes.
+    without recording caches on slices of max(1, EVAL_BUDGET // row)
+    samples. row is the bytes a slice holds per sample: its gathered (T, m)
+    inputs and, per direction, run_cell's two alternating h (and c) states,
+    one step's input terms and its gate or candidate buffer, each n wide
+    but lstm's terms and gates 4n.
 
     Binary predictions threshold the sigmoid probability at 0.5;
     multi-class predictions take the arg-max score.
@@ -553,11 +546,13 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
-    size = max(1, EVAL_BUDGET // (8 * batch.T * model.cell.m))
+    width = {"srnn": 3, "lstm": 12}.get(model.cell.variant, 6) * model.cell.n
+    row = 8 * (batch.T * model.cell.m + (2 if model.bidirectional else 1) * width)
+    size = max(1, EVAL_BUDGET // row)
     for start in range(0, len(batch), size):
         rows = slice(start, start + size)
         labels = batch.labels[rows]
-        y_raw, _, _ = model.forward(_inputs(model, batch, rows))
+        y_raw, _, _ = model.forward(embed_lookup(model.emb, batch.tokens[rows].T))
         losses, _ = loss_eval(loss_kind, y_raw, _targets(loss_kind, labels, out_dim))
         total += float(losses.sum())
         if loss_kind == "bce":

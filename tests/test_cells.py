@@ -29,6 +29,7 @@ from slimrnn.cells import (
     stack_gates,
     step_mac_count,
 )
+from slimrnn.data import init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import SequenceClassifier
 
@@ -443,9 +444,9 @@ def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
     xs = make_rng(480).uniform(-2, 2, size=shape)
     calls = []
 
-    def spy(W, b, x):
+    def spy(W, b, x, out=None):
         calls.append(len(x))
-        return input_term(W, b, x)
+        return input_term(W, b, x, out=out)
 
     monkeypatch.setattr(cells, "input_term", spy)
     want = run_cell(p, xs, record=record)
@@ -526,9 +527,15 @@ def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, sha
 # Bidirectional models: one forward cell, one over reversed time.
 # --------------------------------------------------------------------------
 
+def classifier(cell, out, cell_bwd=None):
+    """A model over cell whose embedding the tests bypass: they drive
+    forward() with float inputs."""
+    emb = init_embedding(make_rng(499), 5, cell.m)
+    return SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
+
+
 def bidirectional_model(p_fwd, p_bwd):
-    return SequenceClassifier(cell=p_fwd, cell_bwd=p_bwd,
-                              out=init_output(make_rng(500), 2 * p_fwd.n, 1))
+    return classifier(p_fwd, init_output(make_rng(500), 2 * p_fwd.n, 1), p_bwd)
 
 
 def test_bidirectional_output_is_ordered_concatenation():
@@ -575,10 +582,10 @@ def test_readout_width_is_checked_at_construction():
     bwd = random_cell("lstm6", 3, 4, seed=60)
     narrow = init_output(make_rng(590), 4, 1)
     with pytest.raises(ValueError, match="reads 4 features, the cells give 8"):
-        SequenceClassifier(cell=fwd, cell_bwd=bwd, out=narrow)
+        classifier(fwd, narrow, bwd)
     with pytest.raises(ValueError, match="reads 8 features, the cells give 4"):
-        SequenceClassifier(cell=fwd, out=init_output(make_rng(591), 8, 1))
-    SequenceClassifier(cell=fwd, out=narrow)
+        classifier(fwd, init_output(make_rng(591), 8, 1))
+    classifier(fwd, narrow)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from slimrnn.data import (
     SYNTH_KINDS,
     EmbeddingTable,
     SequenceBatch,
-    VectorBatch,
     build_vocab,
     embed_lookup,
     encode_tokens,
@@ -202,14 +201,6 @@ def test_sequence_batch_validation_and_subset():
     with pytest.raises(ValueError):
         SequenceBatch(tokens=np.zeros((4, 3), dtype=np.int64),
                       labels=np.zeros(3, dtype=np.int64))
-
-
-@pytest.mark.parametrize("inputs, labels", [((3, 5, 3), (2,)), ((2, 3), (2,)),
-                                            ((2, 3, 1), (2, 1))])
-def test_vector_batch_rejects_shapes_that_disagree(inputs, labels):
-    with pytest.raises(ValueError) as err:
-        VectorBatch(inputs=np.zeros(inputs), labels=np.zeros(labels, dtype=np.int64))
-    assert str(err.value) == f"batch shapes disagree: inputs {inputs}, labels {labels}"
 
 
 # --------------------------------------------------------------------------

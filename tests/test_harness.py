@@ -8,10 +8,10 @@ import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
-                           run_cell, srnn_step)
+from slimrnn.cells import (init_cell, init_output, lstm6_step, lstm_step,
+                           lstmc6_step, run_cell, srnn_step)
 from slimrnn.cli import build_parser, main
-from slimrnn.data import SequenceBatch
+from slimrnn.data import EmbeddingTable, SequenceBatch, embed_lookup
 from slimrnn.harness import (
     CHECKPOINT_MAGIC,
     CHOICES,
@@ -343,6 +343,39 @@ def test_checkpoint_without_a_trainable_line_loads_trainable(tmp_path):
     assert loaded.emb.trainable is True
 
 
+def test_checkpoint_without_an_embedding_is_rejected_by_path(tmp_path):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    model = build_model(cfg, train.n_classes)
+    path = tmp_path / "bare.ckpt"
+    save_checkpoint(path, model, cfg)
+    blob = path.read_bytes()
+    cut = blob.index(b"\nend\n") + len(b"\nend\n")
+    count = len(model.param_arrays(include_frozen=True))
+    header = blob[:cut].replace(b"emb.E 8 3\n", b"", 1).replace(
+        f"tensors {count}\n".encode(), f"tensors {count - 1}\n".encode(), 1)
+    path.write_bytes(header + blob[cut + 8 * model.emb.E.size:])  # emb.E comes first
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: header lacks 'emb.E'"
+
+
+def test_an_embedding_of_the_wrong_width_is_rejected_at_construction_and_load(tmp_path):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    model = build_model(cfg, train.n_classes)
+    with pytest.raises(ValueError) as info:
+        replace(model, emb=EmbeddingTable(E=np.zeros((8, 4))))
+    assert str(info.value) == "embedding rows are 4 wide, the cells read 3"
+    path = tmp_path / "narrow.ckpt"
+    save_checkpoint(path, model, cfg)
+    # the same 24 payload values read as a (12, 2) table: row 0 is still zero
+    path.write_bytes(path.read_bytes().replace(b"emb.E 8 3\n", b"emb.E 12 2\n", 1))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: embedding rows are 2 wide, the cells read 3"
+
+
 @pytest.mark.parametrize("loss, out_width, cause", [
     ("hinge", 1, "unknown loss 'hinge'"),
     ("bce", 3, "bce needs an output width of 1, checkpoint has 3"),
@@ -568,6 +601,24 @@ def test_cmd_bench_reports_timing_and_ratio():
     assert info["mac_ratio_vs_lstm"] == 4.0
     with pytest.raises(ValueError):
         cmd_bench("lstm6", reps=0)
+
+
+def test_cmd_bench_reads_its_rng_uniform_draws_as_inputs(monkeypatch):
+    seen = []
+
+    def spy(model, batch, loss_kind):
+        seen.append((model, batch))
+        return training.model_gradients(model, batch, loss_kind)
+
+    monkeypatch.setattr(harness, "model_gradients", spy)
+    cmd_bench("lstm", m=3, n=4, seq_len=6, reps=1)
+    [(model, batch)] = seen
+    rng = make_rng(7)  # the cell, the readout, then the inputs
+    init_cell("lstm", 3, 4, "sigmoid", 0.59, rng)
+    init_output(rng, 4, 1)
+    want = rng.uniform(-1.0, 1.0, size=(6, 3))
+    npt.assert_array_equal(embed_lookup(model.emb, batch.tokens[0]), want)
+    assert not model.emb.trainable and "emb.E" not in model.param_arrays()
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
                            output_layer_apply, run_cell)
 from slimrnn import training
-from slimrnn.data import PAD_INDEX, SequenceBatch, VectorBatch, init_embedding
+from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import (
     MetricsRecord,
@@ -215,12 +215,14 @@ def test_bptt_matches_oracle_bidirectional():
 
 
 def test_bptt_matches_oracle_without_embedding():
+    # fixed float inputs: a frozen table whose rows 1..6 are the two
+    # samples' three steps, read as tokens 1..6
     rng = make_rng(2500)
     cell = init_cell("srnn", 3, 4, "tanh", 0.59, rng)
     out = init_output(rng, 4, 1)
-    model = SequenceClassifier(cell=cell, out=out)
-    batch = VectorBatch(inputs=rng.uniform(-1, 1, size=(2, 3, 3)),
-                        labels=np.array([0, 1]))
+    E = np.concatenate([np.zeros((1, 3)), rng.uniform(-1, 1, size=(6, 3))])
+    model = SequenceClassifier(cell=cell, out=out, emb=EmbeddingTable(E, trainable=False))
+    batch = SequenceBatch(tokens=np.arange(1, 7).reshape(2, 3), labels=np.array([0, 1]))
     _, analytic = model_gradients(model, batch, "bce")
     assert "emb.E" not in analytic
     numeric = finite_difference_model(model, batch, "bce")
@@ -445,7 +447,7 @@ def per_sample_gradients(model, batch, loss_kind):
     k, n = model.out.b_y.shape[0], model.cell.n
     total = 0.0
     for i, label in enumerate(batch.labels):
-        xs = batch.inputs[i] if model.emb is None else model.emb.E[batch.tokens[i]]
+        xs = model.emb.E[batch.tokens[i]]
         h, _, stacks = run_cell(model.cell, xs)
         if model.bidirectional:
             h_b, _, stacks_b = run_cell(model.cell_bwd, xs[::-1])
@@ -490,10 +492,11 @@ def test_chunked_gradients_match_the_per_sample_reference(
                         trainable_emb=inputs == "trainable",
                         bidirectional=bidirectional)
     batch = token_batch(3321, B, T, n_classes=max(k, 2))
-    if inputs == "vector":
-        model.emb = None
-        batch = VectorBatch(inputs=make_rng(3322).uniform(-1.0, 1.0, (B, T, m)),
-                            labels=batch.labels, n_classes=batch.n_classes)
+    if inputs == "vector":  # uniform floats, step t of sample i in row 1 + i T + t
+        xs = make_rng(3322).uniform(-1.0, 1.0, (B * T, m))
+        model.emb = EmbeddingTable(np.concatenate([np.zeros((1, m)), xs]), trainable=False)
+        batch = SequenceBatch(tokens=np.arange(1, B * T + 1).reshape(B, T),
+                              labels=batch.labels, n_classes=batch.n_classes)
     else:
         assert (batch.tokens == PAD_INDEX).any()
     want_loss, want = per_sample_gradients(model, batch, loss_kind)
@@ -585,13 +588,27 @@ def test_evaluate_memory_stays_flat_at_paper_shape():
 
 @pytest.mark.parametrize("B", [2000, 4000])
 def test_evaluate_memory_stays_within_the_budget_at_desk_shape(B):
-    # a slice gathers up to EVAL_BUDGET bytes of inputs (819 samples here);
-    # its states, input terms and readout take the rest
+    # a slice's inputs, states and step buffers fit EVAL_BUDGET (827 samples
+    # here); its readout and losses take the rest
     m, n, T = 16, 32, 40
     model = small_model("lstm6", m, n, seed=3352, act="tanh", vocab=50)
     batch = token_batch(3353, B, T, vocab=50)
     peak = traced_peak(evaluate, model, batch, "bce")
     assert peak < training.EVAL_BUDGET + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("m,n,T,B", [(16, 32, 40, 2000), (4, 100, 4, 5000)])
+@pytest.mark.parametrize("variant,bidirectional",
+                         [(v, False) for v in VARIANTS] + [("lstm6", True)])
+def test_evaluate_memory_stays_within_the_budget_for_every_variant(variant, bidirectional,
+                                                                   m, n, T, B):
+    # at T = 4 the states and step buffers outweigh the inputs 19 to 75 times:
+    # a budget that counted only the inputs let lstm's slices peak at 62 MiB
+    model = small_model(variant, m, n, seed=3354, act="tanh", vocab=50,
+                        bidirectional=bidirectional)
+    batch = token_batch(3355, B, T, vocab=50)
+    peak = traced_peak(evaluate, model, batch, "bce")
+    assert peak <= training.EVAL_BUDGET + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_gradient_rel_error_definition():
@@ -739,9 +756,13 @@ def per_sample_evaluate(model, batch, loss_kind):
     return total / len(batch), correct / len(batch)
 
 
-def eval_budget(T, m, rows):
-    """An EVAL_BUDGET that gives evaluate slices of `rows` samples."""
-    return rows * 8 * T * m
+def eval_budget(T, m, n, rows, variant="lstm6", dirs=1):
+    """An EVAL_BUDGET that gives evaluate slices of `rows` samples: a
+    sample's (T, m) inputs and, per direction, two h (and c) states, one
+    step's input terms and the gate or candidate buffer."""
+    per_dir = {"srnn": 2 * n + n,
+               "lstm": 4 * n + 4 * n + 4 * n}.get(variant, 4 * n + n + n)
+    return rows * 8 * (T * m + dirs * per_dir)
 
 
 @pytest.mark.parametrize("variant,loss_kind,bidirectional",
@@ -753,7 +774,8 @@ def test_evaluate_in_slices_matches_per_sample_runs(monkeypatch, variant, loss_k
     model = small_model(variant, 3, 4, seed=3650, act="tanh", out_dim=k,
                         bidirectional=bidirectional)
     batch = token_batch(3651, B=2 * 64 + 5, T=6, n_classes=max(k, 2))
-    monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 64))  # 64 + 64 + 5
+    budget = eval_budget(6, 3, 4, 64, variant, 2 if bidirectional else 1)
+    monkeypatch.setattr(training, "EVAL_BUDGET", budget)  # 64 + 64 + 5
     loss, acc = evaluate(model, batch, loss_kind)
     want_loss, want_acc = per_sample_evaluate(model, batch, loss_kind)
     assert abs(loss - want_loss) <= 1e-14 * want_loss
@@ -762,9 +784,9 @@ def test_evaluate_in_slices_matches_per_sample_runs(monkeypatch, variant, loss_k
 
 @pytest.mark.parametrize("budget,slices", [
     (1, [1] * 7),                    # below one row: a slice of one sample
-    (eval_budget(5, 3, 2), [2, 2, 2, 1]),
-    (eval_budget(5, 3, 3) + 8 * 5 * 3 - 1, [3, 3, 1]),  # rounds down
-    (eval_budget(5, 3, 7), [7]),
+    (eval_budget(5, 3, 4, 2), [2, 2, 2, 1]),
+    (eval_budget(5, 3, 4, 3) + eval_budget(5, 3, 4, 1) - 1, [3, 3, 1]),  # rounds down
+    (eval_budget(5, 3, 4, 7), [7]),
     (training.EVAL_BUDGET, [7]),
 ])
 def test_evaluate_slices_follow_the_byte_budget(monkeypatch, budget, slices):
