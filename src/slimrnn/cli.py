@@ -61,7 +61,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in FIELD_TYPES
                   if getattr(args, key) is not None)
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    cfg.validate()
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

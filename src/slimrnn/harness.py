@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"vocab must be >= 4, got {self.vocab}")
         if self.samples < 10:
             raise ValueError(f"samples must be >= 10, got {self.samples}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if self.eta <= 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not -1.0 < self.forget < 1.0:

@@ -6,13 +6,14 @@ final-step loss; there is no per-step target. Backpropagation runs over
 the stacked arrays run_cell records: a minibatch is walked in chunks
 whose stacks fit CACHE_BUDGET bytes, each sample's stacks fill one column
 of its chunk's arrays (a chunk of one sample uses its own stacks as
-size-1 batch-axis views), and one reverse loop over time per chunk and
-direction carries the state gradients and writes each step's
-pre-activation delta. Each weight gradient is then one matrix product
-over all steps of the chunk. Every gradient path here is certified
-against central finite differences in the test suite, so treat the two
-implementations as independent and never "fix" one by copying from the
-other.
+size-1 batch-axis views), and one reverse pass per chunk and direction
+carries the state gradients and writes each step's pre-activation delta:
+a loop over time for srnn, lstm and lstm6, and for lstm_c6, whose
+recurrence is element-wise, one running product over time. Each weight
+gradient is then one matrix product over all steps of the chunk. Every
+gradient path here is certified against central finite differences in
+the test suite, so treat the two implementations as independent and
+never "fix" one by copying from the other.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ LOSSES = ("bce", "cce")
 OPTIMIZERS = ("adam", "rmsprop", "sgd")
 
 _PROB_FLOOR = 1e-12
-# _backward_cell zeroes the gradient its reverse loop carries below this squared
-# norm: the rest lies under every gradient entry's last bit, but as subnormals it
-# would slow each product tens of times. The loop runs on, so its cost stays flat.
+# _backward_cell zeroes the gradient its reverse pass carries below this squared
+# norm, at that step and every earlier one: the rest lies under every gradient
+# entry's last bit, but as subnormals it would slow each product tens of times.
+# The pass runs on over the zeros, so its cost stays flat.
 _UNDERFLOW = np.finfo(np.float64).tiny
 
 # GradientSet: plain dict, tensor name -> array shaped like the tensor.
@@ -173,11 +175,17 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     the gradient with respect to xs, or None when not requested.
 
     The derivative factors are computed once per sequence into D, one row
-    per step. The reverse loop carries only dh and dc and scales each row
-    in place into that step's pre-activation delta; the weight gradients
-    then come from all rows at once: gW += D^T X, gR += D^T H[:-1],
-    gb += column sums of D. Rows may carry a batch axis: everything after
-    the loop works on (rows, width) views.
+    per step. For srnn, lstm and lstm6 a reverse loop carries only dh and
+    dc and scales each row in place into that step's pre-activation delta.
+    lstm_c6's Jacobian is diagonal, so its carried dc obeys a linear
+    recurrence, dc_t = dc_{t+1} G[t], and one multiply.accumulate over
+    reversed time gives every step's dc at once (the scan view of linear
+    recurrences; Martin & Cundy, 2018). Either way the carried gradient is
+    zeroed from the latest step whose squared norm over the chunk is below
+    _UNDERFLOW back to the start. The weight gradients then come from all
+    rows at once: gW += D^T X, gR += D^T H[:-1] (lstm_c6: the column sums
+    of D * H[:-1]), gb += column sums of D. Rows may carry a batch axis:
+    everything after the reverse pass works on (rows, width) views.
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
@@ -209,10 +217,9 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
             d *= g
             dh = d.dot(R)
             dc *= f[t]
-    else:  # slim cells: i = o = 1, f constant, h_t = act(c_t)
+    elif p.variant == "lstm6":  # i = o = 1, f constant, h_t = act(c_t)
         dc_dh = activate_grad_from_output(p.act, H[1:])
         D = activate_grad_from_output(p.act, aux)
-        diag = p.variant == "lstm_c6"
         dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
             dc += dh * dc_dh[t]
@@ -220,8 +227,22 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
                 dc[...] = 0.0
             d = D[t]
             d *= dc
-            dh = R * d if diag else d.dot(R)
+            dh = d.dot(R)
             dc *= p.forget_const
+    else:  # lstm_c6: dc_{T-1} = dh act'(c_T) and dc_t = dc_{t+1} G[t] before it,
+        # G[t] = f + u_c D[t+1] act'(c_{t+1}); the accumulate turns G[t] into dc_t
+        G = activate_grad_from_output(p.act, H[1:])
+        D = activate_grad_from_output(p.act, aux)
+        G[-1] *= dh
+        G[:-1] *= D[1:]
+        G[:-1] *= R
+        G[:-1] += p.forget_const
+        np.multiply.accumulate(G[::-1], axis=0, out=G[::-1])
+        S = G.reshape(T, -1)
+        small = np.flatnonzero(np.einsum("ij,ij->i", S, S) < _UNDERFLOW)
+        if small.size:  # the latest such step and every earlier one
+            G[:small[-1] + 1] = 0.0
+        D *= G
     D = D.reshape(-1, D.shape[-1])
     H_prev = H[:-1].reshape(-1, n)
     gW, gb = D.T @ xs.reshape(-1, p.m), D.sum(axis=0)
@@ -493,6 +514,8 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}")
+        if not np.isfinite(self.eta):
+            raise ValueError(f"learning rate must be finite, got {self.eta}")
         if self.eta < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {self.eta}")
 

@@ -145,6 +145,33 @@ def test_config_validation_rejects_unusable_values(tmp_path):
     tiny_config(tmp_path).validate()  # the baseline itself is fine
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf"])
+def test_a_non_finite_eta_is_rejected_with_its_own_reason(tmp_path, capsys, eta):
+    # nan <= 0 is false: a positivity check alone let a nan eta train a step
+    reason = f"eta must be finite, got {float(eta)}"
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        tiny_config(tmp_path, eta=float(eta)).validate()
+    args = cli_train_args(tmp_path)
+    at = args.index("--eta")
+    args[at:at + 2] = [f"--eta={eta}"]  # "--eta -inf" would read -inf as a flag
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"error: {reason}" in capsys.readouterr().err
+    path = tmp_path / "eta.cfg"
+    path.write_text(f"variant = lstm6\neta = {eta}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}: line 2: {reason}"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 2: {reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cli_run").exists() and not (tmp_path / "run").exists()
+
+
 def test_invalid_config_fails_before_any_files_are_written(tmp_path):
     cfg = tiny_config(tmp_path, eta=-1.0)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
                            output_layer_apply, run_cell)
 from slimrnn import training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
-from slimrnn.numerics import make_rng
+from slimrnn.numerics import ACTIVATIONS, make_rng
 from slimrnn.training import (
     MetricsRecord,
     OptimizerState,
@@ -522,6 +522,96 @@ def test_chunked_gradients_match_the_per_sample_reference(
             npt.assert_array_equal(grads["emb.E"][PAD_INDEX], np.zeros(m))
 
 
+ACT_GRAD = {"sigmoid": lambda y: y * (1.0 - y), "tanh": lambda y: 1.0 - y * y,
+            "relu": lambda y: (y > 0.0) * 1.0}
+
+
+def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
+    """Mean loss and gradients of an lstm_c6 model one sample and one step at
+    a time, in plain numpy: dc += dh act'(c_t); dc is zeroed once its squared
+    norm drops below float64's smallest normal; delta_t = dc act'(c_tilde_t);
+    dh = u_c delta_t; dc *= f. Shares no backward code with the engine. Each
+    (sample, direction) whose dc was zeroed is added to the set flushes."""
+    grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
+    k, n, T = model.out.b_y.shape[0], model.cell.n, batch.T
+    cells = [("fwd.", model.cell, 1)]
+    if model.bidirectional:
+        cells.append(("bwd.", model.cell_bwd, -1))
+    grad = ACT_GRAD[model.cell.act]
+    total = 0.0
+    for i, label in enumerate(batch.labels):
+        xs = model.emb.E[batch.tokens[i]]
+        runs = [run_cell(p, xs[::step]) for _, p, step in cells]
+        h = np.concatenate([h_T for h_T, _, _ in runs])
+        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
+        loss, dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+        total += loss
+        grads["out.W_hy"] += np.outer(dy, h)
+        grads["out.b_y"] += dy
+        dh_T = model.out.W_hy.T @ dy
+        for j, (prefix, p, step) in enumerate(cells):
+            H, _, c_tilde = runs[j][2]
+            seq = xs[::step]
+            dh, dc, dxs = dh_T[j * n:(j + 1) * n], np.zeros(n), np.zeros_like(seq)
+            for t in range(T - 1, -1, -1):
+                dc = dc + dh * grad(H[t + 1])
+                if dc @ dc < np.finfo(np.float64).tiny:
+                    flushes.add((i, prefix))
+                    dc = np.zeros(n)
+                delta = dc * grad(c_tilde[t])
+                grads[prefix + "W_c"] += np.outer(delta, seq[t])
+                grads[prefix + "u_c"] += delta * H[t]
+                grads[prefix + "b_c"] += delta
+                dxs[t] = delta @ p.W_c
+                dh = p.u_c * delta
+                dc = dc * p.forget_const
+            if "emb.E" in grads:
+                np.add.at(grads["emb.E"], batch.tokens[i], dxs[::step])
+    for g in grads.values():
+        g /= len(batch)
+    if "emb.E" in grads:
+        grads["emb.E"][PAD_INDEX] = 0.0
+    return total / len(batch), grads
+
+
+@pytest.mark.parametrize("T", [6, 150])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_lstm_c6_gradients_match_a_per_step_loop(monkeypatch, act, bidirectional, T):
+    B = 5
+    model = small_model("lstm_c6", 3, 4, seed=3324, act=act,
+                        bidirectional=bidirectional)
+    batch = token_batch(3325, B, T)
+    if T > 100:  # dc shrinks about 100x a step: it leaves the normal range
+        for cell in filter(None, (model.cell, model.cell_bwd)):
+            cell.forget_const = 0.01
+            cell.u_c *= 1e-3
+    flushes = set()
+    want_loss, want = lstm_c6_loop_gradients(model, batch, "bce", flushes)
+    assert len(flushes) == (B * (1 + bidirectional) if T > 100 else 0)
+    for rows in (1, B):
+        monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        loss, grads = model_gradients(model, batch, "bce")
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(g - want[name])) <= 1e-13 * scale, (rows, name)
+
+
+def test_lstm_c6_reverse_pass_holds_at_most_three_step_arrays():
+    # the running product G, the deltas D and the D * H[:-1] temporary of g_u
+    T, b, m, n = 2000, 3, 4, 16
+    rng = make_rng(3327)
+    p = init_cell("lstm_c6", m, n, "sigmoid", 0.59, rng)
+    xs = rng.uniform(-1.0, 1.0, (T, b, m))
+    stacks = run_cell(p, xs)[2]
+    grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS["lstm_c6"]}
+    dh = rng.uniform(-1.0, 1.0, (b, n))
+    peak = traced_peak(_backward_cell, p, xs, stacks, dh, grads, "", True)
+    assert peak <= 3 * T * b * n * 8 + 64 * 2**10, peak
+
+
 @pytest.mark.parametrize("loss_kind,bidirectional", [("bce", False), ("cce", True)])
 def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_kind,
                                                              bidirectional):
@@ -706,6 +796,12 @@ def test_optimizer_validation():
         optimizer_step(opt, {"a": np.zeros(2)}, {"b": np.zeros(2)})
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(opt, {"a": np.zeros(2)}, {"a": np.zeros(3)})
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_optimizer_rejects_a_non_finite_learning_rate(eta):
+    with pytest.raises(ValueError, match=f"^learning rate must be finite, got {eta}$"):
+        OptimizerState(kind="adam", eta=eta)
 
 
 # --------------------------------------------------------------------------
