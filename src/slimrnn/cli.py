@@ -134,10 +134,20 @@ def main(argv=None) -> int:
         print(f"summary: {result['summary']}")
         return 0
 
+    try:  # a bad argument exits 2 with its reason, as for train and sweep
+        if args.command == "gradcheck":
+            report, ok = cmd_gradcheck(m=args.embed, n=args.hidden,
+                                       seq_len=args.seq_len, seeds=args.seeds,
+                                       batch=args.batch)
+        elif args.command == "params":
+            info = cmd_params(args.variant, args.m, args.n, args.bidirectional)
+        elif args.command == "bench":
+            info = cmd_bench(args.variant, m=args.embed, n=args.hidden,
+                             seq_len=args.seq_len, reps=args.reps)
+    except ValueError as exc:
+        parser.error(str(exc))
+
     if args.command == "gradcheck":
-        report, ok = cmd_gradcheck(m=args.embed, n=args.hidden,
-                                   seq_len=args.seq_len, seeds=args.seeds,
-                                   batch=args.batch)
         for row in report:
             print(f"{row['variant']:8s} {row['activation']:8s} "
                   f"{row['group']:6s} {row['max_rel_err']:.3e} {row['status']}")
@@ -145,7 +155,6 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "params":
-        info = cmd_params(args.variant, args.m, args.n, args.bidirectional)
         if args.json_lines:
             print(json.dumps(info))
         else:
@@ -155,8 +164,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "bench":
-        info = cmd_bench(args.variant, m=args.embed, n=args.hidden,
-                         seq_len=args.seq_len, reps=args.reps)
         if args.json_lines:
             print(json.dumps(info))
         else:

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"vocab must be >= 4, got {self.vocab}")
         if self.samples < 10:
             raise ValueError(f"samples must be >= 10, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
         if self.eta <= 0.0:
@@ -211,16 +213,10 @@ def build_model(cfg: ExperimentConfig, n_classes: int) -> SequenceClassifier:
     drawn from one generator seeded with cfg.seed in that fixed order."""
     rng = make_rng(cfg.seed)
     emb = init_embedding(rng, cfg.vocab, cfg.embed)
-    cell = init_cell(cfg.variant, cfg.embed, cfg.hidden, cfg.activation,
-                     cfg.forget, rng)
-    cell_bwd = None
-    if cfg.bidirectional:
-        cell_bwd = init_cell(cfg.variant, cfg.embed, cfg.hidden, cfg.activation,
-                             cfg.forget, rng)
-    out_dim = 1 if cfg.loss == "bce" else n_classes
-    in_dim = 2 * cfg.hidden if cfg.bidirectional else cfg.hidden
-    out = init_output(rng, in_dim, out_dim)
-    return SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
+    cells = [init_cell(cfg.variant, cfg.embed, cfg.hidden, cfg.activation, cfg.forget, rng)
+             for _ in range(2 if cfg.bidirectional else 1)]
+    out = init_output(rng, len(cells) * cfg.hidden, 1 if cfg.loss == "bce" else n_classes)
+    return SequenceClassifier(cells[0], out, emb, *cells[1:])
 
 
 def format_metrics_row(rec: MetricsRecord) -> str:
@@ -489,6 +485,10 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
         raise ValueError(f"gradcheck sequence length is capped at 5, got {seq_len}")
     if not 1 <= batch <= 8:
         raise ValueError(f"gradcheck batch is capped at 8, got {batch}")
+    if seeds < 1:
+        raise ValueError(f"gradcheck needs seeds >= 1, got {seeds}")
+    if not activations:
+        raise ValueError("gradcheck needs at least one activation")
     report = []
     ok = True
     vocab = 7
@@ -555,6 +555,8 @@ def cmd_bench(variant: str, m: int = 32, n: int = 100, seq_len: int = 500,
     training and evaluation workloads."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     rng = make_rng(7)
     cell = init_cell(variant, m, n, "sigmoid", 0.59, rng)
     out = init_output(rng, n, 1)

@@ -99,7 +99,9 @@ class SequenceClassifier:
     cells + affine readout.
 
     With cell_bwd set the model is bidirectional: the output layer reads
-    the concatenation [h_fwd_T ; h_bwd_T] and is 2n wide.
+    the concatenation [h_fwd_T ; h_bwd_T] and is 2n wide. Every pass
+    iterates directions, one (cell, tensor-name prefix, time step) each:
+    (cell, "fwd.", 1), then (cell_bwd, "bwd.", -1).
     """
 
     cell: CellParams
@@ -108,17 +110,18 @@ class SequenceClassifier:
     cell_bwd: CellParams | None = None
 
     def __post_init__(self):
+        self.directions = [(self.cell, "fwd.", 1)]
         if self.cell_bwd is not None:
-            for a, b, what in ((self.cell.variant, self.cell_bwd.variant, "variant"),
-                               (self.cell.m, self.cell_bwd.m, "m"),
-                               (self.cell.n, self.cell_bwd.n, "n")):
+            for what in ("variant", "m", "n", "act", "forget_const"):
+                a, b = getattr(self.cell, what), getattr(self.cell_bwd, what)
                 if a != b:
                     raise ValueError(
                         f"bidirectional cells disagree on {what}: {a} vs {b}")
+            self.directions.append((self.cell_bwd, "bwd.", -1))
         if self.emb.E.shape[1] != self.cell.m:
             raise ValueError(f"embedding rows are {self.emb.E.shape[1]} wide, "
                              f"the cells read {self.cell.m}")
-        width = 2 * self.cell.n if self.bidirectional else self.cell.n
+        width = len(self.directions) * self.cell.n
         if self.out.W_hy.shape[1] != width:
             raise ValueError(f"output layer reads {self.out.W_hy.shape[1]} features, "
                              f"the cells give {width}")
@@ -135,30 +138,26 @@ class SequenceClassifier:
         serialization wants.
         """
         d = {"emb.E": self.emb.E} if self.emb.trainable or include_frozen else {}
-        for name, arr in self.cell.param_arrays().items():
-            d[f"fwd.{name}"] = arr
-        if self.cell_bwd is not None:
-            for name, arr in self.cell_bwd.param_arrays().items():
-                d[f"bwd.{name}"] = arr
+        for cell, prefix, _ in self.directions:
+            for name, arr in cell.param_arrays().items():
+                d[prefix + name] = arr
         for name, arr in self.out.param_arrays().items():
             d[f"out.{name}"] = arr
         return d
 
     def forward(self, xs: np.ndarray, record: bool = False):
         """The model's one forward pass over time-major inputs xs, (T, m)
-        for one sample or (T, B, m) for a batch: the forward cell over xs,
-        the backward cell (if any) over reversed time, then the readout of
+        for one sample or (T, B, m) for a batch: each direction's cell over
+        xs in its time order, then the readout of their final states
         [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
         read, stacks lists each direction's run_cell stacks (None unless
-        record is set); the backward direction's stacks run over reversed time.
+        record is set) in directions order; the backward direction's
+        stacks run over reversed time.
         """
-        h, _, stacks = run_cell(self.cell, xs, record=record)
-        stacks = [stacks]
-        if self.cell_bwd is not None:
-            h_b, _, stacks_b = run_cell(self.cell_bwd, xs[::-1], record=record)
-            h = np.concatenate([h, h_b], axis=-1)
-            stacks.append(stacks_b)
-        return output_layer_apply(self.out, h), h, stacks
+        runs = [run_cell(cell, xs[::step], record=record)
+                for cell, _, step in self.directions]
+        h = runs[0][0] if len(runs) == 1 else np.concatenate([r[0] for r in runs], -1)
+        return output_layer_apply(self.out, h), h, [r[2] for r in runs]
 
 
 def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
@@ -260,20 +259,21 @@ def _step_bytes(p: CellParams) -> int:
 
 
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
-    """Mean loss over a batch and exact gradients for every trainable
-    tensor, keyed like model.param_arrays().
+    """Mean loss and exact gradients for every trainable tensor, keyed like
+    model.param_arrays().
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // (T x recorded
     bytes per sample-step x directions)) samples. A chunk's inputs are
     gathered once as (T, b, m); each sample runs its own forward pass on
-    column j of them, and its stacks are copied into column j of the
-    chunk's (T+1, b, n) / (T, b, width) arrays and its raw output into row j
-    of a (b, k) array; a chunk of one sample uses that sample's stacks as
-    size-1 batch-axis views instead, so a long sequence costs no copy.
-    Each chunk then takes one loss_eval call on its (b, k) rows, one
-    readout gradient product, one reverse pass per direction and one
-    embedding scatter. Losses add in sample order, as in a per-sample loop;
-    the gradients sum in chunk-product order.
+    column j of them, and each direction's stacks are copied into column j
+    of that direction's (T+1, b, n) / (T, b, width) arrays and its raw
+    output into row j of a (b, k) array; a chunk of one sample uses that
+    sample's stacks as size-1 batch-axis views instead, so a long sequence
+    costs no copy. Each chunk then takes one loss_eval call on its (b, k)
+    rows, one readout gradient product over the directions' final states
+    H[-1], one reverse pass per direction and one embedding scatter. Losses
+    add in sample order, as in a per-sample loop; the gradients sum in
+    chunk-product order.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -284,43 +284,39 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
-    dirs = 2 if model.bidirectional else 1
-    rows = max(1, CACHE_BUDGET // (T * _step_bytes(model.cell) * dirs))
+    rows = max(1, CACHE_BUDGET // (T * _step_bytes(model.cell) * len(model.directions)))
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
         Y = np.empty((b, out_dim))
-        h_T = np.empty((b, dirs * n))
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step. Batching it means one model.forward(X,
         # record=True) in place of this fill loop once those counts move.
         for j in range(b):
-            Y[j], h_T[j], stacks = model.forward(X[:, j], record=True)
-            parts = [a for s in stacks for a in s]  # (H, C, aux) per direction
-            if b == 1:
-                chunk = [None if a is None else a[:, None] for a in parts]
+            Y[j], _, stacks = model.forward(X[:, j], record=True)
+            if b == 1:  # one (H, C, aux) record per direction
+                chunk = [[None if a is None else a[:, None] for a in s] for s in stacks]
                 continue
             if j == 0:
-                chunk = [None if a is None else np.empty((len(a), b) + a.shape[1:])
-                         for a in parts]
-            for c, a in zip(chunk, parts):
-                if a is not None:
-                    c[:, j] = a
+                chunk = [[None if a is None else np.empty((len(a), b) + a.shape[1:])
+                          for a in s] for s in stacks]
+            for arrays, s in zip(chunk, stacks):
+                for c, a in zip(arrays, s):
+                    if a is not None:
+                        c[:, j] = a
         losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
         for loss in losses:
             total += float(loss)
-        grads["out.W_hy"] += dY.T @ h_T
+        grads["out.W_hy"] += dY.T @ np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
-        dX = _backward_cell(model.cell, X, chunk[:3], dH[:, :n], grads, "fwd.",
-                            need_dx)
-        if model.bidirectional:
-            dX_b = _backward_cell(model.cell_bwd, X[::-1], chunk[3:], dH[:, n:],
-                                  grads, "bwd.", need_dx)
+        for k, ((cell, prefix, step), arrays) in enumerate(zip(model.directions, chunk)):
+            dx = _backward_cell(cell, X[::step], arrays, dH[:, k * n:(k + 1) * n],
+                                grads, prefix, need_dx)
             if need_dx:
-                dX = dX + dX_b[::-1]
+                dX = dx[::step] if k == 0 else dX + dx[::step]
         if need_dx:
             np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
     for g in grads.values():
@@ -570,7 +566,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     total = 0.0
     correct = 0
     width = {"srnn": 3, "lstm": 12}.get(model.cell.variant, 6) * model.cell.n
-    row = 8 * (batch.T * model.cell.m + (2 if model.bidirectional else 1) * width)
+    row = 8 * (batch.T * model.cell.m + len(model.directions) * width)
     size = max(1, EVAL_BUDGET // row)
     for start in range(0, len(batch), size):
         rows = slice(start, start + size)

@@ -575,6 +575,13 @@ def test_bidirectional_mismatched_cells_rejected():
     c = random_cell("lstm_c6", 3, 4, seed=58)
     with pytest.raises(ValueError, match="disagree on variant"):
         bidirectional_model(a, c)
+    # a checkpoint stores one activation and one forget constant for both
+    d = random_cell("lstm6", 3, 4, seed=57, act="relu")
+    with pytest.raises(ValueError, match="disagree on act: sigmoid vs relu"):
+        bidirectional_model(a, d)
+    e = random_cell("lstm6", 3, 4, seed=57, forget_const=0.9)
+    with pytest.raises(ValueError, match="disagree on forget_const: 0.59 vs 0.9"):
+        bidirectional_model(a, e)
 
 
 def test_readout_width_is_checked_at_construction():

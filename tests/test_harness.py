@@ -97,6 +97,7 @@ def test_config_parse_rejects_bad_lines():
     ("forget = 1\n", "line 1: forget must satisfy -1 < f < 1, got 1.0"),
     ("# grid\nvariant = lsmt6\n", "line 2: unknown variant 'lsmt6'"),
     ("hidden = 0\n", "line 1: hidden must be >= 1, got 0"),
+    ("seed = -1\n", "line 1: seed must be >= 0, got -1"),
 ])
 def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text,
                                                                   reason):
@@ -613,6 +614,11 @@ def test_cmd_gradcheck_enforces_desk_scale_caps():
         cmd_gradcheck(seq_len=6)
     with pytest.raises(ValueError, match="capped"):
         cmd_gradcheck(batch=9)
+    for seeds in (0, -2):  # no net drawn: every row would be a skip
+        with pytest.raises(ValueError, match=f"seeds >= 1, got {seeds}"):
+            cmd_gradcheck(seeds=seeds)
+    with pytest.raises(ValueError, match="at least one activation"):
+        cmd_gradcheck(activations=())
 
 
 def test_cmd_params_reports_counts():
@@ -707,6 +713,23 @@ def test_cli_bench_command(capsys):
     assert main(["bench", "lstm_c6", "--embed", "4", "--hidden", "4",
                  "--seq-len", "8", "--reps", "1", "--json-lines"]) == 0
     assert '"mac_ratio_vs_lstm"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["gradcheck", "--embed", "9"], "gradcheck dims are capped at 8, got m=9 n=4"),
+    (["params", "lstm6", "0", "4"], "dims must be >= 1, got m=0 n=4"),
+    (["bench", "lstm6", "--reps", "0"], "reps must be >= 1, got 0"),
+    (["bench", "lstm6", "--seq-len", "0"], "seq_len must be >= 1, got 0"),
+    (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_cli_bad_argument_exits_2_with_the_reason(tmp_path, capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path / "run")] if argv[0] == "train" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):

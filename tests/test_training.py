@@ -475,8 +475,32 @@ def per_sample_gradients(model, batch, loss_kind):
 
 def chunk_budget(model, T, rows):
     """A CACHE_BUDGET that gives chunks of exactly `rows` samples."""
-    dirs = 2 if model.bidirectional else 1
-    return rows * T * training._step_bytes(model.cell) * dirs
+    return rows * T * training._step_bytes(model.cell) * len(model.directions)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
+    # model_gradients pairs each direction with its stacks, its H[-1] columns
+    # of the readout and its tensor-name prefix by position alone
+    uni = small_model(variant, 3, 4, seed=3317)
+    assert len(uni.directions) == 1 and uni.directions[0][0] is uni.cell
+    model = small_model(variant, 3, 4, seed=3318, act="tanh", bidirectional=True)
+    (fwd, *f), (bwd, *b) = model.directions
+    assert fwd is model.cell and bwd is model.cell_bwd
+    assert (f, b) == (["fwd.", 1], ["bwd.", -1])
+    xs = make_rng(3319).uniform(-1.0, 1.0, (6, 2, 3))
+    _, h, stacks = model.forward(xs, record=True)
+    assert len(stacks) == len(model.directions)
+    for (cell, _, step), got in zip(model.directions, stacks):
+        for a, want in zip(got, run_cell(cell, xs[::step])[2]):
+            npt.assert_array_equal(a, want)
+    npt.assert_array_equal(h, np.concatenate([H[-1] for H, _, _ in stacks], axis=-1))
+    params = model.param_arrays()
+    prefixes = dict.fromkeys(key.split(".")[0] + "." for key in params)
+    assert list(prefixes) == ["emb.", *(p for _, p, _ in model.directions), "out."]
+    for cell, prefix, _ in model.directions:
+        for name, arr in cell.param_arrays().items():
+            assert params[prefix + name] is arr
 
 
 @pytest.mark.parametrize("variant,loss_kind,bidirectional,inputs", [
@@ -870,7 +894,7 @@ def test_evaluate_in_slices_matches_per_sample_runs(monkeypatch, variant, loss_k
     model = small_model(variant, 3, 4, seed=3650, act="tanh", out_dim=k,
                         bidirectional=bidirectional)
     batch = token_batch(3651, B=2 * 64 + 5, T=6, n_classes=max(k, 2))
-    budget = eval_budget(6, 3, 4, 64, variant, 2 if bidirectional else 1)
+    budget = eval_budget(6, 3, 4, 64, variant, len(model.directions))
     monkeypatch.setattr(training, "EVAL_BUDGET", budget)  # 64 + 64 + 5
     loss, acc = evaluate(model, batch, loss_kind)
     want_loss, want_acc = per_sample_evaluate(model, batch, loss_kind)
