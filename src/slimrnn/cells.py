@@ -298,8 +298,26 @@ def _input_terms(W: np.ndarray, b: np.ndarray, xs: np.ndarray):
         yield from input_term(W, b, x, out=buf[:len(x)]).reshape((-1,) + shape)
 
 
+def record_shapes(p: CellParams, T: int, lead: tuple = ()) -> tuple:
+    """Shapes of the (H, C, aux) stacks run_cell records over T steps, lead
+    being the batch axes, () or (B,); None where the variant records none.
+    H is (T+1, *lead, n) with H[0] the initial state, C likewise for the
+    cell state (None for srnn), and aux holds what each step computed beyond
+    its states: c_tilde (T, *lead, n) for the slim cells, the gates
+    [i | f | o | c_tilde] (T, *lead, 4n) for lstm, None for srnn."""
+    H = (T + 1,) + lead + (p.n,)
+    if p.variant == "srnn":
+        return H, None, None
+    return H, H, (T,) + lead + ((4 if p.variant == "lstm" else 1) * p.n,)
+
+
+def record_arrays(p: CellParams, T: int, lead: tuple = ()) -> tuple:
+    """Fresh arrays shaped by record_shapes, ready for run_cell to record into."""
+    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, lead))
+
+
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None, record: bool = True):
+             c0: np.ndarray | None = None, record=True):
     """Drive one cell across a whole sequence.
 
     xs is time-major: (T, m) for one sample, or (T, B, m) for B samples
@@ -310,15 +328,14 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     recurrent product and the element-wise work. Returns (h_T, c_T,
     stacks); c_T is None for srnn.
 
-    With record set, stacks is (H, C, aux): H is (T+1, ..., n) with H[0]
-    the initial state, C likewise for the cell state (None for srnn), and
-    aux holds what each step computed beyond its states: c_tilde
-    (T, ..., n) for the slim cells, the gates [i | f | o | c_tilde]
-    (T, ..., 4n) for lstm, None for srnn. Each step writes straight into
-    its rows (the steps' out argument), so nothing is copied. Without
-    record, stacks is None and the steps alternate between two preallocated
-    states. Either way h0 and c0 are copied, never written, and h_T and
-    c_T are views of those buffers.
+    With record set, stacks is (H, C, aux), laid out as record_shapes
+    gives. Each step writes straight into its rows (the steps' out
+    argument), so nothing is copied. record may also be those arrays
+    themselves, for example columns of a chunk's arrays: then, like a step
+    given out, run_cell writes there and allocates no stacks. Without
+    record, stacks is None and the steps alternate between two
+    preallocated states. Either way h0 and c0 are copied, never written,
+    and h_T and c_T are views of those buffers.
     """
     xs = np.asarray(xs)
     if xs.ndim not in (2, 3) or xs.shape[-1] != p.m:
@@ -327,26 +344,33 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     T = xs.shape[0]
     if T == 0:
         raise ValueError("cannot run a cell over an empty sequence")
-    state = xs.shape[1:-1] + (p.n,)
+    lead = xs.shape[1:-1]
     for what, v in (("h0", h0), ("c0", c0)):
-        if v is not None and v.shape != state:
-            raise ValueError(f"{what} has shape {v.shape}, expected {state}")
+        if v is not None and v.shape != lead + (p.n,):
+            raise ValueError(f"{what} has shape {v.shape}, expected {lead + (p.n,)}")
+    if isinstance(record, bool):  # else the caller's arrays, checked here
+        stacks = record_arrays(p, T if record else 1, lead)
+    else:
+        stacks = tuple(record)
+        for what, a, want in zip(("H", "C", "aux"), stacks, record_shapes(p, T, lead),
+                                 strict=True):
+            got = None if a is None else a.shape
+            if got != want:
+                raise ValueError(f"record array {what} has shape {got}, expected {want}")
     W, R, b = stack_gates(p, transposed=True)
     terms = _input_terms(W, b, xs)
     # Each step writes into the next row of the stacks when recording; else
     # the steps alternate between two rows.
-    H = np.empty((T + 1 if record else 2,) + state)
+    H, C, aux = stacks
     H[0] = 0.0 if h0 is None else h0
     if p.variant == "srnn":
         rows = (zip(H[:-1], H[1:]) if record
                 else itertools.cycle(((H[0], H[1]), (H[1], H[0]))))
         for a_t, (h_prev, h) in zip(terms, rows):
             srnn_step(p, R, a_t, h_prev, out=h)
-        return h, None, ((H, None, None) if record else None)
+        return h, None, (stacks if record else None)
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
-    C = np.empty_like(H)
     C[0] = 0.0 if c0 is None else c0
-    aux = np.empty((T if record else 1,) + state[:-1] + b.shape)
     if record:
         rows = zip(H[:-1], C[:-1], zip(H[1:], C[1:], aux))
     else:
@@ -355,7 +379,7 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     for a_t, (h_prev, c_prev, out) in zip(terms, rows):
         step(p, R, a_t, h_prev, c_prev, out=out)
     h, c, _ = out
-    return h, c, ((H, C, aux) if record else None)
+    return h, c, (stacks if record else None)
 
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:

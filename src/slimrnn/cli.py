@@ -119,7 +119,10 @@ def main(argv=None) -> int:
             parser.error(str(exc))
 
     if args.command == "train":
-        result = cmd_train(cfg, log=print)
+        try:
+            result = cmd_train(cfg, log=print)
+        except ValueError as exc:  # bad data: cmd_train reads it before writing
+            parser.error(str(exc))
         print(f"metrics: {result['csv']}")
         print(f"checkpoint: {result['checkpoint']}")
         return 0

@@ -178,21 +178,27 @@ def build_dataset(cfg: ExperimentConfig):
     synth:<kind> draws from the task generator with the run seed.
     tsv:<path> loads label<TAB>text lines, shuffles with the run seed,
     splits 80/20, builds the vocabulary on the training split only,
-    then encodes and pre-pads both splits to seq_len.
+    then encodes and pre-pads both splits to seq_len. A file that cannot
+    be read or used raises ValueError "<path>: <reason>".
     """
     kind, _, rest = cfg.data.partition(":")
     if kind == "synth":
         return synth_generate(rest, cfg.samples, cfg.seq_len, cfg.vocab,
                               make_rng(cfg.seed))
-    corpus = load_tsv_corpus(rest)
+    try:
+        corpus = load_tsv_corpus(rest)
+    except OSError as exc:  # chained: a sweep cell's error.txt shows the cause
+        raise ValueError(f"{rest}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{rest}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if len(corpus) < 10:
         raise ValueError(f"{rest}: need at least 10 samples, got {len(corpus)}")
     labels = sorted({label for label, _ in corpus})
     n_classes = max(labels) + 1
     if min(labels) < 0:
-        raise ValueError(f"labels must be >= 0, got {min(labels)}")
+        raise ValueError(f"{rest}: labels must be >= 0, got {min(labels)}")
     if cfg.loss == "bce" and not set(labels) <= {0, 1}:
-        raise ValueError(f"bce needs labels in {{0, 1}}, file has {labels}")
+        raise ValueError(f"{rest}: bce needs labels in {{0, 1}}, file has {labels}")
     order = make_rng(cfg.seed).permutation(len(corpus))
     cut = int(round(0.8 * len(corpus)))
     train_rows = [corpus[i] for i in order[:cut]]
@@ -326,13 +332,14 @@ def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
 def cmd_train(cfg: ExperimentConfig, log=None):
     """Run one training job: per-epoch metrics CSV plus a final
     checkpoint under cfg.out. Returns a result dict with the paths and
-    the metric records. A diverging epoch (see train_epoch) writes no
-    metrics row: the model as it stood is checkpointed and the
-    FloatingPointError re-raised."""
+    the metric records. The config and the data are checked before cfg.out
+    is created, so a bad one (ValueError) leaves no directory behind. A
+    diverging epoch (see train_epoch) writes no metrics row: the model as
+    it stood is checkpointed and the FloatingPointError re-raised."""
     cfg.validate()
+    train, test = build_dataset(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, test = build_dataset(cfg)
     model = build_model(cfg, train.n_classes)
     opt = OptimizerState(kind=cfg.optimizer, eta=cfg.eta)
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
@@ -548,9 +555,9 @@ def cmd_bench(variant: str, m: int = 32, n: int = 100, seq_len: int = 500,
     sequence, plus the MAC-count ratio against the full lstm cell as the
     model-predicted speedup. Step t reads row t + 1 of a frozen table of
     uniform draws in [-1, 1) (tokens 1..T), so no gradient is scattered.
-    The one-sample batch is a chunk of one in model_gradients (its stacks
-    are used in place), so the time is one sequence's forward and reverse
-    pass at any CACHE_BUDGET. BLAS runs with whatever thread count the
+    The one-sample batch is a chunk of one in model_gradients, which
+    records its stacks in place, so the time is one sequence's forward and
+    reverse pass at any CACHE_BUDGET. BLAS runs with whatever thread count the
     process has; perfbench/run.py pins it to one thread and times whole
     training and evaluation workloads."""
     if reps < 1:

@@ -4,28 +4,28 @@ gradient oracle, optimizers, and the epoch loop.
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
 the stacked arrays run_cell records: a minibatch is walked in chunks
-whose stacks fit CACHE_BUDGET bytes, each sample's stacks fill one column
-of its chunk's arrays (a chunk of one sample uses its own stacks as
-size-1 batch-axis views), and one reverse pass per chunk and direction
-carries the state gradients and writes each step's pre-activation delta:
-a loop over time for srnn, lstm and lstm6, and for lstm_c6, whose
-recurrence is element-wise, one running product over time. Each weight
-gradient is then one matrix product over all steps of the chunk. Every
-gradient path here is certified against central finite differences in
-the test suite, so treat the two implementations as independent and
-never "fix" one by copying from the other.
+whose stacks fit CACHE_BUDGET bytes, each sample's forward pass records
+straight into one column of its chunk's arrays, and one reverse pass per
+chunk and direction carries the state gradients and writes each step's
+pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
+lstm_c6, whose recurrence is element-wise, one running product over
+time. Each weight gradient is then one matrix product over all steps of
+the chunk. Every gradient path here is certified against central finite
+differences in the test suite, so treat the two implementations as
+independent and never "fix" one by copying from the other.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer,
-                    output_layer_apply, run_cell, stack_gates)
+from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, output_layer_apply,
+                    record_arrays, record_shapes, run_cell, stack_gates)
 from .data import EmbeddingTable, PAD_INDEX, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
@@ -50,8 +50,13 @@ EVAL_BUDGET = 21 << 18
 
 # Bytes of recorded stacks one model_gradients chunk may hold. Every sample
 # in a chunk shares one reverse pass, which amortizes its per-step dispatch;
-# a sequence whose stacks alone pass the budget runs as a chunk of one.
-CACHE_BUDGET = 1 << 20
+# a sequence whose stacks alone pass the budget runs as a chunk of one. At
+# the paper shape (m=32, n=100, T=500) 3 MiB gives lstm6 and lstm_c6 chunks
+# of 2 samples and srnn 7, while lstm and bidirectional lstm6 stay at 1; the
+# paper benchmark's peak RSS rose 2.4% over a 1 MiB budget. It is the
+# largest budget that keeps that rise under 3%: from 3.06 MiB srnn takes 8
+# samples and the rise was 4%.
+CACHE_BUDGET = 3 << 20
 
 
 def one_hot(label, k: int) -> np.ndarray:
@@ -145,17 +150,20 @@ class SequenceClassifier:
             d[f"out.{name}"] = arr
         return d
 
-    def forward(self, xs: np.ndarray, record: bool = False):
+    def forward(self, xs: np.ndarray, record=False):
         """The model's one forward pass over time-major inputs xs, (T, m)
         for one sample or (T, B, m) for a batch: each direction's cell over
         xs in its time order, then the readout of their final states
         [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
         read, stacks lists each direction's run_cell stacks (None unless
         record is set) in directions order; the backward direction's
-        stacks run over reversed time.
+        stacks run over reversed time. record may also list, in directions
+        order, the (H, C, aux) arrays each direction records into (see
+        run_cell).
         """
-        runs = [run_cell(cell, xs[::step], record=record)
-                for cell, _, step in self.directions]
+        into = [record] * len(self.directions) if isinstance(record, bool) else record
+        runs = [run_cell(cell, xs[::step], record=rec)
+                for (cell, _, step), rec in zip(self.directions, into, strict=True)]
         h = runs[0][0] if len(runs) == 1 else np.concatenate([r[0] for r in runs], -1)
         return output_layer_apply(self.out, h), h, [r[2] for r in runs]
 
@@ -253,26 +261,22 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     return (D @ W).reshape(xs.shape) if need_dx else None
 
 
-def _step_bytes(p: CellParams) -> int:
-    """Bytes run_cell records per sample-step: the H, C and aux rows."""
-    return 8 * p.n * {"srnn": 1, "lstm": 6}.get(p.variant, 3)
-
-
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss and exact gradients for every trainable tensor, keyed like
     model.param_arrays().
 
-    The batch is walked in chunks of max(1, CACHE_BUDGET // (T x recorded
-    bytes per sample-step x directions)) samples. A chunk's inputs are
-    gathered once as (T, b, m); each sample runs its own forward pass on
-    column j of them, and each direction's stacks are copied into column j
-    of that direction's (T+1, b, n) / (T, b, width) arrays and its raw
-    output into row j of a (b, k) array; a chunk of one sample uses that
-    sample's stacks as size-1 batch-axis views instead, so a long sequence
-    costs no copy. Each chunk then takes one loss_eval call on its (b, k)
-    rows, one readout gradient product over the directions' final states
-    H[-1], one reverse pass per direction and one embedding scatter. Losses
-    add in sample order, as in a per-sample loop; the gradients sum in
+    The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
+    bytes being what run_cell records for one sample over every direction
+    (record_shapes). Each direction's (T+1, b, n) / (T, b, width) arrays
+    are allocated once per call and serve every chunk, a short last chunk
+    its leading columns, so the pass holds one chunk's stacks and no more.
+    A chunk's inputs are gathered once as (T, b, m); each sample runs its
+    own forward pass on column j of them, recording straight into column j
+    of those arrays, and writes its raw output into row j of a (b, k)
+    array. Each chunk then takes one loss_eval call on its (b, k) rows, one
+    readout gradient product over the directions' final states H[-1], one
+    reverse pass per direction and one embedding scatter. Losses add in
+    sample order, as in a per-sample loop; the gradients sum in
     chunk-product order.
     """
     if len(batch) == 0:
@@ -284,28 +288,23 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
-    rows = max(1, CACHE_BUDGET // (T * _step_bytes(model.cell) * len(model.directions)))
+    sample = sum(8 * math.prod(s) for cell, _, _ in model.directions
+                 for s in record_shapes(cell, T, (1,)) if s is not None)
+    rows = min(B, max(1, CACHE_BUDGET // sample))
+    stacks = [record_arrays(cell, T, (rows,)) for cell, _, _ in model.directions]
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
         Y = np.empty((b, out_dim))
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
+        chunk = [[None if a is None else a[:, :b] for a in s] for s in stacks]
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step. Batching it means one model.forward(X,
-        # record=True) in place of this fill loop once those counts move.
+        # record=chunk) in place of this loop once those counts move.
         for j in range(b):
-            Y[j], _, stacks = model.forward(X[:, j], record=True)
-            if b == 1:  # one (H, C, aux) record per direction
-                chunk = [[None if a is None else a[:, None] for a in s] for s in stacks]
-                continue
-            if j == 0:
-                chunk = [[None if a is None else np.empty((len(a), b) + a.shape[1:])
-                          for a in s] for s in stacks]
-            for arrays, s in zip(chunk, stacks):
-                for c, a in zip(arrays, s):
-                    if a is not None:
-                        c[:, j] = a
+            columns = [[None if a is None else a[:, j] for a in s] for s in chunk]
+            Y[j] = model.forward(X[:, j], record=columns)[0]
         losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
         for loss in losses:
             total += float(loss)

@@ -3,6 +3,7 @@ transcriptions, cross-variant equivalences through the gate-pin hook, cell
 state boundedness, and the parameter/MAC accounting."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -24,6 +25,8 @@ from slimrnn.cells import (
     lstmc6_step,
     output_layer_apply,
     param_count,
+    record_arrays,
+    record_shapes,
     run_cell,
     srnn_step,
     stack_gates,
@@ -521,6 +524,66 @@ def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, sha
         npt.assert_array_equal(c, c_rec)
         npt.assert_array_equal(C[0], c0)
         npt.assert_array_equal(c0, c0_before)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(variant):
+    T, b, j = 7, 3, 1
+    p = random_cell(variant, 3, 5, seed=51, act="tanh")
+    rng = make_rng(510)
+    xs = rng.uniform(-2, 2, (T, 3))
+    h0 = rng.uniform(-1, 1, 5)
+    c0 = None if variant == "srnn" else rng.uniform(-1, 1, 5)
+    h, c, want = run_cell(p, xs, h0, c0)
+    chunk = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, (b,))]
+    column = [None if a is None else a[:, j] for a in chunk]
+    got_h, got_c, got = run_cell(p, xs, h0, c0, record=column)
+    npt.assert_array_equal(got_h, h)
+    if variant == "srnn":
+        assert got_c is None and c is None
+    else:
+        npt.assert_array_equal(got_c, c)
+    for a, g, w in zip(chunk, got, want):
+        if w is None:
+            assert a is None and g is None
+            continue
+        assert np.shares_memory(g, a)
+        npt.assert_array_equal(a[:, j], w)
+        assert np.isnan(np.delete(a, j, axis=1)).all()  # other columns untouched
+
+
+def test_record_arrays_follow_record_shapes():
+    for variant, widths in (("srnn", None), ("lstm", 20), ("lstm6", 5), ("lstm_c6", 5)):
+        p = random_cell(variant, 3, 5, seed=52)
+        shapes = record_shapes(p, 7, (2,))
+        assert shapes[0] == (8, 2, 5)
+        assert shapes[1:] == ((None, None) if widths is None else ((8, 2, 5), (7, 2, widths)))
+        arrays = record_arrays(p, 7, (2,))
+        assert [None if a is None else a.shape for a in arrays] == list(shapes)
+        assert record_shapes(p, 7)[0] == (8, 5)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_cell_rejects_record_arrays_of_the_wrong_shape(variant):
+    T = 4
+    p = random_cell(variant, 3, 5, seed=53)
+    xs = make_rng(530).uniform(-1, 1, (T, 2, 3))
+    good = list(record_arrays(p, T, (2,)))
+    for k, what in enumerate(("H", "C", "aux")):
+        if good[k] is None:  # srnn records no C and no aux
+            bad = good[:k] + [np.empty((T + 1, 2, 5))] + good[k + 1:]
+            want = "None"
+        else:  # one feature too wide
+            bad = good[:k] + [np.empty(good[k].shape[:-1] + (good[k].shape[-1] + 1,))]
+            bad += good[k + 1:]
+            want = re.escape(str(good[k].shape))
+        got = re.escape(str(bad[k].shape))
+        with pytest.raises(ValueError, match=rf"^record array {what} has shape "
+                                             rf"{got}, expected {want}$"):
+            run_cell(p, xs, record=bad)
+    with pytest.raises(ValueError, match=r"record array H has shape \(5, 5\), "
+                                         r"expected \(5, 2, 5\)"):
+        run_cell(p, xs, record=[a if a is None else a[:, 0] for a in good])
 
 
 # --------------------------------------------------------------------------

@@ -674,6 +674,30 @@ def test_cli_train_runs_and_reports_artifacts(tmp_path, capsys):
     assert (tmp_path / "cli_run" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("content,reason", [
+    ("".join(f"{i % 3}\tword stuff\n" for i in range(12)),
+     "bce needs labels in {0, 1}, file has [0, 1, 2]"),
+    (None, "No such file or directory"),
+    ("0\tone\n1\ttwo\n0\tthree\n", "need at least 10 samples, got 3"),
+    (b"0\tcaf\xe9\n" * 12, "not UTF-8 text (invalid continuation byte at byte 5)"),
+], ids=["bce-label-2", "missing", "too-small", "not-utf8"])
+def test_cli_train_data_error_exits_2_and_leaves_no_directory(tmp_path, capsys,
+                                                              content, reason):
+    path = tmp_path / "corpus.tsv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    args = cli_train_args(tmp_path) + ["--data", f"tsv:{path}"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {reason}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cli_run").exists()
+
+
 def test_cli_explicit_flags_override_config_file(tmp_path):
     cfg_file = tmp_path / "base.cfg"
     cfg_file.write_text("eta = 0.01\nhidden = 7\n", encoding="utf-8")

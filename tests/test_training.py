@@ -10,7 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
-                           output_layer_apply, run_cell)
+                           output_layer_apply, record_arrays, record_shapes,
+                           run_cell)
 from slimrnn import training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.numerics import ACTIVATIONS, make_rng
@@ -473,9 +474,15 @@ def per_sample_gradients(model, batch, loss_kind):
     return total / len(batch), grads
 
 
+def sample_bytes(cells, T):
+    """Bytes run_cell records for one sample over T steps of each cell."""
+    return sum(8 * math.prod(s) for cell in cells
+               for s in record_shapes(cell, T, (1,)) if s is not None)
+
+
 def chunk_budget(model, T, rows):
     """A CACHE_BUDGET that gives chunks of exactly `rows` samples."""
-    return rows * T * training._step_bytes(model.cell) * len(model.directions)
+    return rows * sample_bytes([cell for cell, _, _ in model.directions], T)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -501,6 +508,24 @@ def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
     for cell, prefix, _ in model.directions:
         for name, arr in cell.param_arrays().items():
             assert params[prefix + name] is arr
+
+
+def test_a_bidirectional_forward_records_into_given_columns_with_the_same_bits():
+    T, b, j = 6, 3, 2
+    model = small_model("lstm6", 3, 4, seed=3323, act="tanh", bidirectional=True)
+    xs = make_rng(3324).uniform(-1.0, 1.0, (T, 3))
+    y, h, want = model.forward(xs, record=True)
+    chunk = [record_arrays(cell, T, (b,)) for cell, _, _ in model.directions]
+    columns = [[a[:, j] for a in arrays] for arrays in chunk]
+    got_y, got_h, got = model.forward(xs, record=columns)
+    npt.assert_array_equal(got_y, y)
+    npt.assert_array_equal(got_h, h)
+    for arrays, stacks, recorded in zip(chunk, got, want):  # fwd, then bwd
+        for a, g, w in zip(arrays, stacks, recorded):
+            assert np.shares_memory(g, a)
+            npt.assert_array_equal(a[:, j], w)
+    with pytest.raises(ValueError):  # one set of arrays per direction
+        model.forward(xs, record=columns[:1])
 
 
 @pytest.mark.parametrize("variant,loss_kind,bidirectional,inputs", [
@@ -673,7 +698,7 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
     model = small_model("lstm6", 4, 16, seed=3330, act="tanh")
     batch = token_batch(3331, B=1, T=T)
     monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 1))
-    stack_bytes = T * training._step_bytes(model.cell)
+    stack_bytes = sample_bytes([model.cell], T)
     reference = traced_peak(per_sample_gradients, model, batch, "bce")
     peak = traced_peak(model_gradients, model, batch, "bce")
     assert peak < reference + stack_bytes / 2, (peak, reference, stack_bytes)
@@ -681,13 +706,31 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_bytes_is_what_run_cell_records_per_sample_step(variant):
-    # CACHE_BUDGET sizes chunks by _step_bytes: it must match the stacks
+    # CACHE_BUDGET sizes chunks by record_shapes: it must match the stacks
     T, B = 6, 3
     p = init_cell(variant, 3, 4, "tanh", 0.59, make_rng(3340))
-    H, C, aux = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
-    rows = (H[1:], None if C is None else C[1:], aux)  # H[0], C[0]: the start
-    recorded = sum(a.nbytes for a in rows if a is not None)
-    assert recorded == T * B * training._step_bytes(p)
+    stacks = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
+    assert [None if a is None else a.shape for a in stacks] == list(
+        record_shapes(p, T, (B,)))
+    recorded = sum(a.nbytes for a in stacks if a is not None)
+    assert recorded == B * sample_bytes([p], T)
+
+
+@pytest.mark.parametrize("variant,bidirectional",
+                         [(v, False) for v in VARIANTS] + [("lstm6", True)])
+def test_model_gradients_memory_stays_bounded_at_paper_shape(variant, bidirectional):
+    # one sample more than a chunk holds, so a short last chunk follows a full
+    # one; at a 3 MiB CACHE_BUDGET the peaks are srnn 8.5 MiB (7 rows), lstm
+    # 7.4, lstm6 5.7, lstm_c6 6.1 and lstm6 bidir 5.1 MiB. A budget that gives
+    # srnn 8 rows goes over the bound; it grew the paper benchmark's peak RSS
+    # 4% over a 1 MiB budget.
+    m, n, T = 32, 100, 500
+    model = small_model(variant, m, n, seed=3354, vocab=5000,
+                        bidirectional=bidirectional)
+    B = training.CACHE_BUDGET // chunk_budget(model, T, 1) + 1
+    batch = token_batch(3355, B, T, vocab=5000)
+    peak = traced_peak(model_gradients, model, batch, "bce")
+    assert peak <= 9 * 2**20, f"peak {peak / 2**20:.2f} MiB over {B} samples"
 
 
 def test_evaluate_memory_stays_flat_at_paper_shape():
