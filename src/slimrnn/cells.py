@@ -13,12 +13,12 @@ internal accumulator where present):
   lstm_c6  lstm6 with the recurrent matrix U_c reduced to a vector u_c
            applied element-wise: the recurrence term is u_c * h_{t-1}.
 
-Every step acts on the trailing feature axis only, so the same code
-steps one sample's (n,) state or a batch's (B, n) state. A step takes its
-input term W x_t + b precomputed (run_cell projects a block of steps at
-once), and lstm's four gates are stacked, so a step makes one recurrent
-product. Sequences are read strictly left to right; classification reads
-only the final hidden state through a single affine output layer.
+Every step advances a batch's (B, n) states; a single sample is a batch
+of one. A step takes its input term W x_t + b precomputed (run_cell
+projects a block of steps at once), and lstm's four gates are stacked, so
+a step makes one recurrent product. Sequences are read strictly left to
+right; classification reads only the final hidden state through a single
+affine output layer.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def stack_gates(p: CellParams, transposed: bool = False):
     [i | f | o | c] order into (4n, m), (4n, n) and (4n,) copies; every
     other cell returns its own tensors. With transposed set, W and R come
     as C-ordered (m, width) and (n, width) copies, the layout the forward
-    products x W and h R read fastest (u_c stays a vector)."""
+    products x W and h R read fastest; u_c comes as a (1, n) row, which
+    multiplies a (B, n) state without broadcasting a vector."""
     names = ADAPTIVE_FIELDS[p.variant]
     if p.variant == "lstm":
         W, R, b = (np.concatenate([getattr(p, k) for k in names[j::3]])
@@ -146,13 +147,13 @@ def stack_gates(p: CellParams, transposed: bool = False):
     else:
         W, R, b = (getattr(p, k) for k in names)
     if transposed:
-        W, R = np.ascontiguousarray(W.T), np.ascontiguousarray(R.T)
+        W, R = np.ascontiguousarray(W.T), np.ascontiguousarray(np.atleast_2d(R.T))
     return W, R, b
 
 
 def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """The input term x W + b of one step's input x, (m,) or (B, m), with
+    """The input term x W + b of one step's input x, (B, m), with
     (W, b) from stack_gates(p, transposed=True). Stacked steps (t, B, m)
     take one product per step, so a step's term has the same bits alone
     as inside any block of steps. Like a step, it may write into out."""
@@ -162,11 +163,12 @@ def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray,
 
 
 # The step functions take the step's input term a_t (input_term) and the
-# recurrent tensor R, both laid out by stack_gates(p, transposed=True). Like a
-# ufunc, a step takes an optional out: the array for h_t (srnn) or the
-# (h_t, c_t, aux) arrays it returns, C-contiguous and overlapping neither
-# h_prev nor c_prev. It then writes there and allocates nothing; without out
-# the same operations fill fresh arrays, so the bits are the same.
+# recurrent tensor R, both laid out by stack_gates(p, transposed=True), and
+# the previous step's (B, n) states. Like a ufunc, a step takes an optional
+# out: the array for h_t (srnn) or the (h_t, c_t, aux) arrays it returns,
+# C-contiguous and overlapping neither h_prev nor c_prev. It then writes
+# there and allocates nothing; without out the same operations fill fresh
+# arrays, so the bits are the same.
 
 def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
               out: np.ndarray | None = None):
@@ -289,40 +291,38 @@ def _input_terms(W: np.ndarray, b: np.ndarray, xs: np.ndarray):
     """input_term of each step of xs, PROJECTION_BUDGET bytes at a time.
     Every block overwrites one buffer, which holds the only terms alive:
     a step reads its term before the next block is projected."""
-    steps = xs.reshape(len(xs), -1, xs.shape[-1])  # (T, B, m), B = 1 for (T, m)
-    shape = xs.shape[1:-1] + b.shape
-    block = max(1, PROJECTION_BUDGET // (8 * steps.shape[1] * len(b)))
-    buf = np.empty(steps[:block].shape[:-1] + b.shape)
+    block = max(1, PROJECTION_BUDGET // (8 * xs.shape[1] * len(b)))
+    buf = np.empty(xs[:block].shape[:-1] + b.shape)
     for start in range(0, len(xs), block):
-        x = steps[start:start + block]
-        yield from input_term(W, b, x, out=buf[:len(x)]).reshape((-1,) + shape)
+        x = xs[start:start + block]
+        yield from input_term(W, b, x, out=buf[:len(x)])
 
 
-def record_shapes(p: CellParams, T: int, lead: tuple = ()) -> tuple:
-    """Shapes of the (H, C, aux) stacks run_cell records over T steps, lead
-    being the batch axes, () or (B,); None where the variant records none.
-    H is (T+1, *lead, n) with H[0] the initial state, C likewise for the
-    cell state (None for srnn), and aux holds what each step computed beyond
-    its states: c_tilde (T, *lead, n) for the slim cells, the gates
-    [i | f | o | c_tilde] (T, *lead, 4n) for lstm, None for srnn."""
-    H = (T + 1,) + lead + (p.n,)
+def record_shapes(p: CellParams, T: int, B: int) -> tuple:
+    """Shapes of the (H, C, aux) stacks run_cell records over T steps of B
+    samples; None where the variant records none. H is (T+1, B, n) with
+    H[0] the initial state, C likewise for the cell state (None for srnn),
+    and aux holds what each step computed beyond its states: c_tilde
+    (T, B, n) for the slim cells, the gates [i | f | o | c_tilde]
+    (T, B, 4n) for lstm, None for srnn."""
+    H = (T + 1, B, p.n)
     if p.variant == "srnn":
         return H, None, None
-    return H, H, (T,) + lead + ((4 if p.variant == "lstm" else 1) * p.n,)
+    return H, H, (T, B, (4 if p.variant == "lstm" else 1) * p.n)
 
 
-def record_arrays(p: CellParams, T: int, lead: tuple = ()) -> tuple:
+def record_arrays(p: CellParams, T: int, B: int) -> tuple:
     """Fresh arrays shaped by record_shapes, ready for run_cell to record into."""
-    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, lead))
+    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, B))
 
 
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
              c0: np.ndarray | None = None, record=True):
     """Drive one cell across a whole sequence.
 
-    xs is time-major: (T, m) for one sample, or (T, B, m) for B samples
-    stepped together. States start at zero unless h0/c0 are given, shaped
-    like one step's state: (n,) or (B, n). Shapes are checked here once,
+    xs is time-major, (T, B, m): B samples stepped together, one sample
+    being a batch of one. States start at zero unless h0/c0 are given,
+    shaped like one step's state, (B, n). Shapes are checked here once,
     not per step. The input terms are computed a block of steps at a time
     (see PROJECTION_BUDGET), so the loop over steps holds only the
     recurrent product and the element-wise work. Returns (h_T, c_T,
@@ -338,21 +338,19 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     and h_T and c_T are views of those buffers.
     """
     xs = np.asarray(xs)
-    if xs.ndim not in (2, 3) or xs.shape[-1] != p.m:
-        raise ValueError(
-            f"inputs have shape {xs.shape}, expected (T, {p.m}) or (T, B, {p.m})")
-    T = xs.shape[0]
+    if xs.ndim != 3 or xs.shape[-1] != p.m:
+        raise ValueError(f"inputs have shape {xs.shape}, expected (T, B, {p.m})")
+    T, B, _ = xs.shape
     if T == 0:
         raise ValueError("cannot run a cell over an empty sequence")
-    lead = xs.shape[1:-1]
     for what, v in (("h0", h0), ("c0", c0)):
-        if v is not None and v.shape != lead + (p.n,):
-            raise ValueError(f"{what} has shape {v.shape}, expected {lead + (p.n,)}")
+        if v is not None and v.shape != (B, p.n):
+            raise ValueError(f"{what} has shape {v.shape}, expected {(B, p.n)}")
     if isinstance(record, bool):  # else the caller's arrays, checked here
-        stacks = record_arrays(p, T if record else 1, lead)
+        stacks = record_arrays(p, T if record else 1, B)
     else:
         stacks = tuple(record)
-        for what, a, want in zip(("H", "C", "aux"), stacks, record_shapes(p, T, lead),
+        for what, a, want in zip(("H", "C", "aux"), stacks, record_shapes(p, T, B),
                                  strict=True):
             got = None if a is None else a.shape
             if got != want:

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     for axis in SWEEP_AXES:
         p_sweep.add_argument(f"--{axis}", default=None, help=_AXIS_HELP[axis])
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel cell processes")
+                         help="parallel cell processes (>= 1, at most one per cell)")
 
     p_grad = subs.add_parser("gradcheck",
                              help="certify analytic gradients against finite differences")

@@ -118,7 +118,8 @@ def pad_or_truncate(seq, T: int) -> list[int]:
 
 
 def embed_lookup(emb: EmbeddingTable, tokens: np.ndarray) -> np.ndarray:
-    """Rows of the embedding table for a token index sequence, (T, dim)."""
+    """Rows of the embedding table for an array of token indices,
+    tokens.shape + (dim,): (T, B, dim) for the (T, B) tokens of B samples."""
     tokens = np.asarray(tokens)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= emb.vocab_size):
         raise ValueError(

@@ -432,15 +432,18 @@ def _run_sweep_cell(cfg: ExperimentConfig) -> str:
 
 
 def cmd_sweep(spec: SweepSpec):
-    """Run every cell of the grid (optionally across processes) and
-    write summary.csv under the base output directory. Per-cell seeds
-    make the summary independent of worker count."""
+    """Run every cell of the grid (optionally across processes, never more
+    than there are cells) and write summary.csv under the base output
+    directory. Per-cell seeds make the summary independent of worker count."""
     spec.base.validate()
+    if spec.workers < 1:
+        raise ValueError(f"sweep needs workers >= 1, got {spec.workers}")
     cells = _sweep_cells(spec)
     out_dir = Path(spec.base.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if spec.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, cells))
     else:
         rows = [_run_sweep_cell(cfg) for cfg in cells]

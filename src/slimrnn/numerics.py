@@ -1,10 +1,10 @@
 """Dense numeric kernels shared by the whole package.
 
 Conventions: matrices are C-order float64 numpy arrays of shape
-(rows, cols). Vectors carry their features on the last axis: a single
-sample is (len,), a batch of samples is (B, len), and every kernel here
-acts on that trailing axis alone, so the same call serves both. A
-sequence adds a leading time axis: (T, len) or (T, B, len).
+(rows, cols). Samples come in batches, B rows of features, (B, len); a
+single sample is a batch of one, (1, len). A sequence adds a leading
+time axis: (T, B, len). The activations act element-wise, so they take
+any shape.
 """
 
 from __future__ import annotations

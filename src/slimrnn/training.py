@@ -60,7 +60,7 @@ CACHE_BUDGET = 3 << 20
 
 
 def one_hot(label, k: int) -> np.ndarray:
-    """One-hot rows: (k,) for one label, (B, k) for an array of labels."""
+    """One-hot rows, label.shape + (k,): (B, k) for B labels."""
     label = np.asarray(label)
     if label.size and (label.min() < 0 or label.max() >= k):
         raise ValueError(f"label {label} outside [0, {k})")
@@ -73,17 +73,15 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
     bce: scalar raw score through a sigmoid, target in {0, 1}.
     cce: raw score vector through a softmax, one-hot target.
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, and
-    both gradients reduce to p - y. y_raw and y_true are (k,) for one
-    sample or (B, k) for a batch; the loss is then a float or a (B,)
-    array of per-sample losses.
+    both gradients reduce to p - y. y_raw and y_true are (B, k) rows, one
+    per sample, and the loss is the (B,) array of per-sample losses.
     """
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
     bce = kind == "bce"
-    if (y_raw.shape != y_true.shape or y_raw.ndim not in (1, 2)
-            or (bce and y_raw.shape[-1] != 1)):
-        raise ValueError(f"{kind} needs {'length-1' if bce else 'matching'} "
-                         f"vectors, got {y_raw.shape} and {y_true.shape}")
+    if y_raw.shape != y_true.shape or y_raw.ndim != 2 or (bce and y_raw.shape[1] != 1):
+        raise ValueError(f"{kind} needs matching (B, {'1' if bce else 'k'}) rows, "
+                         f"got {y_raw.shape} and {y_true.shape}")
     if not ((y_true == 0.0) | (y_true == 1.0)).all():
         raise ValueError(f"{kind} target must be {'0 or 1' if bce else 'one-hot'}")
     if bce:
@@ -95,7 +93,7 @@ def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
         e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
         p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.sum(p * y_true, axis=-1))
-    return (float(loss) if y_raw.ndim == 1 else loss), p - y_true
+    return loss, p - y_true
 
 
 @dataclass
@@ -151,8 +149,8 @@ class SequenceClassifier:
         return d
 
     def forward(self, xs: np.ndarray, record=False):
-        """The model's one forward pass over time-major inputs xs, (T, m)
-        for one sample or (T, B, m) for a batch: each direction's cell over
+        """The model's one forward pass over time-major inputs xs, (T, B, m),
+        one sample being a batch of one: each direction's cell over
         xs in its time order, then the readout of their final states
         [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
         read, stacks lists each direction's run_cell stacks (None unless
@@ -168,8 +166,14 @@ class SequenceClassifier:
         return output_layer_apply(self.out, h), h, [r[2] for r in runs]
 
 
+def _stack_bytes(model: SequenceClassifier, T: int) -> int:
+    """Bytes per sample of every direction's run_cell stacks over T steps."""
+    return sum(8 * math.prod(s) for cell, _, _ in model.directions
+               for s in record_shapes(cell, T, 1) if s is not None)
+
+
 def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
-    """Target rows for one label or an array of labels."""
+    """Target rows, (B, k), for an array of B labels."""
     if loss_kind == "bce":
         return np.asarray(labels, dtype=np.float64)[..., None]
     return one_hot(labels, out_dim)
@@ -191,8 +195,8 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     zeroed from the latest step whose squared norm over the chunk is below
     _UNDERFLOW back to the start. The weight gradients then come from all
     rows at once: gW += D^T X, gR += D^T H[:-1] (lstm_c6: the column sums
-    of D * H[:-1]), gb += column sums of D. Rows may carry a batch axis:
-    everything after the reverse pass works on (rows, width) views.
+    of D * H[:-1]), gb += column sums of D. Rows carry the chunk's batch
+    axis: everything after the reverse pass works on (T b, width) views.
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
@@ -267,17 +271,17 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
     bytes being what run_cell records for one sample over every direction
-    (record_shapes). Each direction's (T+1, b, n) / (T, b, width) arrays
+    (_stack_bytes). Each direction's (T+1, b, n) / (T, b, width) arrays
     are allocated once per call and serve every chunk, a short last chunk
     its leading columns, so the pass holds one chunk's stacks and no more.
-    A chunk's inputs are gathered once as (T, b, m); each sample runs its
-    own forward pass on column j of them, recording straight into column j
-    of those arrays, and writes its raw output into row j of a (b, k)
-    array. Each chunk then takes one loss_eval call on its (b, k) rows, one
-    readout gradient product over the directions' final states H[-1], one
-    reverse pass per direction and one embedding scatter. Losses add in
-    sample order, as in a per-sample loop; the gradients sum in
-    chunk-product order.
+    A chunk's inputs are gathered once as (T, b, m); sample j runs its own
+    forward pass on columns j:j+1, a batch of one, recording straight into
+    those columns of the arrays and writing its raw output into row j of a
+    (b, k) array. Each chunk then takes one loss_eval call on its (b, k)
+    rows, one readout gradient product over the directions' final states
+    H[-1], one reverse pass per direction and one embedding scatter.
+    Losses add in sample order, as in a per-sample loop; the gradients sum
+    in chunk-product order.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -288,10 +292,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
-    sample = sum(8 * math.prod(s) for cell, _, _ in model.directions
-                 for s in record_shapes(cell, T, (1,)) if s is not None)
-    rows = min(B, max(1, CACHE_BUDGET // sample))
-    stacks = [record_arrays(cell, T, (rows,)) for cell, _, _ in model.directions]
+    rows = min(B, max(1, CACHE_BUDGET // _stack_bytes(model, T)))
+    stacks = [record_arrays(cell, T, rows) for cell, _, _ in model.directions]
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
@@ -303,8 +305,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         # call per sample-step. Batching it means one model.forward(X,
         # record=chunk) in place of this loop once those counts move.
         for j in range(b):
-            columns = [[None if a is None else a[:, j] for a in s] for s in chunk]
-            Y[j] = model.forward(X[:, j], record=columns)[0]
+            columns = [[None if a is None else a[:, j:j + 1] for a in s] for s in chunk]
+            Y[j:j + 1] = model.forward(X[:, j:j + 1], record=columns)[0]
         losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
         for loss in losses:
             total += float(loss)
@@ -551,10 +553,10 @@ def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss and accuracy over a split, forward passes only, run
     without recording caches on slices of max(1, EVAL_BUDGET // row)
-    samples. row is the bytes a slice holds per sample: its gathered (T, m)
-    inputs and, per direction, run_cell's two alternating h (and c) states,
-    one step's input terms and its gate or candidate buffer, each n wide
-    but lstm's terms and gates 4n.
+    samples. row is the bytes a slice holds per sample: its gathered T m
+    inputs, run_cell's one-step stacks (two alternating h, and c, states,
+    one gate or candidate buffer: _stack_bytes(model, 1)) and, per
+    direction, one step's input terms, as wide as the stacked bias.
 
     Binary predictions threshold the sigmoid probability at 0.5;
     multi-class predictions take the arg-max score.
@@ -564,8 +566,9 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
-    width = {"srnn": 3, "lstm": 12}.get(model.cell.variant, 6) * model.cell.n
-    row = 8 * (batch.T * model.cell.m + len(model.directions) * width)
+    terms = sum(getattr(cell, name).size for cell, _, _ in model.directions
+                for name in ADAPTIVE_FIELDS[cell.variant][2::3])  # the stacked biases
+    row = 8 * (batch.T * model.cell.m + terms) + _stack_bytes(model, 1)
     size = max(1, EVAL_BUDGET // row)
     for start in range(0, len(batch), size):
         rows = slice(start, start + size)

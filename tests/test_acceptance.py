@@ -136,9 +136,9 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
         f = float(rng.uniform(-0.9, 0.9))
-        x = rng.uniform(-1, 1, m)
-        h_prev = rng.uniform(-1, 1, n)
-        c_prev = rng.uniform(-1, 1, n)
+        x = rng.uniform(-1, 1, (1, m))
+        h_prev = rng.uniform(-1, 1, (1, n))
+        c_prev = rng.uniform(-1, 1, (1, n))
 
         # gate-free cell vs the full cell with gates pinned open
         slim = init_cell("lstm6", m, n, "sigmoid", f, make_rng(61_000 + seed))
@@ -184,11 +184,11 @@ def test_criterion_4_bibo_stability(acceptance_report):
                 rng = make_rng(70_000 + int(f * 100))
                 p = init_cell(variant, 4, 5, "sigmoid", f, rng)
                 p.W_c *= 3.0  # saturate the candidate to stress the bound
-                h = np.zeros(5)
-                c = np.full(5, c0_scale)
+                h = np.zeros((1, 5))
+                c = np.full((1, 5), c0_scale)
                 decay = 1.0
                 for t in range(1, steps + 1):
-                    x = rng.uniform(-4.0, 4.0, 4)
+                    x = rng.uniform(-4.0, 4.0, (1, 4))
                     h, c, _ = step(p, *operands(p, x), h, c)
                     decay *= abs(f)
                     bound = decay * c0_scale + (1.0 - decay) / (1.0 - abs(f))

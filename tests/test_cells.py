@@ -65,46 +65,51 @@ def random_cell(variant, m, n, seed, act="sigmoid", forget_const=0.59):
 
 def test_srnn_step_zero_params():
     p = zero_cell("srnn", 3, 4)
-    h = srnn_step(p, *operands(p, np.ones(3)), np.ones(4))
-    npt.assert_array_equal(h, np.full(4, 0.5))
+    h = srnn_step(p, *operands(p, np.ones((1, 3))), np.ones((1, 4)))
+    npt.assert_array_equal(h, np.full((1, 4), 0.5))
     p_tanh = zero_cell("srnn", 3, 4, act="tanh")
-    h = srnn_step(p_tanh, *operands(p_tanh, np.ones(3)), np.ones(4))
-    npt.assert_array_equal(h, np.zeros(4))
+    h = srnn_step(p_tanh, *operands(p_tanh, np.ones((1, 3))), np.ones((1, 4)))
+    npt.assert_array_equal(h, np.zeros((1, 4)))
 
 
 def test_lstm_step_zero_params_frozen_value():
     # All gates sigmoid(0)=0.5, candidate 0.5, so c = 0.25 and
     # h = 0.5 * sigmoid(0.25) exactly.
     p = zero_cell("lstm", 2, 3)
-    h, c, _ = lstm_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
-    npt.assert_allclose(c, np.full(3, 0.25), rtol=0, atol=0)
-    npt.assert_allclose(h, np.full(3, 0.28108825044289905), rtol=0, atol=1e-16)
+    h, c, _ = lstm_step(p, *operands(p, np.ones((1, 2))),
+                        np.zeros((1, 3)), np.zeros((1, 3)))
+    npt.assert_allclose(c, np.full((1, 3), 0.25), rtol=0, atol=0)
+    npt.assert_allclose(h, np.full((1, 3), 0.28108825044289905), rtol=0, atol=1e-16)
 
 
 def test_lstm_step_zero_params_tanh_is_zero():
     p = zero_cell("lstm", 2, 3, act="tanh")
-    h, c, _ = lstm_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
-    npt.assert_array_equal(c, np.zeros(3))
-    npt.assert_array_equal(h, np.zeros(3))
+    h, c, _ = lstm_step(p, *operands(p, np.ones((1, 2))),
+                        np.zeros((1, 3)), np.zeros((1, 3)))
+    npt.assert_array_equal(c, np.zeros((1, 3)))
+    npt.assert_array_equal(h, np.zeros((1, 3)))
 
 
 def test_lstm6_step_zero_params_frozen_values():
     p = zero_cell("lstm6", 2, 3, forget_const=0.0)
-    h, c, _ = lstm6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
-    npt.assert_array_equal(c, np.full(3, 0.5))
-    npt.assert_allclose(h, np.full(3, 0.6224593312018546), rtol=0, atol=1e-16)
+    h, c, _ = lstm6_step(p, *operands(p, np.ones((1, 2))),
+                         np.zeros((1, 3)), np.zeros((1, 3)))
+    npt.assert_array_equal(c, np.full((1, 3), 0.5))
+    npt.assert_allclose(h, np.full((1, 3), 0.6224593312018546), rtol=0, atol=1e-16)
 
     p = zero_cell("lstm6", 2, 3, forget_const=0.5)
-    h, c, _ = lstm6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.ones(3))
-    npt.assert_array_equal(c, np.ones(3))
-    npt.assert_allclose(h, np.full(3, 0.7310585786300049), rtol=0, atol=1e-16)
+    h, c, _ = lstm6_step(p, *operands(p, np.ones((1, 2))),
+                         np.zeros((1, 3)), np.ones((1, 3)))
+    npt.assert_array_equal(c, np.ones((1, 3)))
+    npt.assert_allclose(h, np.full((1, 3), 0.7310585786300049), rtol=0, atol=1e-16)
 
 
 def test_lstmc6_step_zero_params_frozen_value():
     p = zero_cell("lstm_c6", 2, 3, forget_const=0.0)
-    h, c, _ = lstmc6_step(p, *operands(p, np.ones(2)), np.zeros(3), np.zeros(3))
-    npt.assert_array_equal(c, np.full(3, 0.5))
-    npt.assert_allclose(h, np.full(3, 0.6224593312018546), rtol=0, atol=1e-16)
+    h, c, _ = lstmc6_step(p, *operands(p, np.ones((1, 2))),
+                          np.zeros((1, 3)), np.zeros((1, 3)))
+    npt.assert_array_equal(c, np.full((1, 3), 0.5))
+    npt.assert_allclose(h, np.full((1, 3), 0.6224593312018546), rtol=0, atol=1e-16)
 
 
 # --------------------------------------------------------------------------
@@ -116,9 +121,9 @@ def test_srnn_step_matches_inline_transcription():
     rng = make_rng(70)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 2)
-    h = srnn_step(p, *operands(p, x), h_prev)
+    h = srnn_step(p, *operands(p, x[None]), h_prev[None])
     expected = expit(p.W_hx @ x + p.W_hh @ h_prev + p.b_h)
-    npt.assert_allclose(h, expected, rtol=0, atol=1e-15)
+    npt.assert_allclose(h, expected[None], rtol=0, atol=1e-15)
 
 
 def test_lstm_step_matches_inline_transcription():
@@ -127,15 +132,15 @@ def test_lstm_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 2)
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
-    h, c, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
+    h, c, _ = lstm_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
     i = expit(p.W_i @ x + p.U_i @ h_prev + p.b_i)
     f = expit(p.W_f @ x + p.U_f @ h_prev + p.b_f)
     o = expit(p.W_o @ x + p.U_o @ h_prev + p.b_o)
     c_tilde = np.tanh(p.W_c @ x + p.U_c @ h_prev + p.b_c)
     c_ref = f * c_prev + i * c_tilde
     h_ref = o * np.tanh(c_ref)
-    npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
-    npt.assert_allclose(h, h_ref, rtol=0, atol=1e-15)
+    npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
+    npt.assert_allclose(h, h_ref[None], rtol=0, atol=1e-15)
 
 
 def test_lstm6_step_matches_inline_transcription():
@@ -144,10 +149,10 @@ def test_lstm6_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
     c_prev = rng.uniform(-1, 1, 4)
-    h, c, _ = lstm6_step(p, *operands(p, x), h_prev, c_prev)
+    h, c, _ = lstm6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
     c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.U_c @ h_prev + p.b_c)
-    npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
-    npt.assert_allclose(h, expit(c_ref), rtol=0, atol=1e-15)
+    npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
+    npt.assert_allclose(h, expit(c_ref)[None], rtol=0, atol=1e-15)
 
 
 def test_lstmc6_step_matches_inline_transcription():
@@ -156,18 +161,18 @@ def test_lstmc6_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 4)
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
-    h, c, _ = lstmc6_step(p, *operands(p, x), h_prev, c_prev)
+    h, c, _ = lstmc6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
     c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.u_c * h_prev + p.b_c)
-    npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
-    npt.assert_allclose(h, expit(c_ref), rtol=0, atol=1e-15)
+    npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
+    npt.assert_allclose(h, expit(c_ref)[None], rtol=0, atol=1e-15)
 
 
 def test_step_caches_record_the_step():
     rng = make_rng(210)
-    xs = rng.uniform(-1, 1, (4, 3))
+    xs = rng.uniform(-1, 1, (4, 1, 3))
     p = random_cell("lstm", 3, 2, seed=21)
     _, _, (H, C, gates) = run_cell(p, xs)
-    assert gates.shape == (4, 8)
+    assert gates.shape == (4, 1, 8)
     i, f, o, c_tilde = np.split(gates, 4, axis=-1)
     # the recorded gates recompose the state update exactly
     npt.assert_allclose(f * C[:-1] + i * c_tilde, C[1:], rtol=0, atol=1e-16)
@@ -186,12 +191,12 @@ def test_step_caches_record_the_step():
 def test_step_dimension_mismatch_rejected():
     p = random_cell("lstm6", 3, 2, seed=23)
     with pytest.raises(ValueError):
-        lstm6_step(p, *operands(p, np.zeros(4)), np.zeros(2), np.zeros(2))
+        lstm6_step(p, *operands(p, np.zeros((1, 4))), np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        lstm6_step(p, *operands(p, np.zeros(3)), np.zeros(3), np.zeros(2))
+        lstm6_step(p, *operands(p, np.zeros((1, 3))), np.zeros((1, 3)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         p = random_cell("srnn", 3, 2, seed=24)
-        srnn_step(p, *operands(p, np.zeros(3)), np.zeros(3))
+        srnn_step(p, *operands(p, np.zeros((1, 3))), np.zeros((1, 3)))
 
 
 # --------------------------------------------------------------------------
@@ -220,9 +225,9 @@ def test_gate_pinned_full_cell_equals_lstm6_step():
         f = float(rng.uniform(-0.95, 0.95))
         slim = random_cell("lstm6", m, n, seed=400 + seed, forget_const=f)
         full = full_cell_sharing_candidate(slim, seed=500 + seed)
-        x = rng.uniform(-1, 1, m)
-        h_prev = rng.uniform(-1, 1, n)
-        c_prev = rng.uniform(-1, 1, n)
+        x = rng.uniform(-1, 1, (1, m))
+        h_prev = rng.uniform(-1, 1, (1, n))
+        c_prev = rng.uniform(-1, 1, (1, n))
         h_a, c_a, _ = lstm6_step(slim, *operands(slim, x), h_prev, c_prev)
         h_b, c_b, _ = gate_override_step(full, {"i": 1.0, "f": f, "o": 1.0},
                                          *operands(full, x), h_prev, c_prev)
@@ -240,9 +245,9 @@ def test_diagonal_recurrence_equals_lstm6_with_diagonal_matrix():
                          forget_const=vec.forget_const,
                          W_c=vec.W_c.copy(), U_c=np.diag(vec.u_c),
                          b_c=vec.b_c.copy())
-        x = rng.uniform(-1, 1, m)
-        h_prev = rng.uniform(-1, 1, n)
-        c_prev = rng.uniform(-1, 1, n)
+        x = rng.uniform(-1, 1, (1, m))
+        h_prev = rng.uniform(-1, 1, (1, n))
+        c_prev = rng.uniform(-1, 1, (1, n))
         h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
         h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         npt.assert_allclose(h_a, h_b, rtol=0, atol=1e-15)
@@ -255,8 +260,9 @@ def test_gate_override_with_no_pins_is_plain_lstm_step():
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
     c_prev = rng.uniform(-1, 1, 4)
-    h_a, c_a, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
-    h_b, c_b, _ = gate_override_step(p, {}, *operands(p, x), h_prev, c_prev)
+    h_a, c_a, _ = lstm_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
+    h_b, c_b, _ = gate_override_step(p, {}, *operands(p, x[None]), h_prev[None],
+                                     c_prev[None])
     npt.assert_array_equal(h_a, h_b)
     npt.assert_array_equal(c_a, c_b)
 
@@ -266,15 +272,16 @@ def test_gate_override_forget_zero_forgets_the_state():
     rng = make_rng(320)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 4)
-    _, c_a, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x), h_prev, np.zeros(4))
-    _, c_b, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x), h_prev,
-                                   rng.uniform(-5, 5, 4))
+    _, c_a, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x[None]), h_prev[None],
+                                   np.zeros((1, 4)))
+    _, c_b, _ = gate_override_step(p, {"f": 0.0}, *operands(p, x[None]), h_prev[None],
+                                   rng.uniform(-5, 5, (1, 4)))
     npt.assert_array_equal(c_a, c_b)
 
 
 def test_gate_override_pin_validation():
     p = random_cell("lstm", 2, 2, seed=33)
-    args = (*operands(p, np.zeros(2)), np.zeros(2), np.zeros(2))
+    args = (*operands(p, np.zeros((1, 2))), np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError, match="unknown gate pins"):
         gate_override_step(p, {"q": 1.0}, *args)
     with pytest.raises(ValueError, match="exactly 1.0"):
@@ -285,11 +292,12 @@ def test_gate_override_pin_validation():
         gate_override_step(p, {"f": -1.5}, *args)
     # f may be pinned to exactly 1.0: a pure accumulator
     zero = zero_cell("lstm", 2, 2)
-    c = np.zeros(2)
+    c = np.zeros((1, 2))
     for _ in range(3):
         _, c, _ = gate_override_step(zero, {"i": 1.0, "f": 1.0, "o": 1.0},
-                                     *operands(zero, np.zeros(2)), np.zeros(2), c)
-    npt.assert_array_equal(c, np.full(2, 1.5))  # three additions of sigmoid(0)
+                                     *operands(zero, np.zeros((1, 2))),
+                                     np.zeros((1, 2)), c)
+    npt.assert_array_equal(c, np.full((1, 2), 1.5))  # three additions of sigmoid(0)
 
 
 # --------------------------------------------------------------------------
@@ -307,13 +315,13 @@ def test_cell_state_geometric_bound(variant, f):
     for name in ("W_c", "b_c"):
         getattr(p, name).__imul__(3.0)
     steps = 2000
-    h = np.zeros(5)
-    c0 = np.full(5, 3.0)
+    h = np.zeros((1, 5))
+    c0 = np.full((1, 5), 3.0)
     c = c0.copy()
     step = lstm6_step if variant == "lstm6" else lstmc6_step
     decay = 1.0
     for t in range(1, steps + 1):
-        x = rng.uniform(-4.0, 4.0, 4)
+        x = rng.uniform(-4.0, 4.0, (1, 4))
         h, c, _ = step(p, *operands(p, x), h, c)
         decay *= abs(f)
         bound = decay * 3.0 + (1.0 - decay) / (1.0 - abs(f))
@@ -323,9 +331,9 @@ def test_cell_state_geometric_bound(variant, f):
 def test_run_sequence_geometric_convergence():
     # zero inputs, zero params, f = 0.5: c_t = 1 - 0.5^t -> 1.0
     p = zero_cell("lstm6", 2, 3, forget_const=0.5)
-    xs = np.zeros((60, 2))
+    xs = np.zeros((60, 1, 2))
     _, c, _ = run_cell(p, xs)
-    npt.assert_allclose(c, np.ones(3), rtol=0, atol=1e-15)
+    npt.assert_allclose(c, np.ones((1, 3)), rtol=0, atol=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -334,25 +342,25 @@ def test_run_sequence_geometric_convergence():
 
 def test_run_cell_deterministic_and_zero_state_default():
     p = random_cell("lstm", 3, 4, seed=41)
-    xs = make_rng(410).uniform(-1, 1, size=(6, 3))
+    xs = make_rng(410).uniform(-1, 1, size=(6, 1, 3))
     h1, c1, k1 = run_cell(p, xs)
     h2, c2, k2 = run_cell(p, xs)
     npt.assert_array_equal(h1, h2)
     npt.assert_array_equal(c1, c2)
     assert k1[0].shape[0] == k2[0].shape[0] == 6 + 1
-    h3, c3, _ = run_cell(p, xs, h0=np.zeros(4), c0=np.zeros(4))
+    h3, c3, _ = run_cell(p, xs, h0=np.zeros((1, 4)), c0=np.zeros((1, 4)))
     npt.assert_array_equal(h1, h3)
     npt.assert_array_equal(c1, c3)
 
 
 def test_run_cell_srnn_has_no_cell_state():
     p = random_cell("srnn", 3, 4, seed=42)
-    xs = make_rng(420).uniform(-1, 1, size=(5, 3))
+    xs = make_rng(420).uniform(-1, 1, size=(5, 1, 3))
     h, c, (H, C, aux) = run_cell(p, xs)
     assert c is None and C is None and aux is None
     assert H.shape[0] == 5 + 1
     # matches stepping by hand
-    hh = np.zeros(4)
+    hh = np.zeros((1, 4))
     for t in range(5):
         hh = srnn_step(p, *operands(p, xs[t]), hh)
     npt.assert_array_equal(h, hh)
@@ -361,26 +369,26 @@ def test_run_cell_srnn_has_no_cell_state():
 def test_run_cell_empty_sequence_rejected():
     p = random_cell("lstm6", 2, 2, seed=43)
     with pytest.raises(ValueError, match="empty"):
-        run_cell(p, np.zeros((0, 2)))
+        run_cell(p, np.zeros((0, 1, 2)))
 
 
 def test_run_sequence_single_step_reduces_to_step_plus_readout():
     p = random_cell("lstm6", 3, 4, seed=44)
     out = init_output(make_rng(440), 4, 2)
-    x = make_rng(441).uniform(-1, 1, size=(1, 3))
+    x = make_rng(441).uniform(-1, 1, size=(1, 1, 3))
     h_T, _, (H, _, _) = run_cell(p, x)
     y = output_layer_apply(out, h_T)
-    h, _, _ = lstm6_step(p, *operands(p, x[0]), np.zeros(4), np.zeros(4))
+    h, _, _ = lstm6_step(p, *operands(p, x[0]), np.zeros((1, 4)), np.zeros((1, 4)))
     npt.assert_array_equal(y, output_layer_apply(out, h))
     assert H.shape[0] == 1 + 1
 
 
 def test_run_sequence_caches_replay_the_forward_pass():
     p = random_cell("lstm", 2, 3, seed=45, act="tanh")
-    xs = make_rng(450).uniform(-1, 1, size=(4, 2))
+    xs = make_rng(450).uniform(-1, 1, size=(4, 1, 2))
     _, _, (H, C, gates) = run_cell(p, xs)
-    h = np.zeros(3)
-    c = np.zeros(3)
+    h = np.zeros((1, 3))
+    c = np.zeros((1, 3))
     for t in range(4):
         npt.assert_array_equal(H[t], h)
         npt.assert_array_equal(C[t], c)
@@ -410,21 +418,29 @@ def test_run_cell_over_a_batch_axis_equals_per_sample_runs(variant):
     # relative to the state's scale: a batched product may sum in another
     # order, which moves an entry that cancels to near zero by ~1e-17
     for b in range(4):
-        h_b, c_b, _ = run_cell(p, xs[:, b])
-        npt.assert_allclose(h[b], h_b, rtol=0, atol=1e-14 * np.abs(h_b).max())
+        h_b, c_b, _ = run_cell(p, xs[:, b:b + 1])
+        npt.assert_allclose(h[b:b + 1], h_b, rtol=0, atol=1e-14 * np.abs(h_b).max())
         if variant == "srnn":
             assert c is None
         else:
-            npt.assert_allclose(c[b], c_b, rtol=0, atol=1e-14 * np.abs(c_b).max())
+            npt.assert_allclose(c[b:b + 1], c_b, rtol=0, atol=1e-14 * np.abs(c_b).max())
 
 
 def test_run_cell_checks_shapes_once_and_can_skip_caches():
     p = random_cell("lstm", 2, 3, seed=47)
     xs = make_rng(470).uniform(-1, 1, size=(4, 2, 2))
-    with pytest.raises(ValueError, match=r"\(T, 2\)"):
-        run_cell(p, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match=r"\(T, 2\)"):
+    with pytest.raises(ValueError, match=r"\(T, B, 2\)"):
+        run_cell(p, np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"\(T, B, 2\)"):
         run_cell(p, np.zeros(4))
+    # one sample is a batch of one: a (T, m) sample and an (n,) state are refused
+    sample = r"shape \(4, 2\), expected \(T, B, 2\)"
+    with pytest.raises(ValueError, match=sample):
+        run_cell(p, xs[:, 0])
+    with pytest.raises(ValueError, match=sample):
+        classifier(p, init_output(make_rng(471), 3, 1)).forward(xs[:, 0])
+    with pytest.raises(ValueError, match=r"h0 has shape \(3,\), expected \(1, 3\)"):
+        run_cell(p, xs[:, :1], h0=np.zeros(3))
     with pytest.raises(ValueError, match="h0"):
         run_cell(p, xs, h0=np.zeros(3))
     with pytest.raises(ValueError, match="c0"):
@@ -437,7 +453,7 @@ def test_run_cell_checks_shapes_once_and_can_skip_caches():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("shape", [(11, 3), (11, 4, 3)])
+@pytest.mark.parametrize("shape", [(11, 1, 3), (11, 4, 3)])
 @pytest.mark.parametrize("record", [True, False])
 def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
                                                   record):
@@ -471,7 +487,7 @@ STEPS = {"srnn": srnn_step, "lstm": lstm_step, "lstm6": lstm6_step,
 
 
 @pytest.mark.parametrize("variant", VARIANTS + ("gate_override",))
-@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("batch", [(1,), (3,)])
 def test_a_step_into_out_gives_the_bits_of_an_allocating_step(variant, batch):
     p = random_cell("lstm" if variant == "gate_override" else variant, 4, 5,
                     seed=49, act="tanh")
@@ -503,7 +519,7 @@ def test_a_step_into_out_gives_the_bits_of_an_allocating_step(variant, batch):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("shape", [(7, 3), (7, 4, 3)])
+@pytest.mark.parametrize("shape", [(7, 1, 3), (7, 4, 3)])
 def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, shape):
     p = random_cell(variant, 3, 5, seed=50, act="tanh")
     rng = make_rng(500)
@@ -531,12 +547,12 @@ def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(varia
     T, b, j = 7, 3, 1
     p = random_cell(variant, 3, 5, seed=51, act="tanh")
     rng = make_rng(510)
-    xs = rng.uniform(-2, 2, (T, 3))
-    h0 = rng.uniform(-1, 1, 5)
-    c0 = None if variant == "srnn" else rng.uniform(-1, 1, 5)
+    xs = rng.uniform(-2, 2, (T, 1, 3))
+    h0 = rng.uniform(-1, 1, (1, 5))
+    c0 = None if variant == "srnn" else rng.uniform(-1, 1, (1, 5))
     h, c, want = run_cell(p, xs, h0, c0)
-    chunk = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, (b,))]
-    column = [None if a is None else a[:, j] for a in chunk]
+    chunk = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, b)]
+    column = [None if a is None else a[:, j:j + 1] for a in chunk]
     got_h, got_c, got = run_cell(p, xs, h0, c0, record=column)
     npt.assert_array_equal(got_h, h)
     if variant == "srnn":
@@ -548,19 +564,19 @@ def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(varia
             assert a is None and g is None
             continue
         assert np.shares_memory(g, a)
-        npt.assert_array_equal(a[:, j], w)
+        npt.assert_array_equal(a[:, j:j + 1], w)
         assert np.isnan(np.delete(a, j, axis=1)).all()  # other columns untouched
 
 
 def test_record_arrays_follow_record_shapes():
     for variant, widths in (("srnn", None), ("lstm", 20), ("lstm6", 5), ("lstm_c6", 5)):
         p = random_cell(variant, 3, 5, seed=52)
-        shapes = record_shapes(p, 7, (2,))
+        shapes = record_shapes(p, 7, 2)
         assert shapes[0] == (8, 2, 5)
         assert shapes[1:] == ((None, None) if widths is None else ((8, 2, 5), (7, 2, widths)))
-        arrays = record_arrays(p, 7, (2,))
+        arrays = record_arrays(p, 7, 2)
         assert [None if a is None else a.shape for a in arrays] == list(shapes)
-        assert record_shapes(p, 7)[0] == (8, 5)
+        assert record_shapes(p, 7, 1)[0] == (8, 1, 5)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -568,7 +584,7 @@ def test_run_cell_rejects_record_arrays_of_the_wrong_shape(variant):
     T = 4
     p = random_cell(variant, 3, 5, seed=53)
     xs = make_rng(530).uniform(-1, 1, (T, 2, 3))
-    good = list(record_arrays(p, T, (2,)))
+    good = list(record_arrays(p, T, 2))
     for k, what in enumerate(("H", "C", "aux")):
         if good[k] is None:  # srnn records no C and no aux
             bad = good[:k] + [np.empty((T + 1, 2, 5))] + good[k + 1:]
@@ -604,30 +620,30 @@ def bidirectional_model(p_fwd, p_bwd):
 def test_bidirectional_output_is_ordered_concatenation():
     p_fwd = random_cell("lstm6", 3, 5, seed=51)
     p_bwd = random_cell("lstm6", 3, 5, seed=52)
-    xs = make_rng(510).uniform(-1, 1, size=(7, 3))
+    xs = make_rng(510).uniform(-1, 1, size=(7, 1, 3))
     model = bidirectional_model(p_fwd, p_bwd)
     y_raw, y, _ = model.forward(xs)
-    assert y.shape == (10,)
+    assert y.shape == (1, 10)
     h_f, _, _ = run_cell(p_fwd, xs)
     h_b, _, _ = run_cell(p_bwd, xs[::-1])
-    npt.assert_array_equal(y[:5], h_f)
-    npt.assert_array_equal(y[5:], h_b)
+    npt.assert_array_equal(y[:, :5], h_f)
+    npt.assert_array_equal(y[:, 5:], h_b)
     npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
 
 
 def test_bidirectional_palindrome_halves_agree():
     p = random_cell("lstm_c6", 2, 4, seed=53)
-    half = make_rng(530).uniform(-1, 1, size=(3, 2))
+    half = make_rng(530).uniform(-1, 1, size=(3, 1, 2))
     xs = np.concatenate([half, half[::-1]])  # palindromic in time
     _, y, _ = bidirectional_model(p, p).forward(xs)
-    npt.assert_array_equal(y[:4], y[4:])
+    npt.assert_array_equal(y[:, :4], y[:, 4:])
 
 
 def test_bidirectional_width_doubles():
     p_fwd = random_cell("lstm6", 4, 128, seed=54)
     p_bwd = random_cell("lstm6", 4, 128, seed=55)
-    xs = make_rng(540).uniform(-1, 1, size=(3, 4))
-    assert bidirectional_model(p_fwd, p_bwd).forward(xs)[1].shape == (256,)
+    xs = make_rng(540).uniform(-1, 1, size=(3, 1, 4))
+    assert bidirectional_model(p_fwd, p_bwd).forward(xs)[1].shape == (1, 256)
 
 
 def test_bidirectional_mismatched_cells_rejected():
@@ -709,7 +725,8 @@ def test_slim_forget_constant_must_be_inside_open_interval(variant, bad_f):
 
 def test_negative_forget_constant_is_allowed():
     p = random_cell("lstm6", 2, 2, seed=65, forget_const=-0.4)
-    h, c, _ = lstm6_step(p, *operands(p, np.zeros(2)), np.zeros(2), np.ones(2))
+    h, c, _ = lstm6_step(p, *operands(p, np.zeros((1, 2))),
+                         np.zeros((1, 2)), np.ones((1, 2)))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(h))
 
 

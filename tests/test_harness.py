@@ -504,6 +504,46 @@ def test_parallel_sweep_equals_sequential_sweep(tmp_path):
     assert seq["rows"] == par["rows"]
 
 
+@pytest.mark.parametrize("workers, variants, pools", [
+    (5000, ["lstm6", "lstm_c6"], [2]), (2, ["lstm6"], []), (1, ["lstm6", "lstm_c6"], [])])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, workers,
+                                                 variants, pools):
+    # a process pool forks all its workers at the first submit, so the pool's
+    # size must be capped by the grid; the fake pool runs cells in this process
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    base = tiny_config(tmp_path, out=str(tmp_path / "sweep"), epochs=1)
+    result = cmd_sweep(SweepSpec(base=base, variants=variants, hiddens=[4],
+                                 workers=workers))
+    assert made == pools
+    assert len(result["rows"]) == len(variants)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_sweep_rejects_a_worker_count_below_one_with_exit_2(tmp_path, capsys,
+                                                                 workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--variants", "lstm6", "--hiddens", "4", "--epochs", "1",
+              "--workers", workers, "--out", str(tmp_path / "sweep")])
+    assert exc.value.code == 2
+    assert f"sweep needs workers >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_survives_a_failing_cell(tmp_path, capsys):
     base = tiny_config(tmp_path, out=str(tmp_path / "sweep"))
     spec = SweepSpec(base=base, variants=["lstm6"], hiddens=[4],
@@ -577,17 +617,17 @@ def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
     xs = rng.uniform(-1, 1, size=(5, 2, 3))  # (T, B, m)
     want = np.inf
     for b in range(2):
-        h, c = np.zeros(4), np.zeros(4)
+        h, c = np.zeros((1, 4)), np.zeros((1, 4))  # one sample: a batch of one
         for x in xs[:, b]:
             if variant == "srnn":
-                a = cell.W_hx @ x + cell.W_hh @ h + cell.b_h
-                h = srnn_step(cell, *operands(cell, x), h)
+                a = cell.W_hx @ x + cell.W_hh @ h[0] + cell.b_h
+                h = srnn_step(cell, *operands(cell, x[None]), h)
                 want = min(want, np.abs(a).min())
                 continue
-            recur = cell.u_c * h if variant == "lstm_c6" else cell.U_c @ h
+            recur = cell.u_c * h[0] if variant == "lstm_c6" else cell.U_c @ h[0]
             a = cell.W_c @ x + recur + cell.b_c
-            h, c, _ = {"lstm": lstm_step, "lstm6": lstm6_step,
-                       "lstm_c6": lstmc6_step}[variant](cell, *operands(cell, x), h, c)
+            step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[variant]
+            h, c, _ = step(cell, *operands(cell, x[None]), h, c)
             want = min(want, np.abs(a).min(), np.abs(c).min())
     got = _relu_kink_margin(cell, xs, run_cell(cell, xs)[2])
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)

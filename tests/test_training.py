@@ -66,48 +66,53 @@ def test_one_hot():
 
 
 def test_bce_frozen_values():
-    loss, grad = loss_eval("bce", np.array([0.0]), np.array([1.0]))
+    (loss,), grad = loss_eval("bce", np.array([[0.0]]), np.array([[1.0]]))
     assert abs(loss - math.log(2.0)) < 1e-15
-    npt.assert_allclose(grad, [-0.5], rtol=0, atol=1e-15)
-    loss0, grad0 = loss_eval("bce", np.array([0.0]), np.array([0.0]))
+    npt.assert_allclose(grad, [[-0.5]], rtol=0, atol=1e-15)
+    (loss0,), grad0 = loss_eval("bce", np.array([[0.0]]), np.array([[0.0]]))
     assert abs(loss0 - math.log(2.0)) < 1e-15
-    npt.assert_allclose(grad0, [0.5], rtol=0, atol=1e-15)
+    npt.assert_allclose(grad0, [[0.5]], rtol=0, atol=1e-15)
 
 
 def test_cce_frozen_values():
-    loss, grad = loss_eval("cce", np.zeros(3), one_hot(0, 3))
+    (loss,), grad = loss_eval("cce", np.zeros((1, 3)), one_hot([0], 3))
     assert abs(loss - math.log(3.0)) < 1e-15
-    npt.assert_allclose(grad, [1 / 3 - 1, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+    npt.assert_allclose(grad, [[1 / 3 - 1, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
 
 
 def test_loss_input_validation():
     with pytest.raises(ValueError, match="0 or 1"):
-        loss_eval("bce", np.array([0.0]), np.array([0.5]))
-    with pytest.raises(ValueError, match="length-1"):
-        loss_eval("bce", np.zeros(2), np.zeros(2))
+        loss_eval("bce", np.array([[0.0]]), np.array([[0.5]]))
+    with pytest.raises(ValueError, match=r"\(B, 1\)"):
+        loss_eval("bce", np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError, match="one-hot"):
-        loss_eval("cce", np.zeros(3), np.array([0.5, 0.5, 0.0]))
+        loss_eval("cce", np.zeros((1, 3)), np.array([[0.5, 0.5, 0.0]]))
     with pytest.raises(ValueError, match="one-hot"):
-        loss_eval("cce", np.zeros(3), np.ones(3))
+        loss_eval("cce", np.zeros((1, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError):
-        loss_eval("mse", np.zeros(1), np.zeros(1))
+        loss_eval("mse", np.zeros((1, 1)), np.zeros((1, 1)))
+    # one sample is a batch of one: a 1-D row is refused
+    with pytest.raises(ValueError, match=r"\(B, 1\) rows, got \(1,\) and \(1,\)"):
+        loss_eval("bce", np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"\(B, k\) rows, got \(3,\) and \(3,\)"):
+        loss_eval("cce", np.zeros(3), one_hot(0, 3))
 
 
 def test_losses_nonnegative_and_clamped():
     rng = make_rng(1200)
     for _ in range(200):
-        raw = rng.uniform(-30, 30, size=1)
-        y = np.array([float(rng.integers(0, 2))])
-        loss, _ = loss_eval("bce", raw, y)
+        raw = rng.uniform(-30, 30, size=(1, 1))
+        y = np.array([[float(rng.integers(0, 2))]])
+        (loss,), _ = loss_eval("bce", raw, y)
         assert loss >= 0.0
     # perfect prediction comes arbitrarily close to zero loss
-    loss, _ = loss_eval("bce", np.array([40.0]), np.array([1.0]))
+    (loss,), _ = loss_eval("bce", np.array([[40.0]]), np.array([[1.0]]))
     assert 0.0 <= loss < 1e-11
     # the clamp keeps a hopeless prediction finite
-    loss, _ = loss_eval("bce", np.array([-1000.0]), np.array([1.0]))
+    (loss,), _ = loss_eval("bce", np.array([[-1000.0]]), np.array([[1.0]]))
     assert np.isfinite(loss) and loss <= -math.log(1e-12) + 1e-9
     for k in (2, 5):
-        loss, _ = loss_eval("cce", rng.uniform(-5, 5, size=k), one_hot(0, k))
+        (loss,), _ = loss_eval("cce", rng.uniform(-5, 5, size=(1, k)), one_hot([0], k))
         assert loss > 0.0
 
 
@@ -120,9 +125,9 @@ def test_loss_over_a_batch_axis_equals_per_row_losses(kind, k):
     losses, grads = loss_eval(kind, raw, y)
     assert losses.shape == (7,) and grads.shape == (7, k)
     for b in range(7):
-        loss, grad = loss_eval(kind, raw[b], y[b])
+        (loss,), grad = loss_eval(kind, raw[b:b + 1], y[b:b + 1])
         assert losses[b] == loss
-        npt.assert_array_equal(grads[b], grad)
+        npt.assert_array_equal(grads[b:b + 1], grad)
 
 
 @pytest.mark.parametrize("kind,k", [("bce", 1), ("cce", 4)])
@@ -130,18 +135,18 @@ def test_loss_gradient_matches_finite_differences(kind, k):
     rng = make_rng(1300)
     eps = 1e-6
     for _ in range(10):
-        raw = rng.uniform(-3, 3, size=k)
+        raw = rng.uniform(-3, 3, size=(1, k))
         if kind == "bce":
-            y = np.array([float(rng.integers(0, 2))])
+            y = np.array([[float(rng.integers(0, 2))]])
         else:
-            y = one_hot(int(rng.integers(0, k)), k)
+            y = one_hot([int(rng.integers(0, k))], k)
         _, grad = loss_eval(kind, raw, y)
         for j in range(k):
             up, dn = raw.copy(), raw.copy()
-            up[j] += eps
-            dn[j] -= eps
-            fd = (loss_eval(kind, up, y)[0] - loss_eval(kind, dn, y)[0]) / (2 * eps)
-            assert abs(grad[j] - fd) < 1e-9
+            up[0, j] += eps
+            dn[0, j] -= eps
+            fd = (loss_eval(kind, up, y)[0][0] - loss_eval(kind, dn, y)[0][0]) / (2 * eps)
+            assert abs(grad[0, j] - fd) < 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -274,12 +279,12 @@ def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
         getattr(p, name)[...] *= 1e-3
     if variant == "lstm":
         p.b_f[...] = -30.0  # forget gate ~1e-13: dc decays as fast
-    xs = rng.uniform(-1.0, 1.0, size=(300, 3))
+    xs = rng.uniform(-1.0, 1.0, size=(300, 1, 3))
     _, _, stacks = run_cell(p, xs, record=True)
     grads = {name: np.zeros_like(getattr(p, name))
              for name in ADAPTIVE_FIELDS[variant]}
-    dxs = _backward_cell(p, xs, stacks, np.ones(4), grads, "", need_dx=True)
-    size = np.abs(dxs).max(axis=1)
+    dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", need_dx=True)
+    size = np.abs(dxs[:, 0]).max(axis=1)
     flushed = int(np.argmax(size > 0))  # steps [0, flushed) were flushed
     assert 0 < flushed < len(xs) - 1, variant
     assert size[flushed:].min() > 1e-200, variant
@@ -441,32 +446,33 @@ def test_invalid_target_rejected_by_model_gradients():
 # --------------------------------------------------------------------------
 
 def per_sample_gradients(model, batch, loss_kind):
-    """Mean loss and gradients one sample at a time, each sample through
-    its own run_cell and _backward_cell calls: the chunked pass's reference."""
+    """Mean loss and gradients one sample at a time, each sample a batch of
+    one through its own run_cell and _backward_cell calls: the chunked
+    pass's reference."""
     grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
     need_dx = "emb.E" in grads
     k, n = model.out.b_y.shape[0], model.cell.n
     total = 0.0
     for i, label in enumerate(batch.labels):
-        xs = model.emb.E[batch.tokens[i]]
+        xs = model.emb.E[batch.tokens[i]][:, None]
         h, _, stacks = run_cell(model.cell, xs)
         if model.bidirectional:
             h_b, _, stacks_b = run_cell(model.cell_bwd, xs[::-1])
-            h = np.concatenate([h, h_b])
-        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
-        loss, dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+            h = np.concatenate([h, h_b], axis=-1)
+        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
+        (loss,), dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
-        grads["out.b_y"] += dy
-        dh = model.out.W_hy.T @ dy
-        dxs = _backward_cell(model.cell, xs, stacks, dh[:n], grads, "fwd.", need_dx)
+        grads["out.b_y"] += dy[0]
+        dh = dy @ model.out.W_hy
+        dxs = _backward_cell(model.cell, xs, stacks, dh[:, :n], grads, "fwd.", need_dx)
         if model.bidirectional:
-            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks_b, dh[n:], grads,
+            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks_b, dh[:, n:], grads,
                                   "bwd.", need_dx)
             if need_dx:
                 dxs = dxs + dx_b[::-1]
         if need_dx:
-            np.add.at(grads["emb.E"], batch.tokens[i], dxs)
+            np.add.at(grads["emb.E"], batch.tokens[i], dxs[:, 0])
     for g in grads.values():
         g /= len(batch)
     if need_dx:
@@ -477,7 +483,7 @@ def per_sample_gradients(model, batch, loss_kind):
 def sample_bytes(cells, T):
     """Bytes run_cell records for one sample over T steps of each cell."""
     return sum(8 * math.prod(s) for cell in cells
-               for s in record_shapes(cell, T, (1,)) if s is not None)
+               for s in record_shapes(cell, T, 1) if s is not None)
 
 
 def chunk_budget(model, T, rows):
@@ -513,17 +519,17 @@ def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
 def test_a_bidirectional_forward_records_into_given_columns_with_the_same_bits():
     T, b, j = 6, 3, 2
     model = small_model("lstm6", 3, 4, seed=3323, act="tanh", bidirectional=True)
-    xs = make_rng(3324).uniform(-1.0, 1.0, (T, 3))
+    xs = make_rng(3324).uniform(-1.0, 1.0, (T, 1, 3))
     y, h, want = model.forward(xs, record=True)
-    chunk = [record_arrays(cell, T, (b,)) for cell, _, _ in model.directions]
-    columns = [[a[:, j] for a in arrays] for arrays in chunk]
+    chunk = [record_arrays(cell, T, b) for cell, _, _ in model.directions]
+    columns = [[a[:, j:j + 1] for a in arrays] for arrays in chunk]
     got_y, got_h, got = model.forward(xs, record=columns)
     npt.assert_array_equal(got_y, y)
     npt.assert_array_equal(got_h, h)
     for arrays, stacks, recorded in zip(chunk, got, want):  # fwd, then bwd
         for a, g, w in zip(arrays, stacks, recorded):
             assert np.shares_memory(g, a)
-            npt.assert_array_equal(a[:, j], w)
+            npt.assert_array_equal(a[:, j:j + 1], w)
     with pytest.raises(ValueError):  # one set of arrays per direction
         model.forward(xs, record=columns[:1])
 
@@ -590,16 +596,16 @@ def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
     total = 0.0
     for i, label in enumerate(batch.labels):
         xs = model.emb.E[batch.tokens[i]]
-        runs = [run_cell(p, xs[::step]) for _, p, step in cells]
-        h = np.concatenate([h_T for h_T, _, _ in runs])
-        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
-        loss, dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+        runs = [run_cell(p, xs[::step, None]) for _, p, step in cells]  # a batch of one
+        h = np.concatenate([h_T for h_T, _, _ in runs], axis=-1)
+        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
+        (loss,), (dy,) = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy
         dh_T = model.out.W_hy.T @ dy
         for j, (prefix, p, step) in enumerate(cells):
-            H, _, c_tilde = runs[j][2]
+            H, _, c_tilde = (a[:, 0] for a in runs[j][2])
             seq = xs[::step]
             dh, dc, dxs = dh_T[j * n:(j + 1) * n], np.zeros(n), np.zeros_like(seq)
             for t in range(T - 1, -1, -1):
@@ -705,13 +711,13 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_bytes_is_what_run_cell_records_per_sample_step(variant):
+def test_record_shapes_are_what_run_cell_records(variant):
     # CACHE_BUDGET sizes chunks by record_shapes: it must match the stacks
     T, B = 6, 3
     p = init_cell(variant, 3, 4, "tanh", 0.59, make_rng(3340))
     stacks = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
     assert [None if a is None else a.shape for a in stacks] == list(
-        record_shapes(p, T, (B,)))
+        record_shapes(p, T, B))
     recorded = sum(a.nbytes for a in stacks if a is not None)
     assert recorded == B * sample_bytes([p], T)
 
@@ -907,14 +913,14 @@ def per_sample_evaluate(model, batch, loss_kind):
     k = model.out.b_y.shape[0]
     total, correct = 0.0, 0
     for tokens, label in zip(batch.tokens, batch.labels):
-        xs = model.emb.E[tokens]
+        xs = model.emb.E[tokens][:, None]  # a batch of one
         h, _, _ = run_cell(model.cell, xs)
         if model.cell_bwd is not None:
-            h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])[0]])
+            h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])[0]], axis=-1)
         y_raw = output_layer_apply(model.out, h)
-        target = np.array([float(label)]) if loss_kind == "bce" else one_hot(label, k)
-        total += loss_eval(loss_kind, y_raw, target)[0]
-        pred = int(y_raw[0] >= 0.0) if loss_kind == "bce" else int(np.argmax(y_raw))
+        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
+        total += loss_eval(loss_kind, y_raw, target)[0][0]
+        pred = int(y_raw[0, 0] >= 0.0) if loss_kind == "bce" else int(np.argmax(y_raw))
         correct += int(pred == label)
     return total / len(batch), correct / len(batch)
 
@@ -965,6 +971,31 @@ def test_evaluate_slices_follow_the_byte_budget(monkeypatch, budget, slices):
     monkeypatch.setattr(training, "EVAL_BUDGET", budget)
     evaluate(model, batch, "bce")
     assert seen == slices
+
+
+@pytest.mark.parametrize("variant,bidirectional,shape,rows", [
+    ("srnn", False, "desk", 934), ("lstm", False, "desk", 672),
+    ("lstm6", False, "desk", 827), ("lstm_c6", False, "desk", 827),
+    ("lstm6", True, "desk", 672),
+    ("srnn", False, "paper", 42), ("lstm", False, "paper", 40),
+    ("lstm6", False, "paper", 41), ("lstm_c6", False, "paper", 41),
+    ("lstm6", True, "paper", 40)])
+def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirectional,
+                                                 shape, rows):
+    # the rows per slice that EVAL_BUDGET gives each benchmark model, from the
+    # per-row bytes evaluate derives from record_shapes and the stacked bias
+    m, n, T = {"desk": (16, 32, 40), "paper": (32, 100, 500)}[shape]
+    model = small_model(variant, m, n, seed=3662, vocab=50, bidirectional=bidirectional)
+    batch = token_batch(3663, B=rows + 1, T=T, vocab=50)
+    seen = []
+
+    def spy(kind, y_raw, y_true):
+        seen.append(len(y_raw))
+        return loss_eval(kind, y_raw, y_true)
+
+    monkeypatch.setattr(training, "loss_eval", spy)
+    evaluate(model, batch, "bce")
+    assert seen == [rows, 1]
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
