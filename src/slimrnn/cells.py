@@ -279,6 +279,7 @@ def init_output(rng: np.random.Generator, in_dim: int, out_dim: int) -> OutputLa
 
 
 def output_layer_apply(out: OutputLayer, h: np.ndarray) -> np.ndarray:
+    """Raw outputs (B, k) of the final states h, (B, n) rows."""
     return matvec(out.W_hy, h) + out.b_y
 
 
@@ -317,7 +318,7 @@ def record_arrays(p: CellParams, T: int, B: int) -> tuple:
 
 
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None, record=True):
+             c0: np.ndarray | None = None, record=True, gates=None):
     """Drive one cell across a whole sequence.
 
     xs is time-major, (T, B, m): B samples stepped together, one sample
@@ -336,6 +337,10 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     record, stacks is None and the steps alternate between two
     preallocated states. Either way h0 and c0 are copied, never written,
     and h_T and c_T are views of those buffers.
+
+    gates is the cell's (W, R, b) as stack_gates(p, transposed=True) gives
+    them, for a caller that runs the same cell many times and lays it out
+    once; without it run_cell lays the cell out itself, with the same bits.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3 or xs.shape[-1] != p.m:
@@ -355,7 +360,7 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
             got = None if a is None else a.shape
             if got != want:
                 raise ValueError(f"record array {what} has shape {got}, expected {want}")
-    W, R, b = stack_gates(p, transposed=True)
+    W, R, b = stack_gates(p, transposed=True) if gates is None else gates
     terms = _input_terms(W, b, xs)
     # Each step writes into the next row of the stacks when recording; else
     # the steps alternate between two rows.

@@ -21,13 +21,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y[..., i] = sum_j a[i, j] x[..., j], for x of shape (..., cols).
+    """y[b, i] = sum_j a[i, j] x[b, j], for x of shape (B, cols): one row
+    per sample, a single sample being a batch of one.
 
     Computed as x @ a.T; ndarray.dot gives the same product with less
     per-call dispatch than the @ operator on these small operands.
     """
-    if a.ndim != 2 or x.ndim < 1 or a.shape[1] != x.shape[-1]:
-        raise ValueError(f"matvec shape mismatch: matrix {a.shape} vs vector {x.shape}")
+    if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[1]:
+        raise ValueError(f"matvec shape mismatch: matrix {a.shape} vs {x.shape}, "
+                         f"expected (B, n) rows with n = {a.shape[-1]}")
     return x.dot(a.T)
 
 

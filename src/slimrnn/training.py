@@ -4,8 +4,9 @@ gradient oracle, optimizers, and the epoch loop.
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
 the stacked arrays run_cell records: a minibatch is walked in chunks
-whose stacks fit CACHE_BUDGET bytes, each sample's forward pass records
-straight into one column of its chunk's arrays, and one reverse pass per
+whose stacks fit CACHE_BUDGET bytes, each sample's run_cell call per
+direction records straight into one column of its chunk's arrays, with
+the direction's cell laid out once per call, and one reverse pass per
 chunk and direction carries the state gradients and writes each step's
 pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
 lstm_c6, whose recurrence is element-wise, one running product over
@@ -59,12 +60,14 @@ EVAL_BUDGET = 21 << 18
 CACHE_BUDGET = 3 << 20
 
 
-def one_hot(label, k: int) -> np.ndarray:
-    """One-hot rows, label.shape + (k,): (B, k) for B labels."""
-    label = np.asarray(label)
-    if label.size and (label.min() < 0 or label.max() >= k):
-        raise ValueError(f"label {label} outside [0, {k})")
-    return (label[..., None] == np.arange(k)).astype(np.float64)
+def one_hot(labels, k: int) -> np.ndarray:
+    """One-hot rows, (B, k), for a (B,) array of labels."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"one_hot needs a (B,) array of labels, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label {labels} outside [0, {k})")
+    return (labels[:, None] == np.arange(k)).astype(np.float64)
 
 
 def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
@@ -148,20 +151,17 @@ class SequenceClassifier:
             d[f"out.{name}"] = arr
         return d
 
-    def forward(self, xs: np.ndarray, record=False):
+    def forward(self, xs: np.ndarray, record: bool = False):
         """The model's one forward pass over time-major inputs xs, (T, B, m),
         one sample being a batch of one: each direction's cell over
         xs in its time order, then the readout of their final states
         [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
         read, stacks lists each direction's run_cell stacks (None unless
         record is set) in directions order; the backward direction's
-        stacks run over reversed time. record may also list, in directions
-        order, the (H, C, aux) arrays each direction records into (see
-        run_cell).
+        stacks run over reversed time.
         """
-        into = [record] * len(self.directions) if isinstance(record, bool) else record
-        runs = [run_cell(cell, xs[::step], record=rec)
-                for (cell, _, step), rec in zip(self.directions, into, strict=True)]
+        runs = [run_cell(cell, xs[::step], record=record)
+                for cell, _, step in self.directions]
         h = runs[0][0] if len(runs) == 1 else np.concatenate([r[0] for r in runs], -1)
         return output_layer_apply(self.out, h), h, [r[2] for r in runs]
 
@@ -272,13 +272,14 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
     bytes being what run_cell records for one sample over every direction
     (_stack_bytes). Each direction's (T+1, b, n) / (T, b, width) arrays
-    are allocated once per call and serve every chunk, a short last chunk
-    its leading columns, so the pass holds one chunk's stacks and no more.
-    A chunk's inputs are gathered once as (T, b, m); sample j runs its own
-    forward pass on columns j:j+1, a batch of one, recording straight into
-    those columns of the arrays and writing its raw output into row j of a
-    (b, k) array. Each chunk then takes one loss_eval call on its (b, k)
-    rows, one readout gradient product over the directions' final states
+    and its stack_gates(cell, transposed=True) layout are made once per
+    call and serve every chunk, a short last chunk the arrays' leading
+    columns, so the pass holds one chunk's stacks and no more. A chunk's
+    inputs are gathered once as (T, b, m); sample j runs run_cell per
+    direction on columns j:j+1, a batch of one, recording straight into
+    those columns, and the readout of row j of the final states H[-1]
+    gives row j of the chunk's (b, k) raw outputs. Each chunk then takes
+    one loss_eval call on those rows, one readout gradient product over
     H[-1], one reverse pass per direction and one embedding scatter.
     Losses add in sample order, as in a per-sample loop; the gradients sum
     in chunk-product order.
@@ -294,6 +295,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     targets = _targets(loss_kind, batch.labels, out_dim)
     rows = min(B, max(1, CACHE_BUDGET // _stack_bytes(model, T)))
     stacks = [record_arrays(cell, T, rows) for cell, _, _ in model.directions]
+    layouts = [stack_gates(cell, transposed=True) for cell, _, _ in model.directions]
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
@@ -302,15 +304,21 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
         chunk = [[None if a is None else a[:, :b] for a in s] for s in stacks]
         # The forward stays per sample: perfbench's traced counts pin one step
-        # call per sample-step. Batching it means one model.forward(X,
-        # record=chunk) in place of this loop once those counts move.
+        # call per sample-step (ROADMAP item 1). Batched, it is one
+        # run_cell(cell, X[::step], record=arrays, gates=gates) per chunk and
+        # direction. The readout stays per sample too: one (b, width) product
+        # may sum in another order than b 1-row ones, moving a loss's last bit.
+        for (cell, _, step), arrays, gates in zip(model.directions, chunk, layouts):
+            for j in range(b):
+                run_cell(cell, X[::step, j:j + 1], gates=gates,
+                         record=[None if a is None else a[:, j:j + 1] for a in arrays])
+        h = np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)  # (b, width)
         for j in range(b):
-            columns = [[None if a is None else a[:, j:j + 1] for a in s] for s in chunk]
-            Y[j:j + 1] = model.forward(X[:, j:j + 1], record=columns)[0]
+            Y[j:j + 1] = output_layer_apply(model.out, h[j:j + 1])
         losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
         for loss in losses:
             total += float(loss)
-        grads["out.W_hy"] += dY.T @ np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)
+        grads["out.W_hy"] += dY.T @ h
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
         for k, ((cell, prefix, step), arrays) in enumerate(zip(model.directions, chunk)):

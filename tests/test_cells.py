@@ -401,10 +401,13 @@ def test_run_sequence_caches_replay_the_forward_pass():
 
 def test_output_layer_apply_known_values():
     out = OutputLayer(W_hy=np.zeros((1, 3)), b_y=np.array([0.3]))
-    npt.assert_array_equal(output_layer_apply(out, np.ones(3)), [0.3])
+    npt.assert_array_equal(output_layer_apply(out, np.ones((1, 3))), [[0.3]])
     eye = OutputLayer(W_hy=np.eye(3), b_y=np.zeros(3))
-    h = np.array([0.1, -0.2, 0.7])
+    h = np.array([[0.1, -0.2, 0.7]])
     npt.assert_array_equal(output_layer_apply(eye, h), h)
+    # one state is a batch of one: a 1-D state is refused
+    with pytest.raises(ValueError, match=r"\(B, n\) rows with n = 3"):
+        output_layer_apply(out, np.ones(3))
     with pytest.raises(ValueError):
         OutputLayer(W_hy=np.zeros((2, 3)), b_y=np.zeros(3))
 
@@ -566,6 +569,15 @@ def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(varia
         assert np.shares_memory(g, a)
         npt.assert_array_equal(a[:, j:j + 1], w)
         assert np.isnan(np.delete(a, j, axis=1)).all()  # other columns untouched
+    # the caller's layout gives the bytes run_cell's own does, recording or not
+    gates = stack_gates(p, transposed=True)
+    again = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, b)]
+    for record in ([None if a is None else a[:, j:j + 1] for a in again], False):
+        given_h, given_c, _ = run_cell(p, xs, h0, c0, record=record, gates=gates)
+        assert given_h.tobytes() == h.tobytes()
+        assert given_c is None if c is None else given_c.tobytes() == c.tobytes()
+    for a, g in zip(chunk, again):
+        assert a is None and g is None or a.tobytes() == g.tobytes()
 
 
 def test_record_arrays_follow_record_shapes():

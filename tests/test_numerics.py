@@ -30,8 +30,8 @@ def loop_matvec(a, x):
 
 def test_matvec_known_value():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(matvec(a, np.array([1.0, 1.0])), [3.0, 7.0])
-    npt.assert_array_equal(matvec(a, np.array([0.0, 0.0])), [0.0, 0.0])
+    npt.assert_array_equal(matvec(a, np.array([[1.0, 1.0]])), [[3.0, 7.0]])
+    npt.assert_array_equal(matvec(a, np.array([[0.0, 0.0]])), [[0.0, 0.0]])
 
 
 def test_matvec_matches_loop_oracle():
@@ -40,8 +40,8 @@ def test_matvec_matches_loop_oracle():
         rows = int(rng.integers(1, 12))
         cols = int(rng.integers(1, 12))
         a = rng.uniform(-2.0, 2.0, size=(rows, cols))
-        x = rng.uniform(-2.0, 2.0, size=cols)
-        npt.assert_allclose(matvec(a, x), loop_matvec(a, x), rtol=0, atol=1e-12)
+        x = rng.uniform(-2.0, 2.0, size=(1, cols))
+        npt.assert_allclose(matvec(a, x), [loop_matvec(a, x[0])], rtol=0, atol=1e-12)
 
 
 def test_matvec_distributes_over_addition():
@@ -50,16 +50,19 @@ def test_matvec_distributes_over_addition():
         rows = int(rng.integers(1, 33))
         cols = int(rng.integers(1, 33))
         a = rng.uniform(-1.0, 1.0, size=(rows, cols))
-        x = rng.uniform(-1.0, 1.0, size=cols)
-        y = rng.uniform(-1.0, 1.0, size=cols)
+        x = rng.uniform(-1.0, 1.0, size=(1, cols))
+        y = rng.uniform(-1.0, 1.0, size=(1, cols))
         npt.assert_allclose(matvec(a, x + y), matvec(a, x) + matvec(a, y),
                             rtol=0, atol=1e-12)
 
 
 def test_matvec_shape_mismatch_names_both_shapes():
     a = np.zeros((3, 2))
-    with pytest.raises(ValueError, match=r"\(3, 2\).*\(4,\)"):
-        matvec(a, np.zeros(4))
+    with pytest.raises(ValueError, match=r"\(3, 2\).*\(1, 4\)"):
+        matvec(a, np.zeros((1, 4)))
+    # one sample is a batch of one: a 1-D vector is refused
+    with pytest.raises(ValueError, match=r"\(3, 2\) vs \(2,\), expected \(B, n\)"):
+        matvec(a, np.zeros(2))
 
 
 def test_matvec_over_a_batch_axis_applies_to_every_row():

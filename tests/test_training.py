@@ -10,8 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
-                           output_layer_apply, record_arrays, record_shapes,
-                           run_cell)
+                           output_layer_apply, record_shapes, run_cell,
+                           stack_gates)
 from slimrnn import training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.numerics import ACTIVATIONS, make_rng
@@ -58,11 +58,14 @@ def token_batch(seed, B, T, vocab=7, n_classes=2):
 # --------------------------------------------------------------------------
 
 def test_one_hot():
-    npt.assert_array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
+    npt.assert_array_equal(one_hot([1], 3), [[0.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
-        one_hot(3, 3)
+        one_hot([3], 3)
     with pytest.raises(ValueError):
-        one_hot(-1, 3)
+        one_hot([-1], 3)
+    # one label is a batch of one: a scalar label is refused
+    with pytest.raises(ValueError, match=r"\(B,\) array of labels, got shape \(\)"):
+        one_hot(1, 3)
 
 
 def test_bce_frozen_values():
@@ -95,7 +98,7 @@ def test_loss_input_validation():
     with pytest.raises(ValueError, match=r"\(B, 1\) rows, got \(1,\) and \(1,\)"):
         loss_eval("bce", np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match=r"\(B, k\) rows, got \(3,\) and \(3,\)"):
-        loss_eval("cce", np.zeros(3), one_hot(0, 3))
+        loss_eval("cce", np.zeros(3), one_hot([0], 3)[0])
 
 
 def test_losses_nonnegative_and_clamped():
@@ -516,24 +519,6 @@ def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
             assert params[prefix + name] is arr
 
 
-def test_a_bidirectional_forward_records_into_given_columns_with_the_same_bits():
-    T, b, j = 6, 3, 2
-    model = small_model("lstm6", 3, 4, seed=3323, act="tanh", bidirectional=True)
-    xs = make_rng(3324).uniform(-1.0, 1.0, (T, 1, 3))
-    y, h, want = model.forward(xs, record=True)
-    chunk = [record_arrays(cell, T, b) for cell, _, _ in model.directions]
-    columns = [[a[:, j:j + 1] for a in arrays] for arrays in chunk]
-    got_y, got_h, got = model.forward(xs, record=columns)
-    npt.assert_array_equal(got_y, y)
-    npt.assert_array_equal(got_h, h)
-    for arrays, stacks, recorded in zip(chunk, got, want):  # fwd, then bwd
-        for a, g, w in zip(arrays, stacks, recorded):
-            assert np.shares_memory(g, a)
-            npt.assert_array_equal(a[:, j:j + 1], w)
-    with pytest.raises(ValueError):  # one set of arrays per direction
-        model.forward(xs, record=columns[:1])
-
-
 @pytest.mark.parametrize("variant,loss_kind,bidirectional,inputs", [
     ("srnn", "bce", False, "trainable"), ("srnn", "cce", True, "vector"),
     ("lstm", "cce", True, "frozen"), ("lstm", "bce", False, "vector"),
@@ -687,6 +672,27 @@ def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_k
         calls.clear()
         model_gradients(model, batch, loss_kind)
         assert calls == [(loss_kind, (b, k), (b, k)) for b in chunks]
+
+
+@pytest.mark.parametrize("variant,bidirectional", [("lstm", False), ("lstm6", True)])
+@pytest.mark.parametrize("B", [1, 9])
+def test_each_direction_is_laid_out_once_per_call(monkeypatch, variant, bidirectional, B):
+    # _backward_cell's untransposed layout, one per chunk, is not counted
+    T = 5
+    model = small_model(variant, 3, 4, seed=3328, act="tanh", bidirectional=bidirectional)
+    batch = token_batch(3329, B, T)
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 2))
+    laid_out = []
+
+    def spy(p, transposed=False):
+        if transposed:
+            laid_out.append(id(p))
+        return stack_gates(p, transposed)
+
+    monkeypatch.setattr("slimrnn.training.stack_gates", spy)
+    monkeypatch.setattr("slimrnn.cells.stack_gates", spy)
+    model_gradients(model, batch, "bce")
+    assert laid_out == [id(cell) for cell, _, _ in model.directions]
 
 
 def traced_peak(fn, *args):
