@@ -49,20 +49,29 @@ def activate(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activate_grad_from_output(kind: str, y: np.ndarray) -> np.ndarray:
-    """Activation derivative expressed through the output y = activate(x).
+def activate_grad_from_output(kind: str, y: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Activation derivative expressed through the output y = activate(x),
+    into out when given. out must not overlap y: sigmoid reads y after
+    writing out.
 
     sigmoid: y(1-y); tanh: 1-y^2; relu: 1 where y > 0 else 0. Phrasing
     the derivative in terms of the output lets backward passes reuse
     forward caches without storing pre-activations.
     """
+    if kind not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {kind!r}")
+    if out is None:
+        out = np.empty(np.shape(y))
+    elif np.shares_memory(out, y):
+        raise ValueError("activate_grad_from_output: out overlaps y")
     if kind == "sigmoid":
-        return y * (1.0 - y)
+        np.subtract(1.0, y, out=out)
+        return np.multiply(out, y, out=out)
     if kind == "tanh":
-        return 1.0 - y * y
-    if kind == "relu":
-        return (y > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {kind!r}")
+        np.multiply(y, y, out=out)
+        return np.subtract(1.0, out, out=out)
+    return np.greater(y, 0.0, out=out)
 
 
 def init_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -4,16 +4,20 @@ gradient oracle, optimizers, and the epoch loop.
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
 the stacked arrays run_cell records: a minibatch is walked in chunks
-whose stacks fit CACHE_BUDGET bytes, each sample's run_cell call per
-direction records straight into one column of its chunk's arrays, with
-the direction's cell laid out once per call, and one reverse pass per
-chunk and direction carries the state gradients and writes each step's
+whose stacks, reverse-pass work array, inputs and input gradient fit
+CACHE_BUDGET bytes, each sample's run_cell call per direction records
+straight into one column of its chunk's arrays, with the direction's
+cell laid out once per call, and one reverse pass per chunk and
+direction carries the state gradients and writes each step's
 pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
 lstm_c6, whose recurrence is element-wise, one running product over
-time. Each weight gradient is then one matrix product over all steps of
-the chunk. Every gradient path here is certified against central finite
-differences in the test suite, so treat the two implementations as
-independent and never "fix" one by copying from the other.
+time. The pass writes its derivative factors into the work array and the
+spent aux stack, both allocated once per call, so it allocates nothing
+else of the stacks' size. Each weight gradient is then one matrix
+product over all steps of the chunk. Every gradient path here is
+certified against central finite differences in the test suite, so treat
+the two implementations as independent and never "fix" one by copying
+from the other.
 """
 
 from __future__ import annotations
@@ -49,15 +53,18 @@ GradientSet = dict
 # slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
 EVAL_BUDGET = 21 << 18
 
-# Bytes of recorded stacks one model_gradients chunk may hold. Every sample
-# in a chunk shares one reverse pass, which amortizes its per-step dispatch;
-# a sequence whose stacks alone pass the budget runs as a chunk of one. At
-# the paper shape (m=32, n=100, T=500) 3 MiB gives lstm6 and lstm_c6 chunks
-# of 2 samples and srnn 7, while lstm and bidirectional lstm6 stay at 1; the
-# paper benchmark's peak RSS rose 2.4% over a 1 MiB budget. It is the
-# largest budget that keeps that rise under 3%: from 3.06 MiB srnn takes 8
-# samples and the rise was 4%.
-CACHE_BUDGET = 3 << 20
+# Bytes one model_gradients chunk may hold: its recorded stacks, the work
+# array of the reverse pass, and its gathered inputs and input gradient
+# (_row_bytes). Every sample in a chunk shares one reverse pass, which
+# amortizes its per-step dispatch; a sequence that alone passes the budget
+# runs as a chunk of one. At the paper shape (m=32, n=100, T=500) 6.5 MiB
+# gives chunks of 6 samples for srnn, 3 for lstm6 and lstm_c6, 2 for
+# bidirectional lstm6 and 1 for lstm; a 32-sample model_gradients call then
+# peaks under tracemalloc at srnn 8.3 MiB, lstm 7.0, lstm6 7.2, lstm_c6 7.0
+# and lstm6 bidir 8.1 MiB. It sits between the row counts' edges: from
+# 5.84 MiB bidirectional lstm6 takes 2 rows, and from 7.05 MiB srnn takes 7
+# (8.6 MiB at 8 samples, near the memory guard) and lstm6 4.
+CACHE_BUDGET = 13 << 19
 
 
 def one_hot(labels, k: int) -> np.ndarray:
@@ -179,31 +186,65 @@ def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
     return one_hot(labels, out_dim)
 
 
+def _work_shape(p: CellParams, T: int, B: int) -> tuple:
+    """Shape of the array _backward_cell writes its derivative factors into:
+    one (B, width) row per step, width being the cell's stacked gates (4n
+    for lstm, n for the others)."""
+    return T, B, (4 if p.variant == "lstm" else 1) * p.n
+
+
+def _row_bytes(model: SequenceClassifier, T: int) -> int:
+    """Bytes per sample of everything a model_gradients chunk holds: every
+    direction's stacks, the work array the directions share, and the
+    chunk's (T, b, m) inputs and input gradient."""
+    return (_stack_bytes(model, T) + 8 * math.prod(_work_shape(model.cell, T, 1))
+            + 2 * 8 * T * model.cell.m)
+
+
+def _leading(a: np.ndarray, b: int) -> np.ndarray:
+    """The start of a (T, rows, w) buffer's memory as a C-contiguous
+    (T, b, w) array, b <= rows: a short last chunk reshapes to (T b, w)
+    rows as a view, as a full one does."""
+    T, rows, w = a.shape
+    return a if b == rows else a.reshape(-1)[:T * b * w].reshape(T, b, w)
+
+
 def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
-                   grads: GradientSet, prefix: str, need_dx: bool):
+                   grads: GradientSet, prefix: str, need_dx: bool,
+                   gates=None, work: np.ndarray | None = None):
     """Backpropagate dh (gradient at the final hidden state) through the
     stacks run_cell recorded over xs, accumulating into grads. Returns
     the gradient with respect to xs, or None when not requested.
 
     The derivative factors are computed once per sequence into D, one row
-    per step. For srnn, lstm and lstm6 a reverse loop carries only dh and
-    dc and scales each row in place into that step's pre-activation delta.
-    lstm_c6's Jacobian is diagonal, so its carried dc obeys a linear
-    recurrence, dc_t = dc_{t+1} G[t], and one multiply.accumulate over
-    reversed time gives every step's dc at once (the scan view of linear
-    recurrences; Martin & Cundy, 2018). Either way the carried gradient is
-    zeroed from the latest step whose squared norm over the chunk is below
-    _UNDERFLOW back to the start. The weight gradients then come from all
-    rows at once: gW += D^T X, gR += D^T H[:-1] (lstm_c6: the column sums
-    of D * H[:-1]), gb += column sums of D. Rows carry the chunk's batch
-    axis: everything after the reverse pass works on (T b, width) views.
+    per step, and D is work when given (shaped by _work_shape); gates is
+    the cell's untransposed stack_gates(p), for a caller that lays the
+    cell out once. Nothing else of the stacks' size is allocated: the
+    factors the pass reads besides D go into the aux stack once its
+    values are spent (lstm's s = act(c_t) and dc/dh in the i and c_tilde
+    blocks, the slim cells' act'(h_t) in place of c_tilde), so the
+    stacks are not valid after the call. For srnn, lstm and lstm6 a
+    reverse loop carries only dh and dc and scales each row in place into
+    that step's pre-activation delta. lstm_c6's Jacobian is diagonal, so
+    its carried dc obeys a linear recurrence, dc_t = dc_{t+1} G[t], and
+    one multiply.accumulate over reversed time gives every step's dc at
+    once (the scan view of linear recurrences; Martin & Cundy, 2018).
+    Either way the carried gradient is zeroed from the latest step whose
+    squared norm over the chunk is below _UNDERFLOW back to the start.
+    The weight gradients then come from all rows at once: gW += D^T X,
+    gR += D^T H[:-1] (lstm_c6: the column sums of D * H[:-1], formed in
+    the spent G), gb += column sums of D. Rows carry the chunk's batch
+    axis: everything after the reverse pass works on (T b, width) views,
+    and xs reshapes as a view when it is C-contiguous (a reversed
+    direction's xs is copied).
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
-    W, R, _ = stack_gates(p)
+    W, R, _ = stack_gates(p) if gates is None else gates
     T, n = len(xs), p.n
+    D = np.empty(_work_shape(p, T, xs.shape[1])) if work is None else work
     if p.variant == "srnn":
-        D = activate_grad_from_output(p.act, H[1:])
+        activate_grad_from_output(p.act, H[1:], out=D)
         for t in range(T - 1, -1, -1):
             d = D[t]
             d *= dh
@@ -212,12 +253,16 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
                 dh[...] = 0.0
     elif p.variant == "lstm":
         i, f, o, c_tilde = (aux[..., k * n:(k + 1) * n] for k in range(4))
-        s = activate(p.act, C[1:])
-        dc_dh = o * activate_grad_from_output(p.act, s)
-        D = activate_grad_from_output("sigmoid", aux)  # the c block is redone below
-        D[..., 3 * n:] = activate_grad_from_output(p.act, c_tilde)
-        for k, factor in enumerate((c_tilde, C[:-1], s, i)):
-            D[..., k * n:(k + 1) * n] *= factor
+        D_i, D_f, D_o, D_c = (D[..., k * n:(k + 1) * n] for k in range(4))
+        activate_grad_from_output("sigmoid", aux[..., :3 * n], out=D[..., :3 * n])
+        activate_grad_from_output(p.act, c_tilde, out=D_c)
+        D_i *= c_tilde
+        D_f *= C[:-1]
+        D_c *= i
+        s = activate(p.act, C[1:], out=i)  # i and c_tilde are spent
+        D_o *= s
+        dc_dh = activate_grad_from_output(p.act, s, out=c_tilde)
+        dc_dh *= o
         dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
             dc += dh * dc_dh[t]
@@ -229,8 +274,8 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
             dh = d.dot(R)
             dc *= f[t]
     elif p.variant == "lstm6":  # i = o = 1, f constant, h_t = act(c_t)
-        dc_dh = activate_grad_from_output(p.act, H[1:])
-        D = activate_grad_from_output(p.act, aux)
+        activate_grad_from_output(p.act, aux, out=D)
+        dc_dh = activate_grad_from_output(p.act, H[1:], out=aux)
         dc = np.zeros_like(dh)
         for t in range(T - 1, -1, -1):
             dc += dh * dc_dh[t]
@@ -242,8 +287,8 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
             dc *= p.forget_const
     else:  # lstm_c6: dc_{T-1} = dh act'(c_T) and dc_t = dc_{t+1} G[t] before it,
         # G[t] = f + u_c D[t+1] act'(c_{t+1}); the accumulate turns G[t] into dc_t
-        G = activate_grad_from_output(p.act, H[1:])
-        D = activate_grad_from_output(p.act, aux)
+        activate_grad_from_output(p.act, aux, out=D)
+        G = activate_grad_from_output(p.act, H[1:], out=aux)
         G[-1] *= dh
         G[:-1] *= D[1:]
         G[:-1] *= R
@@ -254,15 +299,17 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
         if small.size:  # the latest such step and every earlier one
             G[:small[-1] + 1] = 0.0
         D *= G
-    D = D.reshape(-1, D.shape[-1])
-    H_prev = H[:-1].reshape(-1, n)
-    gW, gb = D.T @ xs.reshape(-1, p.m), D.sum(axis=0)
-    gR = (D * H_prev).sum(axis=0) if p.variant == "lstm_c6" else D.T @ H_prev
+    rows = D.reshape(-1, D.shape[-1])
+    gW, gb = rows.T @ xs.reshape(-1, p.m), rows.sum(axis=0)
+    if p.variant == "lstm_c6":
+        gR = np.multiply(D, H[:-1], out=aux).reshape(-1, n).sum(axis=0)
+    else:
+        gR = rows.T @ H[:-1].reshape(-1, n)
     for k in range(len(names) // 3):
-        rows = slice(k * n, (k + 1) * n)
+        block = slice(k * n, (k + 1) * n)
         for name, g in zip(names[3 * k:3 * k + 3], (gW, gR, gb)):
-            grads[prefix + name] += g[rows]
-    return (D @ W).reshape(xs.shape) if need_dx else None
+            grads[prefix + name] += g[block]
+    return (rows @ W).reshape(xs.shape) if need_dx else None
 
 
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
@@ -270,19 +317,24 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     model.param_arrays().
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
-    bytes being what run_cell records for one sample over every direction
-    (_stack_bytes). Each direction's (T+1, b, n) / (T, b, width) arrays
-    and its stack_gates(cell, transposed=True) layout are made once per
-    call and serve every chunk, a short last chunk the arrays' leading
-    columns, so the pass holds one chunk's stacks and no more. A chunk's
+    bytes being what the pass holds per sample (_row_bytes): the stacks
+    run_cell records over every direction, the work array _backward_cell
+    writes its factors into, and the chunk's inputs and input gradient.
+    Each direction's (T+1, b, n) / (T, b, width) arrays, the work array
+    and each direction's two stack_gates layouts (transposed for run_cell,
+    untransposed for _backward_cell) are made once per call and serve
+    every chunk and direction, a short last chunk the arrays' leading
+    memory, so the pass holds one chunk's stacks and no more. A chunk's
     inputs are gathered once as (T, b, m); sample j runs run_cell per
     direction on columns j:j+1, a batch of one, recording straight into
     those columns, and the readout of row j of the final states H[-1]
     gives row j of the chunk's (b, k) raw outputs. Each chunk then takes
     one loss_eval call on those rows, one readout gradient product over
-    H[-1], one reverse pass per direction and one embedding scatter.
-    Losses add in sample order, as in a per-sample loop; the gradients sum
-    in chunk-product order.
+    H[-1], one reverse pass per direction, adding each direction's input
+    gradient into the first one's, and one embedding scatter. Losses add
+    in sample order, as in a per-sample loop; the gradients sum in
+    chunk-product order, so they move in the last bits when the rows per
+    chunk change.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -293,22 +345,24 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     n = model.cell.n
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
-    rows = min(B, max(1, CACHE_BUDGET // _stack_bytes(model, T)))
+    rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
     stacks = [record_arrays(cell, T, rows) for cell, _, _ in model.directions]
-    layouts = [stack_gates(cell, transposed=True) for cell, _, _ in model.directions]
+    work = np.empty(_work_shape(model.cell, T, rows))
+    layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
+               for cell, _, _ in model.directions]
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
         Y = np.empty((b, out_dim))
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
-        chunk = [[None if a is None else a[:, :b] for a in s] for s in stacks]
+        chunk = [[None if a is None else _leading(a, b) for a in s] for s in stacks]
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step (ROADMAP item 1). Batched, it is one
         # run_cell(cell, X[::step], record=arrays, gates=gates) per chunk and
         # direction. The readout stays per sample too: one (b, width) product
         # may sum in another order than b 1-row ones, moving a loss's last bit.
-        for (cell, _, step), arrays, gates in zip(model.directions, chunk, layouts):
+        for (cell, _, step), arrays, (gates, _) in zip(model.directions, chunk, layouts):
             for j in range(b):
                 run_cell(cell, X[::step, j:j + 1], gates=gates,
                          record=[None if a is None else a[:, j:j + 1] for a in arrays])
@@ -321,11 +375,15 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         grads["out.W_hy"] += dY.T @ h
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
-        for k, ((cell, prefix, step), arrays) in enumerate(zip(model.directions, chunk)):
+        D = _leading(work, b)
+        for k, ((cell, prefix, step), arrays, (_, gates)) in enumerate(
+                zip(model.directions, chunk, layouts)):
             dx = _backward_cell(cell, X[::step], arrays, dH[:, k * n:(k + 1) * n],
-                                grads, prefix, need_dx)
-            if need_dx:
-                dX = dx[::step] if k == 0 else dX + dx[::step]
+                                grads, prefix, need_dx, gates, D)
+            if need_dx and k == 0:
+                dX = dx[::step]
+            elif need_dx:
+                dX += dx[::step]
         if need_dx:
             np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
     for g in grads.values():

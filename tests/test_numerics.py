@@ -128,6 +128,33 @@ def test_grad_from_output_closed_forms():
         [0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_grad_from_output_into_out_has_the_allocating_bits(kind):
+    # the backward pass writes its factors into given arrays: into a strided
+    # block of a wider array too, with relu's kink at exactly 0 included
+    rng = make_rng(106)
+    y = activate(kind, rng.uniform(-4.0, 4.0, size=(5, 3, 4)))
+    y[0, 0, :2] = 0.0
+    want = {"sigmoid": y * (1.0 - y), "tanh": 1.0 - y * y,
+            "relu": (y > 0.0).astype(np.float64)}[kind]
+    npt.assert_array_equal(activate_grad_from_output(kind, y), want)
+    wide = np.full((5, 3, 12), np.nan)
+    out = wide[..., 4:8]
+    assert activate_grad_from_output(kind, y, out=out) is out
+    npt.assert_array_equal(out, want)
+    assert np.isnan(wide[..., :4]).all() and np.isnan(wide[..., 8:]).all()
+
+
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_grad_from_output_rejects_an_out_that_overlaps_y(kind):
+    buf = np.full((4, 6), 0.5)
+    for y, out in ((buf, buf), (buf[:, :4], buf[:, 2:]), (buf[:, :3], buf[:, :3].T.T)):
+        with pytest.raises(ValueError, match="overlaps"):
+            activate_grad_from_output(kind, y, out=out)
+    npt.assert_array_equal(buf, 0.5)
+    activate_grad_from_output(kind, buf[:, :3], out=buf[:, 3:])  # disjoint blocks
+
+
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError, match="softsign"):
         activate("softsign", np.zeros(1))

@@ -483,15 +483,9 @@ def per_sample_gradients(model, batch, loss_kind):
     return total / len(batch), grads
 
 
-def sample_bytes(cells, T):
-    """Bytes run_cell records for one sample over T steps of each cell."""
-    return sum(8 * math.prod(s) for cell in cells
-               for s in record_shapes(cell, T, 1) if s is not None)
-
-
 def chunk_budget(model, T, rows):
     """A CACHE_BUDGET that gives chunks of exactly `rows` samples."""
-    return rows * sample_bytes([cell for cell, _, _ in model.directions], T)
+    return rows * training._row_bytes(model, T)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -542,10 +536,10 @@ def test_chunked_gradients_match_the_per_sample_reference(
     want_loss, want = per_sample_gradients(model, batch, loss_kind)
     widths = []
 
-    def spy(p, xs, stacks, dh, grads, prefix, need_dx):
+    def spy(p, xs, stacks, dh, grads, prefix, *args):
         if prefix == "fwd.":
             widths.append(xs.shape[1])
-        return _backward_cell(p, xs, stacks, dh, grads, prefix, need_dx)
+        return _backward_cell(p, xs, stacks, dh, grads, prefix, *args)
 
     monkeypatch.setattr(training, "_backward_cell", spy)
     for rows, chunks in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (B, [B])):
@@ -677,7 +671,7 @@ def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_k
 @pytest.mark.parametrize("variant,bidirectional", [("lstm", False), ("lstm6", True)])
 @pytest.mark.parametrize("B", [1, 9])
 def test_each_direction_is_laid_out_once_per_call(monkeypatch, variant, bidirectional, B):
-    # _backward_cell's untransposed layout, one per chunk, is not counted
+    # once transposed for run_cell and once untransposed for _backward_cell
     T = 5
     model = small_model(variant, 3, 4, seed=3328, act="tanh", bidirectional=bidirectional)
     batch = token_batch(3329, B, T)
@@ -685,14 +679,89 @@ def test_each_direction_is_laid_out_once_per_call(monkeypatch, variant, bidirect
     laid_out = []
 
     def spy(p, transposed=False):
-        if transposed:
-            laid_out.append(id(p))
+        laid_out.append((id(p), transposed))
         return stack_gates(p, transposed)
 
     monkeypatch.setattr("slimrnn.training.stack_gates", spy)
     monkeypatch.setattr("slimrnn.cells.stack_gates", spy)
     model_gradients(model, batch, "bce")
-    assert laid_out == [id(cell) for cell, _, _ in model.directions]
+    assert sorted(laid_out) == sorted((id(cell), transposed)
+                                      for cell, _, _ in model.directions
+                                      for transposed in (True, False))
+
+
+@pytest.mark.parametrize("variant,bidirectional",
+                         [(v, False) for v in VARIANTS] + [("lstm6", True)])
+def test_the_work_array_is_allocated_once_per_call(monkeypatch, variant, bidirectional):
+    # 2-sample chunks and a short last one: every chunk and direction writes
+    # its factors into the leading memory of one array
+    B, T = 9, 5
+    model = small_model(variant, 3, 4, seed=3332, act="tanh", bidirectional=bidirectional)
+    batch = token_batch(3333, B, T)
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 2))
+    starts = []
+
+    def spy(p, xs, stacks, dh, grads, prefix, need_dx, gates, work):
+        assert work.shape == training._work_shape(p, len(xs), xs.shape[1])
+        assert work.flags.c_contiguous
+        starts.append(work.__array_interface__["data"][0])
+        return _backward_cell(p, xs, stacks, dh, grads, prefix, need_dx, gates, work)
+
+    monkeypatch.setattr(training, "_backward_cell", spy)
+    model_gradients(model, batch, "bce")
+    assert len(starts) == 5 * len(model.directions)
+    assert len(set(starts)) == 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient(variant):
+    # besides the (T, b, m) input gradient, only per-step rows and the
+    # weight-gradient blocks: no derivative factor of the stacks' size
+    T, b, m, n = 2000, 3, 4, 16
+    rng = make_rng(3334)
+    p = init_cell(variant, m, n, "sigmoid", 0.59, rng)
+    xs = rng.uniform(-1.0, 1.0, (T, b, m))
+    stacks = run_cell(p, xs)[2]
+    grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS[variant]}
+    dh = rng.uniform(-1.0, 1.0, (b, n))
+    work = np.empty(training._work_shape(p, T, b))
+    peak = traced_peak(_backward_cell, p, xs, stacks, dh, grads, "", True,
+                       stack_gates(p), work)
+    assert peak <= T * b * m * 8 + 64 * 2**10, peak
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunks_of_one_match_the_per_sample_reference_bit_for_bit(
+        monkeypatch, variant, act, bidirectional):
+    # the reference lets _backward_cell allocate its factors and lay the cell
+    # out itself; the carried gradient underflows, so the flush fires
+    B, T = 3, 150
+    model = small_model(variant, 3, 4, seed=3336, act=act, bidirectional=bidirectional)
+    for cell, _, _ in model.directions:
+        for name in ADAPTIVE_FIELDS[variant][1::3]:  # shrink the recurrent gain
+            getattr(cell, name)[...] *= 1e-3
+        cell.forget_const = 0.01
+        if variant == "lstm":
+            cell.b_f[...] = -30.0
+    batch = token_batch(3337, B, T)
+    want_loss, want = per_sample_gradients(model, batch, "bce")
+    flushed = []
+
+    def spy(*args):
+        dx = _backward_cell(*args)
+        flushed.append(not dx[0].any() and dx.any())  # zero at the first step
+        return dx
+
+    monkeypatch.setattr(training, "_backward_cell", spy)
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 1))
+    loss, grads = model_gradients(model, batch, "bce")
+    assert flushed == [True] * (B * len(model.directions))
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        npt.assert_array_equal(g, want[name], err_msg=name)
 
 
 def traced_peak(fn, *args):
@@ -710,7 +779,7 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
     model = small_model("lstm6", 4, 16, seed=3330, act="tanh")
     batch = token_batch(3331, B=1, T=T)
     monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 1))
-    stack_bytes = sample_bytes([model.cell], T)
+    stack_bytes = training._stack_bytes(model, T)
     reference = traced_peak(per_sample_gradients, model, batch, "bce")
     peak = traced_peak(model_gradients, model, batch, "bce")
     assert peak < reference + stack_bytes / 2, (peak, reference, stack_bytes)
@@ -720,20 +789,21 @@ def test_a_chunk_of_one_sample_runs_on_its_own_stacks(monkeypatch):
 def test_record_shapes_are_what_run_cell_records(variant):
     # CACHE_BUDGET sizes chunks by record_shapes: it must match the stacks
     T, B = 6, 3
-    p = init_cell(variant, 3, 4, "tanh", 0.59, make_rng(3340))
+    model = small_model(variant, 3, 4, seed=3340, act="tanh")
+    p = model.cell
     stacks = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
     assert [None if a is None else a.shape for a in stacks] == list(
         record_shapes(p, T, B))
     recorded = sum(a.nbytes for a in stacks if a is not None)
-    assert recorded == B * sample_bytes([p], T)
+    assert recorded == B * training._stack_bytes(model, T)
 
 
 @pytest.mark.parametrize("variant,bidirectional",
                          [(v, False) for v in VARIANTS] + [("lstm6", True)])
 def test_model_gradients_memory_stays_bounded_at_paper_shape(variant, bidirectional):
     # one sample more than a chunk holds, so a short last chunk follows a full
-    # one; at a 3 MiB CACHE_BUDGET the peaks are srnn 8.5 MiB (7 rows), lstm
-    # 7.4, lstm6 5.7, lstm_c6 6.1 and lstm6 bidir 5.1 MiB. A budget that gives
+    # one; at a 6.5 MiB CACHE_BUDGET the peaks are srnn 7.6 MiB (6 rows), lstm
+    # 7.0, lstm6 6.9, lstm_c6 6.7 and lstm6 bidir 7.8 MiB. A budget that gives
     # srnn 8 rows goes over the bound; it grew the paper benchmark's peak RSS
     # 4% over a 1 MiB budget.
     m, n, T = 32, 100, 500
