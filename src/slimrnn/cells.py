@@ -299,6 +299,13 @@ def _input_terms(W: np.ndarray, b: np.ndarray, xs: np.ndarray):
         yield from input_term(W, b, x, out=buf[:len(x)])
 
 
+def gate_width(p: CellParams) -> int:
+    """Width of the cell's stacked gates: 4n for lstm's [i | f | o | c],
+    n for the others. Every per-step gate row (aux, input terms, the
+    reverse pass's derivative factors) is this wide."""
+    return (4 if p.variant == "lstm" else 1) * p.n
+
+
 def record_shapes(p: CellParams, T: int, B: int) -> tuple:
     """Shapes of the (H, C, aux) stacks run_cell records over T steps of B
     samples; None where the variant records none. H is (T+1, B, n) with
@@ -309,7 +316,7 @@ def record_shapes(p: CellParams, T: int, B: int) -> tuple:
     H = (T + 1, B, p.n)
     if p.variant == "srnn":
         return H, None, None
-    return H, H, (T, B, (4 if p.variant == "lstm" else 1) * p.n)
+    return H, H, (T, B, gate_width(p))
 
 
 def record_arrays(p: CellParams, T: int, B: int) -> tuple:

@@ -112,43 +112,36 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command in ("train", "sweep"):
-        try:
-            cfg = build_config(args)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-
-    if args.command == "train":
-        try:
-            result = cmd_train(cfg, log=print)
-        except ValueError as exc:  # bad data: cmd_train reads it before writing
-            parser.error(str(exc))
-        print(f"metrics: {result['csv']}")
-        print(f"checkpoint: {result['checkpoint']}")
-        return 0
-
-    if args.command == "sweep":
-        axes = {axis: getattr(args, axis).split(",")
-                for axis in SWEEP_AXES if getattr(args, axis)}
-        try:
-            result = cmd_sweep(SweepSpec(base=cfg, workers=args.workers, **axes))
-        except ValueError as exc:  # a bad base config or axis; cells never raise
-            parser.error(str(exc))
-        print(f"summary: {result['summary']}")
-        return 0
-
-    try:  # a bad argument exits 2 with its reason, as for train and sweep
-        if args.command == "gradcheck":
+    # Bad input anywhere (a config, its data, an argument, an unusable --out)
+    # exits 2 with its reason. A diverging run's FloatingPointError propagates.
+    try:
+        if args.command == "train":
+            result = cmd_train(build_config(args), log=print)
+        elif args.command == "sweep":
+            axes = {axis: getattr(args, axis).split(",")
+                    for axis in SWEEP_AXES if getattr(args, axis)}
+            result = cmd_sweep(SweepSpec(base=build_config(args), workers=args.workers,
+                                         **axes))
+        elif args.command == "gradcheck":
             report, ok = cmd_gradcheck(m=args.embed, n=args.hidden,
                                        seq_len=args.seq_len, seeds=args.seeds,
                                        batch=args.batch)
         elif args.command == "params":
             info = cmd_params(args.variant, args.m, args.n, args.bidirectional)
-        elif args.command == "bench":
+        else:
             info = cmd_bench(args.variant, m=args.embed, n=args.hidden,
                              seq_len=args.seq_len, reps=args.reps)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
+
+    if args.command == "train":
+        print(f"metrics: {result['csv']}")
+        print(f"checkpoint: {result['checkpoint']}")
+        return 0
+
+    if args.command == "sweep":
+        print(f"summary: {result['summary']}")
+        return 0
 
     if args.command == "gradcheck":
         for row in report:
@@ -157,28 +150,19 @@ def main(argv=None) -> int:
         print("gradcheck: " + ("PASS" if ok else "FAIL"))
         return 0 if ok else 1
 
-    if args.command == "params":
-        if args.json_lines:
-            print(json.dumps(info))
-        else:
-            print(f"{info['variant']} m={info['m']} n={info['n']}"
-                  + (" bidirectional" if info["bidirectional"] else "")
-                  + f": params={info['params']} macs={info['macs']}")
-        return 0
-
-    if args.command == "bench":
-        if args.json_lines:
-            print(json.dumps(info))
-        else:
-            print(f"{info['variant']} m={info['m']} n={info['n']} T={info['seq_len']}: "
-                  f"median {info['median_seconds']:.4f}s "
-                  f"({info['per_step_seconds'] * 1e6:.1f}us/step), "
-                  f"macs {info['macs']}, lstm/this mac ratio "
-                  f"{info['mac_ratio_vs_lstm']:.2f}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    if args.json_lines:
+        print(json.dumps(info))
+    elif args.command == "params":
+        print(f"{info['variant']} m={info['m']} n={info['n']}"
+              + (" bidirectional" if info["bidirectional"] else "")
+              + f": params={info['params']} macs={info['macs']}")
+    else:
+        print(f"{info['variant']} m={info['m']} n={info['n']} T={info['seq_len']}: "
+              f"median {info['median_seconds']:.4f}s "
+              f"({info['per_step_seconds'] * 1e6:.1f}us/step), "
+              f"macs {info['macs']}, lstm/this mac ratio "
+              f"{info['mac_ratio_vs_lstm']:.2f}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -277,11 +277,13 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     count, listed = int(lines[at].partition(" ")[2]), lines[at + 1:]
     if len(listed) != count:
         raise ValueError(f"header promises {count} tensors, lists {len(listed)}")
-    shapes = []
+    shapes = {}
     for line in listed:
         name, _, dims = line.partition(" ")
-        shapes.append((name, tuple(int(d) for d in dims.split())))
-    sizes = [math.prod(shape) for _, shape in shapes]
+        if name in shapes:
+            raise ValueError(f"tensor {name} is listed twice")
+        shapes[name] = tuple(int(d) for d in dims.split())
+    sizes = [math.prod(shape) for shape in shapes.values()]
     payload = blob[head_end + len(b"\nend\n"):]
     if len(payload) != 8 * sum(sizes):
         raise ValueError(f"payload is {len(payload)} bytes, header describes "
@@ -289,7 +291,7 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     values = np.frombuffer(payload, dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
     start = 0
-    for (name, shape), size in zip(shapes, sizes):
+    for (name, shape), size in zip(shapes.items(), sizes):
         arrays[name] = values[start:start + size].reshape(shape).copy()
         start += size
 
@@ -311,6 +313,10 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
     emb = EmbeddingTable(E=arrays["emb.E"], trainable=_flag(meta, "trainable", "true"))
     model = SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
+    known = model.param_arrays(include_frozen=True)
+    extra = next((name for name in shapes if name not in known), None)
+    if extra is not None:
+        raise ValueError(f"tensor {extra} is not one of the model's")
     return model, meta
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, output_layer_apply,
-                    record_arrays, record_shapes, run_cell, stack_gates)
+from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width,
+                    output_layer_apply, record_arrays, record_shapes, run_cell,
+                    stack_gates)
 from .data import EmbeddingTable, PAD_INDEX, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
@@ -158,19 +159,16 @@ class SequenceClassifier:
             d[f"out.{name}"] = arr
         return d
 
-    def forward(self, xs: np.ndarray, record: bool = False):
+    def forward(self, xs: np.ndarray):
         """The model's one forward pass over time-major inputs xs, (T, B, m),
-        one sample being a batch of one: each direction's cell over
-        xs in its time order, then the readout of their final states
-        [h_fwd ; h_bwd]. Returns (y_raw, h, stacks): h is what the readout
-        read, stacks lists each direction's run_cell stacks (None unless
-        record is set) in directions order; the backward direction's
-        stacks run over reversed time.
-        """
-        runs = [run_cell(cell, xs[::step], record=record)
-                for cell, _, step in self.directions]
-        h = runs[0][0] if len(runs) == 1 else np.concatenate([r[0] for r in runs], -1)
-        return output_layer_apply(self.out, h), h, [r[2] for r in runs]
+        one sample being a batch of one: each direction's cell over xs in
+        its time order, recording nothing, then the readout of their final
+        states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
+        readout read."""
+        hs = [run_cell(cell, xs[::step], record=False)[0]
+              for cell, _, step in self.directions]
+        h = hs[0] if len(hs) == 1 else np.concatenate(hs, -1)
+        return output_layer_apply(self.out, h), h
 
 
 def _stack_bytes(model: SequenceClassifier, T: int) -> int:
@@ -186,19 +184,11 @@ def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
     return one_hot(labels, out_dim)
 
 
-def _work_shape(p: CellParams, T: int, B: int) -> tuple:
-    """Shape of the array _backward_cell writes its derivative factors into:
-    one (B, width) row per step, width being the cell's stacked gates (4n
-    for lstm, n for the others)."""
-    return T, B, (4 if p.variant == "lstm" else 1) * p.n
-
-
 def _row_bytes(model: SequenceClassifier, T: int) -> int:
     """Bytes per sample of everything a model_gradients chunk holds: every
     direction's stacks, the work array the directions share, and the
     chunk's (T, b, m) inputs and input gradient."""
-    return (_stack_bytes(model, T) + 8 * math.prod(_work_shape(model.cell, T, 1))
-            + 2 * 8 * T * model.cell.m)
+    return _stack_bytes(model, T) + 8 * T * (gate_width(model.cell) + 2 * model.cell.m)
 
 
 def _leading(a: np.ndarray, b: int) -> np.ndarray:
@@ -217,7 +207,7 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     the gradient with respect to xs, or None when not requested.
 
     The derivative factors are computed once per sequence into D, one row
-    per step, and D is work when given (shaped by _work_shape); gates is
+    per step, and D is work when given, (T, b, gate_width(p)); gates is
     the cell's untransposed stack_gates(p), for a caller that lays the
     cell out once. Nothing else of the stacks' size is allocated: the
     factors the pass reads besides D go into the aux stack once its
@@ -242,7 +232,7 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
     W, R, _ = stack_gates(p) if gates is None else gates
     T, n = len(xs), p.n
-    D = np.empty(_work_shape(p, T, xs.shape[1])) if work is None else work
+    D = np.empty((T, xs.shape[1], gate_width(p))) if work is None else work
     if p.variant == "srnn":
         activate_grad_from_output(p.act, H[1:], out=D)
         for t in range(T - 1, -1, -1):
@@ -347,7 +337,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     targets = _targets(loss_kind, batch.labels, out_dim)
     rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
     stacks = [record_arrays(cell, T, rows) for cell, _, _ in model.directions]
-    work = np.empty(_work_shape(model.cell, T, rows))
+    work = np.empty((T, rows, gate_width(model.cell)))
     layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
                for cell, _, _ in model.directions]
     total = 0.0
@@ -555,21 +545,24 @@ def gradient_rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+# The update rules' fixed constants: adam's moment decays, rmsprop's
+# squared-gradient decay, and the denominators' guard against division by 0.
+ADAM_BETAS = (0.9, 0.999)
+RMSPROP_RHO = 0.9
+OPT_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """First-order update rule with per-tensor moment buffers.
 
-    adam: beta1/beta2 moments with bias correction; rmsprop: rho-decayed
-    squared-gradient average; sgd: plain step. Moments are allocated
-    lazily the first time a tensor is seen.
+    adam: ADAM_BETAS-decayed moments with bias correction; rmsprop:
+    RMSPROP_RHO-decayed squared-gradient average; sgd: plain step. Moments
+    are allocated lazily the first time a tensor is seen.
     """
 
     kind: str
     eta: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    rho: float = 0.9
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -601,19 +594,20 @@ def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
             continue
         if state.kind == "rmsprop":
             v = state.v.setdefault(key, np.zeros_like(theta))
-            v *= state.rho
-            v += (1.0 - state.rho) * g * g
-            theta -= state.eta * g / (np.sqrt(v) + state.eps)
+            v *= RMSPROP_RHO
+            v += (1.0 - RMSPROP_RHO) * g * g
+            theta -= state.eta * g / (np.sqrt(v) + OPT_EPS)
             continue
         m = state.m.setdefault(key, np.zeros_like(theta))
         v = state.v.setdefault(key, np.zeros_like(theta))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** state.t)
-        v_hat = v / (1.0 - state.beta2 ** state.t)
-        theta -= state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+        beta1, beta2 = ADAM_BETAS
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** state.t)
+        v_hat = v / (1.0 - beta2 ** state.t)
+        theta -= state.eta * m_hat / (np.sqrt(v_hat) + OPT_EPS)
 
 
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):
@@ -622,7 +616,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     samples. row is the bytes a slice holds per sample: its gathered T m
     inputs, run_cell's one-step stacks (two alternating h, and c, states,
     one gate or candidate buffer: _stack_bytes(model, 1)) and, per
-    direction, one step's input terms, as wide as the stacked bias.
+    direction, one step's input terms, gate_width wide.
 
     Binary predictions threshold the sigmoid probability at 0.5;
     multi-class predictions take the arg-max score.
@@ -632,14 +626,13 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
-    terms = sum(getattr(cell, name).size for cell, _, _ in model.directions
-                for name in ADAPTIVE_FIELDS[cell.variant][2::3])  # the stacked biases
+    terms = len(model.directions) * gate_width(model.cell)
     row = 8 * (batch.T * model.cell.m + terms) + _stack_bytes(model, 1)
     size = max(1, EVAL_BUDGET // row)
     for start in range(0, len(batch), size):
         rows = slice(start, start + size)
         labels = batch.labels[rows]
-        y_raw, _, _ = model.forward(embed_lookup(model.emb, batch.tokens[rows].T))
+        y_raw, _ = model.forward(embed_lookup(model.emb, batch.tokens[rows].T))
         losses, _ = loss_eval(loss_kind, y_raw, _targets(loss_kind, labels, out_dim))
         total += float(losses.sum())
         if loss_kind == "bce":

@@ -17,6 +17,7 @@ from slimrnn.cells import (
     CellParams,
     OutputLayer,
     gate_override_step,
+    gate_width,
     init_cell,
     init_output,
     input_term,
@@ -589,6 +590,7 @@ def test_record_arrays_follow_record_shapes():
         arrays = record_arrays(p, 7, 2)
         assert [None if a is None else a.shape for a in arrays] == list(shapes)
         assert record_shapes(p, 7, 1)[0] == (8, 1, 5)
+        assert gate_width(p) == (widths or 5) == stack_gates(p)[2].shape[0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -634,7 +636,7 @@ def test_bidirectional_output_is_ordered_concatenation():
     p_bwd = random_cell("lstm6", 3, 5, seed=52)
     xs = make_rng(510).uniform(-1, 1, size=(7, 1, 3))
     model = bidirectional_model(p_fwd, p_bwd)
-    y_raw, y, _ = model.forward(xs)
+    y_raw, y = model.forward(xs)
     assert y.shape == (1, 10)
     h_f, _, _ = run_cell(p_fwd, xs)
     h_b, _, _ = run_cell(p_bwd, xs[::-1])
@@ -647,7 +649,7 @@ def test_bidirectional_palindrome_halves_agree():
     p = random_cell("lstm_c6", 2, 4, seed=53)
     half = make_rng(530).uniform(-1, 1, size=(3, 1, 2))
     xs = np.concatenate([half, half[::-1]])  # palindromic in time
-    _, y, _ = bidirectional_model(p, p).forward(xs)
+    _, y = bidirectional_model(p, p).forward(xs)
     npt.assert_array_equal(y[:, :4], y[:, 4:])
 
 

@@ -388,6 +388,38 @@ def test_checkpoint_without_an_embedding_is_rejected_by_path(tmp_path):
     assert str(info.value) == f"{path}: header lacks 'emb.E'"
 
 
+def rewrite_tensors(path, model, extra: dict):
+    """Rewrite a checkpoint's tensor list and payload: the model's tensors
+    followed by the (name, array) pairs in extra."""
+    tensors = [*model.param_arrays(include_frozen=True).items(), *extra.items()]
+    blob = path.read_bytes()
+    head = blob[:blob.index(b"\ntensors ")].decode("utf-8").splitlines()
+    head += [f"tensors {len(tensors)}",
+             *(f"{name} {' '.join(map(str, a.shape))}" for name, a in tensors), "end"]
+    path.write_bytes(("\n".join(head) + "\n").encode("utf-8") + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in tensors))
+
+
+@pytest.mark.parametrize("extra, cause", [
+    ({"junk": np.ones(2)}, "tensor junk is not one of the model's"),
+    ({"fwd.b_c": np.ones(4)}, "tensor fwd.b_c is listed twice"),
+    ({"bwd.W_c": np.ones((4, 3)), "bwd.U_c": np.ones((4, 4)), "bwd.b_c": np.ones(4)},
+     "tensor bwd.W_c is not one of the model's"),
+], ids=["extra", "duplicate", "bwd-under-unidirectional"])
+def test_checkpoint_tensors_must_be_exactly_the_models(tmp_path, extra, cause):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    model = build_model(cfg, train.n_classes)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, cfg)
+    rewrite_tensors(path, model, {})
+    load_checkpoint(path)  # the rewrite alone keeps a checkpoint loadable
+    rewrite_tensors(path, model, extra)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {cause}"
+
+
 def test_an_embedding_of_the_wrong_width_is_rejected_at_construction_and_load(tmp_path):
     cfg = tiny_config(tmp_path)
     train, _ = build_dataset(cfg)
@@ -794,6 +826,19 @@ def test_cli_bad_argument_exits_2_with_the_reason(tmp_path, capsys, argv, reason
     assert f"error: {reason}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_out_under_a_regular_file_exits_2_with_the_reason(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    args = cli_train_args(tmp_path)[1:-2] + ["--out", str(afile / "run")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: [Errno 20] Not a directory: '{afile / 'run'}'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):

@@ -9,9 +9,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output,
-                           output_layer_apply, record_shapes, run_cell,
-                           stack_gates)
+from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, gate_width, init_cell,
+                           init_output, output_layer_apply, record_shapes,
+                           run_cell, stack_gates)
 from slimrnn import training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.numerics import ACTIVATIONS, make_rng
@@ -489,9 +489,9 @@ def chunk_budget(model, T, rows):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
-    # model_gradients pairs each direction with its stacks, its H[-1] columns
-    # of the readout and its tensor-name prefix by position alone
+def test_directions_order_the_readout_and_the_tensors(variant):
+    # model_gradients pairs each direction with its H[-1] columns of the
+    # readout and its tensor-name prefix by position alone
     uni = small_model(variant, 3, 4, seed=3317)
     assert len(uni.directions) == 1 and uni.directions[0][0] is uni.cell
     model = small_model(variant, 3, 4, seed=3318, act="tanh", bidirectional=True)
@@ -499,12 +499,9 @@ def test_directions_order_the_stacks_the_readout_and_the_tensors(variant):
     assert fwd is model.cell and bwd is model.cell_bwd
     assert (f, b) == (["fwd.", 1], ["bwd.", -1])
     xs = make_rng(3319).uniform(-1.0, 1.0, (6, 2, 3))
-    _, h, stacks = model.forward(xs, record=True)
-    assert len(stacks) == len(model.directions)
-    for (cell, _, step), got in zip(model.directions, stacks):
-        for a, want in zip(got, run_cell(cell, xs[::step])[2]):
-            npt.assert_array_equal(a, want)
-    npt.assert_array_equal(h, np.concatenate([H[-1] for H, _, _ in stacks], axis=-1))
+    _, h = model.forward(xs)
+    npt.assert_array_equal(h, np.concatenate(
+        [run_cell(cell, xs[::step])[0] for cell, _, step in model.directions], axis=-1))
     params = model.param_arrays()
     prefixes = dict.fromkeys(key.split(".")[0] + "." for key in params)
     assert list(prefixes) == ["emb.", *(p for _, p, _ in model.directions), "out."]
@@ -702,7 +699,7 @@ def test_the_work_array_is_allocated_once_per_call(monkeypatch, variant, bidirec
     starts = []
 
     def spy(p, xs, stacks, dh, grads, prefix, need_dx, gates, work):
-        assert work.shape == training._work_shape(p, len(xs), xs.shape[1])
+        assert work.shape == (len(xs), xs.shape[1], gate_width(p))
         assert work.flags.c_contiguous
         starts.append(work.__array_interface__["data"][0])
         return _backward_cell(p, xs, stacks, dh, grads, prefix, need_dx, gates, work)
@@ -724,7 +721,7 @@ def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient
     stacks = run_cell(p, xs)[2]
     grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS[variant]}
     dh = rng.uniform(-1.0, 1.0, (b, n))
-    work = np.empty(training._work_shape(p, T, b))
+    work = np.empty((T, b, gate_width(p)))
     peak = traced_peak(_backward_cell, p, xs, stacks, dh, grads, "", True,
                        stack_gates(p), work)
     assert peak <= T * b * m * 8 + 64 * 2**10, peak
