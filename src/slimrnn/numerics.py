@@ -24,13 +24,15 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y[b, i] = sum_j a[i, j] x[b, j], for x of shape (B, cols): one row
     per sample, a single sample being a batch of one.
 
-    Computed as x @ a.T; ndarray.dot gives the same product with less
-    per-call dispatch than the @ operator on these small operands.
+    Computed as B stacked 1-row products, matmul(x[:, None, :], a.T), so
+    row b gets exactly the bits that matvec(a, x[b:b+1]) gives, whatever
+    the batch around it. One (B, cols) product may take another kernel
+    and sum in another order.
     """
     if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[1]:
         raise ValueError(f"matvec shape mismatch: matrix {a.shape} vs {x.shape}, "
                          f"expected (B, n) rows with n = {a.shape[-1]}")
-    return x.dot(a.T)
+    return np.matmul(x[:, None, :], a.T)[:, 0]
 
 
 def activate(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

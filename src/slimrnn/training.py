@@ -7,17 +7,19 @@ the stacked arrays run_cell records: a minibatch is walked in chunks
 whose stacks, reverse-pass work array, inputs and input gradient fit
 CACHE_BUDGET bytes, each sample's run_cell call per direction records
 straight into one column of its chunk's arrays, with the direction's
-cell laid out once per call, and one reverse pass per chunk and
-direction carries the state gradients and writes each step's
-pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
-lstm_c6, whose recurrence is element-wise, one running product over
-time. The pass writes its derivative factors into the work array and the
-spent aux stack, both allocated once per call, so it allocates nothing
-else of the stacks' size. Each weight gradient is then one matrix
-product over all steps of the chunk. Every gradient path here is
-certified against central finite differences in the test suite, so treat
-the two implementations as independent and never "fix" one by copying
-from the other.
+cell laid out once per call, one readout serves the chunk, and one
+reverse pass per chunk and direction carries the state gradients and
+writes each step's pre-activation delta: a loop over time for srnn, lstm
+and lstm6, and for lstm_c6, whose recurrence is element-wise, one
+running product over time. The pass writes its derivative factors into
+the work array and the spent aux stack, both allocated once per call, so
+it allocates nothing else of the stacks' size. Each weight gradient is
+then one matrix product over all steps of the chunk, added into its view
+of the one flat gradient buffer a call returns; an optimizer step runs
+its rule once over a flat copy of all the gradients. Every gradient path
+here is certified against central finite differences in the test suite,
+so treat the two implementations as independent and never "fix" one by
+copying from the other.
 """
 
 from __future__ import annotations
@@ -191,6 +193,17 @@ def _row_bytes(model: SequenceClassifier, T: int) -> int:
     return _stack_bytes(model, T) + 8 * T * (gate_width(model.cell) + 2 * model.cell.m)
 
 
+def _flat_views(buf: np.ndarray, shapes: dict) -> dict:
+    """Views into the flat buf, one per name and of its shape, laid out
+    back to back in the dict's order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = buf[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 def _leading(a: np.ndarray, b: int) -> np.ndarray:
     """The start of a (T, rows, w) buffer's memory as a C-contiguous
     (T, b, w) array, b <= rows: a short last chunk reshapes to (T b, w)
@@ -304,7 +317,9 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
 
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss and exact gradients for every trainable tensor, keyed like
-    model.param_arrays().
+    model.param_arrays(): in its order, each value a view shaped like its
+    tensor into one flat buffer, which the final division by the batch
+    size scales at once.
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
     bytes being what the pass holds per sample (_row_bytes): the stacks
@@ -317,19 +332,20 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     memory, so the pass holds one chunk's stacks and no more. A chunk's
     inputs are gathered once as (T, b, m); sample j runs run_cell per
     direction on columns j:j+1, a batch of one, recording straight into
-    those columns, and the readout of row j of the final states H[-1]
-    gives row j of the chunk's (b, k) raw outputs. Each chunk then takes
-    one loss_eval call on those rows, one readout gradient product over
-    H[-1], one reverse pass per direction, adding each direction's input
-    gradient into the first one's, and one embedding scatter. Losses add
-    in sample order, as in a per-sample loop; the gradients sum in
-    chunk-product order, so they move in the last bits when the rows per
-    chunk change.
+    those columns. One readout of the final states H[-1] gives the
+    chunk's (b, k) raw outputs, each row the bits of a batch of one
+    (matvec). Each chunk then takes one loss_eval call on those rows, one
+    readout gradient product over H[-1], one reverse pass per direction,
+    adding each direction's input gradient into the first one's, and one
+    embedding scatter. Losses add in sample order, as in a per-sample
+    loop; the gradients sum in chunk-product order, so they move in the
+    last bits when the rows per chunk change.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
-    params = model.param_arrays()
-    grads: GradientSet = {k: np.zeros_like(v) for k, v in params.items()}
+    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
+    flat = np.zeros(sum(map(math.prod, shapes.values())))
+    grads: GradientSet = _flat_views(flat, shapes)
     out_dim = model.out.b_y.shape[0]
     need_dx = model.emb.trainable
     n = model.cell.n
@@ -344,22 +360,19 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
-        Y = np.empty((b, out_dim))
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
         chunk = [[None if a is None else _leading(a, b) for a in s] for s in stacks]
         # The forward stays per sample: perfbench's traced counts pin one step
         # call per sample-step (ROADMAP item 1). Batched, it is one
         # run_cell(cell, X[::step], record=arrays, gates=gates) per chunk and
-        # direction. The readout stays per sample too: one (b, width) product
-        # may sum in another order than b 1-row ones, moving a loss's last bit.
+        # direction.
         for (cell, _, step), arrays, (gates, _) in zip(model.directions, chunk, layouts):
             for j in range(b):
                 run_cell(cell, X[::step, j:j + 1], gates=gates,
                          record=[None if a is None else a[:, j:j + 1] for a in arrays])
         h = np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)  # (b, width)
-        for j in range(b):
-            Y[j:j + 1] = output_layer_apply(model.out, h[j:j + 1])
-        losses, dY = loss_eval(loss_kind, Y, targets[start:stop])
+        losses, dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
+                               targets[start:stop])
         for loss in losses:
             total += float(loss)
         grads["out.W_hy"] += dY.T @ h
@@ -376,8 +389,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
                 dX += dx[::step]
         if need_dx:
             np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
-    for g in grads.values():
-        g /= B
+    flat /= B
     if need_dx:
         grads["emb.E"][PAD_INDEX] = 0.0  # padding row never trains
     return total / B, grads
@@ -554,11 +566,13 @@ OPT_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """First-order update rule with per-tensor moment buffers.
+    """First-order update rule over all tensors as one flat array.
 
     adam: ADAM_BETAS-decayed moments with bias correction; rmsprop:
-    RMSPROP_RHO-decayed squared-gradient average; sgd: plain step. Moments
-    are allocated lazily the first time a tensor is seen.
+    RMSPROP_RHO-decayed squared-gradient average; sgd: plain step. The
+    first step fixes the tensors' names, order and shapes and allocates one
+    flat moment buffer: m and v then map each name to its view of it (a
+    value already in m or v is its starting moment).
     """
 
     kind: str
@@ -566,6 +580,11 @@ class OptimizerState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # Fixed at the first step: each tensor's name and shape, in order, and
+    # the moment rows of one flat buffer (adam's m, then v; rmsprop's v).
+    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _moments: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
@@ -575,39 +594,81 @@ class OptimizerState:
         if self.eta < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {self.eta}")
 
+    def _fix_layout(self, params: dict):
+        moments = {"sgd": [], "rmsprop": [self.v], "adam": [self.m, self.v]}[self.kind]
+        self._shapes = {key: theta.shape for key, theta in params.items()}
+        size = sum(theta.size for theta in params.values())
+        self._moments = np.zeros((len(moments), size))
+        for d, row in zip(moments, self._moments):
+            views = _flat_views(row, self._shapes)
+            for key, view in views.items():
+                view[...] = d.get(key, 0.0)
+            d.clear()
+            d.update(views)
+
 
 def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
     """Apply one update in place. params and grads must share keys and
-    per-key shapes. With eta == 0 every rule leaves the parameters
-    bit-identical, and a zero gradient leaves sgd parameters untouched."""
+    per-key shapes, and those of the first step: a later call with other
+    names or shapes raises ValueError naming the tensor. The gradients are
+    copied once into one flat array and the rule runs over all of it at
+    once, in place and with one scratch array, with the per-element
+    expressions of a per-tensor update; each tensor then subtracts its
+    slice. With eta == 0 every rule leaves the parameters bit-identical,
+    and a zero gradient leaves sgd parameters untouched."""
     if set(params) != set(grads):
         raise ValueError(
             f"params/grads key mismatch: {sorted(set(params) ^ set(grads))}")
-    state.t += 1
     for key, theta in params.items():
         g = grads[key]
         if g.shape != theta.shape:
             raise ValueError(
                 f"gradient for {key} has shape {g.shape}, tensor is {theta.shape}")
-        if state.kind == "sgd":
-            theta -= state.eta * g
-            continue
-        if state.kind == "rmsprop":
-            v = state.v.setdefault(key, np.zeros_like(theta))
-            v *= RMSPROP_RHO
-            v += (1.0 - RMSPROP_RHO) * g * g
-            theta -= state.eta * g / (np.sqrt(v) + OPT_EPS)
-            continue
-        m = state.m.setdefault(key, np.zeros_like(theta))
-        v = state.v.setdefault(key, np.zeros_like(theta))
+    if state._moments is None:
+        state._fix_layout(params)
+    shapes = state._shapes
+    stale = sorted(set(params) ^ set(shapes))
+    if stale:
+        key = stale[0]
+        raise ValueError(f"tensor {key} is {'missing' if key in shapes else 'new'}; "
+                         f"the first optimizer step fixed {list(shapes)}")
+    for key, theta in params.items():
+        if theta.shape != shapes[key]:
+            raise ValueError(f"tensor {key} has shape {theta.shape}; the first "
+                             f"optimizer step fixed {shapes[key]}")
+    state.t += 1
+    # Each rule leaves its step's numerator in G and, but for sgd, its
+    # denominator in the scratch array S, op for op as a per-tensor update.
+    # Both live for one step only: a model keeps just its moments.
+    G = np.concatenate([grads[key].reshape(-1) for key in shapes])
+    if state.kind != "sgd":
+        S = np.empty_like(G)
+    if state.kind == "rmsprop":
+        (V,) = state._moments
+        V *= RMSPROP_RHO
+        np.multiply(G, 1.0 - RMSPROP_RHO, out=S)
+        S *= G
+        V += S
+        np.sqrt(V, out=S)
+    elif state.kind == "adam":
+        M, V = state._moments
         beta1, beta2 = ADAM_BETAS
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** state.t)
-        v_hat = v / (1.0 - beta2 ** state.t)
-        theta -= state.eta * m_hat / (np.sqrt(v_hat) + OPT_EPS)
+        M *= beta1
+        np.multiply(G, 1.0 - beta1, out=S)
+        M += S
+        V *= beta2
+        np.multiply(G, 1.0 - beta2, out=S)
+        S *= G
+        V += S
+        np.divide(V, 1.0 - beta2 ** state.t, out=S)
+        np.sqrt(S, out=S)
+        np.divide(M, 1.0 - beta1 ** state.t, out=G)
+    G *= state.eta
+    if state.kind != "sgd":
+        S += OPT_EPS
+        G /= S
+    for key, step in _flat_views(G, shapes).items():
+        np.subtract(params[key], step, out=params[key])
 
 
 def evaluate(model: SequenceClassifier, batch, loss_kind: str):

@@ -194,3 +194,18 @@ def test_init_matrix_consumes_exactly_rows_times_cols_draws():
 def test_make_rng_accepts_numpy_integers():
     npt.assert_array_equal(make_rng(np.int64(5)).uniform(size=3),
                            make_rng(5).uniform(size=3))
+
+
+def test_matvec_rows_get_the_bits_of_a_batch_of_one():
+    # the readout of a chunk of samples gives each sample the bits it gets alone
+    rng = make_rng(2060)
+    for B in (1, 2, 3, 5, 8, 13, 32):
+        for cols in (1, 2, 3, 7, 8, 16, 33, 64, 100, 257, 400):
+            for rows in (1, 2, 3, 4, 7, 20):
+                a = rng.uniform(-1.0, 1.0, (rows, cols))
+                x = rng.uniform(-1.0, 1.0, (B, cols))
+                y = matvec(a, x)
+                assert y.shape == (B, rows)
+                for j in range(B):
+                    npt.assert_array_equal(y[j:j + 1], matvec(a, x[j:j + 1]),
+                                           err_msg=f"B={B} cols={cols} rows={rows} j={j}")

@@ -665,6 +665,46 @@ def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_k
         assert calls == [(loss_kind, (b, k), (b, k)) for b in chunks]
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_each_chunk_makes_one_readout_call(monkeypatch, bidirectional):
+    B, T, k = 7, 5, 3
+    model = small_model("lstm6", 3, 4, seed=3326, act="tanh", out_dim=k,
+                        bidirectional=bidirectional)
+    batch = token_batch(3327, B, T, n_classes=k)
+    calls = []
+
+    def spy(out, h):
+        calls.append(h.shape)
+        return output_layer_apply(out, h)
+
+    monkeypatch.setattr(training, "output_layer_apply", spy)
+    width = len(model.directions) * 4
+    for rows, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (B, [B])):
+        monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        calls.clear()
+        model_gradients(model, batch, "cce")
+        assert calls == [(b, width) for b in chunks]
+
+
+@pytest.mark.parametrize("trainable_emb,bidirectional", [(True, False), (False, True)])
+def test_gradients_are_disjoint_views_named_and_shaped_like_the_tensors(
+        trainable_emb, bidirectional):
+    model = small_model("lstm", 3, 4, seed=3334, trainable_emb=trainable_emb,
+                        bidirectional=bidirectional)
+    _, grads = model_gradients(model, token_batch(3335, 5, 4), "bce")
+    params = model.param_arrays()
+    assert list(grads) == list(params)
+    assert all(grads[key].shape == theta.shape for key, theta in params.items())
+    before = {key: g.copy() for key, g in grads.items()}
+    for key, g in grads.items():
+        assert g.base is not None  # a view, into one buffer
+        g[...] = np.nan
+        for other, h in grads.items():
+            if other != key:
+                npt.assert_array_equal(h, before[other], err_msg=f"{key} wrote {other}")
+        g[...] = before[key]
+
+
 @pytest.mark.parametrize("variant,bidirectional", [("lstm", False), ("lstm6", True)])
 @pytest.mark.parametrize("B", [1, 9])
 def test_each_direction_is_laid_out_once_per_call(monkeypatch, variant, bidirectional, B):
@@ -948,6 +988,91 @@ def test_optimizer_validation():
 def test_optimizer_rejects_a_non_finite_learning_rate(eta):
     with pytest.raises(ValueError, match=f"^learning rate must be finite, got {eta}$"):
         OptimizerState(kind="adam", eta=eta)
+
+
+def per_tensor_step(kind, eta, t, params, grads, m, v):
+    """One update tensor by tensor, as the rules read: the fused step's
+    reference."""
+    beta1, beta2 = training.ADAM_BETAS
+    rho, eps = training.RMSPROP_RHO, training.OPT_EPS
+    for key, theta in params.items():
+        g = grads[key]
+        if kind == "sgd":
+            theta -= eta * g
+        elif kind == "rmsprop":
+            v[key] = rho * v.get(key, 0.0) + (1.0 - rho) * g * g
+            theta -= eta * g / (np.sqrt(v[key]) + eps)
+        else:
+            m[key] = beta1 * m.get(key, 0.0) + (1.0 - beta1) * g
+            v[key] = beta2 * v.get(key, 0.0) + (1.0 - beta2) * g * g
+            m_hat = m[key] / (1.0 - beta1 ** t)
+            v_hat = v[key] / (1.0 - beta2 ** t)
+            theta -= eta * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+def test_fused_step_matches_a_per_tensor_transcription_bit_for_bit(kind):
+    rng = make_rng(3402)
+    shapes = {"a": (3, 2), "b": (4,), "c": (1,)}
+    theta = {key: rng.uniform(-1, 1, shape) for key, shape in shapes.items()}
+    want = {key: t.copy() for key, t in theta.items()}
+    opt = OptimizerState(kind=kind, eta=0.03)
+    m, v = {}, {}
+    for step in range(1, 5):
+        # the gradients arrive in another key order than the tensors
+        grads = {key: rng.uniform(-10, 10, shapes[key]) for key in ("c", "a", "b")}
+        optimizer_step(opt, theta, grads)
+        per_tensor_step(kind, 0.03, step, want, grads, m, v)
+        for key in shapes:
+            npt.assert_array_equal(theta[key], want[key], err_msg=f"{key} step {step}")
+        for mine, ref in ((opt.m, m), (opt.v, v)):
+            assert mine.keys() == ref.keys()
+            for key in ref:
+                npt.assert_array_equal(mine[key], ref[key])
+    assert opt.t == 4
+
+
+@pytest.mark.parametrize("kind,moments", [("adam", "mv"), ("rmsprop", "v"), ("sgd", "")])
+def test_optimizer_moments_are_shaped_like_their_tensors(kind, moments):
+    model = small_model("lstm6", 3, 4, seed=3403, bidirectional=True)
+    params = model.param_arrays()
+    _, grads = model_gradients(model, token_batch(3404, 3, 4), "bce")
+    opt = OptimizerState(kind=kind, eta=1e-3)
+    optimizer_step(opt, params, grads)
+    for name in "mv":
+        d = getattr(opt, name)
+        assert list(d) == (list(params) if name in moments else [])
+        for key, theta in params.items():
+            if name in moments:
+                assert d[key].shape == theta.shape, (name, key)
+
+
+def test_a_moment_set_before_the_first_step_is_its_starting_value():
+    theta, want = {"w": np.array([1.0, 2.0])}, {"w": np.array([1.0, 2.0])}
+    m, v = {"w": np.array([0.5, -0.5])}, {"w": np.array([0.25, 1.0])}
+    opt = OptimizerState(kind="adam", eta=0.1, m={"w": m["w"].copy()},
+                         v={"w": v["w"].copy()})
+    g = {"w": np.array([0.3, -0.7])}
+    optimizer_step(opt, theta, g)
+    per_tensor_step("adam", 0.1, 1, want, g, m, v)
+    npt.assert_array_equal(theta["w"], want["w"])
+    npt.assert_array_equal(opt.m["w"], m["w"])
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+def test_the_first_step_fixes_the_tensors_and_their_shapes(kind):
+    opt = OptimizerState(kind=kind, eta=0.1)
+    first = {"a": np.zeros((3, 2)), "b": np.zeros(4)}
+    optimizer_step(opt, first, {k: np.ones(v.shape) for k, v in first.items()})
+    changed = [("b", "is missing", {"a": np.zeros((3, 2))}),
+               ("c", "is new", {**first, "c": np.zeros(1)}),
+               ("b", r"has shape \(5,\)", {"a": np.zeros((3, 2)), "b": np.zeros(5)})]
+    for key, what, params in changed:
+        with pytest.raises(ValueError, match=rf"^tensor {key} {what}"):
+            optimizer_step(opt, params, {k: np.ones(v.shape) for k, v in params.items()})
+    assert opt.t == 1
+    optimizer_step(opt, first, {k: np.ones(v.shape) for k, v in first.items()})
+    assert opt.t == 2
 
 
 # --------------------------------------------------------------------------
