@@ -15,10 +15,11 @@ internal accumulator where present):
 
 Every step advances a batch's (B, n) states; a single sample is a batch
 of one. A step takes its input term W x_t + b precomputed (run_cell
-projects a block of steps at once), and lstm's four gates are stacked, so
-a step makes one recurrent product. Sequences are read strictly left to
-right; classification reads only the final hidden state through a single
-affine output layer.
+projects a block of steps at once, model_gradients a whole chunk), and
+lstm's four gates are stacked, so a step makes one recurrent product.
+run_steps is the one loop over steps, which both of them drive.
+Sequences are read strictly left to right; classification reads only the
+final hidden state through a single affine output layer.
 """
 
 from __future__ import annotations
@@ -332,8 +333,8 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     being a batch of one. States start at zero unless h0/c0 are given,
     shaped like one step's state, (B, n). Shapes are checked here once,
     not per step. The input terms are computed a block of steps at a time
-    (see PROJECTION_BUDGET), so the loop over steps holds only the
-    recurrent product and the element-wise work. Returns (h_T, c_T,
+    (see PROJECTION_BUDGET), so the loop over steps (run_steps) holds only
+    the recurrent product and the element-wise work. Returns (h_T, c_T,
     stacks); c_T is None for srnn.
 
     With record set, stacks is (H, C, aux), laid out as record_shapes
@@ -368,19 +369,31 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
             if got != want:
                 raise ValueError(f"record array {what} has shape {got}, expected {want}")
     W, R, b = stack_gates(p, transposed=True) if gates is None else gates
-    terms = _input_terms(W, b, xs)
-    # Each step writes into the next row of the stacks when recording; else
-    # the steps alternate between two rows.
-    H, C, aux = stacks
+    H, C, _ = stacks
     H[0] = 0.0 if h0 is None else h0
+    if C is not None:
+        C[0] = 0.0 if c0 is None else c0
+    h, c = run_steps(p, R, _input_terms(W, b, xs), stacks, record)
+    return h, c, (stacks if record else None)
+
+
+def run_steps(p: CellParams, R: np.ndarray, terms, stacks, record=True):
+    """The one loop over steps: step the cell through terms, its steps'
+    input terms in time order, from the states in row 0 of stacks, the
+    (H, C, aux) arrays record_shapes lays out (or one column of them).
+    With record set, step t reads row t and writes row t+1 of every stack;
+    else the steps alternate between rows 0 and 1, all writing aux's row 0.
+    Returns the final (h, c), views of the stacks; c is None for srnn.
+    Shapes are not checked: run_cell and model_gradients check or build
+    them once per call. The step functions are looked up when called."""
+    H, C, aux = stacks
     if p.variant == "srnn":
         rows = (zip(H[:-1], H[1:]) if record
                 else itertools.cycle(((H[0], H[1]), (H[1], H[0]))))
         for a_t, (h_prev, h) in zip(terms, rows):
             srnn_step(p, R, a_t, h_prev, out=h)
-        return h, None, (stacks if record else None)
+        return h, None
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
-    C[0] = 0.0 if c0 is None else c0
     if record:
         rows = zip(H[:-1], C[:-1], zip(H[1:], C[1:], aux))
     else:
@@ -388,8 +401,7 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
                                 (H[1], C[1], (H[0], C[0], aux[0]))))
     for a_t, (h_prev, c_prev, out) in zip(terms, rows):
         step(p, R, a_t, h_prev, c_prev, out=out)
-    h, c, _ = out
-    return h, c, (stacks if record else None)
+    return out[:2]
 
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:

@@ -39,8 +39,8 @@ def activate(kind: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     """Apply an activation element-wise, into out when given (out=x works
     in place).
 
-    expit is the branch-stable sigmoid (never exponentiates a positive
-    argument), so large-magnitude inputs cannot overflow.
+    The sigmoid is scipy's expit, 1 / (1 + exp(-x)): at large magnitudes
+    it saturates to exactly 0 and 1, with no warning and no nan.
     """
     if kind == "sigmoid":
         return expit(x, out=out)

@@ -3,23 +3,25 @@ gradient oracle, optimizers, and the epoch loop.
 
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
-the stacked arrays run_cell records: a minibatch is walked in chunks
-whose stacks, reverse-pass work array, inputs and input gradient fit
-CACHE_BUDGET bytes, each sample's run_cell call per direction records
-straight into one column of its chunk's arrays, with the direction's
-cell laid out once per call, one readout serves the chunk, and one
-reverse pass per chunk and direction carries the state gradients and
-writes each step's pre-activation delta: a loop over time for srnn, lstm
-and lstm6, and for lstm_c6, whose recurrence is element-wise, one
-running product over time. The pass writes its derivative factors into
-the work array and the spent aux stack, both allocated once per call, so
-it allocates nothing else of the stacks' size. Each weight gradient is
-then one matrix product over all steps of the chunk, added into its view
-of the one flat gradient buffer a call returns; an optimizer step runs
-its rule once over a flat copy of all the gradients. Every gradient path
-here is certified against central finite differences in the test suite,
-so treat the two implementations as independent and never "fix" one by
-copying from the other.
+the stacked arrays the forward steps record: a minibatch is walked in
+chunks whose stacks, reverse-pass work array, inputs and input gradient
+fit CACHE_BUDGET bytes. Per direction, a chunk's input terms are
+projected at once into the work array, with the direction's cell laid
+out once per call; each sample then steps through its column of them
+(run_steps), recording straight into one column of the chunk's arrays.
+One readout serves the chunk, and one reverse pass per chunk and
+direction carries the state gradients and writes each step's
+pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
+lstm_c6, whose recurrence is element-wise, one running product over time.
+The pass writes its derivative factors into the work array and the spent
+aux stack, both allocated once per call, so it allocates nothing else of
+the stacks' size. Each weight gradient is then one matrix product over
+all steps of the chunk, added into its view of the one flat gradient
+buffer a call returns; an optimizer step runs its rule once over a flat
+copy of all the gradients. Every gradient path here is certified against
+central finite differences in the test suite, so treat the two
+implementations as independent and never "fix" one by copying from the
+other.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width,
+from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width, input_term,
                     output_layer_apply, record_arrays, record_shapes, run_cell,
-                    stack_gates)
+                    run_steps, stack_gates)
 from .data import EmbeddingTable, PAD_INDEX, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
@@ -174,7 +176,7 @@ class SequenceClassifier:
 
 
 def _stack_bytes(model: SequenceClassifier, T: int) -> int:
-    """Bytes per sample of every direction's run_cell stacks over T steps."""
+    """Bytes per sample of every direction's recorded stacks over T steps."""
     return sum(8 * math.prod(s) for cell, _, _ in model.directions
                for s in record_shapes(cell, T, 1) if s is not None)
 
@@ -213,19 +215,19 @@ def _leading(a: np.ndarray, b: int) -> np.ndarray:
 
 
 def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
-                   grads: GradientSet, prefix: str, need_dx: bool,
-                   gates=None, work: np.ndarray | None = None):
+                   grads: GradientSet, prefix: str, need_dx: bool, gates,
+                   work: np.ndarray):
     """Backpropagate dh (gradient at the final hidden state) through the
-    stacks run_cell recorded over xs, accumulating into grads. Returns
+    stacks recorded over xs, accumulating into grads. Returns
     the gradient with respect to xs, or None when not requested.
 
-    The derivative factors are computed once per sequence into D, one row
-    per step, and D is work when given, (T, b, gate_width(p)); gates is
-    the cell's untransposed stack_gates(p), for a caller that lays the
-    cell out once. Nothing else of the stacks' size is allocated: the
-    factors the pass reads besides D go into the aux stack once its
-    values are spent (lstm's s = act(c_t) and dc/dh in the i and c_tilde
-    blocks, the slim cells' act'(h_t) in place of c_tilde), so the
+    The derivative factors are computed once per sequence into D = work,
+    (T, b, gate_width(p)), one row per step; whatever work held before is
+    overwritten unread. gates is the cell's untransposed stack_gates(p),
+    which a caller lays out once. Nothing else of the stacks' size is
+    allocated: the factors the pass reads besides D go into the aux stack
+    once its values are spent (lstm's s = act(c_t) and dc/dh in the i and
+    c_tilde blocks, the slim cells' act'(h_t) in place of c_tilde), so the
     stacks are not valid after the call. For srnn, lstm and lstm6 a
     reverse loop carries only dh and dc and scales each row in place into
     that step's pre-activation delta. lstm_c6's Jacobian is diagonal, so
@@ -243,9 +245,8 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
-    W, R, _ = stack_gates(p) if gates is None else gates
-    T, n = len(xs), p.n
-    D = np.empty((T, xs.shape[1], gate_width(p))) if work is None else work
+    W, R, _ = gates
+    T, n, D = len(xs), p.n, work
     if p.variant == "srnn":
         activate_grad_from_output(p.act, H[1:], out=D)
         for t in range(T - 1, -1, -1):
@@ -323,23 +324,28 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 
     The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
     bytes being what the pass holds per sample (_row_bytes): the stacks
-    run_cell records over every direction, the work array _backward_cell
+    the steps record over every direction, the work array _backward_cell
     writes its factors into, and the chunk's inputs and input gradient.
     Each direction's (T+1, b, n) / (T, b, width) arrays, the work array
-    and each direction's two stack_gates layouts (transposed for run_cell,
-    untransposed for _backward_cell) are made once per call and serve
-    every chunk and direction, a short last chunk the arrays' leading
-    memory, so the pass holds one chunk's stacks and no more. A chunk's
-    inputs are gathered once as (T, b, m); sample j runs run_cell per
-    direction on columns j:j+1, a batch of one, recording straight into
-    those columns. One readout of the final states H[-1] gives the
-    chunk's (b, k) raw outputs, each row the bits of a batch of one
-    (matvec). Each chunk then takes one loss_eval call on those rows, one
-    readout gradient product over H[-1], one reverse pass per direction,
-    adding each direction's input gradient into the first one's, and one
-    embedding scatter. Losses add in sample order, as in a per-sample
-    loop; the gradients sum in chunk-product order, so they move in the
-    last bits when the rows per chunk change.
+    and each direction's two stack_gates layouts (transposed for the
+    forward, untransposed for _backward_cell) are made once per call and
+    serve every chunk and direction, a short last chunk the arrays'
+    leading memory, so the pass holds one chunk's stacks and no more. A
+    chunk's inputs are gathered once as (T, b, m). Per direction, one
+    input_term call projects them, in the direction's time order, into
+    the work array, which the reverse pass overwrites unread: stacked
+    1-row products, so column j holds the bits of sample j's projection
+    alone. Each sample then takes run_steps on its column j:j+1, a batch
+    of one, recording straight into the stacks' column j: one step call
+    per sample-step, no shape checks and no buffers of its own. One
+    readout of the final states H[-1] gives the chunk's (b, k) raw
+    outputs, each row the bits of a batch of one (matvec). Each chunk
+    then takes one loss_eval call on those rows, one readout gradient
+    product over H[-1], one reverse pass per direction, adding each
+    direction's input gradient into the first one's, and one embedding
+    scatter. Losses add in sample order, as in a per-sample loop; the
+    gradients sum in chunk-product order, so they move in the last bits
+    when the rows per chunk change.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -362,14 +368,17 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         b = stop - start
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
         chunk = [[None if a is None else _leading(a, b) for a in s] for s in stacks]
-        # The forward stays per sample: perfbench's traced counts pin one step
-        # call per sample-step (ROADMAP item 1). Batched, it is one
-        # run_cell(cell, X[::step], record=arrays, gates=gates) per chunk and
-        # direction.
-        for (cell, _, step), arrays, (gates, _) in zip(model.directions, chunk, layouts):
+        D = _leading(work, b)
+        for (cell, _, step), arrays, ((W, R, bias), _) in zip(model.directions, chunk,
+                                                              layouts):
+            # stacked 1-row products: column j has sample j's own bits
+            input_term(W, bias, X[::step, :, None, :], out=D[:, :, None])
+            for a in arrays[:2]:
+                if a is not None:
+                    a[0] = 0.0
             for j in range(b):
-                run_cell(cell, X[::step, j:j + 1], gates=gates,
-                         record=[None if a is None else a[:, j:j + 1] for a in arrays])
+                run_steps(cell, R, D[:, j:j + 1],
+                          [None if a is None else a[:, j:j + 1] for a in arrays])
         h = np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)  # (b, width)
         losses, dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
                                targets[start:stop])
@@ -378,7 +387,6 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         grads["out.W_hy"] += dY.T @ h
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
-        D = _leading(work, b)
         for k, ((cell, prefix, step), arrays, (_, gates)) in enumerate(
                 zip(model.directions, chunk, layouts)):
             dx = _backward_cell(cell, X[::step], arrays, dH[:, k * n:(k + 1) * n],

@@ -91,6 +91,17 @@ def test_sigmoid_saturates_without_overflow():
     npt.assert_array_equal(y, [0.0, 1.0])
 
 
+def test_sigmoid_saturates_to_exact_limits_under_every_floating_point_trap():
+    # exp overflows past 709.78, and 1 / (1 + exp(-x)) then reads exactly 0
+    # where a branch form would give a subnormal (4.48e-309 at -710)
+    x = np.array([-1000.0, -710.0, 710.0, 1000.0])
+    with np.errstate(all="raise"):
+        y = activate("sigmoid", x)
+        into = activate("sigmoid", x, out=np.empty_like(x))
+    npt.assert_array_equal(y, [0.0, 0.0, 1.0, 1.0])
+    npt.assert_array_equal(into, y)
+
+
 def test_sigmoid_symmetry():
     rng = make_rng(103)
     x = rng.uniform(-30.0, 30.0, size=500)

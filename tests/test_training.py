@@ -10,9 +10,9 @@ import numpy.testing as npt
 import pytest
 
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, gate_width, init_cell,
-                           init_output, output_layer_apply, record_shapes,
-                           run_cell, stack_gates)
-from slimrnn import training
+                           init_output, input_term, lstm6_step, output_layer_apply,
+                           record_shapes, run_cell, stack_gates)
+from slimrnn import cells, training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.numerics import ACTIVATIONS, make_rng
 from slimrnn.training import (
@@ -286,7 +286,8 @@ def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
     _, _, stacks = run_cell(p, xs, record=True)
     grads = {name: np.zeros_like(getattr(p, name))
              for name in ADAPTIVE_FIELDS[variant]}
-    dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", need_dx=True)
+    dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", True,
+                         stack_gates(p), np.empty((len(xs), 1, gate_width(p))))
     size = np.abs(dxs[:, 0]).max(axis=1)
     flushed = int(np.argmax(size > 0))  # steps [0, flushed) were flushed
     assert 0 < flushed < len(xs) - 1, variant
@@ -450,11 +451,16 @@ def test_invalid_target_rejected_by_model_gradients():
 
 def per_sample_gradients(model, batch, loss_kind):
     """Mean loss and gradients one sample at a time, each sample a batch of
-    one through its own run_cell and _backward_cell calls: the chunked
-    pass's reference."""
+    one through its own run_cell and _backward_cell calls, each reverse
+    pass on a fresh layout and work array: the chunked pass's reference."""
     grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
     need_dx = "emb.E" in grads
     k, n = model.out.b_y.shape[0], model.cell.n
+
+    def backward(cell, xs, stacks, dh, prefix):
+        return _backward_cell(cell, xs, stacks, dh, grads, prefix, need_dx,
+                              stack_gates(cell), np.empty((len(xs), 1, gate_width(cell))))
+
     total = 0.0
     for i, label in enumerate(batch.labels):
         xs = model.emb.E[batch.tokens[i]][:, None]
@@ -468,10 +474,9 @@ def per_sample_gradients(model, batch, loss_kind):
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy[0]
         dh = dy @ model.out.W_hy
-        dxs = _backward_cell(model.cell, xs, stacks, dh[:, :n], grads, "fwd.", need_dx)
+        dxs = backward(model.cell, xs, stacks, dh[:, :n], "fwd.")
         if model.bidirectional:
-            dx_b = _backward_cell(model.cell_bwd, xs[::-1], stacks_b, dh[:, n:], grads,
-                                  "bwd.", need_dx)
+            dx_b = backward(model.cell_bwd, xs[::-1], stacks_b, dh[:, n:], "bwd.")
             if need_dx:
                 dxs = dxs + dx_b[::-1]
         if need_dx:
@@ -639,7 +644,8 @@ def test_lstm_c6_reverse_pass_holds_at_most_three_step_arrays():
     stacks = run_cell(p, xs)[2]
     grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS["lstm_c6"]}
     dh = rng.uniform(-1.0, 1.0, (b, n))
-    peak = traced_peak(_backward_cell, p, xs, stacks, dh, grads, "", True)
+    peak = traced_peak(lambda: _backward_cell(p, xs, stacks, dh, grads, "", True,
+                                              stack_gates(p), np.empty((T, b, n))))
     assert peak <= 3 * T * b * n * 8 + 64 * 2**10, peak
 
 
@@ -684,6 +690,56 @@ def test_each_chunk_makes_one_readout_call(monkeypatch, bidirectional):
         calls.clear()
         model_gradients(model, batch, "cce")
         assert calls == [(b, width) for b in chunks]
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_each_chunk_projects_once_per_direction_and_steps_once_per_sample_step(
+        monkeypatch, bidirectional):
+    B, T, m = 7, 5, 3
+    model = small_model("lstm6", m, 4, seed=3342, act="tanh", bidirectional=bidirectional)
+    batch = token_batch(3343, B, T)
+    projections, steps, runs = [], [], []
+
+    def project(W, b, x, out=None):
+        projections.append(x.shape)
+        return input_term(W, b, x, out=out)
+
+    def step(*args, **kwargs):
+        steps.append(1)
+        return lstm6_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "input_term", project)
+    monkeypatch.setattr(cells, "lstm6_step", step)
+    monkeypatch.setattr(training, "run_cell", lambda *args, **kwargs: runs.append(1))
+    dirs = len(model.directions)
+    for rows, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (B, [B])):
+        monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        projections.clear()
+        steps.clear()
+        model_gradients(model, batch, "bce")
+        assert projections == [(T, b, 1, m) for b in chunks for _ in range(dirs)]
+        assert len(steps) == B * T * dirs
+    assert runs == []
+
+
+@pytest.mark.parametrize("m,w", [(8, 8), (16, 32), (32, 100), (32, 400)])
+@pytest.mark.parametrize("T", [1, 5, 40])
+def test_a_chunk_projection_gives_each_sample_the_bits_of_its_own(m, w, T):
+    # model_gradients projects a chunk's (T, b, m) inputs, in either time
+    # order, as stacked 1-row products into the leading memory of its work
+    # array: column j must be sample j's projection alone, bit for bit
+    rng = make_rng(3344)
+    W, bias = rng.uniform(-1.0, 1.0, (m, w)), rng.uniform(-1.0, 1.0, w)
+    inputs = rng.uniform(-1.0, 1.0, (T, 32, m))
+    work = np.empty((T, 32, w))
+    for b in range(1, 33):
+        X = np.ascontiguousarray(inputs[:, :b])
+        for step in (1, -1):
+            D = training._leading(work, b)
+            input_term(W, bias, X[::step, :, None, :], out=D[:, :, None])
+            for j in range(b):
+                want = input_term(W, bias, X[::step, j:j + 1])
+                npt.assert_array_equal(D[:, j:j + 1], want, err_msg=f"b={b} j={j} {step}")
 
 
 @pytest.mark.parametrize("trainable_emb,bidirectional", [(True, False), (False, True)])
@@ -772,8 +828,8 @@ def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_chunks_of_one_match_the_per_sample_reference_bit_for_bit(
         monkeypatch, variant, act, bidirectional):
-    # the reference lets _backward_cell allocate its factors and lay the cell
-    # out itself; the carried gradient underflows, so the flush fires
+    # the reference gives each reverse pass its own layout and work array;
+    # the carried gradient underflows, so the flush fires
     B, T = 3, 150
     model = small_model(variant, 3, 4, seed=3336, act=act, bidirectional=bidirectional)
     for cell, _, _ in model.directions:
