@@ -17,7 +17,10 @@ Every step advances a batch's (B, n) states; a single sample is a batch
 of one. A step takes its input term W x_t + b precomputed (run_cell
 projects a block of steps at once, model_gradients a whole chunk), and
 lstm's four gates are stacked, so a step makes one recurrent product.
-run_steps is the one loop over steps, which both of them drive.
+The D directions of a bidirectional model may step together: their
+recurrent tensors stacked as (D, n, w), their states as (D, B, n), one
+step call advances them all. run_steps is the one loop over steps,
+which both run_cell and model_gradients drive.
 Sequences are read strictly left to right; classification reads only the
 final hidden state through a single affine output layer.
 """
@@ -165,16 +168,19 @@ def input_term(W: np.ndarray, b: np.ndarray, x: np.ndarray,
 
 # The step functions take the step's input term a_t (input_term) and the
 # recurrent tensor R, both laid out by stack_gates(p, transposed=True), and
-# the previous step's (B, n) states. Like a ufunc, a step takes an optional
-# out: the array for h_t (srnn) or the (h_t, c_t, aux) arrays it returns,
-# C-contiguous and overlapping neither h_prev nor c_prev. It then writes
-# there and allocates nothing; without out the same operations fill fresh
-# arrays, so the bits are the same.
+# the previous step's (B, n) states. R may also stack D directions' tensors,
+# (D, n, w) or lstm_c6's (D, 1, n), with a_t and the states then (D, B, w)
+# and (D, B, n): the product is one matmul over the directions, which gives
+# each direction the bits of its own 2-D dot. Like a ufunc, a step takes an
+# optional out: the array for h_t (srnn) or the (h_t, c_t, aux) arrays it
+# returns, C-contiguous and overlapping neither h_prev nor c_prev. It then
+# writes there and allocates nothing; without out the same operations fill
+# fresh arrays, so the bits are the same.
 
 def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
               out: np.ndarray | None = None):
     """One simple-recurrent step: h_t = act(a_t + W_hh h_{t-1})."""
-    z = h_prev.dot(R, out=out)
+    z = h_prev.dot(R, out=out) if R.ndim == 2 else np.matmul(h_prev, R, out=out)
     z += a_t
     return activate(p.act, z, out=z)
 
@@ -186,7 +192,7 @@ def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarr
     the state update."""
     n = p.n
     h, c, z = out or (None, None, None)
-    z = h_prev.dot(R, out=z)
+    z = h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z)
     z += a_t
     activate("sigmoid", z[..., :3 * n], out=z[..., :3 * n])
     activate(p.act, z[..., 3 * n:], out=z[..., 3 * n:])
@@ -217,7 +223,7 @@ def lstm6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray
     """One gate-free step: c_t = f c_{t-1} + act(a_t + U_c h_{t-1}),
     h_t = act(c_t). Returns (h_t, c_t, c_tilde)."""
     h, c, z = out or (None, None, None)
-    z = h_prev.dot(R, out=z)
+    z = h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z)
     z += a_t
     activate(p.act, z, out=z)
     c = np.multiply(c_prev, p.forget_const, out=c)
@@ -307,26 +313,27 @@ def gate_width(p: CellParams) -> int:
     return (4 if p.variant == "lstm" else 1) * p.n
 
 
-def record_shapes(p: CellParams, T: int, B: int) -> tuple:
-    """Shapes of the (H, C, aux) stacks run_cell records over T steps of B
-    samples; None where the variant records none. H is (T+1, B, n) with
-    H[0] the initial state, C likewise for the cell state (None for srnn),
-    and aux holds what each step computed beyond its states: c_tilde
-    (T, B, n) for the slim cells, the gates [i | f | o | c_tilde]
-    (T, B, 4n) for lstm, None for srnn."""
-    H = (T + 1, B, p.n)
+def record_shapes(p: CellParams, T: int, *lead: int) -> tuple:
+    """Shapes of the (H, C, aux) stacks recorded over T steps of states
+    shaped (*lead, n), (B, n) for run_cell's B samples; None where the
+    variant records none. H is (T+1, *lead, n) with H[0] the initial
+    state, C likewise for the cell state (None for srnn), and aux holds
+    what each step computed beyond its states: c_tilde (T, *lead, n) for
+    the slim cells, the gates [i | f | o | c_tilde] (T, *lead, 4n) for
+    lstm, None for srnn."""
+    H = (T + 1, *lead, p.n)
     if p.variant == "srnn":
         return H, None, None
-    return H, H, (T, B, gate_width(p))
+    return H, H, (T, *lead, gate_width(p))
 
 
-def record_arrays(p: CellParams, T: int, B: int) -> tuple:
-    """Fresh arrays shaped by record_shapes, ready for run_cell to record into."""
-    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, B))
+def record_arrays(p: CellParams, T: int, *lead: int) -> tuple:
+    """Fresh arrays shaped by record_shapes, ready for run_steps to record into."""
+    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, *lead))
 
 
 def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None, record=True, gates=None):
+             c0: np.ndarray | None = None, record: bool = True):
     """Drive one cell across a whole sequence.
 
     xs is time-major, (T, B, m): B samples stepped together, one sample
@@ -339,16 +346,10 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
 
     With record set, stacks is (H, C, aux), laid out as record_shapes
     gives. Each step writes straight into its rows (the steps' out
-    argument), so nothing is copied. record may also be those arrays
-    themselves, for example columns of a chunk's arrays: then, like a step
-    given out, run_cell writes there and allocates no stacks. Without
-    record, stacks is None and the steps alternate between two
-    preallocated states. Either way h0 and c0 are copied, never written,
-    and h_T and c_T are views of those buffers.
-
-    gates is the cell's (W, R, b) as stack_gates(p, transposed=True) gives
-    them, for a caller that runs the same cell many times and lays it out
-    once; without it run_cell lays the cell out itself, with the same bits.
+    argument), so nothing is copied. Without record, stacks is None and
+    the steps alternate between two preallocated states. Either way h0 and
+    c0 are copied, never written, and h_T and c_T are views of those
+    buffers.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3 or xs.shape[-1] != p.m:
@@ -359,16 +360,8 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
     for what, v in (("h0", h0), ("c0", c0)):
         if v is not None and v.shape != (B, p.n):
             raise ValueError(f"{what} has shape {v.shape}, expected {(B, p.n)}")
-    if isinstance(record, bool):  # else the caller's arrays, checked here
-        stacks = record_arrays(p, T if record else 1, B)
-    else:
-        stacks = tuple(record)
-        for what, a, want in zip(("H", "C", "aux"), stacks, record_shapes(p, T, B),
-                                 strict=True):
-            got = None if a is None else a.shape
-            if got != want:
-                raise ValueError(f"record array {what} has shape {got}, expected {want}")
-    W, R, b = stack_gates(p, transposed=True) if gates is None else gates
+    stacks = record_arrays(p, T if record else 1, B)
+    W, R, b = stack_gates(p, transposed=True)
     H, C, _ = stacks
     H[0] = 0.0 if h0 is None else h0
     if C is not None:
@@ -380,28 +373,30 @@ def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
 def run_steps(p: CellParams, R: np.ndarray, terms, stacks, record=True):
     """The one loop over steps: step the cell through terms, its steps'
     input terms in time order, from the states in row 0 of stacks, the
-    (H, C, aux) arrays record_shapes lays out (or one column of them).
-    With record set, step t reads row t and writes row t+1 of every stack;
-    else the steps alternate between rows 0 and 1, all writing aux's row 0.
-    Returns the final (h, c), views of the stacks; c is None for srnn.
-    Shapes are not checked: run_cell and model_gradients check or build
-    them once per call. The step functions are looked up when called."""
+    (H, C, aux) arrays record_shapes lays out (or one sample's column of
+    them). R is the cell's transposed recurrent tensor, or D directions'
+    stacked, with a step's rows then (D, B, n) blocks (see the steps).
+    Each step writes its out rows and hands its (h, c) on to the next:
+    with record set, step t writes row t+1 of every stack; else the steps
+    alternate between rows 1 and 0, all writing aux's row 0. Returns the
+    final (h, c), views of the stacks; c is None for srnn. Shapes are not
+    checked: run_cell and model_gradients check or build them once per
+    call. The step functions are looked up when called."""
     H, C, aux = stacks
+    h = H[0]
     if p.variant == "srnn":
-        rows = (zip(H[:-1], H[1:]) if record
-                else itertools.cycle(((H[0], H[1]), (H[1], H[0]))))
-        for a_t, (h_prev, h) in zip(terms, rows):
-            srnn_step(p, R, a_t, h_prev, out=h)
+        for a_t, out in zip(terms, H[1:] if record else itertools.cycle((H[1], H[0]))):
+            h = srnn_step(p, R, a_t, h, out=out)
         return h, None
     step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
     if record:
-        rows = zip(H[:-1], C[:-1], zip(H[1:], C[1:], aux))
+        outs = zip(H[1:], C[1:], aux)
     else:
-        rows = itertools.cycle(((H[0], C[0], (H[1], C[1], aux[0])),
-                                (H[1], C[1], (H[0], C[0], aux[0]))))
-    for a_t, (h_prev, c_prev, out) in zip(terms, rows):
-        step(p, R, a_t, h_prev, c_prev, out=out)
-    return out[:2]
+        outs = itertools.cycle(((H[1], C[1], aux[0]), (H[0], C[0], aux[0])))
+    c = C[0]
+    for a_t, out in zip(terms, outs):
+        h, c, _ = step(p, R, a_t, h, c, out=out)
+    return h, c
 
 
 def param_count(variant: str, m: int, n: int, bidirectional: bool = False) -> int:

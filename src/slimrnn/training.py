@@ -6,13 +6,15 @@ final-step loss; there is no per-step target. Backpropagation runs over
 the stacked arrays the forward steps record: a minibatch is walked in
 chunks whose stacks, reverse-pass work array, inputs and input gradient
 fit CACHE_BUDGET bytes. Per direction, a chunk's input terms are
-projected at once into the work array, with the direction's cell laid
-out once per call; each sample then steps through its column of them
-(run_steps), recording straight into one column of the chunk's arrays.
-One readout serves the chunk, and one reverse pass per chunk and
-direction carries the state gradients and writes each step's
-pre-activation delta: a loop over time for srnn, lstm and lstm6, and for
-lstm_c6, whose recurrence is element-wise, one running product over time.
+projected at once into its slice of the work array, with the direction's
+cell laid out once per call; each sample then steps through its column
+of them (run_steps), recording straight into one column of the chunk's
+arrays, with a bidirectional model's two directions stacked so that one
+step call advances both. One readout serves the chunk, and one reverse
+pass per chunk and direction carries the state gradients and writes each
+step's pre-activation delta: a loop over time for srnn, lstm and lstm6,
+and for lstm_c6, whose recurrence is element-wise, one running product
+over time.
 The pass writes its derivative factors into the work array and the spent
 aux stack, both allocated once per call, so it allocates nothing else of
 the stacks' size. Each weight gradient is then one matrix product over
@@ -62,14 +64,15 @@ EVAL_BUDGET = 21 << 18
 # array of the reverse pass, and its gathered inputs and input gradient
 # (_row_bytes). Every sample in a chunk shares one reverse pass, which
 # amortizes its per-step dispatch; a sequence that alone passes the budget
-# runs as a chunk of one. At the paper shape (m=32, n=100, T=500) 6.5 MiB
+# runs as a chunk of one. At the paper shape (m=32, n=100, T=500) 6.75 MiB
 # gives chunks of 6 samples for srnn, 3 for lstm6 and lstm_c6, 2 for
 # bidirectional lstm6 and 1 for lstm; a 32-sample model_gradients call then
 # peaks under tracemalloc at srnn 8.3 MiB, lstm 7.0, lstm6 7.2, lstm_c6 7.0
-# and lstm6 bidir 8.1 MiB. It sits between the row counts' edges: from
-# 5.84 MiB bidirectional lstm6 takes 2 rows, and from 7.05 MiB srnn takes 7
-# (8.6 MiB at 8 samples, near the memory guard) and lstm6 4.
-CACHE_BUDGET = 13 << 19
+# and lstm6 bidir 9.0 MiB. It sits between the row counts' edges: from
+# 6.60 MiB bidirectional lstm6 takes 2 rows (its work array holds both
+# directions' rows), and from 7.05 MiB srnn takes 7 (8.6 MiB at 8 samples,
+# near the memory guard) and lstm6 4.
+CACHE_BUDGET = 27 << 18
 
 
 def one_hot(labels, k: int) -> np.ndarray:
@@ -190,9 +193,10 @@ def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
 
 def _row_bytes(model: SequenceClassifier, T: int) -> int:
     """Bytes per sample of everything a model_gradients chunk holds: every
-    direction's stacks, the work array the directions share, and the
-    chunk's (T, b, m) inputs and input gradient."""
-    return _stack_bytes(model, T) + 8 * T * (gate_width(model.cell) + 2 * model.cell.m)
+    direction's stacks and its slice of the work array, and the chunk's
+    (T, b, m) inputs and input gradient."""
+    terms = len(model.directions) * gate_width(model.cell)
+    return _stack_bytes(model, T) + 8 * T * (terms + 2 * model.cell.m)
 
 
 def _flat_views(buf: np.ndarray, shapes: dict) -> dict:
@@ -207,11 +211,21 @@ def _flat_views(buf: np.ndarray, shapes: dict) -> dict:
 
 
 def _leading(a: np.ndarray, b: int) -> np.ndarray:
-    """The start of a (T, rows, w) buffer's memory as a C-contiguous
-    (T, b, w) array, b <= rows: a short last chunk reshapes to (T b, w)
+    """The start of a (T, rows, ...) buffer's memory as a C-contiguous
+    (T, b, ...) array, b <= rows: a short last chunk reshapes to (T b, ...)
     rows as a view, as a full one does."""
-    T, rows, w = a.shape
-    return a if b == rows else a.reshape(-1)[:T * b * w].reshape(T, b, w)
+    if b == a.shape[1]:
+        return a
+    shape = (len(a), b, *a.shape[2:])
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _direction(a: np.ndarray, d: int) -> np.ndarray:
+    """Direction d's (T, b, width) view of a C-contiguous chunk array laid
+    out (T, b, D, 1, width), or (T, b, 1, width) for one direction. Its
+    rows are D widths apart, so the (T b, width) reshapes of the reverse
+    pass stay views."""
+    return a.reshape(*a.shape[:2], -1, a.shape[-1])[:, :, d]
 
 
 def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
@@ -223,14 +237,16 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
 
     The derivative factors are computed once per sequence into D = work,
     (T, b, gate_width(p)), one row per step; whatever work held before is
-    overwritten unread. gates is the cell's untransposed stack_gates(p),
-    which a caller lays out once. Nothing else of the stacks' size is
-    allocated: the factors the pass reads besides D go into the aux stack
-    once its values are spent (lstm's s = act(c_t) and dc/dh in the i and
-    c_tilde blocks, the slim cells' act'(h_t) in place of c_tilde), so the
-    stacks are not valid after the call. For srnn, lstm and lstm6 a
-    reverse loop carries only dh and dc and scales each row in place into
-    that step's pre-activation delta. lstm_c6's Jacobian is diagonal, so
+    overwritten unread. The stacks may be one direction's strided views
+    of a bidirectional chunk's arrays (_direction). gates is the
+    cell's untransposed stack_gates(p), which a caller lays out once.
+    Nothing else of the stacks' size is allocated: the factors the pass
+    reads besides D go into the aux stack once its values are spent
+    (lstm's s = act(c_t) and dc/dh in the i and c_tilde blocks, the slim
+    cells' act'(h_t) in place of c_tilde), so the stacks are not valid
+    after the call. For srnn, lstm and lstm6 a reverse loop carries only
+    dh and dc and scales each row in place into that step's
+    pre-activation delta. lstm_c6's Jacobian is diagonal, so
     its carried dc obeys a linear recurrence, dc_t = dc_{t+1} G[t], and
     one multiply.accumulate over reversed time gives every step's dc at
     once (the scan view of linear recurrences; Martin & Cundy, 2018).
@@ -239,9 +255,10 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     The weight gradients then come from all rows at once: gW += D^T X,
     gR += D^T H[:-1] (lstm_c6: the column sums of D * H[:-1], formed in
     the spent G), gb += column sums of D. Rows carry the chunk's batch
-    axis: everything after the reverse pass works on (T b, width) views,
-    and xs reshapes as a view when it is C-contiguous (a reversed
-    direction's xs is copied).
+    axis: everything after the reverse pass works on (T b, width) views
+    (strided for a direction view, whose rows merge all the same), and xs
+    reshapes as a view when it is C-contiguous (a reversed direction's xs
+    is copied).
     """
     H, C, aux = stacks
     names = ADAPTIVE_FIELDS[p.variant]  # (W, R, b) per gate block, gates i f o c
@@ -298,8 +315,7 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
         G[:-1] *= R
         G[:-1] += p.forget_const
         np.multiply.accumulate(G[::-1], axis=0, out=G[::-1])
-        S = G.reshape(T, -1)
-        small = np.flatnonzero(np.einsum("ij,ij->i", S, S) < _UNDERFLOW)
+        small = np.flatnonzero(np.einsum("tbn,tbn->t", G, G) < _UNDERFLOW)
         if small.size:  # the latest such step and every earlier one
             G[:small[-1] + 1] = 0.0
         D *= G
@@ -326,26 +342,33 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     bytes being what the pass holds per sample (_row_bytes): the stacks
     the steps record over every direction, the work array _backward_cell
     writes its factors into, and the chunk's inputs and input gradient.
-    Each direction's (T+1, b, n) / (T, b, width) arrays, the work array
-    and each direction's two stack_gates layouts (transposed for the
-    forward, untransposed for _backward_cell) are made once per call and
-    serve every chunk and direction, a short last chunk the arrays'
-    leading memory, so the pass holds one chunk's stacks and no more. A
-    chunk's inputs are gathered once as (T, b, m). Per direction, one
-    input_term call projects them, in the direction's time order, into
-    the work array, which the reverse pass overwrites unread: stacked
-    1-row products, so column j holds the bits of sample j's projection
-    alone. Each sample then takes run_steps on its column j:j+1, a batch
-    of one, recording straight into the stacks' column j: one step call
-    per sample-step, no shape checks and no buffers of its own. One
-    readout of the final states H[-1] gives the chunk's (b, k) raw
-    outputs, each row the bits of a batch of one (matvec). Each chunk
-    then takes one loss_eval call on those rows, one readout gradient
-    product over H[-1], one reverse pass per direction, adding each
-    direction's input gradient into the first one's, and one embedding
-    scatter. Losses add in sample order, as in a per-sample loop; the
-    gradients sum in chunk-product order, so they move in the last bits
-    when the rows per chunk change.
+    The stacks and the work array are laid out with one block per
+    sample-step holding every direction's row: (T+1, b, D, 1, n) and
+    (T, b, D, 1, width) for a model of D = 2 directions, (T+1, b, 1, n)
+    and (T, b, 1, width) for one. They and each direction's two
+    stack_gates layouts (transposed for the forward, untransposed for
+    _backward_cell) are made once per call and serve every chunk, a short
+    last chunk the arrays' leading memory, so the pass holds one chunk's
+    stacks and no more. A chunk's inputs are gathered once as (T, b, m).
+    Per direction, one input_term call projects them, in the direction's
+    time order, into its slice of the work array, which the reverse pass
+    overwrites unread: stacked 1-row products, so column j holds the bits
+    of sample j's projection alone. Each sample then takes run_steps on
+    its column j, recording straight into the stacks' column j: one step
+    call per sample-step for all directions, whose recurrent tensors are
+    stacked (D, n, width) once per call, and no shape checks or buffers
+    of its own. One readout of the final states H[-1], [h_fwd ; h_bwd]
+    row by row, gives the chunk's (b, k) raw outputs, each row the bits of
+    a batch of one (matvec). Each chunk then takes one loss_eval call on
+    those rows, one readout gradient product over H[-1], one reverse pass
+    per direction on its strided (T+1, b, n) and (T, b, width) views of
+    the stacks, adding each direction's input gradient into the first
+    one's, and one embedding scatter. The input terms being spent, every
+    reverse pass writes its factors into the work array's leading memory
+    as a C-contiguous (T, b, width) array, since the reverse loop runs
+    slower on strided per-step rows. Losses add in sample order, as in a
+    per-sample loop; the gradients sum in chunk-product order, so they
+    move in the last bits when the rows per chunk change.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -358,28 +381,33 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     B, T = len(batch), batch.T
     targets = _targets(loss_kind, batch.labels, out_dim)
     rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
-    stacks = [record_arrays(cell, T, rows) for cell, _, _ in model.directions]
-    work = np.empty((T, rows, gate_width(model.cell)))
     layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
                for cell, _, _ in model.directions]
+    if len(layouts) == 1:  # one direction steps (1, n) rows with a 2-D R
+        block, R = (1,), layouts[0][0][1]
+    else:
+        block, R = (len(layouts), 1), np.stack([fwd[1] for fwd, _ in layouts])
+    stacks = record_arrays(model.cell, T, rows, *block)
+    width = gate_width(model.cell)
+    work = np.empty((T, rows, *block, width))
     total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
         X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
-        chunk = [[None if a is None else _leading(a, b) for a in s] for s in stacks]
-        D = _leading(work, b)
-        for (cell, _, step), arrays, ((W, R, bias), _) in zip(model.directions, chunk,
-                                                              layouts):
+        chunk = [None if a is None else _leading(a, b) for a in stacks]
+        Z = _leading(work, b)
+        for d, ((_, _, step), ((W, _, bias), _)) in enumerate(zip(model.directions,
+                                                                  layouts)):
             # stacked 1-row products: column j has sample j's own bits
-            input_term(W, bias, X[::step, :, None, :], out=D[:, :, None])
-            for a in arrays[:2]:
-                if a is not None:
-                    a[0] = 0.0
-            for j in range(b):
-                run_steps(cell, R, D[:, j:j + 1],
-                          [None if a is None else a[:, j:j + 1] for a in arrays])
-        h = np.concatenate([H[-1] for H, _, _ in chunk], axis=-1)  # (b, width)
+            input_term(W, bias, X[::step, :, None, :], out=_direction(Z, d)[:, :, None])
+        for a in chunk[:2]:
+            if a is not None:
+                a[0] = 0.0
+        for j in range(b):
+            run_steps(model.cell, R, Z[:, j], [None if a is None else a[:, j]
+                                               for a in chunk])
+        h = chunk[0][-1].reshape(b, -1)  # (b, D n), [h_fwd ; h_bwd]
         losses, dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
                                targets[start:stop])
         for loss in losses:
@@ -387,11 +415,15 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         grads["out.W_hy"] += dY.T @ h
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
-        for k, ((cell, prefix, step), arrays, (_, gates)) in enumerate(
-                zip(model.directions, chunk, layouts)):
-            dx = _backward_cell(cell, X[::step], arrays, dH[:, k * n:(k + 1) * n],
-                                grads, prefix, need_dx, gates, D)
-            if need_dx and k == 0:
+        # the input terms are spent: every reverse pass writes its factors
+        # into the work array's leading memory, C-contiguous (T, b, width)
+        factors = _leading(work.reshape(T, -1, width), b)
+        for d, ((cell, prefix, step), (_, gates)) in enumerate(zip(model.directions,
+                                                                   layouts)):
+            arrays = [None if a is None else _direction(a, d) for a in chunk]
+            dx = _backward_cell(cell, X[::step], arrays, dH[:, d * n:(d + 1) * n],
+                                grads, prefix, need_dx, gates, factors)
+            if need_dx and d == 0:
                 dX = dx[::step]
             elif need_dx:
                 dX += dx[::step]

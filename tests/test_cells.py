@@ -3,7 +3,6 @@ transcriptions, cross-variant equivalences through the gate-pin hook, cell
 state boundedness, and the parameter/MAC accounting."""
 
 import math
-import re
 
 import numpy as np
 import numpy.testing as npt
@@ -29,6 +28,7 @@ from slimrnn.cells import (
     record_arrays,
     record_shapes,
     run_cell,
+    run_steps,
     srnn_step,
     stack_gates,
     step_mac_count,
@@ -548,6 +548,8 @@ def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, sha
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(variant):
+    # what run_cell records, run_steps records into one sample's column of a
+    # chunk's arrays, as model_gradients drives it, with the same bits
     T, b, j = 7, 3, 1
     p = random_cell(variant, 3, 5, seed=51, act="tanh")
     rng = make_rng(510)
@@ -555,30 +557,71 @@ def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(varia
     h0 = rng.uniform(-1, 1, (1, 5))
     c0 = None if variant == "srnn" else rng.uniform(-1, 1, (1, 5))
     h, c, want = run_cell(p, xs, h0, c0)
+    W, R, bias = stack_gates(p, transposed=True)
+
+    def column_of(chunk):  # sample j's column, holding its start states
+        column = [None if a is None else a[:, j:j + 1] for a in chunk]
+        for a, v in zip(column, (h0, c0)):
+            if a is not None:
+                a[0] = v
+        return column
+
     chunk = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, b)]
-    column = [None if a is None else a[:, j:j + 1] for a in chunk]
-    got_h, got_c, got = run_cell(p, xs, h0, c0, record=column)
+    got_h, got_c = run_steps(p, R, input_term(W, bias, xs), column_of(chunk))
     npt.assert_array_equal(got_h, h)
+    assert np.shares_memory(got_h, chunk[0])
     if variant == "srnn":
         assert got_c is None and c is None
     else:
         npt.assert_array_equal(got_c, c)
-    for a, g, w in zip(chunk, got, want):
+        assert np.shares_memory(got_c, chunk[1])
+    for a, w in zip(chunk, want):
         if w is None:
-            assert a is None and g is None
+            assert a is None
             continue
-        assert np.shares_memory(g, a)
         npt.assert_array_equal(a[:, j:j + 1], w)
         assert np.isnan(np.delete(a, j, axis=1)).all()  # other columns untouched
-    # the caller's layout gives the bytes run_cell's own does, recording or not
-    gates = stack_gates(p, transposed=True)
+    # a column gives the bytes run_cell's own arrays do, recording or not
     again = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, b)]
-    for record in ([None if a is None else a[:, j:j + 1] for a in again], False):
-        given_h, given_c, _ = run_cell(p, xs, h0, c0, record=record, gates=gates)
+    for stacks, record in ((column_of(again), True), (record_arrays(p, 1, 1), False)):
+        for a, v in zip(stacks, (h0, c0)):
+            if a is not None:
+                a[0] = v
+        given_h, given_c = run_steps(p, R, input_term(W, bias, xs), stacks, record)
         assert given_h.tobytes() == h.tobytes()
         assert given_c is None if c is None else given_c.tobytes() == c.tobytes()
     for a, g in zip(chunk, again):
         assert a is None and g is None or a.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [1, 4, 8, 32, 100])
+def test_a_stacked_step_gives_each_direction_the_bits_of_its_own(variant, n):
+    # a bidirectional chunk steps both directions in one call: recurrent
+    # tensors stacked (2, n, w) (lstm_c6: (2, 1, n)), states (2, 1, n)
+    cells_ = [random_cell(variant, 3, n, seed=54 + d, act="tanh") for d in range(2)]
+    rng = make_rng(540 + n)
+    x = rng.uniform(-2, 2, (2, 1, 3))
+    ops = [operands(p, x[d]) for d, p in enumerate(cells_)]
+    R = np.stack([r for r, _ in ops])
+    a_t = np.stack([a for _, a in ops])
+    states = [rng.uniform(-1, 1, (2, 1, n))
+              for _ in range(1 if variant == "srnn" else 2)]
+    step = STEPS[variant]
+    p = cells_[0]  # the directions share every fixed hyperparameter
+    want = [step(p, ops[d][0], ops[d][1], *(s[d] for s in states)) for d in range(2)]
+    if variant == "srnn":
+        want = [(w,) for w in want]
+    got = step(p, R, a_t, *states)
+    got = (got,) if variant == "srnn" else got
+    out = tuple(np.full(g.shape, np.nan) for g in got)
+    into = step(p, R, a_t, *states, out=out[0] if variant == "srnn" else out)
+    into = (into,) if variant == "srnn" else into
+    for k, (g, i, o) in enumerate(zip(got, into, out)):
+        assert i is o
+        for d in range(2):
+            assert g[d].tobytes() == want[d][k].tobytes(), (k, d)
+            assert o[d].tobytes() == want[d][k].tobytes(), (k, d)
 
 
 def test_record_arrays_follow_record_shapes():
@@ -590,30 +633,10 @@ def test_record_arrays_follow_record_shapes():
         arrays = record_arrays(p, 7, 2)
         assert [None if a is None else a.shape for a in arrays] == list(shapes)
         assert record_shapes(p, 7, 1)[0] == (8, 1, 5)
+        # model_gradients' bidirectional chunk: one (2, 1, n) block per sample-step
+        aux = None if widths is None else (7, 3, 2, 1, widths)
+        assert record_shapes(p, 7, 3, 2, 1)[::2] == ((8, 3, 2, 1, 5), aux)
         assert gate_width(p) == (widths or 5) == stack_gates(p)[2].shape[0]
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_run_cell_rejects_record_arrays_of_the_wrong_shape(variant):
-    T = 4
-    p = random_cell(variant, 3, 5, seed=53)
-    xs = make_rng(530).uniform(-1, 1, (T, 2, 3))
-    good = list(record_arrays(p, T, 2))
-    for k, what in enumerate(("H", "C", "aux")):
-        if good[k] is None:  # srnn records no C and no aux
-            bad = good[:k] + [np.empty((T + 1, 2, 5))] + good[k + 1:]
-            want = "None"
-        else:  # one feature too wide
-            bad = good[:k] + [np.empty(good[k].shape[:-1] + (good[k].shape[-1] + 1,))]
-            bad += good[k + 1:]
-            want = re.escape(str(good[k].shape))
-        got = re.escape(str(bad[k].shape))
-        with pytest.raises(ValueError, match=rf"^record array {what} has shape "
-                                             rf"{got}, expected {want}$"):
-            run_cell(p, xs, record=bad)
-    with pytest.raises(ValueError, match=r"record array H has shape \(5, 5\), "
-                                         r"expected \(5, 2, 5\)"):
-        run_cell(p, xs, record=[a if a is None else a[:, 0] for a in good])
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,25 @@ def test_bptt_matches_oracle_bidirectional():
         assert err <= GRAD_TOL, f"{name}: rel err {err}"
 
 
+@pytest.mark.parametrize("variant,act,loss_kind,k",
+                         [(v, a, "bce", 1) for v in VARIANTS
+                          for a in ("sigmoid", "tanh")] + [("lstm", "tanh", "cce", 3)])
+def test_stacked_directions_match_oracle_over_chunks(monkeypatch, variant, act,
+                                                      loss_kind, k):
+    # both directions step in one call per sample-step, over 2-row chunks
+    # and a short last one
+    B, T = 5, 4
+    model = small_model(variant, 3, 4, seed=2410, act=act, out_dim=k, bidirectional=True)
+    batch = token_batch(2411, B, T, n_classes=max(k, 2))
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 2))
+    _, analytic = model_gradients(model, batch, loss_kind)
+    numeric = finite_difference_model(model, batch, loss_kind)
+    assert set(analytic) == set(numeric)
+    for name in analytic:
+        err = gradient_rel_error(analytic[name], numeric[name])
+        assert err <= GRAD_TOL, f"{variant}/{act}/{loss_kind}/{name}: rel err {err}"
+
+
 def test_bptt_matches_oracle_without_embedding():
     # fixed float inputs: a frozen table whose rows 1..6 are the two
     # samples' three steps, read as tokens 1..6
@@ -718,7 +737,7 @@ def test_each_chunk_projects_once_per_direction_and_steps_once_per_sample_step(
         steps.clear()
         model_gradients(model, batch, "bce")
         assert projections == [(T, b, 1, m) for b in chunks for _ in range(dirs)]
-        assert len(steps) == B * T * dirs
+        assert len(steps) == B * T  # one call steps every direction
     assert runs == []
 
 
@@ -727,19 +746,22 @@ def test_each_chunk_projects_once_per_direction_and_steps_once_per_sample_step(
 def test_a_chunk_projection_gives_each_sample_the_bits_of_its_own(m, w, T):
     # model_gradients projects a chunk's (T, b, m) inputs, in either time
     # order, as stacked 1-row products into the leading memory of its work
-    # array: column j must be sample j's projection alone, bit for bit
+    # array, a direction's slot of it when there are two: column j must be
+    # sample j's projection alone, bit for bit
     rng = make_rng(3344)
     W, bias = rng.uniform(-1.0, 1.0, (m, w)), rng.uniform(-1.0, 1.0, w)
     inputs = rng.uniform(-1.0, 1.0, (T, 32, m))
-    work = np.empty((T, 32, w))
-    for b in range(1, 33):
-        X = np.ascontiguousarray(inputs[:, :b])
-        for step in (1, -1):
-            D = training._leading(work, b)
-            input_term(W, bias, X[::step, :, None, :], out=D[:, :, None])
-            for j in range(b):
-                want = input_term(W, bias, X[::step, j:j + 1])
-                npt.assert_array_equal(D[:, j:j + 1], want, err_msg=f"b={b} j={j} {step}")
+    for block in ((1,), (2, 1)):
+        work = np.empty((T, 32, *block, w))
+        for b in range(1, 33):
+            X = np.ascontiguousarray(inputs[:, :b])
+            for k, step in enumerate((1, -1)):
+                D = training._direction(training._leading(work, b), k % block[0])
+                input_term(W, bias, X[::step, :, None, :], out=D[:, :, None])
+                for j in range(b):
+                    want = input_term(W, bias, X[::step, j:j + 1])
+                    npt.assert_array_equal(D[:, j:j + 1], want,
+                                           err_msg=f"{block} b={b} j={j} {step}")
 
 
 @pytest.mark.parametrize("trainable_emb,bidirectional", [(True, False), (False, True)])
@@ -809,18 +831,26 @@ def test_the_work_array_is_allocated_once_per_call(monkeypatch, variant, bidirec
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient(variant):
     # besides the (T, b, m) input gradient, only per-step rows and the
-    # weight-gradient blocks: no derivative factor of the stacks' size
+    # weight-gradient blocks: no derivative factor of the stacks' size, also
+    # on one direction's strided views of a two-direction chunk
     T, b, m, n = 2000, 3, 4, 16
     rng = make_rng(3334)
     p = init_cell(variant, m, n, "sigmoid", 0.59, rng)
     xs = rng.uniform(-1.0, 1.0, (T, b, m))
     stacks = run_cell(p, xs)[2]
-    grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS[variant]}
+    views = []
+    for a in stacks:
+        views.append(None if a is None else
+                     training._direction(np.empty((len(a), b, 2, 1, a.shape[-1])), 1))
+        if a is not None:
+            views[-1][...] = a
     dh = rng.uniform(-1.0, 1.0, (b, n))
-    work = np.empty((T, b, gate_width(p)))
-    peak = traced_peak(_backward_cell, p, xs, stacks, dh, grads, "", True,
-                       stack_gates(p), work)
-    assert peak <= T * b * m * 8 + 64 * 2**10, peak
+    for arrays in (stacks, views):
+        grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS[variant]}
+        work = np.empty((T, b, gate_width(p)))
+        peak = traced_peak(_backward_cell, p, xs, arrays, dh, grads, "", True,
+                           stack_gates(p), work)
+        assert peak <= T * b * m * 8 + 64 * 2**10, peak
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -895,10 +925,11 @@ def test_record_shapes_are_what_run_cell_records(variant):
                          [(v, False) for v in VARIANTS] + [("lstm6", True)])
 def test_model_gradients_memory_stays_bounded_at_paper_shape(variant, bidirectional):
     # one sample more than a chunk holds, so a short last chunk follows a full
-    # one; at a 6.5 MiB CACHE_BUDGET the peaks are srnn 7.6 MiB (6 rows), lstm
-    # 7.0, lstm6 6.9, lstm_c6 6.7 and lstm6 bidir 7.8 MiB. A budget that gives
-    # srnn 8 rows goes over the bound; it grew the paper benchmark's peak RSS
-    # 4% over a 1 MiB budget.
+    # one; at a 6.75 MiB CACHE_BUDGET the peaks are srnn 7.6 MiB (6 rows), lstm
+    # 7.0 (1), lstm6 6.9 (3), lstm_c6 6.7 (3) and lstm6 bidir 8.75 MiB (2; its
+    # work array holds both directions' rows). A budget that gives srnn 8 rows
+    # goes over the bound; it grew the paper benchmark's peak RSS 4% over a
+    # 1 MiB budget.
     m, n, T = 32, 100, 500
     model = small_model(variant, m, n, seed=3354, vocab=5000,
                         bidirectional=bidirectional)
