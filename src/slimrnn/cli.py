@@ -1,4 +1,4 @@
-"""Command line: train / sweep / gradcheck / params / bench.
+"""Command line: train / sweep / gradcheck / params.
 
 Precedence for train and sweep settings: built-in defaults, then the
 --config file, then explicit flags. Flags always win.
@@ -12,8 +12,8 @@ import sys
 
 from .cells import VARIANTS
 from .harness import (CHOICES, FIELD_TYPES, SWEEP_AXES, ExperimentConfig,
-                      SweepSpec, cmd_bench, cmd_gradcheck, cmd_params,
-                      cmd_sweep, cmd_train, load_config_file)
+                      SweepSpec, cmd_gradcheck, cmd_params, cmd_sweep,
+                      cmd_train, load_config_file)
 
 # Help per ExperimentConfig field; the flag is the field name with - for _.
 _FLAG_HELP = {
@@ -97,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_params.add_argument("--bidirectional", action="store_true")
     p_params.add_argument("--json-lines", action="store_true",
                           help="emit one JSON object per line")
-
-    p_bench = subs.add_parser("bench", help="time one forward+backward pass")
-    p_bench.add_argument("variant", choices=VARIANTS)
-    p_bench.add_argument("--embed", type=int, default=32)
-    p_bench.add_argument("--hidden", type=int, default=100)
-    p_bench.add_argument("--seq-len", type=int, default=500)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--json-lines", action="store_true")
     return parser
 
 
@@ -126,11 +118,8 @@ def main(argv=None) -> int:
             report, ok = cmd_gradcheck(m=args.embed, n=args.hidden,
                                        seq_len=args.seq_len, seeds=args.seeds,
                                        batch=args.batch)
-        elif args.command == "params":
-            info = cmd_params(args.variant, args.m, args.n, args.bidirectional)
         else:
-            info = cmd_bench(args.variant, m=args.embed, n=args.hidden,
-                             seq_len=args.seq_len, reps=args.reps)
+            info = cmd_params(args.variant, args.m, args.n, args.bidirectional)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -152,16 +141,10 @@ def main(argv=None) -> int:
 
     if args.json_lines:
         print(json.dumps(info))
-    elif args.command == "params":
+    else:
         print(f"{info['variant']} m={info['m']} n={info['n']}"
               + (" bidirectional" if info["bidirectional"] else "")
               + f": params={info['params']} macs={info['macs']}")
-    else:
-        print(f"{info['variant']} m={info['m']} n={info['n']} T={info['seq_len']}: "
-              f"median {info['median_seconds']:.4f}s "
-              f"({info['per_step_seconds'] * 1e6:.1f}us/step), "
-              f"macs {info['macs']}, lstm/this mac ratio "
-              f"{info['mac_ratio_vs_lstm']:.2f}")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Experiment harness: configuration, dataset and model assembly,
-checkpoints, and the five commands behind the command line.
+checkpoints, and the four commands behind the command line.
 
 File contracts owned here:
   metrics CSV   header  epoch,train_loss,train_acc,test_loss,test_acc,seconds
@@ -19,7 +19,6 @@ import concurrent.futures
 import itertools
 import math
 import sys
-import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -35,8 +34,7 @@ from .data import (EmbeddingTable, SequenceBatch, SYNTH_KINDS, build_vocab,
 from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
                        SequenceClassifier, bptt_gradients,
-                       finite_difference_oracle, gradient_rel_error,
-                       model_gradients, train_epoch)
+                       finite_difference_oracle, gradient_rel_error, train_epoch)
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc,seconds"
 SWEEP_HEADER = "variant,hidden,eta,forget,best_test_acc,best_epoch,final_train_acc"
@@ -490,7 +488,9 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     passes at a worst relative error of at most 1e-6. relu nets whose
     pre-activations graze a kink (within 1e-4) are skipped. The
     corrupt argument injects an error into one named tensor's analytic
-    gradient so the failure path itself stays testable.
+    gradient so the failure path itself stays testable; it takes a bare
+    name (E, W_hy, b_y or a cell tensor such as W_c), and any other
+    raises ValueError.
 
     Returns (report_rows, ok). Each row carries variant, activation,
     tensor group, worst relative error, and a pass/fail/skip status.
@@ -505,6 +505,9 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
         raise ValueError(f"gradcheck needs seeds >= 1, got {seeds}")
     if not activations:
         raise ValueError("gradcheck needs at least one activation")
+    tensors = {"E", "W_hy", "b_y"}.union(*ADAPTIVE_FIELDS.values())
+    if corrupt is not None and corrupt not in tensors:
+        raise ValueError(f"gradcheck cannot corrupt {corrupt!r}: no tensor has that name")
     report = []
     ok = True
     vocab = 7
@@ -557,37 +560,3 @@ def cmd_params(variant: str, m: int, n: int, bidirectional: bool = False) -> dic
             "params": param_count(variant, m, n, bidirectional),
             "macs": step_mac_count(variant, m, n)}
 
-
-def cmd_bench(variant: str, m: int = 32, n: int = 100, seq_len: int = 500,
-              reps: int = 5) -> dict:
-    """Median wall-clock of one forward+backward pass over a synthetic
-    sequence, plus the MAC-count ratio against the full lstm cell as the
-    model-predicted speedup. Step t reads row t + 1 of a frozen table of
-    uniform draws in [-1, 1) (tokens 1..T), so no gradient is scattered.
-    The one-sample batch is a chunk of one in model_gradients, which
-    records its stacks in place, so the time is one sequence's forward and
-    reverse pass at any CACHE_BUDGET. BLAS runs with whatever thread count the
-    process has; perfbench/run.py pins it to one thread and times whole
-    training and evaluation workloads."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    rng = make_rng(7)
-    cell = init_cell(variant, m, n, "sigmoid", 0.59, rng)
-    out = init_output(rng, n, 1)
-    E = np.concatenate([np.zeros((1, m)), rng.uniform(-1.0, 1.0, size=(seq_len, m))])
-    model = SequenceClassifier(cell=cell, out=out, emb=EmbeddingTable(E, trainable=False))
-    batch = SequenceBatch(tokens=np.arange(1, seq_len + 1)[None], labels=np.array([1]))
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        model_gradients(model, batch, "bce")
-        times.append(time.perf_counter() - t0)
-    median = float(np.median(times))
-    macs = step_mac_count(variant, m, n)
-    return {"variant": variant, "m": m, "n": n, "seq_len": seq_len, "reps": reps,
-            "median_seconds": median,
-            "per_step_seconds": median / seq_len,
-            "macs": macs,
-            "mac_ratio_vs_lstm": step_mac_count("lstm", m, n) / macs}

@@ -25,12 +25,11 @@ from slimrnn.cells import (
     step_mac_count,
 )
 from slimrnn.cli import main as cli_main
-from slimrnn.data import SequenceBatch, init_embedding
+from slimrnn.data import EmbeddingTable, SequenceBatch, init_embedding
 from slimrnn.harness import (
     ExperimentConfig,
     build_dataset,
     build_model,
-    cmd_bench,
     cmd_train,
 )
 from slimrnn.numerics import make_rng
@@ -255,6 +254,26 @@ def test_criterion_5_desk_scale_learnability(acceptance_report):
 #    time obeys lstm > lstm6 >= lstm_c6; the lstm/lstm6 ratio is exactly 4.
 # ===========================================================================
 
+def per_step_seconds(variant, m, n, seq_len, reps):
+    """Median wall-clock of one model_gradients call on one sequence,
+    divided by its length. make_rng(7) draws the cell, then the readout,
+    then the rows of a frozen table of uniform draws in [-1, 1) under a
+    zero pad row; step t reads row t + 1 (tokens 1..T), so no gradient is
+    scattered. BLAS runs with the process's thread count."""
+    rng = make_rng(7)
+    cell = init_cell(variant, m, n, "sigmoid", 0.59, rng)
+    out = init_output(rng, n, 1)
+    E = np.concatenate([np.zeros((1, m)), rng.uniform(-1.0, 1.0, size=(seq_len, m))])
+    model = SequenceClassifier(cell=cell, out=out, emb=EmbeddingTable(E, trainable=False))
+    batch = SequenceBatch(tokens=np.arange(1, seq_len + 1)[None], labels=np.array([1]))
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        model_gradients(model, batch, "bce")
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) / seq_len
+
+
 def test_criterion_6_cost_ordering(acceptance_report):
     violations = []
     for m in range(1, 65):
@@ -266,11 +285,8 @@ def test_criterion_6_cost_ordering(acceptance_report):
                 violations.append((m, n, full, slim, diag))
             assert full / slim == 4.0, f"lstm/lstm6 ratio at ({m},{n})"
 
-    bench = {v: cmd_bench(v, m=32, n=100, seq_len=500, reps=5)
-             for v in ("lstm", "lstm6", "lstm_c6")}
-    t_full = bench["lstm"]["per_step_seconds"]
-    t_slim = bench["lstm6"]["per_step_seconds"]
-    t_diag = bench["lstm_c6"]["per_step_seconds"]
+    t_full, t_slim, t_diag = (per_step_seconds(v, m=32, n=100, seq_len=500, reps=5)
+                              for v in ("lstm", "lstm6", "lstm_c6"))
     timing_ok = t_full > t_slim >= t_diag
     if not timing_ok:
         violations.append(("timing", t_full, t_slim, t_diag))

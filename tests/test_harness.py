@@ -2,16 +2,20 @@
 runs and their artifacts, checkpoint fidelity, sweeps (sequential and
 parallel), the gradient-check command, and the CLI surface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import (init_cell, init_output, lstm6_step, lstm_step,
-                           lstmc6_step, run_cell, srnn_step)
+from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
+                           run_cell, srnn_step)
 from slimrnn.cli import build_parser, main
-from slimrnn.data import EmbeddingTable, SequenceBatch, embed_lookup
+from slimrnn.data import EmbeddingTable, SequenceBatch
 from slimrnn.harness import (
     CHECKPOINT_MAGIC,
     CHOICES,
@@ -21,7 +25,6 @@ from slimrnn.harness import (
     SweepSpec,
     build_dataset,
     build_model,
-    cmd_bench,
     cmd_gradcheck,
     cmd_params,
     cmd_sweep,
@@ -38,6 +41,8 @@ from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, evaluate
 
 from conftest import operands
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(tmp_path, **overrides):
@@ -639,7 +644,7 @@ def test_failed_sweep_cell_without_a_writable_out_dir_still_reports(tmp_path, ca
 
 
 # --------------------------------------------------------------------------
-# Gradient-check, params, and bench commands.
+# Gradient-check and params commands.
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", ["srnn", "lstm", "lstm6", "lstm_c6"])
@@ -679,6 +684,14 @@ def test_cmd_gradcheck_detects_an_injected_error():
     assert failing == {"W_c"}
 
 
+def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
+    # Analytic gradients are keyed by bare names, so "fwd.W_c" matches none.
+    monkeypatch.setattr(harness, "make_rng", lambda seed: pytest.fail("a net was drawn"))
+    for name in ("W_typo", "fwd.W_c"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot corrupt {name!r}")):
+            cmd_gradcheck(m=2, n=2, seq_len=2, batch=1, seeds=1, corrupt=name)
+
+
 def test_cmd_gradcheck_enforces_desk_scale_caps():
     with pytest.raises(ValueError, match="capped"):
         cmd_gradcheck(m=9)
@@ -697,33 +710,6 @@ def test_cmd_params_reports_counts():
     info = cmd_params("lstm", 32, 100)
     assert info["params"] == 53200 and info["macs"] == 52800
     assert cmd_params("lstm_c6", 128, 128, bidirectional=True)["params"] == 33280
-
-
-def test_cmd_bench_reports_timing_and_ratio():
-    info = cmd_bench("lstm6", m=4, n=4, seq_len=10, reps=2)
-    assert info["median_seconds"] > 0.0
-    assert info["per_step_seconds"] == info["median_seconds"] / 10
-    assert info["mac_ratio_vs_lstm"] == 4.0
-    with pytest.raises(ValueError):
-        cmd_bench("lstm6", reps=0)
-
-
-def test_cmd_bench_reads_its_rng_uniform_draws_as_inputs(monkeypatch):
-    seen = []
-
-    def spy(model, batch, loss_kind):
-        seen.append((model, batch))
-        return training.model_gradients(model, batch, loss_kind)
-
-    monkeypatch.setattr(harness, "model_gradients", spy)
-    cmd_bench("lstm", m=3, n=4, seq_len=6, reps=1)
-    [(model, batch)] = seen
-    rng = make_rng(7)  # the cell, the readout, then the inputs
-    init_cell("lstm", 3, 4, "sigmoid", 0.59, rng)
-    init_output(rng, 4, 1)
-    want = rng.uniform(-1.0, 1.0, size=(6, 3))
-    npt.assert_array_equal(embed_lookup(model.emb, batch.tokens[0]), want)
-    assert not model.emb.trainable and "emb.E" not in model.param_arrays()
 
 
 # --------------------------------------------------------------------------
@@ -805,17 +791,10 @@ def test_cli_params_command(capsys):
     assert '"params": 13300' in out
 
 
-def test_cli_bench_command(capsys):
-    assert main(["bench", "lstm_c6", "--embed", "4", "--hidden", "4",
-                 "--seq-len", "8", "--reps", "1", "--json-lines"]) == 0
-    assert '"mac_ratio_vs_lstm"' in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("argv, reason", [
     (["gradcheck", "--embed", "9"], "gradcheck dims are capped at 8, got m=9 n=4"),
     (["params", "lstm6", "0", "4"], "dims must be >= 1, got m=0 n=4"),
-    (["bench", "lstm6", "--reps", "0"], "reps must be >= 1, got 0"),
-    (["bench", "lstm6", "--seq-len", "0"], "seq_len must be >= 1, got 0"),
+    (["bench", "lstm6"], "argument command: invalid choice: 'bench'"),
     (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_cli_bad_argument_exits_2_with_the_reason(tmp_path, capsys, argv, reason):
@@ -878,6 +857,17 @@ def test_cli_sweep_omitted_axes_keep_the_base_config(tmp_path):
     assert len(lines) == 2
     assert lines[1].startswith("lstm6,6,0.002,0.3,")
     assert (tmp_path / "base_sweep" / "cells" / "cell000_lstm6_h6").is_dir()
+
+
+def test_readme_documents_every_cli_subcommand():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    [subs] = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(re.findall(r"^### (\S+)$", section, re.M)) == sorted(subs.choices)
+    count = re.search(r"with (\w+) subcommands", section).group(1)
+    words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight")
+    assert words.index(count) == len(subs.choices)
 
 
 def test_cli_config_flags_follow_the_config_schema():
