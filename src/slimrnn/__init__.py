@@ -13,9 +13,8 @@ from its submodule (slimrnn.cells, .data, .harness, .numerics, .training).
 from .cells import init_cell, output_layer_apply, run_cell, step_mac_count
 from .harness import (ExperimentConfig, build_dataset, build_model,
                       cmd_gradcheck, load_checkpoint, save_checkpoint)
-from .training import (OptimizerState, SequenceClassifier, bptt_gradients,
-                       evaluate, finite_difference_model,
-                       finite_difference_oracle, model_gradients,
+from .training import (OptimizerState, SequenceClassifier, evaluate,
+                       finite_difference_model, model_gradients,
                        optimizer_step, train_epoch)
 
 __version__ = "0.1.0"
@@ -24,7 +23,6 @@ __all__ = [
     "ExperimentConfig", "build_dataset", "build_model", "OptimizerState",
     "train_epoch", "evaluate", "save_checkpoint", "load_checkpoint",
     "init_cell", "run_cell", "output_layer_apply", "SequenceClassifier",
-    "model_gradients", "bptt_gradients", "finite_difference_model",
-    "finite_difference_oracle", "optimizer_step", "cmd_gradcheck",
-    "step_mac_count", "__version__",
+    "model_gradients", "finite_difference_model", "optimizer_step",
+    "cmd_gradcheck", "step_mac_count", "__version__",
 ]

@@ -33,8 +33,10 @@ from .data import (EmbeddingTable, SequenceBatch, SYNTH_KINDS, build_vocab,
                    pad_or_truncate, synth_generate)
 from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
-                       SequenceClassifier, bptt_gradients,
-                       finite_difference_oracle, gradient_rel_error, train_epoch)
+                       SequenceClassifier, gradient_rel_error, train_epoch)
+# perfbench's tracer times cmd_gradcheck's two routes under these names.
+from .training import finite_difference_model as finite_difference_oracle
+from .training import model_gradients as bptt_gradients
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc,seconds"
 SWEEP_HEADER = "variant,hidden,eta,forget,best_test_acc,best_epoch,final_train_acc"
@@ -81,6 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"vocab must be >= 4, got {self.vocab}")
         if self.samples < 10:
             raise ValueError(f"samples must be >= 10, got {self.samples}")
+        if not self.out:  # Path("") is the working directory
+            raise ValueError("out must name a directory, got ''")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.eta):
@@ -389,19 +393,18 @@ class SweepSpec:
 
 
 def _sweep_cells(spec: SweepSpec):
-    """One config per grid cell. Every axis value is typed and checked
-    against CHOICES here, so a typo fails before any cell trains; a cell
-    that fails later still gives a nan row."""
+    """One config per grid cell. Every axis value is typed and validated
+    as a config value here, so a typo or an out-of-range value fails before
+    any cell trains; a cell that fails later still gives a nan row."""
     axes = {}
     for axis, name in SWEEP_AXES.items():
         axes[name] = []
         for value in getattr(spec, axis) or [getattr(spec.base, name)]:
             try:
                 value = _typed(name, value)
+                replace(spec.base, **{name: value}).validate()
             except ValueError as exc:
                 raise ValueError(f"sweep axis {axis}: {exc}") from None
-            if value not in CHOICES.get(name, (value,)):
-                raise ValueError(f"sweep axis {axis}: unknown {name} {value!r}")
             axes[name].append(value)
     cells = []
     for idx, values in enumerate(itertools.product(*axes.values())):
@@ -477,6 +480,11 @@ def _relu_kink_margin(p: CellParams, xs: np.ndarray, stacks) -> float:
     return min(float(np.min(np.abs(a))), float(np.min(np.abs(C[1:]))))
 
 
+def _bare_names(grads: dict) -> dict:
+    """A one-cell model's gradients keyed by bare tensor names (E, W_c, ..., b_y)."""
+    return {key.split(".", 1)[1]: g for key, g in grads.items()}
+
+
 def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                   batch: int = 2, activations=("sigmoid", "tanh", "relu"),
                   corrupt: str | None = None):
@@ -493,7 +501,8 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     raises ValueError.
 
     Returns (report_rows, ok). Each row carries variant, activation,
-    tensor group, worst relative error, and a pass/fail/skip status.
+    tensor group (the bare name, as corrupt takes it), worst relative
+    error, and a pass/fail/skip status.
     """
     if not 1 <= m <= 8 or not 1 <= n <= 8:
         raise ValueError(f"gradcheck dims are capped at 8, got m={m} n={n}")
@@ -532,10 +541,11 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                     if _relu_kink_margin(cell, xs, run_cell(cell, xs)[2]) < 1e-4:
                         continue
                 used += 1
-                _, analytic = bptt_gradients(cell, out, emb, batch_data, "bce")
+                model = SequenceClassifier(cell, out, emb)
+                analytic = _bare_names(bptt_gradients(model, batch_data, "bce")[1])
                 if corrupt is not None and corrupt in analytic:
                     analytic[corrupt] = analytic[corrupt] + 1.0
-                oracle = finite_difference_oracle(cell, out, emb, batch_data, "bce")
+                oracle = _bare_names(finite_difference_oracle(model, batch_data, "bce"))
                 for name in analytic:
                     err = gradient_rel_error(analytic[name], oracle[name])
                     worst[name] = max(worst.get(name, 0.0), err)

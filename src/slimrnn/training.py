@@ -435,21 +435,6 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     return total / B, grads
 
 
-def _strip_prefix(key: str) -> str:
-    if key == "emb.E":
-        return "E"
-    return key.split(".", 1)[1]
-
-
-def bptt_gradients(p: CellParams, out: OutputLayer, emb: EmbeddingTable,
-                   batch, loss_kind: str):
-    """Single-cell entry point: mean batch loss and gradients keyed by
-    bare tensor names (W_c, ..., W_hy, b_y, and E for the embedding)."""
-    model = SequenceClassifier(cell=p, out=out, emb=emb)
-    total, grads = model_gradients(model, batch, loss_kind)
-    return total, {_strip_prefix(k): v for k, v in grads.items()}
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference oracle.
 #
@@ -580,15 +565,6 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
             gflat[idx] = (loss[:k] - loss[k:]) / (2.0 * eps)
         grads[name] = g
     return grads
-
-
-def finite_difference_oracle(p: CellParams, out: OutputLayer, emb: EmbeddingTable,
-                             batch, loss_kind: str,
-                             epsilon: float = 1e-6) -> GradientSet:
-    """Single-cell oracle, keyed like bptt_gradients."""
-    model = SequenceClassifier(cell=p, out=out, emb=emb)
-    grads = finite_difference_model(model, batch, loss_kind, epsilon)
-    return {_strip_prefix(k): v for k, v in grads.items()}
 
 
 def gradient_rel_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,8 +12,8 @@ import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import (init_cell, lstm6_step, lstm_step, lstmc6_step,
-                           run_cell, srnn_step)
+from slimrnn.cells import (VARIANTS, init_cell, lstm6_step, lstm_step,
+                           lstmc6_step, run_cell, srnn_step)
 from slimrnn.cli import build_parser, main
 from slimrnn.data import EmbeddingTable, SequenceBatch
 from slimrnn.harness import (
@@ -103,6 +103,7 @@ def test_config_parse_rejects_bad_lines():
     ("# grid\nvariant = lsmt6\n", "line 2: unknown variant 'lsmt6'"),
     ("hidden = 0\n", "line 1: hidden must be >= 1, got 0"),
     ("seed = -1\n", "line 1: seed must be >= 0, got -1"),
+    ("out =\n", "line 1: out must name a directory, got ''"),
 ])
 def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text,
                                                                   reason):
@@ -144,7 +145,7 @@ def test_config_validation_rejects_unusable_values(tmp_path):
            dict(optimizer="adagrad"), dict(loss="hinge"), dict(hidden=0),
            dict(epochs=0), dict(eta=0.0), dict(eta=-1e-3), dict(forget=1.0),
            dict(vocab=3), dict(samples=5), dict(data="csv:foo"),
-           dict(data="synth:mystery"), dict(data="tsv:")]
+           dict(data="synth:mystery"), dict(data="tsv:"), dict(out="")]
     for kw in bad:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, **kw).validate()
@@ -582,9 +583,13 @@ def test_cli_sweep_rejects_a_worker_count_below_one_with_exit_2(tmp_path, capsys
 
 
 def test_sweep_survives_a_failing_cell(tmp_path, capsys):
+    # a regular file where the first cell's directory goes makes that cell fail
+    cell = tmp_path / "sweep" / "cells" / "cell000_lstm6_h4"
+    cell.parent.mkdir(parents=True)
+    cell.write_text("a file where the cell directory goes", encoding="utf-8")
     base = tiny_config(tmp_path, out=str(tmp_path / "sweep"))
     spec = SweepSpec(base=base, variants=["lstm6"], hiddens=[4],
-                     etas=[-1.0, 2e-3], forgets=[0.59])  # first cell invalid
+                     etas=[1e-3, 2e-3], forgets=[0.59])
     result = cmd_sweep(spec)
     assert len(result["rows"]) == 2
     assert result["rows"][0].endswith("nan,0,nan")
@@ -596,6 +601,10 @@ def test_sweep_survives_a_failing_cell(tmp_path, capsys):
     (dict(variants=["lstm6", "lsmt6"]), "sweep axis variants: unknown variant 'lsmt6'"),
     (dict(hiddens=["4", "x"]), "sweep axis hiddens: hidden must be an int, got 'x'"),
     (dict(etas=["fast"]), "sweep axis etas: eta must be a float, got 'fast'"),
+    (dict(hiddens=["0"]), "sweep axis hiddens: hidden must be >= 1, got 0"),
+    (dict(etas=["-1"]), "sweep axis etas: eta must be positive, got -1.0"),
+    (dict(forgets=["1.5"]),
+     "sweep axis forgets: forget must satisfy -1 < f < 1, got 1.5"),
 ])
 def test_sweep_rejects_a_bad_axis_value_before_any_cell_trains(tmp_path, axes,
                                                                message):
@@ -690,6 +699,30 @@ def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
     for name in ("W_typo", "fwd.W_c"):
         with pytest.raises(ValueError, match=re.escape(f"cannot corrupt {name!r}")):
             cmd_gradcheck(m=2, n=2, seq_len=2, batch=1, seeds=1, corrupt=name)
+
+
+def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
+    # perfbench's harness.gradcheck_nets_used_ratio divides the calls of
+    # harness.bptt_gradients by the calls of harness.init_cell
+    calls = dict.fromkeys(("bptt_gradients", "finite_difference_oracle", "init_cell"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    small = dict(m=3, n=3, seq_len=2, batch=1, seeds=2)
+    cmd_gradcheck(**small, activations=("sigmoid", "tanh"))
+    assert calls["init_cell"] == len(VARIANTS) * 2 * 2
+    assert calls["bptt_gradients"] == calls["init_cell"]
+    assert calls["finite_difference_oracle"] == calls["init_cell"]
+
+    calls.update(dict.fromkeys(calls, 0))
+    monkeypatch.setattr(harness, "_relu_kink_margin", lambda *args: 0.0)
+    report, _ = cmd_gradcheck(**small, activations=("relu",))
+    assert calls["bptt_gradients"] == calls["finite_difference_oracle"] == 0
+    assert calls["init_cell"] == len(VARIANTS) * 2
+    assert [(r["variant"], r["status"]) for r in report] == \
+        [(v, "skip") for v in VARIANTS]
 
 
 def test_cmd_gradcheck_enforces_desk_scale_caps():
@@ -805,6 +838,20 @@ def test_cli_bad_argument_exits_2_with_the_reason(tmp_path, capsys, argv, reason
     assert f"error: {reason}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_empty_out_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch,
+                                                       command):
+    # Path("") is the working directory: the run would be written into it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *cli_train_args(tmp_path)[1:-2], "--out", ""])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: out must name a directory, got ''" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
