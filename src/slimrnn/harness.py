@@ -177,7 +177,8 @@ def load_config_file(path) -> dict:
 def build_dataset(cfg: ExperimentConfig):
     """Materialize (train, test) batches for a config's data source.
 
-    synth:<kind> draws from the task generator with the run seed.
+    synth:<kind> draws from the task generator with the run seed; bce on
+    a task of more than 2 classes raises ValueError.
     tsv:<path> loads label<TAB>text lines, shuffles with the run seed,
     splits 80/20, builds the vocabulary on the training split only,
     then encodes and pre-pads both splits to seq_len. A file that cannot
@@ -185,8 +186,11 @@ def build_dataset(cfg: ExperimentConfig):
     """
     kind, _, rest = cfg.data.partition(":")
     if kind == "synth":
-        return synth_generate(rest, cfg.samples, cfg.seq_len, cfg.vocab,
-                              make_rng(cfg.seed))
+        train, test = synth_generate(rest, cfg.samples, cfg.seq_len, cfg.vocab,
+                                     make_rng(cfg.seed))
+        if cfg.loss == "bce" and train.n_classes != 2:
+            raise ValueError(f"bce needs 2 classes, {cfg.data} has {train.n_classes}")
+        return train, test
     try:
         corpus = load_tsv_corpus(rest)
     except OSError as exc:  # chained: a sweep cell's error.txt shows the cause
@@ -301,9 +305,6 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     for key in ("variant", "loss"):
         if meta[key] not in CHOICES[key]:
             raise ValueError(f"unknown {key} {meta[key]!r}")
-    if loss == "bce" and arrays["out.b_y"].shape != (1,):
-        raise ValueError(f"bce needs an output width of 1, "
-                         f"checkpoint has {arrays['out.b_y'].shape[0]}")
     act, f = meta["activation"], float(meta["forget"])
 
     def rebuild_cell(prefix: str) -> CellParams:
@@ -313,6 +314,8 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     cell = rebuild_cell("fwd.")
     cell_bwd = rebuild_cell("bwd.") if _flag(meta, "bidirectional", "false") else None
     out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
+    if loss == "bce" and len(out.b_y) != 1:  # OutputLayer refused a b_y not 1-D
+        raise ValueError(f"bce needs an output width of 1, checkpoint has {len(out.b_y)}")
     emb = EmbeddingTable(E=arrays["emb.E"], trainable=_flag(meta, "trainable", "true"))
     model = SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
     known = model.param_arrays(include_frozen=True)

@@ -75,43 +75,39 @@ EVAL_BUDGET = 21 << 18
 CACHE_BUDGET = 27 << 18
 
 
-def one_hot(labels, k: int) -> np.ndarray:
-    """One-hot rows, (B, k), for a (B,) array of labels."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"one_hot needs a (B,) array of labels, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label {labels} outside [0, {k})")
-    return (labels[:, None] == np.arange(k)).astype(np.float64)
-
-
-def loss_eval(kind: str, y_raw: np.ndarray, y_true: np.ndarray):
+def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
     """Loss value and its gradient with respect to the raw output.
 
-    bce: scalar raw score through a sigmoid, target in {0, 1}.
-    cce: raw score vector through a softmax, one-hot target.
+    bce: scalar raw score through a sigmoid, label 0 or 1.
+    cce: raw score vector through a softmax, label in [0, k).
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, and
-    both gradients reduce to p - y. y_raw and y_true are (B, k) rows, one
-    per sample, and the loss is the (B,) array of per-sample losses.
+    both gradients reduce to p - y, y the label's one-hot row. y_raw is
+    (B, k) rows, one per sample, labels the (B,) integer class labels, and
+    the loss is the (B,) array of per-sample losses.
     """
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
     bce = kind == "bce"
-    if y_raw.shape != y_true.shape or y_raw.ndim != 2 or (bce and y_raw.shape[1] != 1):
-        raise ValueError(f"{kind} needs matching (B, {'1' if bce else 'k'}) rows, "
-                         f"got {y_raw.shape} and {y_true.shape}")
-    if not ((y_true == 0.0) | (y_true == 1.0)).all():
-        raise ValueError(f"{kind} target must be {'0 or 1' if bce else 'one-hot'}")
+    if y_raw.ndim != 2 or (bce and y_raw.shape[1] != 1):
+        raise ValueError(f"{kind} needs (B, {'1' if bce else 'k'}) rows, got {y_raw.shape}")
+    labels = np.asarray(labels)
+    if labels.shape != y_raw.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"{kind} needs a ({len(y_raw)},) integer array of labels, "
+                         f"got {labels.dtype} {labels.shape}")
+    k = 2 if bce else y_raw.shape[1]
+    outside = labels[(labels < 0) | (labels >= k)]
+    if outside.size:
+        raise ValueError(f"{kind} label {outside[0]} outside [0, {k})")
     if bce:
         p = np.clip(expit(y_raw), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        loss = -np.log(np.where(y_true == 1.0, p, 1.0 - p))[..., 0]
-    else:
-        if not (y_true.sum(axis=-1) == 1.0).all():
-            raise ValueError("cce target must be one-hot")
-        e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
-        p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        loss = -np.log(np.sum(p * y_true, axis=-1))
-    return loss, p - y_true
+        loss = -np.log(np.where(labels[:, None] == 1, p, 1.0 - p))[..., 0]
+        return loss, p - labels[:, None]
+    e = np.exp(y_raw - y_raw.max(axis=-1, keepdims=True))
+    p = np.clip(e / e.sum(axis=-1, keepdims=True), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    rows = np.arange(len(labels))
+    loss = -np.log(p[rows, labels])
+    p[rows, labels] -= 1.0
+    return loss, p
 
 
 @dataclass
@@ -182,13 +178,6 @@ def _stack_bytes(model: SequenceClassifier, T: int) -> int:
     """Bytes per sample of every direction's recorded stacks over T steps."""
     return sum(8 * math.prod(s) for cell, _, _ in model.directions
                for s in record_shapes(cell, T, 1) if s is not None)
-
-
-def _targets(loss_kind: str, labels, out_dim: int) -> np.ndarray:
-    """Target rows, (B, k), for an array of B labels."""
-    if loss_kind == "bce":
-        return np.asarray(labels, dtype=np.float64)[..., None]
-    return one_hot(labels, out_dim)
 
 
 def _row_bytes(model: SequenceClassifier, T: int) -> int:
@@ -375,11 +364,9 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     flat = np.zeros(sum(map(math.prod, shapes.values())))
     grads: GradientSet = _flat_views(flat, shapes)
-    out_dim = model.out.b_y.shape[0]
     need_dx = model.emb.trainable
     n = model.cell.n
     B, T = len(batch), batch.T
-    targets = _targets(loss_kind, batch.labels, out_dim)
     rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
     layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
                for cell, _, _ in model.directions]
@@ -409,7 +396,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
                                                for a in chunk])
         h = chunk[0][-1].reshape(b, -1)  # (b, D n), [h_fwd ; h_bwd]
         losses, dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
-                               targets[start:stop])
+                               batch.labels[start:stop])
         for loss in losses:
             total += float(loss)
         grads["out.W_hy"] += dY.T @ h
@@ -509,6 +496,10 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
                    loss_kind: str) -> np.ndarray:
     """Mean batch loss of each model on the perturbation axis, (K,). Every
     tensor in A, the frozen embedding included, carries that axis."""
+    labels = batch.labels
+    k = 2 if loss_kind == "bce" else A["out.b_y"].shape[-1]
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
+        raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
     cell = model.cell
     floor = np.longdouble(_PROB_FLOOR)
     xs = np.moveaxis(A["emb.E"][:, batch.tokens], 2, 0)  # (T, K, B, m)
@@ -519,7 +510,6 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
                                A, "bwd.", xs[::-1])
         h = np.concatenate(np.broadcast_arrays(h, h_b), axis=-1)
     y_raw = h @ np.swapaxes(A["out.W_hy"], -1, -2) + A["out.b_y"][:, None, :]
-    labels = np.asarray(batch.labels).astype(np.int64)
     if loss_kind == "bce":
         p = np.clip(_ld_activate("sigmoid", y_raw)[..., 0], floor, 1.0 - floor)
         losses = -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))
@@ -700,7 +690,6 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     """
     if len(batch) == 0:
         raise ValueError("cannot evaluate an empty split")
-    out_dim = model.out.b_y.shape[0]
     total = 0.0
     correct = 0
     terms = len(model.directions) * gate_width(model.cell)
@@ -710,7 +699,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         rows = slice(start, start + size)
         labels = batch.labels[rows]
         y_raw, _ = model.forward(embed_lookup(model.emb, batch.tokens[rows].T))
-        losses, _ = loss_eval(loss_kind, y_raw, _targets(loss_kind, labels, out_dim))
+        losses, _ = loss_eval(loss_kind, y_raw, labels)
         total += float(losses.sum())
         if loss_kind == "bce":
             pred = expit(y_raw[:, 0]) >= 0.5

@@ -457,6 +457,17 @@ def test_checkpoint_loss_field_is_validated(tmp_path, loss, out_width, cause):
     assert str(info.value) == f"{path}: {cause}"
 
 
+def test_checkpoint_with_a_0d_bce_output_bias_is_rejected_by_path(tmp_path):
+    cfg = tiny_config(tmp_path)
+    path = tmp_path / "0d.ckpt"
+    save_checkpoint(path, build_model(cfg, n_classes=2), cfg)
+    # a 0-d b_y holds one value, as (1,) does, so the payload length still matches
+    path.write_bytes(path.read_bytes().replace(b"out.b_y 1\n", b"out.b_y\n", 1))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: output layer shapes disagree: W (1, 4), b ()"
+
+
 def test_checkpoint_with_an_unknown_activation_is_rejected_by_path(tmp_path):
     cfg = tiny_config(tmp_path)
     train, _ = build_dataset(cfg)
@@ -785,6 +796,18 @@ def test_cli_train_data_error_exits_2_and_leaves_no_directory(tmp_path, capsys,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {path}: {reason}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cli_run").exists()
+
+
+@pytest.mark.parametrize("task,n_classes", [("first_token_class", 4), ("majority_vote", 3)])
+def test_cli_train_bce_on_a_multiclass_task_exits_2_and_leaves_no_directory(
+        tmp_path, capsys, task, n_classes):
+    with pytest.raises(SystemExit) as exc:
+        main(cli_train_args(tmp_path) + ["--data", f"synth:{task}", "--loss", "bce"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: bce needs 2 classes, synth:{task} has {n_classes}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "cli_run").exists()
 

@@ -25,7 +25,6 @@ from slimrnn.training import (
     gradient_rel_error,
     loss_eval,
     model_gradients,
-    one_hot,
     optimizer_step,
     train_epoch,
     _backward_cell,
@@ -56,65 +55,64 @@ def token_batch(seed, B, T, vocab=7, n_classes=2):
 # Losses.
 # --------------------------------------------------------------------------
 
-def test_one_hot():
-    npt.assert_array_equal(one_hot([1], 3), [[0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        one_hot([3], 3)
-    with pytest.raises(ValueError):
-        one_hot([-1], 3)
-    # one label is a batch of one: a scalar label is refused
-    with pytest.raises(ValueError, match=r"\(B,\) array of labels, got shape \(\)"):
-        one_hot(1, 3)
-
-
 def test_bce_frozen_values():
-    (loss,), grad = loss_eval("bce", np.array([[0.0]]), np.array([[1.0]]))
+    (loss,), grad = loss_eval("bce", np.array([[0.0]]), np.array([1]))
     assert abs(loss - math.log(2.0)) < 1e-15
     npt.assert_allclose(grad, [[-0.5]], rtol=0, atol=1e-15)
-    (loss0,), grad0 = loss_eval("bce", np.array([[0.0]]), np.array([[0.0]]))
+    (loss0,), grad0 = loss_eval("bce", np.array([[0.0]]), np.array([0]))
     assert abs(loss0 - math.log(2.0)) < 1e-15
     npt.assert_allclose(grad0, [[0.5]], rtol=0, atol=1e-15)
 
 
 def test_cce_frozen_values():
-    (loss,), grad = loss_eval("cce", np.zeros((1, 3)), one_hot([0], 3))
+    (loss,), grad = loss_eval("cce", np.zeros((1, 3)), np.array([0]))
     assert abs(loss - math.log(3.0)) < 1e-15
     npt.assert_allclose(grad, [[1 / 3 - 1, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
 
 
 def test_loss_input_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        loss_eval("bce", np.array([[0.0]]), np.array([[0.5]]))
+    with pytest.raises(ValueError, match=r"bce label 2 outside \[0, 2\)"):
+        loss_eval("bce", np.array([[0.0]]), np.array([2]))
+    with pytest.raises(ValueError, match=r"bce label -1 outside \[0, 2\)"):
+        loss_eval("bce", np.array([[0.0]]), np.array([-1]))
+    # a label is a class index: a float one is refused, even a whole-valued one
+    with pytest.raises(ValueError, match=r"integer array of labels, got float64 \(1,\)"):
+        loss_eval("bce", np.array([[0.0]]), np.array([0.5]))
+    with pytest.raises(ValueError, match=r"integer array of labels, got float64"):
+        loss_eval("cce", np.zeros((1, 3)), np.array([1.0]))
     with pytest.raises(ValueError, match=r"\(B, 1\)"):
-        loss_eval("bce", np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="one-hot"):
-        loss_eval("cce", np.zeros((1, 3)), np.array([[0.5, 0.5, 0.0]]))
-    with pytest.raises(ValueError, match="one-hot"):
-        loss_eval("cce", np.zeros((1, 3)), np.ones((1, 3)))
+        loss_eval("bce", np.zeros((1, 2)), np.array([0]))
+    with pytest.raises(ValueError, match=r"cce label 3 outside \[0, 3\)"):
+        loss_eval("cce", np.zeros((1, 3)), np.array([3]))
+    with pytest.raises(ValueError, match=r"cce label -1 outside \[0, 3\)"):
+        loss_eval("cce", np.zeros((2, 3)), np.array([0, -1]))
     with pytest.raises(ValueError):
-        loss_eval("mse", np.zeros((1, 1)), np.zeros((1, 1)))
-    # one sample is a batch of one: a 1-D row is refused
-    with pytest.raises(ValueError, match=r"\(B, 1\) rows, got \(1,\) and \(1,\)"):
-        loss_eval("bce", np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match=r"\(B, k\) rows, got \(3,\) and \(3,\)"):
-        loss_eval("cce", np.zeros(3), one_hot([0], 3)[0])
+        loss_eval("mse", np.zeros((1, 1)), np.array([0]))
+    # one sample is a batch of one: a 1-D row and a scalar label are refused
+    with pytest.raises(ValueError, match=r"\(B, 1\) rows, got \(1,\)"):
+        loss_eval("bce", np.array([0.0]), np.array([1]))
+    with pytest.raises(ValueError, match=r"\(B, k\) rows, got \(3,\)"):
+        loss_eval("cce", np.zeros(3), np.array([0]))
+    with pytest.raises(ValueError, match=r"\(1,\) integer array of labels, got int64 \(\)"):
+        loss_eval("cce", np.zeros((1, 3)), np.array(1))
+    with pytest.raises(ValueError, match=r"\(2,\) integer array of labels, got int64 \(1,\)"):
+        loss_eval("cce", np.zeros((2, 3)), np.array([1]))
 
 
 def test_losses_nonnegative_and_clamped():
     rng = make_rng(1200)
     for _ in range(200):
         raw = rng.uniform(-30, 30, size=(1, 1))
-        y = np.array([[float(rng.integers(0, 2))]])
-        (loss,), _ = loss_eval("bce", raw, y)
+        (loss,), _ = loss_eval("bce", raw, rng.integers(0, 2, size=1))
         assert loss >= 0.0
     # perfect prediction comes arbitrarily close to zero loss
-    (loss,), _ = loss_eval("bce", np.array([[40.0]]), np.array([[1.0]]))
+    (loss,), _ = loss_eval("bce", np.array([[40.0]]), np.array([1]))
     assert 0.0 <= loss < 1e-11
     # the clamp keeps a hopeless prediction finite
-    (loss,), _ = loss_eval("bce", np.array([[-1000.0]]), np.array([[1.0]]))
+    (loss,), _ = loss_eval("bce", np.array([[-1000.0]]), np.array([1]))
     assert np.isfinite(loss) and loss <= -math.log(1e-12) + 1e-9
     for k in (2, 5):
-        (loss,), _ = loss_eval("cce", rng.uniform(-5, 5, size=(1, k)), one_hot([0], k))
+        (loss,), _ = loss_eval("cce", rng.uniform(-5, 5, size=(1, k)), np.array([0]))
         assert loss > 0.0
 
 
@@ -123,11 +121,10 @@ def test_loss_over_a_batch_axis_equals_per_row_losses(kind, k):
     rng = make_rng(1250)
     raw = rng.uniform(-4, 4, size=(7, k))
     labels = rng.integers(0, 2 if kind == "bce" else k, size=7)
-    y = labels[:, None].astype(float) if kind == "bce" else one_hot(labels, k)
-    losses, grads = loss_eval(kind, raw, y)
+    losses, grads = loss_eval(kind, raw, labels)
     assert losses.shape == (7,) and grads.shape == (7, k)
     for b in range(7):
-        (loss,), grad = loss_eval(kind, raw[b:b + 1], y[b:b + 1])
+        (loss,), grad = loss_eval(kind, raw[b:b + 1], labels[b:b + 1])
         assert losses[b] == loss
         npt.assert_array_equal(grads[b:b + 1], grad)
 
@@ -138,10 +135,7 @@ def test_loss_gradient_matches_finite_differences(kind, k):
     eps = 1e-6
     for _ in range(10):
         raw = rng.uniform(-3, 3, size=(1, k))
-        if kind == "bce":
-            y = np.array([[float(rng.integers(0, 2))]])
-        else:
-            y = one_hot([int(rng.integers(0, k))], k)
+        y = rng.integers(0, 2 if kind == "bce" else k, size=1)
         _, grad = loss_eval(kind, raw, y)
         for j in range(k):
             up, dn = raw.copy(), raw.copy()
@@ -453,13 +447,22 @@ def test_empty_batch_rejected():
 
 
 def test_invalid_target_rejected_by_model_gradients():
-    model = small_model("lstm6", 3, 4, seed=3310)
+    # both gradient routes refuse the same batches: unchecked, the oracle
+    # would weigh log(p) by a bce label of 2 and read a cce label of -1 as
+    # the last class
     batch = token_batch(3311, B=3, T=3)
-    batch.labels[1] = 2
-    with pytest.raises(ValueError, match="bce target must be 0 or 1"):
-        model_gradients(model, batch, "bce")
-    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
-        model_gradients(small_model("lstm6", 3, 4, seed=3310, out_dim=2), batch, "cce")
+    for loss_kind, k, label in (("bce", 1, 2), ("cce", 2, 2), ("cce", 3, -1)):
+        model = small_model("lstm6", 3, 4, seed=3310, out_dim=k)
+        batch.labels[1] = label
+        bounds = fr"\[0, {max(k, 2)}\)"
+        with pytest.raises(ValueError, match=fr"{loss_kind} label {label} outside {bounds}"):
+            model_gradients(model, batch, loss_kind)
+        with pytest.raises(ValueError, match=fr"{loss_kind} needs integer labels in {bounds}"):
+            finite_difference_model(model, batch, loss_kind)
+    floats = SequenceBatch(tokens=batch.tokens, labels=np.array([0.0, 1.0, 1.0]))
+    for route in (model_gradients, finite_difference_model):
+        with pytest.raises(ValueError, match="integer"):
+            route(small_model("lstm6", 3, 4, seed=3310), floats, "bce")
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +475,7 @@ def per_sample_gradients(model, batch, loss_kind):
     pass on a fresh layout and work array: the chunked pass's reference."""
     grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
     need_dx = "emb.E" in grads
-    k, n = model.out.b_y.shape[0], model.cell.n
+    n = model.cell.n
 
     def backward(cell, xs, stacks, dh, prefix):
         return _backward_cell(cell, xs, stacks, dh, grads, prefix, need_dx,
@@ -485,8 +488,7 @@ def per_sample_gradients(model, batch, loss_kind):
         if model.bidirectional:
             h_b, _, stacks_b = run_cell(model.cell_bwd, xs[::-1])
             h = np.concatenate([h, h_b], axis=-1)
-        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
-        (loss,), dy = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+        (loss,), dy = loss_eval(loss_kind, output_layer_apply(model.out, h), [label])
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy[0]
@@ -586,7 +588,7 @@ def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
     dh = u_c delta_t; dc *= f. Shares no backward code with the engine. Each
     (sample, direction) whose dc was zeroed is added to the set flushes."""
     grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
-    k, n, T = model.out.b_y.shape[0], model.cell.n, batch.T
+    n, T = model.cell.n, batch.T
     cells = [("fwd.", model.cell, 1)]
     if model.bidirectional:
         cells.append(("bwd.", model.cell_bwd, -1))
@@ -596,8 +598,7 @@ def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
         xs = model.emb.E[batch.tokens[i]]
         runs = [run_cell(p, xs[::step, None]) for _, p, step in cells]  # a batch of one
         h = np.concatenate([h_T for h_T, _, _ in runs], axis=-1)
-        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
-        (loss,), (dy,) = loss_eval(loss_kind, output_layer_apply(model.out, h), target)
+        (loss,), (dy,) = loss_eval(loss_kind, output_layer_apply(model.out, h), [label])
         total += loss
         grads["out.W_hy"] += np.outer(dy, h)
         grads["out.b_y"] += dy
@@ -676,16 +677,16 @@ def test_each_chunk_takes_its_losses_from_one_loss_eval_call(monkeypatch, loss_k
     batch = token_batch(3326, B, T, n_classes=max(k, 2))
     calls = []
 
-    def spy(kind, y_raw, y_true):
-        calls.append((kind, y_raw.shape, y_true.shape))
-        return loss_eval(kind, y_raw, y_true)
+    def spy(kind, y_raw, labels):
+        calls.append((kind, y_raw.shape, labels.shape))
+        return loss_eval(kind, y_raw, labels)
 
     monkeypatch.setattr(training, "loss_eval", spy)
     for rows, chunks in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (B, [B])):
         monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
         calls.clear()
         model_gradients(model, batch, loss_kind)
-        assert calls == [(loss_kind, (b, k), (b, k)) for b in chunks]
+        assert calls == [(loss_kind, (b, k), (b,)) for b in chunks]
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -1193,7 +1194,6 @@ def test_evaluate_multiclass_argmax():
 
 def per_sample_evaluate(model, batch, loss_kind):
     """Mean loss and accuracy stepping one sample at a time."""
-    k = model.out.b_y.shape[0]
     total, correct = 0.0, 0
     for tokens, label in zip(batch.tokens, batch.labels):
         xs = model.emb.E[tokens][:, None]  # a batch of one
@@ -1201,8 +1201,7 @@ def per_sample_evaluate(model, batch, loss_kind):
         if model.cell_bwd is not None:
             h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])[0]], axis=-1)
         y_raw = output_layer_apply(model.out, h)
-        target = np.array([[float(label)]]) if loss_kind == "bce" else one_hot([label], k)
-        total += loss_eval(loss_kind, y_raw, target)[0][0]
+        total += loss_eval(loss_kind, y_raw, [label])[0][0]
         pred = int(y_raw[0, 0] >= 0.0) if loss_kind == "bce" else int(np.argmax(y_raw))
         correct += int(pred == label)
     return total / len(batch), correct / len(batch)
@@ -1246,9 +1245,10 @@ def test_evaluate_slices_follow_the_byte_budget(monkeypatch, budget, slices):
     batch = token_batch(3661, B=7, T=5)
     seen = []
 
-    def spy(kind, y_raw, y_true):
+    def spy(kind, y_raw, labels):
         seen.append(len(y_raw))
-        return loss_eval(kind, y_raw, y_true)
+        assert labels.shape == (len(y_raw),)
+        return loss_eval(kind, y_raw, labels)
 
     monkeypatch.setattr(training, "loss_eval", spy)
     monkeypatch.setattr(training, "EVAL_BUDGET", budget)
@@ -1272,9 +1272,10 @@ def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirecti
     batch = token_batch(3663, B=rows + 1, T=T, vocab=50)
     seen = []
 
-    def spy(kind, y_raw, y_true):
+    def spy(kind, y_raw, labels):
         seen.append(len(y_raw))
-        return loss_eval(kind, y_raw, y_true)
+        assert labels.shape == (len(y_raw),)
+        return loss_eval(kind, y_raw, labels)
 
     monkeypatch.setattr(training, "loss_eval", spy)
     evaluate(model, batch, "bce")
