@@ -194,13 +194,14 @@ def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarr
     h, c, z = out or (None, None, None)
     z = h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z)
     z += a_t
-    activate("sigmoid", z[..., :3 * n], out=z[..., :3 * n])
-    activate(p.act, z[..., 3 * n:], out=z[..., 3 * n:])
+    gates, c_tilde = z[..., :3 * n], z[..., 3 * n:]
+    activate("sigmoid", gates, out=gates)
+    activate(p.act, c_tilde, out=c_tilde)
     if pins:
         for k, g in enumerate("ifo"):
             if g in pins:
                 z[..., k * n:(k + 1) * n] = pins[g]
-    i_t, f_t, o_t, c_tilde = (z[..., k * n:(k + 1) * n] for k in range(4))
+    i_t, f_t, o_t = z[..., :n], z[..., n:2 * n], gates[..., 2 * n:]
     c = np.multiply(f_t, c_prev, out=c)
     h = np.multiply(i_t, c_tilde, out=h)  # i_t * c_tilde, until h_t replaces it
     c += h

@@ -70,6 +70,8 @@ class SequenceBatch:
         if self.tokens.ndim != 2 or self.labels.shape != (self.tokens.shape[0],):
             raise ValueError(
                 f"batch shapes disagree: tokens {self.tokens.shape}, labels {self.labels.shape}")
+        if self.tokens.dtype.kind not in "iu":  # a float fails to index, a bool masks
+            raise ValueError(f"tokens must be integers, got dtype {self.tokens.dtype}")
 
     def __len__(self) -> int:
         return self.tokens.shape[0]

@@ -488,6 +488,14 @@ def _bare_names(grads: dict) -> dict:
     return {key.split(".", 1)[1]: g for key, g in grads.items()}
 
 
+def _tiny_failures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The entries failing the 1e-6 bound with |a| + |b| under 1e-7, where
+    gradient_rel_error's 1e-8 denominator floor meets the oracle's
+    cancellation floor at its default epsilon."""
+    size = np.abs(a) + np.abs(b)
+    return (size < 1e-7) & (np.abs(a - b) > 1e-6 * np.maximum(1e-8, size))
+
+
 def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                   batch: int = 2, activations=("sigmoid", "tanh", "relu"),
                   corrupt: str | None = None):
@@ -496,7 +504,9 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     m, n, seq_len cap desk-scale nets (m, n <= 8, seq_len <= 5 enforced);
     each seed draws dims at or below the caps, builds a fresh net with a
     trainable embedding, and compares every tensor's gradient; a tensor
-    passes at a worst relative error of at most 1e-6. relu nets whose
+    passes at a worst relative error of at most 1e-6. A net with failing
+    entries under 1e-7 (_tiny_failures) reruns its oracle once at epsilon
+    1e-4, which judges those entries alone. relu nets whose
     pre-activations graze a kink (within 1e-4) are skipped. The
     corrupt argument injects an error into one named tensor's analytic
     gradient so the failure path itself stays testable; it takes a bare
@@ -549,8 +559,18 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                 if corrupt is not None and corrupt in analytic:
                     analytic[corrupt] = analytic[corrupt] + 1.0
                 oracle = _bare_names(finite_difference_oracle(model, batch_data, "bce"))
-                for name in analytic:
-                    err = gradient_rel_error(analytic[name], oracle[name])
+                errs = {name: gradient_rel_error(a, oracle[name])
+                        for name, a in analytic.items()}
+                tiny = {name: _tiny_failures(analytic[name], oracle[name])
+                        for name, err in errs.items() if err > 1e-6}
+                if any(t.any() for t in tiny.values()):
+                    rerun = _bare_names(finite_difference_oracle(
+                        model, batch_data, "bce", epsilon=1e-4))
+                    for name, t in tiny.items():
+                        a = analytic[name]
+                        errs[name] = max(gradient_rel_error(a[~t], oracle[name][~t]),
+                                         gradient_rel_error(a[t], rerun[name][t]))
+                for name, err in errs.items():
                     worst[name] = max(worst.get(name, 0.0), err)
             if used == 0:
                 report.append({"variant": variant, "activation": act,

@@ -361,6 +361,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
+    if batch.T == 0:
+        raise ValueError("cannot take gradients over an empty sequence")
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     flat = np.zeros(sum(map(math.prod, shapes.values())))
     grads: GradientSet = _flat_views(flat, shapes)
@@ -534,6 +536,8 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
     tiny nets, never a training path."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if batch.T == 0:
+        raise ValueError("cannot difference a loss over an empty sequence")
     eps = np.longdouble(epsilon)
     A = {k: np.asarray(v, dtype=np.longdouble)[None]
          for k, v in model.param_arrays(include_frozen=True).items()}

@@ -189,6 +189,51 @@ def test_step_caches_record_the_step():
             npt.assert_array_equal(expit(C6[t + 1]), H6[t + 1])
 
 
+def lstm_formula_step(p, x, h_prev, c_prev):
+    """One lstm step written gate by gate, for rows of x, h_prev, c_prev."""
+    def gate(g):
+        return x @ getattr(p, f"W_{g}").T + h_prev @ getattr(p, f"U_{g}").T + getattr(p, f"b_{g}")
+    i, f, o = expit(gate("i")), expit(gate("f")), expit(gate("o"))
+    c = f * c_prev + i * np.tanh(gate("c"))
+    return o * np.tanh(c), c
+
+
+def test_lstm_gate_blocks_over_rows_and_stacked_directions():
+    # bias blocks far apart (i -3, f 3, o 0, c 1): a step that read one
+    # gate from another block's columns would move h and c far past 1e-15
+    m, n, T, B = 3, 5, 4, 3
+    rng = make_rng(140)
+    cells_ = [random_cell("lstm", m, n, seed=141 + d, act="tanh") for d in range(2)]
+    for p in cells_:
+        for g, bias in zip("ifoc", (-3.0, 3.0, 0.0, 1.0)):
+            getattr(p, f"b_{g}")[:] = bias
+    p = cells_[0]
+    x, h_prev, c_prev = (rng.uniform(-1, 1, (B, k)) for k in (m, n, n))
+    h, c, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
+    h_ref, c_ref = lstm_formula_step(p, x, h_prev, c_prev)
+    npt.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
+    npt.assert_allclose(h, h_ref, rtol=0, atol=1e-15)
+
+    # two directions through run_steps: R stacked (2, n, 4n), states (2, B, n)
+    xs = rng.uniform(-1, 1, (2, T, B, m))
+    layouts = [stack_gates(q, transposed=True) for q in cells_]
+    R = np.stack([r for _, r, _ in layouts])
+    assert R.shape == (2, n, 4 * n)
+    terms = np.stack([input_term(W, b, xs[d]) for d, (W, _, b) in enumerate(layouts)], axis=1)
+    H, C, gates = stacks = record_arrays(p, T, 2, B)
+    H[0] = C[0] = 0.0
+    run_steps(p, R, terms, stacks)
+    for d, q in enumerate(cells_):
+        for t in range(T):
+            h_ref, c_ref = lstm_formula_step(q, xs[d, t], H[t, d], C[t, d])
+            npt.assert_allclose(C[t + 1, d], c_ref, rtol=0, atol=1e-15)
+            npt.assert_allclose(H[t + 1, d], h_ref, rtol=0, atol=1e-15)
+    # the recorded gates recompose the state update exactly
+    i, f, o, c_tilde = np.split(gates, 4, axis=-1)
+    npt.assert_array_equal(f * C[:-1] + i * c_tilde, C[1:])
+    npt.assert_array_equal(o * np.tanh(C[1:]), H[1:])
+
+
 def test_step_dimension_mismatch_rejected():
     p = random_cell("lstm6", 3, 2, seed=23)
     with pytest.raises(ValueError):

@@ -201,6 +201,13 @@ def test_sequence_batch_validation_and_subset():
     with pytest.raises(ValueError):
         SequenceBatch(tokens=np.zeros((4, 3), dtype=np.int64),
                       labels=np.zeros(3, dtype=np.int64))
+    # a float token fails to index the embedding, and a bool array would
+    # index its rows as a mask
+    for dtype in (np.float64, np.bool_):
+        with pytest.raises(ValueError, match=f"tokens must be integers, got dtype {np.dtype(dtype)}"):
+            SequenceBatch(tokens=np.ones((4, 3), dtype=dtype), labels=batch.labels)
+    narrow = SequenceBatch(tokens=batch.tokens.astype(np.int32), labels=batch.labels)
+    npt.assert_array_equal(narrow.subset(np.array([2, 0])).tokens, sub.tokens)
 
 
 # --------------------------------------------------------------------------

@@ -704,6 +704,48 @@ def test_cmd_gradcheck_detects_an_injected_error():
     assert failing == {"W_c"}
 
 
+# The seed-1 lstm/tanh net of these caps has a U_f entry of -5.99e-9, whose
+# oracle value at the default epsilon is off by the oracle's cancellation
+# floor: 2.1e-6 relative against the 1e-8 denominator floor.
+TINY_ENTRY_ARGS = ["gradcheck", "--embed", "2", "--hidden", "2", "--seq-len", "2",
+                   "--batch", "1", "--seeds", "2"]
+
+
+def test_cli_gradcheck_judges_tiny_entries_by_one_oracle_rerun(capsys, monkeypatch):
+    epsilons = []
+    oracle = harness.finite_difference_oracle
+
+    def spy(*args, **kwargs):
+        epsilons.append(kwargs.get("epsilon", 1e-6))
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "finite_difference_oracle", spy)
+    assert main(TINY_ENTRY_ARGS) == 0
+    assert "gradcheck: PASS" in capsys.readouterr().out
+    assert epsilons.count(1e-4) == 1  # that one net, rerun once
+
+    # a corrupted tensor fails on entries far above 1e-7: it adds no rerun
+    epsilons.clear()
+    report, ok = cmd_gradcheck(m=2, n=2, seq_len=2, batch=1, seeds=2, corrupt="W_c")
+    assert not ok and {r["group"] for r in report if r["status"] == "FAIL"} == {"W_c"}
+    assert epsilons.count(1e-4) == 1
+
+
+def test_cli_gradcheck_rerun_still_fails_a_wrong_tiny_entry(capsys, monkeypatch):
+    bptt = harness.bptt_gradients
+
+    def off_by_a_tenth(*args, **kwargs):
+        loss, grads = bptt(*args, **kwargs)
+        if "fwd.U_f" in grads:
+            g = grads["fwd.U_f"]
+            g[np.abs(g) < 1e-7] *= 1.1
+        return loss, grads
+
+    monkeypatch.setattr(harness, "bptt_gradients", off_by_a_tenth)
+    assert main(TINY_ENTRY_ARGS) == 1
+    assert re.search(r"lstm +tanh +U_f +\S+ FAIL", capsys.readouterr().out)
+
+
 def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
     # Analytic gradients are keyed by bare names, so "fwd.W_c" matches none.
     monkeypatch.setattr(harness, "make_rng", lambda seed: pytest.fail("a net was drawn"))

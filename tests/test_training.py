@@ -446,6 +446,19 @@ def test_empty_batch_rejected():
         evaluate(model, empty, "bce")
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_sequence_rejected_by_both_gradient_routes(variant, bidirectional):
+    # without their own checks, numpy's reshape and broadcast errors
+    # surfaced from inside each route
+    model = small_model(variant, 3, 4, seed=3305, bidirectional=bidirectional)
+    empty = SequenceBatch(tokens=np.zeros((2, 0), dtype=np.int64),
+                          labels=np.array([0, 1]))
+    for route in (model_gradients, finite_difference_model):
+        with pytest.raises(ValueError, match="empty sequence"):
+            route(model, empty, "bce")
+
+
 def test_invalid_target_rejected_by_model_gradients():
     # both gradient routes refuse the same batches: unchecked, the oracle
     # would weigh log(p) by a bce label of 2 and read a cce label of -1 as
