@@ -102,6 +102,13 @@ class ExperimentConfig:
                 raise ValueError("tsv data source needs a path: tsv:<path>")
         else:
             raise ValueError(f"data must be synth:<kind> or tsv:<path>, got {self.data!r}")
+        # config_to_text must write back what it read: a comment, a line
+        # break or surrounding blanks would be lost from the file's value
+        for name in ("data", "out"):
+            value = getattr(self, name)
+            if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+                raise ValueError(f"{name} cannot hold '#', a line break or surrounding "
+                                 f"blanks, got {value!r}")
 
 
 # Field name -> value type, in declaration order: the config file's keys

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,15 @@ GradientSet = dict
 # per-step dispatch over its rows. At 5.25 MiB each benchmark split keeps the
 # slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
 EVAL_BUDGET = 21 << 18
+
+# Per-step state elements, rows x n, from which a bidirectional forward runs
+# its backward direction on a second thread, beside the forward one. Timed
+# against the serial loop on bidirectional lstm6 evaluate at T = 40, the
+# threads crossed 1.0x between 4,096 and 16,000 elements with tanh (0.92x at
+# 4,096, 1.54x at 16,000) and near 1,000 with sigmoid, so every size at or
+# above this one ran at least as fast. The benchmark's desk eval slice
+# (500 x 32 = 16,000) threads; paper (32 x 100) and certify (20 x 8) stay serial.
+THREAD_MIN_STATE = 8192
 
 # Bytes one model_gradients chunk may hold: its recorded stacks, the work
 # array of the reverse pass, and its gathered inputs and input gradient
@@ -167,9 +177,19 @@ class SequenceClassifier:
         one sample being a batch of one: each direction's cell over xs in
         its time order, recording nothing, then the readout of their final
         states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
-        readout read."""
-        hs = [run_cell(cell, xs[::step], record=False)[0]
-              for cell, _, step in self.directions]
+        readout read. Two directions whose per-step state, rows x n, reaches
+        THREAD_MIN_STATE run at once, the backward one on a thread started
+        and joined within the call; each keeps its bits."""
+        def final_h(cell, step):
+            return run_cell(cell, xs[::step], record=False)[0]
+
+        if len(self.directions) == 2 and xs.shape[1] * self.cell.n >= THREAD_MIN_STATE:
+            # the pool's one thread is joined before this block exits
+            with ThreadPoolExecutor(1) as pool:
+                bwd = pool.submit(final_h, self.cell_bwd, -1)
+                hs = [final_h(self.cell, 1), bwd.result()]
+        else:
+            hs = [final_h(cell, step) for cell, _, step in self.directions]
         h = hs[0] if len(hs) == 1 else np.concatenate(hs, -1)
         return output_layer_apply(self.out, h), h
 
@@ -689,7 +709,8 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     one gate or candidate buffer: _stack_bytes(model, 1)) and, per
     direction, one step's input terms, gate_width wide.
 
-    Binary predictions threshold the sigmoid probability at 0.5;
+    Binary predictions are class 1 where the raw score is >= 0, which is
+    sigmoid >= 0.5 without expit rounding scores just below 0 up to 0.5;
     multi-class predictions take the arg-max score.
     """
     if len(batch) == 0:
@@ -706,7 +727,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         losses, _ = loss_eval(loss_kind, y_raw, labels)
         total += float(losses.sum())
         if loss_kind == "bce":
-            pred = expit(y_raw[:, 0]) >= 0.5
+            pred = y_raw[:, 0] >= 0.0
         else:
             pred = np.argmax(y_raw, axis=-1)
         correct += int(np.sum(pred == labels))

@@ -114,6 +114,18 @@ def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text
     assert str(err.value) == f"{path}: {reason}"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("data", "tsv:#"), ("data", "tsv:corpus.tsv "), ("out", "runs#1"), ("out", " run"),
+    ("out", "a\nb"), ("out", "a\u2028b")])
+def test_a_path_the_config_file_cannot_hold_is_rejected(field, value):
+    # each would read back from config.txt as another path, or fail to parse
+    cfg = replace(ExperimentConfig(), **{field: value})
+    with pytest.raises(ValueError) as err:
+        cfg.validate()
+    assert str(err.value) == (f"{field} cannot hold '#', a line break or surrounding "
+                              f"blanks, got {value!r}")
+
+
 def test_cli_config_file_error_exits_2_with_the_message(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("epochs = ten\n", encoding="utf-8")
@@ -543,14 +555,18 @@ def test_sweep_cells_use_per_cell_seeds(tmp_path):
     assert seeds == [777, 778]
 
 
-def test_parallel_sweep_equals_sequential_sweep(tmp_path):
+def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
     grid = dict(variants=["lstm6", "lstm_c6"], hiddens=[4], etas=[2e-3],
                 forgets=[0.59])
-    seq = cmd_sweep(SweepSpec(base=tiny_config(tmp_path, out=str(tmp_path / "s1")),
-                              workers=1, **grid))
-    par = cmd_sweep(SweepSpec(base=tiny_config(tmp_path, out=str(tmp_path / "s2")),
-                              workers=2, **grid))
-    assert seq["rows"] == par["rows"]
+    # bidirectional cells whose every evaluate slice runs its directions on two
+    # threads, in the forked workers as in this process
+    monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
+    for case, bidirectional in (("uni", False), ("bi", True)):
+        runs = [cmd_sweep(SweepSpec(base=tiny_config(
+                    tmp_path, out=str(tmp_path / f"{case}{workers}"),
+                    bidirectional=bidirectional), workers=workers, **grid))
+                for workers in (1, 2)]
+        assert runs[0]["rows"] == runs[1]["rows"]
 
 
 @pytest.mark.parametrize("workers, variants, pools", [

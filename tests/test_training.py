@@ -3,6 +3,7 @@ against the extended-precision finite-difference oracle, optimizer update
 rules against scalar transcriptions, and epoch-level determinism."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1195,6 +1196,18 @@ def test_evaluate_thresholds_binary_predictions():
     assert acc == 0.75  # p = 0.5 rounds up to class 1
 
 
+def test_evaluate_predicts_binary_classes_by_the_sign_of_the_raw_score():
+    # expit(-1e-17) rounds to exactly 0.5: a rule on the probability would
+    # predict class 1 for this negative score
+    model = frozen_half_model()
+    model.out.b_y[...] = -1e-17
+    batch = SequenceBatch(tokens=np.full((4, 3), 2, dtype=np.int64),
+                          labels=np.zeros(4, dtype=np.int64))
+    _, acc = evaluate(model, batch, "bce")
+    assert acc == 1.0
+    assert acc == per_sample_evaluate(model, batch, "bce")[1]
+
+
 def test_evaluate_multiclass_argmax():
     model = small_model("lstm6", 3, 4, seed=3600, out_dim=3)
     for arr in model.param_arrays().values():
@@ -1293,6 +1306,73 @@ def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirecti
     monkeypatch.setattr(training, "loss_eval", spy)
     evaluate(model, batch, "bce")
     assert seen == [rows, 1]
+
+
+def with_gate(monkeypatch, gate, fn, *args):
+    """fn(*args) under THREAD_MIN_STATE = gate (1 threads every bidirectional
+    forward, math.inf none), and the number of thread pools it started."""
+    pools = []
+    real = training.ThreadPoolExecutor
+
+    def spy(*a, **kw):
+        pools.append(a)
+        return real(*a, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "THREAD_MIN_STATE", gate)
+        mp.setattr(training, "ThreadPoolExecutor", spy)
+        return fn(*args), len(pools)
+
+
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, 3, 4, seed=3670, act="tanh", out_dim=k,
+                        bidirectional=True)
+    batch = token_batch(3671, B=2 * 16 + 5, T=6, n_classes=max(k, 2))
+    monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 4, 16, variant, 2))
+    serial, none = with_gate(monkeypatch, math.inf, evaluate, model, batch, loss_kind)
+    threaded, pools = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind)
+    assert (none, pools) == (0, 3)  # 16 + 16 + 5 rows
+    assert [x.hex() for x in threaded] == [x.hex() for x in serial]
+    xs = model.emb.E[batch.tokens.T]
+    (y_s, h_s), _ = with_gate(monkeypatch, math.inf, model.forward, xs)
+    (y_t, h_t), _ = with_gate(monkeypatch, 1, model.forward, xs)
+    assert y_t.tobytes() == y_s.tobytes() and h_t.tobytes() == h_s.tobytes()
+
+
+@pytest.mark.parametrize("bidirectional,rows,pools", [
+    (False, 64, 0),  # one direction: nothing to run beside it
+    (True, 7, 0),    # 7 x 4 state elements, below the gate
+    (True, 8, 1)])   # 8 x 4, at the gate
+def test_only_a_bidirectional_slice_at_the_gate_starts_a_thread(monkeypatch,
+                                                                 bidirectional, rows, pools):
+    model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
+    batch = token_batch(3673, B=rows, T=5)
+    assert with_gate(monkeypatch, 8 * 4, evaluate, model, batch, "bce")[1] == pools
+
+
+@pytest.mark.parametrize("failing", ["fwd.", "bwd."])
+def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch, failing):
+    model = small_model("lstm6", 3, 4, seed=3674, bidirectional=True)
+    bad = model.cell if failing == "fwd." else model.cell_bwd
+    ran_on = []
+
+    def run_cell_failing(cell, xs, **kw):
+        if cell is bad:
+            ran_on.append(threading.current_thread())
+            raise FloatingPointError(f"{failing} went wrong")
+        return run_cell(cell, xs, **kw)
+
+    monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
+    monkeypatch.setattr(training, "run_cell", run_cell_failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"^{failing} went wrong$"):
+        evaluate(model, token_batch(3675, B=9, T=5), "bce")
+    assert threading.active_count() == before
+    # the backward direction is the one that runs on the worker thread
+    assert (ran_on[0] is threading.main_thread()) == (failing == "fwd.")
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
