@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, VARIANTS,
-                    init_cell, init_output, param_count, run_cell,
-                    step_mac_count)
+                    init_cell, init_output, input_term, param_count, run_cell,
+                    stack_gates, step_mac_count)
 from .data import (EmbeddingTable, SequenceBatch, SYNTH_KINDS, build_vocab,
                    encode_tokens, init_embedding, load_tsv_corpus,
                    pad_or_truncate, synth_generate)
@@ -315,8 +315,9 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     act, f = meta["activation"], float(meta["forget"])
 
     def rebuild_cell(prefix: str) -> CellParams:
-        kw = {name: arrays[prefix + name] for name in ADAPTIVE_FIELDS[variant]}
-        return CellParams(variant=variant, m=m, n=n, act=act, forget_const=f, **kw)
+        tensors = {name: arrays[prefix + name] for name in ADAPTIVE_FIELDS[variant]}
+        return CellParams(variant=variant, m=m, n=n, act=act, forget_const=f,
+                          tensors=tensors)
 
     cell = rebuild_cell("fwd.")
     cell_bwd = rebuild_cell("bwd.") if _flag(meta, "bidirectional", "false") else None
@@ -477,17 +478,18 @@ def _relu_kink_margin(p: CellParams, xs: np.ndarray, stacks) -> float:
 
     Central differences are unreliable when any relu argument sits
     within the probe step of its kink, so relu checks skip such nets.
-    The candidate pre-activations of every step are rebuilt at once from
-    xs and the recorded H; the cell state c_t is itself the argument of
-    the output squash.
+    Every step's pre-activations are rebuilt at once from xs and the
+    recorded H through the cell's own layout (stack_gates); the last n
+    columns are the ones relu reads (lstm's candidate block, its gates
+    being sigmoid). The cell state c_t is itself the argument of the
+    output squash.
     """
     H, C, _ = stacks
-    X, H_prev = xs.reshape(-1, p.m), H[:-1].reshape(-1, p.n)
-    if p.variant == "srnn":
-        return float(np.min(np.abs(X @ p.W_hx.T + H_prev @ p.W_hh.T + p.b_h)))
-    recur = p.u_c * H_prev if p.variant == "lstm_c6" else H_prev @ p.U_c.T
-    a = X @ p.W_c.T + recur + p.b_c
-    return min(float(np.min(np.abs(a))), float(np.min(np.abs(C[1:]))))
+    W, R, b = stack_gates(p, transposed=True)
+    a = input_term(W, b, xs)
+    a += H[:-1] * R if p.variant == "lstm_c6" else H[:-1] @ R
+    margin = float(np.min(np.abs(a[..., -p.n:])))
+    return margin if C is None else min(margin, float(np.min(np.abs(C[1:]))))
 
 
 def _bare_names(grads: dict) -> dict:

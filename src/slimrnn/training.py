@@ -554,8 +554,8 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
     entries of one tensor at once, so a tensor of N entries costs
     ceil(N / FD_BLOCK) passes over the batch. A certification tool for
     tiny nets, never a training path."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if batch.T == 0:
         raise ValueError("cannot difference a loss over an empty sequence")
     eps = np.longdouble(epsilon)

@@ -142,9 +142,9 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         # gate-free cell vs the full cell with gates pinned open
         slim = init_cell("lstm6", m, n, "sigmoid", f, make_rng(61_000 + seed))
         full = init_cell("lstm", m, n, "sigmoid", f, make_rng(62_000 + seed))
-        full.W_c = slim.W_c.copy()
-        full.U_c = slim.U_c.copy()
-        full.b_c = slim.b_c.copy()
+        full.tensors["W_c"] = slim.tensors["W_c"].copy()
+        full.tensors["U_c"] = slim.tensors["U_c"].copy()
+        full.tensors["b_c"] = slim.tensors["b_c"].copy()
         h_a, c_a, _ = lstm6_step(slim, *operands(slim, x), h_prev, c_prev)
         h_b, c_b, _ = gate_override_step(full, {"i": 1.0, "f": f, "o": 1.0},
                                          *operands(full, x), h_prev, c_prev)
@@ -154,9 +154,9 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         # element-wise recurrence vs a diagonal recurrent matrix
         vec = init_cell("lstm_c6", m, n, "sigmoid", f, make_rng(63_000 + seed))
         mat = init_cell("lstm6", m, n, "sigmoid", f, make_rng(64_000 + seed))
-        mat.W_c = vec.W_c.copy()
-        mat.U_c = np.diag(vec.u_c)
-        mat.b_c = vec.b_c.copy()
+        mat.tensors["W_c"] = vec.tensors["W_c"].copy()
+        mat.tensors["U_c"] = np.diag(vec.tensors["u_c"])
+        mat.tensors["b_c"] = vec.tensors["b_c"].copy()
         h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
         h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         worst = max(worst, float(np.max(np.abs(h_a - h_b))),
@@ -182,7 +182,7 @@ def test_criterion_4_bibo_stability(acceptance_report):
             for c0_scale in (0.0, 5.0):
                 rng = make_rng(70_000 + int(f * 100))
                 p = init_cell(variant, 4, 5, "sigmoid", f, rng)
-                p.W_c *= 3.0  # saturate the candidate to stress the bound
+                p.tensors["W_c"] *= 3.0  # saturate the candidate to stress the bound
                 h = np.zeros((1, 5))
                 c = np.full((1, 5), c0_scale)
                 decay = 1.0

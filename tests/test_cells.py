@@ -2,6 +2,7 @@
 transcriptions, cross-variant equivalences through the gate-pin hook, cell
 state boundedness, and the parameter/MAC accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,18 +43,18 @@ from conftest import operands
 
 def zero_cell(variant, m, n, act="sigmoid", forget_const=0.59):
     """A cell with every weight and bias exactly zero."""
-    fields = {}
+    tensors = {}
     for name in ADAPTIVE_FIELDS[variant]:
         if name.startswith("b"):
-            fields[name] = np.zeros(n)
+            tensors[name] = np.zeros(n)
         elif name == "u_c":
-            fields[name] = np.zeros(n)
+            tensors[name] = np.zeros(n)
         elif name.startswith("U") or name == "W_hh":
-            fields[name] = np.zeros((n, n))
+            tensors[name] = np.zeros((n, n))
         else:
-            fields[name] = np.zeros((n, m))
+            tensors[name] = np.zeros((n, m))
     return CellParams(variant=variant, m=m, n=n, act=act,
-                      forget_const=forget_const, **fields)
+                      forget_const=forget_const, tensors=tensors)
 
 
 def random_cell(variant, m, n, seed, act="sigmoid", forget_const=0.59):
@@ -123,7 +124,8 @@ def test_srnn_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 2)
     h = srnn_step(p, *operands(p, x[None]), h_prev[None])
-    expected = expit(p.W_hx @ x + p.W_hh @ h_prev + p.b_h)
+    t = p.tensors
+    expected = expit(t["W_hx"] @ x + t["W_hh"] @ h_prev + t["b_h"])
     npt.assert_allclose(h, expected[None], rtol=0, atol=1e-15)
 
 
@@ -134,10 +136,11 @@ def test_lstm_step_matches_inline_transcription():
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
     h, c, _ = lstm_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
-    i = expit(p.W_i @ x + p.U_i @ h_prev + p.b_i)
-    f = expit(p.W_f @ x + p.U_f @ h_prev + p.b_f)
-    o = expit(p.W_o @ x + p.U_o @ h_prev + p.b_o)
-    c_tilde = np.tanh(p.W_c @ x + p.U_c @ h_prev + p.b_c)
+    t = p.tensors
+    i = expit(t["W_i"] @ x + t["U_i"] @ h_prev + t["b_i"])
+    f = expit(t["W_f"] @ x + t["U_f"] @ h_prev + t["b_f"])
+    o = expit(t["W_o"] @ x + t["U_o"] @ h_prev + t["b_o"])
+    c_tilde = np.tanh(t["W_c"] @ x + t["U_c"] @ h_prev + t["b_c"])
     c_ref = f * c_prev + i * c_tilde
     h_ref = o * np.tanh(c_ref)
     npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
@@ -151,7 +154,8 @@ def test_lstm6_step_matches_inline_transcription():
     h_prev = rng.uniform(-1, 1, 4)
     c_prev = rng.uniform(-1, 1, 4)
     h, c, _ = lstm6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
-    c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.U_c @ h_prev + p.b_c)
+    t = p.tensors
+    c_ref = 0.59 * c_prev + expit(t["W_c"] @ x + t["U_c"] @ h_prev + t["b_c"])
     npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
     npt.assert_allclose(h, expit(c_ref)[None], rtol=0, atol=1e-15)
 
@@ -163,7 +167,8 @@ def test_lstmc6_step_matches_inline_transcription():
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
     h, c, _ = lstmc6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
-    c_ref = 0.59 * c_prev + expit(p.W_c @ x + p.u_c * h_prev + p.b_c)
+    t = p.tensors
+    c_ref = 0.59 * c_prev + expit(t["W_c"] @ x + t["u_c"] * h_prev + t["b_c"])
     npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
     npt.assert_allclose(h, expit(c_ref)[None], rtol=0, atol=1e-15)
 
@@ -192,7 +197,8 @@ def test_step_caches_record_the_step():
 def lstm_formula_step(p, x, h_prev, c_prev):
     """One lstm step written gate by gate, for rows of x, h_prev, c_prev."""
     def gate(g):
-        return x @ getattr(p, f"W_{g}").T + h_prev @ getattr(p, f"U_{g}").T + getattr(p, f"b_{g}")
+        t = p.tensors
+        return x @ t[f"W_{g}"].T + h_prev @ t[f"U_{g}"].T + t[f"b_{g}"]
     i, f, o = expit(gate("i")), expit(gate("f")), expit(gate("o"))
     c = f * c_prev + i * np.tanh(gate("c"))
     return o * np.tanh(c), c
@@ -206,7 +212,7 @@ def test_lstm_gate_blocks_over_rows_and_stacked_directions():
     cells_ = [random_cell("lstm", m, n, seed=141 + d, act="tanh") for d in range(2)]
     for p in cells_:
         for g, bias in zip("ifoc", (-3.0, 3.0, 0.0, 1.0)):
-            getattr(p, f"b_{g}")[:] = bias
+            p.tensors[f"b_{g}"][:] = bias
     p = cells_[0]
     x, h_prev, c_prev = (rng.uniform(-1, 1, (B, k)) for k in (m, n, n))
     h, c, _ = lstm_step(p, *operands(p, x), h_prev, c_prev)
@@ -254,13 +260,12 @@ def full_cell_sharing_candidate(slim: CellParams, seed: int) -> CellParams:
     gate tensors are random and must be ignored once pinned."""
     full = init_cell("lstm", slim.m, slim.n, slim.act, slim.forget_const,
                      make_rng(seed))
-    U_c = slim.U_c if slim.variant == "lstm6" else np.diag(slim.u_c)
+    s = slim.tensors
+    U_c = s["U_c"] if slim.variant == "lstm6" else np.diag(s["u_c"])
     return CellParams(variant="lstm", m=slim.m, n=slim.n, act=slim.act,
                       forget_const=slim.forget_const,
-                      W_i=full.W_i, U_i=full.U_i, b_i=full.b_i,
-                      W_f=full.W_f, U_f=full.U_f, b_f=full.b_f,
-                      W_o=full.W_o, U_o=full.U_o, b_o=full.b_o,
-                      W_c=slim.W_c.copy(), U_c=U_c, b_c=slim.b_c.copy())
+                      tensors={**full.tensors, "W_c": s["W_c"].copy(), "U_c": U_c,
+                               "b_c": s["b_c"].copy()})
 
 
 def test_gate_pinned_full_cell_equals_lstm6_step():
@@ -289,8 +294,9 @@ def test_diagonal_recurrence_equals_lstm6_with_diagonal_matrix():
         vec = random_cell("lstm_c6", m, n, seed=700 + seed)
         mat = CellParams(variant="lstm6", m=m, n=n, act="sigmoid",
                          forget_const=vec.forget_const,
-                         W_c=vec.W_c.copy(), U_c=np.diag(vec.u_c),
-                         b_c=vec.b_c.copy())
+                         tensors={"W_c": vec.tensors["W_c"].copy(),
+                                  "U_c": np.diag(vec.tensors["u_c"]),
+                                  "b_c": vec.tensors["b_c"].copy()})
         x = rng.uniform(-1, 1, (1, m))
         h_prev = rng.uniform(-1, 1, (1, n))
         c_prev = rng.uniform(-1, 1, (1, n))
@@ -359,7 +365,7 @@ def test_cell_state_geometric_bound(variant, f):
     p = random_cell(variant, 4, 5, seed=77, forget_const=f)
     # scale weights up to push the candidate toward saturation
     for name in ("W_c", "b_c"):
-        getattr(p, name).__imul__(3.0)
+        p.tensors[name].__imul__(3.0)
     steps = 2000
     h = np.zeros((1, 5))
     c0 = np.full((1, 5), 3.0)
@@ -764,10 +770,10 @@ def test_init_cell_deterministic_and_zero_biased():
     a = random_cell("lstm", 3, 4, seed=61)
     b = random_cell("lstm", 3, 4, seed=61)
     for name in ADAPTIVE_FIELDS["lstm"]:
-        npt.assert_array_equal(getattr(a, name), getattr(b, name))
+        npt.assert_array_equal(a.tensors[name], b.tensors[name])
     for name in ("b_i", "b_f", "b_o", "b_c"):
-        npt.assert_array_equal(getattr(a, name), np.zeros(4))
-    assert random_cell("lstm_c6", 3, 4, seed=62).u_c.shape == (4,)
+        npt.assert_array_equal(a.tensors[name], np.zeros(4))
+    assert random_cell("lstm_c6", 3, 4, seed=62).tensors["u_c"].shape == (4,)
     with pytest.raises(ValueError, match="rng"):
         init_cell("lstm6", 3, 4)
 
@@ -776,15 +782,46 @@ def test_init_cell_draws_tensors_in_declared_order():
     # both slim variants draw W_c first, so equal seeds share it exactly
     a = random_cell("lstm6", 5, 3, seed=63)
     b = random_cell("lstm_c6", 5, 3, seed=63)
-    npt.assert_array_equal(a.W_c, b.W_c)
+    npt.assert_array_equal(a.tensors["W_c"], b.tensors["W_c"])
 
 
 def test_cell_params_shape_validation():
     with pytest.raises(ValueError):
-        CellParams(variant="lstm6", m=3, n=2, W_c=np.zeros((2, 4)),
-                   U_c=np.zeros((2, 2)), b_c=np.zeros(2))
+        CellParams(variant="lstm6", m=3, n=2,
+                   tensors={"W_c": np.zeros((2, 4)), "U_c": np.zeros((2, 2)),
+                            "b_c": np.zeros(2)})
     with pytest.raises(ValueError, match="variant"):
         CellParams(variant="gru", m=3, n=2)
+
+
+@pytest.mark.parametrize("variant, stray", [
+    ("srnn", "W_c"), ("lstm", "u_c"), ("lstm6", "W_i"), ("lstm_c6", "U_c")])
+def test_cell_params_refuse_a_missing_or_a_stray_tensor(variant, stray):
+    tensors = random_cell(variant, 3, 2, seed=68).param_arrays()
+    first = ADAPTIVE_FIELDS[variant][0]
+    with pytest.raises(ValueError) as info:
+        CellParams(variant=variant, m=3, n=2,
+                   tensors={k: v for k, v in tensors.items() if k != first})
+    assert str(info.value) == f"{variant} cell missing tensor {first}"
+    # another variant's name is refused at any shape, not carried untrained
+    with pytest.raises(ValueError) as info:
+        CellParams(variant=variant, m=3, n=2, tensors={**tensors, stray: np.zeros(7)})
+    assert str(info.value) == f"{variant} cell has no tensor {stray}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_cell_rebuilt_from_its_param_arrays_equals_it(variant):
+    assert [f.name for f in dataclasses.fields(CellParams)] == [
+        "variant", "m", "n", "act", "forget_const", "tensors"]
+    cell = random_cell(variant, 3, 4, seed=69, act="tanh", forget_const=-0.3)
+    tensors = cell.param_arrays()
+    back = CellParams(variant=variant, m=3, n=4, act="tanh", forget_const=-0.3,
+                      tensors=dict(reversed(tensors.items())))
+    assert (back.variant, back.m, back.n, back.act, back.forget_const) == (
+        cell.variant, cell.m, cell.n, cell.act, cell.forget_const)
+    assert list(back.param_arrays()) == list(ADAPTIVE_FIELDS[variant])
+    for name, arr in tensors.items():
+        npt.assert_array_equal(back.tensors[name], arr)
 
 
 def test_init_cell_rejects_an_unknown_variant():

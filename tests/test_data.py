@@ -87,6 +87,13 @@ def test_embedding_row_zero_is_the_zero_padding_row():
         EmbeddingTable(E=np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("shape", [(5,), (1, 3), (2, 3, 1)])
+def test_embedding_table_must_be_a_matrix_of_two_rows_or_more(shape):
+    with pytest.raises(ValueError) as info:
+        EmbeddingTable(E=np.zeros(shape))
+    assert str(info.value) == f"embedding table must be (vocab>=2, dim), got {shape}"
+
+
 def test_embed_lookup_gathers_rows_and_checks_range():
     emb = init_embedding(make_rng(32), 6, 3)
     tokens = np.array([0, 2, 5, 2])
@@ -119,6 +126,13 @@ def test_synth_label_rules():
     assert synth_label("majority_vote", [2, 3, 9, 9], 3) == 0  # low tie wins
     with pytest.raises(ValueError):
         synth_label("nonsense", [2], 2)
+
+
+@pytest.mark.parametrize("first", [1, 6])
+def test_first_token_class_needs_a_class_marker_first(first):
+    with pytest.raises(ValueError) as info:
+        synth_label("first_token_class", [first, 2, 3], 4)
+    assert str(info.value) == f"first token {first} is not a class marker"
 
 
 @pytest.mark.parametrize("kind", SYNTH_KINDS)

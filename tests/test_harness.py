@@ -235,6 +235,16 @@ def test_build_dataset_tsv_rejects_labels_outside_binary_loss(tmp_path):
         build_dataset(cfg)
 
 
+def test_build_dataset_tsv_rejects_a_negative_label_by_path(tmp_path):
+    f = tmp_path / "corpus.tsv"
+    f.write_text("\n".join(f"{i % 2 - 1}\tword stuff" for i in range(12)) + "\n",
+                 encoding="utf-8")
+    cfg = ExperimentConfig(loss="cce", data=f"tsv:{f}")
+    with pytest.raises(ValueError) as info:
+        build_dataset(cfg)
+    assert str(info.value) == f"{f}: labels must be >= 0, got -1"
+
+
 def test_build_model_dimensions():
     cfg = ExperimentConfig(variant="lstm6", hidden=5, embed=3, vocab=9)
     model = build_model(cfg, n_classes=2)
@@ -363,6 +373,29 @@ def test_checkpoint_rejects_corruption(tmp_path):
     imposter.write_bytes(b"some other format\nend\n" + blob[blob.index(b"\nend\n") + 5:])
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(imposter)
+
+
+@pytest.mark.parametrize("old, new, cause", [
+    ("bidirectional false", "bidirectional yes",
+     "header field bidirectional must be true or false, got 'yes'"),
+    ("trainable true", "trainable 1", "header field trainable must be true or false, got '1'"),
+    ("tensors {k}", "tensor list", "header has no tensors line"),
+    ("tensors {k}", "tensors {k1}", "header promises {k1} tensors, lists {k}"),
+], ids=["bidirectional-flag", "trainable-flag", "no-tensors-line", "count"])
+def test_a_malformed_checkpoint_header_is_rejected_by_path(tmp_path, old, new, cause):
+    cfg = tiny_config(tmp_path)
+    train, _ = build_dataset(cfg)
+    model = build_model(cfg, train.n_classes)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, cfg)
+    k = len(model.param_arrays(include_frozen=True))
+    old, new, cause = (s.format(k=k, k1=k + 1) for s in (old, new, cause))
+    blob = path.read_bytes()
+    assert f"\n{old}\n".encode() in blob
+    path.write_bytes(blob.replace(f"\n{old}\n".encode(), f"\n{new}\n".encode(), 1))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {cause}"
 
 
 def test_checkpoint_keeps_a_frozen_embedding_frozen(tmp_path):
@@ -688,17 +721,18 @@ def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
     rng = make_rng(880)
     cell = init_cell(variant, 3, 4, "relu", 0.59, rng)
     xs = rng.uniform(-1, 1, size=(5, 2, 3))  # (T, B, m)
+    t = cell.tensors
     want = np.inf
     for b in range(2):
         h, c = np.zeros((1, 4)), np.zeros((1, 4))  # one sample: a batch of one
         for x in xs[:, b]:
             if variant == "srnn":
-                a = cell.W_hx @ x + cell.W_hh @ h[0] + cell.b_h
+                a = t["W_hx"] @ x + t["W_hh"] @ h[0] + t["b_h"]
                 h = srnn_step(cell, *operands(cell, x[None]), h)
                 want = min(want, np.abs(a).min())
                 continue
-            recur = cell.u_c * h[0] if variant == "lstm_c6" else cell.U_c @ h[0]
-            a = cell.W_c @ x + recur + cell.b_c
+            recur = t["u_c"] * h[0] if variant == "lstm_c6" else t["U_c"] @ h[0]
+            a = t["W_c"] @ x + recur + t["b_c"]
             step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[variant]
             h, c, _ = step(cell, *operands(cell, x[None]), h, c)
             want = min(want, np.abs(a).min(), np.abs(c).min())

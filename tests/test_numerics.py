@@ -202,6 +202,13 @@ def test_init_matrix_consumes_exactly_rows_times_cols_draws():
     npt.assert_array_equal(rng_a.uniform(size=10), rng_b.uniform(size=10))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+def test_init_matrix_refuses_a_zero_dimension(rows, cols):
+    with pytest.raises(ValueError) as info:
+        init_matrix(make_rng(12), rows, cols)
+    assert str(info.value) == f"init_matrix needs rows, cols >= 1, got {rows}x{cols}"
+
+
 def test_make_rng_accepts_numpy_integers():
     npt.assert_array_equal(make_rng(np.int64(5)).uniform(size=3),
                            make_rng(5).uniform(size=3))

@@ -269,6 +269,15 @@ def test_oracle_truncation_error_shrinks_quadratically():
     assert 3.0 < ratio < 5.5, f"error ratio {ratio} not ~4"
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_the_oracle_refuses_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    model = small_model("lstm6", 3, 3, seed=2610)
+    batch = token_batch(2611, B=1, T=2)
+    with pytest.raises(ValueError) as info:
+        finite_difference_model(model, batch, "bce", epsilon=epsilon)
+    assert str(info.value) == f"epsilon must be finite and positive, got {epsilon}"
+
+
 def test_single_step_recurrent_gradients_are_zero():
     # with h_0 = 0 and T = 1 the recurrent tensors never touch the loss
     recurrent = {"srnn": ["W_hh"], "lstm": ["U_i", "U_f", "U_o", "U_c"],
@@ -292,12 +301,12 @@ def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
     rng = make_rng(2750)
     p = init_cell(variant, 3, 4, "sigmoid", 0.01, rng)
     for name in ADAPTIVE_FIELDS[variant][1::3]:  # shrink the recurrent gain
-        getattr(p, name)[...] *= 1e-3
+        p.tensors[name][...] *= 1e-3
     if variant == "lstm":
-        p.b_f[...] = -30.0  # forget gate ~1e-13: dc decays as fast
+        p.tensors["b_f"][...] = -30.0  # forget gate ~1e-13: dc decays as fast
     xs = rng.uniform(-1.0, 1.0, size=(300, 1, 3))
     _, _, stacks = run_cell(p, xs, record=True)
-    grads = {name: np.zeros_like(getattr(p, name))
+    grads = {name: np.zeros_like(p.tensors[name])
              for name in ADAPTIVE_FIELDS[variant]}
     dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", True,
                          stack_gates(p), np.empty((len(xs), 1, gate_width(p))))
@@ -630,8 +639,8 @@ def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
                 grads[prefix + "W_c"] += np.outer(delta, seq[t])
                 grads[prefix + "u_c"] += delta * H[t]
                 grads[prefix + "b_c"] += delta
-                dxs[t] = delta @ p.W_c
-                dh = p.u_c * delta
+                dxs[t] = delta @ p.tensors["W_c"]
+                dh = p.tensors["u_c"] * delta
                 dc = dc * p.forget_const
             if "emb.E" in grads:
                 np.add.at(grads["emb.E"], batch.tokens[i], dxs[::step])
@@ -653,7 +662,7 @@ def test_lstm_c6_gradients_match_a_per_step_loop(monkeypatch, act, bidirectional
     if T > 100:  # dc shrinks about 100x a step: it leaves the normal range
         for cell in filter(None, (model.cell, model.cell_bwd)):
             cell.forget_const = 0.01
-            cell.u_c *= 1e-3
+            cell.tensors["u_c"] *= 1e-3
     flushes = set()
     want_loss, want = lstm_c6_loop_gradients(model, batch, "bce", flushes)
     assert len(flushes) == (B * (1 + bidirectional) if T > 100 else 0)
@@ -674,7 +683,7 @@ def test_lstm_c6_reverse_pass_holds_at_most_three_step_arrays():
     p = init_cell("lstm_c6", m, n, "sigmoid", 0.59, rng)
     xs = rng.uniform(-1.0, 1.0, (T, b, m))
     stacks = run_cell(p, xs)[2]
-    grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS["lstm_c6"]}
+    grads = {name: np.zeros_like(p.tensors[name]) for name in ADAPTIVE_FIELDS["lstm_c6"]}
     dh = rng.uniform(-1.0, 1.0, (b, n))
     peak = traced_peak(lambda: _backward_cell(p, xs, stacks, dh, grads, "", True,
                                               stack_gates(p), np.empty((T, b, n))))
@@ -859,7 +868,7 @@ def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient
             views[-1][...] = a
     dh = rng.uniform(-1.0, 1.0, (b, n))
     for arrays in (stacks, views):
-        grads = {name: np.zeros_like(getattr(p, name)) for name in ADAPTIVE_FIELDS[variant]}
+        grads = {name: np.zeros_like(p.tensors[name]) for name in ADAPTIVE_FIELDS[variant]}
         work = np.empty((T, b, gate_width(p)))
         peak = traced_peak(_backward_cell, p, xs, arrays, dh, grads, "", True,
                            stack_gates(p), work)
@@ -877,10 +886,10 @@ def test_chunks_of_one_match_the_per_sample_reference_bit_for_bit(
     model = small_model(variant, 3, 4, seed=3336, act=act, bidirectional=bidirectional)
     for cell, _, _ in model.directions:
         for name in ADAPTIVE_FIELDS[variant][1::3]:  # shrink the recurrent gain
-            getattr(cell, name)[...] *= 1e-3
+            cell.tensors[name][...] *= 1e-3
         cell.forget_const = 0.01
         if variant == "lstm":
-            cell.b_f[...] = -30.0
+            cell.tensors["b_f"][...] = -30.0
     batch = token_batch(3337, B, T)
     want_loss, want = per_sample_gradients(model, batch, "bce")
     flushed = []
@@ -1437,7 +1446,7 @@ def test_embedding_padding_row_survives_training():
 def test_train_epoch_stops_on_a_non_finite_loss_before_the_update():
     train, test = synth_split()
     model = small_model("lstm6", 4, 6, seed=4300, vocab=12)
-    model.cell.U_c[0, 0] = np.nan
+    model.cell.tensors["U_c"][0, 0] = np.nan
     before = {k: v.copy() for k, v in model.param_arrays().items()}
     opt = OptimizerState(kind="adam", eta=1e-3)
     with pytest.raises(FloatingPointError, match="non-finite loss in epoch 3"):
