@@ -20,7 +20,7 @@ lstm's four gates are stacked, so a step makes one recurrent product.
 The D directions of a bidirectional model may step together: their
 recurrent tensors stacked as (D, n, w), their states as (D, B, n), one
 step call advances them all. run_steps is the one loop over steps,
-which both run_cell and model_gradients drive.
+which run_cell, model_gradients and gradcheck's relu-kink check drive.
 Sequences are read strictly left to right; classification reads only the
 final hidden state through a single affine output layer.
 """
@@ -64,7 +64,9 @@ def _cell_kinds(variant: str, m: int, n: int) -> dict[str, str]:
     return _TENSORS[variant]
 
 
-@dataclass
+# Dataclasses that hold arrays compare by identity (eq=False): a field-wise
+# == would compare arrays, which have no single truth value.
+@dataclass(eq=False)
 class CellParams:
     """One cell's adaptive tensors plus its fixed hyperparameters.
 
@@ -255,7 +257,7 @@ def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray
     return _lstm_update(p, R, a_t, h_prev, c_prev, pins, out)
 
 
-@dataclass
+@dataclass(eq=False)
 class OutputLayer:
     """Affine readout y = W_hy h + b_y applied to the final hidden state."""
 
@@ -308,7 +310,7 @@ def gate_width(p: CellParams) -> int:
 
 def record_shapes(p: CellParams, T: int, *lead: int) -> tuple:
     """Shapes of the (H, C, aux) stacks recorded over T steps of states
-    shaped (*lead, n), (B, n) for run_cell's B samples; None where the
+    shaped (*lead, n), (B, n) for a batch of B samples; None where the
     variant records none. H is (T+1, *lead, n) with H[0] the initial
     state, C likewise for the cell state (None for srnn), and aux holds
     what each step computed beyond its states: c_tilde (T, *lead, n) for
@@ -321,62 +323,51 @@ def record_shapes(p: CellParams, T: int, *lead: int) -> tuple:
 
 
 def record_arrays(p: CellParams, T: int, *lead: int) -> tuple:
-    """Fresh arrays shaped by record_shapes, ready for run_steps to record into."""
-    return tuple(None if s is None else np.empty(s) for s in record_shapes(p, T, *lead))
+    """Fresh arrays shaped by record_shapes, ready for run_steps to record
+    into, with the zero start states in row 0 of H and C: the one place
+    they are written, as neither recording steps nor the reverse pass do."""
+    H, C, aux = (None if s is None else np.empty(s) for s in record_shapes(p, T, *lead))
+    H[0] = 0.0
+    if C is not None:
+        C[0] = 0.0
+    return H, C, aux
 
 
-def run_cell(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None,
-             c0: np.ndarray | None = None, record: bool = True):
-    """Drive one cell across a whole sequence.
+def run_cell(p: CellParams, xs: np.ndarray) -> np.ndarray:
+    """Drive one cell across a whole sequence from zero states, recording
+    nothing, and return the final hidden state h_T, (B, n).
 
     xs is time-major, (T, B, m): B samples stepped together, one sample
-    being a batch of one. States start at zero unless h0/c0 are given,
-    shaped like one step's state, (B, n). Shapes are checked here once,
-    not per step. The input terms are computed a block of steps at a time
-    (see PROJECTION_BUDGET), so the loop over steps (run_steps) holds only
-    the recurrent product and the element-wise work. Returns (h_T, c_T,
-    stacks); c_T is None for srnn.
-
-    With record set, stacks is (H, C, aux), laid out as record_shapes
-    gives. Each step writes straight into its rows (the steps' out
-    argument), so nothing is copied. Without record, stacks is None and
-    the steps alternate between two preallocated states. Either way h0 and
-    c0 are copied, never written, and h_T and c_T are views of those
-    buffers.
+    being a batch of one. Shapes are checked here once, not per step. The
+    input terms are computed a block of steps at a time (see
+    PROJECTION_BUDGET), so the loop over steps (run_steps) holds only the
+    recurrent product and the element-wise work, alternating between the
+    two rows of one step's stacks. h_T is a view of those stacks.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3 or xs.shape[-1] != p.m:
         raise ValueError(f"inputs have shape {xs.shape}, expected (T, B, {p.m})")
-    T, B, _ = xs.shape
-    if T == 0:
+    if len(xs) == 0:
         raise ValueError("cannot run a cell over an empty sequence")
-    for what, v in (("h0", h0), ("c0", c0)):
-        if v is not None and v.shape != (B, p.n):
-            raise ValueError(f"{what} has shape {v.shape}, expected {(B, p.n)}")
-    stacks = record_arrays(p, T if record else 1, B)
     W, R, b = stack_gates(p, transposed=True)
-    H, C, _ = stacks
-    H[0] = 0.0 if h0 is None else h0
-    if C is not None:
-        C[0] = 0.0 if c0 is None else c0
-    h, c = run_steps(p, R, _input_terms(W, b, xs), stacks, record)
-    return h, c, (stacks if record else None)
+    return run_steps(p, R, _input_terms(W, b, xs), record_arrays(p, 1, xs.shape[1]))[0]
 
 
-def run_steps(p: CellParams, R: np.ndarray, terms, stacks, record=True):
+def run_steps(p: CellParams, R: np.ndarray, terms, stacks):
     """The one loop over steps: step the cell through terms, its steps'
     input terms in time order, from the states in row 0 of stacks, the
     (H, C, aux) arrays record_shapes lays out (or one sample's column of
     them). R is the cell's transposed recurrent tensor, or D directions'
     stacked, with a step's rows then (D, B, n) blocks (see the steps).
-    Each step writes its out rows and hands its (h, c) on to the next:
-    with record set, step t writes row t+1 of every stack; else the steps
-    alternate between rows 1 and 0, all writing aux's row 0. Returns the
-    final (h, c), views of the stacks; c is None for srnn. Shapes are not
-    checked: run_cell and model_gradients check or build them once per
-    call. The step functions are looked up when called."""
+    Each step writes its out rows and hands its (h, c) on to the next.
+    The stacks' length decides how: over more than two rows the steps
+    record, step t writing row t+1 of every stack; over two they
+    alternate between rows 1 and 0, all writing aux's row 0. At one step
+    both write row 1. Returns the final (h, c), views of the stacks; c is
+    None for srnn. Shapes are not checked: callers check or build them
+    once per call. The step functions are looked up when called."""
     H, C, aux = stacks
-    h = H[0]
+    h, record = H[0], len(H) > 2
     if p.variant == "srnn":
         for a_t, out in zip(terms, H[1:] if record else itertools.cycle((H[1], H[0]))):
             h = srnn_step(p, R, a_t, h, out=out)

@@ -25,7 +25,7 @@ SYNTH_KINDS = ("keyword_count", "first_token_class", "majority_vote")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
     """Dense token embeddings, one row per vocabulary index.
 
@@ -54,7 +54,7 @@ def init_embedding(rng: np.random.Generator, vocab_size: int, dim: int,
     return EmbeddingTable(E=E, trainable=trainable)
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceBatch:
     """Fixed-length token sequences with integer labels.
 

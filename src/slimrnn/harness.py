@@ -26,14 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, VARIANTS,
-                    init_cell, init_output, input_term, param_count, run_cell,
-                    stack_gates, step_mac_count)
+                    init_cell, init_output, input_term, param_count, record_arrays,
+                    run_steps, stack_gates, step_mac_count)
 from .data import (EmbeddingTable, SequenceBatch, SYNTH_KINDS, build_vocab,
                    encode_tokens, init_embedding, load_tsv_corpus,
                    pad_or_truncate, synth_generate)
 from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
-                       SequenceClassifier, gradient_rel_error, train_epoch)
+                       SequenceClassifier, _flat_views, gradient_rel_error, train_epoch)
 # perfbench's tracer times cmd_gradcheck's two routes under these names.
 from .training import finite_difference_model as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
@@ -144,9 +144,10 @@ def _typed(name: str, value):
 
 def parse_config_text(text: str) -> dict:
     """Parse config-file text into a field -> typed value dict. Unknown
-    keys, malformed lines and wrong-typed or out-of-range values raise,
-    naming the line; # starts a comment."""
+    or repeated keys, malformed lines and wrong-typed or out-of-range
+    values raise, naming the line; # starts a comment."""
     out: dict = {}
+    seen: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +159,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key} already set on line {seen[key]}")
+        seen[key] = lineno
         if FIELD_TYPES[key] is bool:
             if value not in ("true", "false"):
                 raise ValueError(f"line {lineno}: boolean must be true/false, got {value!r}")
@@ -275,6 +279,16 @@ def _flag(meta: dict, key: str, default: str) -> bool:
     return value == "true"
 
 
+def _unique(pairs, what: str) -> dict:
+    """dict(pairs), refusing a key that comes twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} {key} is listed twice")
+        out[key] = value
+    return out
+
+
 def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     magic = CHECKPOINT_MAGIC.encode("utf-8") + b"\n"
     if not blob.startswith(magic):
@@ -286,27 +300,19 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     at = next((i for i, line in enumerate(lines) if line.startswith("tensors ")), None)
     if at is None:
         raise ValueError("header has no tensors line")
-    meta = dict(line.partition(" ")[::2] for line in lines[:at])
+    meta = _unique((line.partition(" ")[::2] for line in lines[:at]), "header field")
     count, listed = int(lines[at].partition(" ")[2]), lines[at + 1:]
     if len(listed) != count:
         raise ValueError(f"header promises {count} tensors, lists {len(listed)}")
-    shapes = {}
-    for line in listed:
-        name, _, dims = line.partition(" ")
-        if name in shapes:
-            raise ValueError(f"tensor {name} is listed twice")
-        shapes[name] = tuple(int(d) for d in dims.split())
-    sizes = [math.prod(shape) for shape in shapes.values()]
+    shapes = {name: tuple(int(d) for d in dims.split()) for name, dims in
+              _unique((line.partition(" ")[::2] for line in listed), "tensor").items()}
+    size = sum(map(math.prod, shapes.values()))
     payload = blob[head_end + len(b"\nend\n"):]
-    if len(payload) != 8 * sum(sizes):
+    if len(payload) != 8 * size:
         raise ValueError(f"payload is {len(payload)} bytes, header describes "
-                         f"{8 * sum(sizes)} (file truncated?)")
-    values = np.frombuffer(payload, dtype="<f8")
-    arrays: dict[str, np.ndarray] = {}
-    start = 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        arrays[name] = values[start:start + size].reshape(shape).copy()
-        start += size
+                         f"{8 * size} (file truncated?)")
+    # every tensor is a view of one writable copy of the payload
+    arrays = _flat_views(np.frombuffer(payload, dtype="<f8").copy(), shapes)
 
     variant, loss, m, n = meta["variant"], meta["loss"], int(meta["m"]), int(meta["n"])
     for key in ("variant", "loss"):
@@ -473,20 +479,21 @@ def cmd_sweep(spec: SweepSpec):
     return {"summary": str(summary), "rows": rows}
 
 
-def _relu_kink_margin(p: CellParams, xs: np.ndarray, stacks) -> float:
-    """Smallest |pre-activation| a relu net saw across a forward pass.
+def _relu_kink_margin(p: CellParams, xs: np.ndarray) -> float:
+    """Smallest |pre-activation| a relu net sees over xs, (T, B, m).
 
     Central differences are unreliable when any relu argument sits
     within the probe step of its kink, so relu checks skip such nets.
-    Every step's pre-activations are rebuilt at once from xs and the
-    recorded H through the cell's own layout (stack_gates); the last n
-    columns are the ones relu reads (lstm's candidate block, its gates
-    being sigmoid). The cell state c_t is itself the argument of the
-    output squash.
+    The steps record over the input terms (run_steps), and the recorded H
+    then adds every step's recurrent term to them at once through the
+    cell's own layout (stack_gates); the last n columns are the ones relu
+    reads (lstm's candidate block, its gates being sigmoid). The cell
+    state c_t is itself the argument of the output squash.
     """
-    H, C, _ = stacks
     W, R, b = stack_gates(p, transposed=True)
     a = input_term(W, b, xs)
+    H, C, _ = stacks = record_arrays(p, len(xs), xs.shape[1])
+    run_steps(p, R, a, stacks)
     a += H[:-1] * R if p.variant == "lstm_c6" else H[:-1] @ R
     margin = float(np.min(np.abs(a[..., -p.n:])))
     return margin if C is None else min(margin, float(np.min(np.abs(C[1:]))))
@@ -560,7 +567,7 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                 batch_data = SequenceBatch(tokens=tokens, labels=labels)
                 if act == "relu":
                     xs = emb.E[tokens.T]
-                    if _relu_kink_margin(cell, xs, run_cell(cell, xs)[2]) < 1e-4:
+                    if _relu_kink_margin(cell, xs) < 1e-4:
                         continue
                 used += 1
                 model = SequenceClassifier(cell, out, emb)

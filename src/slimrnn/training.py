@@ -120,7 +120,7 @@ def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
     return loss, p
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceClassifier:
     """Embedding (m wide; a frozen one feeds fixed inputs) + one or two
     cells + affine readout.
@@ -180,16 +180,13 @@ class SequenceClassifier:
         readout read. Two directions whose per-step state, rows x n, reaches
         THREAD_MIN_STATE run at once, the backward one on a thread started
         and joined within the call; each keeps its bits."""
-        def final_h(cell, step):
-            return run_cell(cell, xs[::step], record=False)[0]
-
         if len(self.directions) == 2 and xs.shape[1] * self.cell.n >= THREAD_MIN_STATE:
             # the pool's one thread is joined before this block exits
             with ThreadPoolExecutor(1) as pool:
-                bwd = pool.submit(final_h, self.cell_bwd, -1)
-                hs = [final_h(self.cell, 1), bwd.result()]
+                bwd = pool.submit(run_cell, self.cell_bwd, xs[::-1])
+                hs = [run_cell(self.cell, xs), bwd.result()]
         else:
-            hs = [final_h(cell, step) for cell, _, step in self.directions]
+            hs = [run_cell(cell, xs[::step]) for cell, _, step in self.directions]
         h = hs[0] if len(hs) == 1 else np.concatenate(hs, -1)
         return output_layer_apply(self.out, h), h
 
@@ -410,9 +407,6 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
                                                                   layouts)):
             # stacked 1-row products: column j has sample j's own bits
             input_term(W, bias, X[::step, :, None, :], out=_direction(Z, d)[:, :, None])
-        for a in chunk[:2]:
-            if a is not None:
-                a[0] = 0.0
         for j in range(b):
             run_steps(model.cell, R, Z[:, j], [None if a is None else a[:, j]
                                                for a in chunk])
@@ -594,7 +588,7 @@ RMSPROP_RHO = 0.9
 OPT_EPS = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """First-order update rule over all tensors as one flat array.
 
@@ -612,9 +606,8 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
     # Fixed at the first step: each tensor's name and shape, in order, and
     # the moment rows of one flat buffer (adam's m, then v; rmsprop's v).
-    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _moments: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _shapes: dict = field(default_factory=dict, init=False, repr=False)
+    _moments: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:

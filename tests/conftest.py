@@ -4,12 +4,13 @@ Passing tests have their stdout captured, so the per-criterion result lines
 would normally be invisible in a plain ``pytest -v`` run. The fixture below
 records each line and the terminal-summary hook prints the whole block at the
 end of the run, outside capture. operands() forms what a step function takes
-in place of its input x, for tests that drive the steps by hand.
+in place of its input x, for tests that drive the steps by hand, and
+recorded() runs a cell over a sequence recording its stacks.
 """
 
 import pytest
 
-from slimrnn.cells import input_term, stack_gates
+from slimrnn.cells import input_term, record_arrays, run_steps, stack_gates
 
 _acceptance_lines: list[str] = []
 
@@ -39,3 +40,13 @@ def operands(p, x):
     its input term, laid out by the engine's own helpers."""
     W, R, b = stack_gates(p, transposed=True)
     return R, input_term(W, b, x)
+
+
+def recorded(p, xs):
+    """(h_T, c_T, (H, C, aux)) of cell p over xs, (T, B, m): its final
+    states and the stacks it records from zero states, through the
+    engine's own layout, projection, arrays and step loop. c_T is None
+    for srnn."""
+    W, R, b = stack_gates(p, transposed=True)
+    stacks = record_arrays(p, len(xs), xs.shape[1])
+    return (*run_steps(p, R, input_term(W, b, xs), stacks), stacks)

@@ -363,7 +363,7 @@ def test_criterion_8_metrics_determinism(tmp_path, acceptance_report):
     b = cmd_train(replace(cfg, out=str(tmp_path / "b")))
 
     def strip_seconds(path):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         return "\n".join(line.rsplit(",", 1)[0] for line in lines)
 
     text_a = strip_seconds(a["csv"])

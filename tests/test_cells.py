@@ -38,7 +38,7 @@ from slimrnn.data import init_embedding
 from slimrnn.numerics import make_rng
 from slimrnn.training import SequenceClassifier
 
-from conftest import operands
+from conftest import operands, recorded
 
 
 def zero_cell(variant, m, n, act="sigmoid", forget_const=0.59):
@@ -177,7 +177,7 @@ def test_step_caches_record_the_step():
     rng = make_rng(210)
     xs = rng.uniform(-1, 1, (4, 1, 3))
     p = random_cell("lstm", 3, 2, seed=21)
-    _, _, (H, C, gates) = run_cell(p, xs)
+    _, _, (H, C, gates) = recorded(p, xs)
     assert gates.shape == (4, 1, 8)
     i, f, o, c_tilde = np.split(gates, 4, axis=-1)
     # the recorded gates recompose the state update exactly
@@ -188,7 +188,7 @@ def test_step_caches_record_the_step():
     # so their stacks replay C[t+1] == f*C[t] + c_tilde[t], H[t+1] == act(C[t+1])
     for variant in ("lstm6", "lstm_c6"):
         p6 = random_cell(variant, 3, 2, seed=22)
-        _, _, (H6, C6, c_tilde6) = run_cell(p6, xs)
+        _, _, (H6, C6, c_tilde6) = recorded(p6, xs)
         for t in range(4):
             npt.assert_array_equal(p6.forget_const * C6[t] + c_tilde6[t], C6[t + 1])
             npt.assert_array_equal(expit(C6[t + 1]), H6[t + 1])
@@ -227,7 +227,6 @@ def test_lstm_gate_blocks_over_rows_and_stacked_directions():
     assert R.shape == (2, n, 4 * n)
     terms = np.stack([input_term(W, b, xs[d]) for d, (W, _, b) in enumerate(layouts)], axis=1)
     H, C, gates = stacks = record_arrays(p, T, 2, B)
-    H[0] = C[0] = 0.0
     run_steps(p, R, terms, stacks)
     for d, q in enumerate(cells_):
         for t in range(T):
@@ -384,7 +383,7 @@ def test_run_sequence_geometric_convergence():
     # zero inputs, zero params, f = 0.5: c_t = 1 - 0.5^t -> 1.0
     p = zero_cell("lstm6", 2, 3, forget_const=0.5)
     xs = np.zeros((60, 1, 2))
-    _, c, _ = run_cell(p, xs)
+    _, c, _ = recorded(p, xs)
     npt.assert_allclose(c, np.ones((1, 3)), rtol=0, atol=1e-15)
 
 
@@ -395,20 +394,21 @@ def test_run_sequence_geometric_convergence():
 def test_run_cell_deterministic_and_zero_state_default():
     p = random_cell("lstm", 3, 4, seed=41)
     xs = make_rng(410).uniform(-1, 1, size=(6, 1, 3))
-    h1, c1, k1 = run_cell(p, xs)
-    h2, c2, k2 = run_cell(p, xs)
+    npt.assert_array_equal(run_cell(p, xs), run_cell(p, xs))
+    h1, c1, k1 = recorded(p, xs)
+    h2, c2, k2 = recorded(p, xs)
     npt.assert_array_equal(h1, h2)
     npt.assert_array_equal(c1, c2)
     assert k1[0].shape[0] == k2[0].shape[0] == 6 + 1
-    h3, c3, _ = run_cell(p, xs, h0=np.zeros((1, 4)), c0=np.zeros((1, 4)))
-    npt.assert_array_equal(h1, h3)
-    npt.assert_array_equal(c1, c3)
+    # the states start at zero, and run_cell ends where the recording does
+    assert not k1[0][0].any() and not k1[1][0].any()
+    npt.assert_array_equal(run_cell(p, xs), h1)
 
 
 def test_run_cell_srnn_has_no_cell_state():
     p = random_cell("srnn", 3, 4, seed=42)
     xs = make_rng(420).uniform(-1, 1, size=(5, 1, 3))
-    h, c, (H, C, aux) = run_cell(p, xs)
+    h, c, (H, C, aux) = recorded(p, xs)
     assert c is None and C is None and aux is None
     assert H.shape[0] == 5 + 1
     # matches stepping by hand
@@ -416,6 +416,7 @@ def test_run_cell_srnn_has_no_cell_state():
     for t in range(5):
         hh = srnn_step(p, *operands(p, xs[t]), hh)
     npt.assert_array_equal(h, hh)
+    npt.assert_array_equal(run_cell(p, xs), hh)
 
 
 def test_run_cell_empty_sequence_rejected():
@@ -428,7 +429,7 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
     p = random_cell("lstm6", 3, 4, seed=44)
     out = init_output(make_rng(440), 4, 2)
     x = make_rng(441).uniform(-1, 1, size=(1, 1, 3))
-    h_T, _, (H, _, _) = run_cell(p, x)
+    h_T, _, (H, _, _) = recorded(p, x)
     y = output_layer_apply(out, h_T)
     h, _, _ = lstm6_step(p, *operands(p, x[0]), np.zeros((1, 4)), np.zeros((1, 4)))
     npt.assert_array_equal(y, output_layer_apply(out, h))
@@ -438,7 +439,7 @@ def test_run_sequence_single_step_reduces_to_step_plus_readout():
 def test_run_sequence_caches_replay_the_forward_pass():
     p = random_cell("lstm", 2, 3, seed=45, act="tanh")
     xs = make_rng(450).uniform(-1, 1, size=(4, 1, 2))
-    _, _, (H, C, gates) = run_cell(p, xs)
+    _, _, (H, C, gates) = recorded(p, xs)
     h = np.zeros((1, 3))
     c = np.zeros((1, 3))
     for t in range(4):
@@ -468,12 +469,13 @@ def test_output_layer_apply_known_values():
 def test_run_cell_over_a_batch_axis_equals_per_sample_runs(variant):
     p = random_cell(variant, 3, 5, seed=46, act="tanh")
     xs = make_rng(460).uniform(-2, 2, size=(9, 4, 3))  # (T, B, m)
-    h, c, (H, _, _) = run_cell(p, xs)
+    h, c, (H, _, _) = recorded(p, xs)
     assert h.shape == (4, 5) and H.shape == (9 + 1, 4, 5)
+    npt.assert_array_equal(run_cell(p, xs), h)
     # relative to the state's scale: a batched product may sum in another
     # order, which moves an entry that cancels to near zero by ~1e-17
     for b in range(4):
-        h_b, c_b, _ = run_cell(p, xs[:, b:b + 1])
+        h_b, c_b, _ = recorded(p, xs[:, b:b + 1])
         npt.assert_allclose(h[b:b + 1], h_b, rtol=0, atol=1e-14 * np.abs(h_b).max())
         if variant == "srnn":
             assert c is None
@@ -494,17 +496,10 @@ def test_run_cell_checks_shapes_once_and_can_skip_caches():
         run_cell(p, xs[:, 0])
     with pytest.raises(ValueError, match=sample):
         classifier(p, init_output(make_rng(471), 3, 1)).forward(xs[:, 0])
-    with pytest.raises(ValueError, match=r"h0 has shape \(3,\), expected \(1, 3\)"):
-        run_cell(p, xs[:, :1], h0=np.zeros(3))
-    with pytest.raises(ValueError, match="h0"):
-        run_cell(p, xs, h0=np.zeros(3))
-    with pytest.raises(ValueError, match="c0"):
-        run_cell(p, xs, c0=np.zeros((3, 3)))
-    h, c, caches = run_cell(p, xs, record=False)
-    assert caches is None
-    h_rec, c_rec, _ = run_cell(p, xs)
+    h = run_cell(p, xs)
+    assert h.shape == (2, 3)
+    h_rec, _, _ = recorded(p, xs)
     npt.assert_array_equal(h, h_rec)
-    npt.assert_array_equal(c, c_rec)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -523,18 +518,16 @@ def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
         return input_term(W, b, x, out=out)
 
     monkeypatch.setattr(cells, "input_term", spy)
-    want = run_cell(p, xs, record=record)
+    want = run_cell(p, xs)
     assert calls == [11]
+    if record:  # a recording run, which projects every step in one call
+        npt.assert_array_equal(recorded(p, xs)[0], want)
     width = len(stack_gates(p)[2])
     monkeypatch.setattr(cells, "PROJECTION_BUDGET", 8 * width * math.prod(shape[1:-1]))
     calls.clear()
-    got = run_cell(p, xs, record=record)
+    got = run_cell(p, xs)
     assert calls == [1] * 11
-    for a, b in zip(got[:2] + (got[2] or ()), want[:2] + (want[2] or ())):
-        if b is None:
-            assert a is None
-        else:
-            npt.assert_array_equal(a, b)
+    npt.assert_array_equal(got, want)
 
 
 STEPS = {"srnn": srnn_step, "lstm": lstm_step, "lstm6": lstm6_step,
@@ -576,39 +569,37 @@ def test_a_step_into_out_gives_the_bits_of_an_allocating_step(variant, batch):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("shape", [(7, 1, 3), (7, 4, 3)])
 def test_run_cell_without_record_keeps_the_start_state_and_the_bits(variant, shape):
+    # run_cell records nothing: it ends with the bits of a recording run,
+    # whose stacks keep their zero start states
     p = random_cell(variant, 3, 5, seed=50, act="tanh")
-    rng = make_rng(500)
-    xs = rng.uniform(-2, 2, shape)
-    h0 = rng.uniform(-1, 1, shape[1:-1] + (5,))
-    c0 = None if variant == "srnn" else rng.uniform(-1, 1, h0.shape)
-    h0_before = h0.copy()
-    c0_before = None if c0 is None else c0.copy()
-    h, c, stacks = run_cell(p, xs, h0, c0, record=False)
-    assert stacks is None
-    h_rec, c_rec, (H, C, _) = run_cell(p, xs, h0, c0)
+    xs = make_rng(500).uniform(-2, 2, shape)
+    h = run_cell(p, xs)
+    h_rec, c_rec, (H, C, _) = recorded(p, xs)
     npt.assert_array_equal(h, h_rec)
-    npt.assert_array_equal(H[0], h0)
-    npt.assert_array_equal(h0, h0_before)
+    assert h.shape == shape[1:-1] + (5,) and not H[0].any()
     if variant == "srnn":
-        assert c is None and c_rec is None
+        assert C is None and c_rec is None
     else:
-        npt.assert_array_equal(c, c_rec)
-        npt.assert_array_equal(C[0], c0)
-        npt.assert_array_equal(c0, c0_before)
+        assert not C[0].any()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(variant):
-    # what run_cell records, run_steps records into one sample's column of a
-    # chunk's arrays, as model_gradients drives it, with the same bits
+    # what run_steps records into a sample's own arrays, it records into
+    # one sample's column of a chunk's arrays, as model_gradients drives
+    # it, with the same bits
     T, b, j = 7, 3, 1
     p = random_cell(variant, 3, 5, seed=51, act="tanh")
     rng = make_rng(510)
     xs = rng.uniform(-2, 2, (T, 1, 3))
     h0 = rng.uniform(-1, 1, (1, 5))
     c0 = None if variant == "srnn" else rng.uniform(-1, 1, (1, 5))
-    h, c, want = run_cell(p, xs, h0, c0)
     W, R, bias = stack_gates(p, transposed=True)
+    want = record_arrays(p, T, 1)
+    for a, v in zip(want, (h0, c0)):
+        if a is not None:
+            a[0] = v
+    h, c = run_steps(p, R, input_term(W, bias, xs), want)
 
     def column_of(chunk):  # sample j's column, holding its start states
         column = [None if a is None else a[:, j:j + 1] for a in chunk]
@@ -632,13 +623,13 @@ def test_run_cell_records_into_a_column_of_given_arrays_with_the_same_bits(varia
             continue
         npt.assert_array_equal(a[:, j:j + 1], w)
         assert np.isnan(np.delete(a, j, axis=1)).all()  # other columns untouched
-    # a column gives the bytes run_cell's own arrays do, recording or not
+    # a column gives the bytes a sample's own arrays do, recording or not
     again = [None if s is None else np.full(s, np.nan) for s in record_shapes(p, T, b)]
-    for stacks, record in ((column_of(again), True), (record_arrays(p, 1, 1), False)):
+    for stacks in (column_of(again), record_arrays(p, 1, 1)):
         for a, v in zip(stacks, (h0, c0)):
             if a is not None:
                 a[0] = v
-        given_h, given_c = run_steps(p, R, input_term(W, bias, xs), stacks, record)
+        given_h, given_c = run_steps(p, R, input_term(W, bias, xs), stacks)
         assert given_h.tobytes() == h.tobytes()
         assert given_c is None if c is None else given_c.tobytes() == c.tobytes()
     for a, g in zip(chunk, again):
@@ -712,8 +703,8 @@ def test_bidirectional_output_is_ordered_concatenation():
     model = bidirectional_model(p_fwd, p_bwd)
     y_raw, y = model.forward(xs)
     assert y.shape == (1, 10)
-    h_f, _, _ = run_cell(p_fwd, xs)
-    h_b, _, _ = run_cell(p_bwd, xs[::-1])
+    h_f = run_cell(p_fwd, xs)
+    h_b = run_cell(p_bwd, xs[::-1])
     npt.assert_array_equal(y[:, :5], h_f)
     npt.assert_array_equal(y[:, 5:], h_b)
     npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 
 from slimrnn import harness, training
 from slimrnn.cells import (VARIANTS, init_cell, lstm6_step, lstm_step,
-                           lstmc6_step, run_cell, srnn_step)
+                           lstmc6_step, srnn_step)
 from slimrnn.cli import build_parser, main
 from slimrnn.data import EmbeddingTable, SequenceBatch
 from slimrnn.harness import (
@@ -54,7 +54,7 @@ def tiny_config(tmp_path, **overrides):
 
 
 def read_csv_without_seconds(path):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return [line.rsplit(",", 1)[0] for line in lines]
 
 
@@ -104,6 +104,8 @@ def test_config_parse_rejects_bad_lines():
     ("hidden = 0\n", "line 1: hidden must be >= 1, got 0"),
     ("seed = -1\n", "line 1: seed must be >= 0, got -1"),
     ("out =\n", "line 1: out must name a directory, got ''"),
+    ("hidden = 5\nhidden = 7\n", "line 2: hidden already set on line 1"),
+    ("seq-len = 5\n# again\nseq_len = 6\n", "line 3: seq_len already set on line 1"),
 ])
 def test_config_file_errors_name_the_path_the_line_and_the_reason(tmp_path, text,
                                                                   reason):
@@ -381,7 +383,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     ("trainable true", "trainable 1", "header field trainable must be true or false, got '1'"),
     ("tensors {k}", "tensor list", "header has no tensors line"),
     ("tensors {k}", "tensors {k1}", "header promises {k1} tensors, lists {k}"),
-], ids=["bidirectional-flag", "trainable-flag", "no-tensors-line", "count"])
+    # a second variant line used to win, failing the load on a missing tensor
+    ("m 3", "variant srnn\nm 3", "header field variant is listed twice"),
+], ids=["bidirectional-flag", "trainable-flag", "no-tensors-line", "count",
+        "repeated-field"])
 def test_a_malformed_checkpoint_header_is_rejected_by_path(tmp_path, old, new, cause):
     cfg = tiny_config(tmp_path)
     train, _ = build_dataset(cfg)
@@ -560,15 +565,15 @@ def test_sweep_summary_is_consistent_with_cell_csvs(tmp_path):
     spec = SweepSpec(base=base, variants=["lstm6", "lstm_c6"], hiddens=[4],
                      etas=[2e-3], forgets=[0.59])
     result = cmd_sweep(spec)
-    lines = open(result["summary"], encoding="utf-8").read().splitlines()
+    lines = Path(result["summary"]).read_text(encoding="utf-8").splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
     cells_dir = tmp_path / "sweep" / "cells"
     for row, cell in zip(lines[1:], sorted(p.name for p in cells_dir.iterdir())):
         fields = row.split(",")
         csv_rows = [l.split(",") for l in
-                    open(cells_dir / cell / "metrics.csv", encoding="utf-8")
-                    .read().splitlines()[1:]]
+                    (cells_dir / cell / "metrics.csv").read_text(encoding="utf-8")
+                    .splitlines()[1:]]
         test_accs = [float(r[4]) for r in csv_rows]
         assert float(fields[4]) == max(test_accs)
         assert int(fields[5]) == 1 + test_accs.index(max(test_accs))
@@ -736,7 +741,7 @@ def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
             step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[variant]
             h, c, _ = step(cell, *operands(cell, x[None]), h, c)
             want = min(want, np.abs(a).min(), np.abs(c).min())
-    got = _relu_kink_margin(cell, xs, run_cell(cell, xs)[2])
+    got = _relu_kink_margin(cell, xs)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 def test_cmd_gradcheck_passes_on_healthy_gradients():

@@ -12,7 +12,8 @@ import pytest
 
 from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, gate_width, init_cell,
                            init_output, input_term, lstm6_step, output_layer_apply,
-                           record_shapes, run_cell, stack_gates)
+                           record_arrays, record_shapes, run_cell, run_steps,
+                           stack_gates)
 from slimrnn import cells, training
 from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
 from slimrnn.harness import _bare_names
@@ -31,6 +32,8 @@ from slimrnn.training import (
     _backward_cell,
     _ld_batch_loss,
 )
+
+from conftest import recorded
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
 
@@ -305,7 +308,7 @@ def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
     if variant == "lstm":
         p.tensors["b_f"][...] = -30.0  # forget gate ~1e-13: dc decays as fast
     xs = rng.uniform(-1.0, 1.0, size=(300, 1, 3))
-    _, _, stacks = run_cell(p, xs, record=True)
+    _, _, stacks = recorded(p, xs)
     grads = {name: np.zeros_like(p.tensors[name])
              for name in ADAPTIVE_FIELDS[variant]}
     dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", True,
@@ -494,7 +497,7 @@ def test_invalid_target_rejected_by_model_gradients():
 
 def per_sample_gradients(model, batch, loss_kind):
     """Mean loss and gradients one sample at a time, each sample a batch of
-    one through its own run_cell and _backward_cell calls, each reverse
+    one through its own recorded forward and _backward_cell calls, each reverse
     pass on a fresh layout and work array: the chunked pass's reference."""
     grads = {k: np.zeros_like(v) for k, v in model.param_arrays().items()}
     need_dx = "emb.E" in grads
@@ -507,9 +510,9 @@ def per_sample_gradients(model, batch, loss_kind):
     total = 0.0
     for i, label in enumerate(batch.labels):
         xs = model.emb.E[batch.tokens[i]][:, None]
-        h, _, stacks = run_cell(model.cell, xs)
+        h, _, stacks = recorded(model.cell, xs)
         if model.bidirectional:
-            h_b, _, stacks_b = run_cell(model.cell_bwd, xs[::-1])
+            h_b, _, stacks_b = recorded(model.cell_bwd, xs[::-1])
             h = np.concatenate([h, h_b], axis=-1)
         (loss,), dy = loss_eval(loss_kind, output_layer_apply(model.out, h), [label])
         total += loss
@@ -548,7 +551,7 @@ def test_directions_order_the_readout_and_the_tensors(variant):
     xs = make_rng(3319).uniform(-1.0, 1.0, (6, 2, 3))
     _, h = model.forward(xs)
     npt.assert_array_equal(h, np.concatenate(
-        [run_cell(cell, xs[::step])[0] for cell, _, step in model.directions], axis=-1))
+        [run_cell(cell, xs[::step]) for cell, _, step in model.directions], axis=-1))
     params = model.param_arrays()
     prefixes = dict.fromkeys(key.split(".")[0] + "." for key in params)
     assert list(prefixes) == ["emb.", *(p for _, p, _ in model.directions), "out."]
@@ -619,7 +622,7 @@ def lstm_c6_loop_gradients(model, batch, loss_kind, flushes):
     total = 0.0
     for i, label in enumerate(batch.labels):
         xs = model.emb.E[batch.tokens[i]]
-        runs = [run_cell(p, xs[::step, None]) for _, p, step in cells]  # a batch of one
+        runs = [recorded(p, xs[::step, None]) for _, p, step in cells]  # a batch of one
         h = np.concatenate([h_T for h_T, _, _ in runs], axis=-1)
         (loss,), (dy,) = loss_eval(loss_kind, output_layer_apply(model.out, h), [label])
         total += loss
@@ -682,7 +685,7 @@ def test_lstm_c6_reverse_pass_holds_at_most_three_step_arrays():
     rng = make_rng(3327)
     p = init_cell("lstm_c6", m, n, "sigmoid", 0.59, rng)
     xs = rng.uniform(-1.0, 1.0, (T, b, m))
-    stacks = run_cell(p, xs)[2]
+    stacks = recorded(p, xs)[2]
     grads = {name: np.zeros_like(p.tensors[name]) for name in ADAPTIVE_FIELDS["lstm_c6"]}
     dh = rng.uniform(-1.0, 1.0, (b, n))
     peak = traced_peak(lambda: _backward_cell(p, xs, stacks, dh, grads, "", True,
@@ -808,7 +811,7 @@ def test_gradients_are_disjoint_views_named_and_shaped_like_the_tensors(
 @pytest.mark.parametrize("variant,bidirectional", [("lstm", False), ("lstm6", True)])
 @pytest.mark.parametrize("B", [1, 9])
 def test_each_direction_is_laid_out_once_per_call(monkeypatch, variant, bidirectional, B):
-    # once transposed for run_cell and once untransposed for _backward_cell
+    # once transposed for the forward and once untransposed for _backward_cell
     T = 5
     model = small_model(variant, 3, 4, seed=3328, act="tanh", bidirectional=bidirectional)
     batch = token_batch(3329, B, T)
@@ -859,7 +862,7 @@ def test_the_reverse_pass_given_its_work_array_allocates_only_its_input_gradient
     rng = make_rng(3334)
     p = init_cell(variant, m, n, "sigmoid", 0.59, rng)
     xs = rng.uniform(-1.0, 1.0, (T, b, m))
-    stacks = run_cell(p, xs)[2]
+    stacks = recorded(p, xs)[2]
     views = []
     for a in stacks:
         views.append(None if a is None else
@@ -936,11 +939,60 @@ def test_record_shapes_are_what_run_cell_records(variant):
     T, B = 6, 3
     model = small_model(variant, 3, 4, seed=3340, act="tanh")
     p = model.cell
-    stacks = run_cell(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
+    stacks = recorded(p, make_rng(3341).uniform(-1, 1, (T, B, 3)))[2]
     assert [None if a is None else a.shape for a in stacks] == list(
         record_shapes(p, T, B))
-    recorded = sum(a.nbytes for a in stacks if a is not None)
-    assert recorded == B * training._stack_bytes(model, T)
+    nbytes = sum(a.nbytes for a in stacks if a is not None)
+    assert nbytes == B * training._stack_bytes(model, T)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 1), (2, 3)])
+def test_the_zero_start_states_are_written_once_and_kept(variant, lead):
+    # record_arrays is the one writer of the zero start states: a recording
+    # run_steps writes rows 1..T, _backward_cell only aux and its work array,
+    # so model_gradients' chunks share stacks it never zeroes again. lead is
+    # (B,) for one direction, (D, B) for D stacked directions.
+    T, m, n, B = 6, 3, 4, lead[-1]
+    D = lead[0] if len(lead) == 2 else 1
+    rng = make_rng(3720)
+    dirs = [init_cell(variant, m, n, "tanh", 0.59, rng) for _ in range(D)]
+    p = dirs[0]
+    layouts = [stack_gates(q, transposed=True) for q in dirs]
+    xs = rng.uniform(-2, 2, (T, *lead, m))
+    if D == 1:
+        (W, R, b), = layouts
+        terms = input_term(W, b, xs)
+    else:
+        R = np.stack([r for _, r, _ in layouts])
+        terms = np.stack([input_term(W, b, xs[:, d])
+                          for d, (W, _, b) in enumerate(layouts)], axis=1)
+    stacks = record_arrays(p, T, *lead)
+    starts = [a for a in stacks[:2] if a is not None]
+    for a in starts:
+        assert a.shape == (T + 1, *lead, n) and not a[0].any()
+    run_steps(p, R, terms, stacks)
+    for d, q in enumerate(dirs):
+        view = [a if D == 1 or a is None else a[:, d] for a in stacks]
+        grads = {name: np.zeros_like(t) for name, t in q.tensors.items()}
+        _backward_cell(q, xs if D == 1 else xs[:, d], view, rng.uniform(-1, 1, (B, n)),
+                       grads, "", True, stack_gates(q), np.empty((T, B, gate_width(q))))
+    for a in starts:
+        assert not a[0].any()
+    # two alternating rows, from random start states, end with the bits of
+    # a recording run from the same states
+    begin = [rng.uniform(-1, 1, a.shape[1:]) for a in starts]
+    recording, alternating = record_arrays(p, T, *lead), record_arrays(p, 1, *lead)
+    for arrays in (recording, alternating):
+        for a, v in zip(arrays, begin):
+            a[0] = v
+    want = run_steps(p, R, terms, recording)
+    got = run_steps(p, R, terms, alternating)
+    for g, w, a in zip(got, want, recording):
+        if w is None:
+            assert g is None and a is None
+        else:
+            assert g.tobytes() == w.tobytes() == a[-1].tobytes()
 
 
 @pytest.mark.parametrize("variant,bidirectional",
@@ -1232,9 +1284,9 @@ def per_sample_evaluate(model, batch, loss_kind):
     total, correct = 0.0, 0
     for tokens, label in zip(batch.tokens, batch.labels):
         xs = model.emb.E[tokens][:, None]  # a batch of one
-        h, _, _ = run_cell(model.cell, xs)
+        h = run_cell(model.cell, xs)
         if model.cell_bwd is not None:
-            h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])[0]], axis=-1)
+            h = np.concatenate([h, run_cell(model.cell_bwd, xs[::-1])], axis=-1)
         y_raw = output_layer_apply(model.out, h)
         total += loss_eval(loss_kind, y_raw, [label])[0][0]
         pred = int(y_raw[0, 0] >= 0.0) if loss_kind == "bce" else int(np.argmax(y_raw))
@@ -1368,11 +1420,11 @@ def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch,
     bad = model.cell if failing == "fwd." else model.cell_bwd
     ran_on = []
 
-    def run_cell_failing(cell, xs, **kw):
+    def run_cell_failing(cell, xs):
         if cell is bad:
             ran_on.append(threading.current_thread())
             raise FloatingPointError(f"{failing} went wrong")
-        return run_cell(cell, xs, **kw)
+        return run_cell(cell, xs)
 
     monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
     monkeypatch.setattr(training, "run_cell", run_cell_failing)
@@ -1466,3 +1518,18 @@ def test_train_epoch_validation():
                           labels=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="non-empty"):
         train_epoch(model, empty, test, opt, "bce", 8, seed=1, epoch=1)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a field-wise == would compare arrays, which have no single truth value
+    a, b = (small_model("lstm6", 3, 4, seed=3730, bidirectional=True) for _ in range(2))
+    batch = token_batch(3731, B=3, T=4)
+    opts = [OptimizerState(kind="adam", eta=1e-3) for _ in range(2)]
+    for model, opt in zip((a, b), opts):
+        optimizer_step(opt, model.param_arrays(), model_gradients(model, batch, "bce")[1])
+    for key, theta in a.param_arrays(include_frozen=True).items():
+        npt.assert_array_equal(theta, b.param_arrays(include_frozen=True)[key])
+    pairs = [(a, b), (a.cell, b.cell), (a.out, b.out), (a.emb, b.emb),
+             (batch, batch.subset(np.arange(len(batch)))), tuple(opts)]
+    for x, y in pairs:
+        assert x == x and not x == y and x != y, type(x).__name__
