@@ -61,13 +61,13 @@ GradientSet = dict
 # slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
 EVAL_BUDGET = 21 << 18
 
-# Per-step state elements, rows x n, from which a bidirectional forward runs
-# its backward direction on a second thread, beside the forward one. Timed
-# against the serial loop on bidirectional lstm6 evaluate at T = 40, the
-# threads crossed 1.0x between 4,096 and 16,000 elements with tanh (0.92x at
-# 4,096, 1.54x at 16,000) and near 1,000 with sigmoid, so every size at or
-# above this one ran at least as fast. The benchmark's desk eval slice
-# (500 x 32 = 16,000) threads; paper (32 x 100) and certify (20 x 8) stay serial.
+# A forward runs on two threads (_two_threads) where each thread's expit
+# elements per step reach THREAD_MIN_EXPIT: expit, a scalar loop per element
+# run with the GIL released, is the work a second core takes over. A tanh
+# direction split also threads from THREAD_MIN_STATE state elements, rows x n.
+# README's evaluate section gives the timings both rest on; a thread costs
+# about 0.15 ms to start, so gradcheck-sized slices stay serial.
+THREAD_MIN_EXPIT = 3000
 THREAD_MIN_STATE = 8192
 
 # Bytes one model_gradients chunk may hold: its recorded stacks, the work
@@ -177,18 +177,41 @@ class SequenceClassifier:
         one sample being a batch of one: each direction's cell over xs in
         its time order, recording nothing, then the readout of their final
         states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
-        readout read. Two directions whose per-step state, rows x n, reaches
-        THREAD_MIN_STATE run at once, the backward one on a thread started
-        and joined within the call; each keeps its bits."""
-        if len(self.directions) == 2 and xs.shape[1] * self.cell.n >= THREAD_MIN_STATE:
+        readout read. Where _two_threads says so, the pass runs on two
+        threads: a bidirectional one runs its backward direction beside the
+        forward one, each keeping its bits; a one-direction one runs the
+        rows xs[:, B // 2:] beside xs[:, :B // 2], which keeps the bits of
+        those two halves run one after the other."""
+        jobs = [(cell, xs[::step]) for cell, _, step in self.directions]
+        axis = -1  # [h_fwd ; h_bwd]
+        if not _two_threads(self.cell, xs.shape[1], len(jobs)):
+            hs = [run_cell(*job) for job in jobs]
+        else:
+            if len(jobs) == 1:  # row halves, stacked back in order
+                half = xs.shape[1] // 2
+                jobs, axis = [(self.cell, xs[:, :half]), (self.cell, xs[:, half:])], 0
             # the pool's one thread is joined before this block exits
             with ThreadPoolExecutor(1) as pool:
-                bwd = pool.submit(run_cell, self.cell_bwd, xs[::-1])
-                hs = [run_cell(self.cell, xs), bwd.result()]
-        else:
-            hs = [run_cell(cell, xs[::step]) for cell, _, step in self.directions]
-        h = hs[0] if len(hs) == 1 else np.concatenate(hs, -1)
+                second = pool.submit(run_cell, *jobs[1])
+                hs = [run_cell(*jobs[0]), second.result()]
+        h = hs[0] if len(hs) == 1 else np.concatenate(hs, axis)
         return output_layer_apply(self.out, h), h
+
+
+def _two_threads(cell: CellParams, rows: int, directions: int) -> bool:
+    """Whether a forward of rows samples through directions copies of cell
+    runs on two threads: by direction when there are two, each thread then
+    stepping every row, else by row halves, the smaller rows // 2. It does
+    where a thread's expit elements per step reach THREAD_MIN_EXPIT, or, for a
+    tanh direction split, where rows x n reaches THREAD_MIN_STATE. A row
+    takes 3n expit elements per step for lstm's sigmoid gates, and with a
+    sigmoid activation 2n more for lstm, 2n for the slim cells and n for srnn."""
+    n = cell.n
+    acts = n if cell.variant == "srnn" else 2 * n  # the activation's elements
+    per_row = (3 * n if cell.variant == "lstm" else 0) + acts * (cell.act == "sigmoid")
+    per_thread = rows if directions == 2 else rows // 2
+    return (per_thread * per_row >= THREAD_MIN_EXPIT
+            or directions == 2 and cell.act == "tanh" and rows * n >= THREAD_MIN_STATE)
 
 
 def _stack_bytes(model: SequenceClassifier, T: int) -> int:

@@ -594,16 +594,31 @@ def test_sweep_cells_use_per_cell_seeds(tmp_path):
 
 
 def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
-    grid = dict(variants=["lstm6", "lstm_c6"], hiddens=[4], etas=[2e-3],
-                forgets=[0.59])
-    # bidirectional cells whose every evaluate slice runs its directions on two
-    # threads, in the forked workers as in this process
+    grid = dict(hiddens=[4], etas=[2e-3], forgets=[0.59])
+    # tanh bidirectional cells whose every evaluate slice runs its directions
+    # on two threads, and one-direction lstm cells (3n sigmoid gate elements
+    # per row) whose every slice runs its row halves on two, in the forked
+    # workers as in this process
     monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
-    for case, bidirectional in (("uni", False), ("bi", True)):
-        runs = [cmd_sweep(SweepSpec(base=tiny_config(
-                    tmp_path, out=str(tmp_path / f"{case}{workers}"),
-                    bidirectional=bidirectional), workers=workers, **grid))
-                for workers in (1, 2)]
+    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)
+    pools, evals = [], []  # counted in this process, in the --workers 1 sweep
+    pool = training.ThreadPoolExecutor
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
+                        lambda *a: pools.append(a) or pool(*a))
+    monkeypatch.setattr(training, "evaluate", lambda *a: evals.append(a) or evaluate(*a))
+    for case, variants, bidirectional in (("uni", ["lstm6", "lstm_c6"], False),
+                                          ("bi", ["lstm6", "lstm_c6"], True),
+                                          ("halves", ["lstm"], False)):
+        runs = []
+        for workers in (1, 2):
+            pools.clear()
+            evals.clear()
+            runs.append(cmd_sweep(SweepSpec(base=tiny_config(
+                tmp_path, out=str(tmp_path / f"{case}{workers}"),
+                bidirectional=bidirectional), workers=workers, variants=variants,
+                **grid)))
+            if workers == 1:  # each split is one slice; tanh slim cells take no expit
+                assert evals and len(pools) == (0 if case == "uni" else len(evals))
         assert runs[0]["rows"] == runs[1]["rows"]
 
 
@@ -799,6 +814,15 @@ def test_cli_gradcheck_rerun_still_fails_a_wrong_tiny_entry(capsys, monkeypatch)
     monkeypatch.setattr(harness, "bptt_gradients", off_by_a_tenth)
     assert main(TINY_ENTRY_ARGS) == 1
     assert re.search(r"lstm +tanh +U_f +\S+ FAIL", capsys.readouterr().out)
+
+
+def test_the_oracle_rerun_rule_starts_at_1e_7():
+    # entries failing the 1e-6 bound by a relative 1e-3, with |a| + |b| just
+    # under and just over 1e-7: only the first is left to the rerun
+    size = np.array([0.9999e-7, 1.0001e-7])
+    a, b = 0.5005 * size, 0.4995 * size
+    assert harness._tiny_failures(a, b).tolist() == [True, False]
+    assert not harness._tiny_failures(b, b).any()  # an entry that passes is not rerun
 
 
 def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):

@@ -5,6 +5,7 @@ rules against scalar transcriptions, and epoch-level determinism."""
 import math
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import numpy.testing as npt
@@ -319,6 +320,34 @@ def test_backward_flushes_an_underflowed_gradient_to_zero(variant):
     assert size[flushed:].min() > 1e-200, variant
     for name, g in grads.items():
         assert np.all((g == 0) | (np.abs(g) > 1e-200)), f"{variant}.{name}"
+
+
+def test_lstm_c6_flushes_from_the_step_the_underflow_rule_names():
+    """The carried gradient is zeroed from the latest step whose squared norm
+    is below _UNDERFLOW: the input gradient's first non-zero step is the one
+    after it. That step comes from an unflushed reverse pass written out here,
+    whose carried gradient at the step left unzeroed holds entries near 1e-155."""
+    rng = make_rng(2750)
+    p = init_cell("lstm_c6", 3, 4, "sigmoid", 0.01, rng)
+    p.tensors["u_c"][...] *= 1e-3
+    xs = rng.uniform(-1.0, 1.0, size=(300, 1, 3))
+    _, _, stacks = recorded(p, xs)
+    H = stacks[0][:, 0].copy()  # h_0 ... h_T
+    W, u, b = (p.tensors[name] for name in ("W_c", "u_c", "b_c"))
+    s = 1.0 / (1.0 + np.exp(-(xs[:, 0] @ W.T + u * H[:-1] + b)))
+    da = s * (1.0 - s)  # step t's candidate derivative
+    dh_dc = H[1:] * (1.0 - H[1:])  # sigmoid'(c_{t+1}) from h_{t+1}
+    dc = np.empty_like(dh_dc)  # dc[t]: the loss's gradient at c_{t+1}, dh_T = 1
+    dc[-1] = dh_dc[-1]
+    for t in range(len(xs) - 2, -1, -1):
+        dc[t] = dc[t + 1] * (p.forget_const + u * da[t + 1] * dh_dc[t])
+    latest = max(t for t in range(len(xs)) if dc[t] @ dc[t] < training._UNDERFLOW)
+    assert 0 < latest < len(xs) - 1
+    assert 1e-170 < np.abs(dc[latest]).max() < 1e-150
+    grads = {name: np.zeros_like(p.tensors[name]) for name in ADAPTIVE_FIELDS["lstm_c6"]}
+    dxs = _backward_cell(p, xs, stacks, np.ones((1, 4)), grads, "", True,
+                         stack_gates(p), np.empty((len(xs), 1, gate_width(p))))
+    assert np.flatnonzero(np.abs(dxs[:, 0]).max(axis=1) > 0)[0] == latest + 1
 
 
 def test_gradient_sets_have_no_gate_entries_and_f_is_live():
@@ -1369,18 +1398,22 @@ def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirecti
     assert seen == [rows, 1]
 
 
-def with_gate(monkeypatch, gate, fn, *args):
-    """fn(*args) under THREAD_MIN_STATE = gate (1 threads every bidirectional
-    forward, math.inf none), and the number of thread pools it started."""
+def with_gate(monkeypatch, gate, fn, *args, pool=None):
+    """fn(*args) under THREAD_MIN_EXPIT = THREAD_MIN_STATE = gate (1 threads
+    every forward with expit work and every tanh direction split, math.inf
+    none, None keeps the module's gates), and the number of thread pools it
+    started: ThreadPoolExecutors, or the pool class given."""
     pools = []
-    real = training.ThreadPoolExecutor
+    real = pool or training.ThreadPoolExecutor
 
     def spy(*a, **kw):
         pools.append(a)
         return real(*a, **kw)
 
     with monkeypatch.context() as mp:
-        mp.setattr(training, "THREAD_MIN_STATE", gate)
+        if gate is not None:
+            mp.setattr(training, "THREAD_MIN_EXPIT", gate)
+            mp.setattr(training, "THREAD_MIN_STATE", gate)
         mp.setattr(training, "ThreadPoolExecutor", spy)
         return fn(*args), len(pools)
 
@@ -1404,14 +1437,15 @@ def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
 
 
 @pytest.mark.parametrize("bidirectional,rows,pools", [
-    (False, 64, 0),  # one direction: nothing to run beside it
-    (True, 7, 0),    # 7 x 4 state elements, below the gate
-    (True, 8, 1)])   # 8 x 4, at the gate
+    (False, 15, 0),  # one direction: halves of 7 x 8 expit elements, below the gate
+    (True, 7, 0),    # 7 x 8 expit elements per direction, below the gate
+    (True, 8, 1)])   # 8 x 8, at the gate
 def test_only_a_bidirectional_slice_at_the_gate_starts_a_thread(monkeypatch,
                                                                  bidirectional, rows, pools):
+    # sigmoid lstm6 at n = 4 takes 2n = 8 expit elements per row and step
     model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
     batch = token_batch(3673, B=rows, T=5)
-    assert with_gate(monkeypatch, 8 * 4, evaluate, model, batch, "bce")[1] == pools
+    assert with_gate(monkeypatch, 8 * 8, evaluate, model, batch, "bce")[1] == pools
 
 
 @pytest.mark.parametrize("failing", ["fwd.", "bwd."])
@@ -1426,7 +1460,7 @@ def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch,
             raise FloatingPointError(f"{failing} went wrong")
         return run_cell(cell, xs)
 
-    monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
+    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)  # sigmoid: every slice threads
     monkeypatch.setattr(training, "run_cell", run_cell_failing)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"^{failing} went wrong$"):
@@ -1434,6 +1468,105 @@ def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch,
     assert threading.active_count() == before
     # the backward direction is the one that runs on the worker thread
     assert (ran_on[0] is threading.main_thread()) == (failing == "fwd.")
+
+
+class SerialPool:
+    """A ThreadPoolExecutor stand-in that runs each job as it is submitted,
+    on the calling thread."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_threaded_row_halves_keep_the_bits_of_serial_halves(monkeypatch, variant,
+                                                            loss_kind):
+    k = 1 if loss_kind == "bce" else 3
+    # sigmoid: every variant takes expit work, so gate 1 splits every slice
+    model = small_model(variant, 3, 4, seed=3676, out_dim=k)
+    batch = token_batch(3677, B=2 * 17 + 3, T=6, n_classes=max(k, 2))
+    monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 4, 17, variant))
+    threaded, pools = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind)
+    serial, calls = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind,
+                              pool=SerialPool)
+    assert (pools, calls) == (3, 3)  # 17 + 17 + 3 rows, each slice in halves
+    assert [x.hex() for x in threaded] == [x.hex() for x in serial]
+    (whole, acc), none = with_gate(monkeypatch, math.inf, evaluate, model, batch, loss_kind)
+    assert none == 0 and (threaded[0], threaded[1]) == (pytest.approx(whole, rel=1e-13), acc)
+    xs = model.emb.E[batch.tokens.T]  # 37 rows: halves of 18 and 19
+    (y, h), pools = with_gate(monkeypatch, 1, model.forward, xs)
+    halves = np.concatenate([run_cell(model.cell, xs[:, :18]),
+                             run_cell(model.cell, xs[:, 18:])])
+    assert pools == 1 and h.tobytes() == halves.tobytes()
+    assert y.tobytes() == output_layer_apply(model.out, halves).tobytes()
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_an_error_in_either_half_surfaces_and_leaves_no_thread(monkeypatch, failing):
+    model = small_model("lstm", 3, 4, seed=3678)
+    rows = {"first": 4, "second": 5}[failing]  # the halves of 9 rows
+    ran_on = []
+
+    def run_cell_failing(cell, xs):
+        if xs.shape[1] == rows:
+            ran_on.append(threading.current_thread())
+            raise FloatingPointError(f"the {failing} half went wrong")
+        return run_cell(cell, xs)
+
+    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)
+    monkeypatch.setattr(training, "run_cell", run_cell_failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"^the {failing} half went wrong$"):
+        model.forward(model.emb.E[token_batch(3679, B=9, T=5).tokens.T])
+    assert threading.active_count() == before
+    # the second half is the one that runs on the worker thread
+    assert (ran_on[0] is threading.main_thread()) == (failing == "first")
+
+
+@pytest.mark.parametrize("shape,threaded", [
+    ("desk", {"lstm", "lstm6_bidir"}),
+    ("paper", {"lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
+    ("certify", set())])
+def test_the_gate_threads_the_benchmark_models_whose_expit_work_pays(monkeypatch, shape,
+                                                                     threaded):
+    # each workload's activation, m, n and T, and its test split's rows
+    act, m, n, T, rows = {"desk": ("tanh", 16, 32, 40, 500),
+                          "paper": ("sigmoid", 32, 100, 500, 32),
+                          "certify": ("sigmoid", 8, 8, 5, 20)}[shape]
+    batch = token_batch(3680, B=rows, T=T, vocab=50)
+    started = set()
+    for key, variant, bidirectional in [
+            ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
+            ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
+        model = small_model(variant, m, n, seed=3681, act=act, vocab=50,
+                            bidirectional=bidirectional)
+        _, pools = with_gate(monkeypatch, None, evaluate, model, batch, "bce")
+        assert pools in (0, 1), key  # the split is one slice
+        if pools:
+            started.add(key)
+    assert started == threaded
+
+
+@pytest.mark.parametrize("act,pools", [("relu", 0), ("tanh", 1)])
+def test_a_direction_split_without_expit_work_threads_only_with_tanh(monkeypatch, act,
+                                                                     pools):
+    # 256 x 32 = 8,192 state elements: bidirectional lstm6 evaluate at T = 40
+    # ran 0.63x serial with relu when its directions were threaded
+    model = small_model("lstm6", 16, 32, seed=3682, act=act, vocab=50, bidirectional=True)
+    xs = model.emb.E[token_batch(3683, B=256, T=4, vocab=50).tokens.T]
+    assert with_gate(monkeypatch, None, model.forward, xs)[1] == pools
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
