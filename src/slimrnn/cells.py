@@ -12,6 +12,8 @@ internal accumulator where present):
            h_t = act(c_t).
   lstm_c6  lstm6 with the recurrent matrix U_c reduced to a vector u_c
            applied element-wise: the recurrence term is u_c * h_{t-1}.
+           Both slim cells step through lstm6_step, which differs between
+           them in that one product.
 
 Every step advances a batch's (B, n) states; a single sample is a batch
 of one. A step takes its input term W x_t + b precomputed (run_cell
@@ -176,11 +178,14 @@ def srnn_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
     return activate(p.act, z, out=z)
 
 
-def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray, pins: dict, out):
-    """The full-gate step: the gate buffer z (width 4n, every
-    pre-activation) activated in place, pinned gates overwritten, then
-    the state update."""
+def lstm_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
+              c_prev: np.ndarray, out=None, pins=None):
+    """One full-gate step: one product with the stacked recurrent matrix
+    gives every gate's pre-activation. Gates are sigmoid; the candidate
+    and the cell-output squash use p.act. pins (gate name -> constant,
+    checked by gate_override_step) overwrite the named gates before the
+    state update. Returns (h_t, c_t, gates), gates being
+    [i | f | o | c_tilde] along the feature axis (width 4n)."""
     n = p.n
     h, c, z = out or (None, None, None)
     z = h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z)
@@ -188,10 +193,9 @@ def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarr
     gates, c_tilde = z[..., :3 * n], z[..., 3 * n:]
     activate("sigmoid", gates, out=gates)
     activate(p.act, c_tilde, out=c_tilde)
-    if pins:
-        for k, g in enumerate("ifo"):
-            if g in pins:
-                z[..., k * n:(k + 1) * n] = pins[g]
+    for g in pins or ():
+        k = "ifo".index(g)
+        z[..., k * n:(k + 1) * n] = pins[g]
     i_t, f_t, o_t = z[..., :n], z[..., n:2 * n], gates[..., 2 * n:]
     c = np.multiply(f_t, c_prev, out=c)
     h = np.multiply(i_t, c_tilde, out=h)  # i_t * c_tilde, until h_t replaces it
@@ -201,34 +205,15 @@ def _lstm_update(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarr
     return h, c, z
 
 
-def lstm_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray, out=None):
-    """One full-gate step: one product with the stacked recurrent matrix
-    gives every gate's pre-activation. Gates are sigmoid; the candidate
-    and the cell-output squash use p.act. Returns (h_t, c_t, gates), gates
-    being [i | f | o | c_tilde] along the feature axis (width 4n)."""
-    return _lstm_update(p, R, a_t, h_prev, c_prev, {}, out)
-
-
 def lstm6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
                c_prev: np.ndarray, out=None):
-    """One gate-free step: c_t = f c_{t-1} + act(a_t + U_c h_{t-1}),
-    h_t = act(c_t). Returns (h_t, c_t, c_tilde)."""
+    """One gate-free step of either slim cell: c_t = f c_{t-1} +
+    act(a_t + r_t), h_t = act(c_t). The recurrent term r_t is the product
+    h_{t-1} U_c for lstm6 and the element-wise u_c * h_{t-1} for lstm_c6.
+    Returns (h_t, c_t, c_tilde)."""
     h, c, z = out or (None, None, None)
-    z = h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z)
-    z += a_t
-    activate(p.act, z, out=z)
-    c = np.multiply(c_prev, p.forget_const, out=c)
-    c += z
-    return activate(p.act, c, out=h), c, z
-
-
-def lstmc6_step(p: CellParams, R: np.ndarray, a_t: np.ndarray, h_prev: np.ndarray,
-                c_prev: np.ndarray, out=None):
-    """lstm6 with the recurrent product reduced to an element-wise one:
-    the candidate pre-activation is a_t + u_c * h_{t-1}."""
-    h, c, z = out or (None, None, None)
-    z = np.multiply(R, h_prev, out=z)
+    z = (np.multiply(R, h_prev, out=z) if p.variant == "lstm_c6" else
+         h_prev.dot(R, out=z) if R.ndim == 2 else np.matmul(h_prev, R, out=z))
     z += a_t
     activate(p.act, z, out=z)
     c = np.multiply(c_prev, p.forget_const, out=c)
@@ -242,7 +227,7 @@ def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray
 
     pins maps gate names ("i", "f", "o") to scalars. The input and output
     gates may only be pinned to exactly 1.0; the forget pin must lie in
-    (-1, 1]. The unpinned gates use lstm_step's arithmetic. This is the
+    (-1, 1]. Once they are checked, this is lstm_step with pins. It is the
     reference path used to cross-check the slim variants against the
     full cell.
     """
@@ -254,7 +239,7 @@ def gate_override_step(p: CellParams, pins: dict, R: np.ndarray, a_t: np.ndarray
             raise ValueError(f"{g} gate may only be pinned to exactly 1.0")
     if "f" in pins and not -1.0 < pins["f"] <= 1.0:
         raise ValueError(f"f pin must lie in (-1, 1], got {pins['f']}")
-    return _lstm_update(p, R, a_t, h_prev, c_prev, pins, out)
+    return lstm_step(p, R, a_t, h_prev, c_prev, out, pins)
 
 
 @dataclass(eq=False)
@@ -365,14 +350,15 @@ def run_steps(p: CellParams, R: np.ndarray, terms, stacks):
     alternate between rows 1 and 0, all writing aux's row 0. At one step
     both write row 1. Returns the final (h, c), views of the stacks; c is
     None for srnn. Shapes are not checked: callers check or build them
-    once per call. The step functions are looked up when called."""
+    once per call. Each step is one call of srnn_step, lstm_step, or
+    lstm6_step for both slim cells, looked up when run_steps is called."""
     H, C, aux = stacks
     h, record = H[0], len(H) > 2
     if p.variant == "srnn":
         for a_t, out in zip(terms, H[1:] if record else itertools.cycle((H[1], H[0]))):
             h = srnn_step(p, R, a_t, h, out=out)
         return h, None
-    step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[p.variant]
+    step = lstm_step if p.variant == "lstm" else lstm6_step
     if record:
         outs = zip(H[1:], C[1:], aux)
     else:

@@ -20,6 +20,7 @@ import itertools
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -175,9 +176,23 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+@contextmanager
+def _reading(path):
+    """Re-raise a failure to read path, or to decode it as UTF-8, as
+    ValueError "<path>: <reason>", chained: a sweep cell's error.txt shows
+    the cause."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_config_file(path) -> dict:
-    """parse_config_text over a file; its errors read "<path>: line N: <reason>"."""
-    with open(path, encoding="utf-8") as fh:
+    """parse_config_text over a file; its errors read "<path>: line N: <reason>",
+    and one that cannot be read or is not UTF-8 raises as _reading says."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         return parse_config_text(text)
@@ -202,12 +217,8 @@ def build_dataset(cfg: ExperimentConfig):
         if cfg.loss == "bce" and train.n_classes != 2:
             raise ValueError(f"bce needs 2 classes, {cfg.data} has {train.n_classes}")
         return train, test
-    try:
+    with _reading(rest):
         corpus = load_tsv_corpus(rest)
-    except OSError as exc:  # chained: a sweep cell's error.txt shows the cause
-        raise ValueError(f"{rest}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{rest}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if len(corpus) < 10:
         raise ValueError(f"{rest}: need at least 10 samples, got {len(corpus)}")
     labels = sorted({label for label, _ in corpus})

@@ -19,7 +19,6 @@ from slimrnn.cells import (
     init_cell,
     init_output,
     lstm6_step,
-    lstmc6_step,
     gate_override_step,
     param_count,
     step_mac_count,
@@ -157,7 +156,7 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
         mat.tensors["W_c"] = vec.tensors["W_c"].copy()
         mat.tensors["U_c"] = np.diag(vec.tensors["u_c"])
         mat.tensors["b_c"] = vec.tensors["b_c"].copy()
-        h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
+        h_a, c_a, _ = lstm6_step(vec, *operands(vec, x), h_prev, c_prev)
         h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         worst = max(worst, float(np.max(np.abs(h_a - h_b))),
                     float(np.max(np.abs(c_a - c_b))))
@@ -177,7 +176,7 @@ def test_criterion_3_variant_equivalence_oracles(acceptance_report):
 def test_criterion_4_bibo_stability(acceptance_report):
     t0 = time.perf_counter()
     steps = 10_000
-    for variant, step in (("lstm6", lstm6_step), ("lstm_c6", lstmc6_step)):
+    for variant in ("lstm6", "lstm_c6"):
         for f in (0.59, 0.96):
             for c0_scale in (0.0, 5.0):
                 rng = make_rng(70_000 + int(f * 100))
@@ -188,7 +187,7 @@ def test_criterion_4_bibo_stability(acceptance_report):
                 decay = 1.0
                 for t in range(1, steps + 1):
                     x = rng.uniform(-4.0, 4.0, (1, 4))
-                    h, c, _ = step(p, *operands(p, x), h, c)
+                    h, c, _ = lstm6_step(p, *operands(p, x), h, c)
                     decay *= abs(f)
                     bound = decay * c0_scale + (1.0 - decay) / (1.0 - abs(f))
                     assert np.all(np.abs(c) <= bound + 1e-9), (

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from slimrnn import cells
+from slimrnn import cells, training
 from slimrnn.cells import (
     ADAPTIVE_FIELDS,
     VARIANTS,
@@ -23,7 +24,6 @@ from slimrnn.cells import (
     input_term,
     lstm6_step,
     lstm_step,
-    lstmc6_step,
     output_layer_apply,
     param_count,
     record_arrays,
@@ -35,7 +35,7 @@ from slimrnn.cells import (
     step_mac_count,
 )
 from slimrnn.data import init_embedding
-from slimrnn.numerics import make_rng
+from slimrnn.numerics import ACTIVATIONS, make_rng
 from slimrnn.training import SequenceClassifier
 
 from conftest import operands, recorded
@@ -108,8 +108,8 @@ def test_lstm6_step_zero_params_frozen_values():
 
 def test_lstmc6_step_zero_params_frozen_value():
     p = zero_cell("lstm_c6", 2, 3, forget_const=0.0)
-    h, c, _ = lstmc6_step(p, *operands(p, np.ones((1, 2))),
-                          np.zeros((1, 3)), np.zeros((1, 3)))
+    h, c, _ = lstm6_step(p, *operands(p, np.ones((1, 2))),
+                         np.zeros((1, 3)), np.zeros((1, 3)))
     npt.assert_array_equal(c, np.full((1, 3), 0.5))
     npt.assert_allclose(h, np.full((1, 3), 0.6224593312018546), rtol=0, atol=1e-16)
 
@@ -166,7 +166,7 @@ def test_lstmc6_step_matches_inline_transcription():
     x = rng.uniform(-1, 1, 4)
     h_prev = rng.uniform(-1, 1, 3)
     c_prev = rng.uniform(-1, 1, 3)
-    h, c, _ = lstmc6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
+    h, c, _ = lstm6_step(p, *operands(p, x[None]), h_prev[None], c_prev[None])
     t = p.tensors
     c_ref = 0.59 * c_prev + expit(t["W_c"] @ x + t["u_c"] * h_prev + t["b_c"])
     npt.assert_allclose(c, c_ref[None], rtol=0, atol=1e-15)
@@ -299,7 +299,7 @@ def test_diagonal_recurrence_equals_lstm6_with_diagonal_matrix():
         x = rng.uniform(-1, 1, (1, m))
         h_prev = rng.uniform(-1, 1, (1, n))
         c_prev = rng.uniform(-1, 1, (1, n))
-        h_a, c_a, _ = lstmc6_step(vec, *operands(vec, x), h_prev, c_prev)
+        h_a, c_a, _ = lstm6_step(vec, *operands(vec, x), h_prev, c_prev)
         h_b, c_b, _ = lstm6_step(mat, *operands(mat, x), h_prev, c_prev)
         npt.assert_allclose(h_a, h_b, rtol=0, atol=1e-15)
         npt.assert_allclose(c_a, c_b, rtol=0, atol=1e-15)
@@ -369,11 +369,10 @@ def test_cell_state_geometric_bound(variant, f):
     h = np.zeros((1, 5))
     c0 = np.full((1, 5), 3.0)
     c = c0.copy()
-    step = lstm6_step if variant == "lstm6" else lstmc6_step
     decay = 1.0
     for t in range(1, steps + 1):
         x = rng.uniform(-4.0, 4.0, (1, 4))
-        h, c, _ = step(p, *operands(p, x), h, c)
+        h, c, _ = lstm6_step(p, *operands(p, x), h, c)
         decay *= abs(f)
         bound = decay * 3.0 + (1.0 - decay) / (1.0 - abs(f))
         assert np.all(np.abs(c) <= bound + 1e-9), f"step {t}: |c| above bound"
@@ -531,7 +530,7 @@ def test_projection_blocks_do_not_change_the_bits(monkeypatch, variant, shape,
 
 
 STEPS = {"srnn": srnn_step, "lstm": lstm_step, "lstm6": lstm6_step,
-         "lstm_c6": lstmc6_step}
+         "lstm_c6": lstm6_step}
 
 
 @pytest.mark.parametrize("variant", VARIANTS + ("gate_override",))
@@ -696,18 +695,50 @@ def bidirectional_model(p_fwd, p_bwd):
     return classifier(p_fwd, init_output(make_rng(500), 2 * p_fwd.n, 1), p_bwd)
 
 
-def test_bidirectional_output_is_ordered_concatenation():
-    p_fwd = random_cell("lstm6", 3, 5, seed=51)
-    p_bwd = random_cell("lstm6", 3, 5, seed=52)
-    xs = make_rng(510).uniform(-1, 1, size=(7, 1, 3))
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("variant", ["lstm", "lstm6", "lstm_c6"])
+def test_run_steps_makes_one_step_call_per_step(monkeypatch, variant, T):
+    # lstm steps through lstm_step, both slim cells through lstm6_step: one
+    # call per step, recording or not
+    calls = []
+    for name in ("lstm_step", "lstm6_step"):
+        def counted(*args, _name=name, _step=getattr(cells, name), **kwargs):
+            calls.append(_name)
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(cells, name, counted)
+    p = random_cell(variant, 3, 4, seed=58, act="tanh")
+    xs = make_rng(580).uniform(-1, 1, (T, 2, 3))
+    want = ["lstm_step" if variant == "lstm" else "lstm6_step"] * T
+    run_cell(p, xs)
+    assert calls == want
+    calls.clear()
+    recorded(p, xs)
+    assert calls == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(variant=st.sampled_from(VARIANTS), act=st.sampled_from(ACTIVATIONS),
+       m=st.integers(1, 5), n=st.integers(1, 6), T=st.integers(1, 6),
+       B=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_bidirectional_output_is_ordered_concatenation(variant, act, m, n, T, B, seed):
+    # [h_fwd ; h_bwd] has the bits of each direction's own run, serial at
+    # the thread gates' defaults and on two threads with both gates at 1
+    p_fwd = random_cell(variant, m, n, seed=seed, act=act)
+    p_bwd = random_cell(variant, m, n, seed=seed + 1, act=act)
+    xs = make_rng(seed).uniform(-1, 1, size=(T, B, m))
     model = bidirectional_model(p_fwd, p_bwd)
-    y_raw, y = model.forward(xs)
-    assert y.shape == (1, 10)
     h_f = run_cell(p_fwd, xs)
     h_b = run_cell(p_bwd, xs[::-1])
-    npt.assert_array_equal(y[:, :5], h_f)
-    npt.assert_array_equal(y[:, 5:], h_b)
-    npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
+    for gate in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if gate is not None:
+                mp.setattr(training, "THREAD_MIN_EXPIT", gate)
+                mp.setattr(training, "THREAD_MIN_STATE", gate)
+            y_raw, y = model.forward(xs)
+        assert y.shape == (B, 2 * n)
+        assert y[:, :n].tobytes() == h_f.tobytes()
+        assert y[:, n:].tobytes() == h_b.tobytes()
+        npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
 
 
 def test_bidirectional_palindrome_halves_agree():

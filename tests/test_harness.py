@@ -12,8 +12,7 @@ import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import (VARIANTS, init_cell, lstm6_step, lstm_step,
-                           lstmc6_step, srnn_step)
+from slimrnn.cells import VARIANTS, init_cell, lstm6_step, lstm_step, srnn_step
 from slimrnn.cli import build_parser, main
 from slimrnn.data import EmbeddingTable, SequenceBatch
 from slimrnn.harness import (
@@ -753,7 +752,7 @@ def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
                 continue
             recur = t["u_c"] * h[0] if variant == "lstm_c6" else t["U_c"] @ h[0]
             a = t["W_c"] @ x + recur + t["b_c"]
-            step = {"lstm": lstm_step, "lstm6": lstm6_step, "lstm_c6": lstmc6_step}[variant]
+            step = lstm_step if variant == "lstm" else lstm6_step
             h, c, _ = step(cell, *operands(cell, x[None]), h, c)
             want = min(want, np.abs(a).min(), np.abs(c).min())
     got = _relu_kink_margin(cell, xs)
@@ -914,6 +913,27 @@ def test_cli_train_data_error_exits_2_and_leaves_no_directory(tmp_path, capsys,
     args = cli_train_args(tmp_path) + ["--data", f"tsv:{path}"]
     with pytest.raises(SystemExit) as exc:
         main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {reason}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cli_run").exists()
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"variant = lstm6\nout = caf\xe9\n", "not UTF-8 text (invalid continuation byte at byte 25)"),
+    (None, "No such file or directory"),
+    ("directory", "Is a directory"),
+], ids=["not-utf8", "missing", "directory"])
+def test_cli_train_config_read_error_exits_2_naming_the_path(tmp_path, capsys,
+                                                             content, reason):
+    path = tmp_path / "run.cfg"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content == "directory":
+        path.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(cli_train_args(tmp_path) + ["--config", str(path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {path}: {reason}\n" in err

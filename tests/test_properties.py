@@ -2,6 +2,7 @@
 example count, so every run draws the same examples."""
 
 import os
+import random
 import tempfile
 
 import numpy as np
@@ -12,7 +13,8 @@ from scipy.special import expit
 from slimrnn.cells import VARIANTS
 from slimrnn.data import SYNTH_KINDS, embed_lookup
 from slimrnn.harness import (CHOICES, ExperimentConfig, build_model, config_to_text,
-                             load_checkpoint, parse_config_text, save_checkpoint)
+                             load_checkpoint, load_config_file, parse_config_text,
+                             save_checkpoint)
 from slimrnn.numerics import ACTIVATIONS
 from slimrnn.training import LOSSES, loss_eval
 
@@ -122,3 +124,81 @@ def test_every_model_round_trips_through_a_checkpoint(case):
     for got, want in zip(loaded.forward(embed_lookup(loaded.emb, tokens.T)),
                          model.forward(xs)):
         assert got.tobytes() == want.tobytes()
+
+
+# Bytes that keep a key = value line parseable, drawn as often as any byte.
+SYNTAX_BYTES = b"\n #=-.:_0123456789eE"
+
+
+def mutate(seed: int, blob: bytes) -> bytes:
+    """blob after one to three byte edits, each replacing, inserting or
+    deleting one byte at a position drawn uniformly. The edits come from
+    a Random seeded with a drawn seed: hypothesis's own integer draws
+    favour small values, and so the first line, the magic or the variant."""
+    rng = random.Random(seed)
+    blob = bytearray(blob)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("replace", "insert", "delete"))
+        if not blob and op != "insert":
+            continue
+        at = rng.randrange(len(blob) + (op == "insert"))
+        byte = rng.choice(SYNTAX_BYTES) if rng.random() < 0.5 else rng.randrange(256)
+        blob[at:at + (op != "insert")] = b"" if op == "delete" else bytes([byte])
+    return bytes(blob)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def mutated_configs(draw):
+    return mutate(draw(SEEDS), config_to_text(draw(valid_configs())).encode("utf-8"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(mutated_configs())
+def test_a_mutated_config_loads_to_a_round_tripping_config_or_names_its_path(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            values = load_config_file(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+    cfg = ExperimentConfig(**values)
+    cfg.validate()
+    assert ExperimentConfig(**parse_config_text(config_to_text(cfg))) == cfg
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A small model's checkpoint with its header mutated, payload intact."""
+    cfg, model, _ = draw(small_models())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(path, model, cfg)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    end = blob.index(b"\nend\n") + len(b"\nend\n")
+    return mutate(draw(SEEDS), blob[:end]) + blob[end:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(mutated_checkpoints())
+def test_a_mutated_checkpoint_header_loads_to_a_model_that_resaves_or_names_its_path(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again, twice = (os.path.join(tmp, name) for name in ("a", "b", "c"))
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            model, meta = load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+        cfg = ExperimentConfig(loss=meta["loss"])
+        save_checkpoint(again, model, cfg)
+        save_checkpoint(twice, load_checkpoint(again)[0], cfg)
+        with open(again, "rb") as a, open(twice, "rb") as b:
+            assert a.read() == b.read()
