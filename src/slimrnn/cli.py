@@ -61,9 +61,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in FIELD_TYPES
                   if getattr(args, key) is not None)
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:

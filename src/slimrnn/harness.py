@@ -47,6 +47,9 @@ CHECKPOINT_MAGIC = "slimrnn-ckpt 1"
 # checkpoint loading and the CLI's choices all read this map.
 CHOICES = {"variant": VARIANTS, "activation": ACTIVATIONS,
            "optimizer": OPTIMIZERS, "loss": LOSSES}
+# The least value validate() accepts for each ExperimentConfig int field.
+MINIMA = {"hidden": 1, "embed": 1, "seq_len": 1, "epochs": 1, "batch": 1,
+          "vocab": 4, "samples": 10, "seed": 0}
 
 
 @dataclass
@@ -77,17 +80,11 @@ class ExperimentConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        for name in ("hidden", "embed", "seq_len", "epochs", "batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.vocab < 4:
-            raise ValueError(f"vocab must be >= 4, got {self.vocab}")
-        if self.samples < 10:
-            raise ValueError(f"samples must be >= 10, got {self.samples}")
+        for name, least in MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.out:  # Path("") is the working directory
             raise ValueError("out must name a directory, got ''")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
         if self.eta <= 0.0:
@@ -352,10 +349,11 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
 
 def load_checkpoint(path) -> tuple[SequenceClassifier, dict]:
     """Rebuild a model from a checkpoint. Forward passes through the
-    result are bit-identical to the model that was saved. A file that is
-    not a whole checkpoint raises ValueError naming the path and the cause;
-    one written before the trainable field existed loads as trainable."""
-    with open(path, "rb") as fh:
+    result are bit-identical to the model that was saved. A file that
+    cannot be read or is not a whole checkpoint raises ValueError
+    "<path>: <reason>"; one written before the trainable field existed
+    loads as trainable."""
+    with _reading(path), open(path, "rb") as fh:
         blob = fh.read()
     try:
         return _parse_checkpoint(blob)

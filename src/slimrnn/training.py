@@ -640,11 +640,10 @@ class OptimizerState:
         if self.eta < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {self.eta}")
 
-    def _fix_layout(self, params: dict):
+    def _fix_layout(self, shapes: dict):
         moments = {"sgd": [], "rmsprop": [self.v], "adam": [self.m, self.v]}[self.kind]
-        self._shapes = {key: theta.shape for key, theta in params.items()}
-        size = sum(theta.size for theta in params.values())
-        self._moments = np.zeros((len(moments), size))
+        self._shapes = shapes
+        self._moments = np.zeros((len(moments), sum(map(math.prod, shapes.values()))))
         for d, row in zip(moments, self._moments):
             views = _flat_views(row, self._shapes)
             for key, view in views.items():
@@ -654,34 +653,27 @@ class OptimizerState:
 
 
 def optimizer_step(state: OptimizerState, params: dict, grads: GradientSet):
-    """Apply one update in place. params and grads must share keys and
-    per-key shapes, and those of the first step: a later call with other
-    names or shapes raises ValueError naming the tensor. The gradients are
-    copied once into one flat array and the rule runs over all of it at
-    once, in place and with one scratch array, with the per-element
-    expressions of a per-tensor update; each tensor then subtracts its
-    slice. With eta == 0 every rule leaves the parameters bit-identical,
-    and a zero gradient leaves sgd parameters untouched."""
-    if set(params) != set(grads):
-        raise ValueError(
-            f"params/grads key mismatch: {sorted(set(params) ^ set(grads))}")
-    for key, theta in params.items():
-        g = grads[key]
-        if g.shape != theta.shape:
-            raise ValueError(
-                f"gradient for {key} has shape {g.shape}, tensor is {theta.shape}")
+    """Apply one update in place. params and grads must have the names and
+    shapes the first step fixed (on the first step, those of params): a
+    missing, new or reshaped one raises ValueError naming it, and a refused
+    step changes nothing. The gradients are copied once into one flat array
+    and the rule runs over all of it at once, in place and with one scratch
+    array, with the per-element expressions of a per-tensor update; each
+    tensor then subtracts its slice. With eta == 0 every rule leaves the
+    parameters bit-identical, and a zero gradient leaves sgd parameters
+    untouched."""
+    shapes = (state._shapes if state._moments is not None
+              else {key: theta.shape for key, theta in params.items()})
+    for what, arrays in (("tensor", params), ("gradient", grads)):
+        key = min(set(arrays) ^ set(shapes), default=None)
+        if key is not None:
+            raise ValueError(f"{what} {key} is {'missing' if key in shapes else 'new'}; "
+                             f"the layout is {list(shapes)}")
+        for key, arr in arrays.items():
+            if arr.shape != shapes[key]:
+                raise ValueError(f"{what} {key} has shape {arr.shape}, not {shapes[key]}")
     if state._moments is None:
-        state._fix_layout(params)
-    shapes = state._shapes
-    stale = sorted(set(params) ^ set(shapes))
-    if stale:
-        key = stale[0]
-        raise ValueError(f"tensor {key} is {'missing' if key in shapes else 'new'}; "
-                         f"the first optimizer step fixed {list(shapes)}")
-    for key, theta in params.items():
-        if theta.shape != shapes[key]:
-            raise ValueError(f"tensor {key} has shape {theta.shape}; the first "
-                             f"optimizer step fixed {shapes[key]}")
+        state._fix_layout(shapes)
     state.t += 1
     # Each rule leaves its step's numerator in G and, but for sgd, its
     # denominator in the scratch array S, op for op as a per-tensor update.

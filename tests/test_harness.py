@@ -544,6 +544,18 @@ def test_every_truncated_checkpoint_is_rejected_by_path(tmp_path):
     load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind,reason", [("missing", "No such file or directory"),
+                                         ("directory", "Is a directory")])
+def test_an_unreadable_checkpoint_path_raises_value_error_naming_it(tmp_path, kind,
+                                                                    reason):
+    path = tmp_path / "model.ckpt"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {reason}$") as info:
+        load_checkpoint(path)
+    assert isinstance(info.value.__cause__, OSError)
+
+
 # --------------------------------------------------------------------------
 # Sweeps.
 # --------------------------------------------------------------------------

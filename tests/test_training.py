@@ -1168,7 +1168,7 @@ def test_optimizer_validation():
     with pytest.raises(ValueError, match=">= 0"):
         OptimizerState(kind="sgd", eta=-0.1)
     opt = OptimizerState(kind="sgd", eta=0.1)
-    with pytest.raises(ValueError, match="key mismatch"):
+    with pytest.raises(ValueError, match="^gradient a is missing"):
         optimizer_step(opt, {"a": np.zeros(2)}, {"b": np.zeros(2)})
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(opt, {"a": np.zeros(2)}, {"a": np.zeros(3)})
@@ -1263,6 +1263,27 @@ def test_the_first_step_fixes_the_tensors_and_their_shapes(kind):
     assert opt.t == 1
     optimizer_step(opt, first, {k: np.ones(v.shape) for k, v in first.items()})
     assert opt.t == 2
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+@pytest.mark.parametrize("grads,what", [
+    ({"b": np.ones(2)}, "gradient a is missing"),
+    ({"a": np.ones(2), "z": np.ones(1)}, "gradient z is new"),
+    ({"a": np.ones(3)}, r"gradient a has shape \(3,\), not \(2,\)"),
+], ids=["missing", "new", "reshaped"])
+def test_a_refused_first_step_fixes_nothing(kind, grads, what):
+    opt = OptimizerState(kind=kind, eta=0.1)
+    theta = {"a": np.zeros(2)}
+    with pytest.raises(ValueError, match=f"^{what}"):
+        optimizer_step(opt, theta, grads)
+    assert opt.t == 0 and opt.m == {} and opt.v == {}
+    npt.assert_array_equal(theta["a"], np.zeros(2))
+    # the next step, under other names, is the first
+    other = {"x": np.zeros((2, 2)), "y": np.zeros(1)}
+    optimizer_step(opt, other, {k: np.ones(v.shape) for k, v in other.items()})
+    assert opt.t == 1
+    assert list(opt.v) == (list(other) if kind != "sgd" else [])
+    assert not np.array_equal(other["x"], np.zeros((2, 2)))
 
 
 # --------------------------------------------------------------------------
