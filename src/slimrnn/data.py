@@ -247,11 +247,12 @@ def tokenize_text(text: str) -> list[str]:
 def load_tsv_corpus(path) -> list[tuple[int, list[str]]]:
     """Read a label<TAB>text file into (label, tokens) pairs.
 
-    CRLF and LF line endings are treated identically. A line without a
-    tab, or with a non-integer label, raises with its 1-based line
-    number. Empty text yields an empty token list.
+    CRLF and LF line endings are treated identically, and a leading
+    UTF-8 byte-order mark is skipped. A line without a tab, or with a
+    non-integer label, raises with its 1-based line number. Empty text
+    yields an empty token list.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw = fh.read()
     corpus = []
     for lineno, line in enumerate(raw.splitlines(), start=1):

@@ -1,16 +1,16 @@
 """Experiment harness: configuration, dataset and model assembly,
 checkpoints, and the four commands behind the command line.
 
-File contracts owned here:
-  metrics CSV   header  epoch,train_loss,train_acc,test_loss,test_acc,seconds
-  sweep CSV     header  variant,hidden,eta,forget,best_test_acc,best_epoch,final_train_acc
-  config file   one "key = value" per line, # starts a comment, keys are
-                the CLI flag names without their leading dashes
-  checkpoint    text header (variant, dims, activation, forget constant,
-                bidirectional flag, loss, embedding trainable flag, then the
-                tensor name+shape list, emb.E first and always present) then
-                the tensors as little-endian float64, concatenated in header
-                order
+File contracts owned here, each format's fields named once:
+  metrics CSV   METRICS_HEADER: MetricsRecord's fields, one row per epoch
+  sweep CSV     SWEEP_HEADER: the SWEEP_AXES fields, then SWEEP_SCORES
+  config file   one "key = value" line per FIELD_TYPES name (_ spelled -);
+                # starts a comment
+  checkpoint    CHECKPOINT_MAGIC, one "name value" line per CHECKPOINT_FIELDS
+                entry, the tensor count and name+shape list (emb.E first and
+                always present), "end", then the tensors as little-endian
+                float64, concatenated in header order
+Every value in them is written by _format_value and read by _parse_value.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,19 @@ from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
 from .training import finite_difference_model as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
 
-METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc,seconds"
-SWEEP_HEADER = "variant,hidden,eta,forget,best_test_acc,best_epoch,final_train_acc"
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
+# SweepSpec axis -> the ExperimentConfig field it varies.
+SWEEP_AXES = {"variants": "variant", "hiddens": "hidden", "etas": "eta",
+              "forgets": "forget"}
+SWEEP_SCORES = ("best_test_acc", "best_epoch", "final_train_acc")
+SWEEP_HEADER = ",".join([*SWEEP_AXES.values(), *SWEEP_SCORES])
 CHECKPOINT_MAGIC = "slimrnn-ckpt 1"
+# The checkpoint header's fields and their types, in file order. A file
+# written before bidirectional or trainable existed reads these defaults.
+CHECKPOINT_FIELDS = {"variant": str, "m": int, "n": int, "activation": str,
+                     "forget": float, "bidirectional": bool, "loss": str,
+                     "trainable": bool}
+CHECKPOINT_DEFAULTS = {"bidirectional": "false", "trainable": "true"}
 
 # The closed value set of each ExperimentConfig field that has one: validate(),
 # checkpoint loading and the CLI's choices all read this map.
@@ -101,12 +111,15 @@ class ExperimentConfig:
         else:
             raise ValueError(f"data must be synth:<kind> or tsv:<path>, got {self.data!r}")
         # config_to_text must write back what it read: a comment, a line
-        # break or surrounding blanks would be lost from the file's value
+        # break or surrounding blanks would be lost from the file's value,
+        # and a lone surrogate (an undecodable argv byte) has no UTF-8 form
         for name in ("data", "out"):
             value = getattr(self, name)
             if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
                 raise ValueError(f"{name} cannot hold '#', a line break or surrounding "
                                  f"blanks, got {value!r}")
+            if any("\ud800" <= ch <= "\udfff" for ch in value):
+                raise ValueError(f"{name} must be UTF-8 text, got {value!r}")
 
 
 # Field name -> value type, in declaration order: the config file's keys
@@ -116,9 +129,26 @@ FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
+    """A value's text in every file written here: a bool as true or false,
+    a float as the shortest repr of its Python value, anything else (an
+    integer, numpy's too) as str(). _parse_value reads it back exactly."""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def _parse_value(kind: type, text, what: str):
+    """text (or a value) as kind, a bool only from true or false; the
+    ValueError names what."""
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"{what} must be true or false, got {text!r}")
+        return text == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{what} must be {article} {kind.__name__}, got {text!r}") from None
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -127,17 +157,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     lines = [f"{name.replace('_', '-')} = {_format_value(getattr(cfg, name))}"
              for name in FIELD_TYPES]
     return "\n".join(lines) + "\n"
-
-
-def _typed(name: str, value):
-    """value as the type of field name; the ValueError names both."""
-    kind = FIELD_TYPES[name]
-    try:
-        return kind(value)
-    except ValueError:
-        article = "an" if kind is int else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, "
-                         f"got {value!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -160,13 +179,8 @@ def parse_config_text(text: str) -> dict:
         if key in seen:
             raise ValueError(f"line {lineno}: {key} already set on line {seen[key]}")
         seen[key] = lineno
-        if FIELD_TYPES[key] is bool:
-            if value not in ("true", "false"):
-                raise ValueError(f"line {lineno}: boolean must be true/false, got {value!r}")
-            out[key] = value == "true"
-            continue
         try:
-            out[key] = _typed(key, value)
+            out[key] = _parse_value(FIELD_TYPES[key], value, key)
             replace(ExperimentConfig(), **{key: out[key]}).validate()
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
@@ -187,9 +201,10 @@ def _reading(path):
 
 
 def load_config_file(path) -> dict:
-    """parse_config_text over a file; its errors read "<path>: line N: <reason>",
-    and one that cannot be read or is not UTF-8 raises as _reading says."""
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    """parse_config_text over a file, a leading byte-order mark skipped; its
+    errors read "<path>: line N: <reason>", and one that cannot be read or
+    is not UTF-8 raises as _reading says."""
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         return parse_config_text(text)
@@ -251,40 +266,27 @@ def build_model(cfg: ExperimentConfig, n_classes: int) -> SequenceClassifier:
 
 
 def format_metrics_row(rec: MetricsRecord) -> str:
-    return (f"{rec.epoch},{rec.train_loss!r},{rec.train_acc!r},"
-            f"{rec.test_loss!r},{rec.test_acc!r},{rec.seconds!r}")
+    return ",".join(map(_format_value, astuple(rec)))
 
 
 def save_checkpoint(path, model: SequenceClassifier, cfg: ExperimentConfig):
     """Write the text header and the little-endian float64 payload."""
     tensors = model.param_arrays(include_frozen=True)
+    cell = model.cell
+    meta = {"variant": cell.variant, "m": cell.m, "n": cell.n, "activation": cell.act,
+            "forget": cell.forget_const, "bidirectional": model.bidirectional,
+            "loss": cfg.loss, "trainable": model.emb.trainable}
     lines = [CHECKPOINT_MAGIC,
-             f"variant {model.cell.variant}",
-             f"m {model.cell.m}",
-             f"n {model.cell.n}",
-             f"activation {model.cell.act}",
-             f"forget {model.cell.forget_const!r}",
-             f"bidirectional {'true' if model.bidirectional else 'false'}",
-             f"loss {cfg.loss}",
-             f"trainable {'true' if model.emb.trainable else 'false'}",
-             f"tensors {len(tensors)}"]
-    for name, arr in tensors.items():
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"{name} {dims}")
-    lines.append("end")
+             *(f"{name} {_format_value(meta[name])}" for name in CHECKPOINT_FIELDS),
+             f"tensors {len(tensors)}",
+             *(f"{name} {' '.join(map(str, arr.shape))}" for name, arr in tensors.items()),
+             "end"]
     header = ("\n".join(lines) + "\n").encode("utf-8")
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                        for a in tensors.values())
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-
-
-def _flag(meta: dict, key: str, default: str) -> bool:
-    value = meta.get(key, default)
-    if value not in ("true", "false"):
-        raise ValueError(f"header field {key} must be true or false, got {value!r}")
-    return value == "true"
 
 
 def _unique(pairs, what: str) -> dict:
@@ -309,7 +311,14 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     if at is None:
         raise ValueError("header has no tensors line")
     meta = _unique((line.partition(" ")[::2] for line in lines[:at]), "header field")
-    count, listed = int(lines[at].partition(" ")[2]), lines[at + 1:]
+    texts = {**CHECKPOINT_DEFAULTS, **meta}
+    header = {name: _parse_value(kind, texts[name], f"header field {name}")
+              for name, kind in CHECKPOINT_FIELDS.items()}
+    for key in ("variant", "loss"):
+        if header[key] not in CHOICES[key]:
+            raise ValueError(f"unknown {key} {header[key]!r}")
+    count = _parse_value(int, lines[at].partition(" ")[2], "header field tensors")
+    listed = lines[at + 1:]
     if len(listed) != count:
         raise ValueError(f"header promises {count} tensors, lists {len(listed)}")
     shapes = {name: tuple(int(d) for d in dims.split()) for name, dims in
@@ -322,23 +331,18 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     # every tensor is a view of one writable copy of the payload
     arrays = _flat_views(np.frombuffer(payload, dtype="<f8").copy(), shapes)
 
-    variant, loss, m, n = meta["variant"], meta["loss"], int(meta["m"]), int(meta["n"])
-    for key in ("variant", "loss"):
-        if meta[key] not in CHOICES[key]:
-            raise ValueError(f"unknown {key} {meta[key]!r}")
-    act, f = meta["activation"], float(meta["forget"])
-
     def rebuild_cell(prefix: str) -> CellParams:
-        tensors = {name: arrays[prefix + name] for name in ADAPTIVE_FIELDS[variant]}
-        return CellParams(variant=variant, m=m, n=n, act=act, forget_const=f,
+        tensors = {name: arrays[prefix + name] for name in ADAPTIVE_FIELDS[header["variant"]]}
+        return CellParams(variant=header["variant"], m=header["m"], n=header["n"],
+                          act=header["activation"], forget_const=header["forget"],
                           tensors=tensors)
 
     cell = rebuild_cell("fwd.")
-    cell_bwd = rebuild_cell("bwd.") if _flag(meta, "bidirectional", "false") else None
+    cell_bwd = rebuild_cell("bwd.") if header["bidirectional"] else None
     out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
-    if loss == "bce" and len(out.b_y) != 1:  # OutputLayer refused a b_y not 1-D
+    if header["loss"] == "bce" and len(out.b_y) != 1:  # OutputLayer refused a b_y not 1-D
         raise ValueError(f"bce needs an output width of 1, checkpoint has {len(out.b_y)}")
-    emb = EmbeddingTable(E=arrays["emb.E"], trainable=_flag(meta, "trainable", "true"))
+    emb = EmbeddingTable(E=arrays["emb.E"], trainable=header["trainable"])
     model = SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
     known = model.param_arrays(include_frozen=True)
     extra = next((name for name in shapes if name not in known), None)
@@ -399,11 +403,6 @@ def cmd_train(cfg: ExperimentConfig, log=None):
     return {"csv": str(csv_path), "checkpoint": str(ckpt_path), "records": records}
 
 
-# SweepSpec axis -> the ExperimentConfig field it varies.
-SWEEP_AXES = {"variants": "variant", "hiddens": "hidden", "etas": "eta",
-              "forgets": "forget"}
-
-
 @dataclass
 class SweepSpec:
     """Grid of training runs: the cross product of the axis lists below
@@ -427,7 +426,7 @@ def _sweep_cells(spec: SweepSpec):
         axes[name] = []
         for value in getattr(spec, axis) or [getattr(spec.base, name)]:
             try:
-                value = _typed(name, value)
+                value = _parse_value(FIELD_TYPES[name], value, name)
                 replace(spec.base, **{name: value}).validate()
             except ValueError as exc:
                 raise ValueError(f"sweep axis {axis}: {exc}") from None
@@ -446,13 +445,10 @@ def _run_sweep_cell(cfg: ExperimentConfig) -> str:
     reports nan metrics so the rest of the sweep still runs, and leaves
     its traceback in error.txt under the cell's out directory."""
     try:
-        result = cmd_train(cfg)
-        records = result["records"]
+        records = cmd_train(cfg)["records"]
         best = max(r.test_acc for r in records)
         best_epoch = next(r.epoch for r in records if r.test_acc == best)
-        final_train = records[-1].train_acc
-        return (f"{cfg.variant},{cfg.hidden},{cfg.eta!r},{cfg.forget!r},"
-                f"{best!r},{best_epoch},{final_train!r}")
+        scores = (best, best_epoch, records[-1].train_acc)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         print(f"sweep cell failed ({cfg.out}): {exc}", file=sys.stderr)
         out_dir = Path(cfg.out)
@@ -461,7 +457,9 @@ def _run_sweep_cell(cfg: ExperimentConfig) -> str:
             (out_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
         except OSError as err:
             print(f"cannot write {out_dir / 'error.txt'}: {err}", file=sys.stderr)
-        return f"{cfg.variant},{cfg.hidden},{cfg.eta!r},{cfg.forget!r},nan,0,nan"
+        scores = (math.nan, 0, math.nan)
+    axes = (getattr(cfg, name) for name in SWEEP_AXES.values())
+    return ",".join(map(_format_value, (*axes, *scores)))
 
 
 def cmd_sweep(spec: SweepSpec):

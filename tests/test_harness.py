@@ -12,9 +12,10 @@ import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import VARIANTS, init_cell, lstm6_step, lstm_step, srnn_step
+from slimrnn.cells import (VARIANTS, init_cell, init_output, lstm6_step, lstm_step,
+                           srnn_step)
 from slimrnn.cli import build_parser, main
-from slimrnn.data import EmbeddingTable, SequenceBatch
+from slimrnn.data import EmbeddingTable, SequenceBatch, init_embedding, load_tsv_corpus
 from slimrnn.harness import (
     CHECKPOINT_MAGIC,
     CHOICES,
@@ -37,7 +38,7 @@ from slimrnn.harness import (
     save_checkpoint,
 )
 from slimrnn.numerics import make_rng
-from slimrnn.training import MetricsRecord, evaluate
+from slimrnn.training import MetricsRecord, SequenceClassifier, evaluate
 
 from conftest import operands
 
@@ -85,7 +86,7 @@ def test_config_parse_rejects_bad_lines():
         parse_config_text("learning-rate = 0.1\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_text("just some words\n")
-    with pytest.raises(ValueError, match="true/false"):
+    with pytest.raises(ValueError, match="true or false"):
         parse_config_text("bidirectional = yes\n")
 
 
@@ -96,7 +97,7 @@ def test_config_parse_rejects_bad_lines():
     ("hidden = 4.5\n", "line 1: hidden must be an int, got '4.5'"),
     ("variant = lstm6\njust some words\n",
      "line 2: expected key = value, got 'just some words'"),
-    ("bidirectional = yes\n", "line 1: boolean must be true/false, got 'yes'"),
+    ("bidirectional = yes\n", "line 1: bidirectional must be true or false, got 'yes'"),
     ("variant = lstm6\neta = -1\n", "line 2: eta must be positive, got -1.0"),
     ("forget = 1\n", "line 1: forget must satisfy -1 < f < 1, got 1.0"),
     ("# grid\nvariant = lsmt6\n", "line 2: unknown variant 'lsmt6'"),
@@ -125,6 +126,28 @@ def test_a_path_the_config_file_cannot_hold_is_rejected(field, value):
         cfg.validate()
     assert str(err.value) == (f"{field} cannot hold '#', a line break or surrounding "
                               f"blanks, got {value!r}")
+
+
+def test_a_non_utf8_out_exits_2_naming_it_and_leaves_no_directory(tmp_path, capsys):
+    # an argv byte that is not UTF-8 reaches Python as a lone surrogate
+    with pytest.raises(SystemExit) as exc:
+        main(cli_train_args(tmp_path, out="ab\udcff"))
+    assert exc.value.code == 2
+    assert "error: out must be UTF-8 text, got " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_byte_order_mark_leaves_a_config_and_a_corpus_unchanged(tmp_path):
+    config = "hidden = 9\nbidirectional = true\n"
+    corpus = "1\tgreat movie\n0\tdull plot\n"
+    read = []
+    for bom in ("", "\ufeff"):
+        cfg_path, tsv_path = tmp_path / f"run{len(bom)}.cfg", tmp_path / f"c{len(bom)}.tsv"
+        cfg_path.write_text(bom + config, encoding="utf-8")
+        tsv_path.write_text(bom + corpus, encoding="utf-8")
+        read.append((load_config_file(cfg_path), load_tsv_corpus(tsv_path)))
+    assert read[1] == read[0] == ({"hidden": 9, "bidirectional": True},
+                                  [(1, ["great", "movie"]), (0, ["dull", "plot"])])
 
 
 def test_cli_config_file_error_exits_2_with_the_message(tmp_path, capsys):
@@ -400,6 +423,22 @@ def test_a_malformed_checkpoint_header_is_rejected_by_path(tmp_path, old, new, c
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {cause}"
+
+
+def test_a_numpy_forget_constant_round_trips_through_a_checkpoint(tmp_path):
+    rng = make_rng(5)
+    cell = init_cell("lstm6", 3, 4, "tanh", np.float64(0.5), rng)
+    model = SequenceClassifier(cell, init_output(rng, 4, 1), init_embedding(rng, 8, 3))
+    cfg, path, again = ExperimentConfig(), tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(path, model, cfg)
+    loaded, meta = load_checkpoint(path)
+    assert meta["forget"] == "0.5"
+    tokens = make_rng(6).integers(0, 8, size=(6, 4))  # (T, B)
+    for got, want in zip(loaded.forward(loaded.emb.E[tokens]),
+                         model.forward(model.emb.E[tokens])):
+        assert got.tobytes() == want.tobytes()
+    save_checkpoint(again, loaded, cfg)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_keeps_a_frozen_embedding_frozen(tmp_path):

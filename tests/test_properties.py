@@ -57,19 +57,33 @@ def test_loss_eval_keeps_the_bits_of_the_one_hot_formula(case):
     assert np.array_equal(grad, want_grad)
 
 
+def python_or_numpy(draw, strategy, *kinds):
+    """A value drawn from strategy, converted by one of kinds: a Python type
+    or a numpy scalar type."""
+    return draw(st.sampled_from(kinds))(draw(strategy))
+
+
+def drawn_float(draw, **bounds):
+    """A float within bounds, as a Python float, np.float64 or np.float32."""
+    kind = draw(st.sampled_from((float, np.float64, np.float32)))
+    return kind(draw(st.floats(width=32 if kind is np.float32 else 64, **bounds)))
+
+
 @st.composite
 def valid_configs(draw):
     """Any ExperimentConfig that validate() accepts, its paths drawn from
-    arbitrary text."""
+    arbitrary text and its numbers and flag from Python or numpy scalars."""
     kw = {name: draw(st.sampled_from(allowed)) for name, allowed in CHOICES.items()}
     for name in ("hidden", "embed", "seq_len", "epochs", "batch"):
-        kw[name] = draw(st.integers(1, 10**6))
-    kw["vocab"] = draw(st.integers(4, 10**6))
-    kw["samples"] = draw(st.integers(10, 10**6))
-    kw["seed"] = draw(st.integers(0, 2**63))
-    kw["eta"] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    kw["forget"] = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    kw["bidirectional"] = draw(st.booleans())
+        kw[name] = python_or_numpy(draw, st.integers(1, 10**6), int, np.int64)
+    kw["vocab"] = python_or_numpy(draw, st.integers(4, 10**6), int, np.int64)
+    kw["samples"] = python_or_numpy(draw, st.integers(10, 10**6), int, np.int64)
+    # np.int64 stops one short of 2**63
+    kw["seed"] = python_or_numpy(draw, st.integers(0, 2**63), int, np.uint64)
+    kw["eta"] = drawn_float(draw, min_value=0.0, exclude_min=True, allow_infinity=False)
+    kw["forget"] = drawn_float(draw, min_value=-1.0, max_value=1.0, exclude_min=True,
+                               exclude_max=True)
+    kw["bidirectional"] = python_or_numpy(draw, st.booleans(), bool, np.bool_)
     kw["data"] = draw(st.one_of(st.sampled_from([f"synth:{k}" for k in SYNTH_KINDS]),
                                 st.text(min_size=1).map("tsv:".__add__)))
     kw["out"] = draw(st.text(min_size=1))
@@ -96,7 +110,8 @@ def small_models(draw):
                            activation=draw(st.sampled_from(ACTIVATIONS)),
                            hidden=draw(st.integers(1, 5)), embed=draw(st.integers(1, 4)),
                            vocab=draw(st.integers(4, 9)),
-                           forget=draw(st.floats(-0.99, 0.99)),
+                           forget=python_or_numpy(draw, st.floats(-0.99, 0.99),
+                                                  np.float64, np.float32),
                            bidirectional=draw(st.booleans()), loss=loss,
                            seed=draw(st.integers(0, 2**32)))
     model = build_model(cfg, 2 if loss == "bce" else draw(st.integers(2, 4)))
