@@ -20,7 +20,7 @@ import itertools
 import math
 import sys
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -138,17 +138,21 @@ def _format_value(v) -> str:
 
 
 def _parse_value(kind: type, text, what: str):
-    """text (or a value) as kind, a bool only from true or false; the
-    ValueError names what."""
+    """text as kind, a bool only from true or false. A value that is not
+    text must be of kind already: an integer (Python or numpy) for an int,
+    an integer or a float for a float, and never a bool. The ValueError
+    names what."""
     if kind is bool:
         if text not in ("true", "false"):
             raise ValueError(f"{what} must be true or false, got {text!r}")
         return text == "true"
-    try:
-        return kind(text)
-    except ValueError:
-        article = "an" if kind is int else "a"
-        raise ValueError(f"{what} must be {article} {kind.__name__}, got {text!r}") from None
+    numbers = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+    if isinstance(text, str) or (isinstance(text, numbers.get(kind, ()))
+                                 and not isinstance(text, bool)):
+        with suppress(ValueError):
+            return kind(text)
+    article = "an" if kind is int else "a"
+    raise ValueError(f"{what} must be {article} {kind.__name__}, got {text!r}")
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -321,8 +325,11 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
     listed = lines[at + 1:]
     if len(listed) != count:
         raise ValueError(f"header promises {count} tensors, lists {len(listed)}")
-    shapes = {name: tuple(int(d) for d in dims.split()) for name, dims in
-              _unique((line.partition(" ")[::2] for line in listed), "tensor").items()}
+    shapes = {}
+    for name, dims in _unique((line.partition(" ")[::2] for line in listed), "tensor").items():
+        shapes[name] = tuple(_parse_value(int, d, f"tensor {name} shape") for d in dims.split())
+        if any(d < 1 for d in shapes[name]):
+            raise ValueError(f"tensor {name} shape has a dimension below 1: {dims}")
     size = sum(map(math.prod, shapes.values()))
     payload = blob[head_end + len(b"\nend\n"):]
     if len(payload) != 8 * size:

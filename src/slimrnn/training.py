@@ -61,13 +61,13 @@ GradientSet = dict
 # slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
 EVAL_BUDGET = 21 << 18
 
-# A forward runs on two threads (_two_threads) where each thread's expit
-# elements per step reach THREAD_MIN_EXPIT: expit, a scalar loop per element
-# run with the GIL released, is the work a second core takes over. A tanh
-# direction split also threads from THREAD_MIN_STATE state elements, rows x n.
-# README's evaluate section gives the timings both rest on; a thread costs
-# about 0.15 ms to start, so gradcheck-sized slices stay serial.
-THREAD_MIN_EXPIT = 3000
+# A forward runs on two threads (_two_threads) where a thread's largest expit
+# call per step reaches THREAD_MIN_EXPIT elements: expit, a scalar loop per
+# element run with the GIL released, is the work a second core takes over.
+# A tanh direction split also threads from THREAD_MIN_STATE state elements,
+# rows x n. README's evaluate section gives the timings (tools/threadgate.py);
+# a thread costs about 0.15 ms to start, so gradcheck-sized slices stay serial.
+THREAD_MIN_EXPIT = 1400
 THREAD_MIN_STATE = 8192
 
 # Bytes one model_gradients chunk may hold: its recorded stacks, the work
@@ -202,13 +202,12 @@ def _two_threads(cell: CellParams, rows: int, directions: int) -> bool:
     """Whether a forward of rows samples through directions copies of cell
     runs on two threads: by direction when there are two, each thread then
     stepping every row, else by row halves, the smaller rows // 2. It does
-    where a thread's expit elements per step reach THREAD_MIN_EXPIT, or, for a
-    tanh direction split, where rows x n reaches THREAD_MIN_STATE. A row
-    takes 3n expit elements per step for lstm's sigmoid gates, and with a
-    sigmoid activation 2n more for lstm, 2n for the slim cells and n for srnn."""
+    where a thread's largest expit call per step reaches THREAD_MIN_EXPIT
+    elements, or, for a tanh direction split, where rows x n reaches
+    THREAD_MIN_STATE. That call takes rows per thread x 3n for lstm's sigmoid
+    gates, x n for srnn and the slim cells with a sigmoid activation, else 0."""
     n = cell.n
-    acts = n if cell.variant == "srnn" else 2 * n  # the activation's elements
-    per_row = (3 * n if cell.variant == "lstm" else 0) + acts * (cell.act == "sigmoid")
+    per_row = 3 * n if cell.variant == "lstm" else n * (cell.act == "sigmoid")
     per_thread = rows if directions == 2 else rows // 2
     return (per_thread * per_row >= THREAD_MIN_EXPIT
             or directions == 2 and cell.act == "tanh" and rows * n >= THREAD_MIN_STATE)

@@ -407,8 +407,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     ("tensors {k}", "tensors {k1}", "header promises {k1} tensors, lists {k}"),
     # a second variant line used to win, failing the load on a missing tensor
     ("m 3", "variant srnn\nm 3", "header field variant is listed twice"),
+    # int() and numpy's reshape used to give the reason without the tensor
+    ("emb.E 8 3", "emb.E 8 x", "tensor emb.E shape must be an int, got 'x'"),
+    ("emb.E 8 3", "emb.E -5 -2", "tensor emb.E shape has a dimension below 1: -5 -2"),
 ], ids=["bidirectional-flag", "trainable-flag", "no-tensors-line", "count",
-        "repeated-field"])
+        "repeated-field", "tensor-dimension-text", "tensor-dimension-below-1"])
 def test_a_malformed_checkpoint_header_is_rejected_by_path(tmp_path, old, new, cause):
     cfg = tiny_config(tmp_path)
     train, _ = build_dataset(cfg)
@@ -735,6 +738,12 @@ def test_sweep_survives_a_failing_cell(tmp_path, capsys):
     (dict(etas=["-1"]), "sweep axis etas: eta must be positive, got -1.0"),
     (dict(forgets=["1.5"]),
      "sweep axis forgets: forget must satisfy -1 < f < 1, got 1.5"),
+    # a value that is not text used to be cast: 4.5 trained at hidden 4
+    (dict(hiddens=[4.5]), "sweep axis hiddens: hidden must be an int, got 4.5"),
+    (dict(hiddens=[True]), "sweep axis hiddens: hidden must be an int, got True"),
+    (dict(etas=[True]), "sweep axis etas: eta must be a float, got True"),
+    (dict(forgets=["0.5", np.bool_(False)]),
+     "sweep axis forgets: forget must be a float, got np.False_"),
 ])
 def test_sweep_rejects_a_bad_axis_value_before_any_cell_trains(tmp_path, axes,
                                                                message):
@@ -743,6 +752,14 @@ def test_sweep_rejects_a_bad_axis_value_before_any_cell_trains(tmp_path, axes,
         cmd_sweep(SweepSpec(base=base, **axes))
     assert str(err.value) == message
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_axis_values_of_their_kind_keep_their_value(tmp_path):
+    base = tiny_config(tmp_path, out=str(tmp_path / "sweep"))
+    cells = harness._sweep_cells(SweepSpec(base=base, hiddens=[np.int64(5), 6],
+                                           etas=[1, np.float32(0.5)]))
+    assert [(c.hidden, c.eta) for c in cells] == [(5, 1.0), (5, 0.5), (6, 1.0), (6, 0.5)]
+    assert {(type(c.hidden), type(c.eta)) for c in cells} == {(int, float)}
 
 
 def test_cli_sweep_rejects_an_unknown_variant_with_exit_2(tmp_path, capsys):

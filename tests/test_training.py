@@ -1458,15 +1458,37 @@ def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
 
 
 @pytest.mark.parametrize("bidirectional,rows,pools", [
-    (False, 15, 0),  # one direction: halves of 7 x 8 expit elements, below the gate
-    (True, 7, 0),    # 7 x 8 expit elements per direction, below the gate
-    (True, 8, 1)])   # 8 x 8, at the gate
+    (False, 15, 0),  # one direction: halves of 7 x 4 expit elements, below the gate
+    (True, 7, 0),    # 7 x 4 expit elements per direction, below the gate
+    (True, 8, 1)])   # 8 x 4, at the gate
 def test_only_a_bidirectional_slice_at_the_gate_starts_a_thread(monkeypatch,
                                                                  bidirectional, rows, pools):
-    # sigmoid lstm6 at n = 4 takes 2n = 8 expit elements per row and step
+    # sigmoid lstm6 at n = 4: each expit call of a step takes n = 4 elements per row
     model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
     batch = token_batch(3673, B=rows, T=5)
-    assert with_gate(monkeypatch, 8 * 8, evaluate, model, batch, "bce")[1] == pools
+    assert with_gate(monkeypatch, 8 * 4, evaluate, model, batch, "bce")[1] == pools
+
+
+def test_paper_srnn_threads_with_the_bits_of_the_whole_slice(monkeypatch):
+    # the paper test split's one slice: halves of 16 rows x 100 expit elements
+    model = small_model("srnn", 32, 100, seed=3686, vocab=50)
+    xs = model.emb.E[token_batch(3687, B=32, T=6, vocab=50).tokens.T]
+    (y_s, h_s), none = with_gate(monkeypatch, math.inf, model.forward, xs)
+    (y_t, h_t), pools = with_gate(monkeypatch, None, model.forward, xs)
+    assert (none, pools) == (0, 1)
+    assert y_t.tobytes() == y_s.tobytes() and h_t.tobytes() == h_s.tobytes()
+
+
+@pytest.mark.parametrize("variant,bidirectional,rows,pools", [
+    ("srnn", False, 2 * math.ceil(training.THREAD_MIN_EXPIT / 100), 1),  # halves at the gate
+    ("srnn", False, 2 * math.ceil(training.THREAD_MIN_EXPIT / 100) - 2, 0),
+    ("lstm6", True, 8, 0),    # 800 expit elements per call: 0.81-0.87x threaded
+    ("lstm6", True, 16, 1)])  # 1,600: 1.34-1.35x
+def test_the_gate_reads_one_expit_call_at_n_100(monkeypatch, variant, bidirectional,
+                                                rows, pools):
+    model = small_model(variant, 4, 100, seed=3688, bidirectional=bidirectional)
+    xs = model.emb.E[token_batch(3689, B=rows, T=2).tokens.T]
+    assert with_gate(monkeypatch, None, model.forward, xs)[1] == pools
 
 
 @pytest.mark.parametrize("failing", ["fwd.", "bwd."])
@@ -1558,7 +1580,7 @@ def test_an_error_in_either_half_surfaces_and_leaves_no_thread(monkeypatch, fail
 
 @pytest.mark.parametrize("shape,threaded", [
     ("desk", {"lstm", "lstm6_bidir"}),
-    ("paper", {"lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
+    ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("certify", set())])
 def test_the_gate_threads_the_benchmark_models_whose_expit_work_pays(monkeypatch, shape,
                                                                      threaded):
