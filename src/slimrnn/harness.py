@@ -20,7 +20,7 @@ import itertools
 import math
 import sys
 import traceback
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -149,8 +149,10 @@ def _parse_value(kind: type, text, what: str):
     numbers = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
     if isinstance(text, str) or (isinstance(text, numbers.get(kind, ()))
                                  and not isinstance(text, bool)):
-        with suppress(ValueError):
+        try:
             return kind(text)
+        except ValueError:
+            pass
     article = "an" if kind is int else "a"
     raise ValueError(f"{what} must be {article} {kind.__name__}, got {text!r}")
 

@@ -1,6 +1,6 @@
 """Rebuild the serial -> threaded table of README's evaluate section.
 
-    python3 tools/threadgate.py [--pairs N]
+    python3 tools/threadgate.py
 
 Each row is one cell: a model (variant, activation, m, n, T; one or two
 directions) and a split of `rows` samples that `evaluate` runs as one slice.
@@ -12,9 +12,9 @@ n = 100 with 10, 12 and 14 rows. Per cell it prints:
 - expit/call: the elements of a thread's largest `expit` call per step,
   counted by wrapping the engine's expit through one threaded forward;
 - gate: what `_two_threads` decides at the module's thresholds;
-- serial/threaded: the median over N alternating pairs (default 15) of
-  serial `evaluate` seconds over threaded ones, above 1 where the thread
-  pays, and the quartiles of those ratios.
+- serial/threaded: the median over PAIRS (15) alternating pairs of serial
+  `evaluate` seconds over threaded ones, above 1 where the thread pays, and
+  the quartiles of those ratios.
 
 Serial and threaded runs are forced the way the tests force them, by setting
 both gates to math.inf, or to 0 (which threads a forward with no expit work
@@ -32,7 +32,6 @@ import os
 # One BLAS thread, pinned before NumPy is first imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import argparse  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -53,6 +52,7 @@ DESK = (16, 32, 40)
 ACTS = ("sigmoid", "tanh", "relu")
 VARIANTS = ("srnn", "lstm", "lstm6", "lstm_c6")
 VOCAB = 50
+PAIRS = 15  # alternating serial/threaded pairs per cell
 # (bidirectional, variants, activations, (m, n, T), rows)
 GRID = [
     (True, ("lstm6",), ACTS, PAPER, (8, 16, 32, 64)),
@@ -103,7 +103,7 @@ def largest_expit_call(model, batch) -> int:
     return max(sizes)
 
 
-def speedups(model, batch, pairs: int) -> np.ndarray:
+def speedups(model, batch) -> np.ndarray:
     """Serial over threaded evaluate seconds, one ratio per alternating pair."""
     def seconds(gate):
         start = time.perf_counter()
@@ -111,17 +111,13 @@ def speedups(model, batch, pairs: int) -> np.ndarray:
         return time.perf_counter() - start
 
     seconds(math.inf), seconds(0)  # warm both paths
-    return np.array([seconds(math.inf) / seconds(0) for _ in range(pairs)])
+    return np.array([seconds(math.inf) / seconds(0) for _ in range(PAIRS)])
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pairs", type=int, default=15,
-                        help="alternating serial/threaded pairs per cell (default 15)")
-    pairs = parser.parse_args().pairs
     training.EVAL_BUDGET = 1 << 40  # every cell's rows are one slice
     print(f"THREAD_MIN_EXPIT = {training.THREAD_MIN_EXPIT}, "
-          f"THREAD_MIN_STATE = {training.THREAD_MIN_STATE}, {pairs} pairs per cell")
+          f"THREAD_MIN_STATE = {training.THREAD_MIN_STATE}")
     print()
     print("| split | variant | act | n | T | rows | expit/call | gate | serial/threaded "
           "| quartiles | |")
@@ -136,7 +132,7 @@ def main() -> int:
                     model, batch = build(variant, act, m, n, T, rows, bidirectional)
                     per_call = largest_expit_call(model, batch)
                     threads = training._two_threads(model.cell, rows, len(model.directions))
-                    q1, median, q3 = np.percentile(speedups(model, batch, pairs), [25, 50, 75])
+                    q1, median, q3 = np.percentile(speedups(model, batch), [25, 50, 75])
                     flag = "!" if (q3 < 1.0 if threads else q1 > 1.0) else ""
                     if per_call:
                         (faster if median >= 1.0 else slower).append(per_call)
