@@ -19,8 +19,11 @@ The pass writes its derivative factors into the work array and the spent
 aux stack, both allocated once per call, so it allocates nothing else of
 the stacks' size. Each weight gradient is then one matrix product over
 all steps of the chunk, added into its view of the one flat gradient
-buffer a call returns; an optimizer step runs its rule once over a flat
-copy of all the gradients. Every gradient path here is certified against
+buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
+more is walked in two row halves, the second in a forked process on the
+second core, whose buffer and losses come back through a shared mapping;
+an optimizer step runs its rule once over a flat copy of all the
+gradients. Every gradient path here is certified against
 central finite differences in the test suite, so treat the two
 implementations as independent and never "fix" one by copying from the
 other.
@@ -29,7 +32,13 @@ other.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -81,8 +90,27 @@ THREAD_MIN_STATE = 8192
 # and lstm6 bidir 9.0 MiB. It sits between the row counts' edges: from
 # 6.60 MiB bidirectional lstm6 takes 2 rows (its work array holds both
 # directions' rows), and from 7.05 MiB srnn takes 7 (8.6 MiB at 8 samples,
-# near the memory guard) and lstm6 4.
+# near the memory guard) and lstm6 4. The budget holds per process: a batch
+# split over a forked process (FORK_MIN_SAMPLE_STEPS) holds one chunk in
+# each. tracemalloc sees the calling process alone; the child's private
+# memory (Private_* of /proc/<pid>/smaps_rollup) peaked at 10.5-12.8 MB on
+# the paper models: its chunk arrays, its gradient buffer in the shared
+# mapping, and about 1.7 MB of pages copied on write.
 CACHE_BUDGET = 27 << 18
+
+# model_gradients walks the second row half of a batch in a forked process
+# (_run_halves) from FORK_MIN_SAMPLE_STEPS sample-steps, B x T x directions.
+# A fork and its copy-on-write cost about 2.2 ms. Forced forks against serial
+# calls (median of 7-9 alternating calls, one BLAS thread, two vCPUs, the
+# five benchmark models): every call of 5,120 sample-steps or more ran
+# 1.21-1.92x as fast. Below that the desk shape (T = 40) read 0.95-1.49x at
+# 2,560 and 0.66-1.26x at 1,280, and the certify shape (T = 5) 0.09-0.30x
+# at 40-320, though the paper shape (T = 500) won from 2,000 (1.14-1.76x).
+# 4,096 keeps every desk and certify call serial, and the paper workload's
+# 4-sample reference probe (at most 4,000) too.
+FORK_MIN_SAMPLE_STEPS = 4096
+# Bytes of a forked process's shared mapping that carry its error back.
+_ERROR_BYTES = 1 << 16
 
 
 def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
@@ -360,31 +388,32 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
     return (rows @ W).reshape(xs.shape) if need_dx else None
 
 
-def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
-    """Mean loss and exact gradients for every trainable tensor, keyed like
-    model.param_arrays(): in its order, each value a view shaped like its
-    tensor into one flat buffer, which the final division by the batch
-    size scales at once.
+def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarray,
+                 loss_kind: str, layouts, grads: GradientSet, losses: np.ndarray):
+    """model_gradients' chunk loop over the samples (tokens, labels): adds
+    their gradient sums into grads and writes their losses into losses, in
+    sample order. layouts holds each direction's two stack_gates layouts,
+    made once per model_gradients call.
 
-    The batch is walked in chunks of max(1, CACHE_BUDGET // bytes) samples,
+    The samples are walked in chunks of max(1, CACHE_BUDGET // bytes),
     bytes being what the pass holds per sample (_row_bytes): the stacks
     the steps record over every direction, the work array _backward_cell
     writes its factors into, and the chunk's inputs and input gradient.
     The stacks and the work array are laid out with one block per
     sample-step holding every direction's row: (T+1, b, D, 1, n) and
     (T, b, D, 1, width) for a model of D = 2 directions, (T+1, b, 1, n)
-    and (T, b, 1, width) for one. They and each direction's two
+    and (T, b, 1, width) for one. They are made once per walk and serve
+    every chunk, a short last chunk the arrays' leading memory, so the
+    walk holds one chunk's stacks and no more; each direction's two
     stack_gates layouts (transposed for the forward, untransposed for
-    _backward_cell) are made once per call and serve every chunk, a short
-    last chunk the arrays' leading memory, so the pass holds one chunk's
-    stacks and no more. A chunk's inputs are gathered once as (T, b, m).
+    _backward_cell) serve every walk of a call. A chunk's inputs are gathered once as (T, b, m).
     Per direction, one input_term call projects them, in the direction's
     time order, into its slice of the work array, which the reverse pass
     overwrites unread: stacked 1-row products, so column j holds the bits
     of sample j's projection alone. Each sample then takes run_steps on
     its column j, recording straight into the stacks' column j: one step
     call per sample-step for all directions, whose recurrent tensors are
-    stacked (D, n, width) once per call, and no shape checks or buffers
+    stacked (D, n, width) once per walk, and no shape checks or buffers
     of its own. One readout of the final states H[-1], [h_fwd ; h_bwd]
     row by row, gives the chunk's (b, k) raw outputs, each row the bits of
     a batch of one (matvec). Each chunk then takes one loss_eval call on
@@ -394,23 +423,13 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     one's, and one embedding scatter. The input terms being spent, every
     reverse pass writes its factors into the work array's leading memory
     as a C-contiguous (T, b, width) array, since the reverse loop runs
-    slower on strided per-step rows. Losses add in sample order, as in a
-    per-sample loop; the gradients sum in chunk-product order, so they
-    move in the last bits when the rows per chunk change.
+    slower on strided per-step rows. The gradients sum in chunk-product
+    order, so they move in the last bits when the rows per chunk change.
     """
-    if len(batch) == 0:
-        raise ValueError("cannot take gradients over an empty batch")
-    if batch.T == 0:
-        raise ValueError("cannot take gradients over an empty sequence")
-    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
-    flat = np.zeros(sum(map(math.prod, shapes.values())))
-    grads: GradientSet = _flat_views(flat, shapes)
     need_dx = model.emb.trainable
     n = model.cell.n
-    B, T = len(batch), batch.T
+    B, T = tokens.shape
     rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
-    layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
-               for cell, _, _ in model.directions]
     if len(layouts) == 1:  # one direction steps (1, n) rows with a 2-D R
         block, R = (1,), layouts[0][0][1]
     else:
@@ -418,11 +437,10 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     stacks = record_arrays(model.cell, T, rows, *block)
     width = gate_width(model.cell)
     work = np.empty((T, rows, *block, width))
-    total = 0.0
     for start in range(0, B, rows):
         stop = min(start + rows, B)
         b = stop - start
-        X = embed_lookup(model.emb, batch.tokens[start:stop].T)  # (T, b, m)
+        X = embed_lookup(model.emb, tokens[start:stop].T)  # (T, b, m)
         chunk = [None if a is None else _leading(a, b) for a in stacks]
         Z = _leading(work, b)
         for d, ((_, _, step), ((W, _, bias), _)) in enumerate(zip(model.directions,
@@ -433,10 +451,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
             run_steps(model.cell, R, Z[:, j], [None if a is None else a[:, j]
                                                for a in chunk])
         h = chunk[0][-1].reshape(b, -1)  # (b, D n), [h_fwd ; h_bwd]
-        losses, dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
-                               batch.labels[start:stop])
-        for loss in losses:
-            total += float(loss)
+        losses[start:stop], dY = loss_eval(loss_kind, output_layer_apply(model.out, h),
+                                           labels[start:stop])
         grads["out.W_hy"] += dY.T @ h
         grads["out.b_y"] += dY.sum(axis=0)
         dH = dY @ model.out.W_hy
@@ -453,9 +469,124 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
             elif need_dx:
                 dX += dx[::step]
         if need_dx:
-            np.add.at(grads["emb.E"], batch.tokens[start:stop].T, dX)
+            np.add.at(grads["emb.E"], tokens[start:stop].T, dX)
+
+
+def _can_fork() -> bool:
+    """Whether a forked process may walk half a batch: the platform forks,
+    this process may run on two CPUs, and no other Python thread is alive
+    (a lock such a thread held at the fork would never be released in the
+    child)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _run_halves(first, second, size: int) -> np.ndarray:
+    """Run first() and second(buf), buf being size float64 zeros, and return
+    buf. Where _can_fork() says so, second runs in a forked child while
+    first runs here, buf then lying in an anonymous shared mapping; else it
+    runs here after first. The arithmetic, and so every bit, is the same
+    either way. The child always leaves through os._exit, so it runs no
+    exit handler and flushes no buffer of this process. Its error, pickled
+    into the mapping behind buf, is raised here; an error in first kills
+    it. Either way it is reaped before this returns or raises."""
+    if not _can_fork():
+        first()
+        buf = np.zeros(size)
+        second(buf)
+        return buf
+    mapping = mmap.mmap(-1, 8 * size + _ERROR_BYTES)
+    buf = np.frombuffer(mapping, count=size)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            second(buf)
+            code = 0
+        except BaseException as exc:
+            blob = _pickled_error(exc)
+            mapping[8 * size:8 * size + len(blob)] = blob
+        finally:
+            os._exit(code)
+    try:
+        first()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # its half is no longer wanted
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 1:
+        exc, trace = pickle.loads(mapping[8 * size:])
+        raise exc from ChildProcessError(f"in the forked process:\n{trace}")
+    if code:
+        raise ChildProcessError(f"the forked process ended with exit code {code}")
+    return buf
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """(exc, its traceback text) pickled in at most _ERROR_BYTES, exc
+    becoming a RuntimeError naming it where it does not pickle or fit."""
+    trace = traceback.format_exc()[-_ERROR_BYTES // 4:]
+    try:
+        blob = pickle.dumps((exc, trace))
+    except Exception:  # an exception whose state does not pickle
+        blob = b""
+    if not 0 < len(blob) <= _ERROR_BYTES:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}"[:_ERROR_BYTES // 4])
+        blob = pickle.dumps((exc, trace))
+    return blob
+
+
+def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
+    """Mean loss and exact gradients for every trainable tensor, keyed like
+    model.param_arrays(): in its order, each value a view shaped like its
+    tensor into one flat buffer, which the final division by the batch
+    size scales at once.
+
+    A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
+    sample-steps (B T D for D directions) is split into the rows [0, B//2)
+    and [B//2, B), each walked by _walk_chunks into its own gradient
+    buffer and per-sample losses. The second half runs in a forked process
+    where _can_fork() allows it, so the two halves use two cores, and
+    after the first half here otherwise (_run_halves). Its buffer is then
+    added into the first's and its losses follow the first's. The losses
+    add in sample order, so they keep the bits of an unsplit call; a split
+    call's gradients move from an unsplit one's in the last bits, as when
+    the rows per chunk change, and are the same wherever the second half
+    ran. A smaller batch is walked whole, here.
+    """
+    if len(batch) == 0:
+        raise ValueError("cannot take gradients over an empty batch")
+    if batch.T == 0:
+        raise ValueError("cannot take gradients over an empty sequence")
+    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
+    size = sum(map(math.prod, shapes.values()))
+    layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
+               for cell, _, _ in model.directions]
+    B, tokens, labels = len(batch), batch.tokens, batch.labels
+    flat, losses = np.zeros(size), np.empty(B)
+    grads: GradientSet = _flat_views(flat, shapes)
+    if B < 2 or B * batch.T * len(layouts) < FORK_MIN_SAMPLE_STEPS:
+        _walk_chunks(model, tokens, labels, loss_kind, layouts, grads, losses)
+    else:
+        half = B // 2
+
+        def walk_first():
+            _walk_chunks(model, tokens[:half], labels[:half], loss_kind, layouts, grads,
+                         losses[:half])
+
+        def walk_second(buf):  # a gradient buffer, then the half's losses
+            _walk_chunks(model, tokens[half:], labels[half:], loss_kind, layouts,
+                         _flat_views(buf[:size], shapes), buf[size:])
+
+        second = _run_halves(walk_first, walk_second, size + B - half)
+        flat += second[:size]
+        losses[half:] = second[size:]
+    total = 0.0
+    for loss in losses:  # in sample order
+        total += float(loss)
     flat /= B
-    if need_dx:
+    if model.emb.trainable:
         grads["emb.E"][PAD_INDEX] = 0.0  # padding row never trains
     return total / B, grads
 

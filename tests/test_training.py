@@ -3,6 +3,10 @@ against the extended-precision finite-difference oracle, optimizer update
 rules against scalar transcriptions, and epoch-level determinism."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -618,8 +622,14 @@ def test_chunked_gradients_match_the_per_sample_reference(
         return _backward_cell(p, xs, stacks, dh, grads, prefix, *args)
 
     monkeypatch.setattr(training, "_backward_cell", spy)
-    for rows, chunks in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (B, [B])):
+    # the last input splits the batch at gate 0: this process walks rows
+    # [0, 3) in chunks of 2 and 1, and a forked one, unseen by the spy, [3, 7)
+    forked = [2, 1] if training._can_fork() else [2, 1, 2, 2]
+    for rows, chunks, gate in ((1, [1] * 7, math.inf), (2, [2, 2, 2, 1], math.inf),
+                               (3, [3, 3, 1], math.inf), (B, [B], math.inf),
+                               (2, forked, 0)):
         monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, rows))
+        monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", gate)
         widths.clear()
         loss, grads = model_gradients(model, batch, loss_kind)
         assert widths == chunks
@@ -1610,6 +1620,228 @@ def test_a_direction_split_without_expit_work_threads_only_with_tanh(monkeypatch
     model = small_model("lstm6", 16, 32, seed=3682, act=act, vocab=50, bidirectional=True)
     xs = model.emb.E[token_batch(3683, B=256, T=4, vocab=50).tokens.T]
     assert with_gate(monkeypatch, None, model.forward, xs)[1] == pools
+
+
+# --------------------------------------------------------------------------
+# The forked half of a large model_gradients batch.
+# --------------------------------------------------------------------------
+
+def with_fork_gate(monkeypatch, gate, fn, *args, fork=None):
+    """fn(*args) under FORK_MIN_SAMPLE_STEPS = gate, and the number of
+    os.fork calls it made (fork, when given, stands in for os.fork)."""
+    forks = []
+    real = fork or os.fork
+
+    def spy():
+        forks.append(1)
+        return real()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", gate)
+        mp.setattr(os, "fork", spy)
+        return fn(*args), len(forks)
+
+
+def refuse_fork():
+    raise AssertionError("os.fork was called")
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def gradient_bytes(result):
+    loss, grads = result
+    return [loss.hex()] + [(name, g.tobytes()) for name, g in grads.items()]
+
+
+@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_forked_half_gives_the_bits_of_the_in_process_fallback(
+        monkeypatch, variant, bidirectional, loss_kind, inputs):
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, 3, 4, seed=3760, act="tanh", out_dim=k,
+                        trainable_emb=inputs == "trainable", bidirectional=bidirectional)
+    batch = token_batch(3761, B=9, T=5, n_classes=max(k, 2))  # halves of 4 and 5
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, 5, 2))
+    forked, forks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind)
+    assert forks == 1
+    no_child_left()
+    want = gradient_bytes(forked)
+    # the fallback, three ways: no os.fork, one CPU, another thread alive
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
+        mp.delattr(os, "fork")
+        assert gradient_bytes(model_gradients(model, batch, loss_kind)) == want
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fallback = with_fork_gate(mp, 0, model_gradients, model, batch, loss_kind,
+                                  fork=refuse_fork)
+        assert (gradient_bytes(fallback[0]), fallback[1]) == (want, 0)
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    try:
+        fallback = with_fork_gate(monkeypatch, 0, model_gradients, model, batch,
+                                  loss_kind, fork=refuse_fork)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert (gradient_bytes(fallback[0]), fallback[1]) == (want, 0)
+    (whole, _), forks = with_fork_gate(monkeypatch, math.inf, model_gradients, model,
+                                       batch, loss_kind)
+    assert forks == 0 and whole.hex() == forked[0].hex()
+
+
+class Unpicklable(Exception):
+    """An error whose state does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("error,raised,reason", [
+    (FloatingPointError("the forked half went wrong"), FloatingPointError,
+     "^the forked half went wrong$"),
+    (Unpicklable("no pickle"), RuntimeError, "^Unpicklable: no pickle$")])
+def test_an_error_in_the_forked_half_is_raised_in_the_caller(monkeypatch, error, raised,
+                                                             reason):
+    model = small_model("lstm6", 3, 4, seed=3762)
+    batch = token_batch(3763, B=6, T=5)
+    parent = os.getpid()
+    real = training._walk_chunks
+
+    def walk_failing(*args):
+        if os.getpid() != parent:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(training, "_walk_chunks", walk_failing)
+    with pytest.raises(raised, match=reason) as caught:
+        with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    # the child's traceback comes along as the cause
+    assert isinstance(caught.value.__cause__, ChildProcessError)
+    assert "walk_failing" in str(caught.value.__cause__)
+    no_child_left()
+
+
+def test_an_error_in_this_half_stops_and_reaps_the_forked_one(monkeypatch):
+    model = small_model("lstm6", 3, 4, seed=3764)
+    batch = token_batch(3765, B=6, T=5)
+    parent = os.getpid()
+    real = training._walk_chunks
+
+    def walk_failing(*args):
+        if os.getpid() == parent:
+            raise FloatingPointError("the first half went wrong")
+        return real(*args)
+
+    monkeypatch.setattr(training, "_walk_chunks", walk_failing)
+    with pytest.raises(FloatingPointError, match="^the first half went wrong$"):
+        with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    no_child_left()
+
+
+def test_a_forked_half_that_dies_is_reported(monkeypatch):
+    model = small_model("srnn", 3, 4, seed=3766)
+    batch = token_batch(3767, B=6, T=5)
+    parent = os.getpid()
+    real = training._walk_chunks
+
+    def walk_killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_walk_chunks", walk_killed)
+    with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}$"):
+        with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    no_child_left()
+
+
+def test_a_batch_of_one_never_forks(monkeypatch):
+    model = small_model("lstm", 3, 4, seed=3768, bidirectional=True)
+    batch = token_batch(3769, B=1, T=5)
+    (loss, _), forks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch,
+                                      "bce", fork=refuse_fork)
+    assert forks == 0 and math.isfinite(loss)
+
+
+@pytest.mark.parametrize("shape,forked", [
+    ("desk", set()),
+    ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
+    ("certify", set())])
+def test_the_gate_forks_the_benchmark_models_whose_batches_pay(monkeypatch, shape,
+                                                               forked):
+    # each workload's activation, m, n, T and training batch
+    act, m, n, T, B = {"desk": ("tanh", 16, 32, 40, 32),
+                       "paper": ("sigmoid", 32, 100, 500, 32),
+                       "certify": ("sigmoid", 8, 8, 5, 8)}[shape]
+    batch = token_batch(3770, B=B, T=T, vocab=50)
+    started = set()
+    for key, variant, bidirectional in [
+            ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
+            ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
+        model = small_model(variant, m, n, seed=3771, act=act, vocab=50,
+                            bidirectional=bidirectional)
+        _, forks = with_fork_gate(monkeypatch, training.FORK_MIN_SAMPLE_STEPS,
+                                  model_gradients, model, batch, "bce")
+        assert forks in (0, 1), key
+        if forks:
+            started.add(key)
+    assert started == (forked if training._can_fork() else set())
+    no_child_left()
+
+
+FORK_UNDER_BLAS_THREADS = """
+import hashlib
+import os
+
+import numpy as np
+
+from slimrnn import training
+from slimrnn.cells import init_cell, init_output
+from slimrnn.data import SequenceBatch, init_embedding
+from slimrnn.numerics import make_rng
+
+rng = make_rng(3772)
+m, n, T, B = 32, 100, 500, 4
+cells = [init_cell("lstm6", m, n, "sigmoid", 0.59, rng) for _ in range(2)]
+model = training.SequenceClassifier(cell=cells[0], cell_bwd=cells[1],
+                                    out=init_output(rng, 2 * n, 1),
+                                    emb=init_embedding(rng, 50, m, trainable=True))
+batch = SequenceBatch(tokens=rng.integers(0, 50, size=(B, T)),
+                      labels=rng.integers(0, 2, size=B))
+w = rng.uniform(-1.0, 1.0, (512, 512))
+w @ w  # OpenBLAS runs its thread pool before the fork
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+training.FORK_MIN_SAMPLE_STEPS = 0
+runs = [training.model_gradients(model, batch, "bce")]
+del os.fork  # the in-process fallback
+runs.append(training.model_gradients(model, batch, "bce"))
+print(len(forks))
+for loss, grads in runs:
+    print(loss.hex(), hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+"""
+
+
+def test_a_fork_under_two_blas_threads_keeps_the_fallback_bits():
+    # the paper shape's weight-gradient products are large enough for
+    # OpenBLAS to split over its two threads
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FORK_UNDER_BLAS_THREADS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    forks, forked, fallback = out.stdout.splitlines()
+    assert int(forks) == training._can_fork()
+    assert forked == fallback
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
