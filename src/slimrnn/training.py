@@ -20,8 +20,9 @@ aux stack, both allocated once per call, so it allocates nothing else of
 the stacks' size. Each weight gradient is then one matrix product over
 all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
-more is walked in two row halves, the second in a forked process on the
-second core, whose buffer and losses come back through a shared mapping;
+more is walked in two row halves, the second on the second core by a
+helper process, forked once and sent each call's parameters and inputs
+through a shared mapping that brings its buffer and losses back;
 an optimizer step runs its rule once over a flat copy of all the
 gradients. Every gradient path here is certified against
 central finite differences in the test suite, so treat the two
@@ -31,14 +32,18 @@ other.
 
 from __future__ import annotations
 
+import atexit
+import io
 import math
 import mmap
+import multiprocessing
 import os
 import pickle
 import signal
 import threading
 import time
 import traceback
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -91,25 +96,26 @@ THREAD_MIN_STATE = 8192
 # 6.60 MiB bidirectional lstm6 takes 2 rows (its work array holds both
 # directions' rows), and from 7.05 MiB srnn takes 7 (8.6 MiB at 8 samples,
 # near the memory guard) and lstm6 4. The budget holds per process: a batch
-# split over a forked process (FORK_MIN_SAMPLE_STEPS) holds one chunk in
-# each. tracemalloc sees the calling process alone; the child's private
-# memory (Private_* of /proc/<pid>/smaps_rollup) peaked at 10.5-12.8 MB on
-# the paper models: its chunk arrays, its gradient buffer in the shared
-# mapping, and about 1.7 MB of pages copied on write.
+# split with the helper process (FORK_MIN_SAMPLE_STEPS) holds one chunk in
+# each. tracemalloc sees the calling process alone; the helper's private
+# memory (Private_* of /proc/<pid>/smaps_rollup, read inside it) peaked
+# within a walk at 10.6-12.6 MB on the paper models, its chunk arrays
+# included, and held 5.0-6.2 MB between calls. Its gradient buffer and the
+# parameter copies lie in the mapping it shares with the caller.
 CACHE_BUDGET = 27 << 18
 
-# model_gradients walks the second row half of a batch in a forked process
-# (_run_halves) from FORK_MIN_SAMPLE_STEPS sample-steps, B x T x directions.
-# A fork and its copy-on-write cost about 2.2 ms. Forced forks against serial
-# calls (median of 7-9 alternating calls, one BLAS thread, two vCPUs, the
-# five benchmark models): every call of 5,120 sample-steps or more ran
-# 1.21-1.92x as fast. Below that the desk shape (T = 40) read 0.95-1.49x at
-# 2,560 and 0.66-1.26x at 1,280, and the certify shape (T = 5) 0.09-0.30x
-# at 40-320, though the paper shape (T = 500) won from 2,000 (1.14-1.76x).
-# 4,096 keeps every desk and certify call serial, and the paper workload's
-# 4-sample reference probe (at most 4,000) too.
-FORK_MIN_SAMPLE_STEPS = 4096
-# Bytes of a forked process's shared mapping that carry its error back.
+# model_gradients walks the second row half of a batch in the helper process
+# (_helper_walk) from FORK_MIN_SAMPLE_STEPS sample-steps, B x T x directions.
+# A desk-shaped call through the helper took 0.3-0.5 ms more than a serial
+# call of its first half alone. Serial over helper seconds (tools/forkgate.py, six runs, median of 9
+# alternating pairs per cell, one BLAS thread, two vCPUs, the five benchmark
+# models at the desk, certify and paper shapes): 0.45-0.91x at 40
+# sample-steps, 0.47-1.13x at 80, 0.77-1.31x at 160 and 0.80-1.38x at 320,
+# where 8 of 60 cells still ran slower; every cell of 640 ran 1.09-1.64x, and
+# from 1,000 up 1.34-1.99x. 640 splits every desk (1,280-2,560) and paper
+# (2,000-32,000) call and keeps the certify ones (at most 80) serial.
+FORK_MIN_SAMPLE_STEPS = 640
+# Bytes at most of an error the helper sends back (_pickled_error).
 _ERROR_BYTES = 1 << 16
 
 
@@ -473,54 +479,226 @@ def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
 
 
 def _can_fork() -> bool:
-    """Whether a forked process may walk half a batch: the platform forks,
-    this process may run on two CPUs, and no other Python thread is alive
-    (a lock such a thread held at the fork would never be released in the
-    child)."""
+    """Whether this process may fork a helper: the platform forks, this
+    process may run on two CPUs, no other Python thread is alive (a lock
+    such a thread held at the fork would never be released in the helper),
+    and multiprocessing did not start this process (a pool already spreads
+    its workers over the CPUs, and a worker leaves through os._exit, which
+    runs no exit handler to reap a helper)."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and multiprocessing.parent_process() is None)
 
 
-def _run_halves(first, second, size: int) -> np.ndarray:
-    """Run first() and second(buf), buf being size float64 zeros, and return
-    buf. Where _can_fork() says so, second runs in a forked child while
-    first runs here, buf then lying in an anonymous shared mapping; else it
-    runs here after first. The arithmetic, and so every bit, is the same
-    either way. The child always leaves through os._exit, so it runs no
-    exit handler and flushes no buffer of this process. Its error, pickled
-    into the mapping behind buf, is raised here; an error in first kills
-    it. Either way it is reaped before this returns or raises."""
-    if not _can_fork():
-        first()
-        buf = np.zeros(size)
-        second(buf)
-        return buf
-    mapping = mmap.mmap(-1, 8 * size + _ERROR_BYTES)
-    buf = np.frombuffer(mapping, count=size)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            second(buf)
-            code = 0
-        except BaseException as exc:
-            blob = _pickled_error(exc)
-            mapping[8 * size:8 * size + len(blob)] = blob
-        finally:
-            os._exit(code)
+def _layouts(model: SequenceClassifier) -> list:
+    """Each direction's two stack_gates layouts, as _walk_chunks takes them."""
+    return [(stack_gates(cell, transposed=True), stack_gates(cell))
+            for cell, _, _ in model.directions]
+
+
+def _places(arrays) -> tuple[list, int]:
+    """The place (offset, shape, dtype) of each (shape, dtype) in a mapping
+    that holds them back to back, each from a 64-byte boundary, and the
+    bytes they span."""
+    places, end = [], 0
+    for shape, dtype in arrays:
+        places.append((end, shape, dtype.str))
+        end += -(-math.prod(shape) * dtype.itemsize // 64) * 64
+    return places, end
+
+
+def _view(mapping: mmap.mmap, place) -> np.ndarray:
+    """The array at place in mapping (_places)."""
+    offset, shape, dtype = place
+    return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a model with each parameter array replaced by its place in
+    the helper's mapping (places: id(array) -> place)."""
+
+    def __init__(self, file, places: dict):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.places = places
+
+    def persistent_id(self, obj):
+        return self.places.get(id(obj))
+
+
+class _Unpickler(pickle.Unpickler):
+    """Loads what _Pickler wrote, each parameter a view of the mapping."""
+
+    def __init__(self, file, mapping: mmap.mmap):
+        super().__init__(file)
+        self.mapping = mapping
+
+    def persistent_load(self, place):
+        return _view(self.mapping, place)
+
+
+class _Helper:
+    """The process that walks the second row half of split model_gradients
+    calls for its owner, the process that forked it at its first split call.
+
+    A call goes through an anonymous shared mapping of size bytes, made
+    before the fork, and two pipes. The owner copies the model's parameter
+    values and the half's tokens and labels into the mapping and sends one
+    request; the helper walks the half into the mapping's gradient buffer
+    and losses and replies (_serve). sent is the model structure the helper
+    holds: a pickle of the model whose parameter arrays are their places in
+    the mapping (_Pickler), sent again only when it changes."""
+
+    def __init__(self, size: int):
+        self.owner, self.size, self.sent = os.getpid(), size, None
+        self.mapping = mmap.mmap(-1, size)
+        requests, self.requests = multiprocessing.Pipe(duplex=False)
+        self.replies, replies = multiprocessing.Pipe(duplex=False)
+        self.pid = os.fork()
+        if self.pid == 0:
+            self.requests.close()  # else the helper never sees EOF
+            self.replies.close()
+            _serve(self.mapping, requests, replies)
+        requests.close()
+        replies.close()
+
+
+def _serve(mapping: mmap.mmap, requests, replies):
+    """The helper's loop: read a request, walk its half, reply, until the
+    request pipe reaches EOF. A walk's error goes back pickled
+    (_pickled_error). The helper ignores SIGINT, an interrupt being its
+    owner's to handle, stops an allocation trace its owner had running,
+    and leaves through os._exit, running no exit handler of its owner's."""
+    code = 1
     try:
-        first()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # its half is no longer wanted
-        raise
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        tracemalloc.stop()
+        model = None
+        while True:
+            try:
+                request = requests.recv_bytes()
+            except EOFError:
+                code = 0
+                break
+            try:
+                structure, loss_kind, places = pickle.loads(request)
+                if structure is not None:
+                    model = _Unpickler(io.BytesIO(structure), mapping).load()
+                tokens, labels, buf, losses = (_view(mapping, p) for p in places)
+                shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
+                buf[...] = 0.0
+                _walk_chunks(model, tokens, labels, loss_kind, _layouts(model),
+                             _flat_views(buf, shapes), losses)
+                reply = b""
+            except Exception as exc:  # raised in the owner
+                reply = _pickled_error(exc)
+            replies.send_bytes(reply)
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 1:
-        exc, trace = pickle.loads(mapping[8 * size:])
-        raise exc from ChildProcessError(f"in the forked process:\n{trace}")
-    if code:
-        raise ChildProcessError(f"the forked process ended with exit code {code}")
-    return buf
+        os._exit(code)
+
+
+_helper: _Helper | None = None  # this process's helper, once a split call forked it
+_helper_lock = threading.Lock()  # held by the one call using _helper
+
+
+def _stop_helper(kill: bool = False) -> int | None:
+    """End this process's helper, if it has one, and reap it: its request
+    pipe is closed, so an idle helper leaves, and with kill=True one that
+    is walking is killed. Returns its exit code. Runs at exit, and where
+    no call is using the helper."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is None or helper.owner != os.getpid():
+        return None
+    helper.requests.close()
+    if kill:
+        os.kill(helper.pid, signal.SIGKILL)
+    code = os.waitstatus_to_exitcode(os.waitpid(helper.pid, 0)[1])
+    helper.replies.close()
+    return code
+
+
+def _forget_helper():
+    """In a forked child: close the helper handle it inherited, unused, and
+    take a fresh lock (the parent may have held its own at the fork)."""
+    global _helper, _helper_lock
+    if _helper is not None:
+        _helper.requests.close()
+        _helper.replies.close()
+    _helper, _helper_lock = None, threading.Lock()
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_walk(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarray,
+                 loss_kind: str, walk_first, flat: np.ndarray,
+                 losses: np.ndarray) -> bool:
+    """Walk the samples (tokens, labels) in this process's helper while
+    walk_first() runs here, adding their gradient sums into flat and
+    writing their losses into losses. Returns False, having run nothing,
+    where the half must run here: another thread is using the helper, or
+    none runs and _can_fork() says no new one may start. A helper starts
+    at the first call, and again where the mapping is too small for a
+    call's model and batch, with twice its size or what the call needs.
+
+    An error in the helper's walk is raised here with the helper's
+    traceback as its cause, and the helper serves on. An error in
+    walk_first kills the helper; a helper found dead (EOF on its reply
+    pipe, or a refused request) is reaped and its exit code raised as a
+    ChildProcessError. Either way it is dropped, and the next call starts
+    a new one."""
+    global _helper
+    if not _helper_lock.acquire(blocking=False):
+        return False
+    try:
+        helper = _helper if _helper is not None and _helper.owner == os.getpid() else None
+        if helper is None and not _can_fork():
+            return False
+        params = model.param_arrays(include_frozen=True)
+        arrays = [*params.values(), tokens, labels]
+        places, need = _places([(a.shape, a.dtype) for a in arrays]
+                               + [(flat.shape, flat.dtype), (losses.shape, losses.dtype)])
+        if helper is None or helper.size < need:
+            if helper is not None and not _can_fork():
+                return False
+            _stop_helper()
+            _helper = helper = _Helper(max(need, 2 * helper.size if helper else 0))
+        for a, place in zip(arrays, places):
+            _view(helper.mapping, place)[...] = a
+        structure = io.BytesIO()
+        _Pickler(structure, {id(a): p for a, p in zip(params.values(), places)}).dump(model)
+        structure = structure.getvalue()
+        request = pickle.dumps((None if structure == helper.sent else structure, loss_kind,
+                                places[len(params):]))
+        helper.sent = structure
+        try:
+            helper.requests.send_bytes(request)
+        except BrokenPipeError:  # the helper is gone
+            reply = None
+        else:
+            try:
+                walk_first()
+            except BaseException:
+                _stop_helper(kill=True)  # its half is no longer wanted
+                raise
+            try:
+                reply = helper.replies.recv_bytes()
+            except EOFError:
+                reply = None
+        if reply is None:
+            code = _stop_helper()
+            raise ChildProcessError(f"the helper process ended with exit code {code}")
+        if reply:
+            helper.sent = None  # the structure may not have loaded
+            exc, trace = pickle.loads(reply)
+            raise exc from ChildProcessError(f"in the helper process:\n{trace}")
+        flat += _view(helper.mapping, places[-2])
+        losses[...] = _view(helper.mapping, places[-1])
+        return True
+    finally:
+        _helper_lock.release()
 
 
 def _pickled_error(exc: BaseException) -> bytes:
@@ -546,14 +724,22 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
     sample-steps (B T D for D directions) is split into the rows [0, B//2)
     and [B//2, B), each walked by _walk_chunks into its own gradient
-    buffer and per-sample losses. The second half runs in a forked process
-    where _can_fork() allows it, so the two halves use two cores, and
-    after the first half here otherwise (_run_halves). Its buffer is then
-    added into the first's and its losses follow the first's. The losses
-    add in sample order, so they keep the bits of an unsplit call; a split
-    call's gradients move from an unsplit one's in the last bits, as when
-    the rows per chunk change, and are the same wherever the second half
-    ran. A smaller batch is walked whole, here.
+    buffer and per-sample losses. The second half runs in this process's
+    helper, forked at the first split call and serving every later one
+    while the first half runs here, so the two halves use two cores
+    (_helper_walk). It runs here after the first half instead where the
+    helper is busy with another thread's call, or where none runs and
+    _can_fork() allows none to start. Its buffer is then added into the
+    first's and its losses follow the first's. The losses add in sample
+    order, so they keep the bits of an unsplit call; a split call's
+    gradients move from an unsplit one's in the last bits, as when the rows
+    per chunk change, and are the same wherever the second half ran. A
+    smaller batch is walked whole, here.
+
+    The helper walks with the module's functions and constants as they
+    were when it forked. An exit handler ends and reaps it; a process that
+    ends without exit handlers closes its request pipe all the same, and
+    the helper then leaves on its own.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -561,8 +747,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         raise ValueError("cannot take gradients over an empty sequence")
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     size = sum(map(math.prod, shapes.values()))
-    layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
-               for cell, _, _ in model.directions]
+    layouts = _layouts(model)
     B, tokens, labels = len(batch), batch.tokens, batch.labels
     flat, losses = np.zeros(size), np.empty(B)
     grads: GradientSet = _flat_views(flat, shapes)
@@ -575,13 +760,13 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
             _walk_chunks(model, tokens[:half], labels[:half], loss_kind, layouts, grads,
                          losses[:half])
 
-        def walk_second(buf):  # a gradient buffer, then the half's losses
+        if not _helper_walk(model, tokens[half:], labels[half:], loss_kind, walk_first,
+                            flat, losses[half:]):
+            walk_first()
+            second = np.zeros(size)
             _walk_chunks(model, tokens[half:], labels[half:], loss_kind, layouts,
-                         _flat_views(buf[:size], shapes), buf[size:])
-
-        second = _run_halves(walk_first, walk_second, size + B - half)
-        flat += second[:size]
-        losses[half:] = second[size:]
+                         _flat_views(second, shapes), losses[half:])
+            flat += second
     total = 0.0
     for loss in losses:  # in sample order
         total += float(loss)

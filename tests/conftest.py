@@ -5,11 +5,14 @@ would normally be invisible in a plain ``pytest -v`` run. The fixture below
 records each line and the terminal-summary hook prints the whole block at the
 end of the run, outside capture. operands() forms what a step function takes
 in place of its input x, for tests that drive the steps by hand, and
-recorded() runs a cell over a sequence recording its stacks.
+recorded() runs a cell over a sequence recording its stacks. Every test
+ends with no model_gradients helper process running, so the next test's
+helper forks with that test's module state.
 """
 
 import pytest
 
+from slimrnn import training
 from slimrnn.cells import input_term, record_arrays, run_steps, stack_gates
 
 _acceptance_lines: list[str] = []
@@ -26,6 +29,15 @@ def acceptance_report():
         _acceptance_lines.append(line)
 
     return record
+
+
+@pytest.fixture(autouse=True)
+def no_helper_after_the_test():
+    """Stop the helper a test's split model_gradients calls started: it
+    keeps the module's functions and constants as they were at its fork,
+    monkeypatched ones included."""
+    yield
+    training._stop_helper()
 
 
 def pytest_terminal_summary(terminalreporter):

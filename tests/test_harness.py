@@ -675,6 +675,33 @@ def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
         assert runs[0]["rows"] == runs[1]["rows"]
 
 
+def test_parallel_sweep_of_split_batches_equals_sequential_sweep(tmp_path, monkeypatch):
+    # 8 x 80 sample-steps per minibatch: the --workers 1 sweep walks each
+    # second half in this process's helper, and the pool workers, which
+    # start no helper, walk it themselves
+    walks = []
+    real = training._helper_walk
+
+    def spy(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(training, "_helper_walk", spy)
+    runs = []
+    for workers in (1, 2):
+        base = tiny_config(tmp_path, out=str(tmp_path / f"split{workers}"), batch=8,
+                           seq_len=80, samples=40)
+        assert base.batch * base.seq_len >= training.FORK_MIN_SAMPLE_STEPS
+        runs.append(cmd_sweep(SweepSpec(base=base, workers=workers,
+                                        variants=["lstm6", "lstm", "srnn"])))
+        if workers == 1:
+            assert walks and all(walks) == training._can_fork()
+    assert runs[0]["rows"] == runs[1]["rows"]
+    for cell in sorted((tmp_path / "split1" / "cells").iterdir()):
+        assert (read_csv_without_seconds(cell / "metrics.csv") == read_csv_without_seconds(
+            tmp_path / "split2" / "cells" / cell.name / "metrics.csv")), cell.name
+
+
 @pytest.mark.parametrize("workers, variants, pools", [
     (5000, ["lstm6", "lstm_c6"], [2]), (2, ["lstm6"], []), (1, ["lstm6", "lstm_c6"], [])])
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, workers,

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future
 
@@ -943,6 +944,8 @@ def test_chunks_of_one_match_the_per_sample_reference_bit_for_bit(
 
     monkeypatch.setattr(training, "_backward_cell", spy)
     monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, T, 1))
+    # the chunk walk of an unsplit call, whose sums run in sample order
+    monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", math.inf)
     loss, grads = model_gradients(model, batch, "bce")
     assert flushed == [True] * (B * len(model.directions))
     assert loss == want_loss
@@ -1623,23 +1626,28 @@ def test_a_direction_split_without_expit_work_threads_only_with_tanh(monkeypatch
 
 
 # --------------------------------------------------------------------------
-# The forked half of a large model_gradients batch.
+# The helper process that walks the second half of a split model_gradients
+# batch.
 # --------------------------------------------------------------------------
 
 def with_fork_gate(monkeypatch, gate, fn, *args, fork=None):
     """fn(*args) under FORK_MIN_SAMPLE_STEPS = gate, and the number of
-    os.fork calls it made (fork, when given, stands in for os.fork)."""
-    forks = []
-    real = fork or os.fork
+    model_gradients calls whose second half the helper walked (fork, when
+    given, stands in for os.fork)."""
+    walks = []
+    real = training._helper_walk
 
-    def spy():
-        forks.append(1)
-        return real()
+    def spy(*args):
+        walked = real(*args)
+        walks.append(walked)
+        return walked
 
     with monkeypatch.context() as mp:
         mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", gate)
-        mp.setattr(os, "fork", spy)
-        return fn(*args), len(forks)
+        mp.setattr(training, "_helper_walk", spy)
+        if fork is not None:
+            mp.setattr(os, "fork", fork)
+        return fn(*args), sum(walks)
 
 
 def refuse_fork():
@@ -1647,6 +1655,9 @@ def refuse_fork():
 
 
 def no_child_left():
+    """Stop the helper, then find no child of this process: it was reaped."""
+    training._stop_helper()
+    assert training._helper is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1654,6 +1665,16 @@ def no_child_left():
 def gradient_bytes(result):
     loss, grads = result
     return [loss.hex()] + [(name, g.tobytes()) for name, g in grads.items()]
+
+
+def fallback_bytes(monkeypatch, model, batch, loss_kind):
+    """The bytes of a split call walked wholly in this process."""
+    training._stop_helper()
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_can_fork", lambda: False)
+        (result, walks) = with_fork_gate(mp, 0, model_gradients, model, batch, loss_kind)
+    assert walks == 0
+    return gradient_bytes(result)
 
 
 @pytest.mark.parametrize("inputs", ["trainable", "frozen"])
@@ -1667,10 +1688,14 @@ def test_a_forked_half_gives_the_bits_of_the_in_process_fallback(
                         trainable_emb=inputs == "trainable", bidirectional=bidirectional)
     batch = token_batch(3761, B=9, T=5, n_classes=max(k, 2))  # halves of 4 and 5
     monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, 5, 2))
-    forked, forks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind)
-    assert forks == 1
+    helped, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind)
+    assert walks == 1
+    want = gradient_bytes(helped)
+    # a second call reuses the helper, which holds the model already
+    again, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind,
+                                  fork=refuse_fork)
+    assert (gradient_bytes(again), walks) == (want, 1)
     no_child_left()
-    want = gradient_bytes(forked)
     # the fallback, three ways: no os.fork, one CPU, another thread alive
     with monkeypatch.context() as mp:
         mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
@@ -1692,9 +1717,32 @@ def test_a_forked_half_gives_the_bits_of_the_in_process_fallback(
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert (gradient_bytes(fallback[0]), fallback[1]) == (want, 0)
-    (whole, _), forks = with_fork_gate(monkeypatch, math.inf, model_gradients, model,
+    (whole, _), walks = with_fork_gate(monkeypatch, math.inf, model_gradients, model,
                                        batch, loss_kind)
-    assert forks == 0 and whole.hex() == forked[0].hex()
+    assert walks == 0 and whole.hex() == helped[0].hex()
+
+
+def test_the_helper_follows_the_model_it_is_sent(monkeypatch):
+    # one helper serves models of other variants, shapes and values in
+    # turn, and a model whose tensors change in place between calls
+    batch = token_batch(3774, B=6, T=5, vocab=9)
+    models = [small_model("lstm6", 3, 4, seed=3775, vocab=9),
+              small_model("lstm", 2, 5, seed=3776, vocab=9, bidirectional=True),
+              small_model("lstm6", 3, 4, seed=3777, vocab=9, trainable_emb=False)]
+    want = [fallback_bytes(monkeypatch, model, batch, "bce") for model in models]
+    for round in range(2):
+        for model, bits in zip(models, want):
+            (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model,
+                                             batch, "bce")
+            assert (gradient_bytes(result), walks) == (bits, 1), round
+    models[0].cell.tensors["U_c"] *= 0.5
+    models[0].cell.forget_const = 0.3
+    changed = fallback_bytes(monkeypatch, models[0], batch, "bce")
+    assert changed != want[0]
+    for _ in range(2):
+        (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, models[0],
+                                         batch, "bce")
+        assert (gradient_bytes(result), walks) == (changed, 1)
 
 
 class Unpicklable(Exception):
@@ -1713,20 +1761,28 @@ def test_an_error_in_the_forked_half_is_raised_in_the_caller(monkeypatch, error,
                                                              reason):
     model = small_model("lstm6", 3, 4, seed=3762)
     batch = token_batch(3763, B=6, T=5)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
     parent = os.getpid()
     real = training._walk_chunks
+    failing = [True]  # the helper's copy empties at its first walk
 
     def walk_failing(*args):
-        if os.getpid() != parent:
+        if os.getpid() != parent and failing and failing.pop():
             raise error
         return real(*args)
 
     monkeypatch.setattr(training, "_walk_chunks", walk_failing)
     with pytest.raises(raised, match=reason) as caught:
         with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
-    # the child's traceback comes along as the cause
+    # the helper's traceback comes along as the cause
     assert isinstance(caught.value.__cause__, ChildProcessError)
     assert "walk_failing" in str(caught.value.__cause__)
+    # the helper serves on, and is sent the model again
+    helper = training._helper
+    (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce",
+                                     fork=refuse_fork)
+    assert (gradient_bytes(result), walks) == (want, 1)
+    assert training._helper is helper
     no_child_left()
 
 
@@ -1735,15 +1791,23 @@ def test_an_error_in_this_half_stops_and_reaps_the_forked_one(monkeypatch):
     batch = token_batch(3765, B=6, T=5)
     parent = os.getpid()
     real = training._walk_chunks
+    fail = [True]
 
     def walk_failing(*args):
-        if os.getpid() == parent:
+        if os.getpid() == parent and fail[0]:
             raise FloatingPointError("the first half went wrong")
         return real(*args)
 
     monkeypatch.setattr(training, "_walk_chunks", walk_failing)
     with pytest.raises(FloatingPointError, match="^the first half went wrong$"):
         with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    # killed, reaped and dropped: no shutdown needed
+    assert training._helper is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    fail[0] = False  # the next call starts a new helper
+    (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert walks == 1
     no_child_left()
 
 
@@ -1761,19 +1825,84 @@ def test_a_forked_half_that_dies_is_reported(monkeypatch):
     monkeypatch.setattr(training, "_walk_chunks", walk_killed)
     with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}$"):
         with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert training._helper is None
+    no_child_left()
+
+
+def test_a_helper_killed_between_calls_is_reported_and_replaced(monkeypatch):
+    model = small_model("lstm_c6", 3, 4, seed=3778, bidirectional=True)
+    batch = token_batch(3779, B=6, T=5)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
+    (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, 1)
+    os.kill(training._helper.pid, signal.SIGKILL)
+    with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}$"):
+        with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert training._helper is None
+    (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, 1)
     no_child_left()
 
 
 def test_a_batch_of_one_never_forks(monkeypatch):
     model = small_model("lstm", 3, 4, seed=3768, bidirectional=True)
     batch = token_batch(3769, B=1, T=5)
-    (loss, _), forks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch,
+    (loss, _), walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch,
                                       "bce", fork=refuse_fork)
-    assert forks == 0 and math.isfinite(loss)
+    assert walks == 0 and math.isfinite(loss)
+    assert training._helper is None
+
+
+def test_two_threads_at_once_each_get_the_fallback_bits(monkeypatch):
+    # the helper serves one call at a time; a call that finds it busy walks
+    # its second half here
+    model = small_model("lstm6", 4, 6, seed=3780, act="tanh")
+    batch = token_batch(3781, B=8, T=12)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
+    monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
+    assert gradient_bytes(model_gradients(model, batch, "bce")) == want  # starts it
+    results, barrier = [], threading.Barrier(3)
+
+    def train():
+        for _ in range(4):
+            barrier.wait(timeout=10)
+            results.append(gradient_bytes(model_gradients(model, batch, "bce")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=train) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 12 and all(bits == want for bits in results)
+    no_child_left()
+
+
+def test_a_forked_child_closes_the_helper_it_inherits(monkeypatch):
+    model = small_model("srnn", 3, 4, seed=3782)
+    batch = token_batch(3783, B=6, T=5)
+    (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    helper = training._helper
+    assert walks == 1
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit code only
+        inherited = (training._helper is None and training._helper_lock.acquire(False)
+                     and helper.requests.closed and helper.replies.closed)
+        os._exit(0 if inherited else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce",
+                                fork=refuse_fork)
+    assert walks == 1 and training._helper is helper
+    no_child_left()
 
 
 @pytest.mark.parametrize("shape,forked", [
-    ("desk", set()),
+    ("desk", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("certify", set())])
 def test_the_gate_forks_the_benchmark_models_whose_batches_pay(monkeypatch, shape,
@@ -1783,18 +1912,18 @@ def test_the_gate_forks_the_benchmark_models_whose_batches_pay(monkeypatch, shap
                        "paper": ("sigmoid", 32, 100, 500, 32),
                        "certify": ("sigmoid", 8, 8, 5, 8)}[shape]
     batch = token_batch(3770, B=B, T=T, vocab=50)
-    started = set()
+    split = set()
     for key, variant, bidirectional in [
             ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
             ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
         model = small_model(variant, m, n, seed=3771, act=act, vocab=50,
                             bidirectional=bidirectional)
-        _, forks = with_fork_gate(monkeypatch, training.FORK_MIN_SAMPLE_STEPS,
+        _, walks = with_fork_gate(monkeypatch, training.FORK_MIN_SAMPLE_STEPS,
                                   model_gradients, model, batch, "bce")
-        assert forks in (0, 1), key
-        if forks:
-            started.add(key)
-    assert started == (forked if training._can_fork() else set())
+        assert walks in (0, 1), key
+        if walks:
+            split.add(key)
+    assert split == (forked if training._can_fork() else set())
     no_child_left()
 
 
@@ -1823,6 +1952,7 @@ forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 training.FORK_MIN_SAMPLE_STEPS = 0
 runs = [training.model_gradients(model, batch, "bce")]
+training._stop_helper()
 del os.fork  # the in-process fallback
 runs.append(training.model_gradients(model, batch, "bce"))
 print(len(forks))
@@ -1831,17 +1961,58 @@ for loss, grads in runs:
 """
 
 
+def engine_env(**extra):
+    """This process's environment, the engine's sources first on the path."""
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_a_fork_under_two_blas_threads_keeps_the_fallback_bits():
     # the paper shape's weight-gradient products are large enough for
     # OpenBLAS to split over its two threads
-    src = os.path.dirname(os.path.dirname(training.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", FORK_UNDER_BLAS_THREADS], env=env,
+    out = subprocess.run([sys.executable, "-c", FORK_UNDER_BLAS_THREADS],
+                         env=engine_env(OPENBLAS_NUM_THREADS="2"),
                          capture_output=True, text=True, timeout=120, check=True)
-    forks, forked, fallback = out.stdout.splitlines()
+    forks, helped, fallback = out.stdout.splitlines()
     assert int(forks) == training._can_fork()
-    assert forked == fallback
+    assert helped == fallback
+
+
+TRAIN_ONE_SPLIT_BATCH = """
+from slimrnn import training
+from slimrnn.cells import init_cell, init_output
+from slimrnn.data import SequenceBatch, init_embedding
+from slimrnn.numerics import make_rng
+
+rng = make_rng(3784)
+model = training.SequenceClassifier(cell=init_cell("lstm6", 4, 6, "tanh", 0.59, rng),
+                                    out=init_output(rng, 6, 1),
+                                    emb=init_embedding(rng, 9, 4))
+batch = SequenceBatch(tokens=rng.integers(0, 9, size=(8, 80)),
+                      labels=rng.integers(0, 2, size=8))
+training.model_gradients(model, batch, "bce")
+print(training._helper.pid if training._helper else 0, flush=True)
+"""
+
+
+def test_a_process_that_trains_a_split_batch_leaves_no_process_behind():
+    # 640 sample-steps split at the module's gate; the exit handler ends
+    # and reaps the helper
+    out = subprocess.run([sys.executable, "-c", TRAIN_ONE_SPLIT_BATCH], env=engine_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
+    pid = int(out.stdout)
+    assert (pid != 0) == training._can_fork()
+    if pid:
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
