@@ -107,13 +107,14 @@ CACHE_BUDGET = 27 << 18
 # model_gradients walks the second row half of a batch in the helper process
 # (_helper_walk) from FORK_MIN_SAMPLE_STEPS sample-steps, B x T x directions.
 # A desk-shaped call through the helper took 0.3-0.5 ms more than a serial
-# call of its first half alone. Serial over helper seconds (tools/forkgate.py, six runs, median of 9
-# alternating pairs per cell, one BLAS thread, two vCPUs, the five benchmark
-# models at the desk, certify and paper shapes): 0.45-0.91x at 40
-# sample-steps, 0.47-1.13x at 80, 0.77-1.31x at 160 and 0.80-1.38x at 320,
-# where 8 of 60 cells still ran slower; every cell of 640 ran 1.09-1.64x, and
-# from 1,000 up 1.34-1.99x. 640 splits every desk (1,280-2,560) and paper
-# (2,000-32,000) call and keeps the certify ones (at most 80) serial.
+# call of its first half alone. Serial over helper seconds (tools/forkgate.py,
+# six runs, median of 9 alternating pairs per cell, one BLAS thread, two
+# vCPUs, the five benchmark models at the desk, certify and paper shapes):
+# 0.45-0.91x at 40 sample-steps, 0.47-1.13x at 80, 0.77-1.31x at 160 and
+# 0.80-1.38x at 320, where 8 of 60 cells still ran slower; every cell of 640
+# ran 1.09-1.64x, and from 1,000 up 1.34-1.99x. 640 splits every desk
+# (1,280-2,560) and paper (2,000-32,000) call and keeps the certify ones (at
+# most 80) serial.
 FORK_MIN_SAMPLE_STEPS = 640
 # Bytes at most of an error the helper sends back (_pickled_error).
 _ERROR_BYTES = 1 << 16
