@@ -646,8 +646,9 @@ def _helper_walk(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
 
     An error in the helper's walk is raised here with the helper's
     traceback as its cause, and the helper serves on. An error in
-    walk_first kills the helper; a helper found dead (EOF on its reply
-    pipe, or a refused request) is reaped and its exit code raised as a
+    walk_first, or one raised while waiting for the reply (an interrupt),
+    kills the helper; a helper found dead (EOF on its reply pipe, or a
+    refused request) is reaped and its exit code raised as a
     ChildProcessError. Either way it is dropped, and the next call starts
     a new one."""
     global _helper
@@ -681,13 +682,13 @@ def _helper_walk(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
         else:
             try:
                 walk_first()
+                try:
+                    reply = helper.replies.recv_bytes()
+                except EOFError:  # the helper is gone
+                    reply = None
             except BaseException:
-                _stop_helper(kill=True)  # its half is no longer wanted
+                _stop_helper(kill=True)  # its half, or its reply, is no longer wanted
                 raise
-            try:
-                reply = helper.replies.recv_bytes()
-            except EOFError:
-                reply = None
         if reply is None:
             code = _stop_helper()
             raise ChildProcessError(f"the helper process ended with exit code {code}")

@@ -1745,6 +1745,25 @@ def test_the_helper_follows_the_model_it_is_sent(monkeypatch):
         assert (gradient_bytes(result), walks) == (changed, 1)
 
 
+def test_a_model_that_outgrows_the_mapping_restarts_the_helper(monkeypatch):
+    small = small_model("lstm6", 3, 4, seed=3785, vocab=9)
+    large = small_model("lstm", 8, 30, seed=3786, vocab=400, bidirectional=True)
+    batch = token_batch(3787, B=6, T=5, vocab=9)
+    int32 = SequenceBatch(tokens=batch.tokens.astype(np.int32), labels=batch.labels)
+    want = {id(m): fallback_bytes(monkeypatch, m, batch, "bce") for m in (small, large)}
+    pids = []
+    for model, sample in ((small, batch), (large, int32), (small, int32)):
+        (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, sample,
+                                         "bce")
+        assert (gradient_bytes(result), walks) == (want[id(model)], 1)
+        pids.append(training._helper.pid)
+    # the large model restarts it with a larger mapping; the small one fits
+    assert pids[0] != pids[1] == pids[2]
+    with pytest.raises(ChildProcessError):  # the first helper was reaped
+        os.waitpid(pids[0], os.WNOHANG)
+    no_child_left()
+
+
 class Unpicklable(Exception):
     """An error whose state does not pickle."""
 
@@ -1808,6 +1827,33 @@ def test_an_error_in_this_half_stops_and_reaps_the_forked_one(monkeypatch):
     fail[0] = False  # the next call starts a new helper
     (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
     assert walks == 1
+    no_child_left()
+
+
+def test_an_interrupt_while_waiting_for_the_reply_stops_the_helper(monkeypatch):
+    # a helper left walking would answer the next call with this one's reply
+    model = small_model("lstm6", 3, 4, seed=3788)
+    batch = token_batch(3789, B=6, T=5)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
+    (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    pid = training._helper.pid
+    connection = type(training._helper.replies)
+    real = connection.recv_bytes
+    interrupts = [KeyboardInterrupt()]
+
+    def interrupted(self, *args):  # patched after the fork: this process only
+        if interrupts:
+            raise interrupts.pop()
+        return real(self, *args)
+
+    monkeypatch.setattr(connection, "recv_bytes", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert training._helper is None
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(pid, os.WNOHANG)
+    (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, 1) and training._helper.pid != pid
     no_child_left()
 
 
