@@ -22,12 +22,13 @@ all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more is walked in two row halves, the second on the second core by a
 helper process, forked once and sent each call's parameters and inputs
-through a shared mapping that brings its buffer and losses back;
-an optimizer step runs its rule once over a flat copy of all the
-gradients. Every gradient path here is certified against
-central finite differences in the test suite, so treat the two
-implementations as independent and never "fix" one by copying from the
-other.
+through a shared mapping that brings its buffer and losses back; evaluate
+splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same way, the
+helper forwarding its second half. An optimizer step runs its rule once
+over a flat copy of all the gradients. Every gradient path here is
+certified against central finite differences in the test suite, so treat
+the two implementations as independent and never "fix" one by copying
+from the other.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import threading
 import time
 import traceback
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,15 +75,6 @@ GradientSet = dict
 # slice count it had at 4 MiB of inputs alone: 672-934 rows desk, 40-42 paper.
 EVAL_BUDGET = 21 << 18
 
-# A forward runs on two threads (_two_threads) where a thread's largest expit
-# call per step reaches THREAD_MIN_EXPIT elements: expit, a scalar loop per
-# element run with the GIL released, is the work a second core takes over.
-# A tanh direction split also threads from THREAD_MIN_STATE state elements,
-# rows x n. README's evaluate section gives the timings (tools/threadgate.py);
-# a thread costs about 0.15 ms to start, so gradcheck-sized slices stay serial.
-THREAD_MIN_EXPIT = 1400
-THREAD_MIN_STATE = 8192
-
 # Bytes one model_gradients chunk may hold: its recorded stacks, the work
 # array of the reverse pass, and its gathered inputs and input gradient
 # (_row_bytes). Every sample in a chunk shares one reverse pass, which
@@ -97,25 +88,21 @@ THREAD_MIN_STATE = 8192
 # directions' rows), and from 7.05 MiB srnn takes 7 (8.6 MiB at 8 samples,
 # near the memory guard) and lstm6 4. The budget holds per process: a batch
 # split with the helper process (FORK_MIN_SAMPLE_STEPS) holds one chunk in
-# each. tracemalloc sees the calling process alone; the helper's private
-# memory (Private_* of /proc/<pid>/smaps_rollup, read inside it) peaked
-# within a walk at 10.6-12.6 MB on the paper models, its chunk arrays
-# included, and held 5.0-6.2 MB between calls. Its gradient buffer and the
-# parameter copies lie in the mapping it shares with the caller.
+# each, and tracemalloc sees the calling process alone (README gives the
+# helper's memory).
 CACHE_BUDGET = 27 << 18
 
-# model_gradients walks the second row half of a batch in the helper process
-# (_helper_walk) from FORK_MIN_SAMPLE_STEPS sample-steps, B x T x directions.
-# A desk-shaped call through the helper took 0.3-0.5 ms more than a serial
-# call of its first half alone. Serial over helper seconds (tools/forkgate.py,
-# six runs, median of 9 alternating pairs per cell, one BLAS thread, two
-# vCPUs, the five benchmark models at the desk, certify and paper shapes):
-# 0.45-0.91x at 40 sample-steps, 0.47-1.13x at 80, 0.77-1.31x at 160 and
-# 0.80-1.38x at 320, where 8 of 60 cells still ran slower; every cell of 640
-# ran 1.09-1.64x, and from 1,000 up 1.34-1.99x. 640 splits every desk
-# (1,280-2,560) and paper (2,000-32,000) call and keeps the certify ones (at
-# most 80) serial.
+# The sample-steps (rows x T x directions) from which model_gradients walks
+# the second row half of a batch, and evaluate forwards that of a slice, in
+# the helper process (_helper_walk). Each sits where every larger cell of
+# README's tables (tools/forkgate.py: serial over helper seconds, the five
+# benchmark models at the desk, certify and paper shapes) ran faster: training
+# from 640 (1.09-1.99x over six runs; 8 of 60 cells of 320 ran slower), a
+# forward, which costs less per sample-step, from 8,000 (1.11-1.96x over five
+# runs; 6 of 50 cells of 5,120 ran slower). Both split every desk and paper
+# call and slice and keep the certify ones serial.
 FORK_MIN_SAMPLE_STEPS = 640
+EVAL_FORK_MIN_SAMPLE_STEPS = 8000
 # Bytes at most of an error the helper sends back (_pickled_error).
 _ERROR_BYTES = 1 << 16
 
@@ -212,40 +199,11 @@ class SequenceClassifier:
         one sample being a batch of one: each direction's cell over xs in
         its time order, recording nothing, then the readout of their final
         states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
-        readout read. Where _two_threads says so, the pass runs on two
-        threads: a bidirectional one runs its backward direction beside the
-        forward one, each keeping its bits; a one-direction one runs the
-        rows xs[:, B // 2:] beside xs[:, :B // 2], which keeps the bits of
-        those two halves run one after the other."""
-        jobs = [(cell, xs[::step]) for cell, _, step in self.directions]
-        axis = -1  # [h_fwd ; h_bwd]
-        if not _two_threads(self.cell, xs.shape[1], len(jobs)):
-            hs = [run_cell(*job) for job in jobs]
-        else:
-            if len(jobs) == 1:  # row halves, stacked back in order
-                half = xs.shape[1] // 2
-                jobs, axis = [(self.cell, xs[:, :half]), (self.cell, xs[:, half:])], 0
-            # the pool's one thread is joined before this block exits
-            with ThreadPoolExecutor(1) as pool:
-                second = pool.submit(run_cell, *jobs[1])
-                hs = [run_cell(*jobs[0]), second.result()]
-        h = hs[0] if len(hs) == 1 else np.concatenate(hs, axis)
+        readout read. It runs in the calling thread; evaluate puts row
+        halves of a large slice on two cores (_helper_walk)."""
+        hs = [run_cell(cell, xs[::step]) for cell, _, step in self.directions]
+        h = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-1)
         return output_layer_apply(self.out, h), h
-
-
-def _two_threads(cell: CellParams, rows: int, directions: int) -> bool:
-    """Whether a forward of rows samples through directions copies of cell
-    runs on two threads: by direction when there are two, each thread then
-    stepping every row, else by row halves, the smaller rows // 2. It does
-    where a thread's largest expit call per step reaches THREAD_MIN_EXPIT
-    elements, or, for a tanh direction split, where rows x n reaches
-    THREAD_MIN_STATE. That call takes rows per thread x 3n for lstm's sigmoid
-    gates, x n for srnn and the slim cells with a sigmoid activation, else 0."""
-    n = cell.n
-    per_row = 3 * n if cell.variant == "lstm" else n * (cell.act == "sigmoid")
-    per_thread = rows if directions == 2 else rows // 2
-    return (per_thread * per_row >= THREAD_MIN_EXPIT
-            or directions == 2 and cell.act == "tanh" and rows * n >= THREAD_MIN_STATE)
 
 
 def _stack_bytes(model: SequenceClassifier, T: int) -> int:
@@ -538,23 +496,31 @@ class _Unpickler(pickle.Unpickler):
 
 
 class _Helper:
-    """The process that walks the second row half of split model_gradients
-    calls for its owner, the process that forked it at its first split call.
+    """The process that runs the second row half of split model_gradients
+    and evaluate calls for its owner, the process that forked it at its
+    first split call.
 
     A call goes through an anonymous shared mapping of size bytes, made
     before the fork, and two pipes. The owner copies the model's parameter
-    values and the half's tokens and labels into the mapping and sends one
-    request; the helper walks the half into the mapping's gradient buffer
-    and losses and replies (_serve). sent is the model structure the helper
-    holds: a pickle of the model whose parameter arrays are their places in
-    the mapping (_Pickler), sent again only when it changes."""
+    values and the half's inputs into the mapping and sends one request
+    naming a job; the helper runs the job on the model and the mapping's
+    arrays, writing its outputs there, and replies (_serve). sent is the
+    model structure the helper holds: a pickle of the model whose parameter
+    arrays are their places in the mapping (_Pickler), sent again only when
+    it changes. Where the fork fails, the mapping and pipes are closed and
+    its OSError raised."""
 
     def __init__(self, size: int):
         self.owner, self.size, self.sent = os.getpid(), size, None
         self.mapping = mmap.mmap(-1, size)
         requests, self.requests = multiprocessing.Pipe(duplex=False)
         self.replies, replies = multiprocessing.Pipe(duplex=False)
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for end in (requests, self.requests, self.replies, replies, self.mapping):
+                end.close()
+            raise
         if self.pid == 0:
             self.requests.close()  # else the helper never sees EOF
             self.replies.close()
@@ -564,8 +530,8 @@ class _Helper:
 
 
 def _serve(mapping: mmap.mmap, requests, replies):
-    """The helper's loop: read a request, walk its half, reply, until the
-    request pipe reaches EOF. A walk's error goes back pickled
+    """The helper's loop: read a request, run its job, reply, until the
+    request pipe reaches EOF. A job's error goes back pickled
     (_pickled_error). The helper ignores SIGINT, an interrupt being its
     owner's to handle, stops an allocation trace its owner had running,
     and leaves through os._exit, running no exit handler of its owner's."""
@@ -581,14 +547,10 @@ def _serve(mapping: mmap.mmap, requests, replies):
                 code = 0
                 break
             try:
-                structure, loss_kind, places = pickle.loads(request)
+                structure, job, args, places = pickle.loads(request)
                 if structure is not None:
                     model = _Unpickler(io.BytesIO(structure), mapping).load()
-                tokens, labels, buf, losses = (_view(mapping, p) for p in places)
-                shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
-                buf[...] = 0.0
-                _walk_chunks(model, tokens, labels, loss_kind, _layouts(model),
-                             _flat_views(buf, shapes), losses)
+                job(model, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
                 reply = _pickled_error(exc)
@@ -633,74 +595,87 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _helper_walk(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarray,
-                 loss_kind: str, walk_first, flat: np.ndarray,
-                 losses: np.ndarray) -> bool:
-    """Walk the samples (tokens, labels) in this process's helper while
-    walk_first() runs here, adding their gradient sums into flat and
-    writing their losses into losses. Returns False, having run nothing,
-    where the half must run here: another thread is using the helper, or
-    none runs and _can_fork() says no new one may start. A helper starts
-    at the first call, and again where the mapping is too small for a
-    call's model and batch, with twice its size or what the call needs.
+def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
+                 outputs: list, first) -> bool:
+    """Run job(model, *args, *inputs, *outputs), a module-level function
+    writing into the outputs arrays, in this process's helper while first()
+    runs here, on copies in the mapping, then copy its outputs back and
+    return True. Where no helper can be used, run job here after first()
+    and return False: another thread is using the helper, or none runs and
+    _can_fork() refuses one or os.fork fails (EAGAIN under a process limit,
+    say). A helper starts at the first call, and again where a call does not
+    fit the mapping, with twice the larger of its size and the call's need,
+    so that an evaluate call's helper has room for a gradient buffer too.
 
-    An error in the helper's walk is raised here with the helper's
-    traceback as its cause, and the helper serves on. An error in
-    walk_first, or one raised while waiting for the reply (an interrupt),
-    kills the helper; a helper found dead (EOF on its reply pipe, or a
-    refused request) is reaped and its exit code raised as a
-    ChildProcessError. Either way it is dropped, and the next call starts
-    a new one."""
-    global _helper
-    if not _helper_lock.acquire(blocking=False):
-        return False
-    try:
-        helper = _helper if _helper is not None and _helper.owner == os.getpid() else None
-        if helper is None and not _can_fork():
-            return False
-        params = model.param_arrays(include_frozen=True)
-        arrays = [*params.values(), tokens, labels]
-        places, need = _places([(a.shape, a.dtype) for a in arrays]
-                               + [(flat.shape, flat.dtype), (losses.shape, losses.dtype)])
-        if helper is None or helper.size < need:
-            if helper is not None and not _can_fork():
-                return False
-            _stop_helper()
-            _helper = helper = _Helper(max(need, 2 * helper.size if helper else 0))
-        for a, place in zip(arrays, places):
-            _view(helper.mapping, place)[...] = a
-        structure = io.BytesIO()
-        _Pickler(structure, {id(a): p for a, p in zip(params.values(), places)}).dump(model)
-        structure = structure.getvalue()
-        request = pickle.dumps((None if structure == helper.sent else structure, loss_kind,
-                                places[len(params):]))
-        helper.sent = structure
+    An error in the helper's job is raised here with the helper's
+    traceback as its cause, and the helper serves on. An error in first(),
+    or one raised while waiting for the reply (an interrupt), kills the
+    helper; a helper found dead (EOF on its reply pipe, or a refused
+    request) is reaped and its exit code raised as a ChildProcessError.
+    Either way it is dropped, and the next call starts a new one."""
+    if _helper_lock.acquire(blocking=False):
         try:
-            helper.requests.send_bytes(request)
-        except BrokenPipeError:  # the helper is gone
-            reply = None
-        else:
+            if _in_helper(model, job, args, inputs, outputs, first):
+                return True
+        finally:
+            _helper_lock.release()
+    first()
+    job(model, *args, *inputs, *outputs)
+    return False
+
+
+def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
+               outputs: list, first) -> bool:
+    """_helper_walk's round trip, under _helper_lock: False, having run
+    nothing, where no helper may be used."""
+    global _helper
+    helper = _helper if _helper is not None and _helper.owner == os.getpid() else None
+    if helper is None and not _can_fork():
+        return False
+    params = model.param_arrays(include_frozen=True)
+    arrays = [*params.values(), *inputs, *outputs]
+    places, need = _places([(a.shape, a.dtype) for a in arrays])
+    if helper is None or helper.size < need:
+        if helper is not None and not _can_fork():
+            return False
+        _stop_helper()
+        try:
+            _helper = helper = _Helper(2 * max(need, helper.size if helper else 0))
+        except OSError:
+            return False
+    copied = len(params) + len(inputs)
+    for a, place in zip(arrays[:copied], places):
+        _view(helper.mapping, place)[...] = a
+    structure = io.BytesIO()
+    _Pickler(structure, {id(a): p for a, p in zip(params.values(), places)}).dump(model)
+    structure = structure.getvalue()
+    request = pickle.dumps((None if structure == helper.sent else structure, job, args,
+                            places[len(params):]))
+    helper.sent = structure
+    try:
+        helper.requests.send_bytes(request)
+    except BrokenPipeError:  # the helper is gone
+        reply = None
+    else:
+        try:
+            first()
             try:
-                walk_first()
-                try:
-                    reply = helper.replies.recv_bytes()
-                except EOFError:  # the helper is gone
-                    reply = None
-            except BaseException:
-                _stop_helper(kill=True)  # its half, or its reply, is no longer wanted
-                raise
-        if reply is None:
-            code = _stop_helper()
-            raise ChildProcessError(f"the helper process ended with exit code {code}")
-        if reply:
-            helper.sent = None  # the structure may not have loaded
-            exc, trace = pickle.loads(reply)
-            raise exc from ChildProcessError(f"in the helper process:\n{trace}")
-        flat += _view(helper.mapping, places[-2])
-        losses[...] = _view(helper.mapping, places[-1])
-        return True
-    finally:
-        _helper_lock.release()
+                reply = helper.replies.recv_bytes()
+            except EOFError:  # the helper is gone
+                reply = None
+        except BaseException:
+            _stop_helper(kill=True)  # its half, or its reply, is no longer wanted
+            raise
+    if reply is None:
+        code = _stop_helper()
+        raise ChildProcessError(f"the helper process ended with exit code {code}")
+    if reply:
+        helper.sent = None  # the structure may not have loaded
+        exc, trace = pickle.loads(reply)
+        raise exc from ChildProcessError(f"in the helper process:\n{trace}")
+    for out, place in zip(outputs, places[copied:]):
+        out[...] = _view(helper.mapping, place)
+    return True
 
 
 def _pickled_error(exc: BaseException) -> bytes:
@@ -717,6 +692,23 @@ def _pickled_error(exc: BaseException) -> bytes:
     return blob
 
 
+def _gradient_job(model: SequenceClassifier, loss_kind: str, tokens: np.ndarray,
+                  labels: np.ndarray, buf: np.ndarray, losses: np.ndarray):
+    """model_gradients' second half: the gradient sums of the samples
+    (tokens, labels) into the flat buf, zeroed first and laid out as
+    model.param_arrays(), and their losses into losses."""
+    buf[...] = 0.0
+    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
+    _walk_chunks(model, tokens, labels, loss_kind, _layouts(model),
+                 _flat_views(buf, shapes), losses)
+
+
+def _forward_job(model: SequenceClassifier, tokens: np.ndarray, y_raw: np.ndarray):
+    """evaluate's rows: the raw outputs of the (b, T) samples tokens into
+    y_raw, (b, k)."""
+    y_raw[...] = model.forward(embed_lookup(model.emb, tokens.T))[0]
+
+
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     """Mean loss and exact gradients for every trainable tensor, keyed like
     model.param_arrays(): in its order, each value a view shaped like its
@@ -726,17 +718,15 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
     sample-steps (B T D for D directions) is split into the rows [0, B//2)
     and [B//2, B), each walked by _walk_chunks into its own gradient
-    buffer and per-sample losses. The second half runs in this process's
-    helper, forked at the first split call and serving every later one
-    while the first half runs here, so the two halves use two cores
-    (_helper_walk). It runs here after the first half instead where the
-    helper is busy with another thread's call, or where none runs and
-    _can_fork() allows none to start. Its buffer is then added into the
-    first's and its losses follow the first's. The losses add in sample
-    order, so they keep the bits of an unsplit call; a split call's
-    gradients move from an unsplit one's in the last bits, as when the rows
-    per chunk change, and are the same wherever the second half ran. A
-    smaller batch is walked whole, here.
+    buffer and per-sample losses. The second half (_gradient_job) runs in
+    this process's helper while the first runs here, so the two use two
+    cores, or here after the first where no helper can be used
+    (_helper_walk). Its buffer is then added into the first's and its
+    losses follow the first's. The losses add in sample order, so they keep
+    the bits of an unsplit call; a split call's gradients move from an
+    unsplit one's in the last bits, as when the rows per chunk change, and
+    are the same wherever the second half ran. A smaller batch is walked
+    whole, here.
 
     The helper walks with the module's functions and constants as they
     were when it forked. An exit handler ends and reaps it; a process that
@@ -756,19 +746,12 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     if B < 2 or B * batch.T * len(layouts) < FORK_MIN_SAMPLE_STEPS:
         _walk_chunks(model, tokens, labels, loss_kind, layouts, grads, losses)
     else:
-        half = B // 2
-
-        def walk_first():
-            _walk_chunks(model, tokens[:half], labels[:half], loss_kind, layouts, grads,
-                         losses[:half])
-
-        if not _helper_walk(model, tokens[half:], labels[half:], loss_kind, walk_first,
-                            flat, losses[half:]):
-            walk_first()
-            second = np.zeros(size)
-            _walk_chunks(model, tokens[half:], labels[half:], loss_kind, layouts,
-                         _flat_views(second, shapes), losses[half:])
-            flat += second
+        half, second = B // 2, np.empty(size)
+        _helper_walk(model, _gradient_job, (loss_kind,), [tokens[half:], labels[half:]],
+                     [second, losses[half:]],
+                     lambda: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
+                                          layouts, grads, losses[:half]))
+        flat += second
     total = 0.0
     for loss in losses:  # in sample order
         total += float(loss)
@@ -1034,6 +1017,13 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     one gate or candidate buffer: _stack_bytes(model, 1)) and, per
     direction, one step's input terms, gate_width wide.
 
+    A slice of b >= 2 samples and at least EVAL_FORK_MIN_SAMPLE_STEPS
+    sample-steps (b T D) is forwarded in the row halves [0, b//2) and
+    [b//2, b), the second in the helper as model_gradients' is
+    (_forward_job). The loss and the predictions read the whole slice's
+    raw outputs, which keep an unsplit slice's bits at the benchmark
+    shapes; elsewhere a cut may move them in the last bits.
+
     Binary predictions are class 1 where the raw score is >= 0, which is
     sigmoid >= 0.5 without expit rounding scores just below 0 up to 0.5;
     multi-class predictions take the arg-max score.
@@ -1047,8 +1037,14 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     size = max(1, EVAL_BUDGET // row)
     for start in range(0, len(batch), size):
         rows = slice(start, start + size)
-        labels = batch.labels[rows]
-        y_raw, _ = model.forward(embed_lookup(model.emb, batch.tokens[rows].T))
+        tokens, labels = batch.tokens[rows], batch.labels[rows]
+        b = len(tokens)
+        if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
+            y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
+            _helper_walk(model, _forward_job, (), [tokens[half:]], [y_raw[half:]],
+                         lambda: _forward_job(model, tokens[:half], y_raw[:half]))
+        else:
+            y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))
         losses, _ = loss_eval(loss_kind, y_raw, labels)
         total += float(losses.sum())
         if loss_kind == "bce":

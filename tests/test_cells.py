@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from slimrnn import cells, training
+from slimrnn import cells
 from slimrnn.cells import (
     ADAPTIVE_FIELDS,
     VARIANTS,
@@ -721,24 +721,16 @@ def test_run_steps_makes_one_step_call_per_step(monkeypatch, variant, T):
        m=st.integers(1, 5), n=st.integers(1, 6), T=st.integers(1, 6),
        B=st.integers(1, 5), seed=st.integers(0, 2**16))
 def test_bidirectional_output_is_ordered_concatenation(variant, act, m, n, T, B, seed):
-    # [h_fwd ; h_bwd] has the bits of each direction's own run, serial at
-    # the thread gates' defaults and on two threads with both gates at 1
+    # [h_fwd ; h_bwd] has the bits of each direction's own run
     p_fwd = random_cell(variant, m, n, seed=seed, act=act)
     p_bwd = random_cell(variant, m, n, seed=seed + 1, act=act)
     xs = make_rng(seed).uniform(-1, 1, size=(T, B, m))
     model = bidirectional_model(p_fwd, p_bwd)
-    h_f = run_cell(p_fwd, xs)
-    h_b = run_cell(p_bwd, xs[::-1])
-    for gate in (None, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if gate is not None:
-                mp.setattr(training, "THREAD_MIN_EXPIT", gate)
-                mp.setattr(training, "THREAD_MIN_STATE", gate)
-            y_raw, y = model.forward(xs)
-        assert y.shape == (B, 2 * n)
-        assert y[:, :n].tobytes() == h_f.tobytes()
-        assert y[:, n:].tobytes() == h_b.tobytes()
-        npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
+    y_raw, y = model.forward(xs)
+    assert y.shape == (B, 2 * n)
+    assert y[:, :n].tobytes() == run_cell(p_fwd, xs).tobytes()
+    assert y[:, n:].tobytes() == run_cell(p_bwd, xs[::-1]).tobytes()
+    npt.assert_array_equal(y_raw, output_layer_apply(model.out, y))
 
 
 def test_bidirectional_palindrome_halves_agree():

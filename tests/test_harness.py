@@ -648,30 +648,33 @@ def test_sweep_cells_use_per_cell_seeds(tmp_path):
 
 def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
     grid = dict(hiddens=[4], etas=[2e-3], forgets=[0.59])
-    # tanh bidirectional cells whose every evaluate slice runs its directions
-    # on two threads, and one-direction lstm cells (3n sigmoid gate elements
-    # per row) whose every slice runs its row halves on two, in the forked
-    # workers as in this process
-    monkeypatch.setattr(training, "THREAD_MIN_STATE", 1)
-    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)
-    pools, evals = [], []  # counted in this process, in the --workers 1 sweep
-    pool = training.ThreadPoolExecutor
-    monkeypatch.setattr(training, "ThreadPoolExecutor",
-                        lambda *a: pools.append(a) or pool(*a))
+    # every evaluate slice splits in row halves: the --workers 1 sweep
+    # forwards each second half in this process's helper, and the pool
+    # workers, which start no helper, forward it themselves
+    monkeypatch.setattr(training, "EVAL_FORK_MIN_SAMPLE_STEPS", 0)
+    walks, evals = [], []  # counted in this process, in the --workers 1 sweep
+    real = training._helper_walk
+
+    def spy(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(training, "_helper_walk", spy)
     monkeypatch.setattr(training, "evaluate", lambda *a: evals.append(a) or evaluate(*a))
     for case, variants, bidirectional in (("uni", ["lstm6", "lstm_c6"], False),
                                           ("bi", ["lstm6", "lstm_c6"], True),
                                           ("halves", ["lstm"], False)):
         runs = []
         for workers in (1, 2):
-            pools.clear()
+            walks.clear()
             evals.clear()
             runs.append(cmd_sweep(SweepSpec(base=tiny_config(
                 tmp_path, out=str(tmp_path / f"{case}{workers}"),
                 bidirectional=bidirectional), workers=workers, variants=variants,
                 **grid)))
-            if workers == 1:  # each split is one slice; tanh slim cells take no expit
-                assert evals and len(pools) == (0 if case == "uni" else len(evals))
+            if workers == 1:  # each split is one slice
+                assert evals and len(walks) == len(evals)
+                assert all(walks) == training._can_fork()
         assert runs[0]["rows"] == runs[1]["rows"]
 
 

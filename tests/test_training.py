@@ -2,6 +2,7 @@
 against the extended-precision finite-difference oracle, optimizer update
 rules against scalar transcriptions, and epoch-level determinism."""
 
+import errno
 import math
 import os
 import signal
@@ -10,7 +11,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import numpy.testing as npt
@@ -1432,117 +1432,115 @@ def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirecti
     assert seen == [rows, 1]
 
 
-def with_gate(monkeypatch, gate, fn, *args, pool=None):
-    """fn(*args) under THREAD_MIN_EXPIT = THREAD_MIN_STATE = gate (1 threads
-    every forward with expit work and every tanh direction split, math.inf
-    none, None keeps the module's gates), and the number of thread pools it
-    started: ThreadPoolExecutors, or the pool class given."""
-    pools = []
-    real = pool or training.ThreadPoolExecutor
+def with_gate(monkeypatch, gate, fn, *args, fork=None):
+    """fn(*args) under EVAL_FORK_MIN_SAMPLE_STEPS = gate (0 splits every
+    evaluate slice of two rows or more, math.inf none, None keeps the
+    module's gate), and the number of slices whose second half the helper
+    forwarded (fork, when given, stands in for os.fork)."""
+    return with_fork_gate(monkeypatch, gate, fn, *args, fork=fork,
+                          name="EVAL_FORK_MIN_SAMPLE_STEPS")
 
-    def spy(*a, **kw):
-        pools.append(a)
-        return real(*a, **kw)
 
+def evaluate_fallback(monkeypatch, model, batch, loss_kind):
+    """evaluate with every slice split and both halves forwarded in this
+    process."""
+    training._stop_helper()
     with monkeypatch.context() as mp:
-        if gate is not None:
-            mp.setattr(training, "THREAD_MIN_EXPIT", gate)
-            mp.setattr(training, "THREAD_MIN_STATE", gate)
-        mp.setattr(training, "ThreadPoolExecutor", spy)
-        return fn(*args), len(pools)
+        mp.setattr(training, "_can_fork", lambda: False)
+        result, walks = with_gate(mp, 0, evaluate, model, batch, loss_kind)
+    assert walks == 0
+    return result
 
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
+    # a bidirectional model's row halves, each running both directions, give
+    # the bits of the in-process fallback; the forward concatenates each
+    # direction's own run
     k = 1 if loss_kind == "bce" else 3
     model = small_model(variant, 3, 4, seed=3670, act="tanh", out_dim=k,
                         bidirectional=True)
     batch = token_batch(3671, B=2 * 16 + 5, T=6, n_classes=max(k, 2))
     monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 4, 16, variant, 2))
-    serial, none = with_gate(monkeypatch, math.inf, evaluate, model, batch, loss_kind)
-    threaded, pools = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind)
-    assert (none, pools) == (0, 3)  # 16 + 16 + 5 rows
-    assert [x.hex() for x in threaded] == [x.hex() for x in serial]
+    serial = evaluate_fallback(monkeypatch, model, batch, loss_kind)
+    helped, walks = with_gate(monkeypatch, 0, evaluate, model, batch, loss_kind)
+    assert walks == 3  # 16 + 16 + 5 rows
+    assert [x.hex() for x in helped] == [x.hex() for x in serial]
     xs = model.emb.E[batch.tokens.T]
-    (y_s, h_s), _ = with_gate(monkeypatch, math.inf, model.forward, xs)
-    (y_t, h_t), _ = with_gate(monkeypatch, 1, model.forward, xs)
-    assert y_t.tobytes() == y_s.tobytes() and h_t.tobytes() == h_s.tobytes()
+    y, h = model.forward(xs)
+    want = np.concatenate([run_cell(model.cell, xs), run_cell(model.cell_bwd, xs[::-1])],
+                          axis=-1)
+    assert h.tobytes() == want.tobytes()
+    assert y.tobytes() == output_layer_apply(model.out, want).tobytes()
 
 
 @pytest.mark.parametrize("bidirectional,rows,pools", [
-    (False, 15, 0),  # one direction: halves of 7 x 4 expit elements, below the gate
-    (True, 7, 0),    # 7 x 4 expit elements per direction, below the gate
-    (True, 8, 1)])   # 8 x 4, at the gate
+    (False, 15, 0),  # one direction: 15 x 5 = 75 sample-steps, below the gate
+    (True, 7, 0),    # 7 x 5 x 2 = 70, below the gate
+    (True, 8, 1)])   # 8 x 5 x 2 = 80, at the gate
 def test_only_a_bidirectional_slice_at_the_gate_starts_a_thread(monkeypatch,
                                                                  bidirectional, rows, pools):
-    # sigmoid lstm6 at n = 4: each expit call of a step takes n = 4 elements per row
+    # the evaluate gate counts sample-steps over both directions: at 80,
+    # only the bidirectional slice of 8 rows sends a half to the helper
     model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
     batch = token_batch(3673, B=rows, T=5)
-    assert with_gate(monkeypatch, 8 * 4, evaluate, model, batch, "bce")[1] == pools
+    assert with_gate(monkeypatch, 80, evaluate, model, batch, "bce")[1] == pools
 
 
 def test_paper_srnn_threads_with_the_bits_of_the_whole_slice(monkeypatch):
-    # the paper test split's one slice: halves of 16 rows x 100 expit elements
+    # the paper test split's one slice: halves of 16 rows at n = 100 give
+    # the whole slice's bits
     model = small_model("srnn", 32, 100, seed=3686, vocab=50)
-    xs = model.emb.E[token_batch(3687, B=32, T=6, vocab=50).tokens.T]
-    (y_s, h_s), none = with_gate(monkeypatch, math.inf, model.forward, xs)
-    (y_t, h_t), pools = with_gate(monkeypatch, None, model.forward, xs)
-    assert (none, pools) == (0, 1)
-    assert y_t.tobytes() == y_s.tobytes() and h_t.tobytes() == h_s.tobytes()
+    batch = token_batch(3687, B=32, T=6, vocab=50)
+    whole, none = with_gate(monkeypatch, math.inf, evaluate, model, batch, "bce")
+    helped, walks = with_gate(monkeypatch, 0, evaluate, model, batch, "bce")
+    assert (none, walks) == (0, 1)
+    assert [x.hex() for x in helped] == [x.hex() for x in whole]
+    xs = model.emb.E[batch.tokens.T]
+    halves = np.concatenate([run_cell(model.cell, xs[:, :16]),
+                             run_cell(model.cell, xs[:, 16:])])
+    assert halves.tobytes() == run_cell(model.cell, xs).tobytes()
 
 
 @pytest.mark.parametrize("variant,bidirectional,rows,pools", [
-    ("srnn", False, 2 * math.ceil(training.THREAD_MIN_EXPIT / 100), 1),  # halves at the gate
-    ("srnn", False, 2 * math.ceil(training.THREAD_MIN_EXPIT / 100) - 2, 0),
-    ("lstm6", True, 8, 0),    # 800 expit elements per call: 0.81-0.87x threaded
-    ("lstm6", True, 16, 1)])  # 1,600: 1.34-1.35x
+    ("srnn", False, 28, 1),
+    ("srnn", False, 26, 0),
+    ("lstm6", True, 8, 0),
+    ("lstm6", True, 16, 1)])
 def test_the_gate_reads_one_expit_call_at_n_100(monkeypatch, variant, bidirectional,
                                                 rows, pools):
+    # the module's gate at n = 100 and T = ceil(gate / 28): a slice of 28
+    # rows splits and one of 26 does not, and a bidirectional slice counts
+    # both directions, so 16 rows split and 8 do not
+    T = math.ceil(training.EVAL_FORK_MIN_SAMPLE_STEPS / 28)
     model = small_model(variant, 4, 100, seed=3688, bidirectional=bidirectional)
-    xs = model.emb.E[token_batch(3689, B=rows, T=2).tokens.T]
-    assert with_gate(monkeypatch, None, model.forward, xs)[1] == pools
+    batch = token_batch(3689, B=rows, T=T)
+    assert with_gate(monkeypatch, None, evaluate, model, batch, "bce")[1] == pools
 
 
 @pytest.mark.parametrize("failing", ["fwd.", "bwd."])
 def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch, failing):
+    # both directions of a row half run in one process: an error in either
+    # surfaces from this process's half, and the helper is killed and reaped
     model = small_model("lstm6", 3, 4, seed=3674, bidirectional=True)
     bad = model.cell if failing == "fwd." else model.cell_bwd
     ran_on = []
 
     def run_cell_failing(cell, xs):
-        if cell is bad:
-            ran_on.append(threading.current_thread())
+        if cell is bad:  # never the helper's unpickled copy
+            ran_on.append(os.getpid())
             raise FloatingPointError(f"{failing} went wrong")
         return run_cell(cell, xs)
 
-    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)  # sigmoid: every slice threads
     monkeypatch.setattr(training, "run_cell", run_cell_failing)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"^{failing} went wrong$"):
-        evaluate(model, token_batch(3675, B=9, T=5), "bce")
+        with_gate(monkeypatch, 0, evaluate, model, token_batch(3675, B=9, T=5), "bce")
     assert threading.active_count() == before
-    # the backward direction is the one that runs on the worker thread
-    assert (ran_on[0] is threading.main_thread()) == (failing == "fwd.")
-
-
-class SerialPool:
-    """A ThreadPoolExecutor stand-in that runs each job as it is submitted,
-    on the calling thread."""
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
+    assert ran_on == [os.getpid()] and training._helper is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
@@ -1550,79 +1548,132 @@ class SerialPool:
 def test_threaded_row_halves_keep_the_bits_of_serial_halves(monkeypatch, variant,
                                                             loss_kind):
     k = 1 if loss_kind == "bce" else 3
-    # sigmoid: every variant takes expit work, so gate 1 splits every slice
     model = small_model(variant, 3, 4, seed=3676, out_dim=k)
     batch = token_batch(3677, B=2 * 17 + 3, T=6, n_classes=max(k, 2))
     monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 4, 17, variant))
-    threaded, pools = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind)
-    serial, calls = with_gate(monkeypatch, 1, evaluate, model, batch, loss_kind,
-                              pool=SerialPool)
-    assert (pools, calls) == (3, 3)  # 17 + 17 + 3 rows, each slice in halves
-    assert [x.hex() for x in threaded] == [x.hex() for x in serial]
+    serial = evaluate_fallback(monkeypatch, model, batch, loss_kind)
+    seen = []
+
+    def spy(kind, y_raw, labels):
+        seen.append(y_raw.copy())
+        return loss_eval(kind, y_raw, labels)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "loss_eval", spy)
+        helped, walks = with_gate(mp, 0, evaluate, model, batch, loss_kind)
+    assert walks == 3  # 17 + 17 + 3 rows, each slice in halves
+    assert [x.hex() for x in helped] == [x.hex() for x in serial]
     (whole, acc), none = with_gate(monkeypatch, math.inf, evaluate, model, batch, loss_kind)
-    assert none == 0 and (threaded[0], threaded[1]) == (pytest.approx(whole, rel=1e-13), acc)
-    xs = model.emb.E[batch.tokens.T]  # 37 rows: halves of 18 and 19
-    (y, h), pools = with_gate(monkeypatch, 1, model.forward, xs)
-    halves = np.concatenate([run_cell(model.cell, xs[:, :18]),
-                             run_cell(model.cell, xs[:, 18:])])
-    assert pools == 1 and h.tobytes() == halves.tobytes()
-    assert y.tobytes() == output_layer_apply(model.out, halves).tobytes()
+    assert none == 0 and (helped[0], helped[1]) == (pytest.approx(whole, rel=1e-13), acc)
+    xs = model.emb.E[batch.tokens.T]  # the first slice's 17 rows: halves of 8 and 9
+    halves = np.concatenate([model.forward(xs[:, :8])[0], model.forward(xs[:, 8:17])[0]])
+    assert seen[0].tobytes() == halves.tobytes()
 
 
 @pytest.mark.parametrize("failing", ["first", "second"])
 def test_an_error_in_either_half_surfaces_and_leaves_no_thread(monkeypatch, failing):
     model = small_model("lstm", 3, 4, seed=3678)
     rows = {"first": 4, "second": 5}[failing]  # the halves of 9 rows
-    ran_on = []
 
     def run_cell_failing(cell, xs):
         if xs.shape[1] == rows:
-            ran_on.append(threading.current_thread())
             raise FloatingPointError(f"the {failing} half went wrong")
         return run_cell(cell, xs)
 
-    monkeypatch.setattr(training, "THREAD_MIN_EXPIT", 1)
     monkeypatch.setattr(training, "run_cell", run_cell_failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"^the {failing} half went wrong$"):
-        model.forward(model.emb.E[token_batch(3679, B=9, T=5).tokens.T])
+    batch = token_batch(3679, B=9, T=5)
+    with pytest.raises(FloatingPointError, match=f"^the {failing} half went wrong$") as caught:
+        with_gate(monkeypatch, 0, evaluate, model, batch, "bce")
     assert threading.active_count() == before
-    # the second half is the one that runs on the worker thread
-    assert (ran_on[0] is threading.main_thread()) == (failing == "first")
+    if failing == "first":  # this process's half: the helper is killed and reaped
+        assert training._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    else:  # the helper's half: raised here with its traceback, and it serves on
+        assert isinstance(caught.value.__cause__, ChildProcessError)
+        assert "run_cell_failing" in str(caught.value.__cause__)
+        assert training._helper is not None
+        no_child_left()
 
 
 @pytest.mark.parametrize("shape,threaded", [
-    ("desk", {"lstm", "lstm6_bidir"}),
+    ("desk", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("certify", set())])
 def test_the_gate_threads_the_benchmark_models_whose_expit_work_pays(monkeypatch, shape,
                                                                      threaded):
-    # each workload's activation, m, n and T, and its test split's rows
+    # each workload's activation, m, n and T, and its test split's rows, one
+    # slice: the module's gate splits every desk and paper slice (20,000 and
+    # 16,000 sample-steps, twice that bidirectional) and no certify one (100)
     act, m, n, T, rows = {"desk": ("tanh", 16, 32, 40, 500),
                           "paper": ("sigmoid", 32, 100, 500, 32),
                           "certify": ("sigmoid", 8, 8, 5, 20)}[shape]
     batch = token_batch(3680, B=rows, T=T, vocab=50)
-    started = set()
+    split = set()
     for key, variant, bidirectional in [
             ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
             ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
         model = small_model(variant, m, n, seed=3681, act=act, vocab=50,
                             bidirectional=bidirectional)
-        _, pools = with_gate(monkeypatch, None, evaluate, model, batch, "bce")
-        assert pools in (0, 1), key  # the split is one slice
-        if pools:
-            started.add(key)
-    assert started == threaded
+        _, walks = with_gate(monkeypatch, None, evaluate, model, batch, "bce")
+        assert walks in (0, 1), key  # the split is one slice
+        if walks:
+            split.add(key)
+    assert split == (threaded if training._can_fork() else set())
+    no_child_left()
 
 
-@pytest.mark.parametrize("act,pools", [("relu", 0), ("tanh", 1)])
-def test_a_direction_split_without_expit_work_threads_only_with_tanh(monkeypatch, act,
-                                                                     pools):
-    # 256 x 32 = 8,192 state elements: bidirectional lstm6 evaluate at T = 40
-    # ran 0.63x serial with relu when its directions were threaded
+@pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+def test_the_eval_gate_reads_sample_steps_whatever_the_activation(monkeypatch, act):
+    # bidirectional lstm6 at the desk shape: the slice at the module's gate
+    # splits and one row fewer does not, whatever the activation
+    T = 40
+    rows = math.ceil(training.EVAL_FORK_MIN_SAMPLE_STEPS / (2 * T))
     model = small_model("lstm6", 16, 32, seed=3682, act=act, vocab=50, bidirectional=True)
-    xs = model.emb.E[token_batch(3683, B=256, T=4, vocab=50).tokens.T]
-    assert with_gate(monkeypatch, None, model.forward, xs)[1] == pools
+    for B, walks in ((rows, 1), (rows - 1, 0)):
+        batch = token_batch(3683, B=B, T=T, vocab=50)
+        assert with_gate(monkeypatch, None, evaluate, model, batch, "bce")[1] == walks
+
+
+def test_one_helper_serves_evaluate_then_model_gradients(monkeypatch):
+    # the helper an evaluate call starts serves the next model_gradients
+    # call with no second fork, and each gives the fallback's bits
+    model = small_model("lstm6", 3, 4, seed=3790, bidirectional=True)
+    batch = token_batch(3791, B=12, T=5)
+    want_eval = evaluate_fallback(monkeypatch, model, batch, "bce")
+    want_grads = fallback_bytes(monkeypatch, model, batch, "bce")
+    helped, walks = with_gate(monkeypatch, 0, evaluate, model, batch, "bce")
+    assert walks == 1 and [x.hex() for x in helped] == [x.hex() for x in want_eval]
+    pid = training._helper.pid
+    result, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce",
+                                   fork=refuse_fork)
+    assert (gradient_bytes(result), walks) == (want_grads, 1)
+    assert training._helper.pid == pid
+    no_child_left()
+
+
+def test_a_bad_token_in_the_helpers_half_raises_the_serial_error(monkeypatch):
+    model = small_model("srnn", 3, 4, seed=3792)
+    batch = token_batch(3793, B=8, T=5)
+    tokens = batch.tokens.copy()
+    tokens[5, 2], tokens[6, 0] = 99, 0  # both extremes in the second half, rows [4, 8)
+    bad = SequenceBatch(tokens=tokens, labels=batch.labels)
+    want = evaluate_fallback(monkeypatch, model, batch, "bce")
+    with pytest.raises(ValueError) as serial:
+        with_gate(monkeypatch, math.inf, evaluate, model, bad, "bce")
+    with pytest.raises(ValueError) as helped:
+        with_gate(monkeypatch, 0, evaluate, model, bad, "bce")
+    assert str(helped.value) == str(serial.value) == (
+        "token index out of range [0, 7): min=0 max=99")
+    assert isinstance(helped.value.__cause__, ChildProcessError)
+    # the helper serves on
+    helper = training._helper
+    result, walks = with_gate(monkeypatch, 0, evaluate, model, batch, "bce",
+                              fork=refuse_fork)
+    assert walks == 1 and [x.hex() for x in result] == [x.hex() for x in want]
+    assert training._helper is helper
+    no_child_left()
 
 
 # --------------------------------------------------------------------------
@@ -1630,10 +1681,10 @@ def test_a_direction_split_without_expit_work_threads_only_with_tanh(monkeypatch
 # batch.
 # --------------------------------------------------------------------------
 
-def with_fork_gate(monkeypatch, gate, fn, *args, fork=None):
-    """fn(*args) under FORK_MIN_SAMPLE_STEPS = gate, and the number of
-    model_gradients calls whose second half the helper walked (fork, when
-    given, stands in for os.fork)."""
+def with_fork_gate(monkeypatch, gate, fn, *args, fork=None, name="FORK_MIN_SAMPLE_STEPS"):
+    """fn(*args) under the gate called name = gate (None keeps the
+    module's), and the number of calls whose second half the helper ran
+    (fork, when given, stands in for os.fork)."""
     walks = []
     real = training._helper_walk
 
@@ -1643,7 +1694,8 @@ def with_fork_gate(monkeypatch, gate, fn, *args, fork=None):
         return walked
 
     with monkeypatch.context() as mp:
-        mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", gate)
+        if gate is not None:
+            mp.setattr(training, name, gate)
         mp.setattr(training, "_helper_walk", spy)
         if fork is not None:
             mp.setattr(os, "fork", fork)
@@ -1899,6 +1951,40 @@ def test_a_batch_of_one_never_forks(monkeypatch):
     assert training._helper is None
 
 
+def open_fds():
+    """This process's open file descriptors, where /proc lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("job", ["model_gradients", "evaluate"])
+def test_a_failed_fork_runs_the_half_here_with_the_fallback_bits(monkeypatch, job):
+    # os.fork raising closes the new helper's mapping and pipes, and the
+    # second half runs in this process; the next call forks a helper
+    built = []
+
+    def fork_refused():
+        built.append(sys._getframe(1).f_locals["self"])  # the helper being made
+        raise BlockingIOError(errno.EAGAIN, "fork refused under a process limit")
+
+    model = small_model("lstm6", 3, 4, seed=3794, bidirectional=True)
+    batch = token_batch(3795, B=8, T=5)
+    if job == "evaluate":
+        gate, run, bits = with_gate, evaluate, lambda result: [x.hex() for x in result]
+        want = bits(evaluate_fallback(monkeypatch, model, batch, "bce"))
+    else:
+        gate, run, bits = with_fork_gate, model_gradients, gradient_bytes
+        want = fallback_bytes(monkeypatch, model, batch, "bce")
+    fds = open_fds()
+    result, walks = gate(monkeypatch, 0, run, model, batch, "bce", fork=fork_refused)
+    assert (bits(result), walks) == (want, 0)
+    assert training._helper is None and open_fds() == fds
+    assert [(h.mapping.closed, h.requests.closed, h.replies.closed)
+            for h in built] == [(True, True, True)]
+    result, walks = gate(monkeypatch, 0, run, model, batch, "bce")
+    assert (bits(result), walks) == (want, 1)
+    no_child_left()
+
+
 def test_two_threads_at_once_each_get_the_fallback_bits(monkeypatch):
     # the helper serves one call at a time; a call that finds it busy walks
     # its second half here
@@ -2042,10 +2128,39 @@ print(training._helper.pid if training._helper else 0, flush=True)
 """
 
 
+EVALUATE_ONE_SPLIT_SLICE = """
+from slimrnn import training
+from slimrnn.cells import init_cell, init_output
+from slimrnn.data import SequenceBatch, init_embedding
+from slimrnn.numerics import make_rng
+
+rng = make_rng(3796)
+model = training.SequenceClassifier(cell=init_cell("lstm6", 4, 6, "tanh", 0.59, rng),
+                                    out=init_output(rng, 6, 1),
+                                    emb=init_embedding(rng, 9, 4))
+T = -(-training.EVAL_FORK_MIN_SAMPLE_STEPS // 8)
+batch = SequenceBatch(tokens=rng.integers(0, 9, size=(8, T)),
+                      labels=rng.integers(0, 2, size=8))
+training.evaluate(model, batch, "bce")
+print(training._helper.pid if training._helper else 0, flush=True)
+"""
+
+
 def test_a_process_that_trains_a_split_batch_leaves_no_process_behind():
     # 640 sample-steps split at the module's gate; the exit handler ends
     # and reaps the helper
-    out = subprocess.run([sys.executable, "-c", TRAIN_ONE_SPLIT_BATCH], env=engine_env(),
+    helper_gone_after(TRAIN_ONE_SPLIT_BATCH)
+
+
+def test_a_process_that_evaluates_a_split_slice_leaves_no_process_behind():
+    # one slice of 8 rows at the module's evaluate gate
+    helper_gone_after(EVALUATE_ONE_SPLIT_SLICE)
+
+
+def helper_gone_after(script):
+    """Run script, which prints its helper's pid (0 for none), in a new
+    process, and find that helper gone within 10 s of the process's exit."""
+    out = subprocess.run([sys.executable, "-c", script], env=engine_env(),
                          capture_output=True, text=True, timeout=120, check=True)
     pid = int(out.stdout)
     assert (pid != 0) == training._can_fork()
