@@ -24,17 +24,19 @@ more is walked in two row halves, the second on the second core by a
 helper process, forked once and sent each call's parameters and inputs
 through a shared mapping that brings its buffer and losses back; evaluate
 splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same way, the
-helper forwarding its second half. An optimizer step runs its rule once
-over a flat copy of all the gradients. Every gradient path here is
-certified against central finite differences in the test suite, so treat
-the two implementations as independent and never "fix" one by copying
-from the other.
+helper forwarding its second half, and the finite-difference oracle runs
+the second share of its passes there from FD_FORK_MIN_COPY_STEPS. An
+optimizer step runs its rule once over a flat copy of all the gradients.
+Every gradient path here is certified against central finite differences
+in the test suite, so treat the two implementations as independent and
+never "fix" one by copying from the other.
 """
 
 from __future__ import annotations
 
 import atexit
 import io
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -53,7 +55,7 @@ from scipy.special import expit
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width, input_term,
                     output_layer_apply, record_arrays, record_shapes, run_cell,
                     run_steps, stack_gates)
-from .data import EmbeddingTable, PAD_INDEX, embed_lookup
+from .data import EmbeddingTable, PAD_INDEX, SequenceBatch, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
 LOSSES = ("bce", "cce")
@@ -497,8 +499,8 @@ class _Unpickler(pickle.Unpickler):
 
 class _Helper:
     """The process that runs the second row half of split model_gradients
-    and evaluate calls for its owner, the process that forked it at its
-    first split call.
+    and evaluate calls, and the second share of a split oracle's passes,
+    for its owner, the process that forked it at its first split call.
 
     A call goes through an anonymous shared mapping of size bytes, made
     before the fork, and two pipes. The owner copies the model's parameter
@@ -600,12 +602,17 @@ def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
     """Run job(model, *args, *inputs, *outputs), a module-level function
     writing into the outputs arrays, in this process's helper while first()
     runs here, on copies in the mapping, then copy its outputs back and
-    return True. Where no helper can be used, run job here after first()
-    and return False: another thread is using the helper, or none runs and
-    _can_fork() refuses one or os.fork fails (EAGAIN under a process limit,
-    say). A helper starts at the first call, and again where a call does not
-    fit the mapping, with twice the larger of its size and the call's need,
-    so that an evaluate call's helper has room for a gradient buffer too.
+    return True. The jobs are _gradient_job (model_gradients' second row
+    half), _forward_job (evaluate's) and _oracle_job (the second share of
+    finite_difference_model's passes); args travel pickled, so a job reads
+    what its caller decided from them rather than from module constants,
+    which the helper holds as they were at its fork. Where no helper can be
+    used, run job here after first() and return False: another thread is
+    using the helper, or none runs and _can_fork() refuses one or os.fork
+    fails (EAGAIN under a process limit, say). A helper starts at the first
+    call, and again where a call does not fit the mapping, with twice the
+    larger of its size and the call's need, so that an evaluate call's
+    helper has room for a gradient buffer too.
 
     An error in the helper's job is raised here with the helper's
     traceback as its cause, and the helper serves on. An error in first(),
@@ -779,11 +786,21 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 # axis (K = 2 * block), so a tensor of N entries costs ceil(N / FD_BLOCK)
 # forward passes. Products sum in the same index order for any K, and the
 # per-sample losses are added in sample order, so the result does not
-# depend on FD_BLOCK.
+# depend on FD_BLOCK, nor on which process ran a pass: a large call runs
+# the second share of its passes in the helper process.
 # ---------------------------------------------------------------------------
 
 # Entries of one tensor perturbed together in one oracle forward pass.
 FD_BLOCK = 128
+# The copy-steps (finite_difference_model: recurrence copies x B x T x gate
+# width) from which the oracle runs the second share of its passes in the
+# helper process. README's gradcheck table (tools/forkgate.py) places it:
+# over four runs every cell from 22,160 up ran faster (1.03-2.01x), and the
+# largest that ran slower was 15,008 (lstm_c6 at cmd_gradcheck's seed-2
+# dims, 0.98x once in 12 cells). At cmd_gradcheck's caps it splits lstm at
+# every seed and srnn and lstm6 at seed 2; of the property tests' nets
+# (m, n, T, B <= 3) only lstm's largest split.
+FD_FORK_MIN_COPY_STEPS = 20_000
 
 
 def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
@@ -836,9 +853,6 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
     """Mean batch loss of each model on the perturbation axis, (K,). Every
     tensor in A, the frozen embedding included, carries that axis."""
     labels = batch.labels
-    k = 2 if loss_kind == "bce" else A["out.b_y"].shape[-1]
-    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
-        raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
     cell = model.cell
     floor = np.longdouble(_PROB_FLOOR)
     xs = np.moveaxis(A["emb.E"][:, batch.tokens], 2, 0)  # (T, K, B, m)
@@ -863,39 +877,89 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
     return total / len(batch)
 
 
+def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
+    """finite_difference_model's layout: the shape of each trainable tensor,
+    in order; its passes in the order it walks them, each (name, lo, hi, at)
+    for the flat entries [lo, hi) of tensor name, at being the first one's
+    place in a flat buffer of all the tensors; and each pass's recurrence
+    copies."""
+    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
+    passes, copies, at = [], [], 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        # the padding row is pinned, not a free parameter: skip it
+        for lo in range(shape[1] if name == "emb.E" else 0, size, FD_BLOCK):
+            hi = min(lo + FD_BLOCK, size)
+            passes.append((name, lo, hi, at + lo))
+            copies.append(1 if name.startswith("out.") else 2 * (hi - lo))
+        at += size
+    return shapes, passes, copies
+
+
+def _oracle_job(model: SequenceClassifier, loss_kind: str, epsilon: float, passes: list,
+                tokens: np.ndarray, labels: np.ndarray, out: np.ndarray):
+    """A share of finite_difference_model's passes over the samples (tokens,
+    labels): each pass (name, lo, hi, at) writes the central differences of
+    the flat entries [lo, hi) of tensor name into out[at:at + hi - lo]."""
+    batch = SequenceBatch(tokens=tokens, labels=labels)
+    eps = np.longdouble(epsilon)
+    A = {k: np.asarray(v, dtype=np.longdouble)[None]
+         for k, v in model.param_arrays(include_frozen=True).items()}
+    for name, lo, hi, at in passes:
+        k = hi - lo
+        idx = np.arange(lo, hi)
+        stack = np.repeat(A[name], 2 * k, axis=0)
+        flat = stack.reshape(2 * k, -1)
+        flat[np.arange(k), idx] += eps
+        flat[np.arange(k, 2 * k), idx] -= eps
+        loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
+        out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+
+
 def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
                             epsilon: float = 1e-6) -> GradientSet:
     """Central-difference gradient of the mean batch loss for every
-    trainable tensor, through the extended-precision transcription. Each
-    forward pass evaluates the +eps and -eps copies of up to FD_BLOCK
-    entries of one tensor at once, so a tensor of N entries costs
-    ceil(N / FD_BLOCK) passes over the batch. A certification tool for
-    tiny nets, never a training path."""
+    trainable tensor, through the extended-precision transcription, keyed
+    like model.param_arrays(): each value a view shaped like its tensor
+    into one flat buffer. Each forward pass evaluates the +eps and -eps
+    copies of up to FD_BLOCK entries of one tensor at once, so a tensor of
+    N entries costs ceil(N / FD_BLOCK) passes over the batch. A
+    certification tool for tiny nets, never a training path.
+
+    The passes are listed in tensor order, each with its entry block and
+    its recurrence copies: 2k for a block of k entries, 1 for a readout
+    block, whose recurrence runs once, unperturbed. A call of at least
+    FD_FORK_MIN_COPY_STEPS copy-steps (all passes' copies x B x T x the
+    cell's gate width) is cut where the two shares' copies balance best:
+    the first share runs here while this process's helper runs the second
+    (_oracle_job, _helper_walk), or here after the first where no helper
+    can be used. Each pass computes what it would unsplit, so every entry
+    keeps its bits wherever it ran. The helper reads the blocks from the
+    passes it is sent, never its own FD_BLOCK, which is the module's as it
+    was at the fork."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if batch.T == 0:
         raise ValueError("cannot difference a loss over an empty sequence")
-    eps = np.longdouble(epsilon)
-    A = {k: np.asarray(v, dtype=np.longdouble)[None]
-         for k, v in model.param_arrays(include_frozen=True).items()}
-    grads: GradientSet = {}
-    for name in model.param_arrays():
-        base = A[name]
-        g = np.zeros(base.shape[1:])
-        gflat = g.reshape(-1)
-        # the padding row is pinned, not a free parameter: skip it
-        start = base.shape[2] if name == "emb.E" else 0
-        for lo in range(start, g.size, FD_BLOCK):
-            idx = np.arange(lo, min(lo + FD_BLOCK, g.size))
-            k = len(idx)
-            stack = np.repeat(base, 2 * k, axis=0)
-            flat = stack.reshape(2 * k, -1)
-            flat[np.arange(k), idx] += eps
-            flat[np.arange(k, 2 * k), idx] -= eps
-            loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
-            gflat[idx] = (loss[:k] - loss[k:]) / (2.0 * eps)
-        grads[name] = g
-    return grads
+    labels = batch.labels
+    k = 2 if loss_kind == "bce" else len(model.out.b_y)
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
+        raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
+    shapes, passes, copies = _oracle_passes(model)
+    flat = np.zeros(sum(map(math.prod, shapes.values())))
+    total = sum(copies)
+    args = (model, loss_kind, epsilon)
+    if total * len(batch) * batch.T * gate_width(model.cell) < FD_FORK_MIN_COPY_STEPS:
+        _oracle_job(*args, passes, batch.tokens, labels, flat)
+    else:
+        before = list(itertools.accumulate(copies))[:-1]  # the first share's copies per cut
+        cut = 1 + min(range(len(before)), key=lambda i: abs(total - 2 * before[i]))
+        start = passes[cut][3]
+        second = [(name, lo, hi, at - start) for name, lo, hi, at in passes[cut:]]
+        _helper_walk(model, _oracle_job, (loss_kind, epsilon, second),
+                     [batch.tokens, labels], [flat[start:]],
+                     lambda: _oracle_job(*args, passes[:cut], batch.tokens, labels, flat))
+    return _flat_views(flat, shapes)
 
 
 def gradient_rel_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -954,6 +954,37 @@ def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
         [(v, "skip") for v in VARIANTS]
 
 
+def test_cmd_gradcheck_at_the_caps_sends_its_large_nets_to_the_helper(monkeypatch):
+    # at perfbench's certify caps the oracle's gate splits lstm at every
+    # seed and srnn and lstm6 at seed 2 (m=4, n=7, T=4, B=4), the helper
+    # running their second shares; every other net's oracle stays serial
+    calls, walks = [], []
+    real_oracle, real_walk = harness.finite_difference_oracle, training._helper_walk
+
+    def oracle(model, batch, *args, **kwargs):
+        calls.append((model.cell.variant, model.cell.m, model.cell.n, batch.T, len(batch)))
+        return real_oracle(model, batch, *args, **kwargs)
+
+    def spy(model, job, *args):
+        walked = real_walk(model, job, *args)
+        if job is training._oracle_job:
+            walks.append((calls[-1], walked))
+        return walked
+
+    monkeypatch.setattr(harness, "finite_difference_oracle", oracle)
+    monkeypatch.setattr(training, "_helper_walk", spy)
+    _, ok = cmd_gradcheck(m=8, n=8, seq_len=5, batch=8, seeds=3)
+    assert ok
+    sent = {net for net, _ in walks}
+    assert sent == {("lstm", 6, 3, 3, 2), ("lstm", 6, 5, 2, 1), ("lstm", 4, 7, 4, 4),
+                    ("srnn", 4, 7, 4, 4), ("lstm6", 4, 7, 4, 4)}
+    small = {(v, *dims) for v in ("srnn", "lstm6", "lstm_c6")
+             for dims in ((6, 3, 3, 2), (6, 5, 2, 1))}
+    assert set(calls) - sent == small | {("lstm_c6", 4, 7, 4, 4)}
+    assert all(walked == training._can_fork() for _, walked in walks)
+    assert len(walks) == sum(net in sent for net in calls)
+
+
 def test_cmd_gradcheck_enforces_desk_scale_caps():
     with pytest.raises(ValueError, match="capped"):
         cmd_gradcheck(m=9)

@@ -439,9 +439,13 @@ def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
     assert "emb.E" not in finite_difference_model(frozen, batch, "bce")
 
 
-def test_oracle_memory_stays_small_at_the_gradcheck_caps():
+def test_oracle_memory_stays_small_at_the_gradcheck_caps(monkeypatch):
+    # tracemalloc sees this process alone: with the helper refused, both
+    # shares of the passes run here
     model = small_model("lstm", 8, 8, seed=2940, bidirectional=True)
     batch = token_batch(2941, B=8, T=5)
+    training._stop_helper()
+    monkeypatch.setattr(training, "_can_fork", lambda: False)
     tracemalloc.start()
     try:
         finite_difference_model(model, batch, "bce")
@@ -2174,6 +2178,105 @@ def helper_gone_after(script):
             time.sleep(0.01)
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# --------------------------------------------------------------------------
+# The oracle's second share of passes in the helper process.
+# --------------------------------------------------------------------------
+
+def with_oracle_gate(monkeypatch, gate, *args, fork=None, **kwargs):
+    """finite_difference_model(*args, **kwargs) under FD_FORK_MIN_COPY_STEPS
+    = gate, its gradients' bytes, and the number of calls whose second share
+    the helper ran."""
+    grads, walks = with_fork_gate(monkeypatch, gate,
+                                  lambda: finite_difference_model(*args, **kwargs),
+                                  fork=fork, name="FD_FORK_MIN_COPY_STEPS")
+    return [(name, g.tobytes()) for name, g in grads.items()], walks
+
+
+def oracle_fallback(monkeypatch, *args):
+    """The bytes of a split oracle call whose shares both ran here."""
+    training._stop_helper()
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_can_fork", lambda: False)
+        bits, walks = with_oracle_gate(mp, 0, *args)
+    assert walks == 0
+    return bits
+
+
+@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_split_oracle_gives_the_bits_of_the_in_process_fallback(
+        monkeypatch, variant, bidirectional, loss_kind, inputs):
+    # every pass computes what it computes unsplit, wherever it runs; at
+    # FD_BLOCK 1 one tensor's blocks land in both shares
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, 2, 2, seed=3800, act="tanh", out_dim=k,
+                        trainable_emb=inputs == "trainable", bidirectional=bidirectional)
+    batches = [token_batch(3801 + B, B=B, T=2, n_classes=max(k, 2)) for B in (1, 3)]
+    wholes = [with_oracle_gate(monkeypatch, math.inf, model, batch, loss_kind)
+              for batch in batches]
+    assert all(none == 0 for _, none in wholes)
+    cases = [(block, batch, whole) for block in (training.FD_BLOCK, 1)
+             for batch, (whole, _) in zip(batches, wholes)]
+    for block, batch, whole in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FD_BLOCK", block)
+            assert oracle_fallback(mp, model, batch, loss_kind) == whole
+    for block, batch, whole in cases:  # one helper serves every case
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FD_BLOCK", block)
+            helped, walks = with_oracle_gate(mp, 0, model, batch, loss_kind)
+        assert walks == training._can_fork()
+        assert helped == whole, (len(batch), block)
+    no_child_left()
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
+    # the helper forked at the default FD_BLOCK and keeps it: the caller
+    # sends each pass's entries, so a smaller block after the fork still
+    # gives the bits of the unsplit call
+    model = small_model("lstm", 3, 4, seed=3810, act="tanh", out_dim=3,
+                        bidirectional=True)
+    batch = token_batch(3811, B=3, T=3, n_classes=3)
+    want, walks = with_oracle_gate(monkeypatch, 0, model, batch, "cce")
+    assert walks == training._can_fork()
+    helper = training._helper
+    monkeypatch.setattr(training, "FD_BLOCK", block)
+    sent = []
+    real = training._helper_walk
+
+    def spy(model, job, args, *rest):
+        sent.extend(args[2])
+        return real(model, job, args, *rest)
+
+    monkeypatch.setattr(training, "_helper_walk", spy)
+    got, walks = with_oracle_gate(monkeypatch, 0, model, batch, "cce", fork=refuse_fork)
+    assert got == want and walks == training._can_fork()
+    assert training._helper is helper
+    assert sent and all(hi - lo <= block for _, lo, hi, _ in sent)
+    no_child_left()
+
+
+def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
+    # the labels are checked once, before the split: neither share runs,
+    # and the helper serves on
+    model = small_model("lstm6", 3, 4, seed=3820)
+    batch = token_batch(3821, B=3, T=3)
+    with_oracle_gate(monkeypatch, 0, model, batch, "bce")
+    pid = training._helper.pid if training._helper else None
+    losses = []
+    monkeypatch.setattr(training, "_ld_batch_loss",
+                        lambda *args: losses.append(1) or _ld_batch_loss(*args))
+    bad = SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1]))
+    with pytest.raises(ValueError, match=r"bce needs integer labels in \[0, 2\)"):
+        with_oracle_gate(monkeypatch, 0, model, bad, "bce")
+    assert losses == []
+    assert (training._helper.pid if training._helper else None) == pid
+    no_child_left()
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
