@@ -26,15 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, VARIANTS,
-                    init_cell, init_output, input_term, param_count, record_arrays,
-                    run_steps, stack_gates, step_mac_count)
-from .data import (EmbeddingTable, SequenceBatch, SYNTH_KINDS, build_vocab,
-                   encode_tokens, init_embedding, load_tsv_corpus,
-                   pad_or_truncate, synth_generate)
+from .cells import (ADAPTIVE_FIELDS, CellParams, VARIANTS, init_cell, init_output, input_term,
+                    param_count, record_arrays, run_steps, stack_gates, step_mac_count)
+from .data import (SequenceBatch, SYNTH_KINDS, build_vocab, encode_tokens, init_embedding,
+                   load_tsv_corpus, pad_or_truncate, synth_generate)
 from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
-                       SequenceClassifier, _flat_views, gradient_rel_error, train_epoch)
+                       SequenceClassifier, _flat_views, gradient_rel_error, model_from_arrays,
+                       model_spec, train_epoch)
 # perfbench's tracer times cmd_gradcheck's two routes under these names.
 from .training import finite_difference_model as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
@@ -278,10 +277,7 @@ def format_metrics_row(rec: MetricsRecord) -> str:
 def save_checkpoint(path, model: SequenceClassifier, cfg: ExperimentConfig):
     """Write the text header and the little-endian float64 payload."""
     tensors = model.param_arrays(include_frozen=True)
-    cell = model.cell
-    meta = {"variant": cell.variant, "m": cell.m, "n": cell.n, "activation": cell.act,
-            "forget": cell.forget_const, "bidirectional": model.bidirectional,
-            "loss": cfg.loss, "trainable": model.emb.trainable}
+    meta = {**model_spec(model), "loss": cfg.loss}
     lines = [CHECKPOINT_MAGIC,
              *(f"{name} {_format_value(meta[name])}" for name in CHECKPOINT_FIELDS),
              f"tensors {len(tensors)}",
@@ -339,20 +335,9 @@ def _parse_checkpoint(blob: bytes) -> tuple[SequenceClassifier, dict]:
                          f"{8 * size} (file truncated?)")
     # every tensor is a view of one writable copy of the payload
     arrays = _flat_views(np.frombuffer(payload, dtype="<f8").copy(), shapes)
-
-    def rebuild_cell(prefix: str) -> CellParams:
-        tensors = {name: arrays[prefix + name] for name in ADAPTIVE_FIELDS[header["variant"]]}
-        return CellParams(variant=header["variant"], m=header["m"], n=header["n"],
-                          act=header["activation"], forget_const=header["forget"],
-                          tensors=tensors)
-
-    cell = rebuild_cell("fwd.")
-    cell_bwd = rebuild_cell("bwd.") if header["bidirectional"] else None
-    out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
-    if header["loss"] == "bce" and len(out.b_y) != 1:  # OutputLayer refused a b_y not 1-D
-        raise ValueError(f"bce needs an output width of 1, checkpoint has {len(out.b_y)}")
-    emb = EmbeddingTable(E=arrays["emb.E"], trainable=header["trainable"])
-    model = SequenceClassifier(cell=cell, out=out, emb=emb, cell_bwd=cell_bwd)
+    model = model_from_arrays(header, arrays)
+    if header["loss"] == "bce" and len(model.out.b_y) != 1:
+        raise ValueError(f"bce needs an output width of 1, checkpoint has {len(model.out.b_y)}")
     known = model.param_arrays(include_frozen=True)
     extra = next((name for name in shapes if name not in known), None)
     if extra is not None:

@@ -7,7 +7,7 @@ the stacked arrays the forward steps record: a minibatch is walked in
 chunks whose stacks, reverse-pass work array, inputs and input gradient
 fit CACHE_BUDGET bytes. Per direction, a chunk's input terms are
 projected at once into its slice of the work array, with the direction's
-cell laid out once per call; each sample then steps through its column
+cell laid out once per walk; each sample then steps through its column
 of them (run_steps), recording straight into one column of the chunk's
 arrays, with a bidirectional model's two directions stacked so that one
 step call advances both. One readout serves the chunk, and one reverse
@@ -22,7 +22,9 @@ all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more is walked in two row halves, the second on the second core by a
 helper process, forked once and sent each call's parameters and inputs
-through a shared mapping that brings its buffer and losses back; evaluate
+through a shared mapping that brings its buffer and losses back, and the
+model's spec (model_spec), from which it rebuilds the model over the
+mapping as a checkpoint's loader does (model_from_arrays); evaluate
 splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same way, the
 helper forwarding its second half, and the finite-difference oracle runs
 the second share of its passes there from FD_FORK_MIN_COPY_STEPS. An
@@ -35,7 +37,6 @@ never "fix" one by copying from the other.
 from __future__ import annotations
 
 import atexit
-import io
 import itertools
 import math
 import mmap
@@ -105,8 +106,6 @@ CACHE_BUDGET = 27 << 18
 # call and slice and keep the certify ones serial.
 FORK_MIN_SAMPLE_STEPS = 640
 EVAL_FORK_MIN_SAMPLE_STEPS = 8000
-# Bytes at most of an error the helper sends back (_pickled_error).
-_ERROR_BYTES = 1 << 16
 
 
 def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
@@ -201,11 +200,37 @@ class SequenceClassifier:
         one sample being a batch of one: each direction's cell over xs in
         its time order, recording nothing, then the readout of their final
         states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
-        readout read. It runs in the calling thread; evaluate puts row
+        readout read. It runs in the calling process; evaluate puts row
         halves of a large slice on two cores (_helper_walk)."""
         hs = [run_cell(cell, xs[::step]) for cell, _, step in self.directions]
         h = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-1)
         return output_layer_apply(self.out, h), h
+
+
+def model_spec(model: SequenceClassifier) -> dict:
+    """The model's fields other than its tensors, keyed as a checkpoint
+    header names them."""
+    cell = model.cell
+    return {"variant": cell.variant, "m": cell.m, "n": cell.n, "activation": cell.act,
+            "forget": cell.forget_const, "bidirectional": model.bidirectional,
+            "trainable": model.emb.trainable}
+
+
+def model_from_arrays(spec: dict, arrays: dict) -> SequenceClassifier:
+    """The model of spec (model_spec) around arrays, keyed as
+    param_arrays(include_frozen=True) keys them: each array is used as
+    given, none copied. Loading a checkpoint and the helper process both
+    rebuild a model this way."""
+    def cell(prefix: str) -> CellParams:
+        return CellParams(variant=spec["variant"], m=spec["m"], n=spec["n"],
+                          act=spec["activation"], forget_const=spec["forget"],
+                          tensors={name: arrays[prefix + name]
+                                   for name in ADAPTIVE_FIELDS[spec["variant"]]})
+
+    fwd, bwd = cell("fwd."), cell("bwd.") if spec["bidirectional"] else None
+    out = OutputLayer(W_hy=arrays["out.W_hy"], b_y=arrays["out.b_y"])
+    emb = EmbeddingTable(E=arrays["emb.E"], trainable=spec["trainable"])
+    return SequenceClassifier(cell=fwd, out=out, emb=emb, cell_bwd=bwd)
 
 
 def _stack_bytes(model: SequenceClassifier, T: int) -> int:
@@ -356,16 +381,16 @@ def _backward_cell(p: CellParams, xs: np.ndarray, stacks, dh: np.ndarray,
 
 
 def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarray,
-                 loss_kind: str, layouts, grads: GradientSet, losses: np.ndarray):
+                 loss_kind: str, rows: int, grads: GradientSet, losses: np.ndarray):
     """model_gradients' chunk loop over the samples (tokens, labels): adds
     their gradient sums into grads and writes their losses into losses, in
-    sample order. layouts holds each direction's two stack_gates layouts,
-    made once per model_gradients call.
+    sample order.
 
-    The samples are walked in chunks of max(1, CACHE_BUDGET // bytes),
-    bytes being what the pass holds per sample (_row_bytes): the stacks
-    the steps record over every direction, the work array _backward_cell
-    writes its factors into, and the chunk's inputs and input gradient.
+    The samples are walked in chunks of rows samples (model_gradients sets
+    max(1, CACHE_BUDGET // bytes), bytes being what the pass holds per
+    sample, _row_bytes): the stacks the steps record over every direction,
+    the work array _backward_cell writes its factors into, and the chunk's
+    inputs and input gradient.
     The stacks and the work array are laid out with one block per
     sample-step holding every direction's row: (T+1, b, D, 1, n) and
     (T, b, D, 1, width) for a model of D = 2 directions, (T+1, b, 1, n)
@@ -373,7 +398,8 @@ def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
     every chunk, a short last chunk the arrays' leading memory, so the
     walk holds one chunk's stacks and no more; each direction's two
     stack_gates layouts (transposed for the forward, untransposed for
-    _backward_cell) serve every walk of a call. A chunk's inputs are gathered once as (T, b, m).
+    _backward_cell) are made once per walk too. A chunk's inputs are
+    gathered once as (T, b, m).
     Per direction, one input_term call projects them, in the direction's
     time order, into its slice of the work array, which the reverse pass
     overwrites unread: stacked 1-row products, so column j holds the bits
@@ -396,7 +422,9 @@ def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
     need_dx = model.emb.trainable
     n = model.cell.n
     B, T = tokens.shape
-    rows = min(B, max(1, CACHE_BUDGET // _row_bytes(model, T)))
+    rows = min(B, rows)
+    layouts = [(stack_gates(cell, transposed=True), stack_gates(cell))
+               for cell, _, _ in model.directions]
     if len(layouts) == 1:  # one direction steps (1, n) rows with a 2-D R
         block, R = (1,), layouts[0][0][1]
     else:
@@ -451,12 +479,6 @@ def _can_fork() -> bool:
             and multiprocessing.parent_process() is None)
 
 
-def _layouts(model: SequenceClassifier) -> list:
-    """Each direction's two stack_gates layouts, as _walk_chunks takes them."""
-    return [(stack_gates(cell, transposed=True), stack_gates(cell))
-            for cell, _, _ in model.directions]
-
-
 def _places(arrays) -> tuple[list, int]:
     """The place (offset, shape, dtype) of each (shape, dtype) in a mapping
     that holds them back to back, each from a 64-byte boundary, and the
@@ -474,29 +496,6 @@ def _view(mapping: mmap.mmap, place) -> np.ndarray:
     return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
 
 
-class _Pickler(pickle.Pickler):
-    """Pickles a model with each parameter array replaced by its place in
-    the helper's mapping (places: id(array) -> place)."""
-
-    def __init__(self, file, places: dict):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.places = places
-
-    def persistent_id(self, obj):
-        return self.places.get(id(obj))
-
-
-class _Unpickler(pickle.Unpickler):
-    """Loads what _Pickler wrote, each parameter a view of the mapping."""
-
-    def __init__(self, file, mapping: mmap.mmap):
-        super().__init__(file)
-        self.mapping = mapping
-
-    def persistent_load(self, place):
-        return _view(self.mapping, place)
-
-
 class _Helper:
     """The process that runs the second row half of split model_gradients
     and evaluate calls, and the second share of a split oracle's passes,
@@ -507,13 +506,14 @@ class _Helper:
     values and the half's inputs into the mapping and sends one request
     naming a job; the helper runs the job on the model and the mapping's
     arrays, writing its outputs there, and replies (_serve). sent is the
-    model structure the helper holds: a pickle of the model whose parameter
-    arrays are their places in the mapping (_Pickler), sent again only when
-    it changes. Where the fork fails, the mapping and pipes are closed and
-    its OSError raised."""
+    model the helper holds: its model_spec and the place of each parameter
+    array in the mapping, from which the helper rebuilds it over views of
+    the mapping (model_from_arrays), sent again only when it changes. Where
+    the fork fails, the mapping and pipes are closed and its OSError
+    raised."""
 
     def __init__(self, size: int):
-        self.owner, self.size, self.sent = os.getpid(), size, None
+        self.size, self.sent = size, None
         self.mapping = mmap.mmap(-1, size)
         requests, self.requests = multiprocessing.Pipe(duplex=False)
         self.replies, replies = multiprocessing.Pipe(duplex=False)
@@ -549,9 +549,11 @@ def _serve(mapping: mmap.mmap, requests, replies):
                 code = 0
                 break
             try:
-                structure, job, args, places = pickle.loads(request)
-                if structure is not None:
-                    model = _Unpickler(io.BytesIO(structure), mapping).load()
+                sent, job, args, places = pickle.loads(request)
+                if sent is not None:
+                    spec, params = sent
+                    model = model_from_arrays(spec, {name: _view(mapping, place)
+                                                     for name, place in params.items()})
                 job(model, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
@@ -572,7 +574,7 @@ def _stop_helper(kill: bool = False) -> int | None:
     no call is using the helper."""
     global _helper
     helper, _helper = _helper, None
-    if helper is None or helper.owner != os.getpid():
+    if helper is None:
         return None
     helper.requests.close()
     if kill:
@@ -605,11 +607,12 @@ def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
     return True. The jobs are _gradient_job (model_gradients' second row
     half), _forward_job (evaluate's) and _oracle_job (the second share of
     finite_difference_model's passes); args travel pickled, so a job reads
-    what its caller decided from them rather than from module constants,
-    which the helper holds as they were at its fork. Where no helper can be
-    used, run job here after first() and return False: another thread is
-    using the helper, or none runs and _can_fork() refuses one or os.fork
-    fails (EAGAIN under a process limit, say). A helper starts at the first
+    what its caller decided from them (the rows per chunk, the oracle's
+    blocks) rather than from module constants, which the helper holds as
+    they were at its fork. Where no helper can be used, run job here after
+    first() and return False: another thread is using the helper, or none
+    runs and _can_fork() refuses one or os.fork fails (EAGAIN under a
+    process limit, say). A helper starts at the first
     call, and again where a call does not fit the mapping, with twice the
     larger of its size and the call's need, so that an evaluate call's
     helper has room for a gradient buffer too.
@@ -636,7 +639,7 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
     """_helper_walk's round trip, under _helper_lock: False, having run
     nothing, where no helper may be used."""
     global _helper
-    helper = _helper if _helper is not None and _helper.owner == os.getpid() else None
+    helper = _helper
     if helper is None and not _can_fork():
         return False
     params = model.param_arrays(include_frozen=True)
@@ -653,12 +656,10 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
     copied = len(params) + len(inputs)
     for a, place in zip(arrays[:copied], places):
         _view(helper.mapping, place)[...] = a
-    structure = io.BytesIO()
-    _Pickler(structure, {id(a): p for a, p in zip(params.values(), places)}).dump(model)
-    structure = structure.getvalue()
-    request = pickle.dumps((None if structure == helper.sent else structure, job, args,
+    sent = (model_spec(model), dict(zip(params, places)))
+    request = pickle.dumps((None if sent == helper.sent else sent, job, args,
                             places[len(params):]))
-    helper.sent = structure
+    helper.sent = sent
     try:
         helper.requests.send_bytes(request)
     except BrokenPipeError:  # the helper is gone
@@ -677,7 +678,7 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
         code = _stop_helper()
         raise ChildProcessError(f"the helper process ended with exit code {code}")
     if reply:
-        helper.sent = None  # the structure may not have loaded
+        helper.sent = None  # the model may not have loaded
         exc, trace = pickle.loads(reply)
         raise exc from ChildProcessError(f"in the helper process:\n{trace}")
     for out, place in zip(outputs, places[copied:]):
@@ -686,28 +687,24 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
 
 
 def _pickled_error(exc: BaseException) -> bytes:
-    """(exc, its traceback text) pickled in at most _ERROR_BYTES, exc
-    becoming a RuntimeError naming it where it does not pickle or fit."""
-    trace = traceback.format_exc()[-_ERROR_BYTES // 4:]
+    """(exc, its traceback text) pickled, exc becoming a RuntimeError
+    naming it where it does not pickle."""
+    trace = traceback.format_exc()
     try:
-        blob = pickle.dumps((exc, trace))
+        return pickle.dumps((exc, trace))
     except Exception:  # an exception whose state does not pickle
-        blob = b""
-    if not 0 < len(blob) <= _ERROR_BYTES:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}"[:_ERROR_BYTES // 4])
-        blob = pickle.dumps((exc, trace))
-    return blob
+        return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
 
 
-def _gradient_job(model: SequenceClassifier, loss_kind: str, tokens: np.ndarray,
+def _gradient_job(model: SequenceClassifier, loss_kind: str, rows: int, tokens: np.ndarray,
                   labels: np.ndarray, buf: np.ndarray, losses: np.ndarray):
     """model_gradients' second half: the gradient sums of the samples
-    (tokens, labels) into the flat buf, zeroed first and laid out as
-    model.param_arrays(), and their losses into losses."""
+    (tokens, labels), walked in chunks of rows samples, into the flat buf,
+    zeroed first and laid out as model.param_arrays(), and their losses
+    into losses."""
     buf[...] = 0.0
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
-    _walk_chunks(model, tokens, labels, loss_kind, _layouts(model),
-                 _flat_views(buf, shapes), losses)
+    _walk_chunks(model, tokens, labels, loss_kind, rows, _flat_views(buf, shapes), losses)
 
 
 def _forward_job(model: SequenceClassifier, tokens: np.ndarray, y_raw: np.ndarray):
@@ -722,7 +719,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     tensor into one flat buffer, which the final division by the batch
     size scales at once.
 
-    A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
+    The rows per chunk, max(1, CACHE_BUDGET // _row_bytes), are decided
+    here once. A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
     sample-steps (B T D for D directions) is split into the rows [0, B//2)
     and [B//2, B), each walked by _walk_chunks into its own gradient
     buffer and per-sample losses. The second half (_gradient_job) runs in
@@ -735,10 +733,11 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     are the same wherever the second half ran. A smaller batch is walked
     whole, here.
 
-    The helper walks with the module's functions and constants as they
-    were when it forked. An exit handler ends and reaps it; a process that
-    ends without exit handlers closes its request pipe all the same, and
-    the helper then leaves on its own.
+    The helper walks with the module's functions as they were when it
+    forked, and with the rows it is sent, never its own CACHE_BUDGET. An
+    exit handler ends and reaps it; a process that ends without exit
+    handlers closes its request pipe all the same, and the helper then
+    leaves on its own.
     """
     if len(batch) == 0:
         raise ValueError("cannot take gradients over an empty batch")
@@ -746,18 +745,18 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         raise ValueError("cannot take gradients over an empty sequence")
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     size = sum(map(math.prod, shapes.values()))
-    layouts = _layouts(model)
     B, tokens, labels = len(batch), batch.tokens, batch.labels
+    rows = max(1, CACHE_BUDGET // _row_bytes(model, batch.T))
     flat, losses = np.zeros(size), np.empty(B)
     grads: GradientSet = _flat_views(flat, shapes)
-    if B < 2 or B * batch.T * len(layouts) < FORK_MIN_SAMPLE_STEPS:
-        _walk_chunks(model, tokens, labels, loss_kind, layouts, grads, losses)
+    if B < 2 or B * batch.T * len(model.directions) < FORK_MIN_SAMPLE_STEPS:
+        _walk_chunks(model, tokens, labels, loss_kind, rows, grads, losses)
     else:
         half, second = B // 2, np.empty(size)
-        _helper_walk(model, _gradient_job, (loss_kind,), [tokens[half:], labels[half:]],
+        _helper_walk(model, _gradient_job, (loss_kind, rows), [tokens[half:], labels[half:]],
                      [second, losses[half:]],
                      lambda: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
-                                          layouts, grads, losses[:half]))
+                                          rows, grads, losses[:half]))
         flat += second
     total = 0.0
     for loss in losses:  # in sample order

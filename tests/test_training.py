@@ -32,7 +32,9 @@ from slimrnn.training import (
     finite_difference_model,
     gradient_rel_error,
     loss_eval,
+    model_from_arrays,
     model_gradients,
+    model_spec,
     optimizer_step,
     train_epoch,
     _backward_cell,
@@ -596,6 +598,29 @@ def test_directions_order_the_readout_and_the_tensors(variant):
     for cell, prefix, _ in model.directions:
         for name, arr in cell.param_arrays().items():
             assert params[prefix + name] is arr
+
+
+@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_model_rebuilt_from_its_arrays_holds_them_and_forwards_the_same(
+        variant, bidirectional, inputs):
+    model = small_model(variant, 3, 4, seed=3798, act="tanh", out_dim=3,
+                        trainable_emb=inputs == "trainable", bidirectional=bidirectional)
+    for cell, _, _ in model.directions:
+        cell.forget_const = 0.3
+    arrays = model.param_arrays(include_frozen=True)
+    rebuilt = model_from_arrays(model_spec(model), arrays)
+    assert model_spec(rebuilt) == model_spec(model)
+    assert model_spec(model) == {"variant": variant, "m": 3, "n": 4, "activation": "tanh",
+                                 "forget": 0.3, "bidirectional": bidirectional,
+                                 "trainable": inputs == "trainable"}
+    held = rebuilt.param_arrays(include_frozen=True)
+    assert list(held) == list(arrays)
+    assert all(held[name] is arr for name, arr in arrays.items())
+    xs = make_rng(3799).uniform(-1.0, 1.0, (6, 2, 3))
+    assert ([a.tobytes() for a in rebuilt.forward(xs)]
+            == [a.tobytes() for a in model.forward(xs)])
 
 
 @pytest.mark.parametrize("variant,loss_kind,bidirectional,inputs", [
@@ -1799,6 +1824,30 @@ def test_the_helper_follows_the_model_it_is_sent(monkeypatch):
         (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, models[0],
                                          batch, "bce")
         assert (gradient_bytes(result), walks) == (changed, 1)
+    models[0].cell.act = "tanh"
+    tanh = fallback_bytes(monkeypatch, models[0], batch, "bce")
+    assert tanh != changed
+    for _ in range(2):
+        (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, models[0],
+                                         batch, "bce")
+        assert (gradient_bytes(result), walks) == (tanh, 1)
+
+
+def test_the_helper_walks_the_rows_per_chunk_it_is_sent(monkeypatch):
+    # the helper forks at one CACHE_BUDGET and keeps it; a split call's
+    # bits follow the caller's budget all the same
+    model = small_model("lstm6", 3, 4, seed=3796, act="tanh")
+    batch = token_batch(3797, B=12, T=5)  # halves of 6
+    training._stop_helper()
+    (_, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert walks == 1
+    helper = training._helper
+    monkeypatch.setattr(training, "CACHE_BUDGET", chunk_budget(model, 5, 2))
+    (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce",
+                                     fork=refuse_fork)
+    assert walks == 1 and training._helper is helper
+    assert gradient_bytes(result) == fallback_bytes(monkeypatch, model, batch, "bce")
+    no_child_left()
 
 
 def test_a_model_that_outgrows_the_mapping_restarts_the_helper(monkeypatch):
@@ -1831,7 +1880,8 @@ class Unpicklable(Exception):
 @pytest.mark.parametrize("error,raised,reason", [
     (FloatingPointError("the forked half went wrong"), FloatingPointError,
      "^the forked half went wrong$"),
-    (Unpicklable("no pickle"), RuntimeError, "^Unpicklable: no pickle$")])
+    (Unpicklable("no pickle"), RuntimeError, "^Unpicklable: no pickle$"),
+    (ValueError("x" * 100_000), ValueError, "^x{100000}$")])
 def test_an_error_in_the_forked_half_is_raised_in_the_caller(monkeypatch, error, raised,
                                                              reason):
     model = small_model("lstm6", 3, 4, seed=3762)

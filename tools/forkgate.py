@@ -26,8 +26,10 @@ vocabulary of 7 as cmd_gradcheck's. Per cell it prints:
   pays, and the quartiles of those ratios.
 
 Serial and helper runs are forced the way the tests force them, by setting
-the gate to math.inf or to 0. Each cell is warmed on both paths first, so
-the helper runs and holds the cell's model. A `!` marks a cell whose
+the gate to math.inf or to 0. Before the first table the tool runs split
+calls until the new helper has left this process's CPU (10 s at most),
+and each cell is warmed on both paths first, so the helper runs and holds
+the cell's model. A `!` marks a cell whose
 decision the measurement contradicts beyond its spread: it splits and its
 upper quartile is below 1, or it stays serial and its lower quartile is
 above 1. The line after each table places its gate: above the largest
@@ -133,6 +135,32 @@ def speedups(name, call, model, batch) -> np.ndarray:
     return np.array([seconds(math.inf) / seconds(0) for _ in range(PAIRS)])
 
 
+def cpu(pid: int) -> int | None:
+    """The CPU that process pid last ran on (field 39 of /proc/<pid>/stat),
+    or None where /proc does not list it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return int(fh.read().rpartition(")")[2].split()[36])
+    except OSError:
+        return None
+
+
+def settle() -> float:
+    """Run split model_gradients calls (desk lstm6) until the helper last
+    ran on another CPU than this process, or for 10 s at most, and return
+    the seconds taken. The scheduler can keep a new helper on its caller's
+    CPU for seconds, and cells measured meanwhile read it slower than it
+    is."""
+    model, batch = build("lstm6", "tanh", 16, 32, 40, 32, False, 50)
+    started = time.perf_counter()
+    while time.perf_counter() - started < 10:
+        model_gradients(model, batch, "bce")
+        here = cpu(os.getpid())
+        if training._helper is None or here is None or cpu(training._helper.pid) != here:
+            break
+    return time.perf_counter() - started
+
+
 def table(name, call, count, unit, models, vocab, grid):
     """Print one gate's table and where the gate belongs."""
     gate = getattr(training, name)
@@ -164,6 +192,8 @@ def table(name, call, count, unit, models, vocab, grid):
 
 def main() -> int:
     started = time.perf_counter()
+    print(f"(waited {settle():.1f} s for the helper to leave this process's CPU)")
+    print()
     for spec in TABLES:
         table(*spec)
     training._stop_helper()
