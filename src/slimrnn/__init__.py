@@ -10,6 +10,13 @@ The names below are the documented surface; everything else is imported
 from its submodule (slimrnn.cells, .data, .harness, .numerics, .training).
 """
 
+import os
+
+# One BLAS thread unless the environment names a count: a product that
+# OpenBLAS splits over threads moves gradient bits. It binds only where
+# NumPy is not loaded yet, so it comes before any submodule imports NumPy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cells import init_cell, output_layer_apply, run_cell, step_mac_count
 from .harness import (ExperimentConfig, build_dataset, build_model,
                       cmd_gradcheck, load_checkpoint, save_checkpoint)

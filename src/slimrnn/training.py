@@ -22,9 +22,9 @@ all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more is walked in two row halves, the second on the second core by a
 helper process, forked once and sent each call's parameters and inputs
-through a shared mapping that brings its buffer and losses back, and the
-model's spec (model_spec), from which it rebuilds the model over the
-mapping as a checkpoint's loader does (model_from_arrays); evaluate
+through a shared mapping that brings its buffer and losses back, and in
+each request the model's spec (model_spec), the model being rebuilt over
+the mapping as a checkpoint's loader does (model_from_arrays); evaluate
 splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same way, the
 helper forwarding its second half, and the finite-difference oracle runs
 the second share of its passes there from FD_FORK_MIN_COPY_STEPS. An
@@ -504,16 +504,15 @@ class _Helper:
     A call goes through an anonymous shared mapping of size bytes, made
     before the fork, and two pipes. The owner copies the model's parameter
     values and the half's inputs into the mapping and sends one request
-    naming a job; the helper runs the job on the model and the mapping's
-    arrays, writing its outputs there, and replies (_serve). sent is the
-    model the helper holds: its model_spec and the place of each parameter
-    array in the mapping, from which the helper rebuilds it over views of
-    the mapping (model_from_arrays), sent again only when it changes. Where
-    the fork fails, the mapping and pipes are closed and its OSError
-    raised."""
+    naming a job and carrying the model: its model_spec and the place of
+    each parameter array in the mapping. The helper rebuilds the model over
+    views of the mapping (model_from_arrays), runs the job on it and the
+    mapping's arrays, writing its outputs there, and replies (_serve); it
+    keeps nothing between requests but the mapping. Where the fork fails,
+    the mapping and pipes are closed and its OSError raised."""
 
     def __init__(self, size: int):
-        self.size, self.sent = size, None
+        self.size = size
         self.mapping = mmap.mmap(-1, size)
         requests, self.requests = multiprocessing.Pipe(duplex=False)
         self.replies, replies = multiprocessing.Pipe(duplex=False)
@@ -532,16 +531,16 @@ class _Helper:
 
 
 def _serve(mapping: mmap.mmap, requests, replies):
-    """The helper's loop: read a request, run its job, reply, until the
-    request pipe reaches EOF. A job's error goes back pickled
-    (_pickled_error). The helper ignores SIGINT, an interrupt being its
-    owner's to handle, stops an allocation trace its owner had running,
-    and leaves through os._exit, running no exit handler of its owner's."""
+    """The helper's loop: read a request, rebuild its model, run its job,
+    reply, until the request pipe reaches EOF. A job's error goes back
+    pickled (_pickled_error). The helper ignores SIGINT, an interrupt
+    being its owner's to handle, stops an allocation trace its owner had
+    running, and leaves through os._exit, running no exit handler of its
+    owner's."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         tracemalloc.stop()
-        model = None
         while True:
             try:
                 request = requests.recv_bytes()
@@ -549,11 +548,9 @@ def _serve(mapping: mmap.mmap, requests, replies):
                 code = 0
                 break
             try:
-                sent, job, args, places = pickle.loads(request)
-                if sent is not None:
-                    spec, params = sent
-                    model = model_from_arrays(spec, {name: _view(mapping, place)
-                                                     for name, place in params.items()})
+                spec, params, job, args, places = pickle.loads(request)
+                model = model_from_arrays(spec, {name: _view(mapping, place)
+                                                 for name, place in params.items()})
                 job(model, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
@@ -603,19 +600,20 @@ def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
                  outputs: list, first) -> bool:
     """Run job(model, *args, *inputs, *outputs), a module-level function
     writing into the outputs arrays, in this process's helper while first()
-    runs here, on copies in the mapping, then copy its outputs back and
-    return True. The jobs are _gradient_job (model_gradients' second row
-    half), _forward_job (evaluate's) and _oracle_job (the second share of
+    runs here, on copies in the mapping and a model the helper rebuilds from
+    each request, then copy its outputs back and return True. The jobs are
+    _gradient_job (model_gradients' second row half), _forward_job
+    (evaluate's) and _oracle_job (the second share of
     finite_difference_model's passes); args travel pickled, so a job reads
     what its caller decided from them (the rows per chunk, the oracle's
     blocks) rather than from module constants, which the helper holds as
     they were at its fork. Where no helper can be used, run job here after
-    first() and return False: another thread is using the helper, or none
-    runs and _can_fork() refuses one or os.fork fails (EAGAIN under a
-    process limit, say). A helper starts at the first
-    call, and again where a call does not fit the mapping, with twice the
-    larger of its size and the call's need, so that an evaluate call's
-    helper has room for a gradient buffer too.
+    first() and return False: another thread is using the helper, or one
+    must start and _can_fork() refuses it or os.fork fails (EAGAIN under a
+    process limit, say). A helper starts at the first call, and again where
+    a call does not fit the mapping, with twice the larger of its size and
+    the call's need, so that an evaluate call's helper has room for a
+    gradient buffer too.
 
     An error in the helper's job is raised here with the helper's
     traceback as its cause, and the helper serves on. An error in first(),
@@ -640,13 +638,11 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
     nothing, where no helper may be used."""
     global _helper
     helper = _helper
-    if helper is None and not _can_fork():
-        return False
     params = model.param_arrays(include_frozen=True)
     arrays = [*params.values(), *inputs, *outputs]
     places, need = _places([(a.shape, a.dtype) for a in arrays])
     if helper is None or helper.size < need:
-        if helper is not None and not _can_fork():
+        if not _can_fork():
             return False
         _stop_helper()
         try:
@@ -656,10 +652,8 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
     copied = len(params) + len(inputs)
     for a, place in zip(arrays[:copied], places):
         _view(helper.mapping, place)[...] = a
-    sent = (model_spec(model), dict(zip(params, places)))
-    request = pickle.dumps((None if sent == helper.sent else sent, job, args,
+    request = pickle.dumps((model_spec(model), dict(zip(params, places)), job, args,
                             places[len(params):]))
-    helper.sent = sent
     try:
         helper.requests.send_bytes(request)
     except BrokenPipeError:  # the helper is gone
@@ -678,7 +672,6 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
         code = _stop_helper()
         raise ChildProcessError(f"the helper process ended with exit code {code}")
     if reply:
-        helper.sent = None  # the model may not have loaded
         exc, trace = pickle.loads(reply)
         raise exc from ChildProcessError(f"in the helper process:\n{trace}")
     for out, place in zip(outputs, places[copied:]):

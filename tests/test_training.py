@@ -1483,7 +1483,7 @@ def evaluate_fallback(monkeypatch, model, batch, loss_kind):
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
+def test_bidirectional_row_halves_keep_every_bit(monkeypatch, variant, loss_kind):
     # a bidirectional model's row halves, each running both directions, give
     # the bits of the in-process fallback; the forward concatenates each
     # direction's own run
@@ -1504,20 +1504,20 @@ def test_threaded_directions_keep_every_bit(monkeypatch, variant, loss_kind):
     assert y.tobytes() == output_layer_apply(model.out, want).tobytes()
 
 
-@pytest.mark.parametrize("bidirectional,rows,pools", [
+@pytest.mark.parametrize("bidirectional,rows,walks", [
     (False, 15, 0),  # one direction: 15 x 5 = 75 sample-steps, below the gate
     (True, 7, 0),    # 7 x 5 x 2 = 70, below the gate
     (True, 8, 1)])   # 8 x 5 x 2 = 80, at the gate
-def test_only_a_bidirectional_slice_at_the_gate_starts_a_thread(monkeypatch,
-                                                                 bidirectional, rows, pools):
+def test_only_a_bidirectional_slice_at_the_gate_sends_a_half_to_the_helper(
+        monkeypatch, bidirectional, rows, walks):
     # the evaluate gate counts sample-steps over both directions: at 80,
     # only the bidirectional slice of 8 rows sends a half to the helper
     model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
     batch = token_batch(3673, B=rows, T=5)
-    assert with_gate(monkeypatch, 80, evaluate, model, batch, "bce")[1] == pools
+    assert with_gate(monkeypatch, 80, evaluate, model, batch, "bce")[1] == walks
 
 
-def test_paper_srnn_threads_with_the_bits_of_the_whole_slice(monkeypatch):
+def test_paper_srnn_row_halves_keep_the_bits_of_the_whole_slice(monkeypatch):
     # the paper test split's one slice: halves of 16 rows at n = 100 give
     # the whole slice's bits
     model = small_model("srnn", 32, 100, seed=3686, vocab=50)
@@ -1532,24 +1532,24 @@ def test_paper_srnn_threads_with_the_bits_of_the_whole_slice(monkeypatch):
     assert halves.tobytes() == run_cell(model.cell, xs).tobytes()
 
 
-@pytest.mark.parametrize("variant,bidirectional,rows,pools", [
+@pytest.mark.parametrize("variant,bidirectional,rows,walks", [
     ("srnn", False, 28, 1),
     ("srnn", False, 26, 0),
     ("lstm6", True, 8, 0),
     ("lstm6", True, 16, 1)])
-def test_the_gate_reads_one_expit_call_at_n_100(monkeypatch, variant, bidirectional,
-                                                rows, pools):
+def test_the_eval_gate_splits_at_its_sample_steps_at_n_100(monkeypatch, variant,
+                                                           bidirectional, rows, walks):
     # the module's gate at n = 100 and T = ceil(gate / 28): a slice of 28
     # rows splits and one of 26 does not, and a bidirectional slice counts
     # both directions, so 16 rows split and 8 do not
     T = math.ceil(training.EVAL_FORK_MIN_SAMPLE_STEPS / 28)
     model = small_model(variant, 4, 100, seed=3688, bidirectional=bidirectional)
     batch = token_batch(3689, B=rows, T=T)
-    assert with_gate(monkeypatch, None, evaluate, model, batch, "bce")[1] == pools
+    assert with_gate(monkeypatch, None, evaluate, model, batch, "bce")[1] == walks
 
 
 @pytest.mark.parametrize("failing", ["fwd.", "bwd."])
-def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch, failing):
+def test_an_error_in_either_direction_surfaces_and_reaps_the_helper(monkeypatch, failing):
     # both directions of a row half run in one process: an error in either
     # surfaces from this process's half, and the helper is killed and reaped
     model = small_model("lstm6", 3, 4, seed=3674, bidirectional=True)
@@ -1574,8 +1574,7 @@ def test_an_error_in_either_direction_surfaces_and_leaves_no_thread(monkeypatch,
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_threaded_row_halves_keep_the_bits_of_serial_halves(monkeypatch, variant,
-                                                            loss_kind):
+def test_helper_row_halves_keep_the_bits_of_serial_halves(monkeypatch, variant, loss_kind):
     k = 1 if loss_kind == "bce" else 3
     model = small_model(variant, 3, 4, seed=3676, out_dim=k)
     batch = token_batch(3677, B=2 * 17 + 3, T=6, n_classes=max(k, 2))
@@ -1600,7 +1599,7 @@ def test_threaded_row_halves_keep_the_bits_of_serial_halves(monkeypatch, variant
 
 
 @pytest.mark.parametrize("failing", ["first", "second"])
-def test_an_error_in_either_half_surfaces_and_leaves_no_thread(monkeypatch, failing):
+def test_an_error_in_either_row_half_surfaces_here(monkeypatch, failing):
     model = small_model("lstm", 3, 4, seed=3678)
     rows = {"first": 4, "second": 5}[failing]  # the halves of 9 rows
 
@@ -1626,12 +1625,12 @@ def test_an_error_in_either_half_surfaces_and_leaves_no_thread(monkeypatch, fail
         no_child_left()
 
 
-@pytest.mark.parametrize("shape,threaded", [
+@pytest.mark.parametrize("shape,halved", [
     ("desk", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
     ("certify", set())])
-def test_the_gate_threads_the_benchmark_models_whose_expit_work_pays(monkeypatch, shape,
-                                                                     threaded):
+def test_the_eval_gate_splits_the_benchmark_models_whose_slices_pay(monkeypatch, shape,
+                                                                    halved):
     # each workload's activation, m, n and T, and its test split's rows, one
     # slice: the module's gate splits every desk and paper slice (20,000 and
     # 16,000 sample-steps, twice that bidirectional) and no certify one (100)
@@ -1649,7 +1648,7 @@ def test_the_gate_threads_the_benchmark_models_whose_expit_work_pays(monkeypatch
         assert walks in (0, 1), key  # the split is one slice
         if walks:
             split.add(key)
-    assert split == (threaded if training._can_fork() else set())
+    assert split == (halved if training._can_fork() else set())
     no_child_left()
 
 
@@ -1772,7 +1771,7 @@ def test_a_forked_half_gives_the_bits_of_the_in_process_fallback(
     helped, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind)
     assert walks == 1
     want = gradient_bytes(helped)
-    # a second call reuses the helper, which holds the model already
+    # a second call reuses the helper, which rebuilds the model it is sent
     again, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, loss_kind,
                                   fork=refuse_fork)
     assert (gradient_bytes(again), walks) == (want, 1)
@@ -1869,6 +1868,27 @@ def test_a_model_that_outgrows_the_mapping_restarts_the_helper(monkeypatch):
     no_child_left()
 
 
+def test_a_call_that_outgrows_the_mapping_walks_here_where_no_helper_may_start(
+        monkeypatch):
+    # the one fork check guards a restart as it guards the first start:
+    # refused, the larger call walks both halves here, and the helper that
+    # runs is kept for the calls that fit it
+    small = small_model("lstm6", 3, 4, seed=3785, vocab=9)
+    large = small_model("lstm", 8, 30, seed=3786, vocab=400, bidirectional=True)
+    batch = token_batch(3787, B=6, T=5, vocab=9)
+    want = fallback_bytes(monkeypatch, large, batch, "bce")
+    walks = with_fork_gate(monkeypatch, 0, model_gradients, small, batch, "bce")[1]
+    assert walks == training._can_fork()
+    helper = training._helper
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_can_fork", lambda: False)
+        result, walks = with_fork_gate(mp, 0, model_gradients, large, batch, "bce",
+                                       fork=refuse_fork)
+    assert (gradient_bytes(result), walks) == (want, 0)
+    assert training._helper is helper
+    no_child_left()
+
+
 class Unpicklable(Exception):
     """An error whose state does not pickle."""
 
@@ -1902,7 +1922,7 @@ def test_an_error_in_the_forked_half_is_raised_in_the_caller(monkeypatch, error,
     # the helper's traceback comes along as the cause
     assert isinstance(caught.value.__cause__, ChildProcessError)
     assert "walk_failing" in str(caught.value.__cause__)
-    # the helper serves on, and is sent the model again
+    # the helper serves on, rebuilding the model from the next request
     helper = training._helper
     (result, walks) = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce",
                                      fork=refuse_fork)
@@ -2163,6 +2183,40 @@ def test_a_fork_under_two_blas_threads_keeps_the_fallback_bits():
     forks, helped, fallback = out.stdout.splitlines()
     assert int(forks) == training._can_fork()
     assert helped == fallback
+
+
+GRADIENT_BYTES = """
+import hashlib
+
+from slimrnn import training  # before NumPy loads, so its thread pin binds
+from slimrnn.cells import init_cell, init_output
+from slimrnn.data import SequenceBatch, init_embedding
+from slimrnn.numerics import make_rng
+
+rng = make_rng(3808)
+model = training.SequenceClassifier(cell=init_cell("srnn", 4, 100, "sigmoid", 0.59, rng),
+                                    out=init_output(rng, 100, 1),
+                                    emb=init_embedding(rng, 50, 4))
+batch = SequenceBatch(tokens=rng.integers(1, 50, size=(4, 50)),
+                      labels=rng.integers(0, 2, size=4))
+loss, grads = training.model_gradients(model, batch, "bce")
+print(loss.hex(), hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+"""
+
+
+def test_an_unset_blas_thread_count_gives_the_bits_of_one_thread():
+    """A process that leaves OPENBLAS_NUM_THREADS unset trains with the bits
+    of one BLAS thread: importing slimrnn pins one. The shape is about the
+    smallest whose gradients (srnn's fwd.W_hh, from the 100 x 200 x 100
+    product rows.T @ H[:-1]) move when OpenBLAS runs its own default of one
+    thread per CPU; a 2-CPU machine without the pin fails here. On a one-CPU
+    machine both processes run one thread, and the test shows nothing."""
+    unset = engine_env()
+    unset.pop("OPENBLAS_NUM_THREADS", None)
+    bits = [subprocess.run([sys.executable, "-c", GRADIENT_BYTES], env=env,
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for env in (unset, engine_env(OPENBLAS_NUM_THREADS="1"))]
+    assert bits[0] == bits[1]
 
 
 TRAIN_ONE_SPLIT_BATCH = """

@@ -23,13 +23,17 @@ vocabulary of 7 as cmd_gradcheck's. Per cell it prints:
 - serial/helper: the median over PAIRS (9) alternating pairs of serial
   seconds over seconds with the second row half (the oracle's second
   share of passes) run in the helper process, above 1 where the helper
-  pays, and the quartiles of those ratios.
+  pays, and the quartiles of those ratios;
+- one CPU: of those pairs, how many left the helper, after its call, last
+  on the CPU this process runs on (field 39 of /proc/<pid>/stat), where
+  the two halves may not have run at once. A cell that reads near serial
+  speed with most of its pairs on one CPU says little about its gate.
 
 Serial and helper runs are forced the way the tests force them, by setting
 the gate to math.inf or to 0. Before the first table the tool runs split
 calls until the new helper has left this process's CPU (10 s at most),
-and each cell is warmed on both paths first, so the helper runs and holds
-the cell's model. A `!` marks a cell whose
+and each cell is warmed on both paths first, so the helper runs and
+holds a mapping large enough for the cell. A `!` marks a cell whose
 decision the measurement contradicts beyond its spread: it splits and its
 upper quartile is below 1, or it stays serial and its lower quartile is
 above 1. The line after each table places its gate: above the largest
@@ -117,9 +121,10 @@ def build(variant, act, m, n, T, B, bidirectional, vocab, seed=4200):
     return model, batch
 
 
-def speedups(name, call, model, batch) -> np.ndarray:
+def speedups(name, call, model, batch) -> tuple[np.ndarray, int]:
     """Serial over helper seconds of call(model, batch, "bce") under the
-    gate called name, one ratio per alternating pair."""
+    gate called name, one ratio per alternating pair, and the number of
+    pairs whose helper call left the helper on this process's CPU."""
     saved = getattr(training, name)
 
     def seconds(gate):
@@ -132,7 +137,11 @@ def speedups(name, call, model, batch) -> np.ndarray:
             setattr(training, name, saved)
 
     seconds(math.inf), seconds(0)  # warm both paths
-    return np.array([seconds(math.inf) / seconds(0) for _ in range(PAIRS)])
+    ratios, shared = [], 0
+    for _ in range(PAIRS):
+        ratios.append(seconds(math.inf) / seconds(0))
+        shared += on_one_cpu()
+    return np.array(ratios), shared
 
 
 def cpu(pid: int) -> int | None:
@@ -145,6 +154,14 @@ def cpu(pid: int) -> int | None:
         return None
 
 
+def on_one_cpu() -> bool:
+    """Whether this process's helper last ran on the CPU this process runs
+    on."""
+    here = cpu(os.getpid())
+    return (training._helper is not None and here is not None
+            and cpu(training._helper.pid) == here)
+
+
 def settle() -> float:
     """Run split model_gradients calls (desk lstm6) until the helper last
     ran on another CPU than this process, or for 10 s at most, and return
@@ -155,8 +172,7 @@ def settle() -> float:
     started = time.perf_counter()
     while time.perf_counter() - started < 10:
         model_gradients(model, batch, "bce")
-        here = cpu(os.getpid())
-        if training._helper is None or here is None or cpu(training._helper.pid) != here:
+        if not on_one_cpu():
             break
     return time.perf_counter() - started
 
@@ -166,8 +182,9 @@ def table(name, call, count, unit, models, vocab, grid):
     gate = getattr(training, name)
     print(f"{name} = {gate} ({call.__name__})")
     print()
-    print(f"| workload | model | B | {unit} | gate | serial/helper | quartiles | |")
-    print("|---|---|---|---|---|---|---|---|")
+    print(f"| workload | model | B | {unit} | gate | serial/helper | quartiles "
+          "| one CPU | |")
+    print("|---|---|---|---|---|---|---|---|---|")
     slower, faster = [], []
     for workload, act, (m, n, T), batch_sizes in grid:
         for B in batch_sizes:
@@ -175,13 +192,13 @@ def table(name, call, count, unit, models, vocab, grid):
                 model, batch = build(variant, act, m, n, T, B, bidirectional, vocab)
                 steps, may_split = count(model, batch)
                 splits = may_split and steps >= gate
-                q1, median, q3 = np.percentile(speedups(name, call, model, batch),
-                                               [25, 50, 75])
+                ratios, shared = speedups(name, call, model, batch)
+                q1, median, q3 = np.percentile(ratios, [25, 50, 75])
                 flag = "!" if (q3 < 1.0 if splits else q1 > 1.0) else ""
                 (faster if median >= 1.0 else slower).append(steps)
                 print(f"| {workload} | {key} | {B} | {steps} "
                       f"| {'splits' if splits else 'serial'} | {median:.2f} "
-                      f"| {q1:.2f}–{q3:.2f} | {flag} |", flush=True)
+                      f"| {q1:.2f}–{q3:.2f} | {shared}/{PAIRS} | {flag} |", flush=True)
     print()
     slowest = max(slower, default=0)
     first = min((s for s in faster if s > slowest), default=None)
