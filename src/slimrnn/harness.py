@@ -35,7 +35,7 @@ from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
                        SequenceClassifier, _flat_views, gradient_rel_error, model_from_arrays,
                        model_spec, train_epoch)
 # perfbench's tracer times cmd_gradcheck's two routes under these names.
-from .training import finite_difference_model as finite_difference_oracle
+from .training import finite_difference_models as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
 
 METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
@@ -513,6 +513,33 @@ def _tiny_failures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (size < 1e-7) & (np.abs(a - b) > 1e-6 * np.maximum(1e-8, size))
 
 
+def _gradcheck_nets(m: int, n: int, seq_len: int, seeds: int, batch: int,
+                    activations) -> dict:
+    """cmd_gradcheck's nets: (variant, activation) -> the (model, batch)
+    pairs its seeds draw, relu nets grazing a kink left out, in draw order."""
+    vocab = 7
+    drawn = {}
+    for variant in VARIANTS:
+        for act in activations:
+            nets = drawn[variant, act] = []
+            for s in range(seeds):
+                rng = make_rng(9000 + 131 * s)
+                mm = int(rng.integers(2, m + 1)) if m > 2 else m
+                nn = int(rng.integers(2, n + 1)) if n > 2 else n
+                tt = int(rng.integers(2, seq_len + 1)) if seq_len > 2 else seq_len
+                bb = int(rng.integers(1, batch + 1))
+                emb = init_embedding(rng, vocab, mm)
+                cell = init_cell(variant, mm, nn, act, 0.59, rng)
+                out = init_output(rng, nn, 1)
+                tokens = rng.integers(0, vocab, size=(bb, tt))
+                labels = rng.integers(0, 2, size=bb)
+                if act == "relu" and _relu_kink_margin(cell, emb.E[tokens.T]) < 1e-4:
+                    continue
+                nets.append((SequenceClassifier(cell, out, emb),
+                             SequenceBatch(tokens=tokens, labels=labels)))
+    return drawn
+
+
 def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                   batch: int = 2, activations=("sigmoid", "tanh", "relu"),
                   corrupt: str | None = None):
@@ -521,10 +548,13 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     m, n, seq_len cap desk-scale nets (m, n <= 8, seq_len <= 5 enforced);
     each seed draws dims at or below the caps, builds a fresh net with a
     trainable embedding, and compares every tensor's gradient; a tensor
-    passes at a worst relative error of at most 1e-6. A net with failing
-    entries under 1e-7 (_tiny_failures) reruns its oracle once at epsilon
-    1e-4, which judges those entries alone. relu nets whose
-    pre-activations graze a kink (within 1e-4) are skipped. The
+    passes at a worst relative error of at most 1e-6. Every net is drawn
+    first, and one oracle call differences them all, its passes cut once
+    over both cores (finite_difference_models); each net's analytic
+    gradients then come from its own bptt_gradients call here. Nets with
+    failing entries under 1e-7 (_tiny_failures) rerun their oracle once,
+    in one call at epsilon 1e-4, which judges those entries alone. relu
+    nets whose pre-activations graze a kink (within 1e-4) are skipped. The
     corrupt argument injects an error into one named tensor's analytic
     gradient so the failure path itself stays testable; it takes a bare
     name (E, W_hy, b_y or a cell tensor such as W_c), and any other
@@ -547,60 +577,47 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     tensors = {"E", "W_hy", "b_y"}.union(*ADAPTIVE_FIELDS.values())
     if corrupt is not None and corrupt not in tensors:
         raise ValueError(f"gradcheck cannot corrupt {corrupt!r}: no tensor has that name")
+    drawn = _gradcheck_nets(m, n, seq_len, seeds, batch, activations)
+    used = [net for nets in drawn.values() for net in nets]
+    errors, tiny_nets = [], []  # per used net its errors; each net to rerun
+    for (model, batch_data), oracle in zip(used, finite_difference_oracle(used, "bce")):
+        analytic = _bare_names(bptt_gradients(model, batch_data, "bce")[1])
+        if corrupt is not None and corrupt in analytic:
+            analytic[corrupt] = analytic[corrupt] + 1.0
+        oracle = _bare_names(oracle)
+        errs = {name: gradient_rel_error(a, oracle[name]) for name, a in analytic.items()}
+        tiny = {name: _tiny_failures(analytic[name], oracle[name])
+                for name, err in errs.items() if err > 1e-6}
+        if any(t.any() for t in tiny.values()):
+            tiny_nets.append((len(errors), analytic, oracle, tiny))
+        errors.append(errs)
+    if tiny_nets:
+        reruns = finite_difference_oracle([used[i] for i, *_ in tiny_nets], "bce", epsilon=1e-4)
+        for (i, analytic, oracle, tiny), rerun in zip(tiny_nets, map(_bare_names, reruns)):
+            for name, t in tiny.items():
+                a = analytic[name]
+                errors[i][name] = max(gradient_rel_error(a[~t], oracle[name][~t]),
+                                      gradient_rel_error(a[t], rerun[name][t]))
     report = []
     ok = True
-    vocab = 7
-    for variant in VARIANTS:
-        for act in activations:
-            worst: dict[str, float] = {}
-            used = 0
-            for s in range(seeds):
-                rng = make_rng(9000 + 131 * s)
-                mm = int(rng.integers(2, m + 1)) if m > 2 else m
-                nn = int(rng.integers(2, n + 1)) if n > 2 else n
-                tt = int(rng.integers(2, seq_len + 1)) if seq_len > 2 else seq_len
-                bb = int(rng.integers(1, batch + 1))
-                emb = init_embedding(rng, vocab, mm)
-                cell = init_cell(variant, mm, nn, act, 0.59, rng)
-                out = init_output(rng, nn, 1)
-                tokens = rng.integers(0, vocab, size=(bb, tt))
-                labels = rng.integers(0, 2, size=bb)
-                batch_data = SequenceBatch(tokens=tokens, labels=labels)
-                if act == "relu":
-                    xs = emb.E[tokens.T]
-                    if _relu_kink_margin(cell, xs) < 1e-4:
-                        continue
-                used += 1
-                model = SequenceClassifier(cell, out, emb)
-                analytic = _bare_names(bptt_gradients(model, batch_data, "bce")[1])
-                if corrupt is not None and corrupt in analytic:
-                    analytic[corrupt] = analytic[corrupt] + 1.0
-                oracle = _bare_names(finite_difference_oracle(model, batch_data, "bce"))
-                errs = {name: gradient_rel_error(a, oracle[name])
-                        for name, a in analytic.items()}
-                tiny = {name: _tiny_failures(analytic[name], oracle[name])
-                        for name, err in errs.items() if err > 1e-6}
-                if any(t.any() for t in tiny.values()):
-                    rerun = _bare_names(finite_difference_oracle(
-                        model, batch_data, "bce", epsilon=1e-4))
-                    for name, t in tiny.items():
-                        a = analytic[name]
-                        errs[name] = max(gradient_rel_error(a[~t], oracle[name][~t]),
-                                         gradient_rel_error(a[t], rerun[name][t]))
-                for name, err in errs.items():
-                    worst[name] = max(worst.get(name, 0.0), err)
-            if used == 0:
-                report.append({"variant": variant, "activation": act,
-                               "group": "-", "max_rel_err": float("nan"),
-                               "status": "skip"})
-                continue
-            for name, err in worst.items():
-                status = "pass" if err <= 1e-6 else "FAIL"
-                if status == "FAIL":
-                    ok = False
-                report.append({"variant": variant, "activation": act,
-                               "group": name, "max_rel_err": err,
-                               "status": status})
+    errors = iter(errors)
+    for (variant, act), nets in drawn.items():
+        if not nets:
+            report.append({"variant": variant, "activation": act,
+                           "group": "-", "max_rel_err": float("nan"),
+                           "status": "skip"})
+            continue
+        worst: dict[str, float] = {}
+        for errs in itertools.islice(errors, len(nets)):
+            for name, err in errs.items():
+                worst[name] = max(worst.get(name, 0.0), err)
+        for name, err in worst.items():
+            status = "pass" if err <= 1e-6 else "FAIL"
+            if status == "FAIL":
+                ok = False
+            report.append({"variant": variant, "activation": act,
+                           "group": name, "max_rel_err": err,
+                           "status": status})
     return report, ok
 
 

@@ -23,11 +23,13 @@ buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more is walked in two row halves, the second on the second core by a
 helper process, forked once and sent each call's parameters and inputs
 through a shared mapping that brings its buffer and losses back, and in
-each request the model's spec (model_spec), the model being rebuilt over
-the mapping as a checkpoint's loader does (model_from_arrays); evaluate
-splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same way, the
-helper forwarding its second half, and the finite-difference oracle runs
-the second share of its passes there from FD_FORK_MIN_COPY_STEPS. An
+each request the models' specs (model_spec), each model being rebuilt
+over the mapping as a checkpoint's loader does (model_from_arrays);
+evaluate splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same
+way, the helper forwarding its second half. The finite-difference oracle
+takes many nets in one call and joins their passes into one list, which
+a call of FD_FORK_MIN_COPY_STEPS or more cuts once, between nets or inside
+one, the helper running the second share over the nets it reaches. An
 optimizer step runs its rule once over a flat copy of all the gradients.
 Every gradient path here is certified against central finite differences
 in the test suite, so treat the two implementations as independent and
@@ -498,18 +500,20 @@ def _view(mapping: mmap.mmap, place) -> np.ndarray:
 
 class _Helper:
     """The process that runs the second row half of split model_gradients
-    and evaluate calls, and the second share of a split oracle's passes,
-    for its owner, the process that forked it at its first split call.
+    and evaluate calls, and the second share of a split oracle call's
+    passes, for its owner, the process that forked it at its first split
+    call.
 
     A call goes through an anonymous shared mapping of size bytes, made
-    before the fork, and two pipes. The owner copies the model's parameter
+    before the fork, and two pipes. The owner copies the models' parameter
     values and the half's inputs into the mapping and sends one request
-    naming a job and carrying the model: its model_spec and the place of
-    each parameter array in the mapping. The helper rebuilds the model over
-    views of the mapping (model_from_arrays), runs the job on it and the
-    mapping's arrays, writing its outputs there, and replies (_serve); it
-    keeps nothing between requests but the mapping. Where the fork fails,
-    the mapping and pipes are closed and its OSError raised."""
+    naming a job and carrying its models: each one's model_spec and the
+    place of each of its parameter arrays in the mapping. The helper
+    rebuilds the models over views of the mapping (model_from_arrays),
+    runs the job on them and the mapping's arrays, writing its outputs
+    there, and replies (_serve); it keeps nothing between requests but the
+    mapping. Where the fork fails, the mapping and pipes are closed and
+    its OSError raised."""
 
     def __init__(self, size: int):
         self.size = size
@@ -531,16 +535,18 @@ class _Helper:
 
 
 def _serve(mapping: mmap.mmap, requests, replies):
-    """The helper's loop: read a request, rebuild its model, run its job,
+    """The helper's loop: read a request, rebuild its models, run its job,
     reply, until the request pipe reaches EOF. A job's error goes back
     pickled (_pickled_error). The helper ignores SIGINT, an interrupt
     being its owner's to handle, stops an allocation trace its owner had
-    running, and leaves through os._exit, running no exit handler of its
-    owner's."""
+    running, holds its own _helper_lock, so that a split call in a job
+    runs both shares here and never forks, and leaves through os._exit,
+    running no exit handler of its owner's."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         tracemalloc.stop()
+        _helper_lock.acquire()  # a job's own split calls run here: no helper of its own
         while True:
             try:
                 request = requests.recv_bytes()
@@ -548,10 +554,11 @@ def _serve(mapping: mmap.mmap, requests, replies):
                 code = 0
                 break
             try:
-                spec, params, job, args, places = pickle.loads(request)
-                model = model_from_arrays(spec, {name: _view(mapping, place)
-                                                 for name, place in params.items()})
-                job(model, *args, *(_view(mapping, p) for p in places))
+                specs, params, job, args, places = pickle.loads(request)
+                models = [model_from_arrays(spec, {name: _view(mapping, place)
+                                                   for name, place in held.items()})
+                          for spec, held in zip(specs, params)]
+                job(models, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
                 reply = _pickled_error(exc)
@@ -596,20 +603,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
-                 outputs: list, first) -> bool:
-    """Run job(model, *args, *inputs, *outputs), a module-level function
+def _helper_walk(models: list, job, args: tuple, inputs: list, outputs: list,
+                 first) -> bool:
+    """Run job(models, *args, *inputs, *outputs), a module-level function
     writing into the outputs arrays, in this process's helper while first()
-    runs here, on copies in the mapping and a model the helper rebuilds from
+    runs here, on copies in the mapping and models the helper rebuilds from
     each request, then copy its outputs back and return True. The jobs are
     _gradient_job (model_gradients' second row half), _forward_job
-    (evaluate's) and _oracle_job (the second share of
-    finite_difference_model's passes); args travel pickled, so a job reads
-    what its caller decided from them (the rows per chunk, the oracle's
-    blocks) rather than from module constants, which the helper holds as
-    they were at its fork. Where no helper can be used, run job here after
-    first() and return False: another thread is using the helper, or one
-    must start and _can_fork() refuses it or os.fork fails (EAGAIN under a
+    (evaluate's), each given a list of one model, and _oracle_job (the
+    second share of a finite_difference_models call's passes, over the
+    models they difference); args travel pickled, so a job reads what its
+    caller decided from them (the rows per chunk, the oracle's blocks)
+    rather than from module constants, which the helper holds as they were
+    at its fork. Where no helper can be used, run job here after first()
+    and return False: another thread is using the helper, or one must
+    start and _can_fork() refuses it or os.fork fails (EAGAIN under a
     process limit, say). A helper starts at the first call, and again where
     a call does not fit the mapping, with twice the larger of its size and
     the call's need, so that an evaluate call's helper has room for a
@@ -623,23 +631,23 @@ def _helper_walk(model: SequenceClassifier, job, args: tuple, inputs: list,
     Either way it is dropped, and the next call starts a new one."""
     if _helper_lock.acquire(blocking=False):
         try:
-            if _in_helper(model, job, args, inputs, outputs, first):
+            if _in_helper(models, job, args, inputs, outputs, first):
                 return True
         finally:
             _helper_lock.release()
     first()
-    job(model, *args, *inputs, *outputs)
+    job(models, *args, *inputs, *outputs)
     return False
 
 
-def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
-               outputs: list, first) -> bool:
+def _in_helper(models: list, job, args: tuple, inputs: list, outputs: list,
+               first) -> bool:
     """_helper_walk's round trip, under _helper_lock: False, having run
     nothing, where no helper may be used."""
     global _helper
     helper = _helper
-    params = model.param_arrays(include_frozen=True)
-    arrays = [*params.values(), *inputs, *outputs]
+    params = [model.param_arrays(include_frozen=True) for model in models]
+    arrays = [a for held in params for a in held.values()] + [*inputs, *outputs]
     places, need = _places([(a.shape, a.dtype) for a in arrays])
     if helper is None or helper.size < need:
         if not _can_fork():
@@ -649,11 +657,15 @@ def _in_helper(model: SequenceClassifier, job, args: tuple, inputs: list,
             _helper = helper = _Helper(2 * max(need, helper.size if helper else 0))
         except OSError:
             return False
-    copied = len(params) + len(inputs)
+    copied = len(arrays) - len(outputs)
     for a, place in zip(arrays[:copied], places):
         _view(helper.mapping, place)[...] = a
-    request = pickle.dumps((model_spec(model), dict(zip(params, places)), job, args,
-                            places[len(params):]))
+    held, at = [], 0
+    for named in params:
+        held.append(dict(zip(named, places[at:])))
+        at += len(named)
+    request = pickle.dumps(([model_spec(model) for model in models], held, job, args,
+                            places[at:]))
     try:
         helper.requests.send_bytes(request)
     except BrokenPipeError:  # the helper is gone
@@ -689,20 +701,22 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
 
 
-def _gradient_job(model: SequenceClassifier, loss_kind: str, rows: int, tokens: np.ndarray,
+def _gradient_job(models: list, loss_kind: str, rows: int, tokens: np.ndarray,
                   labels: np.ndarray, buf: np.ndarray, losses: np.ndarray):
     """model_gradients' second half: the gradient sums of the samples
-    (tokens, labels), walked in chunks of rows samples, into the flat buf,
-    zeroed first and laid out as model.param_arrays(), and their losses
-    into losses."""
+    (tokens, labels), walked in chunks of rows samples by the one model of
+    models, into the flat buf, zeroed first and laid out as its
+    param_arrays(), and their losses into losses."""
+    (model,) = models
     buf[...] = 0.0
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     _walk_chunks(model, tokens, labels, loss_kind, rows, _flat_views(buf, shapes), losses)
 
 
-def _forward_job(model: SequenceClassifier, tokens: np.ndarray, y_raw: np.ndarray):
-    """evaluate's rows: the raw outputs of the (b, T) samples tokens into
-    y_raw, (b, k)."""
+def _forward_job(models: list, tokens: np.ndarray, y_raw: np.ndarray):
+    """evaluate's rows: the raw outputs of the one model of models on the
+    (b, T) samples tokens into y_raw, (b, k)."""
+    (model,) = models
     y_raw[...] = model.forward(embed_lookup(model.emb, tokens.T))[0]
 
 
@@ -746,7 +760,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         _walk_chunks(model, tokens, labels, loss_kind, rows, grads, losses)
     else:
         half, second = B // 2, np.empty(size)
-        _helper_walk(model, _gradient_job, (loss_kind, rows), [tokens[half:], labels[half:]],
+        _helper_walk([model], _gradient_job, (loss_kind, rows), [tokens[half:], labels[half:]],
                      [second, losses[half:]],
                      lambda: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
                                           rows, grads, losses[:half]))
@@ -778,20 +792,23 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 # axis (K = 2 * block), so a tensor of N entries costs ceil(N / FD_BLOCK)
 # forward passes. Products sum in the same index order for any K, and the
 # per-sample losses are added in sample order, so the result does not
-# depend on FD_BLOCK, nor on which process ran a pass: a large call runs
-# the second share of its passes in the helper process.
+# depend on FD_BLOCK, nor on which process ran a pass, nor on which nets
+# shared the call: a large call (finite_difference_models, over one net or
+# many) runs the second share of its passes in the helper process.
 # ---------------------------------------------------------------------------
 
 # Entries of one tensor perturbed together in one oracle forward pass.
 FD_BLOCK = 128
-# The copy-steps (finite_difference_model: recurrence copies x B x T x gate
-# width) from which the oracle runs the second share of its passes in the
+# The copy-steps of a whole oracle call (finite_difference_models: each
+# pass's recurrence copies x its net's B x T x gate width, summed over the
+# call's nets) from which it runs the second share of its passes in the
 # helper process. README's gradcheck table (tools/forkgate.py) places it:
-# over four runs every cell from 22,160 up ran faster (1.03-2.01x), and the
-# largest that ran slower was 15,008 (lstm_c6 at cmd_gradcheck's seed-2
-# dims, 0.98x once in 12 cells). At cmd_gradcheck's caps it splits lstm at
-# every seed and srnn and lstm6 at seed 2; of the property tests' nets
-# (m, n, T, B <= 3) only lstm's largest split.
+# over six runs every one-net cell from 22,160 up ran faster (1.03-2.03x),
+# and the largest that ran slower was 15,008 (lstm_c6 at cmd_gradcheck's
+# seed-2 dims, 0.77-0.98x in 2 of 18 cells); the benchmark's three
+# gradchecks, one call each of 29,628 (desk, paper) and 893,360 (certify)
+# copy-steps, ran 1.11-1.66x over two runs. Of the property tests'
+# one-net calls (m, n, T, B <= 3) only lstm's largest splits.
 FD_FORK_MIN_COPY_STEPS = 20_000
 
 
@@ -888,24 +905,83 @@ def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
     return shapes, passes, copies
 
 
-def _oracle_job(model: SequenceClassifier, loss_kind: str, epsilon: float, passes: list,
-                tokens: np.ndarray, labels: np.ndarray, out: np.ndarray):
-    """A share of finite_difference_model's passes over the samples (tokens,
-    labels): each pass (name, lo, hi, at) writes the central differences of
-    the flat entries [lo, hi) of tensor name into out[at:at + hi - lo]."""
-    batch = SequenceBatch(tokens=tokens, labels=labels)
+def _oracle_job(models: list, loss_kind: str, epsilon: float, passes: list, *arrays):
+    """A share of finite_difference_models' passes. arrays holds each
+    model's samples, its tokens then its labels, and last out: each pass
+    (j, name, lo, hi, at) writes the central differences of the flat
+    entries [lo, hi) of model j's tensor name over model j's samples into
+    out[at:at + hi - lo]. out is zeroed first, since no pass writes a
+    padding row and the helper's mapping holds an earlier request's
+    values."""
+    *samples, out = arrays
+    out[...] = 0.0
     eps = np.longdouble(epsilon)
-    A = {k: np.asarray(v, dtype=np.longdouble)[None]
-         for k, v in model.param_arrays(include_frozen=True).items()}
-    for name, lo, hi, at in passes:
-        k = hi - lo
-        idx = np.arange(lo, hi)
-        stack = np.repeat(A[name], 2 * k, axis=0)
-        flat = stack.reshape(2 * k, -1)
-        flat[np.arange(k), idx] += eps
-        flat[np.arange(k, 2 * k), idx] -= eps
-        loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
-        out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+    for j, share in itertools.groupby(passes, key=lambda p: p[0]):
+        model = models[j]
+        batch = SequenceBatch(tokens=samples[2 * j], labels=samples[2 * j + 1])
+        A = {k: np.asarray(v, dtype=np.longdouble)[None]
+             for k, v in model.param_arrays(include_frozen=True).items()}
+        for _, name, lo, hi, at in share:
+            k = hi - lo
+            idx = np.arange(lo, hi)
+            stack = np.repeat(A[name], 2 * k, axis=0)
+            flat = stack.reshape(2 * k, -1)
+            flat[np.arange(k), idx] += eps
+            flat[np.arange(k, 2 * k), idx] -= eps
+            loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
+            out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+
+
+def finite_difference_models(nets: list, loss_kind: str,
+                             epsilon: float = 1e-6) -> list[GradientSet]:
+    """finite_difference_model of each (model, batch) of nets, in one call
+    whose passes are cut once over both cores.
+
+    Every net's labels are checked before any pass runs. Each net's passes
+    are listed as finite_difference_model lists them, and the nets' lists
+    are joined in order, each pass writing into one flat buffer that holds
+    every net's tensors back to back. A pass costs its recurrence copies x
+    its net's B x T x gate width in copy-steps. A call of at least
+    FD_FORK_MIN_COPY_STEPS copy-steps in all is cut once, where the two
+    shares' copy-steps balance best, between two nets or inside one: the
+    first share runs here while this process's helper runs the second, in
+    one request carrying the nets it reaches (_oracle_job, _helper_walk),
+    or here after the first where no helper can be used. Each pass computes
+    what it would in its net's own unsplit call, so every entry keeps its
+    bits wherever it ran. The helper reads the blocks from the passes it
+    is sent, never its own FD_BLOCK, which is the module's as it was at
+    the fork."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    layouts, passes, steps, size = [], [], [], 0
+    for j, (model, batch) in enumerate(nets):
+        if batch.T == 0:
+            raise ValueError("cannot difference a loss over an empty sequence")
+        labels = batch.labels
+        k = 2 if loss_kind == "bce" else len(model.out.b_y)
+        if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
+            raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
+        shapes, own, copies = _oracle_passes(model)
+        passes += [(j, name, lo, hi, size + at) for name, lo, hi, at in own]
+        steps += [c * len(batch) * batch.T * gate_width(model.cell) for c in copies]
+        layouts.append((size, shapes))
+        size += sum(map(math.prod, shapes.values()))
+    flat = np.zeros(size)
+    models = [model for model, _ in nets]
+    samples = [a for _, batch in nets for a in (batch.tokens, batch.labels)]
+    total = sum(steps)
+    if total < FD_FORK_MIN_COPY_STEPS or len(passes) < 2:  # a call of no nets has no cut
+        _oracle_job(models, loss_kind, epsilon, passes, *samples, flat)
+    else:
+        before = list(itertools.accumulate(steps))[:-1]  # the first share's per cut
+        cut = 1 + min(range(len(before)), key=lambda i: abs(total - 2 * before[i]))
+        net, start = passes[cut][0], passes[cut][4]  # where the second share starts
+        second = [(j - net, name, lo, hi, at - start) for j, name, lo, hi, at in passes[cut:]]
+        _helper_walk(models[net:], _oracle_job, (loss_kind, epsilon, second),
+                     samples[2 * net:], [flat[start:]],
+                     lambda: _oracle_job(models, loss_kind, epsilon, passes[:cut],
+                                         *samples, flat[:start]))
+    return [_flat_views(flat[at:], shapes) for at, shapes in layouts]
 
 
 def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
@@ -920,38 +996,12 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
 
     The passes are listed in tensor order, each with its entry block and
     its recurrence copies: 2k for a block of k entries, 1 for a readout
-    block, whose recurrence runs once, unperturbed. A call of at least
-    FD_FORK_MIN_COPY_STEPS copy-steps (all passes' copies x B x T x the
-    cell's gate width) is cut where the two shares' copies balance best:
-    the first share runs here while this process's helper runs the second
-    (_oracle_job, _helper_walk), or here after the first where no helper
-    can be used. Each pass computes what it would unsplit, so every entry
-    keeps its bits wherever it ran. The helper reads the blocks from the
-    passes it is sent, never its own FD_BLOCK, which is the module's as it
-    was at the fork."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if batch.T == 0:
-        raise ValueError("cannot difference a loss over an empty sequence")
-    labels = batch.labels
-    k = 2 if loss_kind == "bce" else len(model.out.b_y)
-    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
-        raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
-    shapes, passes, copies = _oracle_passes(model)
-    flat = np.zeros(sum(map(math.prod, shapes.values())))
-    total = sum(copies)
-    args = (model, loss_kind, epsilon)
-    if total * len(batch) * batch.T * gate_width(model.cell) < FD_FORK_MIN_COPY_STEPS:
-        _oracle_job(*args, passes, batch.tokens, labels, flat)
-    else:
-        before = list(itertools.accumulate(copies))[:-1]  # the first share's copies per cut
-        cut = 1 + min(range(len(before)), key=lambda i: abs(total - 2 * before[i]))
-        start = passes[cut][3]
-        second = [(name, lo, hi, at - start) for name, lo, hi, at in passes[cut:]]
-        _helper_walk(model, _oracle_job, (loss_kind, epsilon, second),
-                     [batch.tokens, labels], [flat[start:]],
-                     lambda: _oracle_job(*args, passes[:cut], batch.tokens, labels, flat))
-    return _flat_views(flat, shapes)
+    block, whose recurrence runs once, unperturbed. It is the one-net call
+    of finite_difference_models: from FD_FORK_MIN_COPY_STEPS copy-steps
+    (all passes' copies x B x T x the cell's gate width) the list is cut
+    where the two shares' copies balance best, and the helper process runs
+    the second share."""
+    return finite_difference_models([(model, batch)], loss_kind, epsilon)[0]
 
 
 def gradient_rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -1097,8 +1147,8 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         b = len(tokens)
         if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
             y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
-            _helper_walk(model, _forward_job, (), [tokens[half:]], [y_raw[half:]],
-                         lambda: _forward_job(model, tokens[:half], y_raw[:half]))
+            _helper_walk([model], _forward_job, (), [tokens[half:]], [y_raw[half:]],
+                         lambda: _forward_job([model], tokens[:half], y_raw[:half]))
         else:
             y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))
         losses, _ = loss_eval(loss_kind, y_raw, labels)

@@ -3,6 +3,7 @@ runs and their artifacts, checkpoint fidelity, sweeps (sequential and
 parallel), the gradient-check command, and the CLI surface."""
 
 import argparse
+import math
 import re
 from pathlib import Path
 
@@ -932,57 +933,127 @@ def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
 
 def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
     # perfbench's harness.gradcheck_nets_used_ratio divides the calls of
-    # harness.bptt_gradients by the calls of harness.init_cell
-    calls = dict.fromkeys(("bptt_gradients", "finite_difference_oracle", "init_cell"), 0)
+    # harness.bptt_gradients by the calls of harness.init_cell; one oracle
+    # call differences every used net, one gradient set each
+    calls = dict.fromkeys(("bptt_gradients", "init_cell"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
+    sets = []  # the gradient sets of each oracle call
+    oracle = harness.finite_difference_oracle
+    monkeypatch.setattr(harness, "finite_difference_oracle",
+                        lambda *args, **kwargs: sets.append(oracle(*args, **kwargs)) or sets[-1])
     small = dict(m=3, n=3, seq_len=2, batch=1, seeds=2)
     cmd_gradcheck(**small, activations=("sigmoid", "tanh"))
     assert calls["init_cell"] == len(VARIANTS) * 2 * 2
     assert calls["bptt_gradients"] == calls["init_cell"]
-    assert calls["finite_difference_oracle"] == calls["init_cell"]
+    assert [len(grads) for grads in sets] == [calls["init_cell"]]
 
     calls.update(dict.fromkeys(calls, 0))
+    sets.clear()
     monkeypatch.setattr(harness, "_relu_kink_margin", lambda *args: 0.0)
     report, _ = cmd_gradcheck(**small, activations=("relu",))
-    assert calls["bptt_gradients"] == calls["finite_difference_oracle"] == 0
+    assert calls["bptt_gradients"] == sum(map(len, sets)) == 0
     assert calls["init_cell"] == len(VARIANTS) * 2
     assert [(r["variant"], r["status"]) for r in report] == \
         [(v, "skip") for v in VARIANTS]
 
 
-def test_cmd_gradcheck_at_the_caps_sends_its_large_nets_to_the_helper(monkeypatch):
-    # at perfbench's certify caps the oracle's gate splits lstm at every
-    # seed and srnn and lstm6 at seed 2 (m=4, n=7, T=4, B=4), the helper
-    # running their second shares; every other net's oracle stays serial
-    calls, walks = [], []
-    real_oracle, real_walk = harness.finite_difference_oracle, training._helper_walk
+GRADCHECK_CAPS = dict(m=8, n=8, seq_len=5, batch=8, seeds=3)
 
-    def oracle(model, batch, *args, **kwargs):
-        calls.append((model.cell.variant, model.cell.m, model.cell.n, batch.T, len(batch)))
-        return real_oracle(model, batch, *args, **kwargs)
 
-    def spy(model, job, *args):
-        walked = real_walk(model, job, *args)
-        if job is training._oracle_job:
-            walks.append((calls[-1], walked))
+def oracle_requests(monkeypatch):
+    """Spy on the helper round trips: a list that gathers, per request, its
+    job, its models, the passes an oracle request sends and whether the
+    helper ran it."""
+    walks = []
+    real = training._helper_walk
+
+    def spy(models, job, args, *rest):
+        walked = real(models, job, args, *rest)
+        walks.append((job, models, args[2] if job is training._oracle_job else None, walked))
         return walked
 
-    monkeypatch.setattr(harness, "finite_difference_oracle", oracle)
     monkeypatch.setattr(training, "_helper_walk", spy)
-    _, ok = cmd_gradcheck(m=8, n=8, seq_len=5, batch=8, seeds=3)
+    return walks
+
+
+def test_cmd_gradcheck_at_the_caps_sends_one_share_spanning_nets_to_the_helper(
+        monkeypatch):
+    # at perfbench's certify caps the one oracle call over every drawn net
+    # is cut once, where the two shares' copy-steps balance best: the helper
+    # runs the second share, which spans nets, in one request
+    walks = oracle_requests(monkeypatch)
+    nets = [net for drawn in harness._gradcheck_nets(
+        **GRADCHECK_CAPS, activations=("sigmoid", "tanh", "relu")).values() for net in drawn]
+    _, ok = cmd_gradcheck(**GRADCHECK_CAPS)
     assert ok
-    sent = {net for net, _ in walks}
-    assert sent == {("lstm", 6, 3, 3, 2), ("lstm", 6, 5, 2, 1), ("lstm", 4, 7, 4, 4),
-                    ("srnn", 4, 7, 4, 4), ("lstm6", 4, 7, 4, 4)}
-    small = {(v, *dims) for v in ("srnn", "lstm6", "lstm_c6")
-             for dims in ((6, 3, 3, 2), (6, 5, 2, 1))}
-    assert set(calls) - sent == small | {("lstm_c6", 4, 7, 4, 4)}
-    assert all(walked == training._can_fork() for _, walked in walks)
-    assert len(walks) == sum(net in sent for net in calls)
+    [(job, models, second, walked)] = walks
+    assert job is training._oracle_job and walked == training._can_fork()
+    assert len(models) >= 2 and {j for j, *_ in second} == set(range(len(models)))
+    # the models sent are the drawn nets' last ones, the first maybe in part
+    spec = [training.model_spec(model) for model, _ in nets[-len(models):]]
+    assert [training.model_spec(model) for model in models] == spec
+
+    def steps(model, batch):
+        per_copy = len(batch) * batch.T * training.gate_width(model.cell)
+        return [c * per_copy for c in training._oracle_passes(model)[2]]
+
+    cost = [c for net in nets for c in steps(*net)]
+    total, sent = sum(cost), sum(cost[len(cost) - len(second):])
+    assert abs(total - 2 * sent) <= max(cost)
+
+
+@pytest.mark.parametrize("gate", [0, math.inf])
+@pytest.mark.parametrize("corrupt", ["E", "W_c", "b_y"])
+def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
+        monkeypatch, corrupt, gate):
+    # at gate 0 the one oracle call is cut inside its nets: the corrupted
+    # tensor's passes run in the first share for some nets and in the
+    # helper's for others; at math.inf all of them run here
+    monkeypatch.setattr(training, "FD_FORK_MIN_COPY_STEPS", gate)
+    walks = oracle_requests(monkeypatch)
+    kwargs = dict(m=3, n=3, seq_len=3, batch=2, seeds=2, activations=("sigmoid",))
+    report, ok = cmd_gradcheck(**kwargs, corrupt=corrupt)
+    assert not ok
+    assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
+    assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
+    assert len(walks) == (gate == 0)
+    if walks:
+        [(_, _, second, _)] = walks
+        nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
+        names = [name for model, _ in nets for name, *_ in training._oracle_passes(model)[1]]
+        assert [name for _, name, *_ in second] == names[len(names) - len(second):]
+        for share in (names[:len(names) - len(second)], names[len(names) - len(second):]):
+            assert any(name.split(".", 1)[1] == corrupt for name in share)
+
+
+def gradcheck_bytes(monkeypatch, fork, **kwargs):
+    """repr of cmd_gradcheck's report and verdict, every oracle call split
+    (fork: the helper runs the second share) or unsplit (fork None)."""
+    training._stop_helper()
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "FD_FORK_MIN_COPY_STEPS", math.inf if fork is None else 0)
+        if fork is False:
+            mp.setattr(training, "_can_fork", lambda: False)
+        walks = oracle_requests(mp)
+        result = repr(cmd_gradcheck(**kwargs))
+    assert [walked for *_, walked in walks] == ([] if fork is None else
+                                                [fork and training._can_fork()])
+    return result
+
+
+@pytest.mark.parametrize("caps", ["defaults", "caps"])
+def test_cmd_gradcheck_reports_the_same_bytes_with_the_helper_on_and_off(monkeypatch,
+                                                                         caps):
+    kwargs = GRADCHECK_CAPS if caps == "caps" else {}
+    want = gradcheck_bytes(monkeypatch, None, **kwargs)
+    assert gradcheck_bytes(monkeypatch, True, **kwargs) == want
+    assert gradcheck_bytes(monkeypatch, False, **kwargs) == want
+    assert repr(cmd_gradcheck(**kwargs)) == want  # at the module's gate
+    training._stop_helper()
 
 
 def test_cmd_gradcheck_enforces_desk_scale_caps():

@@ -2353,21 +2353,22 @@ def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
     sent = []
     real = training._helper_walk
 
-    def spy(model, job, args, *rest):
+    def spy(models, job, args, *rest):
         sent.extend(args[2])
-        return real(model, job, args, *rest)
+        return real(models, job, args, *rest)
 
     monkeypatch.setattr(training, "_helper_walk", spy)
     got, walks = with_oracle_gate(monkeypatch, 0, model, batch, "cce", fork=refuse_fork)
     assert got == want and walks == training._can_fork()
     assert training._helper is helper
-    assert sent and all(hi - lo <= block for _, lo, hi, _ in sent)
+    assert sent and all(hi - lo <= block for _, _, lo, hi, _ in sent)
     no_child_left()
 
 
 def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     # the labels are checked once, before the split: neither share runs,
-    # and the helper serves on
+    # and the helper serves on; in a call over many nets, a bad label in
+    # any of them fails it before any pass of the others
     model = small_model("lstm6", 3, 4, seed=3820)
     batch = token_batch(3821, B=3, T=3)
     with_oracle_gate(monkeypatch, 0, model, batch, "bce")
@@ -2378,8 +2379,136 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     bad = SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1]))
     with pytest.raises(ValueError, match=r"bce needs integer labels in \[0, 2\)"):
         with_oracle_gate(monkeypatch, 0, model, bad, "bce")
+    other = (small_model("lstm", 3, 4, seed=3822), token_batch(3823, B=2, T=3))
+    for nets in ([(model, bad), other, other], [other, other, (model, bad)]):
+        with pytest.raises(ValueError, match=r"bce needs integer labels in \[0, 2\)"):
+            with_oracles_gate(monkeypatch, 0, nets, "bce")
     assert losses == []
     assert (training._helper.pid if training._helper else None) == pid
+    no_child_left()
+
+
+# --------------------------------------------------------------------------
+# One oracle call over many nets, cut once.
+# --------------------------------------------------------------------------
+
+def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None):
+    """finite_difference_models(nets, loss_kind) under
+    FD_FORK_MIN_COPY_STEPS = gate: each net's gradients' bytes, the number
+    of calls whose second share the helper ran, and per call the models
+    and passes sent."""
+    sent = []
+    real = training._helper_walk
+
+    def spy(models, job, args, *rest):
+        if job is training._oracle_job:
+            sent.append((models, args[2]))
+        return real(models, job, args, *rest)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_helper_walk", spy)
+        result, walks = with_fork_gate(
+            mp, gate, lambda: training.finite_difference_models(nets, loss_kind),
+            fork=fork, name="FD_FORK_MIN_COPY_STEPS")
+    return [[(name, g.tobytes()) for name, g in grads.items()] for grads in result], walks, sent
+
+
+@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
+        monkeypatch, variant, bidirectional, loss_kind, inputs):
+    # two nets of one shape balance at their border, where the default
+    # blocks cut; at FD_BLOCK 1 a first net heavier than the others takes
+    # the cut inside it, and the second share spans every net
+    k = 1 if loss_kind == "bce" else 3
+
+    def net(seed, m, B, T):
+        model = small_model(variant, m, 2, seed=seed, act="tanh", out_dim=k,
+                            trainable_emb=inputs == "trainable",
+                            bidirectional=bidirectional)
+        return model, token_batch(seed + 1, B=B, T=T, n_classes=max(k, 2))
+
+    cases = [(training.FD_BLOCK, [net(3830, 2, 2, 2), net(3832, 2, 2, 2)], 1),
+             (1, [net(3834, 3, 2, 3), net(3836, 2, 1, 2), net(3838, 2, 2, 2)], 3)]
+    for block, nets, reach in cases:
+        whole = [with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FD_BLOCK", block)
+            unsplit, none, _ = with_oracles_gate(mp, math.inf, nets, loss_kind)
+            training._stop_helper()
+            mp.setattr(training, "_can_fork", lambda: False)
+            fallback, walks, sent = with_oracles_gate(mp, 0, nets, loss_kind)
+            own = training._oracle_passes(nets[-1][0])[1]  # the last net's passes end it
+        assert (none, walks) == (0, 0)
+        assert unsplit == fallback == whole, block
+        [(models, second)] = sent
+        assert models == [model for model, _ in nets[-reach:]]
+        assert [p[:4] for p in second[-len(own):]] == [(reach - 1, *p[:3]) for p in own]
+        if reach == 1:  # the cut falls between the nets
+            assert len(second) == len(own)
+    # one helper serves both calls, after walking a large model's batch: its
+    # mapping holds that model's values where the oracle's output now goes
+    large = small_model("lstm", 8, 30, seed=3786, vocab=400, bidirectional=True)
+    with_fork_gate(monkeypatch, 0, model_gradients, large, token_batch(3787, B=6, T=5), "bce")
+    for block, nets, _ in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FD_BLOCK", block)
+            helped, walks, _ = with_oracles_gate(mp, 0, nets, loss_kind, fork=refuse_fork)
+        whole = [with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+        assert walks == training._can_fork()
+        assert helped == whole, block
+    no_child_left()
+
+
+def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
+        monkeypatch):
+    nets = [(small_model("lstm", 3, 4, seed=3840), token_batch(3841, B=3, T=3)),
+            (small_model("srnn", 2, 3, seed=3842), token_batch(3843, B=2, T=4))]
+    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    parent = os.getpid()
+    failing = [True]  # the helper's copy empties at its first pass
+
+    def loss_failing(*args):
+        if os.getpid() != parent and failing and failing.pop():
+            raise FloatingPointError("the helper's share went wrong")
+        return _ld_batch_loss(*args)
+
+    monkeypatch.setattr(training, "_ld_batch_loss", loss_failing)
+    with pytest.raises(FloatingPointError, match="^the helper's share went wrong$") as caught:
+        with_oracles_gate(monkeypatch, 0, nets, "bce")
+    if not training._can_fork():
+        return  # both shares ran here, and none failed
+    assert isinstance(caught.value.__cause__, ChildProcessError)
+    assert "loss_failing" in str(caught.value.__cause__)
+    helper = training._helper
+    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce", fork=refuse_fork)
+    assert (got, walks) == (want, 1)
+    assert training._helper is helper
+    no_child_left()
+
+
+def test_the_helpers_job_never_starts_a_helper_of_its_own(monkeypatch):
+    # a split call inside the helper's job (here a model_gradients call at
+    # gate 0 from within each oracle pass) runs both halves in the helper:
+    # it finds its own lock held and never forks
+    nets = [(small_model("lstm6", 3, 4, seed=3850), token_batch(3851, B=4, T=3))] * 2
+    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    parent = os.getpid()
+    model, batch = nets[0]
+
+    def loss_with_a_split_call(*args):
+        if os.getpid() != parent:
+            training.model_gradients(model, batch, "bce")
+            if training._helper is not None:
+                raise AssertionError("the helper started a helper")
+        return _ld_batch_loss(*args)
+
+    monkeypatch.setattr(training, "_ld_batch_loss", loss_with_a_split_call)
+    monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
+    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce")
+    assert (got, walks) == (want, training._can_fork())
     no_child_left()
 
 

@@ -13,12 +13,16 @@ test split (second table). In the third it is a net that
 `finite_difference_model` differences: the four variants and bidirectional
 lstm at the dims (m, n, T, B) that cmd_gradcheck's three seeds draw at its
 caps, under each activation, and at the property tests' tiny shapes, with a
-vocabulary of 7 as cmd_gradcheck's. Per cell it prints:
+vocabulary of 7 as cmd_gradcheck's. Its last three rows are whole
+gradchecks: the one `finite_difference_models` call that `cmd_gradcheck`
+makes over every net it draws, with each perfbench workload's settings
+(certify: the caps, three seeds, every activation; desk and paper: the
+caps, one seed, their own activation). Per cell it prints:
 
 - the count its table's gate is compared with: sample-steps, B x T x
   directions (FORK_MIN_SAMPLE_STEPS, EVAL_FORK_MIN_SAMPLE_STEPS), or
-  copy-steps, the oracle's recurrence copies x B x T x gate width
-  (FD_FORK_MIN_COPY_STEPS);
+  copy-steps, the oracle's recurrence copies x B x T x gate width summed
+  over the call's nets (FD_FORK_MIN_COPY_STEPS);
 - gate: what the call decides at the module's threshold;
 - serial/helper: the median over PAIRS (9) alternating pairs of serial
   seconds over seconds with the second row half (the oracle's second
@@ -40,8 +44,8 @@ above 1. The line after each table places its gate: above the largest
 count that ran slower with the helper (median below 1), and at most the
 smallest from which every larger cell ran faster. BLAS is pinned to one
 thread, as perfbench/run.py pins it, and the engine is imported from the
-src/ directory next to tools/. It takes about a minute on a 2-vCPU
-machine.
+src/ directory next to tools/, and perfbench's workload table from the
+directory above it. It takes about a minute on a 2-vCPU machine.
 """
 
 import os
@@ -49,21 +53,25 @@ import os
 # One BLAS thread, pinned before NumPy is first imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import itertools  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from slimrnn import training  # noqa: E402
+from perfbench.core import WORKLOADS  # noqa: E402
+from slimrnn import harness, training  # noqa: E402
 from slimrnn.cells import gate_width, init_cell, init_output  # noqa: E402
 from slimrnn.data import SequenceBatch, init_embedding  # noqa: E402
 from slimrnn.numerics import make_rng  # noqa: E402
 from slimrnn.training import (SequenceClassifier, evaluate,  # noqa: E402
-                              finite_difference_model, model_gradients)
+                              finite_difference_model, finite_difference_models,
+                              model_gradients)
 
 PAIRS = 9  # alternating serial/helper pairs per cell
 BENCH_MODELS = (("srnn", "srnn", False), ("lstm", "lstm", False),
@@ -84,28 +92,58 @@ def copy_steps(model, batch):
     return copies * len(batch) * batch.T * gate_width(model.cell), True
 
 
-# Per table: the gate, the call, the count the gate reads and its unit, the
-# models, the vocabulary, and (workload, activation, (m, n, T), B values)
+def gradcheck_nets(kwargs) -> list:
+    """The nets cmd_gradcheck(**kwargs) hands its one oracle call."""
+    calls, real = [], harness.finite_difference_oracle
+    harness.finite_difference_oracle = lambda nets, *args, **kw: (
+        calls.append(nets) or real(nets, *args, **kw))
+    try:
+        harness.cmd_gradcheck(**kwargs)
+    finally:
+        harness.finite_difference_oracle = real
+    return calls[0]
+
+
+def model_cells(call, count, models, vocab, grid):
+    """(workload, model, B, call, its arguments, count(model, batch)) per
+    cell of a model grid: (workload, activation, (m, n, T), B values)."""
+    for workload, act, (m, n, T), batch_sizes in grid:
+        for B in batch_sizes:
+            for key, variant, bidirectional in models:
+                model, batch = build(variant, act, m, n, T, B, bidirectional, vocab)
+                yield workload, key, B, call, (model, batch, "bce"), count(model, batch)
+
+
+def gradcheck_cells():
+    """One cell per perfbench workload: the oracle call of its gradcheck."""
+    for name, workload in WORKLOADS.items():
+        nets = gradcheck_nets(workload.gradcheck)
+        steps = sum(copy_steps(*net)[0] for net in nets)
+        yield (f"{name} gradcheck", f"{len(nets)} nets", "-", finite_difference_models,
+               (nets, "bce"), (steps, True))
+
+
+# Per table: the gate, the unit of the count it reads, and its cells
 TABLES = [
-    ("FORK_MIN_SAMPLE_STEPS", model_gradients, sample_steps, "sample-steps",
-     BENCH_MODELS, 50, [
-         ("certify", "sigmoid", (8, 8, 5), (8, 16, 32, 64, 128)),
-         ("desk", "tanh", (16, 32, 40), (2, 4, 8, 16, 32)),
-         ("paper", "sigmoid", (32, 100, 500), (2, 32)),
-     ]),
-    ("EVAL_FORK_MIN_SAMPLE_STEPS", evaluate, sample_steps, "sample-steps",
-     BENCH_MODELS, 50, [
-         ("certify", "sigmoid", (8, 8, 5), (20, 128, 256, 512, 1024)),
-         ("desk", "tanh", (16, 32, 40), (16, 32, 64, 128, 500)),
-         ("paper", "sigmoid", (32, 100, 500), (2, 4, 8, 32)),
-     ]),
-    ("FD_FORK_MIN_COPY_STEPS", finite_difference_model, copy_steps, "copy-steps",
-     ORACLE_MODELS, 7, [
-         *((f"gradcheck {act}", act, dims, (B,))
-           for act in ("sigmoid", "tanh", "relu")
-           for *dims, B in ((6, 3, 3, 2), (6, 5, 2, 1), (4, 7, 4, 4))),
-         *(("property", "sigmoid", (d, d, d), (d,)) for d in (1, 2, 3)),
-     ]),
+    ("FORK_MIN_SAMPLE_STEPS", "sample-steps", lambda: model_cells(
+        model_gradients, sample_steps, BENCH_MODELS, 50, [
+            ("certify", "sigmoid", (8, 8, 5), (8, 16, 32, 64, 128)),
+            ("desk", "tanh", (16, 32, 40), (2, 4, 8, 16, 32)),
+            ("paper", "sigmoid", (32, 100, 500), (2, 32)),
+        ])),
+    ("EVAL_FORK_MIN_SAMPLE_STEPS", "sample-steps", lambda: model_cells(
+        evaluate, sample_steps, BENCH_MODELS, 50, [
+            ("certify", "sigmoid", (8, 8, 5), (20, 128, 256, 512, 1024)),
+            ("desk", "tanh", (16, 32, 40), (16, 32, 64, 128, 500)),
+            ("paper", "sigmoid", (32, 100, 500), (2, 4, 8, 32)),
+        ])),
+    ("FD_FORK_MIN_COPY_STEPS", "copy-steps", lambda: itertools.chain(
+        model_cells(finite_difference_model, copy_steps, ORACLE_MODELS, 7, [
+            *((f"gradcheck {act}", act, dims, (B,))
+              for act in ("sigmoid", "tanh", "relu")
+              for *dims, B in ((6, 3, 3, 2), (6, 5, 2, 1), (4, 7, 4, 4))),
+            *(("property", "sigmoid", (d, d, d), (d,)) for d in (1, 2, 3)),
+        ]), gradcheck_cells())),
 ]
 
 
@@ -121,17 +159,17 @@ def build(variant, act, m, n, T, B, bidirectional, vocab, seed=4200):
     return model, batch
 
 
-def speedups(name, call, model, batch) -> tuple[np.ndarray, int]:
-    """Serial over helper seconds of call(model, batch, "bce") under the
-    gate called name, one ratio per alternating pair, and the number of
-    pairs whose helper call left the helper on this process's CPU."""
+def speedups(name, call, args) -> tuple[np.ndarray, int]:
+    """Serial over helper seconds of call(*args) under the gate called
+    name, one ratio per alternating pair, and the number of pairs whose
+    helper call left the helper on this process's CPU."""
     saved = getattr(training, name)
 
     def seconds(gate):
         setattr(training, name, gate)
         try:
             start = time.perf_counter()
-            call(model, batch, "bce")
+            call(*args)
             return time.perf_counter() - start
         finally:
             setattr(training, name, saved)
@@ -177,28 +215,24 @@ def settle() -> float:
     return time.perf_counter() - started
 
 
-def table(name, call, count, unit, models, vocab, grid):
+def table(name, unit, cells):
     """Print one gate's table and where the gate belongs."""
     gate = getattr(training, name)
-    print(f"{name} = {gate} ({call.__name__})")
+    print(f"{name} = {gate}")
     print()
     print(f"| workload | model | B | {unit} | gate | serial/helper | quartiles "
           "| one CPU | |")
     print("|---|---|---|---|---|---|---|---|---|")
     slower, faster = [], []
-    for workload, act, (m, n, T), batch_sizes in grid:
-        for B in batch_sizes:
-            for key, variant, bidirectional in models:
-                model, batch = build(variant, act, m, n, T, B, bidirectional, vocab)
-                steps, may_split = count(model, batch)
-                splits = may_split and steps >= gate
-                ratios, shared = speedups(name, call, model, batch)
-                q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-                flag = "!" if (q3 < 1.0 if splits else q1 > 1.0) else ""
-                (faster if median >= 1.0 else slower).append(steps)
-                print(f"| {workload} | {key} | {B} | {steps} "
-                      f"| {'splits' if splits else 'serial'} | {median:.2f} "
-                      f"| {q1:.2f}–{q3:.2f} | {shared}/{PAIRS} | {flag} |", flush=True)
+    for workload, key, B, call, args, (steps, may_split) in cells():
+        splits = may_split and steps >= gate
+        ratios, shared = speedups(name, call, args)
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        flag = "!" if (q3 < 1.0 if splits else q1 > 1.0) else ""
+        (faster if median >= 1.0 else slower).append(steps)
+        print(f"| {workload} | {key} | {B} | {steps} "
+              f"| {'splits' if splits else 'serial'} | {median:.2f} "
+              f"| {q1:.2f}–{q3:.2f} | {shared}/{PAIRS} | {flag} |", flush=True)
     print()
     slowest = max(slower, default=0)
     first = min((s for s in faster if s > slowest), default=None)
