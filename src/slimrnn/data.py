@@ -119,14 +119,19 @@ def pad_or_truncate(seq, T: int) -> list[int]:
     return [PAD_INDEX] * (T - len(seq)) + seq
 
 
-def embed_lookup(emb: EmbeddingTable, tokens: np.ndarray) -> np.ndarray:
-    """Rows of the embedding table for an array of token indices,
-    tokens.shape + (dim,): (T, B, dim) for the (T, B) tokens of B samples."""
-    tokens = np.asarray(tokens)
+def check_tokens(emb: EmbeddingTable, tokens: np.ndarray):
+    """Raise ValueError unless every token index is a row of the table."""
     if tokens.size and (tokens.min() < 0 or tokens.max() >= emb.vocab_size):
         raise ValueError(
             f"token index out of range [0, {emb.vocab_size}): "
             f"min={tokens.min()} max={tokens.max()}")
+
+
+def embed_lookup(emb: EmbeddingTable, tokens: np.ndarray) -> np.ndarray:
+    """Rows of the embedding table for an array of token indices,
+    tokens.shape + (dim,): (T, B, dim) for the (T, B) tokens of B samples."""
+    tokens = np.asarray(tokens)
+    check_tokens(emb, tokens)
     return emb.E[tokens]
 
 

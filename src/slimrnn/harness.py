@@ -34,7 +34,9 @@ from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
                        SequenceClassifier, _flat_views, gradient_rel_error, model_from_arrays,
                        model_spec, train_epoch)
-# perfbench's tracer times cmd_gradcheck's two routes under these names.
+# perfbench's tracer times cmd_gradcheck's two routes under these names; the
+# oracle call's time includes the bptt_gradients calls it runs while the
+# helper process takes passes.
 from .training import finite_difference_models as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
 
@@ -549,9 +551,10 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     each seed draws dims at or below the caps, builds a fresh net with a
     trainable embedding, and compares every tensor's gradient; a tensor
     passes at a worst relative error of at most 1e-6. Every net is drawn
-    first, and one oracle call differences them all, its passes cut once
-    over both cores (finite_difference_models); each net's analytic
-    gradients then come from its own bptt_gradients call here. Nets with
+    first, and one oracle call differences them all, its passes dealt to
+    both cores (finite_difference_models); each net's analytic gradients
+    come from its own bptt_gradients call, all of them made here within
+    that call, while the helper process takes passes. Nets with
     failing entries under 1e-7 (_tiny_failures) rerun their oracle once,
     in one call at epsilon 1e-4, which judges those entries alone. relu
     nets whose pre-activations graze a kink (within 1e-4) are skipped. The
@@ -579,9 +582,14 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
         raise ValueError(f"gradcheck cannot corrupt {corrupt!r}: no tensor has that name")
     drawn = _gradcheck_nets(m, n, seq_len, seeds, batch, activations)
     used = [net for nets in drawn.values() for net in nets]
+    routes = []  # per used net its analytic gradients, taken while the helper differences
+
+    def bptt_route():
+        routes.extend(_bare_names(bptt_gradients(model, b, "bce")[1]) for model, b in used)
+
+    oracles = finite_difference_oracle(used, "bce", first=bptt_route)
     errors, tiny_nets = [], []  # per used net its errors; each net to rerun
-    for (model, batch_data), oracle in zip(used, finite_difference_oracle(used, "bce")):
-        analytic = _bare_names(bptt_gradients(model, batch_data, "bce")[1])
+    for analytic, oracle in zip(routes, oracles):
         if corrupt is not None and corrupt in analytic:
             analytic[corrupt] = analytic[corrupt] + 1.0
         oracle = _bare_names(oracle)

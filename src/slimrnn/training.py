@@ -28,8 +28,8 @@ over the mapping as a checkpoint's loader does (model_from_arrays);
 evaluate splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same
 way, the helper forwarding its second half. The finite-difference oracle
 takes many nets in one call and joins their passes into one list, which
-a call of FD_FORK_MIN_COPY_STEPS or more cuts once, between nets or inside
-one, the helper running the second share over the nets it reaches. An
+a call of FD_FORK_MIN_COPY_STEPS or more deals to both processes, largest
+first: each takes the next untaken pass from one counter they share. An
 optimizer step runs its rule once over a flat copy of all the gradients.
 Every gradient path here is certified against central finite differences
 in the test suite, so treat the two implementations as independent and
@@ -39,7 +39,6 @@ never "fix" one by copying from the other.
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import mmap
 import multiprocessing
@@ -58,7 +57,7 @@ from scipy.special import expit
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width, input_term,
                     output_layer_apply, record_arrays, record_shapes, run_cell,
                     run_steps, stack_gates)
-from .data import EmbeddingTable, PAD_INDEX, SequenceBatch, embed_lookup
+from .data import EmbeddingTable, PAD_INDEX, SequenceBatch, check_tokens, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
 LOSSES = ("bce", "cce")
@@ -498,54 +497,97 @@ def _view(mapping: mmap.mmap, place) -> np.ndarray:
     return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
 
 
+class _Counter:
+    """The count a helper and its owner deal an oracle call's passes from:
+    an 8-byte anonymous shared mapping and a lock, both made before the
+    helper's fork, as its mapping is (a fork context's lock, which no
+    start method set elsewhere turns into a named one). other is, in each
+    process, its end of a pipe from the other one, which has something to
+    read once that process ended or is done dealing."""
+
+    def __init__(self):
+        self.lock = multiprocessing.get_context("fork").Lock()
+        self.count = mmap.mmap(-1, 8)
+        self.other = None  # set at the fork
+
+    def taken(self, size: int):
+        """Each next untaken index below size, until none is left. A lock
+        still held a second later while other has something to read was
+        held by a process that ended, and the taking stops."""
+        while True:
+            while not self.lock.acquire(timeout=1.0):
+                if self.other.poll():
+                    return
+            try:
+                i = int.from_bytes(self.count, "little")
+                self.count[:] = (i + 1).to_bytes(8, "little")
+            finally:
+                self.lock.release()
+            if i >= size:
+                return
+            yield i
+
+
 class _Helper:
     """The process that runs the second row half of split model_gradients
-    and evaluate calls, and the second share of a split oracle call's
-    passes, for its owner, the process that forked it at its first split
-    call.
+    and evaluate calls, and its deal of a dealt oracle call's passes, for
+    its owner, the process that forked it at its first split call.
 
-    A call goes through an anonymous shared mapping of size bytes, made
-    before the fork, and two pipes. The owner copies the models' parameter
-    values and the half's inputs into the mapping and sends one request
-    naming a job and carrying its models: each one's model_spec and the
-    place of each of its parameter arrays in the mapping. The helper
-    rebuilds the models over views of the mapping (model_from_arrays),
-    runs the job on them and the mapping's arrays, writing its outputs
-    there, and replies (_serve); it keeps nothing between requests but the
-    mapping. Where the fork fails, the mapping and pipes are closed and
-    its OSError raised."""
+    A call goes through an anonymous shared mapping of size bytes and a
+    _Counter, both made before the fork, and two pipes. The owner copies
+    the models' parameter values and the job's inputs into the mapping,
+    zeroes the count and sends one request naming a job and carrying its
+    models: each one's model_spec and the place of each of its parameter
+    arrays in the mapping. The helper rebuilds the models over views of
+    the mapping (model_from_arrays), runs the job on them and the
+    mapping's arrays, writing its outputs there, and replies (_serve); it
+    keeps nothing between requests but the mapping. Where the counter or
+    the fork fails, its OSError is raised, what was made being closed
+    where the fork failed."""
 
     def __init__(self, size: int):
         self.size = size
+        self.counter = _Counter()
         self.mapping = mmap.mmap(-1, size)
         requests, self.requests = multiprocessing.Pipe(duplex=False)
         self.replies, replies = multiprocessing.Pipe(duplex=False)
         try:
             self.pid = os.fork()
         except OSError:
-            for end in (requests, self.requests, self.replies, replies, self.mapping):
+            for end in (requests, self.requests, self.replies, replies, self.mapping,
+                        self.counter.count):
                 end.close()
             raise
         if self.pid == 0:
             self.requests.close()  # else the helper never sees EOF
             self.replies.close()
-            _serve(self.mapping, requests, replies)
+            self.counter.other = requests
+            _serve(self.mapping, self.counter, requests, replies)
+        self.counter.other = self.replies
         requests.close()
         replies.close()
 
 
-def _serve(mapping: mmap.mmap, requests, replies):
+# In a helper process: its counter's taken, from which _oracle_job takes
+# the passes of a dealt call.
+_deal = None
+
+
+def _serve(mapping: mmap.mmap, counter: _Counter, requests, replies):
     """The helper's loop: read a request, rebuild its models, run its job,
     reply, until the request pipe reaches EOF. A job's error goes back
-    pickled (_pickled_error). The helper ignores SIGINT, an interrupt
-    being its owner's to handle, stops an allocation trace its owner had
-    running, holds its own _helper_lock, so that a split call in a job
-    runs both shares here and never forks, and leaves through os._exit,
-    running no exit handler of its owner's."""
+    pickled (_pickled_error). A dealt job takes its passes from counter
+    (_deal). The helper ignores SIGINT, an interrupt being its owner's to
+    handle, stops an allocation trace its owner had running, holds its
+    own _helper_lock, so that a split call in a job runs both shares here
+    and never forks, and leaves through os._exit, running no exit handler
+    of its owner's."""
+    global _deal
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         tracemalloc.stop()
+        _deal = counter.taken
         _helper_lock.acquire()  # a job's own split calls run here: no helper of its own
         while True:
             try:
@@ -606,25 +648,28 @@ if hasattr(os, "register_at_fork"):
 def _helper_walk(models: list, job, args: tuple, inputs: list, outputs: list,
                  first) -> bool:
     """Run job(models, *args, *inputs, *outputs), a module-level function
-    writing into the outputs arrays, in this process's helper while first()
-    runs here, on copies in the mapping and models the helper rebuilds from
-    each request, then copy its outputs back and return True. The jobs are
-    _gradient_job (model_gradients' second row half), _forward_job
-    (evaluate's), each given a list of one model, and _oracle_job (the
-    second share of a finite_difference_models call's passes, over the
-    models they difference); args travel pickled, so a job reads what its
-    caller decided from them (the rows per chunk, the oracle's blocks)
+    writing into the outputs arrays, in this process's helper while
+    first(deal) runs here, on copies in the mapping and models the helper
+    rebuilds from each request, then copy its outputs back and return
+    True. The jobs are _gradient_job (model_gradients' second row half),
+    _forward_job (evaluate's), each given a list of one model, and
+    _oracle_job (a dealt finite_difference_models call's passes, over all
+    its models), which the helper deals with first: deal(size) gives the
+    indices below size that this process takes from the helper's counter,
+    the helper taking the others. args travel pickled, so a job reads what
+    its caller decided from them (the rows per chunk, the oracle's blocks)
     rather than from module constants, which the helper holds as they were
-    at its fork. Where no helper can be used, run job here after first()
-    and return False: another thread is using the helper, or one must
-    start and _can_fork() refuses it or os.fork fails (EAGAIN under a
-    process limit, say). A helper starts at the first call, and again where
-    a call does not fit the mapping, with twice the larger of its size and
-    the call's need, so that an evaluate call's helper has room for a
-    gradient buffer too.
+    at its fork. Where no helper can be used, run job here after
+    first(None), which then deals nothing, and return False: another
+    thread is using the helper, or one must start and _can_fork() refuses
+    it or its counter or os.fork fails (EAGAIN under a process limit, say).
+    A helper starts at the first call, and again where a call does not fit
+    the mapping, with twice the larger of its size and the call's need, so
+    that an evaluate call's helper has room for a gradient buffer too.
 
-    An error in the helper's job is raised here with the helper's
-    traceback as its cause, and the helper serves on. An error in first(),
+    An error in the helper's job is raised here, after first(deal) ended,
+    with the helper's traceback as its cause, and the helper serves on.
+    An error in first(deal),
     or one raised while waiting for the reply (an interrupt), kills the
     helper; a helper found dead (EOF on its reply pipe, or a refused
     request) is reaped and its exit code raised as a ChildProcessError.
@@ -635,7 +680,7 @@ def _helper_walk(models: list, job, args: tuple, inputs: list, outputs: list,
                 return True
         finally:
             _helper_lock.release()
-    first()
+    first(None)
     job(models, *args, *inputs, *outputs)
     return False
 
@@ -666,13 +711,14 @@ def _in_helper(models: list, job, args: tuple, inputs: list, outputs: list,
         at += len(named)
     request = pickle.dumps(([model_spec(model) for model in models], held, job, args,
                             places[at:]))
+    helper.counter.count[:] = bytes(8)
     try:
         helper.requests.send_bytes(request)
     except BrokenPipeError:  # the helper is gone
         reply = None
     else:
         try:
-            first()
+            first(helper.counter.taken)
             try:
                 reply = helper.replies.recv_bytes()
             except EOFError:  # the helper is gone
@@ -762,8 +808,8 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         half, second = B // 2, np.empty(size)
         _helper_walk([model], _gradient_job, (loss_kind, rows), [tokens[half:], labels[half:]],
                      [second, losses[half:]],
-                     lambda: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
-                                          rows, grads, losses[:half]))
+                     lambda _: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
+                                            rows, grads, losses[:half]))
         flat += second
     total = 0.0
     for loss in losses:  # in sample order
@@ -794,22 +840,23 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 # per-sample losses are added in sample order, so the result does not
 # depend on FD_BLOCK, nor on which process ran a pass, nor on which nets
 # shared the call: a large call (finite_difference_models, over one net or
-# many) runs the second share of its passes in the helper process.
+# many) deals its passes to this process and the helper process.
 # ---------------------------------------------------------------------------
 
 # Entries of one tensor perturbed together in one oracle forward pass.
 FD_BLOCK = 128
 # The copy-steps of a whole oracle call (finite_difference_models: each
 # pass's recurrence copies x its net's B x T x gate width, summed over the
-# call's nets) from which it runs the second share of its passes in the
+# call's nets) from which it deals its passes to this process and the
 # helper process. README's gradcheck table (tools/forkgate.py) places it:
-# over six runs every one-net cell from 22,160 up ran faster (1.03-2.03x),
-# and the largest that ran slower was 15,008 (lstm_c6 at cmd_gradcheck's
-# seed-2 dims, 0.77-0.98x in 2 of 18 cells); the benchmark's three
+# over three runs every cell from 2,160 up ran faster (1.01-2.29x), and
+# the largest that ran slower was 1,940 (srnn and lstm6 at cmd_gradcheck's
+# seed-1 dims, 0.81-0.99x in 4 of 18 cells); the benchmark's three
 # gradchecks, one call each of 29,628 (desk, paper) and 893,360 (certify)
-# copy-steps, ran 1.11-1.66x over two runs. Of the property tests'
-# one-net calls (m, n, T, B <= 3) only lstm's largest splits.
-FD_FORK_MIN_COPY_STEPS = 20_000
+# copy-steps, ran 1.58-1.76x. Of the property tests' one-net calls (m, n,
+# T, B <= 3), lstm's, of one direction or two, deal from B = 2, srnn's and
+# lstm6's at B = 3, and lstm_c6's never.
+FD_FORK_MIN_COPY_STEPS = 2_000
 
 
 def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
@@ -888,9 +935,9 @@ def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
 
 def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
     """finite_difference_model's layout: the shape of each trainable tensor,
-    in order; its passes in the order it walks them, each (name, lo, hi, at)
-    for the flat entries [lo, hi) of tensor name, at being the first one's
-    place in a flat buffer of all the tensors; and each pass's recurrence
+    in order; its passes in tensor order, each (name, lo, hi, at) for the
+    flat entries [lo, hi) of tensor name, at being the first one's place
+    in a flat buffer of all the tensors; and each pass's recurrence
     copies."""
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     passes, copies, at = [], [], 0
@@ -905,82 +952,103 @@ def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
     return shapes, passes, copies
 
 
-def _oracle_job(models: list, loss_kind: str, epsilon: float, passes: list, *arrays):
-    """A share of finite_difference_models' passes. arrays holds each
-    model's samples, its tokens then its labels, and last out: each pass
-    (j, name, lo, hi, at) writes the central differences of the flat
-    entries [lo, hi) of model j's tensor name over model j's samples into
-    out[at:at + hi - lo]. out is zeroed first, since no pass writes a
+def _oracle_job(models: list, loss_kind: str, epsilon: float, passes: list, *arrays,
+                taken=None) -> list:
+    """finite_difference_models' passes. arrays holds each model's samples,
+    its tokens then its labels, and last out: pass i, (j, name, lo, hi,
+    at), writes the central differences of the flat entries [lo, hi) of
+    model j's tensor name over model j's samples into out[at:at + hi - lo].
+    It runs the passes whose indices taken gives; by default, in a helper
+    those it takes from the counter it shares with its owner (_deal), and
+    elsewhere every one. out is zeroed first, since no pass writes a
     padding row and the helper's mapping holds an earlier request's
-    values."""
+    values. Returns the indices it ran."""
     *samples, out = arrays
     out[...] = 0.0
+    if taken is None:
+        taken = range(len(passes)) if _deal is None else _deal(len(passes))
     eps = np.longdouble(epsilon)
-    for j, share in itertools.groupby(passes, key=lambda p: p[0]):
-        model = models[j]
-        batch = SequenceBatch(tokens=samples[2 * j], labels=samples[2 * j + 1])
-        A = {k: np.asarray(v, dtype=np.longdouble)[None]
-             for k, v in model.param_arrays(include_frozen=True).items()}
-        for _, name, lo, hi, at in share:
-            k = hi - lo
-            idx = np.arange(lo, hi)
-            stack = np.repeat(A[name], 2 * k, axis=0)
-            flat = stack.reshape(2 * k, -1)
-            flat[np.arange(k), idx] += eps
-            flat[np.arange(k, 2 * k), idx] -= eps
-            loss = _ld_batch_loss(model, {**A, name: stack}, batch, loss_kind)
-            out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+    reached, ran = {}, []  # per model reached: its batch and its tensors
+    for i in taken:
+        j, name, lo, hi, at = passes[i]
+        if j not in reached:
+            reached[j] = (SequenceBatch(tokens=samples[2 * j], labels=samples[2 * j + 1]),
+                          {k: np.asarray(v, dtype=np.longdouble)[None]
+                           for k, v in models[j].param_arrays(include_frozen=True).items()})
+        batch, A = reached[j]
+        k = hi - lo
+        idx = np.arange(lo, hi)
+        stack = np.repeat(A[name], 2 * k, axis=0)
+        flat = stack.reshape(2 * k, -1)
+        flat[np.arange(k), idx] += eps
+        flat[np.arange(k, 2 * k), idx] -= eps
+        loss = _ld_batch_loss(models[j], {**A, name: stack}, batch, loss_kind)
+        out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+        ran.append(i)
+    return ran
 
 
-def finite_difference_models(nets: list, loss_kind: str,
-                             epsilon: float = 1e-6) -> list[GradientSet]:
+def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
+                             first=None) -> list[GradientSet]:
     """finite_difference_model of each (model, batch) of nets, in one call
-    whose passes are cut once over both cores.
+    whose passes are dealt to both cores; first(), where given, runs here
+    first, while the helper takes passes.
 
-    Every net's labels are checked before any pass runs. Each net's passes
-    are listed as finite_difference_model lists them, and the nets' lists
-    are joined in order, each pass writing into one flat buffer that holds
-    every net's tensors back to back. A pass costs its recurrence copies x
-    its net's B x T x gate width in copy-steps. A call of at least
-    FD_FORK_MIN_COPY_STEPS copy-steps in all is cut once, where the two
-    shares' copy-steps balance best, between two nets or inside one: the
-    first share runs here while this process's helper runs the second, in
-    one request carrying the nets it reaches (_oracle_job, _helper_walk),
-    or here after the first where no helper can be used. Each pass computes
-    what it would in its net's own unsplit call, so every entry keeps its
-    bits wherever it ran. The helper reads the blocks from the passes it
-    is sent, never its own FD_BLOCK, which is the module's as it was at
-    the fork."""
+    Every net's batch, tokens and labels are checked before any pass runs.
+    Each net's passes are listed as finite_difference_model lists them,
+    and the nets' lists are joined in order, each pass writing into one
+    flat buffer that holds every net's tensors back to back. A pass costs
+    its recurrence copies x its net's B x T x gate width in copy-steps. A
+    call of at least FD_FORK_MIN_COPY_STEPS copy-steps in all sends this
+    process's helper every net and the whole list, sorted by copy-steps,
+    largest first, in one request (_oracle_job, _helper_walk). The helper
+    and this process, once first() returned, then each take the next
+    untaken pass from the counter they share until none is left, each
+    writing its passes' entries into its own buffer; the helper's entries
+    are then copied into this process's. Where no helper can be used,
+    every pass runs here after first(). Each pass computes what it would
+    in its net's own serial call, so every entry keeps its bits wherever
+    it ran. The helper reads the blocks from the passes it is sent, never
+    its own FD_BLOCK, which is the module's as it was at the fork."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     layouts, passes, steps, size = [], [], [], 0
     for j, (model, batch) in enumerate(nets):
+        if len(batch) == 0:
+            raise ValueError("cannot difference a loss over an empty batch")
         if batch.T == 0:
             raise ValueError("cannot difference a loss over an empty sequence")
         labels = batch.labels
         k = 2 if loss_kind == "bce" else len(model.out.b_y)
         if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
             raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
+        check_tokens(model.emb, batch.tokens)
         shapes, own, copies = _oracle_passes(model)
         passes += [(j, name, lo, hi, size + at) for name, lo, hi, at in own]
         steps += [c * len(batch) * batch.T * gate_width(model.cell) for c in copies]
         layouts.append((size, shapes))
         size += sum(map(math.prod, shapes.values()))
-    flat = np.zeros(size)
+    flat, mine = np.zeros(size), []
     models = [model for model, _ in nets]
     samples = [a for _, batch in nets for a in (batch.tokens, batch.labels)]
-    total = sum(steps)
-    if total < FD_FORK_MIN_COPY_STEPS or len(passes) < 2:  # a call of no nets has no cut
+
+    def here(deal):  # first(), then the passes this process takes as the helper deals
+        if first is not None:
+            first()
+        if deal is not None:
+            mine.extend(_oracle_job(models, loss_kind, epsilon, passes, *samples, flat,
+                                    taken=deal(len(passes))))
+
+    if sum(steps) < FD_FORK_MIN_COPY_STEPS or len(passes) < 2:  # nothing to deal
+        here(None)
         _oracle_job(models, loss_kind, epsilon, passes, *samples, flat)
     else:
-        before = list(itertools.accumulate(steps))[:-1]  # the first share's per cut
-        cut = 1 + min(range(len(before)), key=lambda i: abs(total - 2 * before[i]))
-        net, start = passes[cut][0], passes[cut][4]  # where the second share starts
-        second = [(j - net, name, lo, hi, at - start) for j, name, lo, hi, at in passes[cut:]]
-        _helper_walk(models[net:], _oracle_job, (loss_kind, epsilon, second),
-                     samples[2 * net:], [flat[start:]],
-                     lambda: _oracle_job(models, loss_kind, epsilon, passes[:cut],
-                                         *samples, flat[:start]))
+        passes = [p for _, p in sorted(zip(steps, passes), key=lambda sp: -sp[0])]
+        theirs = np.empty(size)
+        _helper_walk(models, _oracle_job, (loss_kind, epsilon, passes), samples, [theirs], here)
+        for i in set(range(len(passes))).difference(mine):
+            _, _, lo, hi, at = passes[i]
+            flat[at:at + hi - lo] = theirs[at:at + hi - lo]
     return [_flat_views(flat[at:], shapes) for at, shapes in layouts]
 
 
@@ -998,9 +1066,9 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
     its recurrence copies: 2k for a block of k entries, 1 for a readout
     block, whose recurrence runs once, unperturbed. It is the one-net call
     of finite_difference_models: from FD_FORK_MIN_COPY_STEPS copy-steps
-    (all passes' copies x B x T x the cell's gate width) the list is cut
-    where the two shares' copies balance best, and the helper process runs
-    the second share."""
+    (all passes' copies x B x T x the cell's gate width) the passes are
+    dealt, largest first, to this process and the helper process, each
+    taking the next untaken one."""
     return finite_difference_models([(model, batch)], loss_kind, epsilon)[0]
 
 
@@ -1148,7 +1216,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
             y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
             _helper_walk([model], _forward_job, (), [tokens[half:]], [y_raw[half:]],
-                         lambda: _forward_job([model], tokens[:half], y_raw[:half]))
+                         lambda _: _forward_job([model], tokens[:half], y_raw[:half]))
         else:
             y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))
         losses, _ = loss_eval(loss_kind, y_raw, labels)

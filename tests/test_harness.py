@@ -4,6 +4,7 @@ parallel), the gradient-check command, and the CLI surface."""
 
 import argparse
 import math
+import os
 import re
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from slimrnn.harness import (
 from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, SequenceClassifier, evaluate
 
-from conftest import operands
+from conftest import OraclePasses, check_sent_order, operands
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -980,40 +981,54 @@ def oracle_requests(monkeypatch):
     return walks
 
 
+def after_the_helper_took_a_pass(monkeypatch, log):
+    """Make cmd_gradcheck's BPTT route, which runs while the helper takes
+    passes, start only once the helper has taken one (log: OraclePasses)."""
+    bptt = harness.bptt_gradients
+
+    def waiting(*args, **kwargs):
+        log.wait_for_another_process()
+        return bptt(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "bptt_gradients", waiting)
+
+
+def model_key(model) -> tuple:
+    """What tells one drawn gradcheck model from another."""
+    return training.model_spec(model), model.out.W_hy.tobytes()
+
+
 def test_cmd_gradcheck_at_the_caps_sends_one_share_spanning_nets_to_the_helper(
-        monkeypatch):
-    # at perfbench's certify caps the one oracle call over every drawn net
-    # is cut once, where the two shares' copy-steps balance best: the helper
-    # runs the second share, which spans nets, in one request
+        monkeypatch, tmp_path):
+    # at perfbench's certify caps the one oracle call sends the helper every
+    # drawn net and all their passes, largest first, in one request; each
+    # pass runs once, in either process, and this process, which takes
+    # passes once its BPTT route is done, runs fewer than all of them
+    log = OraclePasses(monkeypatch, tmp_path / "passes")
+    after_the_helper_took_a_pass(monkeypatch, log)
     walks = oracle_requests(monkeypatch)
     nets = [net for drawn in harness._gradcheck_nets(
         **GRADCHECK_CAPS, activations=("sigmoid", "tanh", "relu")).values() for net in drawn]
     _, ok = cmd_gradcheck(**GRADCHECK_CAPS)
     assert ok
-    [(job, models, second, walked)] = walks
+    [(job, models, passes, walked)] = walks
     assert job is training._oracle_job and walked == training._can_fork()
-    assert len(models) >= 2 and {j for j, *_ in second} == set(range(len(models)))
-    # the models sent are the drawn nets' last ones, the first maybe in part
-    spec = [training.model_spec(model) for model, _ in nets[-len(models):]]
-    assert [training.model_spec(model) for model in models] == spec
-
-    def steps(model, batch):
-        per_copy = len(batch) * batch.T * training.gate_width(model.cell)
-        return [c * per_copy for c in training._oracle_passes(model)[2]]
-
-    cost = [c for net in nets for c in steps(*net)]
-    total, sent = sum(cost), sum(cost[len(cost) - len(second):])
-    assert abs(total - 2 * sent) <= max(cost)
+    assert list(map(model_key, models)) == [model_key(model) for model, _ in nets]
+    check_sent_order(nets, passes)
+    log.check_dealt(nets)
 
 
 @pytest.mark.parametrize("gate", [0, math.inf])
 @pytest.mark.parametrize("corrupt", ["E", "W_c", "b_y"])
 def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
-        monkeypatch, corrupt, gate):
-    # at gate 0 the one oracle call is cut inside its nets: the corrupted
-    # tensor's passes run in the first share for some nets and in the
-    # helper's for others; at math.inf all of them run here
+        monkeypatch, tmp_path, corrupt, gate):
+    # at gate 0 the one oracle call deals its passes: the corrupted tensor's
+    # passes run in either process, each once; at math.inf all of them run
+    # here
     monkeypatch.setattr(training, "FD_FORK_MIN_COPY_STEPS", gate)
+    log = OraclePasses(monkeypatch, tmp_path / "passes")
+    if gate == 0:
+        after_the_helper_took_a_pass(monkeypatch, log)
     walks = oracle_requests(monkeypatch)
     kwargs = dict(m=3, n=3, seq_len=3, batch=2, seeds=2, activations=("sigmoid",))
     report, ok = cmd_gradcheck(**kwargs, corrupt=corrupt)
@@ -1021,13 +1036,13 @@ def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
     assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
     assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
     assert len(walks) == (gate == 0)
+    nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
     if walks:
-        [(_, _, second, _)] = walks
-        nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
-        names = [name for model, _ in nets for name, *_ in training._oracle_passes(model)[1]]
-        assert [name for _, name, *_ in second] == names[len(names) - len(second):]
-        for share in (names[:len(names) - len(second)], names[len(names) - len(second):]):
-            assert any(name.split(".", 1)[1] == corrupt for name in share)
+        [(_, _, passes, _)] = walks
+        check_sent_order(nets, passes)
+        log.check_dealt(nets)
+    else:
+        assert list(log.read()) == [os.getpid()]
 
 
 def gradcheck_bytes(monkeypatch, fork, **kwargs):

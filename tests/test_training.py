@@ -4,7 +4,9 @@ rules against scalar transcriptions, and epoch-level determinism."""
 
 import errno
 import math
+import multiprocessing.synchronize
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -41,7 +43,7 @@ from slimrnn.training import (
     _ld_batch_loss,
 )
 
-from conftest import recorded
+from conftest import OraclePasses, check_sent_order, recorded
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
 
@@ -442,8 +444,8 @@ def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
 
 
 def test_oracle_memory_stays_small_at_the_gradcheck_caps(monkeypatch):
-    # tracemalloc sees this process alone: with the helper refused, both
-    # shares of the passes run here
+    # tracemalloc sees this process alone: with the helper refused, every
+    # pass runs here
     model = small_model("lstm", 8, 8, seed=2940, bidirectional=True)
     batch = token_batch(2941, B=8, T=5)
     training._stop_helper()
@@ -2285,7 +2287,7 @@ def helper_gone_after(script):
 
 
 # --------------------------------------------------------------------------
-# The oracle's second share of passes in the helper process.
+# The oracle's passes, dealt to this process and the helper process.
 # --------------------------------------------------------------------------
 
 def with_oracle_gate(monkeypatch, gate, *args, fork=None, **kwargs):
@@ -2366,9 +2368,10 @@ def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
 
 
 def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
-    # the labels are checked once, before the split: neither share runs,
-    # and the helper serves on; in a call over many nets, a bad label in
-    # any of them fails it before any pass of the others
+    # the labels, the tokens and the batch size are checked once, before
+    # any pass: none runs, in either process, and the helper serves on; in
+    # a call over many nets, a bad net anywhere fails it before any pass of
+    # the others
     model = small_model("lstm6", 3, 4, seed=3820)
     batch = token_batch(3821, B=3, T=3)
     with_oracle_gate(monkeypatch, 0, model, batch, "bce")
@@ -2376,27 +2379,37 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     losses = []
     monkeypatch.setattr(training, "_ld_batch_loss",
                         lambda *args: losses.append(1) or _ld_batch_loss(*args))
-    bad = SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1]))
-    with pytest.raises(ValueError, match=r"bce needs integer labels in \[0, 2\)"):
-        with_oracle_gate(monkeypatch, 0, model, bad, "bce")
+    tokens = {}
+    for token in (-1, 7):  # below the table, and its size
+        tokens[token] = batch.tokens.copy()
+        tokens[token][1, 2] = token
+    bad = [(SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1])),
+            r"bce needs integer labels in \[0, 2\)"),
+           (SequenceBatch(tokens=tokens[-1], labels=batch.labels),
+            re.escape("token index out of range [0, 7): min=-1 max=6")),
+           (SequenceBatch(tokens=tokens[7], labels=batch.labels),
+            re.escape("token index out of range [0, 7): min=0 max=7")),
+           (batch.subset([]), "cannot difference a loss over an empty batch")]
     other = (small_model("lstm", 3, 4, seed=3822), token_batch(3823, B=2, T=3))
-    for nets in ([(model, bad), other, other], [other, other, (model, bad)]):
-        with pytest.raises(ValueError, match=r"bce needs integer labels in \[0, 2\)"):
-            with_oracles_gate(monkeypatch, 0, nets, "bce")
+    for wrong, reason in bad:
+        with pytest.raises(ValueError, match=reason):
+            with_oracle_gate(monkeypatch, 0, model, wrong, "bce")
+        for nets in ([(model, wrong), other, other], [other, other, (model, wrong)]):
+            with pytest.raises(ValueError, match=reason):
+                with_oracles_gate(monkeypatch, 0, nets, "bce")
     assert losses == []
     assert (training._helper.pid if training._helper else None) == pid
     no_child_left()
 
 
 # --------------------------------------------------------------------------
-# One oracle call over many nets, cut once.
+# One oracle call over many nets, its passes dealt.
 # --------------------------------------------------------------------------
 
-def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None):
-    """finite_difference_models(nets, loss_kind) under
+def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None, first=None):
+    """finite_difference_models(nets, loss_kind, first=first) under
     FD_FORK_MIN_COPY_STEPS = gate: each net's gradients' bytes, the number
-    of calls whose second share the helper ran, and per call the models
-    and passes sent."""
+    of calls the helper dealt, and per call the models and passes sent."""
     sent = []
     real = training._helper_walk
 
@@ -2408,7 +2421,7 @@ def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None):
     with monkeypatch.context() as mp:
         mp.setattr(training, "_helper_walk", spy)
         result, walks = with_fork_gate(
-            mp, gate, lambda: training.finite_difference_models(nets, loss_kind),
+            mp, gate, lambda: training.finite_difference_models(nets, loss_kind, first=first),
             fork=fork, name="FD_FORK_MIN_COPY_STEPS")
     return [[(name, g.tobytes()) for name, g in grads.items()] for grads in result], walks, sent
 
@@ -2418,10 +2431,11 @@ def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None):
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
-        monkeypatch, variant, bidirectional, loss_kind, inputs):
-    # two nets of one shape balance at their border, where the default
-    # blocks cut; at FD_BLOCK 1 a first net heavier than the others takes
-    # the cut inside it, and the second share spans every net
+        monkeypatch, tmp_path, variant, bidirectional, loss_kind, inputs):
+    # one dealt call sends the helper every net and every pass, largest
+    # first, in one request; each pass runs once, in either process, and
+    # gives the bits of its net's own call, at the default blocks and at
+    # FD_BLOCK 1, where nets of different sizes interleave
     k = 1 if loss_kind == "bce" else 3
 
     def net(seed, m, B, T):
@@ -2430,63 +2444,155 @@ def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
                             bidirectional=bidirectional)
         return model, token_batch(seed + 1, B=B, T=T, n_classes=max(k, 2))
 
-    cases = [(training.FD_BLOCK, [net(3830, 2, 2, 2), net(3832, 2, 2, 2)], 1),
-             (1, [net(3834, 3, 2, 3), net(3836, 2, 1, 2), net(3838, 2, 2, 2)], 3)]
-    for block, nets, reach in cases:
-        whole = [with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+    cases = [(training.FD_BLOCK, [net(3830, 2, 2, 2), net(3832, 2, 2, 2)]),
+             (1, [net(3834, 3, 2, 3), net(3836, 2, 1, 2), net(3838, 2, 2, 2)])]
+    wholes = [[with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+              for _, nets in cases]
+    for (block, nets), whole in zip(cases, wholes):
         with monkeypatch.context() as mp:
             mp.setattr(training, "FD_BLOCK", block)
             unsplit, none, _ = with_oracles_gate(mp, math.inf, nets, loss_kind)
             training._stop_helper()
             mp.setattr(training, "_can_fork", lambda: False)
             fallback, walks, sent = with_oracles_gate(mp, 0, nets, loss_kind)
-            own = training._oracle_passes(nets[-1][0])[1]  # the last net's passes end it
+            [(models, passes)] = sent
+            check_sent_order(nets, passes)
         assert (none, walks) == (0, 0)
         assert unsplit == fallback == whole, block
-        [(models, second)] = sent
-        assert models == [model for model, _ in nets[-reach:]]
-        assert [p[:4] for p in second[-len(own):]] == [(reach - 1, *p[:3]) for p in own]
-        if reach == 1:  # the cut falls between the nets
-            assert len(second) == len(own)
+        assert models == [model for model, _ in nets]
     # one helper serves both calls, after walking a large model's batch: its
-    # mapping holds that model's values where the oracle's output now goes
+    # mapping holds that model's values where the helper's entries now go;
+    # this process takes its passes once the helper has taken one
+    log = OraclePasses(monkeypatch, tmp_path / "passes")
     large = small_model("lstm", 8, 30, seed=3786, vocab=400, bidirectional=True)
     with_fork_gate(monkeypatch, 0, model_gradients, large, token_batch(3787, B=6, T=5), "bce")
-    for block, nets, _ in cases:
+    for (block, nets), whole in zip(cases, wholes):
         with monkeypatch.context() as mp:
             mp.setattr(training, "FD_BLOCK", block)
-            helped, walks, _ = with_oracles_gate(mp, 0, nets, loss_kind, fork=refuse_fork)
-        whole = [with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+            helped, walks, _ = with_oracles_gate(mp, 0, nets, loss_kind, fork=refuse_fork,
+                                                 first=log.wait_for_another_process)
+            log.check_dealt(nets)
         assert walks == training._can_fork()
         assert helped == whole, block
     no_child_left()
 
 
 def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
-        monkeypatch):
+        monkeypatch, tmp_path):
+    # the helper fails at the first pass it takes and stops taking: this
+    # process takes every other pass before the error is raised here
     nets = [(small_model("lstm", 3, 4, seed=3840), token_batch(3841, B=3, T=3)),
             (small_model("srnn", 2, 3, seed=3842), token_batch(3843, B=2, T=4))]
     want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    log = OraclePasses(monkeypatch, tmp_path / "passes")
+    logged = training._ld_batch_loss
     parent = os.getpid()
     failing = [True]  # the helper's copy empties at its first pass
 
     def loss_failing(*args):
         if os.getpid() != parent and failing and failing.pop():
-            raise FloatingPointError("the helper's share went wrong")
-        return _ld_batch_loss(*args)
+            raise FloatingPointError("the helper's pass went wrong")
+        return logged(*args)
+
+    def until_the_helper_replied():
+        if training._can_fork():
+            assert training._helper.replies.poll(10.0)
 
     monkeypatch.setattr(training, "_ld_batch_loss", loss_failing)
-    with pytest.raises(FloatingPointError, match="^the helper's share went wrong$") as caught:
-        with_oracles_gate(monkeypatch, 0, nets, "bce")
+    with pytest.raises(FloatingPointError, match="^the helper's pass went wrong$") as caught:
+        with_oracles_gate(monkeypatch, 0, nets, "bce", first=until_the_helper_replied)
+    ran = log.read()
     if not training._can_fork():
-        return  # both shares ran here, and none failed
+        return  # every pass ran here, and none failed
+    everything = sum(len(training._oracle_passes(model)[1]) for model, _ in nets)
+    assert list(ran) == [parent] and len(ran[parent]) == everything - 1
     assert isinstance(caught.value.__cause__, ChildProcessError)
     assert "loss_failing" in str(caught.value.__cause__)
     helper = training._helper
-    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce", fork=refuse_fork)
+    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce", fork=refuse_fork,
+                                      first=log.wait_for_another_process)
     assert (got, walks) == (want, 1)
     assert training._helper is helper
+    log.check_dealt(nets)
     no_child_left()
+
+
+@pytest.mark.parametrize("holding", [False, True])
+def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, holding):
+    # the helper dies at the first pass it takes, or holding the counter's
+    # lock, which this process then waits on for a second: either way this
+    # process raises ChildProcessError, and the next call forks a new
+    # helper and gives the bits of a serial call
+    nets = [(small_model("lstm", 3, 4, seed=3844), token_batch(3845, B=3, T=3)),
+            (small_model("lstm_c6", 2, 3, seed=3846), token_batch(3847, B=2, T=4))]
+    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    parent = os.getpid()
+
+    def loss_killing(*args):
+        if os.getpid() != parent:
+            if holding:
+                training._deal.__self__.lock.acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _ld_batch_loss(*args)
+
+    def until_the_helper_ended():
+        if training._can_fork():
+            assert training._helper.replies.poll(10.0)
+
+    training._stop_helper()
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_ld_batch_loss", loss_killing)
+        if training._can_fork():
+            with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}"):
+                with_oracles_gate(mp, 0, nets, "bce", first=until_the_helper_ended)
+            assert training._helper is None
+    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce")
+    assert (got, walks) == (want, training._can_fork())
+    no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["lock", "count"])
+def test_an_oracle_call_whose_counter_cannot_be_made_runs_here(monkeypatch, failing):
+    nets = [(small_model("lstm6", 3, 4, seed=3848), token_batch(3849, B=3, T=3))] * 2
+    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    training._stop_helper()
+    real = training.mmap.mmap
+
+    def refused(*args, **kwargs):
+        if failing == "lock" or args[1:] == (8,):
+            raise OSError(errno.ENOSPC, "no room for the counter")
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(multiprocessing.synchronize if failing == "lock" else training.mmap,
+                   "Lock" if failing == "lock" else "mmap", refused)
+        got, walks, sent = with_oracles_gate(mp, 0, nets, "bce", fork=refuse_fork)
+    assert (got, walks, len(sent)) == (want, 0, 1)
+    assert training._helper is None
+    no_child_left()
+
+
+def test_slimrnn_imports_where_no_lock_can_be_made():
+    # nothing is made at import: the counter and its lock come with the
+    # helper, and a call that cannot make them runs here
+    script = """
+import multiprocessing
+import multiprocessing.synchronize
+
+def refused(*args, **kwargs):
+    raise OSError("no semaphores here")
+
+multiprocessing.Lock = multiprocessing.synchronize.Lock = refused
+import slimrnn
+from slimrnn import training
+
+report, ok = slimrnn.cmd_gradcheck(m=8, n=8, seq_len=5, batch=8, seeds=1,
+                                   activations=("tanh",))
+print(ok, training._helper)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=engine_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "None"]
 
 
 def test_the_helpers_job_never_starts_a_helper_of_its_own(monkeypatch):

@@ -25,9 +25,10 @@ caps, one seed, their own activation). Per cell it prints:
   over the call's nets (FD_FORK_MIN_COPY_STEPS);
 - gate: what the call decides at the module's threshold;
 - serial/helper: the median over PAIRS (9) alternating pairs of serial
-  seconds over seconds with the second row half (the oracle's second
-  share of passes) run in the helper process, above 1 where the helper
-  pays, and the quartiles of those ratios;
+  seconds over seconds with the second row half run in the helper
+  process (the oracle's passes dealt to both processes, each taking the
+  next untaken one), above 1 where the helper pays, and the quartiles of
+  those ratios;
 - one CPU: of those pairs, how many left the helper, after its call, last
   on the CPU this process runs on (field 39 of /proc/<pid>/stat), where
   the two halves may not have run at once. A cell that reads near serial
@@ -86,7 +87,7 @@ def sample_steps(model, batch):
 
 
 def copy_steps(model, batch):
-    """The oracle's recurrence copies x B x T x gate width; it splits any
+    """The oracle's recurrence copies x B x T x gate width; it deals any
     call."""
     copies = sum(training._oracle_passes(model)[2])
     return copies * len(batch) * batch.T * gate_width(model.cell), True
