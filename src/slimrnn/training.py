@@ -28,9 +28,9 @@ over the mapping as a checkpoint's loader does (model_from_arrays);
 evaluate splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same
 way, the helper forwarding its second half. The finite-difference oracle
 takes many nets in one call and joins their passes into one list, which
-a call of FD_FORK_MIN_COPY_STEPS or more deals to both processes, largest
-first: each takes the next untaken pass from one counter they share. An
-optimizer step runs its rule once over a flat copy of all the gradients.
+it deals to both processes, largest first: each takes the next untaken
+pass from one counter they share. An optimizer step runs its rule once
+over a flat copy of all the gradients.
 Every gradient path here is certified against central finite differences
 in the test suite, so treat the two implementations as independent and
 never "fix" one by copying from the other.
@@ -839,24 +839,12 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 # forward passes. Products sum in the same index order for any K, and the
 # per-sample losses are added in sample order, so the result does not
 # depend on FD_BLOCK, nor on which process ran a pass, nor on which nets
-# shared the call: a large call (finite_difference_models, over one net or
+# shared the call: every call (finite_difference_models, over one net or
 # many) deals its passes to this process and the helper process.
 # ---------------------------------------------------------------------------
 
 # Entries of one tensor perturbed together in one oracle forward pass.
 FD_BLOCK = 128
-# The copy-steps of a whole oracle call (finite_difference_models: each
-# pass's recurrence copies x its net's B x T x gate width, summed over the
-# call's nets) from which it deals its passes to this process and the
-# helper process. README's gradcheck table (tools/forkgate.py) places it:
-# over three runs every cell from 2,160 up ran faster (1.01-2.29x), and
-# the largest that ran slower was 1,940 (srnn and lstm6 at cmd_gradcheck's
-# seed-1 dims, 0.81-0.99x in 4 of 18 cells); the benchmark's three
-# gradchecks, one call each of 29,628 (desk, paper) and 893,360 (certify)
-# copy-steps, ran 1.58-1.76x. Of the property tests' one-net calls (m, n,
-# T, B <= 3), lstm's, of one direction or two, deal from B = 2, srnn's and
-# lstm6's at B = 3, and lstm_c6's never.
-FD_FORK_MIN_COPY_STEPS = 2_000
 
 
 def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
@@ -999,7 +987,7 @@ def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
     and the nets' lists are joined in order, each pass writing into one
     flat buffer that holds every net's tensors back to back. A pass costs
     its recurrence copies x its net's B x T x gate width in copy-steps. A
-    call of at least FD_FORK_MIN_COPY_STEPS copy-steps in all sends this
+    call of two passes or more, as every call over a net is, sends this
     process's helper every net and the whole list, sorted by copy-steps,
     largest first, in one request (_oracle_job, _helper_walk). The helper
     and this process, once first() returned, then each take the next
@@ -1039,7 +1027,7 @@ def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
             mine.extend(_oracle_job(models, loss_kind, epsilon, passes, *samples, flat,
                                     taken=deal(len(passes))))
 
-    if sum(steps) < FD_FORK_MIN_COPY_STEPS or len(passes) < 2:  # nothing to deal
+    if len(passes) < 2:  # nothing to deal
         here(None)
         _oracle_job(models, loss_kind, epsilon, passes, *samples, flat)
     else:
@@ -1065,10 +1053,9 @@ def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
     The passes are listed in tensor order, each with its entry block and
     its recurrence copies: 2k for a block of k entries, 1 for a readout
     block, whose recurrence runs once, unperturbed. It is the one-net call
-    of finite_difference_models: from FD_FORK_MIN_COPY_STEPS copy-steps
-    (all passes' copies x B x T x the cell's gate width) the passes are
-    dealt, largest first, to this process and the helper process, each
-    taking the next untaken one."""
+    of finite_difference_models: the passes are dealt, largest first in
+    copy-steps (copies x B x T x the cell's gate width), to this process
+    and the helper process, each taking the next untaken one."""
     return finite_difference_models([(model, batch)], loss_kind, epsilon)[0]
 
 

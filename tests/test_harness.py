@@ -3,7 +3,6 @@ runs and their artifacts, checkpoint fidelity, sweeps (sequential and
 parallel), the gradient-check command, and the CLI surface."""
 
 import argparse
-import math
 import os
 import re
 from pathlib import Path
@@ -1018,45 +1017,45 @@ def test_cmd_gradcheck_at_the_caps_sends_one_share_spanning_nets_to_the_helper(
     log.check_dealt(nets)
 
 
-@pytest.mark.parametrize("gate", [0, math.inf])
+@pytest.mark.parametrize("helper", [True, False])
 @pytest.mark.parametrize("corrupt", ["E", "W_c", "b_y"])
 def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
-        monkeypatch, tmp_path, corrupt, gate):
-    # at gate 0 the one oracle call deals its passes: the corrupted tensor's
-    # passes run in either process, each once; at math.inf all of them run
-    # here
-    monkeypatch.setattr(training, "FD_FORK_MIN_COPY_STEPS", gate)
+        monkeypatch, tmp_path, corrupt, helper):
+    # the one oracle call deals its passes: the corrupted tensor's passes
+    # run in either process, each once; where no helper may start, all of
+    # them run here
+    if not helper:
+        training._stop_helper()
+        monkeypatch.setattr(training, "_can_fork", lambda: False)
     log = OraclePasses(monkeypatch, tmp_path / "passes")
-    if gate == 0:
-        after_the_helper_took_a_pass(monkeypatch, log)
+    after_the_helper_took_a_pass(monkeypatch, log)
     walks = oracle_requests(monkeypatch)
     kwargs = dict(m=3, n=3, seq_len=3, batch=2, seeds=2, activations=("sigmoid",))
     report, ok = cmd_gradcheck(**kwargs, corrupt=corrupt)
     assert not ok
     assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
     assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
-    assert len(walks) == (gate == 0)
     nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
-    if walks:
-        [(_, _, passes, _)] = walks
-        check_sent_order(nets, passes)
+    [(_, _, passes, walked)] = walks
+    check_sent_order(nets, passes)
+    assert walked == (helper and training._can_fork())
+    if walked:
         log.check_dealt(nets)
     else:
         assert list(log.read()) == [os.getpid()]
 
 
-def gradcheck_bytes(monkeypatch, fork, **kwargs):
-    """repr of cmd_gradcheck's report and verdict, every oracle call split
-    (fork: the helper runs the second share) or unsplit (fork None)."""
+def gradcheck_bytes(monkeypatch, helper, **kwargs):
+    """repr of cmd_gradcheck's report and verdict, its oracle call's passes
+    dealt to a new helper (helper True) or all run here (False: no helper
+    may start)."""
     training._stop_helper()
     with monkeypatch.context() as mp:
-        mp.setattr(training, "FD_FORK_MIN_COPY_STEPS", math.inf if fork is None else 0)
-        if fork is False:
+        if not helper:
             mp.setattr(training, "_can_fork", lambda: False)
         walks = oracle_requests(mp)
         result = repr(cmd_gradcheck(**kwargs))
-    assert [walked for *_, walked in walks] == ([] if fork is None else
-                                                [fork and training._can_fork()])
+    assert [walked for *_, walked in walks] == [helper and training._can_fork()]
     return result
 
 
@@ -1064,10 +1063,9 @@ def gradcheck_bytes(monkeypatch, fork, **kwargs):
 def test_cmd_gradcheck_reports_the_same_bytes_with_the_helper_on_and_off(monkeypatch,
                                                                          caps):
     kwargs = GRADCHECK_CAPS if caps == "caps" else {}
-    want = gradcheck_bytes(monkeypatch, None, **kwargs)
+    want = gradcheck_bytes(monkeypatch, False, **kwargs)
     assert gradcheck_bytes(monkeypatch, True, **kwargs) == want
-    assert gradcheck_bytes(monkeypatch, False, **kwargs) == want
-    assert repr(cmd_gradcheck(**kwargs)) == want  # at the module's gate
+    assert repr(cmd_gradcheck(**kwargs)) == want  # the helper already running
     training._stop_helper()
 
 

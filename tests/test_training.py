@@ -2290,23 +2290,45 @@ def helper_gone_after(script):
 # The oracle's passes, dealt to this process and the helper process.
 # --------------------------------------------------------------------------
 
-def with_oracle_gate(monkeypatch, gate, *args, fork=None, **kwargs):
-    """finite_difference_model(*args, **kwargs) under FD_FORK_MIN_COPY_STEPS
-    = gate, its gradients' bytes, and the number of calls whose second share
-    the helper ran."""
-    grads, walks = with_fork_gate(monkeypatch, gate,
-                                  lambda: finite_difference_model(*args, **kwargs),
-                                  fork=fork, name="FD_FORK_MIN_COPY_STEPS")
+def oracle_walks(monkeypatch, call, fork=None):
+    """call() with the oracle's helper round trips recorded: its result,
+    what each _helper_walk call of _oracle_job returned (True where the
+    helper dealt, False where every pass ran here), and the models and
+    passes each was sent (fork, when given, stands in for os.fork)."""
+    walks, sent = [], []
+    real = training._helper_walk
+
+    def spy(models, job, args, *rest):
+        walked = real(models, job, args, *rest)
+        if job is training._oracle_job:
+            walks.append(walked)
+            sent.append((models, args[2]))
+        return walked
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "_helper_walk", spy)
+        if fork is not None:
+            mp.setattr(os, "fork", fork)
+        return call(), walks, sent
+
+
+def with_oracle(monkeypatch, *args, fork=None, **kwargs):
+    """finite_difference_model(*args, **kwargs): its gradients' bytes, and
+    what each of its _helper_walk calls returned."""
+    grads, walks, _ = oracle_walks(
+        monkeypatch, lambda: finite_difference_model(*args, **kwargs), fork)
     return [(name, g.tobytes()) for name, g in grads.items()], walks
 
 
-def oracle_fallback(monkeypatch, *args):
-    """The bytes of a split oracle call whose shares both ran here."""
+def oracle_fallback(monkeypatch, nets, loss_kind):
+    """Each net's bytes from one oracle call over nets whose passes all ran
+    here, no helper being allowed to start: its one _helper_walk call
+    returned False."""
     training._stop_helper()
     with monkeypatch.context() as mp:
         mp.setattr(training, "_can_fork", lambda: False)
-        bits, walks = with_oracle_gate(mp, 0, *args)
-    assert walks == 0
+        bits, walks, _ = with_oracles(mp, nets, loss_kind)
+    assert walks == [False]
     return bits
 
 
@@ -2316,26 +2338,25 @@ def oracle_fallback(monkeypatch, *args):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_split_oracle_gives_the_bits_of_the_in_process_fallback(
         monkeypatch, variant, bidirectional, loss_kind, inputs):
-    # every pass computes what it computes unsplit, wherever it runs; at
-    # FD_BLOCK 1 one tensor's blocks land in both shares
+    # every pass computes what it computes in a serial call, wherever it
+    # runs; at FD_BLOCK 1 one tensor's blocks land in both shares
     k = 1 if loss_kind == "bce" else 3
     model = small_model(variant, 2, 2, seed=3800, act="tanh", out_dim=k,
                         trainable_emb=inputs == "trainable", bidirectional=bidirectional)
     batches = [token_batch(3801 + B, B=B, T=2, n_classes=max(k, 2)) for B in (1, 3)]
-    wholes = [with_oracle_gate(monkeypatch, math.inf, model, batch, loss_kind)
+    wholes = [oracle_fallback(monkeypatch, [(model, batch)], loss_kind)[0]
               for batch in batches]
-    assert all(none == 0 for _, none in wholes)
     cases = [(block, batch, whole) for block in (training.FD_BLOCK, 1)
-             for batch, (whole, _) in zip(batches, wholes)]
-    for block, batch, whole in cases:
+             for batch, whole in zip(batches, wholes)]
+    for batch, whole in zip(batches, wholes):
         with monkeypatch.context() as mp:
-            mp.setattr(training, "FD_BLOCK", block)
-            assert oracle_fallback(mp, model, batch, loss_kind) == whole
+            mp.setattr(training, "FD_BLOCK", 1)
+            assert oracle_fallback(mp, [(model, batch)], loss_kind) == [whole]
     for block, batch, whole in cases:  # one helper serves every case
         with monkeypatch.context() as mp:
             mp.setattr(training, "FD_BLOCK", block)
-            helped, walks = with_oracle_gate(mp, 0, model, batch, loss_kind)
-        assert walks == training._can_fork()
+            helped, walks = with_oracle(mp, model, batch, loss_kind)
+        assert walks == [training._can_fork()]
         assert helped == whole, (len(batch), block)
     no_child_left()
 
@@ -2348,22 +2369,15 @@ def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
     model = small_model("lstm", 3, 4, seed=3810, act="tanh", out_dim=3,
                         bidirectional=True)
     batch = token_batch(3811, B=3, T=3, n_classes=3)
-    want, walks = with_oracle_gate(monkeypatch, 0, model, batch, "cce")
-    assert walks == training._can_fork()
+    want, walks = with_oracle(monkeypatch, model, batch, "cce")
+    assert walks == [training._can_fork()]
     helper = training._helper
     monkeypatch.setattr(training, "FD_BLOCK", block)
-    sent = []
-    real = training._helper_walk
-
-    def spy(models, job, args, *rest):
-        sent.extend(args[2])
-        return real(models, job, args, *rest)
-
-    monkeypatch.setattr(training, "_helper_walk", spy)
-    got, walks = with_oracle_gate(monkeypatch, 0, model, batch, "cce", fork=refuse_fork)
-    assert got == want and walks == training._can_fork()
+    got, walks, [(_, sent)] = with_oracles(monkeypatch, [(model, batch)], "cce",
+                                           fork=refuse_fork)
+    assert got == [want] and walks == [training._can_fork()]
     assert training._helper is helper
-    assert sent and all(hi - lo <= block for _, _, lo, hi, _ in sent)
+    assert all(hi - lo <= block for _, _, lo, hi, _ in sent)
     no_child_left()
 
 
@@ -2374,7 +2388,7 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     # the others
     model = small_model("lstm6", 3, 4, seed=3820)
     batch = token_batch(3821, B=3, T=3)
-    with_oracle_gate(monkeypatch, 0, model, batch, "bce")
+    with_oracle(monkeypatch, model, batch, "bce")
     pid = training._helper.pid if training._helper else None
     losses = []
     monkeypatch.setattr(training, "_ld_batch_loss",
@@ -2393,10 +2407,10 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     other = (small_model("lstm", 3, 4, seed=3822), token_batch(3823, B=2, T=3))
     for wrong, reason in bad:
         with pytest.raises(ValueError, match=reason):
-            with_oracle_gate(monkeypatch, 0, model, wrong, "bce")
+            with_oracle(monkeypatch, model, wrong, "bce")
         for nets in ([(model, wrong), other, other], [other, other, (model, wrong)]):
             with pytest.raises(ValueError, match=reason):
-                with_oracles_gate(monkeypatch, 0, nets, "bce")
+                with_oracles(monkeypatch, nets, "bce")
     assert losses == []
     assert (training._helper.pid if training._helper else None) == pid
     no_child_left()
@@ -2406,23 +2420,13 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
 # One oracle call over many nets, its passes dealt.
 # --------------------------------------------------------------------------
 
-def with_oracles_gate(monkeypatch, gate, nets, loss_kind, fork=None, first=None):
-    """finite_difference_models(nets, loss_kind, first=first) under
-    FD_FORK_MIN_COPY_STEPS = gate: each net's gradients' bytes, the number
-    of calls the helper dealt, and per call the models and passes sent."""
-    sent = []
-    real = training._helper_walk
-
-    def spy(models, job, args, *rest):
-        if job is training._oracle_job:
-            sent.append((models, args[2]))
-        return real(models, job, args, *rest)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(training, "_helper_walk", spy)
-        result, walks = with_fork_gate(
-            mp, gate, lambda: training.finite_difference_models(nets, loss_kind, first=first),
-            fork=fork, name="FD_FORK_MIN_COPY_STEPS")
+def with_oracles(monkeypatch, nets, loss_kind, fork=None, first=None):
+    """finite_difference_models(nets, loss_kind, first=first): each net's
+    gradients' bytes, what each of its _helper_walk calls returned, and
+    per call the models and passes sent."""
+    result, walks, sent = oracle_walks(
+        monkeypatch, lambda: training.finite_difference_models(nets, loss_kind, first=first),
+        fork)
     return [[(name, g.tobytes()) for name, g in grads.items()] for grads in result], walks, sent
 
 
@@ -2446,19 +2450,18 @@ def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
 
     cases = [(training.FD_BLOCK, [net(3830, 2, 2, 2), net(3832, 2, 2, 2)]),
              (1, [net(3834, 3, 2, 3), net(3836, 2, 1, 2), net(3838, 2, 2, 2)])]
-    wholes = [[with_oracle_gate(monkeypatch, math.inf, *net, loss_kind)[0] for net in nets]
+    wholes = [[oracle_fallback(monkeypatch, [net], loss_kind)[0] for net in nets]
               for _, nets in cases]
     for (block, nets), whole in zip(cases, wholes):
         with monkeypatch.context() as mp:
             mp.setattr(training, "FD_BLOCK", block)
-            unsplit, none, _ = with_oracles_gate(mp, math.inf, nets, loss_kind)
             training._stop_helper()
             mp.setattr(training, "_can_fork", lambda: False)
-            fallback, walks, sent = with_oracles_gate(mp, 0, nets, loss_kind)
+            fallback, walks, sent = with_oracles(mp, nets, loss_kind)
             [(models, passes)] = sent
             check_sent_order(nets, passes)
-        assert (none, walks) == (0, 0)
-        assert unsplit == fallback == whole, block
+        assert walks == [False]
+        assert fallback == whole, block
         assert models == [model for model, _ in nets]
     # one helper serves both calls, after walking a large model's batch: its
     # mapping holds that model's values where the helper's entries now go;
@@ -2469,10 +2472,10 @@ def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
     for (block, nets), whole in zip(cases, wholes):
         with monkeypatch.context() as mp:
             mp.setattr(training, "FD_BLOCK", block)
-            helped, walks, _ = with_oracles_gate(mp, 0, nets, loss_kind, fork=refuse_fork,
-                                                 first=log.wait_for_another_process)
+            helped, walks, _ = with_oracles(mp, nets, loss_kind, fork=refuse_fork,
+                                            first=log.wait_for_another_process)
             log.check_dealt(nets)
-        assert walks == training._can_fork()
+        assert walks == [training._can_fork()]
         assert helped == whole, block
     no_child_left()
 
@@ -2483,7 +2486,7 @@ def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
     # process takes every other pass before the error is raised here
     nets = [(small_model("lstm", 3, 4, seed=3840), token_batch(3841, B=3, T=3)),
             (small_model("srnn", 2, 3, seed=3842), token_batch(3843, B=2, T=4))]
-    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    want = oracle_fallback(monkeypatch, nets, "bce")
     log = OraclePasses(monkeypatch, tmp_path / "passes")
     logged = training._ld_batch_loss
     parent = os.getpid()
@@ -2500,7 +2503,7 @@ def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
 
     monkeypatch.setattr(training, "_ld_batch_loss", loss_failing)
     with pytest.raises(FloatingPointError, match="^the helper's pass went wrong$") as caught:
-        with_oracles_gate(monkeypatch, 0, nets, "bce", first=until_the_helper_replied)
+        with_oracles(monkeypatch, nets, "bce", first=until_the_helper_replied)
     ran = log.read()
     if not training._can_fork():
         return  # every pass ran here, and none failed
@@ -2509,9 +2512,9 @@ def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
     assert isinstance(caught.value.__cause__, ChildProcessError)
     assert "loss_failing" in str(caught.value.__cause__)
     helper = training._helper
-    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce", fork=refuse_fork,
-                                      first=log.wait_for_another_process)
-    assert (got, walks) == (want, 1)
+    got, walks, _ = with_oracles(monkeypatch, nets, "bce", fork=refuse_fork,
+                                 first=log.wait_for_another_process)
+    assert (got, walks) == (want, [True])
     assert training._helper is helper
     log.check_dealt(nets)
     no_child_left()
@@ -2525,7 +2528,7 @@ def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, hol
     # helper and gives the bits of a serial call
     nets = [(small_model("lstm", 3, 4, seed=3844), token_batch(3845, B=3, T=3)),
             (small_model("lstm_c6", 2, 3, seed=3846), token_batch(3847, B=2, T=4))]
-    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    want = oracle_fallback(monkeypatch, nets, "bce")
     parent = os.getpid()
 
     def loss_killing(*args):
@@ -2544,17 +2547,17 @@ def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, hol
         mp.setattr(training, "_ld_batch_loss", loss_killing)
         if training._can_fork():
             with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}"):
-                with_oracles_gate(mp, 0, nets, "bce", first=until_the_helper_ended)
+                with_oracles(mp, nets, "bce", first=until_the_helper_ended)
             assert training._helper is None
-    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce")
-    assert (got, walks) == (want, training._can_fork())
+    got, walks, _ = with_oracles(monkeypatch, nets, "bce")
+    assert (got, walks) == (want, [training._can_fork()])
     no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["lock", "count"])
 def test_an_oracle_call_whose_counter_cannot_be_made_runs_here(monkeypatch, failing):
     nets = [(small_model("lstm6", 3, 4, seed=3848), token_batch(3849, B=3, T=3))] * 2
-    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    want = oracle_fallback(monkeypatch, nets, "bce")
     training._stop_helper()
     real = training.mmap.mmap
 
@@ -2566,8 +2569,8 @@ def test_an_oracle_call_whose_counter_cannot_be_made_runs_here(monkeypatch, fail
     with monkeypatch.context() as mp:
         mp.setattr(multiprocessing.synchronize if failing == "lock" else training.mmap,
                    "Lock" if failing == "lock" else "mmap", refused)
-        got, walks, sent = with_oracles_gate(mp, 0, nets, "bce", fork=refuse_fork)
-    assert (got, walks, len(sent)) == (want, 0, 1)
+        got, walks, sent = with_oracles(mp, nets, "bce", fork=refuse_fork)
+    assert (got, walks, len(sent)) == (want, [False], 1)
     assert training._helper is None
     no_child_left()
 
@@ -2600,7 +2603,7 @@ def test_the_helpers_job_never_starts_a_helper_of_its_own(monkeypatch):
     # gate 0 from within each oracle pass) runs both halves in the helper:
     # it finds its own lock held and never forks
     nets = [(small_model("lstm6", 3, 4, seed=3850), token_batch(3851, B=4, T=3))] * 2
-    want = with_oracles_gate(monkeypatch, math.inf, nets, "bce")[0]
+    want = oracle_fallback(monkeypatch, nets, "bce")
     parent = os.getpid()
     model, batch = nets[0]
 
@@ -2613,9 +2616,32 @@ def test_the_helpers_job_never_starts_a_helper_of_its_own(monkeypatch):
 
     monkeypatch.setattr(training, "_ld_batch_loss", loss_with_a_split_call)
     monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
-    got, walks, _ = with_oracles_gate(monkeypatch, 0, nets, "bce")
-    assert (got, walks) == (want, training._can_fork())
+    got, walks, _ = with_oracles(monkeypatch, nets, "bce")
+    assert (got, walks) == (want, [training._can_fork()])
     no_child_left()
+
+
+def test_the_smallest_net_deals_its_passes_with_the_fallbacks_bits(monkeypatch):
+    # srnn at m = n = T = B = 1 over a vocabulary of 7 costs 20 copy-steps,
+    # the fewest of any one-net call timed serial against dealt: it too
+    # sends the helper its passes in one request
+    nets = [(small_model("srnn", 1, 1, seed=3852), token_batch(3853, B=1, T=1))]
+    assert sum(training._oracle_passes(nets[0][0])[2]) == 20
+    want = oracle_fallback(monkeypatch, nets, "bce")
+    got, walks, sent = with_oracles(monkeypatch, nets, "bce")
+    assert (got, walks) == (want, [training._can_fork()])
+    [(models, passes)] = sent
+    assert models == [nets[0][0]]
+    check_sent_order(nets, passes)
+    no_child_left()
+
+
+def test_an_oracle_call_over_no_nets_sends_no_request(monkeypatch):
+    # no pass to deal: nothing reaches _helper_walk, and no helper starts
+    training._stop_helper()
+    got, walks, sent = with_oracles(monkeypatch, [], "bce", fork=refuse_fork)
+    assert (got, walks, sent) == ([], [], [])
+    assert training._helper is None
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):

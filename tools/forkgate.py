@@ -1,52 +1,43 @@
-"""Rebuild the serial -> helper tables of README's model_gradients,
-evaluate and gradcheck sections.
+"""Rebuild the serial -> helper tables of README's model_gradients and
+evaluate sections.
 
     python3 tools/forkgate.py
 
-Each row is one cell. In the first two tables it is a benchmark model
-(srnn, lstm, lstm6, lstm_c6 and bidirectional lstm6) at one workload's
-shape (desk, certify or paper: its activation, m, n and T) and B samples,
-which `model_gradients` takes as one batch in the first table and
-`evaluate` as one slice in the second. The B values run from where the
-helper stops paying up to each workload's training batch (first table) and
-test split (second table). In the third it is a net that
-`finite_difference_model` differences: the four variants and bidirectional
-lstm at the dims (m, n, T, B) that cmd_gradcheck's three seeds draw at its
-caps, under each activation, and at the property tests' tiny shapes, with a
-vocabulary of 7 as cmd_gradcheck's. Its last three rows are whole
-gradchecks: the one `finite_difference_models` call that `cmd_gradcheck`
-makes over every net it draws, with each perfbench workload's settings
-(certify: the caps, three seeds, every activation; desk and paper: the
-caps, one seed, their own activation). Per cell it prints:
+Each row is one cell: a benchmark model (srnn, lstm, lstm6, lstm_c6 and
+bidirectional lstm6) at one workload's shape (desk, certify or paper: its
+activation, m, n and T) and B samples, which `model_gradients` takes as
+one batch in the first table and `evaluate` as one slice in the second.
+The B values run from where the helper stops paying up to each workload's
+training batch (first table) and test split (second table). Per cell it
+prints:
 
-- the count its table's gate is compared with: sample-steps, B x T x
-  directions (FORK_MIN_SAMPLE_STEPS, EVAL_FORK_MIN_SAMPLE_STEPS), or
-  copy-steps, the oracle's recurrence copies x B x T x gate width summed
-  over the call's nets (FD_FORK_MIN_COPY_STEPS);
+- sample-steps, B x T x directions, the count its table's gate
+  (FORK_MIN_SAMPLE_STEPS, EVAL_FORK_MIN_SAMPLE_STEPS) is compared with;
 - gate: what the call decides at the module's threshold;
 - serial/helper: the median over PAIRS (9) alternating pairs of serial
   seconds over seconds with the second row half run in the helper
-  process (the oracle's passes dealt to both processes, each taking the
-  next untaken one), above 1 where the helper pays, and the quartiles of
-  those ratios;
+  process, above 1 where the helper pays, and the quartiles of those
+  ratios;
 - one CPU: of those pairs, how many left the helper, after its call, last
   on the CPU this process runs on (field 39 of /proc/<pid>/stat), where
   the two halves may not have run at once. A cell that reads near serial
   speed with most of its pairs on one CPU says little about its gate.
 
 Serial and helper runs are forced the way the tests force them, by setting
-the gate to math.inf or to 0. Before the first table the tool runs split
-calls until the new helper has left this process's CPU (10 s at most),
-and each cell is warmed on both paths first, so the helper runs and
-holds a mapping large enough for the cell. A `!` marks a cell whose
+the gate to math.inf or to 0. A new helper reads slower than it is for
+its first several seconds (the scheduler can keep it on this process's
+CPU), so before the first table the tool alternates serial and split desk
+lstm6 calls until SETTLED pairs in a row ran faster split, for 30 s at
+most, and prints the wait; each cell is warmed on both paths first, so the
+helper holds a mapping large enough for the cell. A `!` marks a cell whose
 decision the measurement contradicts beyond its spread: it splits and its
 upper quartile is below 1, or it stays serial and its lower quartile is
 above 1. The line after each table places its gate: above the largest
 count that ran slower with the helper (median below 1), and at most the
 smallest from which every larger cell ran faster. BLAS is pinned to one
 thread, as perfbench/run.py pins it, and the engine is imported from the
-src/ directory next to tools/, and perfbench's workload table from the
-directory above it. It takes about a minute on a 2-vCPU machine.
+src/ directory next to tools/. It takes about a minute on a 2-vCPU
+machine.
 """
 
 import os
@@ -54,101 +45,46 @@ import os
 # One BLAS thread, pinned before NumPy is first imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import itertools  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from perfbench.core import WORKLOADS  # noqa: E402
-from slimrnn import harness, training  # noqa: E402
-from slimrnn.cells import gate_width, init_cell, init_output  # noqa: E402
+from slimrnn import training  # noqa: E402
+from slimrnn.cells import init_cell, init_output  # noqa: E402
 from slimrnn.data import SequenceBatch, init_embedding  # noqa: E402
 from slimrnn.numerics import make_rng  # noqa: E402
-from slimrnn.training import (SequenceClassifier, evaluate,  # noqa: E402
-                              finite_difference_model, finite_difference_models,
-                              model_gradients)
+from slimrnn.training import SequenceClassifier, evaluate, model_gradients  # noqa: E402
 
 PAIRS = 9  # alternating serial/helper pairs per cell
 BENCH_MODELS = (("srnn", "srnn", False), ("lstm", "lstm", False),
                 ("lstm6", "lstm6", False), ("lstm_c6", "lstm_c6", False),
                 ("lstm6_bidir", "lstm6", True))
-ORACLE_MODELS = BENCH_MODELS[:4] + (("lstm_bidir", "lstm", True),)
+SETTLED = 10  # pairs in a row, faster split, that end the warm-up
 
 
-def sample_steps(model, batch):
-    """B x T x directions, and whether the call may split at all (B >= 2)."""
-    return len(batch) * batch.T * len(model.directions), len(batch) >= 2
-
-
-def copy_steps(model, batch):
-    """The oracle's recurrence copies x B x T x gate width; it deals any
-    call."""
-    copies = sum(training._oracle_passes(model)[2])
-    return copies * len(batch) * batch.T * gate_width(model.cell), True
-
-
-def gradcheck_nets(kwargs) -> list:
-    """The nets cmd_gradcheck(**kwargs) hands its one oracle call."""
-    calls, real = [], harness.finite_difference_oracle
-    harness.finite_difference_oracle = lambda nets, *args, **kw: (
-        calls.append(nets) or real(nets, *args, **kw))
-    try:
-        harness.cmd_gradcheck(**kwargs)
-    finally:
-        harness.finite_difference_oracle = real
-    return calls[0]
-
-
-def model_cells(call, count, models, vocab, grid):
-    """(workload, model, B, call, its arguments, count(model, batch)) per
-    cell of a model grid: (workload, activation, (m, n, T), B values)."""
-    for workload, act, (m, n, T), batch_sizes in grid:
-        for B in batch_sizes:
-            for key, variant, bidirectional in models:
-                model, batch = build(variant, act, m, n, T, B, bidirectional, vocab)
-                yield workload, key, B, call, (model, batch, "bce"), count(model, batch)
-
-
-def gradcheck_cells():
-    """One cell per perfbench workload: the oracle call of its gradcheck."""
-    for name, workload in WORKLOADS.items():
-        nets = gradcheck_nets(workload.gradcheck)
-        steps = sum(copy_steps(*net)[0] for net in nets)
-        yield (f"{name} gradcheck", f"{len(nets)} nets", "-", finite_difference_models,
-               (nets, "bce"), (steps, True))
-
-
-# Per table: the gate, the unit of the count it reads, and its cells
+# Per table: the gate, the call it decides for, and its cells' grid:
+# (workload, activation, (m, n, T), B values)
 TABLES = [
-    ("FORK_MIN_SAMPLE_STEPS", "sample-steps", lambda: model_cells(
-        model_gradients, sample_steps, BENCH_MODELS, 50, [
-            ("certify", "sigmoid", (8, 8, 5), (8, 16, 32, 64, 128)),
-            ("desk", "tanh", (16, 32, 40), (2, 4, 8, 16, 32)),
-            ("paper", "sigmoid", (32, 100, 500), (2, 32)),
-        ])),
-    ("EVAL_FORK_MIN_SAMPLE_STEPS", "sample-steps", lambda: model_cells(
-        evaluate, sample_steps, BENCH_MODELS, 50, [
-            ("certify", "sigmoid", (8, 8, 5), (20, 128, 256, 512, 1024)),
-            ("desk", "tanh", (16, 32, 40), (16, 32, 64, 128, 500)),
-            ("paper", "sigmoid", (32, 100, 500), (2, 4, 8, 32)),
-        ])),
-    ("FD_FORK_MIN_COPY_STEPS", "copy-steps", lambda: itertools.chain(
-        model_cells(finite_difference_model, copy_steps, ORACLE_MODELS, 7, [
-            *((f"gradcheck {act}", act, dims, (B,))
-              for act in ("sigmoid", "tanh", "relu")
-              for *dims, B in ((6, 3, 3, 2), (6, 5, 2, 1), (4, 7, 4, 4))),
-            *(("property", "sigmoid", (d, d, d), (d,)) for d in (1, 2, 3)),
-        ]), gradcheck_cells())),
+    ("FORK_MIN_SAMPLE_STEPS", model_gradients, [
+        ("certify", "sigmoid", (8, 8, 5), (8, 16, 32, 64, 128)),
+        ("desk", "tanh", (16, 32, 40), (2, 4, 8, 16, 32)),
+        ("paper", "sigmoid", (32, 100, 500), (2, 32)),
+    ]),
+    ("EVAL_FORK_MIN_SAMPLE_STEPS", evaluate, [
+        ("certify", "sigmoid", (8, 8, 5), (20, 128, 256, 512, 1024)),
+        ("desk", "tanh", (16, 32, 40), (16, 32, 64, 128, 500)),
+        ("paper", "sigmoid", (32, 100, 500), (2, 4, 8, 32)),
+    ]),
 ]
 
 
-def build(variant, act, m, n, T, B, bidirectional, vocab, seed=4200):
+def build(variant, act, m, n, T, B, bidirectional, vocab=50, seed=4200):
     rng = make_rng(seed)
     emb = init_embedding(rng, vocab, m)
     cell = init_cell(variant, m, n, act, 0.59, rng)
@@ -160,25 +96,26 @@ def build(variant, act, m, n, T, B, bidirectional, vocab, seed=4200):
     return model, batch
 
 
+def seconds(name, gate, call, args) -> float:
+    """Seconds of call(*args) with the gate called name set to gate."""
+    saved = getattr(training, name)
+    setattr(training, name, gate)
+    try:
+        start = time.perf_counter()
+        call(*args)
+        return time.perf_counter() - start
+    finally:
+        setattr(training, name, saved)
+
+
 def speedups(name, call, args) -> tuple[np.ndarray, int]:
     """Serial over helper seconds of call(*args) under the gate called
     name, one ratio per alternating pair, and the number of pairs whose
     helper call left the helper on this process's CPU."""
-    saved = getattr(training, name)
-
-    def seconds(gate):
-        setattr(training, name, gate)
-        try:
-            start = time.perf_counter()
-            call(*args)
-            return time.perf_counter() - start
-        finally:
-            setattr(training, name, saved)
-
-    seconds(math.inf), seconds(0)  # warm both paths
+    seconds(name, math.inf, call, args), seconds(name, 0, call, args)  # warm both paths
     ratios, shared = [], 0
     for _ in range(PAIRS):
-        ratios.append(seconds(math.inf) / seconds(0))
+        ratios.append(seconds(name, math.inf, call, args) / seconds(name, 0, call, args))
         shared += on_one_cpu()
     return np.array(ratios), shared
 
@@ -201,50 +138,57 @@ def on_one_cpu() -> bool:
             and cpu(training._helper.pid) == here)
 
 
-def settle() -> float:
-    """Run split model_gradients calls (desk lstm6) until the helper last
-    ran on another CPU than this process, or for 10 s at most, and return
-    the seconds taken. The scheduler can keep a new helper on its caller's
-    CPU for seconds, and cells measured meanwhile read it slower than it
-    is."""
-    model, batch = build("lstm6", "tanh", 16, 32, 40, 32, False, 50)
-    started = time.perf_counter()
-    while time.perf_counter() - started < 10:
-        model_gradients(model, batch, "bce")
-        if not on_one_cpu():
-            break
-    return time.perf_counter() - started
+def settle() -> tuple[float, int, bool]:
+    """Alternate serial and split model_gradients calls (desk lstm6) until
+    SETTLED pairs in a row ran faster split, or for 30 s at most, and
+    return the seconds taken, the pairs run and whether the run was
+    reached. One faster pair is not enough: cells measured before the
+    helper settles read it slower than it is."""
+    args = (*build("lstm6", "tanh", 16, 32, 40, 32, False), "bce")
+    started, pairs, run = time.perf_counter(), 0, 0
+    while run < SETTLED and time.perf_counter() - started < 30:
+        serial = seconds("FORK_MIN_SAMPLE_STEPS", math.inf, model_gradients, args)
+        run = run + 1 if seconds("FORK_MIN_SAMPLE_STEPS", 0, model_gradients, args) < serial else 0
+        pairs += 1
+    return time.perf_counter() - started, pairs, run == SETTLED
 
 
-def table(name, unit, cells):
+def table(name, call, grid):
     """Print one gate's table and where the gate belongs."""
     gate = getattr(training, name)
     print(f"{name} = {gate}")
     print()
-    print(f"| workload | model | B | {unit} | gate | serial/helper | quartiles "
+    print("| workload | model | B | sample-steps | gate | serial/helper | quartiles "
           "| one CPU | |")
     print("|---|---|---|---|---|---|---|---|---|")
     slower, faster = [], []
-    for workload, key, B, call, args, (steps, may_split) in cells():
-        splits = may_split and steps >= gate
-        ratios, shared = speedups(name, call, args)
-        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-        flag = "!" if (q3 < 1.0 if splits else q1 > 1.0) else ""
-        (faster if median >= 1.0 else slower).append(steps)
-        print(f"| {workload} | {key} | {B} | {steps} "
-              f"| {'splits' if splits else 'serial'} | {median:.2f} "
-              f"| {q1:.2f}–{q3:.2f} | {shared}/{PAIRS} | {flag} |", flush=True)
+    for workload, act, (m, n, T), batch_sizes in grid:
+        for B in batch_sizes:
+            for key, variant, bidirectional in BENCH_MODELS:
+                model, batch = build(variant, act, m, n, T, B, bidirectional)
+                steps = B * T * len(model.directions)
+                splits = B >= 2 and steps >= gate
+                ratios, shared = speedups(name, call, (model, batch, "bce"))
+                q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+                flag = "!" if (q3 < 1.0 if splits else q1 > 1.0) else ""
+                (faster if median >= 1.0 else slower).append(steps)
+                print(f"| {workload} | {key} | {B} | {steps} "
+                      f"| {'splits' if splits else 'serial'} | {median:.2f} "
+                      f"| {q1:.2f}–{q3:.2f} | {shared}/{PAIRS} | {flag} |", flush=True)
     print()
     slowest = max(slower, default=0)
     first = min((s for s in faster if s > slowest), default=None)
     print(f"{name} belongs in ({slowest}, {first}]: a cell of {slowest} "
-          f"{unit} ran slower with the helper, and every cell from {first} up faster")
+          f"sample-steps ran slower with the helper, and every cell from {first} up faster")
     print()
 
 
 def main() -> int:
     started = time.perf_counter()
-    print(f"(waited {settle():.1f} s for the helper to leave this process's CPU)")
+    waited, pairs, settled = settle()
+    print(f"(waited {waited:.1f} s, {pairs} serial/split pairs, until {SETTLED} in a row ran "
+          "faster split)" if settled else f"(the helper did not settle: no {SETTLED} "
+          f"serial/split pairs in a row ran faster split in {waited:.1f} s, {pairs} pairs)")
     print()
     for spec in TABLES:
         table(*spec)
