@@ -20,17 +20,15 @@ aux stack, both allocated once per call, so it allocates nothing else of
 the stacks' size. Each weight gradient is then one matrix product over
 all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
-more is walked in two row halves, the second on the second core by a
-helper process, forked once and sent each call's parameters and inputs
-through a shared mapping that brings its buffer and losses back, and in
-each request the models' specs (model_spec), each model being rebuilt
-over the mapping as a checkpoint's loader does (model_from_arrays);
-evaluate splits a slice of EVAL_FORK_MIN_SAMPLE_STEPS or more the same
-way, the helper forwarding its second half. The finite-difference oracle
-takes many nets in one call and joins their passes into one list, which
-it deals to both processes, largest first: each takes the next untaken
-pass from one counter they share. An optimizer step runs its rule once
-over a flat copy of all the gradients.
+more, or an evaluate slice of EVAL_FORK_MIN_SAMPLE_STEPS or more, runs
+in two row halves, and a finite-difference oracle call joins its nets'
+passes into one list, dealt largest first from one counter: each is one
+job run on two shares (_helper_walk), one here and one on the second
+core by a helper process, forked once and sent each call's parameters
+and inputs through a shared mapping that brings its outputs back, with
+the models' specs (model_spec), each model being rebuilt over the
+mapping as a checkpoint's loader does (model_from_arrays). An optimizer
+step runs its rule once over a flat copy of all the gradients.
 Every gradient path here is certified against central finite differences
 in the test suite, so treat the two implementations as independent and
 never "fix" one by copying from the other.
@@ -39,6 +37,7 @@ never "fix" one by copying from the other.
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -109,6 +108,27 @@ FORK_MIN_SAMPLE_STEPS = 640
 EVAL_FORK_MIN_SAMPLE_STEPS = 8000
 
 
+def check_labels(kind: str, shape: tuple, labels) -> np.ndarray:
+    """labels as an array, checked against the loss kind and the (B, k)
+    shape of the raw rows they score: kind is one of LOSSES, bce rows are
+    1 wide, and labels is a (B,) integer array in [0, k), k being 2 for
+    bce. It holds no arithmetic: loss_eval and the oracle share it."""
+    if kind not in LOSSES:
+        raise ValueError(f"unknown loss {kind!r}")
+    bce = kind == "bce"
+    if len(shape) != 2 or (bce and shape[1] != 1):
+        raise ValueError(f"{kind} needs (B, {'1' if bce else 'k'}) rows, got {shape}")
+    labels = np.asarray(labels)
+    if labels.shape != shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"{kind} needs a ({shape[0]},) integer array of labels, "
+                         f"got {labels.dtype} {labels.shape}")
+    k = 2 if bce else shape[1]
+    outside = labels[(labels < 0) | (labels >= k)]
+    if outside.size:
+        raise ValueError(f"{kind} label {outside[0]} outside [0, {k})")
+    return labels
+
+
 def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
     """Loss value and its gradient with respect to the raw output.
 
@@ -116,23 +136,12 @@ def loss_eval(kind: str, y_raw: np.ndarray, labels: np.ndarray):
     cce: raw score vector through a softmax, label in [0, k).
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, and
     both gradients reduce to p - y, y the label's one-hot row. y_raw is
-    (B, k) rows, one per sample, labels the (B,) integer class labels, and
-    the loss is the (B,) array of per-sample losses.
+    (B, k) rows, one per sample, and labels the (B,) integer class labels,
+    both checked first (check_labels); the loss is the (B,) array of
+    per-sample losses.
     """
-    if kind not in LOSSES:
-        raise ValueError(f"unknown loss {kind!r}")
-    bce = kind == "bce"
-    if y_raw.ndim != 2 or (bce and y_raw.shape[1] != 1):
-        raise ValueError(f"{kind} needs (B, {'1' if bce else 'k'}) rows, got {y_raw.shape}")
-    labels = np.asarray(labels)
-    if labels.shape != y_raw.shape[:1] or labels.dtype.kind not in "iu":
-        raise ValueError(f"{kind} needs a ({len(y_raw)},) integer array of labels, "
-                         f"got {labels.dtype} {labels.shape}")
-    k = 2 if bce else y_raw.shape[1]
-    outside = labels[(labels < 0) | (labels >= k)]
-    if outside.size:
-        raise ValueError(f"{kind} label {outside[0]} outside [0, {k})")
-    if bce:
+    labels = check_labels(kind, y_raw.shape, labels)
+    if kind == "bce":
         p = np.clip(expit(y_raw), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         loss = -np.log(np.where(labels[:, None] == 1, p, 1.0 - p))[..., 0]
         return loss, p - labels[:, None]
@@ -529,8 +538,7 @@ class _Counter:
 
 
 class _Helper:
-    """The process that runs the second row half of split model_gradients
-    and evaluate calls, and its deal of a dealt oracle call's passes, for
+    """The process that runs the second share of each _helper_walk job for
     its owner, the process that forked it at its first split call.
 
     A call goes through an anonymous shared mapping of size bytes and a
@@ -568,26 +576,19 @@ class _Helper:
         replies.close()
 
 
-# In a helper process: its counter's taken, from which _oracle_job takes
-# the passes of a dealt call.
-_deal = None
-
-
 def _serve(mapping: mmap.mmap, counter: _Counter, requests, replies):
     """The helper's loop: read a request, rebuild its models, run its job,
     reply, until the request pipe reaches EOF. A job's error goes back
-    pickled (_pickled_error). A dealt job takes its passes from counter
-    (_deal). The helper ignores SIGINT, an interrupt being its owner's to
+    pickled (_pickled_error). A job deals from counter (_helper_walk).
+    The helper ignores SIGINT, an interrupt being its owner's to
     handle, stops an allocation trace its owner had running, holds its
     own _helper_lock, so that a split call in a job runs both shares here
     and never forks, and leaves through os._exit, running no exit handler
     of its owner's."""
-    global _deal
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         tracemalloc.stop()
-        _deal = counter.taken
         _helper_lock.acquire()  # a job's own split calls run here: no helper of its own
         while True:
             try:
@@ -600,7 +601,7 @@ def _serve(mapping: mmap.mmap, counter: _Counter, requests, replies):
                 models = [model_from_arrays(spec, {name: _view(mapping, place)
                                                    for name, place in held.items()})
                           for spec, held in zip(specs, params)]
-                job(models, *args, *(_view(mapping, p) for p in places))
+                job(counter.taken, models, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
                 reply = _pickled_error(exc)
@@ -645,52 +646,54 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _helper_walk(models: list, job, args: tuple, inputs: list, outputs: list,
-                 first) -> bool:
-    """Run job(models, *args, *inputs, *outputs), a module-level function
-    writing into the outputs arrays, in this process's helper while
-    first(deal) runs here, on copies in the mapping and models the helper
-    rebuilds from each request, then copy its outputs back and return
-    True. The jobs are _gradient_job (model_gradients' second row half),
-    _forward_job (evaluate's), each given a list of one model, and
-    _oracle_job (a dealt finite_difference_models call's passes, over all
-    its models), which the helper deals with first: deal(size) gives the
-    indices below size that this process takes from the helper's counter,
-    the helper taking the others. args travel pickled, so a job reads what
-    its caller decided from them (the rows per chunk, the oracle's blocks)
-    rather than from module constants, which the helper holds as they were
-    at its fork. Where no helper can be used, run job here after
-    first(None), which then deals nothing, and return False: another
-    thread is using the helper, or one must start and _can_fork() refuses
-    it or its counter or os.fork fails (EAGAIN under a process limit, say).
-    A helper starts at the first call, and again where a call does not fit
-    the mapping, with twice the larger of its size and the call's need, so
-    that an evaluate call's helper has room for a gradient buffer too.
+def _helper_walk(models: list, job, args: tuple, mine: tuple, theirs: tuple,
+                 first=None) -> bool:
+    """Run job(deal, models, *args, *inputs, *outputs), a module-level
+    function writing into its outputs arrays, on both shares, each an
+    (inputs, outputs) pair: theirs in this process's helper, over copies
+    in the mapping and models it rebuilds from the request, and mine here
+    after first(), where given; then copy theirs' outputs back and return
+    True. deal(size) gives the indices below size that its process takes
+    from the counter the two share; only _oracle_job deals. args travel
+    pickled, so a job reads what its caller decided from them (the rows
+    per chunk, the oracle's blocks), never module constants, which the
+    helper holds as they were at its fork. Where no helper can be used,
+    run first() and then both shares here, dealt from one count, so that
+    mine takes every index, and return False: another thread is using the
+    helper, or one must start and _can_fork() refuses it or its counter or
+    os.fork fails (EAGAIN under a process limit, say). A helper starts at
+    the first call, and again where a call does not fit the mapping, with
+    twice the larger of its size and the call's need, so that an evaluate
+    call's helper has room for a gradient buffer too.
 
-    An error in the helper's job is raised here, after first(deal) ended,
-    with the helper's traceback as its cause, and the helper serves on.
-    An error in first(deal),
-    or one raised while waiting for the reply (an interrupt), kills the
-    helper; a helper found dead (EOF on its reply pipe, or a refused
-    request) is reaped and its exit code raised as a ChildProcessError.
-    Either way it is dropped, and the next call starts a new one."""
+    An error in the helper's job is raised here, after mine's ended, with
+    the helper's traceback as its cause, and the helper serves on. An
+    error in first() or mine's job, or one raised while waiting for the
+    reply (an interrupt), kills the helper; a helper found dead (EOF on
+    its reply pipe, or a refused request) is reaped and its exit code
+    raised as a ChildProcessError. Either way it is dropped, and the next
+    call starts a new one."""
     if _helper_lock.acquire(blocking=False):
         try:
-            if _in_helper(models, job, args, inputs, outputs, first):
+            if _in_helper(models, job, args, mine, theirs, first):
                 return True
         finally:
             _helper_lock.release()
-    first(None)
-    job(models, *args, *inputs, *outputs)
+    if first is not None:
+        first()
+    count = itertools.count()  # one deal over both shares: mine takes every index
+    for inputs, outputs in (mine, theirs):
+        job(lambda size: itertools.takewhile(size.__gt__, count), models, *args, *inputs,
+            *outputs)
     return False
 
 
-def _in_helper(models: list, job, args: tuple, inputs: list, outputs: list,
-               first) -> bool:
+def _in_helper(models: list, job, args: tuple, mine: tuple, theirs: tuple, first) -> bool:
     """_helper_walk's round trip, under _helper_lock: False, having run
     nothing, where no helper may be used."""
     global _helper
     helper = _helper
+    inputs, outputs = theirs
     params = [model.param_arrays(include_frozen=True) for model in models]
     arrays = [a for held in params for a in held.values()] + [*inputs, *outputs]
     places, need = _places([(a.shape, a.dtype) for a in arrays])
@@ -718,7 +721,9 @@ def _in_helper(models: list, job, args: tuple, inputs: list, outputs: list,
         reply = None
     else:
         try:
-            first(helper.counter.taken)
+            if first is not None:
+                first()
+            job(helper.counter.taken, models, *args, *mine[0], *mine[1])
             try:
                 reply = helper.replies.recv_bytes()
             except EOFError:  # the helper is gone
@@ -747,9 +752,9 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
 
 
-def _gradient_job(models: list, loss_kind: str, rows: int, tokens: np.ndarray,
+def _gradient_job(deal, models: list, loss_kind: str, rows: int, tokens: np.ndarray,
                   labels: np.ndarray, buf: np.ndarray, losses: np.ndarray):
-    """model_gradients' second half: the gradient sums of the samples
+    """A model_gradients row half: the gradient sums of the samples
     (tokens, labels), walked in chunks of rows samples by the one model of
     models, into the flat buf, zeroed first and laid out as its
     param_arrays(), and their losses into losses."""
@@ -759,8 +764,8 @@ def _gradient_job(models: list, loss_kind: str, rows: int, tokens: np.ndarray,
     _walk_chunks(model, tokens, labels, loss_kind, rows, _flat_views(buf, shapes), losses)
 
 
-def _forward_job(models: list, tokens: np.ndarray, y_raw: np.ndarray):
-    """evaluate's rows: the raw outputs of the one model of models on the
+def _forward_job(deal, models: list, tokens: np.ndarray, y_raw: np.ndarray):
+    """An evaluate row half: the raw outputs of the one model of models on the
     (b, T) samples tokens into y_raw, (b, k)."""
     (model,) = models
     y_raw[...] = model.forward(embed_lookup(model.emb, tokens.T))[0]
@@ -776,7 +781,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     here once. A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
     sample-steps (B T D for D directions) is split into the rows [0, B//2)
     and [B//2, B), each walked by _walk_chunks into its own gradient
-    buffer and per-sample losses. The second half (_gradient_job) runs in
+    buffer and per-sample losses (_gradient_job). The second half runs in
     this process's helper while the first runs here, so the two use two
     cores, or here after the first where no helper can be used
     (_helper_walk). Its buffer is then added into the first's and its
@@ -806,10 +811,9 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         _walk_chunks(model, tokens, labels, loss_kind, rows, grads, losses)
     else:
         half, second = B // 2, np.empty(size)
-        _helper_walk([model], _gradient_job, (loss_kind, rows), [tokens[half:], labels[half:]],
-                     [second, losses[half:]],
-                     lambda _: _walk_chunks(model, tokens[:half], labels[:half], loss_kind,
-                                            rows, grads, losses[:half]))
+        _helper_walk([model], _gradient_job, (loss_kind, rows),
+                     ([tokens[:half], labels[:half]], [flat, losses[:half]]),
+                     ([tokens[half:], labels[half:]], [second, losses[half:]]))
         flat += second
     total = 0.0
     for loss in losses:  # in sample order
@@ -940,24 +944,20 @@ def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
     return shapes, passes, copies
 
 
-def _oracle_job(models: list, loss_kind: str, epsilon: float, passes: list, *arrays,
-                taken=None) -> list:
+def _oracle_job(deal, models: list, loss_kind: str, epsilon: float, passes: list,
+                *arrays):
     """finite_difference_models' passes. arrays holds each model's samples,
     its tokens then its labels, and last out: pass i, (j, name, lo, hi,
     at), writes the central differences of the flat entries [lo, hi) of
     model j's tensor name over model j's samples into out[at:at + hi - lo].
-    It runs the passes whose indices taken gives; by default, in a helper
-    those it takes from the counter it shares with its owner (_deal), and
-    elsewhere every one. out is zeroed first, since no pass writes a
-    padding row and the helper's mapping holds an earlier request's
-    values. Returns the indices it ran."""
+    It runs the passes whose indices deal(len(passes)) gives. out is zeroed
+    first, since each process writes only the entries of its own passes
+    and the helper's mapping holds an earlier request's values."""
     *samples, out = arrays
     out[...] = 0.0
-    if taken is None:
-        taken = range(len(passes)) if _deal is None else _deal(len(passes))
     eps = np.longdouble(epsilon)
-    reached, ran = {}, []  # per model reached: its batch and its tensors
-    for i in taken:
+    reached = {}  # per model reached: its batch and its tensors
+    for i in deal(len(passes)):
         j, name, lo, hi, at = passes[i]
         if j not in reached:
             reached[j] = (SequenceBatch(tokens=samples[2 * j], labels=samples[2 * j + 1]),
@@ -972,8 +972,6 @@ def _oracle_job(models: list, loss_kind: str, epsilon: float, passes: list, *arr
         flat[np.arange(k, 2 * k), idx] -= eps
         loss = _ld_batch_loss(models[j], {**A, name: stack}, batch, loss_kind)
         out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
-        ran.append(i)
-    return ran
 
 
 def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
@@ -982,22 +980,24 @@ def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
     whose passes are dealt to both cores; first(), where given, runs here
     first, while the helper takes passes.
 
-    Every net's batch, tokens and labels are checked before any pass runs.
+    Every net's batch, tokens and labels, with the loss kind and the
+    readout width (check_labels), are checked before any pass runs.
     Each net's passes are listed as finite_difference_model lists them,
     and the nets' lists are joined in order, each pass writing into one
     flat buffer that holds every net's tensors back to back. A pass costs
     its recurrence copies x its net's B x T x gate width in copy-steps. A
-    call of two passes or more, as every call over a net is, sends this
-    process's helper every net and the whole list, sorted by copy-steps,
-    largest first, in one request (_oracle_job, _helper_walk). The helper
-    and this process, once first() returned, then each take the next
-    untaken pass from the counter they share until none is left, each
-    writing its passes' entries into its own buffer; the helper's entries
-    are then copied into this process's. Where no helper can be used,
-    every pass runs here after first(). Each pass computes what it would
-    in its net's own serial call, so every entry keeps its bits wherever
-    it ran. The helper reads the blocks from the passes it is sent, never
-    its own FD_BLOCK, which is the module's as it was at the fork."""
+    call over nets sends this process's helper every net and the whole
+    list, sorted by copy-steps, largest first, in one request (_oracle_job,
+    _helper_walk). The helper and this process, once first() returned,
+    then each take the next untaken pass from the counter they share until
+    none is left, each writing its passes' entries into its own zeroed
+    buffer; the helper's buffer is then added into this process's. Where
+    no helper can be used, every pass runs here after first(). Each pass
+    computes what it would in its net's own serial call, and no pass
+    writes -0.0, so every entry keeps its bits wherever it ran. The helper
+    reads the blocks from the passes it is sent, never its own FD_BLOCK,
+    which is the module's as it was at the fork. A call over no nets runs
+    first() and returns []."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     layouts, passes, steps, size = [], [], [], 0
@@ -1006,37 +1006,23 @@ def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
             raise ValueError("cannot difference a loss over an empty batch")
         if batch.T == 0:
             raise ValueError("cannot difference a loss over an empty sequence")
-        labels = batch.labels
-        k = 2 if loss_kind == "bce" else len(model.out.b_y)
-        if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
-            raise ValueError(f"{loss_kind} needs integer labels in [0, {k}), got {labels}")
+        check_labels(loss_kind, (len(batch), len(model.out.b_y)), batch.labels)
         check_tokens(model.emb, batch.tokens)
         shapes, own, copies = _oracle_passes(model)
         passes += [(j, name, lo, hi, size + at) for name, lo, hi, at in own]
         steps += [c * len(batch) * batch.T * gate_width(model.cell) for c in copies]
         layouts.append((size, shapes))
         size += sum(map(math.prod, shapes.values()))
-    flat, mine = np.zeros(size), []
-    models = [model for model, _ in nets]
-    samples = [a for _, batch in nets for a in (batch.tokens, batch.labels)]
-
-    def here(deal):  # first(), then the passes this process takes as the helper deals
+    if not nets:  # no pass to deal
         if first is not None:
             first()
-        if deal is not None:
-            mine.extend(_oracle_job(models, loss_kind, epsilon, passes, *samples, flat,
-                                    taken=deal(len(passes))))
-
-    if len(passes) < 2:  # nothing to deal
-        here(None)
-        _oracle_job(models, loss_kind, epsilon, passes, *samples, flat)
-    else:
-        passes = [p for _, p in sorted(zip(steps, passes), key=lambda sp: -sp[0])]
-        theirs = np.empty(size)
-        _helper_walk(models, _oracle_job, (loss_kind, epsilon, passes), samples, [theirs], here)
-        for i in set(range(len(passes))).difference(mine):
-            _, _, lo, hi, at = passes[i]
-            flat[at:at + hi - lo] = theirs[at:at + hi - lo]
+        return []
+    flat, theirs = np.empty(size), np.empty(size)
+    samples = [a for _, batch in nets for a in (batch.tokens, batch.labels)]
+    passes = [p for _, p in sorted(zip(steps, passes), key=lambda sp: -sp[0])]
+    _helper_walk([model for model, _ in nets], _oracle_job, (loss_kind, epsilon, passes),
+                 (samples, [flat]), (samples, [theirs]), first)
+    flat += theirs  # each entry is +0.0 in the buffer of the process that did not run it
     return [_flat_views(flat[at:], shapes) for at, shapes in layouts]
 
 
@@ -1180,10 +1166,10 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
 
     A slice of b >= 2 samples and at least EVAL_FORK_MIN_SAMPLE_STEPS
     sample-steps (b T D) is forwarded in the row halves [0, b//2) and
-    [b//2, b), the second in the helper as model_gradients' is
-    (_forward_job). The loss and the predictions read the whole slice's
-    raw outputs, which keep an unsplit slice's bits at the benchmark
-    shapes; elsewhere a cut may move them in the last bits.
+    [b//2, b) by _forward_job, the second in the helper as model_gradients'
+    is. The loss and the predictions read the whole slice's raw outputs,
+    which keep an unsplit slice's bits at the benchmark shapes; elsewhere
+    a cut may move them in the last bits.
 
     Binary predictions are class 1 where the raw score is >= 0, which is
     sigmoid >= 0.5 without expit rounding scores just below 0 up to 0.5;
@@ -1202,8 +1188,8 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         b = len(tokens)
         if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
             y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
-            _helper_walk([model], _forward_job, (), [tokens[half:]], [y_raw[half:]],
-                         lambda _: _forward_job([model], tokens[:half], y_raw[:half]))
+            _helper_walk([model], _forward_job, (), ([tokens[:half]], [y_raw[:half]]),
+                         ([tokens[half:]], [y_raw[half:]]))
         else:
             y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))
         losses, _ = loss_eval(loss_kind, y_raw, labels)

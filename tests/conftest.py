@@ -6,11 +6,12 @@ records each line and the terminal-summary hook prints the whole block at the
 end of the run, outside capture. operands() forms what a step function takes
 in place of its input x, for tests that drive the steps by hand, and
 recorded() runs a cell over a sequence recording its stacks.
-check_sent_order and OraclePasses check the passes of a dealt oracle
-call: the order they are sent in, and the process each runs in. Every
-test ends with no model_gradients helper process running, so the next
-test's helper forks with that test's module state. NumPy is not imported
-here: importing slimrnn first pins one BLAS thread.
+helper_walks spies on the helper's round trips. check_sent_order and
+OraclePasses check the passes of a dealt oracle call: the order they are
+sent in, and the process each runs in. Every test ends with no
+model_gradients helper process running, so the next test's helper forks
+with that test's module state. NumPy is not imported here: importing
+slimrnn first pins one BLAS thread.
 """
 
 import ast
@@ -70,6 +71,23 @@ def recorded(p, xs):
     W, R, b = stack_gates(p, transposed=True)
     stacks = record_arrays(p, len(xs), xs.shape[1])
     return (*run_steps(p, R, input_term(W, b, xs), stacks), stacks)
+
+
+def helper_walks(monkeypatch) -> list:
+    """Spy on _helper_walk through monkeypatch, a test's or one of its
+    contexts, which then scopes the spy: a list that gathers (job, models,
+    args, walked) for each call that returned, walked being what it
+    returned (True where the helper ran its share)."""
+    walks = []
+    real = training._helper_walk
+
+    def spy(models, job, args, *shares):
+        walked = real(models, job, args, *shares)
+        walks.append((job, models, args, walked))
+        return walked
+
+    monkeypatch.setattr(training, "_helper_walk", spy)
+    return walks
 
 
 def net_key(model, batch) -> tuple:

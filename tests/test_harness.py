@@ -41,7 +41,7 @@ from slimrnn.harness import (
 from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, SequenceClassifier, evaluate
 
-from conftest import OraclePasses, check_sent_order, operands
+from conftest import OraclePasses, check_sent_order, helper_walks, operands
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -653,14 +653,8 @@ def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
     # forwards each second half in this process's helper, and the pool
     # workers, which start no helper, forward it themselves
     monkeypatch.setattr(training, "EVAL_FORK_MIN_SAMPLE_STEPS", 0)
-    walks, evals = [], []  # counted in this process, in the --workers 1 sweep
-    real = training._helper_walk
-
-    def spy(*args):
-        walks.append(real(*args))
-        return walks[-1]
-
-    monkeypatch.setattr(training, "_helper_walk", spy)
+    # counted in this process, in the --workers 1 sweep
+    walks, evals = helper_walks(monkeypatch), []
     monkeypatch.setattr(training, "evaluate", lambda *a: evals.append(a) or evaluate(*a))
     for case, variants, bidirectional in (("uni", ["lstm6", "lstm_c6"], False),
                                           ("bi", ["lstm6", "lstm_c6"], True),
@@ -675,7 +669,7 @@ def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
                 **grid)))
             if workers == 1:  # each split is one slice
                 assert evals and len(walks) == len(evals)
-                assert all(walks) == training._can_fork()
+                assert all(walked for *_, walked in walks) == training._can_fork()
         assert runs[0]["rows"] == runs[1]["rows"]
 
 
@@ -683,14 +677,7 @@ def test_parallel_sweep_of_split_batches_equals_sequential_sweep(tmp_path, monke
     # 8 x 80 sample-steps per minibatch: the --workers 1 sweep walks each
     # second half in this process's helper, and the pool workers, which
     # start no helper, walk it themselves
-    walks = []
-    real = training._helper_walk
-
-    def spy(*args):
-        walks.append(real(*args))
-        return walks[-1]
-
-    monkeypatch.setattr(training, "_helper_walk", spy)
+    walks = helper_walks(monkeypatch)
     runs = []
     for workers in (1, 2):
         base = tiny_config(tmp_path, out=str(tmp_path / f"split{workers}"), batch=8,
@@ -699,7 +686,7 @@ def test_parallel_sweep_of_split_batches_equals_sequential_sweep(tmp_path, monke
         runs.append(cmd_sweep(SweepSpec(base=base, workers=workers,
                                         variants=["lstm6", "lstm", "srnn"])))
         if workers == 1:
-            assert walks and all(walks) == training._can_fork()
+            assert walks and all(walked for *_, walked in walks) == training._can_fork()
     assert runs[0]["rows"] == runs[1]["rows"]
     for cell in sorted((tmp_path / "split1" / "cells").iterdir()):
         assert (read_csv_without_seconds(cell / "metrics.csv") == read_csv_without_seconds(
@@ -964,22 +951,6 @@ def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
 GRADCHECK_CAPS = dict(m=8, n=8, seq_len=5, batch=8, seeds=3)
 
 
-def oracle_requests(monkeypatch):
-    """Spy on the helper round trips: a list that gathers, per request, its
-    job, its models, the passes an oracle request sends and whether the
-    helper ran it."""
-    walks = []
-    real = training._helper_walk
-
-    def spy(models, job, args, *rest):
-        walked = real(models, job, args, *rest)
-        walks.append((job, models, args[2] if job is training._oracle_job else None, walked))
-        return walked
-
-    monkeypatch.setattr(training, "_helper_walk", spy)
-    return walks
-
-
 def after_the_helper_took_a_pass(monkeypatch, log):
     """Make cmd_gradcheck's BPTT route, which runs while the helper takes
     passes, start only once the helper has taken one (log: OraclePasses)."""
@@ -1005,12 +976,12 @@ def test_cmd_gradcheck_at_the_caps_sends_one_share_spanning_nets_to_the_helper(
     # passes once its BPTT route is done, runs fewer than all of them
     log = OraclePasses(monkeypatch, tmp_path / "passes")
     after_the_helper_took_a_pass(monkeypatch, log)
-    walks = oracle_requests(monkeypatch)
+    walks = helper_walks(monkeypatch)
     nets = [net for drawn in harness._gradcheck_nets(
         **GRADCHECK_CAPS, activations=("sigmoid", "tanh", "relu")).values() for net in drawn]
     _, ok = cmd_gradcheck(**GRADCHECK_CAPS)
     assert ok
-    [(job, models, passes, walked)] = walks
+    [(job, models, (_, _, passes), walked)] = walks
     assert job is training._oracle_job and walked == training._can_fork()
     assert list(map(model_key, models)) == [model_key(model) for model, _ in nets]
     check_sent_order(nets, passes)
@@ -1029,14 +1000,14 @@ def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
         monkeypatch.setattr(training, "_can_fork", lambda: False)
     log = OraclePasses(monkeypatch, tmp_path / "passes")
     after_the_helper_took_a_pass(monkeypatch, log)
-    walks = oracle_requests(monkeypatch)
+    walks = helper_walks(monkeypatch)
     kwargs = dict(m=3, n=3, seq_len=3, batch=2, seeds=2, activations=("sigmoid",))
     report, ok = cmd_gradcheck(**kwargs, corrupt=corrupt)
     assert not ok
     assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
     assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
     nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
-    [(_, _, passes, walked)] = walks
+    [(_, _, (_, _, passes), walked)] = walks
     check_sent_order(nets, passes)
     assert walked == (helper and training._can_fork())
     if walked:
@@ -1053,7 +1024,7 @@ def gradcheck_bytes(monkeypatch, helper, **kwargs):
     with monkeypatch.context() as mp:
         if not helper:
             mp.setattr(training, "_can_fork", lambda: False)
-        walks = oracle_requests(mp)
+        walks = helper_walks(mp)
         result = repr(cmd_gradcheck(**kwargs))
     assert [walked for *_, walked in walks] == [helper and training._can_fork()]
     return result

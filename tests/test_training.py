@@ -3,6 +3,7 @@ against the extended-precision finite-difference oracle, optimizer update
 rules against scalar transcriptions, and epoch-level determinism."""
 
 import errno
+import functools
 import math
 import multiprocessing.synchronize
 import os
@@ -41,9 +42,10 @@ from slimrnn.training import (
     train_epoch,
     _backward_cell,
     _ld_batch_loss,
+    _oracle_job,
 )
 
-from conftest import OraclePasses, check_sent_order, recorded
+from conftest import OraclePasses, check_sent_order, helper_walks, recorded
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
 
@@ -523,10 +525,9 @@ def test_invalid_target_rejected_by_model_gradients():
         model = small_model("lstm6", 3, 4, seed=3310, out_dim=k)
         batch.labels[1] = label
         bounds = fr"\[0, {max(k, 2)}\)"
-        with pytest.raises(ValueError, match=fr"{loss_kind} label {label} outside {bounds}"):
-            model_gradients(model, batch, loss_kind)
-        with pytest.raises(ValueError, match=fr"{loss_kind} needs integer labels in {bounds}"):
-            finite_difference_model(model, batch, loss_kind)
+        for route in (model_gradients, finite_difference_model):  # one reason
+            with pytest.raises(ValueError, match=fr"{loss_kind} label {label} outside {bounds}"):
+                route(model, batch, loss_kind)
     floats = SequenceBatch(tokens=batch.tokens, labels=np.array([0.0, 1.0, 1.0]))
     for route in (model_gradients, finite_difference_model):
         with pytest.raises(ValueError, match="integer"):
@@ -1715,21 +1716,13 @@ def with_fork_gate(monkeypatch, gate, fn, *args, fork=None, name="FORK_MIN_SAMPL
     """fn(*args) under the gate called name = gate (None keeps the
     module's), and the number of calls whose second half the helper ran
     (fork, when given, stands in for os.fork)."""
-    walks = []
-    real = training._helper_walk
-
-    def spy(*args):
-        walked = real(*args)
-        walks.append(walked)
-        return walked
-
     with monkeypatch.context() as mp:
         if gate is not None:
             mp.setattr(training, name, gate)
-        mp.setattr(training, "_helper_walk", spy)
+        walks = helper_walks(mp)
         if fork is not None:
             mp.setattr(os, "fork", fork)
-        return fn(*args), sum(walks)
+        return fn(*args), sum(walked for *_, walked in walks)
 
 
 def refuse_fork():
@@ -2295,21 +2288,14 @@ def oracle_walks(monkeypatch, call, fork=None):
     what each _helper_walk call of _oracle_job returned (True where the
     helper dealt, False where every pass ran here), and the models and
     passes each was sent (fork, when given, stands in for os.fork)."""
-    walks, sent = [], []
-    real = training._helper_walk
-
-    def spy(models, job, args, *rest):
-        walked = real(models, job, args, *rest)
-        if job is training._oracle_job:
-            walks.append(walked)
-            sent.append((models, args[2]))
-        return walked
-
     with monkeypatch.context() as mp:
-        mp.setattr(training, "_helper_walk", spy)
+        walks = helper_walks(mp)
         if fork is not None:
             mp.setattr(os, "fork", fork)
-        return call(), walks, sent
+        result = call()
+        oracle = [walk for walk in walks if walk[0] is training._oracle_job]
+    return (result, [walked for *_, walked in oracle],
+            [(models, args[2]) for _, models, args, _ in oracle])
 
 
 def with_oracle(monkeypatch, *args, fork=None, **kwargs):
@@ -2346,6 +2332,10 @@ def test_a_split_oracle_gives_the_bits_of_the_in_process_fallback(
     batches = [token_batch(3801 + B, B=B, T=2, n_classes=max(k, 2)) for B in (1, 3)]
     wholes = [oracle_fallback(monkeypatch, [(model, batch)], loss_kind)[0]
               for batch in batches]
+    # the one sample opens with padding, so with zero biases its recurrent
+    # weights meet zero states only and difference to exact zeros, as unused
+    # embedding rows do: entries kept through the merge's + 0.0
+    assert any(0.0 in np.frombuffer(bits) for name, bits in wholes[0] if name != "emb.E")
     cases = [(block, batch, whole) for block in (training.FD_BLOCK, 1)
              for batch, whole in zip(batches, wholes)]
     for batch, whole in zip(batches, wholes):
@@ -2382,11 +2372,13 @@ def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
 
 
 def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
-    # the labels, the tokens and the batch size are checked once, before
-    # any pass: none runs, in either process, and the helper serves on; in
+    # the labels, the loss kind, the readout width, the tokens and the
+    # batch size are checked once, before any pass, with the engine's
+    # reasons: none runs, in either process, and the helper serves on; in
     # a call over many nets, a bad net anywhere fails it before any pass of
     # the others
     model = small_model("lstm6", 3, 4, seed=3820)
+    wide = small_model("lstm6", 3, 4, seed=3824, out_dim=3)
     batch = token_batch(3821, B=3, T=3)
     with_oracle(monkeypatch, model, batch, "bce")
     pid = training._helper.pid if training._helper else None
@@ -2397,20 +2389,23 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
     for token in (-1, 7):  # below the table, and its size
         tokens[token] = batch.tokens.copy()
         tokens[token][1, 2] = token
-    bad = [(SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1])),
-            r"bce needs integer labels in \[0, 2\)"),
-           (SequenceBatch(tokens=tokens[-1], labels=batch.labels),
+    bad = [(model, SequenceBatch(tokens=batch.tokens, labels=np.array([0, 2, 1])), "bce",
+            re.escape("bce label 2 outside [0, 2)")),
+           (model, SequenceBatch(tokens=tokens[-1], labels=batch.labels), "bce",
             re.escape("token index out of range [0, 7): min=-1 max=6")),
-           (SequenceBatch(tokens=tokens[7], labels=batch.labels),
+           (model, SequenceBatch(tokens=tokens[7], labels=batch.labels), "bce",
             re.escape("token index out of range [0, 7): min=0 max=7")),
-           (batch.subset([]), "cannot difference a loss over an empty batch")]
+           (model, batch.subset([]), "bce", "cannot difference a loss over an empty batch"),
+           (model, batch, "mse", "unknown loss 'mse'"),
+           (wide, batch, "bce", re.escape("bce needs (B, 1) rows, got (3, 3)"))]
     other = (small_model("lstm", 3, 4, seed=3822), token_batch(3823, B=2, T=3))
-    for wrong, reason in bad:
+    for bad_model, wrong, loss_kind, reason in bad:
         with pytest.raises(ValueError, match=reason):
-            with_oracle(monkeypatch, model, wrong, "bce")
-        for nets in ([(model, wrong), other, other], [other, other, (model, wrong)]):
+            with_oracle(monkeypatch, bad_model, wrong, loss_kind)
+        for nets in ([(bad_model, wrong), other, other],
+                     [other, other, (bad_model, wrong)]):
             with pytest.raises(ValueError, match=reason):
-                with_oracles(monkeypatch, nets, "bce")
+                with_oracles(monkeypatch, nets, loss_kind)
     assert losses == []
     assert (training._helper.pid if training._helper else None) == pid
     no_child_left()
@@ -2530,11 +2525,17 @@ def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, hol
             (small_model("lstm_c6", 2, 3, seed=3846), token_batch(3847, B=2, T=4))]
     want = oracle_fallback(monkeypatch, nets, "bce")
     parent = os.getpid()
+    deals = []  # in the helper, its job's deal: its counter's taken
+
+    @functools.wraps(training._oracle_job)  # pickled by the name it replaces
+    def dealing(deal, *args):
+        deals.append(deal)
+        return _oracle_job(deal, *args)
 
     def loss_killing(*args):
         if os.getpid() != parent:
             if holding:
-                training._deal.__self__.lock.acquire()
+                deals[-1].__self__.lock.acquire()
             os.kill(os.getpid(), signal.SIGKILL)
         return _ld_batch_loss(*args)
 
@@ -2545,6 +2546,7 @@ def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, hol
     training._stop_helper()
     with monkeypatch.context() as mp:
         mp.setattr(training, "_ld_batch_loss", loss_killing)
+        mp.setattr(training, "_oracle_job", dealing)
         if training._can_fork():
             with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}"):
                 with_oracles(mp, nets, "bce", first=until_the_helper_ended)
