@@ -3,8 +3,8 @@
 Implements a standard LSTM next to two slimmed variants (lstm6: all
 gates removed in favor of a constant forget scalar; lstm_c6: additionally
 a vector recurrence instead of a matrix) and a plain recurrent baseline,
-with hand-derived exact gradients, a finite-difference oracle, and a
-text-classification experiment harness.
+with hand-derived exact gradients, a complex-step gradient oracle that
+certifies them, and a text-classification experiment harness.
 
 The names below are the documented surface; everything else is imported
 from its submodule (slimrnn.cells, .data, .harness, .numerics, .training).

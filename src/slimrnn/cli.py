@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel cell processes (>= 1, at most one per cell)")
 
     p_grad = subs.add_parser("gradcheck",
-                             help="certify analytic gradients against finite differences")
+                             help="certify analytic gradients against the complex-step oracle")
     p_grad.add_argument("--embed", type=int, default=4, help="input width cap (<= 8)")
     p_grad.add_argument("--hidden", type=int, default=4, help="hidden width cap (<= 8)")
     p_grad.add_argument("--seq-len", type=int, default=3, help="sequence cap (<= 5)")

@@ -34,10 +34,8 @@ from .numerics import ACTIVATIONS, make_rng
 from .training import (LOSSES, MetricsRecord, OPTIMIZERS, OptimizerState,
                        SequenceClassifier, _flat_views, gradient_rel_error, model_from_arrays,
                        model_spec, train_epoch)
-# perfbench's tracer times cmd_gradcheck's two routes under these names; the
-# oracle call's time includes the bptt_gradients calls it runs while the
-# helper process takes passes.
-from .training import finite_difference_models as finite_difference_oracle
+# perfbench's tracer times cmd_gradcheck's two routes under these names.
+from .training import finite_difference_model as finite_difference_oracle
 from .training import model_gradients as bptt_gradients
 
 METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
@@ -485,8 +483,8 @@ def cmd_sweep(spec: SweepSpec):
 def _relu_kink_margin(p: CellParams, xs: np.ndarray) -> float:
     """Smallest |pre-activation| a relu net sees over xs, (T, B, m).
 
-    Central differences are unreliable when any relu argument sits
-    within the probe step of its kink, so relu checks skip such nets.
+    relu has no derivative at its kink, so gradient checks skip a relu
+    net whose arguments come within 1e-4 of it.
     The steps record over the input terms (run_steps), and the recorded H
     then adds every step's recurrent term to them at once through the
     cell's own layout (stack_gates); the last n columns are the ones relu
@@ -505,14 +503,6 @@ def _relu_kink_margin(p: CellParams, xs: np.ndarray) -> float:
 def _bare_names(grads: dict) -> dict:
     """A one-cell model's gradients keyed by bare tensor names (E, W_c, ..., b_y)."""
     return {key.split(".", 1)[1]: g for key, g in grads.items()}
-
-
-def _tiny_failures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The entries failing the 1e-6 bound with |a| + |b| under 1e-7, where
-    gradient_rel_error's 1e-8 denominator floor meets the oracle's
-    cancellation floor at its default epsilon."""
-    size = np.abs(a) + np.abs(b)
-    return (size < 1e-7) & (np.abs(a - b) > 1e-6 * np.maximum(1e-8, size))
 
 
 def _gradcheck_nets(m: int, n: int, seq_len: int, seeds: int, batch: int,
@@ -545,19 +535,15 @@ def _gradcheck_nets(m: int, n: int, seq_len: int, seeds: int, batch: int,
 def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
                   batch: int = 2, activations=("sigmoid", "tanh", "relu"),
                   corrupt: str | None = None):
-    """Certify the analytic gradients against central finite differences.
+    """Certify the analytic gradients against the complex-step oracle.
 
     m, n, seq_len cap desk-scale nets (m, n <= 8, seq_len <= 5 enforced);
     each seed draws dims at or below the caps, builds a fresh net with a
     trainable embedding, and compares every tensor's gradient; a tensor
     passes at a worst relative error of at most 1e-6. Every net is drawn
-    first, and one oracle call differences them all, its passes dealt to
-    both cores (finite_difference_models); each net's analytic gradients
-    come from its own bptt_gradients call, all of them made here within
-    that call, while the helper process takes passes. Nets with
-    failing entries under 1e-7 (_tiny_failures) rerun their oracle once,
-    in one call at epsilon 1e-4, which judges those entries alone. relu
-    nets whose pre-activations graze a kink (within 1e-4) are skipped. The
+    first; then each takes one bptt_gradients call and one oracle call
+    (finite_difference_model), both in this process. relu nets whose
+    pre-activations graze a kink (within 1e-4) are skipped. The
     corrupt argument injects an error into one named tensor's analytic
     gradient so the failure path itself stays testable; it takes a bare
     name (E, W_hy, b_y or a cell tensor such as W_c), and any other
@@ -580,45 +566,23 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     tensors = {"E", "W_hy", "b_y"}.union(*ADAPTIVE_FIELDS.values())
     if corrupt is not None and corrupt not in tensors:
         raise ValueError(f"gradcheck cannot corrupt {corrupt!r}: no tensor has that name")
-    drawn = _gradcheck_nets(m, n, seq_len, seeds, batch, activations)
-    used = [net for nets in drawn.values() for net in nets]
-    routes = []  # per used net its analytic gradients, taken while the helper differences
-
-    def bptt_route():
-        routes.extend(_bare_names(bptt_gradients(model, b, "bce")[1]) for model, b in used)
-
-    oracles = finite_difference_oracle(used, "bce", first=bptt_route)
-    errors, tiny_nets = [], []  # per used net its errors; each net to rerun
-    for analytic, oracle in zip(routes, oracles):
-        if corrupt is not None and corrupt in analytic:
-            analytic[corrupt] = analytic[corrupt] + 1.0
-        oracle = _bare_names(oracle)
-        errs = {name: gradient_rel_error(a, oracle[name]) for name, a in analytic.items()}
-        tiny = {name: _tiny_failures(analytic[name], oracle[name])
-                for name, err in errs.items() if err > 1e-6}
-        if any(t.any() for t in tiny.values()):
-            tiny_nets.append((len(errors), analytic, oracle, tiny))
-        errors.append(errs)
-    if tiny_nets:
-        reruns = finite_difference_oracle([used[i] for i, *_ in tiny_nets], "bce", epsilon=1e-4)
-        for (i, analytic, oracle, tiny), rerun in zip(tiny_nets, map(_bare_names, reruns)):
-            for name, t in tiny.items():
-                a = analytic[name]
-                errors[i][name] = max(gradient_rel_error(a[~t], oracle[name][~t]),
-                                      gradient_rel_error(a[t], rerun[name][t]))
     report = []
     ok = True
-    errors = iter(errors)
-    for (variant, act), nets in drawn.items():
+    for (variant, act), nets in _gradcheck_nets(m, n, seq_len, seeds, batch,
+                                                activations).items():
         if not nets:
             report.append({"variant": variant, "activation": act,
                            "group": "-", "max_rel_err": float("nan"),
                            "status": "skip"})
             continue
         worst: dict[str, float] = {}
-        for errs in itertools.islice(errors, len(nets)):
-            for name, err in errs.items():
-                worst[name] = max(worst.get(name, 0.0), err)
+        for model, data in nets:
+            analytic = _bare_names(bptt_gradients(model, data, "bce")[1])
+            if corrupt is not None and corrupt in analytic:
+                analytic[corrupt] = analytic[corrupt] + 1.0
+            oracle = _bare_names(finite_difference_oracle(model, data, "bce"))
+            for name, a in analytic.items():
+                worst[name] = max(worst.get(name, 0.0), gradient_rel_error(a, oracle[name]))
         for name, err in worst.items():
             status = "pass" if err <= 1e-6 else "FAIL"
             if status == "FAIL":

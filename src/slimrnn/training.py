@@ -1,5 +1,5 @@
-"""Losses, exact backpropagation through time, a finite-difference
-gradient oracle, optimizers, and the epoch loop.
+"""Losses, exact backpropagation through time, a complex-step gradient
+oracle, optimizers, and the epoch loop.
 
 Gradients are hand-derived per cell variant and flow only from the
 final-step loss; there is no per-step target. Backpropagation runs over
@@ -21,23 +21,21 @@ the stacks' size. Each weight gradient is then one matrix product over
 all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more, or an evaluate slice of EVAL_FORK_MIN_SAMPLE_STEPS or more, runs
-in two row halves, and a finite-difference oracle call joins its nets'
-passes into one list, dealt largest first from one counter: each is one
-job run on two shares (_helper_walk), one here and one on the second
-core by a helper process, forked once and sent each call's parameters
-and inputs through a shared mapping that brings its outputs back, with
-the models' specs (model_spec), each model being rebuilt over the
-mapping as a checkpoint's loader does (model_from_arrays). An optimizer
-step runs its rule once over a flat copy of all the gradients.
-Every gradient path here is certified against central finite differences
-in the test suite, so treat the two implementations as independent and
-never "fix" one by copying from the other.
+in two row halves (_helper_walk), one here and one on the second core
+by a helper process, forked once and sent each call's parameters and
+inputs through a shared mapping that brings its outputs back, with the
+model's spec (model_spec), the model being rebuilt over the mapping as a
+checkpoint's loader does (model_from_arrays). An optimizer step runs its
+rule once over a flat copy of all the gradients.
+Every gradient path here is certified against a complex-step oracle
+(finite_difference_model) in the test suite, so treat the two
+implementations as independent and never "fix" one by copying from the
+other.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import mmap
 import multiprocessing
@@ -56,7 +54,7 @@ from scipy.special import expit
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width, input_term,
                     output_layer_apply, record_arrays, record_shapes, run_cell,
                     run_steps, stack_gates)
-from .data import EmbeddingTable, PAD_INDEX, SequenceBatch, check_tokens, embed_lookup
+from .data import EmbeddingTable, PAD_INDEX, check_tokens, embed_lookup
 from .numerics import activate, activate_grad_from_output, make_rng
 
 LOSSES = ("bce", "cce")
@@ -112,7 +110,8 @@ def check_labels(kind: str, shape: tuple, labels) -> np.ndarray:
     """labels as an array, checked against the loss kind and the (B, k)
     shape of the raw rows they score: kind is one of LOSSES, bce rows are
     1 wide, and labels is a (B,) integer array in [0, k), k being 2 for
-    bce. It holds no arithmetic: loss_eval and the oracle share it."""
+    bce. It holds no arithmetic: loss_eval, model_gradients, evaluate
+    and the oracle all call it."""
     if kind not in LOSSES:
         raise ValueError(f"unknown loss {kind!r}")
     bce = kind == "bce"
@@ -258,12 +257,13 @@ def _row_bytes(model: SequenceClassifier, T: int) -> int:
 
 
 def _flat_views(buf: np.ndarray, shapes: dict) -> dict:
-    """Views into the flat buf, one per name and of its shape, laid out
-    back to back in the dict's order."""
-    views, start = {}, 0
+    """Views into buf's last axis, one per name and of its shape (a
+    tuple) after buf's leading axes, laid out back to back in the dict's
+    order."""
+    views, start, lead = {}, 0, buf.shape[:-1]
     for name, shape in shapes.items():
         stop = start + math.prod(shape)
-        views[name] = buf[start:stop].reshape(shape)
+        views[name] = buf[..., start:stop].reshape(lead + shape)
         start = stop
     return views
 
@@ -506,85 +506,48 @@ def _view(mapping: mmap.mmap, place) -> np.ndarray:
     return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
 
 
-class _Counter:
-    """The count a helper and its owner deal an oracle call's passes from:
-    an 8-byte anonymous shared mapping and a lock, both made before the
-    helper's fork, as its mapping is (a fork context's lock, which no
-    start method set elsewhere turns into a named one). other is, in each
-    process, its end of a pipe from the other one, which has something to
-    read once that process ended or is done dealing."""
-
-    def __init__(self):
-        self.lock = multiprocessing.get_context("fork").Lock()
-        self.count = mmap.mmap(-1, 8)
-        self.other = None  # set at the fork
-
-    def taken(self, size: int):
-        """Each next untaken index below size, until none is left. A lock
-        still held a second later while other has something to read was
-        held by a process that ended, and the taking stops."""
-        while True:
-            while not self.lock.acquire(timeout=1.0):
-                if self.other.poll():
-                    return
-            try:
-                i = int.from_bytes(self.count, "little")
-                self.count[:] = (i + 1).to_bytes(8, "little")
-            finally:
-                self.lock.release()
-            if i >= size:
-                return
-            yield i
-
-
 class _Helper:
     """The process that runs the second share of each _helper_walk job for
     its owner, the process that forked it at its first split call.
 
-    A call goes through an anonymous shared mapping of size bytes and a
-    _Counter, both made before the fork, and two pipes. The owner copies
-    the models' parameter values and the job's inputs into the mapping,
-    zeroes the count and sends one request naming a job and carrying its
-    models: each one's model_spec and the place of each of its parameter
-    arrays in the mapping. The helper rebuilds the models over views of
-    the mapping (model_from_arrays), runs the job on them and the
-    mapping's arrays, writing its outputs there, and replies (_serve); it
-    keeps nothing between requests but the mapping. Where the counter or
-    the fork fails, its OSError is raised, what was made being closed
+    A call goes through an anonymous shared mapping of size bytes, made
+    before the fork, and two pipes. The owner copies the model's parameter
+    values and the job's inputs into the mapping and sends one request
+    naming a job and carrying its model's model_spec and the place of each
+    of its parameter arrays in the mapping. The helper rebuilds the model
+    over views of the mapping (model_from_arrays), runs the job on it and
+    the mapping's arrays, writing its outputs there, and replies (_serve);
+    it keeps nothing between requests but the mapping. Where the mapping
+    or the fork fails, its OSError is raised, what was made being closed
     where the fork failed."""
 
     def __init__(self, size: int):
         self.size = size
-        self.counter = _Counter()
         self.mapping = mmap.mmap(-1, size)
         requests, self.requests = multiprocessing.Pipe(duplex=False)
         self.replies, replies = multiprocessing.Pipe(duplex=False)
         try:
             self.pid = os.fork()
         except OSError:
-            for end in (requests, self.requests, self.replies, replies, self.mapping,
-                        self.counter.count):
+            for end in (requests, self.requests, self.replies, replies, self.mapping):
                 end.close()
             raise
         if self.pid == 0:
             self.requests.close()  # else the helper never sees EOF
             self.replies.close()
-            self.counter.other = requests
-            _serve(self.mapping, self.counter, requests, replies)
-        self.counter.other = self.replies
+            _serve(self.mapping, requests, replies)
         requests.close()
         replies.close()
 
 
-def _serve(mapping: mmap.mmap, counter: _Counter, requests, replies):
-    """The helper's loop: read a request, rebuild its models, run its job,
+def _serve(mapping: mmap.mmap, requests, replies):
+    """The helper's loop: read a request, rebuild its model, run its job,
     reply, until the request pipe reaches EOF. A job's error goes back
-    pickled (_pickled_error). A job deals from counter (_helper_walk).
-    The helper ignores SIGINT, an interrupt being its owner's to
-    handle, stops an allocation trace its owner had running, holds its
-    own _helper_lock, so that a split call in a job runs both shares here
-    and never forks, and leaves through os._exit, running no exit handler
-    of its owner's."""
+    pickled (_pickled_error). The helper ignores SIGINT, an interrupt
+    being its owner's to handle, stops an allocation trace its owner had
+    running, holds its own _helper_lock, so that a split call in a job
+    runs both shares here and never forks, and leaves through os._exit,
+    running no exit handler of its owner's."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -597,11 +560,10 @@ def _serve(mapping: mmap.mmap, counter: _Counter, requests, replies):
                 code = 0
                 break
             try:
-                specs, params, job, args, places = pickle.loads(request)
-                models = [model_from_arrays(spec, {name: _view(mapping, place)
-                                                   for name, place in held.items()})
-                          for spec, held in zip(specs, params)]
-                job(counter.taken, models, *args, *(_view(mapping, p) for p in places))
+                spec, params, job, args, places = pickle.loads(request)
+                model = model_from_arrays(spec, {name: _view(mapping, place)
+                                                 for name, place in params.items()})
+                job(model, *args, *(_view(mapping, p) for p in places))
                 reply = b""
             except Exception as exc:  # raised in the owner
                 reply = _pickled_error(exc)
@@ -646,56 +608,50 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _helper_walk(models: list, job, args: tuple, mine: tuple, theirs: tuple,
-                 first=None) -> bool:
-    """Run job(deal, models, *args, *inputs, *outputs), a module-level
-    function writing into its outputs arrays, on both shares, each an
-    (inputs, outputs) pair: theirs in this process's helper, over copies
-    in the mapping and models it rebuilds from the request, and mine here
-    after first(), where given; then copy theirs' outputs back and return
-    True. deal(size) gives the indices below size that its process takes
-    from the counter the two share; only _oracle_job deals. args travel
-    pickled, so a job reads what its caller decided from them (the rows
-    per chunk, the oracle's blocks), never module constants, which the
-    helper holds as they were at its fork. Where no helper can be used,
-    run first() and then both shares here, dealt from one count, so that
-    mine takes every index, and return False: another thread is using the
-    helper, or one must start and _can_fork() refuses it or its counter or
-    os.fork fails (EAGAIN under a process limit, say). A helper starts at
-    the first call, and again where a call does not fit the mapping, with
-    twice the larger of its size and the call's need, so that an evaluate
-    call's helper has room for a gradient buffer too.
+def _helper_walk(model: SequenceClassifier, job, args: tuple, mine: tuple,
+                 theirs: tuple) -> bool:
+    """Run job(model, *args, *inputs, *outputs), a module-level function
+    writing into its outputs arrays, on both shares, each an (inputs,
+    outputs) pair: theirs in this process's helper, over copies in the
+    mapping and a model it rebuilds from the request, and mine here; then
+    copy theirs' outputs back and return True. args travel pickled, so a
+    job reads what its caller decided from them (the rows per chunk),
+    never module constants, which the helper holds as they were at its
+    fork. Where no helper can be used, run both shares here, mine first,
+    and return False: another thread is using the helper, or one must
+    start and _can_fork() refuses it or its mapping or os.fork fails
+    (EAGAIN under a process limit, say). A helper starts at the first
+    call, and again where a call does not fit the mapping, with twice the
+    larger of its size and the call's need, so that an evaluate call's
+    helper has room for a gradient buffer too.
 
     An error in the helper's job is raised here, after mine's ended, with
     the helper's traceback as its cause, and the helper serves on. An
-    error in first() or mine's job, or one raised while waiting for the
-    reply (an interrupt), kills the helper; a helper found dead (EOF on
-    its reply pipe, or a refused request) is reaped and its exit code
-    raised as a ChildProcessError. Either way it is dropped, and the next
-    call starts a new one."""
+    error in mine's job, or one raised while waiting for the reply (an
+    interrupt), kills the helper; a helper found dead (EOF on its reply
+    pipe, or a refused request) is reaped and its exit code raised as a
+    ChildProcessError. Either way it is dropped, and the next call starts
+    a new one."""
     if _helper_lock.acquire(blocking=False):
         try:
-            if _in_helper(models, job, args, mine, theirs, first):
+            if _in_helper(model, job, args, mine, theirs):
                 return True
         finally:
             _helper_lock.release()
-    if first is not None:
-        first()
-    count = itertools.count()  # one deal over both shares: mine takes every index
     for inputs, outputs in (mine, theirs):
-        job(lambda size: itertools.takewhile(size.__gt__, count), models, *args, *inputs,
-            *outputs)
+        job(model, *args, *inputs, *outputs)
     return False
 
 
-def _in_helper(models: list, job, args: tuple, mine: tuple, theirs: tuple, first) -> bool:
+def _in_helper(model: SequenceClassifier, job, args: tuple, mine: tuple,
+               theirs: tuple) -> bool:
     """_helper_walk's round trip, under _helper_lock: False, having run
     nothing, where no helper may be used."""
     global _helper
     helper = _helper
     inputs, outputs = theirs
-    params = [model.param_arrays(include_frozen=True) for model in models]
-    arrays = [a for held in params for a in held.values()] + [*inputs, *outputs]
+    params = model.param_arrays(include_frozen=True)
+    arrays = [*params.values(), *inputs, *outputs]
     places, need = _places([(a.shape, a.dtype) for a in arrays])
     if helper is None or helper.size < need:
         if not _can_fork():
@@ -708,22 +664,15 @@ def _in_helper(models: list, job, args: tuple, mine: tuple, theirs: tuple, first
     copied = len(arrays) - len(outputs)
     for a, place in zip(arrays[:copied], places):
         _view(helper.mapping, place)[...] = a
-    held, at = [], 0
-    for named in params:
-        held.append(dict(zip(named, places[at:])))
-        at += len(named)
-    request = pickle.dumps(([model_spec(model) for model in models], held, job, args,
-                            places[at:]))
-    helper.counter.count[:] = bytes(8)
+    request = pickle.dumps((model_spec(model), dict(zip(params, places)), job, args,
+                            places[len(params):]))
     try:
         helper.requests.send_bytes(request)
     except BrokenPipeError:  # the helper is gone
         reply = None
     else:
         try:
-            if first is not None:
-                first()
-            job(helper.counter.taken, models, *args, *mine[0], *mine[1])
+            job(model, *args, *mine[0], *mine[1])
             try:
                 reply = helper.replies.recv_bytes()
             except EOFError:  # the helper is gone
@@ -752,22 +701,21 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
 
 
-def _gradient_job(deal, models: list, loss_kind: str, rows: int, tokens: np.ndarray,
-                  labels: np.ndarray, buf: np.ndarray, losses: np.ndarray):
+def _gradient_job(model: SequenceClassifier, loss_kind: str, rows: int,
+                  tokens: np.ndarray, labels: np.ndarray, buf: np.ndarray,
+                  losses: np.ndarray):
     """A model_gradients row half: the gradient sums of the samples
-    (tokens, labels), walked in chunks of rows samples by the one model of
-    models, into the flat buf, zeroed first and laid out as its
-    param_arrays(), and their losses into losses."""
-    (model,) = models
+    (tokens, labels), walked in chunks of rows samples, into the flat buf,
+    zeroed first and laid out as model.param_arrays(), and their losses
+    into losses."""
     buf[...] = 0.0
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     _walk_chunks(model, tokens, labels, loss_kind, rows, _flat_views(buf, shapes), losses)
 
 
-def _forward_job(deal, models: list, tokens: np.ndarray, y_raw: np.ndarray):
-    """An evaluate row half: the raw outputs of the one model of models on the
-    (b, T) samples tokens into y_raw, (b, k)."""
-    (model,) = models
+def _forward_job(model: SequenceClassifier, tokens: np.ndarray, y_raw: np.ndarray):
+    """An evaluate row half: the model's raw outputs on the (b, T) samples
+    tokens into y_raw, (b, k)."""
     y_raw[...] = model.forward(embed_lookup(model.emb, tokens.T))[0]
 
 
@@ -777,12 +725,14 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
     tensor into one flat buffer, which the final division by the batch
     size scales at once.
 
-    The rows per chunk, max(1, CACHE_BUDGET // _row_bytes), are decided
-    here once. A batch of B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS
-    sample-steps (B T D for D directions) is split into the rows [0, B//2)
-    and [B//2, B), each walked by _walk_chunks into its own gradient
-    buffer and per-sample losses (_gradient_job). The second half runs in
-    this process's helper while the first runs here, so the two use two
+    The loss kind and the labels are checked first (check_labels), before
+    any chunk runs or the helper is sent a share. The rows per chunk,
+    max(1, CACHE_BUDGET // _row_bytes), are decided here once. A batch of
+    B >= 2 samples and at least FORK_MIN_SAMPLE_STEPS sample-steps (B T D
+    for D directions) is split into the rows [0, B//2) and [B//2, B),
+    each walked by _walk_chunks into its own gradient buffer and
+    per-sample losses (_gradient_job). The second half runs in this
+    process's helper while the first runs here, so the two use two
     cores, or here after the first where no helper can be used
     (_helper_walk). Its buffer is then added into the first's and its
     losses follow the first's. The losses add in sample order, so they keep
@@ -801,9 +751,10 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         raise ValueError("cannot take gradients over an empty batch")
     if batch.T == 0:
         raise ValueError("cannot take gradients over an empty sequence")
+    B, tokens = len(batch), batch.tokens
+    labels = check_labels(loss_kind, (B, len(model.out.b_y)), batch.labels)
     shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
     size = sum(map(math.prod, shapes.values()))
-    B, tokens, labels = len(batch), batch.tokens, batch.labels
     rows = max(1, CACHE_BUDGET // _row_bytes(model, batch.T))
     flat, losses = np.zeros(size), np.empty(B)
     grads: GradientSet = _flat_views(flat, shapes)
@@ -811,7 +762,7 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
         _walk_chunks(model, tokens, labels, loss_kind, rows, grads, losses)
     else:
         half, second = B // 2, np.empty(size)
-        _helper_walk([model], _gradient_job, (loss_kind, rows),
+        _helper_walk(model, _gradient_job, (loss_kind, rows),
                      ([tokens[:half], labels[:half]], [flat, losses[:half]]),
                      ([tokens[half:], labels[half:]], [second, losses[half:]]))
         flat += second
@@ -825,42 +776,49 @@ def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracle.
+# Complex-step oracle.
 #
-# The oracle re-transcribes the forward map from the recurrences and runs
-# it in extended precision (80-bit long double on x86-64). Central
-# differences at eps = 1e-6 lose ~|L|*macheps/eps to cancellation, which
-# at double precision is ~1e-10 absolute: too coarse to certify gradient
-# entries of magnitude 1e-6 to a relative 1e-6. Extended precision pushes
-# the cancellation floor below 1e-13, and sharing no code with the engine
-# keeps the check two-route.
+# The oracle re-transcribes the forward map from the recurrences in
+# complex128 and takes each entry's derivative as Im L(theta + i h e_k) / h
+# at h = 1e-30: the complex step (Squire & Trapp, SIAM Review 1998;
+# Martins, Sturdza & Alonso, ACM TOMS 2003). For a loss analytic in theta
+# its error is O(h^2) and it subtracts nothing, so each entry is exact to
+# rounding, with no step size to tune and no cancellation floor. The
+# transcription stays analytic: sigmoid takes its form by the sign of
+# Re z, relu passes z where Re z > 0, bce is the softplus of the label's
+# signed score and cce is log-sum-exp minus the label's score, with no
+# probability floor. It shares no code with the engine, which keeps the
+# check two-route.
 #
 # Every tensor the transcription reads carries a leading perturbation axis
-# of size K or 1, so one forward pass evaluates K models at once: states
-# are (K, B, n). finite_difference_model perturbs one tensor FD_BLOCK
-# entries at a time and stacks the block's +eps and -eps copies on that
-# axis (K = 2 * block), so a tensor of N entries costs ceil(N / FD_BLOCK)
-# forward passes. Products sum in the same index order for any K, and the
-# per-sample losses are added in sample order, so the result does not
-# depend on FD_BLOCK, nor on which process ran a pass, nor on which nets
-# shared the call: every call (finite_difference_models, over one net or
-# many) deals its passes to this process and the helper process.
+# of size K (a frozen embedding: 1), so one forward pass evaluates K models
+# at once: states are (K, B, n). finite_difference_model perturbs K =
+# FD_BLOCK entries of the model's flat trainable vector per pass, one +ih
+# per copy, so N entries cost ceil(N / FD_BLOCK) forward passes. Products
+# sum in the same index order for any K, and the per-sample losses are
+# added in sample order, so the result does not depend on FD_BLOCK.
 # ---------------------------------------------------------------------------
 
-# Entries of one tensor perturbed together in one oracle forward pass.
-FD_BLOCK = 128
+# Entries of the flat trainable vector perturbed together in one oracle
+# forward pass. At 64 an oracle call at gradcheck's caps (a bidirectional
+# lstm, m = n = 8, T = 5, B = 8) peaks at 2.3 MiB under tracemalloc, 4.6 at
+# 128 and 1.2 at 32; a gradcheck at the caps took 0.064 s, against 0.059 s
+# at 128 and 0.074 s at 32 (one BLAS thread).
+FD_BLOCK = 64
+_STEP = 1e-30
 
 
-def _ld_activate(kind: str, x: np.ndarray) -> np.ndarray:
+def _cs_activate(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "sigmoid":
-        e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, else exp(x): never overflows
-        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+        up = z.real >= 0
+        e = np.exp(np.where(up, -z, z))  # exp(-z) where Re z >= 0, else exp(z)
+        return np.where(up, 1.0, e) / (1.0 + e)
     if kind == "tanh":
-        return np.tanh(x)
-    return np.maximum(x, 0.0)
+        return np.tanh(z)
+    return np.where(z.real > 0, z, 0.0)
 
 
-def _ld_final_hidden(variant: str, act: str, f, A: dict, prefix: str,
+def _cs_final_hidden(variant: str, act: str, f, A: dict, prefix: str,
                      xs: np.ndarray) -> np.ndarray:
     """Final hidden state (K, B, n) of one direction over xs, (T, K, B, m)."""
 
@@ -871,178 +829,97 @@ def _ld_final_hidden(variant: str, act: str, f, A: dict, prefix: str,
         return A[prefix + name][:, None, :]
 
     n = A[prefix + ("W_hx" if variant == "srnn" else "W_c")].shape[1]
-    h = np.zeros((1, 1, n), dtype=np.longdouble)
+    h = np.zeros((1, 1, n), dtype=complex)
     if variant == "srnn":
         for x in xs:
-            h = _ld_activate(act, lin("W_hx", x) + lin("W_hh", h) + vec("b_h"))
+            h = _cs_activate(act, lin("W_hx", x) + lin("W_hh", h) + vec("b_h"))
         return h
     c = np.zeros_like(h)
     if variant == "lstm":
         for x in xs:
-            i = _ld_activate("sigmoid", lin("W_i", x) + lin("U_i", h) + vec("b_i"))
-            fg = _ld_activate("sigmoid", lin("W_f", x) + lin("U_f", h) + vec("b_f"))
-            o = _ld_activate("sigmoid", lin("W_o", x) + lin("U_o", h) + vec("b_o"))
-            ct = _ld_activate(act, lin("W_c", x) + lin("U_c", h) + vec("b_c"))
+            i = _cs_activate("sigmoid", lin("W_i", x) + lin("U_i", h) + vec("b_i"))
+            fg = _cs_activate("sigmoid", lin("W_f", x) + lin("U_f", h) + vec("b_f"))
+            o = _cs_activate("sigmoid", lin("W_o", x) + lin("U_o", h) + vec("b_o"))
+            ct = _cs_activate(act, lin("W_c", x) + lin("U_c", h) + vec("b_c"))
             c = fg * c + i * ct
-            h = o * _ld_activate(act, c)
+            h = o * _cs_activate(act, c)
         return h
     for x in xs:
         if variant == "lstm6":
             a = lin("W_c", x) + lin("U_c", h) + vec("b_c")
         else:
             a = lin("W_c", x) + vec("u_c") * h + vec("b_c")
-        c = f * c + _ld_activate(act, a)
-        h = _ld_activate(act, c)
+        c = f * c + _cs_activate(act, a)
+        h = _cs_activate(act, c)
     return h
 
 
-def _ld_batch_loss(model: SequenceClassifier, A: dict, batch,
-                   loss_kind: str) -> np.ndarray:
-    """Mean batch loss of each model on the perturbation axis, (K,). Every
-    tensor in A, the frozen embedding included, carries that axis."""
+def _cs_losses(model: SequenceClassifier, A: dict, batch, loss_kind: str) -> np.ndarray:
+    """Per-sample losses of each model on the perturbation axis, (K, B).
+    Every tensor in A, the frozen embedding included, carries that axis."""
     labels = batch.labels
     cell = model.cell
-    floor = np.longdouble(_PROB_FLOOR)
     xs = np.moveaxis(A["emb.E"][:, batch.tokens], 2, 0)  # (T, K, B, m)
-    h = _ld_final_hidden(cell.variant, cell.act, cell.forget_const, A,
-                         "fwd.", xs)
+    h = _cs_final_hidden(cell.variant, cell.act, cell.forget_const, A, "fwd.", xs)
     if model.bidirectional:
-        h_b = _ld_final_hidden(cell.variant, cell.act, cell.forget_const,
-                               A, "bwd.", xs[::-1])
-        h = np.concatenate(np.broadcast_arrays(h, h_b), axis=-1)
+        h = np.concatenate([h, _cs_final_hidden(cell.variant, cell.act, cell.forget_const,
+                                                A, "bwd.", xs[::-1])], axis=-1)
     y_raw = h @ np.swapaxes(A["out.W_hy"], -1, -2) + A["out.b_y"][:, None, :]
-    if loss_kind == "bce":
-        p = np.clip(_ld_activate("sigmoid", y_raw)[..., 0], floor, 1.0 - floor)
-        losses = -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))
-    else:
-        z = y_raw - y_raw.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        p = np.clip(e / e.sum(axis=-1, keepdims=True), floor, 1.0 - floor)
-        losses = -np.log(p[:, np.arange(len(labels)), labels])
-    total = np.zeros(len(losses), dtype=np.longdouble)
-    for loss in losses.T:  # in sample order: np.sum would pair them up
+    if loss_kind == "bce":  # softplus(-y) for label 1, softplus(y) for label 0
+        t = np.where(labels == 1, -1.0, 1.0) * y_raw[..., 0]
+        up = t.real > 0
+        return np.where(up, t, 0.0) + np.log1p(np.exp(np.where(up, -t, t)))
+    top = y_raw.real.max(axis=-1, keepdims=True)
+    return (np.log(np.exp(y_raw - top).sum(axis=-1)) + top[..., 0]
+            - y_raw[:, np.arange(len(labels)), labels])
+
+
+def _cs_batch_loss(model: SequenceClassifier, A: dict, batch,
+                   loss_kind: str) -> np.ndarray:
+    """Mean batch loss of each model on the perturbation axis, (K,): its
+    _cs_losses added in sample order, where np.sum would pair them up."""
+    losses = _cs_losses(model, A, batch, loss_kind)
+    total = np.zeros(len(losses), dtype=complex)
+    for loss in losses.T:
         total += loss
     return total / len(batch)
 
 
-def _oracle_passes(model: SequenceClassifier) -> tuple[dict, list, list]:
-    """finite_difference_model's layout: the shape of each trainable tensor,
-    in order; its passes in tensor order, each (name, lo, hi, at) for the
-    flat entries [lo, hi) of tensor name, at being the first one's place
-    in a flat buffer of all the tensors; and each pass's recurrence
-    copies."""
-    shapes = {key: theta.shape for key, theta in model.param_arrays().items()}
-    passes, copies, at = [], [], 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        # the padding row is pinned, not a free parameter: skip it
-        for lo in range(shape[1] if name == "emb.E" else 0, size, FD_BLOCK):
-            hi = min(lo + FD_BLOCK, size)
-            passes.append((name, lo, hi, at + lo))
-            copies.append(1 if name.startswith("out.") else 2 * (hi - lo))
-        at += size
-    return shapes, passes, copies
+def finite_difference_model(model: SequenceClassifier, batch,
+                            loss_kind: str) -> GradientSet:
+    """Complex-step gradient of the mean batch loss for every trainable
+    tensor, through the complex transcription, keyed like
+    model.param_arrays(): each value a view shaped like its tensor into
+    one flat buffer. A certification tool for tiny nets, never a training
+    path; it runs in the calling process.
 
-
-def _oracle_job(deal, models: list, loss_kind: str, epsilon: float, passes: list,
-                *arrays):
-    """finite_difference_models' passes. arrays holds each model's samples,
-    its tokens then its labels, and last out: pass i, (j, name, lo, hi,
-    at), writes the central differences of the flat entries [lo, hi) of
-    model j's tensor name over model j's samples into out[at:at + hi - lo].
-    It runs the passes whose indices deal(len(passes)) gives. out is zeroed
-    first, since each process writes only the entries of its own passes
-    and the helper's mapping holds an earlier request's values."""
-    *samples, out = arrays
-    out[...] = 0.0
-    eps = np.longdouble(epsilon)
-    reached = {}  # per model reached: its batch and its tensors
-    for i in deal(len(passes)):
-        j, name, lo, hi, at = passes[i]
-        if j not in reached:
-            reached[j] = (SequenceBatch(tokens=samples[2 * j], labels=samples[2 * j + 1]),
-                          {k: np.asarray(v, dtype=np.longdouble)[None]
-                           for k, v in models[j].param_arrays(include_frozen=True).items()})
-        batch, A = reached[j]
-        k = hi - lo
-        idx = np.arange(lo, hi)
-        stack = np.repeat(A[name], 2 * k, axis=0)
-        flat = stack.reshape(2 * k, -1)
-        flat[np.arange(k), idx] += eps
-        flat[np.arange(k, 2 * k), idx] -= eps
-        loss = _ld_batch_loss(models[j], {**A, name: stack}, batch, loss_kind)
-        out[at:at + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
-
-
-def finite_difference_models(nets: list, loss_kind: str, epsilon: float = 1e-6,
-                             first=None) -> list[GradientSet]:
-    """finite_difference_model of each (model, batch) of nets, in one call
-    whose passes are dealt to both cores; first(), where given, runs here
-    first, while the helper takes passes.
-
-    Every net's batch, tokens and labels, with the loss kind and the
-    readout width (check_labels), are checked before any pass runs.
-    Each net's passes are listed as finite_difference_model lists them,
-    and the nets' lists are joined in order, each pass writing into one
-    flat buffer that holds every net's tensors back to back. A pass costs
-    its recurrence copies x its net's B x T x gate width in copy-steps. A
-    call over nets sends this process's helper every net and the whole
-    list, sorted by copy-steps, largest first, in one request (_oracle_job,
-    _helper_walk). The helper and this process, once first() returned,
-    then each take the next untaken pass from the counter they share until
-    none is left, each writing its passes' entries into its own zeroed
-    buffer; the helper's buffer is then added into this process's. Where
-    no helper can be used, every pass runs here after first(). Each pass
-    computes what it would in its net's own serial call, and no pass
-    writes -0.0, so every entry keeps its bits wherever it ran. The helper
-    reads the blocks from the passes it is sent, never its own FD_BLOCK,
-    which is the module's as it was at the fork. A call over no nets runs
-    first() and returns []."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    layouts, passes, steps, size = [], [], [], 0
-    for j, (model, batch) in enumerate(nets):
-        if len(batch) == 0:
-            raise ValueError("cannot difference a loss over an empty batch")
-        if batch.T == 0:
-            raise ValueError("cannot difference a loss over an empty sequence")
-        check_labels(loss_kind, (len(batch), len(model.out.b_y)), batch.labels)
-        check_tokens(model.emb, batch.tokens)
-        shapes, own, copies = _oracle_passes(model)
-        passes += [(j, name, lo, hi, size + at) for name, lo, hi, at in own]
-        steps += [c * len(batch) * batch.T * gate_width(model.cell) for c in copies]
-        layouts.append((size, shapes))
-        size += sum(map(math.prod, shapes.values()))
-    if not nets:  # no pass to deal
-        if first is not None:
-            first()
-        return []
-    flat, theirs = np.empty(size), np.empty(size)
-    samples = [a for _, batch in nets for a in (batch.tokens, batch.labels)]
-    passes = [p for _, p in sorted(zip(steps, passes), key=lambda sp: -sp[0])]
-    _helper_walk([model for model, _ in nets], _oracle_job, (loss_kind, epsilon, passes),
-                 (samples, [flat]), (samples, [theirs]), first)
-    flat += theirs  # each entry is +0.0 in the buffer of the process that did not run it
-    return [_flat_views(flat[at:], shapes) for at, shapes in layouts]
-
-
-def finite_difference_model(model: SequenceClassifier, batch, loss_kind: str,
-                            epsilon: float = 1e-6) -> GradientSet:
-    """Central-difference gradient of the mean batch loss for every
-    trainable tensor, through the extended-precision transcription, keyed
-    like model.param_arrays(): each value a view shaped like its tensor
-    into one flat buffer. Each forward pass evaluates the +eps and -eps
-    copies of up to FD_BLOCK entries of one tensor at once, so a tensor of
-    N entries costs ceil(N / FD_BLOCK) passes over the batch. A
-    certification tool for tiny nets, never a training path.
-
-    The passes are listed in tensor order, each with its entry block and
-    its recurrence copies: 2k for a block of k entries, 1 for a readout
-    block, whose recurrence runs once, unperturbed. It is the one-net call
-    of finite_difference_models: the passes are dealt, largest first in
-    copy-steps (copies x B x T x the cell's gate width), to this process
-    and the helper process, each taking the next untaken one."""
-    return finite_difference_models([(model, batch)], loss_kind, epsilon)[0]
+    The batch, its tokens and labels, with the loss kind and the readout
+    width (check_labels), are checked before any pass runs. Each forward
+    pass perturbs the next FD_BLOCK entries of the flat trainable vector,
+    the padding row of a trainable embedding skipped: every tensor carries
+    one copy per entry, and copy j adds i * 1e-30 to entry j alone. Its
+    loss's imaginary part over 1e-30 is that entry's gradient."""
+    if len(batch) == 0:
+        raise ValueError("cannot difference a loss over an empty batch")
+    if batch.T == 0:
+        raise ValueError("cannot difference a loss over an empty sequence")
+    check_labels(loss_kind, (len(batch), len(model.out.b_y)), batch.labels)
+    check_tokens(model.emb, batch.tokens)
+    params = model.param_arrays()
+    shapes = {key: theta.shape for key, theta in params.items()}
+    theta = np.concatenate([a.reshape(-1) for a in params.values()]).astype(complex)
+    fixed = {key: a[None] for key, a in model.param_arrays(include_frozen=True).items()
+             if key not in params}
+    flat = np.zeros(len(theta))
+    # the padding row is pinned, not a free parameter: skip it
+    for lo in range(model.cell.m if model.emb.trainable else 0, len(theta), FD_BLOCK):
+        entries = np.arange(lo, min(lo + FD_BLOCK, len(theta)))
+        copies = np.repeat(theta[None], len(entries), axis=0)
+        copies[np.arange(len(entries)), entries] += 1j * _STEP
+        loss = _cs_batch_loss(model, {**fixed, **_flat_views(copies, shapes)}, batch,
+                              loss_kind)
+        flat[entries] = loss.imag / _STEP
+    return _flat_views(flat, shapes)
 
 
 def gradient_rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -1162,7 +1039,8 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     samples. row is the bytes a slice holds per sample: its gathered T m
     inputs, run_cell's one-step stacks (two alternating h, and c, states,
     one gate or candidate buffer: _stack_bytes(model, 1)) and, per
-    direction, one step's input terms, gate_width wide.
+    direction, one step's input terms, gate_width wide. The loss kind and
+    the labels are checked first (check_labels), before any slice runs.
 
     A slice of b >= 2 samples and at least EVAL_FORK_MIN_SAMPLE_STEPS
     sample-steps (b T D) is forwarded in the row halves [0, b//2) and
@@ -1177,6 +1055,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     """
     if len(batch) == 0:
         raise ValueError("cannot evaluate an empty split")
+    check_labels(loss_kind, (len(batch), len(model.out.b_y)), batch.labels)
     total = 0.0
     correct = 0
     terms = len(model.directions) * gate_width(model.cell)
@@ -1188,7 +1067,7 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         b = len(tokens)
         if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
             y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
-            _helper_walk([model], _forward_job, (), ([tokens[:half]], [y_raw[:half]]),
+            _helper_walk(model, _forward_job, (), ([tokens[:half]], [y_raw[:half]]),
                          ([tokens[half:]], [y_raw[half:]]))
         else:
             y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))

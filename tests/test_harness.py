@@ -41,7 +41,7 @@ from slimrnn.harness import (
 from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, SequenceClassifier, evaluate
 
-from conftest import OraclePasses, check_sent_order, helper_walks, operands
+from conftest import helper_walks, operands
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -859,34 +859,33 @@ def test_cmd_gradcheck_detects_an_injected_error():
     assert failing == {"W_c"}
 
 
-# The seed-1 lstm/tanh net of these caps has a U_f entry of -5.99e-9, whose
-# oracle value at the default epsilon is off by the oracle's cancellation
-# floor: 2.1e-6 relative against the 1e-8 denominator floor.
+# The seed-1 lstm/tanh net of these caps has a U_f entry of -5.99e-9, where
+# gradient_rel_error divides by only 1.2e-8: an oracle off by 2.5e-14 there
+# reads 2.1e-6 and fails the check, so the oracle must be exact to rounding.
 TINY_ENTRY_ARGS = ["gradcheck", "--embed", "2", "--hidden", "2", "--seq-len", "2",
                    "--batch", "1", "--seeds", "2"]
 
 
-def test_cli_gradcheck_judges_tiny_entries_by_one_oracle_rerun(capsys, monkeypatch):
-    epsilons = []
+def test_cli_gradcheck_certifies_tiny_entries_in_one_oracle_call(capsys, monkeypatch):
+    nets = []
     oracle = harness.finite_difference_oracle
 
-    def spy(*args, **kwargs):
-        epsilons.append(kwargs.get("epsilon", 1e-6))
-        return oracle(*args, **kwargs)
+    def spy(model, batch, loss_kind):
+        nets.append(model)
+        return oracle(model, batch, loss_kind)
 
     monkeypatch.setattr(harness, "finite_difference_oracle", spy)
     assert main(TINY_ENTRY_ARGS) == 0
     assert "gradcheck: PASS" in capsys.readouterr().out
-    assert epsilons.count(1e-4) == 1  # that one net, rerun once
+    drawn = harness._gradcheck_nets(2, 2, 2, 2, 1, ("sigmoid", "tanh", "relu"))
+    assert len(nets) == len(set(map(id, nets))) == sum(map(len, drawn.values()))
 
-    # a corrupted tensor fails on entries far above 1e-7: it adds no rerun
-    epsilons.clear()
+    # a corrupted tensor fails on its own
     report, ok = cmd_gradcheck(m=2, n=2, seq_len=2, batch=1, seeds=2, corrupt="W_c")
     assert not ok and {r["group"] for r in report if r["status"] == "FAIL"} == {"W_c"}
-    assert epsilons.count(1e-4) == 1
 
 
-def test_cli_gradcheck_rerun_still_fails_a_wrong_tiny_entry(capsys, monkeypatch):
+def test_cli_gradcheck_fails_a_wrong_tiny_entry(capsys, monkeypatch):
     bptt = harness.bptt_gradients
 
     def off_by_a_tenth(*args, **kwargs):
@@ -901,15 +900,6 @@ def test_cli_gradcheck_rerun_still_fails_a_wrong_tiny_entry(capsys, monkeypatch)
     assert re.search(r"lstm +tanh +U_f +\S+ FAIL", capsys.readouterr().out)
 
 
-def test_the_oracle_rerun_rule_starts_at_1e_7():
-    # entries failing the 1e-6 bound by a relative 1e-3, with |a| + |b| just
-    # under and just over 1e-7: only the first is left to the rerun
-    size = np.array([0.9999e-7, 1.0001e-7])
-    a, b = 0.5005 * size, 0.4995 * size
-    assert harness._tiny_failures(a, b).tolist() == [True, False]
-    assert not harness._tiny_failures(b, b).any()  # an entry that passes is not rerun
-
-
 def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
     # Analytic gradients are keyed by bare names, so "fwd.W_c" matches none.
     monkeypatch.setattr(harness, "make_rng", lambda seed: pytest.fail("a net was drawn"))
@@ -920,8 +910,8 @@ def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
 
 def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
     # perfbench's harness.gradcheck_nets_used_ratio divides the calls of
-    # harness.bptt_gradients by the calls of harness.init_cell; one oracle
-    # call differences every used net, one gradient set each
+    # harness.bptt_gradients by the calls of harness.init_cell; each used
+    # net takes one oracle call
     calls = dict.fromkeys(("bptt_gradients", "init_cell"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
@@ -936,13 +926,13 @@ def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
     cmd_gradcheck(**small, activations=("sigmoid", "tanh"))
     assert calls["init_cell"] == len(VARIANTS) * 2 * 2
     assert calls["bptt_gradients"] == calls["init_cell"]
-    assert [len(grads) for grads in sets] == [calls["init_cell"]]
+    assert len(sets) == calls["init_cell"]
 
     calls.update(dict.fromkeys(calls, 0))
     sets.clear()
     monkeypatch.setattr(harness, "_relu_kink_margin", lambda *args: 0.0)
     report, _ = cmd_gradcheck(**small, activations=("relu",))
-    assert calls["bptt_gradients"] == sum(map(len, sets)) == 0
+    assert calls["bptt_gradients"] == len(sets) == 0
     assert calls["init_cell"] == len(VARIANTS) * 2
     assert [(r["variant"], r["status"]) for r in report] == \
         [(v, "skip") for v in VARIANTS]
@@ -951,93 +941,49 @@ def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
 GRADCHECK_CAPS = dict(m=8, n=8, seq_len=5, batch=8, seeds=3)
 
 
-def after_the_helper_took_a_pass(monkeypatch, log):
-    """Make cmd_gradcheck's BPTT route, which runs while the helper takes
-    passes, start only once the helper has taken one (log: OraclePasses)."""
-    bptt = harness.bptt_gradients
-
-    def waiting(*args, **kwargs):
-        log.wait_for_another_process()
-        return bptt(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "bptt_gradients", waiting)
-
-
-def model_key(model) -> tuple:
-    """What tells one drawn gradcheck model from another."""
-    return training.model_spec(model), model.out.W_hy.tobytes()
-
-
-def test_cmd_gradcheck_at_the_caps_sends_one_share_spanning_nets_to_the_helper(
-        monkeypatch, tmp_path):
-    # at perfbench's certify caps the one oracle call sends the helper every
-    # drawn net and all their passes, largest first, in one request; each
-    # pass runs once, in either process, and this process, which takes
-    # passes once its BPTT route is done, runs fewer than all of them
-    log = OraclePasses(monkeypatch, tmp_path / "passes")
-    after_the_helper_took_a_pass(monkeypatch, log)
-    walks = helper_walks(monkeypatch)
-    nets = [net for drawn in harness._gradcheck_nets(
-        **GRADCHECK_CAPS, activations=("sigmoid", "tanh", "relu")).values() for net in drawn]
-    _, ok = cmd_gradcheck(**GRADCHECK_CAPS)
-    assert ok
-    [(job, models, (_, _, passes), walked)] = walks
-    assert job is training._oracle_job and walked == training._can_fork()
-    assert list(map(model_key, models)) == [model_key(model) for model, _ in nets]
-    check_sent_order(nets, passes)
-    log.check_dealt(nets)
-
-
-@pytest.mark.parametrize("helper", [True, False])
-@pytest.mark.parametrize("corrupt", ["E", "W_c", "b_y"])
-def test_cmd_gradcheck_fails_the_corrupted_tensor_whichever_share_ran_it(
-        monkeypatch, tmp_path, corrupt, helper):
-    # the one oracle call deals its passes: the corrupted tensor's passes
-    # run in either process, each once; where no helper may start, all of
-    # them run here
-    if not helper:
-        training._stop_helper()
-        monkeypatch.setattr(training, "_can_fork", lambda: False)
-    log = OraclePasses(monkeypatch, tmp_path / "passes")
-    after_the_helper_took_a_pass(monkeypatch, log)
-    walks = helper_walks(monkeypatch)
-    kwargs = dict(m=3, n=3, seq_len=3, batch=2, seeds=2, activations=("sigmoid",))
-    report, ok = cmd_gradcheck(**kwargs, corrupt=corrupt)
-    assert not ok
-    assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
-    assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
-    nets = [net for drawn in harness._gradcheck_nets(**kwargs).values() for net in drawn]
-    [(_, _, (_, _, passes), walked)] = walks
-    check_sent_order(nets, passes)
-    assert walked == (helper and training._can_fork())
-    if walked:
-        log.check_dealt(nets)
-    else:
-        assert list(log.read()) == [os.getpid()]
-
-
-def gradcheck_bytes(monkeypatch, helper, **kwargs):
-    """repr of cmd_gradcheck's report and verdict, its oracle call's passes
-    dealt to a new helper (helper True) or all run here (False: no helper
-    may start)."""
+def test_a_gradient_check_at_the_caps_starts_no_process(monkeypatch):
+    # both routes run in this process: no share goes to a helper, and a
+    # process that had no helper still has none
     training._stop_helper()
-    with monkeypatch.context() as mp:
-        if not helper:
-            mp.setattr(training, "_can_fork", lambda: False)
-        walks = helper_walks(mp)
-        result = repr(cmd_gradcheck(**kwargs))
-    assert [walked for *_, walked in walks] == [helper and training._can_fork()]
-    return result
+    walks = []
+    monkeypatch.setattr(training, "_helper_walk", lambda *args: walks.append(args))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    _, ok = cmd_gradcheck(**GRADCHECK_CAPS)
+    assert ok and walks == []
+    assert training._helper is None
 
 
 @pytest.mark.parametrize("caps", ["defaults", "caps"])
-def test_cmd_gradcheck_reports_the_same_bytes_with_the_helper_on_and_off(monkeypatch,
-                                                                         caps):
+def test_cmd_gradcheck_reports_the_same_bytes_whether_or_not_a_helper_runs(monkeypatch,
+                                                                           caps):
+    # a helper an earlier split call started serves on untouched: the check
+    # sends it nothing, and its report keeps every byte
     kwargs = GRADCHECK_CAPS if caps == "caps" else {}
-    want = gradcheck_bytes(monkeypatch, False, **kwargs)
-    assert gradcheck_bytes(monkeypatch, True, **kwargs) == want
-    assert repr(cmd_gradcheck(**kwargs)) == want  # the helper already running
     training._stop_helper()
+    want = repr(cmd_gradcheck(**kwargs))
+    (model, _), *_ = harness._gradcheck_nets(**GRADCHECK_CAPS,
+                                             activations=("tanh",))["lstm", "tanh"]
+    batch = SequenceBatch(tokens=make_rng(9100).integers(0, 7, size=(4, 3)),
+                          labels=np.array([0, 1, 1, 0]))
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
+        walks = helper_walks(mp)
+        training.model_gradients(model, batch, "bce")
+    assert [walked for *_, walked in walks] == [training._can_fork()]
+    helper = training._helper
+    walks = helper_walks(monkeypatch)
+    assert repr(cmd_gradcheck(**kwargs)) == want
+    assert walks == [] and training._helper is helper
+    training._stop_helper()
+
+
+@pytest.mark.parametrize("corrupt", ["E", "W_c", "b_y"])
+def test_cmd_gradcheck_fails_exactly_the_corrupted_tensor(corrupt):
+    report, ok = cmd_gradcheck(m=3, n=3, seq_len=3, batch=2, seeds=2,
+                               activations=("sigmoid",), corrupt=corrupt)
+    assert not ok
+    assert {r["group"] for r in report if r["status"] == "FAIL"} == {corrupt}
+    assert all(r["status"] == "pass" for r in report if r["group"] != corrupt)
 
 
 def test_cmd_gradcheck_enforces_desk_scale_caps():

@@ -1,11 +1,9 @@
 """Training-stack checks: loss values and gradients, backpropagation
-against the extended-precision finite-difference oracle, optimizer update
-rules against scalar transcriptions, and epoch-level determinism."""
+against the complex-step gradient oracle, optimizer update rules against
+scalar transcriptions, and epoch-level determinism."""
 
 import errno
-import functools
 import math
-import multiprocessing.synchronize
 import os
 import re
 import signal
@@ -41,11 +39,11 @@ from slimrnn.training import (
     optimizer_step,
     train_epoch,
     _backward_cell,
-    _ld_batch_loss,
-    _oracle_job,
+    _cs_batch_loss,
+    _cs_losses,
 )
 
-from conftest import OraclePasses, check_sent_order, helper_walks, recorded
+from conftest import helper_walks, recorded
 
 GRAD_TOL = 1e-6  # max relative error allowed between routes
 
@@ -162,12 +160,13 @@ def test_loss_gradient_matches_finite_differences(kind, k):
 
 
 # --------------------------------------------------------------------------
-# The finite-difference methodology itself, on a closed-form problem.
+# The complex-step methodology itself, on a closed-form problem.
 # --------------------------------------------------------------------------
 
-def test_central_differences_recover_a_closed_form_gradient():
-    """0.5 * ||W x - y||^2 has gradient (W x - y) x^T; the same central
-    scheme the oracle uses must recover it to 1e-9."""
+def test_the_complex_step_recovers_a_closed_form_gradient():
+    """0.5 * ||W x - y||^2 has gradient (W x - y) x^T; the complex step the
+    oracle takes, Im f(W + i h E_rc) / h at h = 1e-30, must recover it to
+    rounding."""
     rng = make_rng(1400)
     W = rng.uniform(-1, 1, size=(3, 4))
     x = rng.uniform(-1, 1, 4)
@@ -175,18 +174,16 @@ def test_central_differences_recover_a_closed_form_gradient():
 
     def f(Wm):
         r = Wm @ x - y
-        return 0.5 * float(r @ r)
+        return 0.5 * (r @ r)  # analytic: r @ r, not |r|^2
 
     analytic = np.outer(W @ x - y, x)
-    eps = 1e-6
-    fd = np.zeros_like(W)
+    cs = np.zeros_like(W)
     for r in range(3):
         for c in range(4):
-            up, dn = W.copy(), W.copy()
-            up[r, c] += eps
-            dn[r, c] -= eps
-            fd[r, c] = (f(up) - f(dn)) / (2 * eps)
-    npt.assert_allclose(fd, analytic, rtol=0, atol=1e-9)
+            step = W.astype(complex)
+            step[r, c] += 1e-30j
+            cs[r, c] = f(step).imag / 1e-30
+    npt.assert_allclose(cs, analytic, rtol=1e-14, atol=1e-16)
 
 
 # --------------------------------------------------------------------------
@@ -266,31 +263,6 @@ def test_bptt_matches_oracle_without_embedding():
     for name in analytic:
         err = gradient_rel_error(analytic[name], numeric[name])
         assert err <= GRAD_TOL, f"{name}: rel err {err}"
-
-
-def test_oracle_truncation_error_shrinks_quadratically():
-    """Central differences have O(eps^2) truncation error, so doubling
-    eps should roughly quadruple the gap to the analytic gradient."""
-    model = small_model("lstm6", 3, 3, seed=2600, act="tanh")
-    batch = token_batch(2601, B=2, T=3)
-    _, analytic = model_gradients(model, batch, "bce")
-
-    def gap(eps):
-        numeric = finite_difference_model(model, batch, "bce", epsilon=eps)
-        return math.sqrt(sum(float(np.sum((analytic[k] - numeric[k]) ** 2))
-                             for k in analytic))
-
-    ratio = gap(2e-3) / gap(1e-3)
-    assert 3.0 < ratio < 5.5, f"error ratio {ratio} not ~4"
-
-
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
-def test_the_oracle_refuses_an_epsilon_that_is_not_finite_and_positive(epsilon):
-    model = small_model("lstm6", 3, 3, seed=2610)
-    batch = token_batch(2611, B=1, T=2)
-    with pytest.raises(ValueError) as info:
-        finite_difference_model(model, batch, "bce", epsilon=epsilon)
-    assert str(info.value) == f"epsilon must be finite and positive, got {epsilon}"
 
 
 def test_single_step_recurrent_gradients_are_zero():
@@ -385,14 +357,16 @@ def test_oracle_wrapper_uses_bare_names():
     assert set(numeric) == {"E", "W_c", "u_c", "b_c", "W_hy", "b_y"}
 
 
-def ld_params(model):
-    """Every tensor in long double with a size-1 perturbation axis."""
-    return {k: np.asarray(v, dtype=np.longdouble)[None]
+def cs_params(model):
+    """Every tensor in complex128 with a size-1 perturbation axis."""
+    return {k: np.asarray(v, dtype=complex)[None]
             for k, v in model.param_arrays(include_frozen=True).items()}
 
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_oracle_result_does_not_depend_on_the_block_size(monkeypatch, block):
+    # a block of the flat vector spans tensors: at 3 some blocks straddle
+    # two of them, and the last is short
     model = small_model("lstm", 3, 4, seed=2910, act="tanh", out_dim=3,
                         bidirectional=True)
     batch = token_batch(2911, B=3, T=3, n_classes=3)
@@ -404,21 +378,39 @@ def test_oracle_result_does_not_depend_on_the_block_size(monkeypatch, block):
         npt.assert_array_equal(got[name], want[name], err_msg=name)
 
 
-def test_oracle_entry_is_a_central_difference_of_two_batch_losses():
+@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_entry_per_pass_gives_the_bits_of_the_default_block(
+        monkeypatch, variant, bidirectional, loss_kind, inputs):
+    # at the default FD_BLOCK one pass perturbs every entry of these nets;
+    # at 1 each entry gets a pass of its own
+    k = 1 if loss_kind == "bce" else 3
+    model = small_model(variant, 2, 2, seed=3800, act="tanh", out_dim=k,
+                        trainable_emb=inputs == "trainable", bidirectional=bidirectional)
+    for B in (1, 3):
+        batch = token_batch(3801 + B, B=B, T=2, n_classes=max(k, 2))
+        want = finite_difference_model(model, batch, loss_kind)
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FD_BLOCK", 1)
+            got = finite_difference_model(model, batch, loss_kind)
+        assert [(name, g.tobytes()) for name, g in got.items()] == \
+            [(name, g.tobytes()) for name, g in want.items()], B
+
+
+def test_oracle_entry_is_the_complex_step_of_one_batch_loss():
     model = small_model("lstm6", 3, 4, seed=2920, bidirectional=True)
     batch = token_batch(2921, B=3, T=4)
-    eps = np.longdouble(1e-6)
-    numeric = finite_difference_model(model, batch, "bce", epsilon=1e-6)
-    A = ld_params(model)
+    numeric = finite_difference_model(model, batch, "bce")
+    A = cs_params(model)
     for name, entry in (("emb.E", (4, 1)), ("bwd.U_c", (2, 3)), ("out.W_hy", (0, 5))):
         keep = A[name][(0,) + entry]
-        A[name][(0,) + entry] = keep + eps
-        up = _ld_batch_loss(model, A, batch, "bce")
-        A[name][(0,) + entry] = keep - eps
-        down = _ld_batch_loss(model, A, batch, "bce")
+        A[name][(0,) + entry] = keep + 1e-30j
+        loss = _cs_batch_loss(model, A, batch, "bce")
         A[name][(0,) + entry] = keep
-        assert up.shape == down.shape == (1,)
-        assert numeric[name][entry] == float((up[0] - down[0]) / (2.0 * eps)), name
+        assert loss.shape == (1,)
+        assert numeric[name][entry] == loss[0].imag / 1e-30, name
 
 
 @pytest.mark.parametrize("seed", [2926, 2927, 2928])
@@ -426,11 +418,13 @@ def test_oracle_batch_loss_adds_the_samples_in_order(seed):
     # np.sum's pairwise order changes the last bits for some of these batches
     model = small_model("srnn", 3, 4, seed=2925, out_dim=3)
     batch = token_batch(seed, B=16, T=3, n_classes=3)
-    A = ld_params(model)
-    total = np.longdouble(0.0)
-    for i in range(len(batch)):
-        total += _ld_batch_loss(model, A, batch.subset([i]), "cce")[0]
-    assert _ld_batch_loss(model, A, batch, "cce")[0] == total / len(batch)
+    A = cs_params(model)
+    A["fwd.W_hh"] = A["fwd.W_hh"] + 1e-30j  # an imaginary part to add too
+    (losses,) = _cs_losses(model, A, batch, "cce")
+    total = np.complex128(0.0)
+    for loss in losses:
+        total += loss
+    assert _cs_batch_loss(model, A, batch, "cce")[0] == total / len(batch)
 
 
 def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
@@ -445,13 +439,10 @@ def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
     assert "emb.E" not in finite_difference_model(frozen, batch, "bce")
 
 
-def test_oracle_memory_stays_small_at_the_gradcheck_caps(monkeypatch):
-    # tracemalloc sees this process alone: with the helper refused, every
-    # pass runs here
+def test_oracle_memory_stays_small_at_the_gradcheck_caps():
+    # every pass runs in this process, which tracemalloc sees
     model = small_model("lstm", 8, 8, seed=2940, bidirectional=True)
     batch = token_batch(2941, B=8, T=5)
-    training._stop_helper()
-    monkeypatch.setattr(training, "_can_fork", lambda: False)
     tracemalloc.start()
     try:
         finite_difference_model(model, batch, "bce")
@@ -2280,111 +2271,55 @@ def helper_gone_after(script):
 
 
 # --------------------------------------------------------------------------
-# The oracle's passes, dealt to this process and the helper process.
+# Checks before any work, and what the helper does when its share fails.
 # --------------------------------------------------------------------------
 
-def oracle_walks(monkeypatch, call, fork=None):
-    """call() with the oracle's helper round trips recorded: its result,
-    what each _helper_walk call of _oracle_job returned (True where the
-    helper dealt, False where every pass ran here), and the models and
-    passes each was sent (fork, when given, stands in for os.fork)."""
-    with monkeypatch.context() as mp:
-        walks = helper_walks(mp)
-        if fork is not None:
-            mp.setattr(os, "fork", fork)
-        result = call()
-        oracle = [walk for walk in walks if walk[0] is training._oracle_job]
-    return (result, [walked for *_, walked in oracle],
-            [(models, args[2]) for _, models, args, _ in oracle])
-
-
-def with_oracle(monkeypatch, *args, fork=None, **kwargs):
-    """finite_difference_model(*args, **kwargs): its gradients' bytes, and
-    what each of its _helper_walk calls returned."""
-    grads, walks, _ = oracle_walks(
-        monkeypatch, lambda: finite_difference_model(*args, **kwargs), fork)
-    return [(name, g.tobytes()) for name, g in grads.items()], walks
-
-
-def oracle_fallback(monkeypatch, nets, loss_kind):
-    """Each net's bytes from one oracle call over nets whose passes all ran
-    here, no helper being allowed to start: its one _helper_walk call
-    returned False."""
-    training._stop_helper()
-    with monkeypatch.context() as mp:
-        mp.setattr(training, "_can_fork", lambda: False)
-        bits, walks, _ = with_oracles(mp, nets, loss_kind)
-    assert walks == [False]
-    return bits
-
-
-@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
-@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
-@pytest.mark.parametrize("bidirectional", [False, True])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_a_split_oracle_gives_the_bits_of_the_in_process_fallback(
-        monkeypatch, variant, bidirectional, loss_kind, inputs):
-    # every pass computes what it computes in a serial call, wherever it
-    # runs; at FD_BLOCK 1 one tensor's blocks land in both shares
-    k = 1 if loss_kind == "bce" else 3
-    model = small_model(variant, 2, 2, seed=3800, act="tanh", out_dim=k,
-                        trainable_emb=inputs == "trainable", bidirectional=bidirectional)
-    batches = [token_batch(3801 + B, B=B, T=2, n_classes=max(k, 2)) for B in (1, 3)]
-    wholes = [oracle_fallback(monkeypatch, [(model, batch)], loss_kind)[0]
-              for batch in batches]
-    # the one sample opens with padding, so with zero biases its recurrent
-    # weights meet zero states only and difference to exact zeros, as unused
-    # embedding rows do: entries kept through the merge's + 0.0
-    assert any(0.0 in np.frombuffer(bits) for name, bits in wholes[0] if name != "emb.E")
-    cases = [(block, batch, whole) for block in (training.FD_BLOCK, 1)
-             for batch, whole in zip(batches, wholes)]
-    for batch, whole in zip(batches, wholes):
-        with monkeypatch.context() as mp:
-            mp.setattr(training, "FD_BLOCK", 1)
-            assert oracle_fallback(mp, [(model, batch)], loss_kind) == [whole]
-    for block, batch, whole in cases:  # one helper serves every case
-        with monkeypatch.context() as mp:
-            mp.setattr(training, "FD_BLOCK", block)
-            helped, walks = with_oracle(mp, model, batch, loss_kind)
-        assert walks == [training._can_fork()]
-        assert helped == whole, (len(batch), block)
-    no_child_left()
-
-
-@pytest.mark.parametrize("block", [1, 3])
-def test_the_helper_differences_the_blocks_it_is_sent(monkeypatch, block):
-    # the helper forked at the default FD_BLOCK and keeps it: the caller
-    # sends each pass's entries, so a smaller block after the fork still
-    # gives the bits of the unsplit call
-    model = small_model("lstm", 3, 4, seed=3810, act="tanh", out_dim=3,
-                        bidirectional=True)
-    batch = token_batch(3811, B=3, T=3, n_classes=3)
-    want, walks = with_oracle(monkeypatch, model, batch, "cce")
-    assert walks == [training._can_fork()]
+@pytest.mark.parametrize("route", ["model_gradients", "evaluate"])
+def test_a_bad_loss_kind_or_label_is_refused_before_any_work_or_helper_request(
+        monkeypatch, route):
+    # a split call checks its loss kind and labels at its entry: no input is
+    # looked up, no share is sent, and the helper that runs serves on
+    model = small_model("lstm6", 3, 4, seed=3825)
+    batch = token_batch(3826, B=6, T=5)
+    if route == "evaluate":
+        gate, run, bits = with_gate, evaluate, lambda result: [x.hex() for x in result]
+    else:
+        gate, run, bits = with_fork_gate, model_gradients, gradient_bytes
+    result, walks = gate(monkeypatch, 0, run, model, batch, "bce")
+    want = bits(result)
+    assert walks == training._can_fork()
     helper = training._helper
-    monkeypatch.setattr(training, "FD_BLOCK", block)
-    got, walks, [(_, sent)] = with_oracles(monkeypatch, [(model, batch)], "cce",
-                                           fork=refuse_fork)
-    assert got == [want] and walks == [training._can_fork()]
+    lookup, walk = training.embed_lookup, training._helper_walk
+    for loss_kind, labels, reason in (
+            ("mse", batch.labels, "unknown loss 'mse'"),
+            ("bce", np.array([0, 1, 2, 0, 1, 0]), re.escape("bce label 2 outside [0, 2)"))):
+        called = []
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
+            mp.setattr(training, "EVAL_FORK_MIN_SAMPLE_STEPS", 0)
+            mp.setattr(training, "embed_lookup",
+                       lambda *args: called.append("lookup") or lookup(*args))
+            mp.setattr(training, "_helper_walk",
+                       lambda *args: called.append("walk") or walk(*args))
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                run(model, SequenceBatch(tokens=batch.tokens, labels=labels), loss_kind)
+        assert called == [], loss_kind
     assert training._helper is helper
-    assert all(hi - lo <= block for _, _, lo, hi, _ in sent)
+    result, walks = gate(monkeypatch, 0, run, model, batch, "bce", fork=refuse_fork)
+    assert (bits(result), walks) == (want, training._can_fork())
     no_child_left()
 
 
-def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
+def test_a_bad_net_fails_the_oracle_before_any_pass(monkeypatch):
     # the labels, the loss kind, the readout width, the tokens and the
     # batch size are checked once, before any pass, with the engine's
-    # reasons: none runs, in either process, and the helper serves on; in
-    # a call over many nets, a bad net anywhere fails it before any pass of
-    # the others
+    # reasons
     model = small_model("lstm6", 3, 4, seed=3820)
     wide = small_model("lstm6", 3, 4, seed=3824, out_dim=3)
     batch = token_batch(3821, B=3, T=3)
-    with_oracle(monkeypatch, model, batch, "bce")
-    pid = training._helper.pid if training._helper else None
     losses = []
-    monkeypatch.setattr(training, "_ld_batch_loss",
-                        lambda *args: losses.append(1) or _ld_batch_loss(*args))
+    monkeypatch.setattr(training, "_cs_batch_loss",
+                        lambda *args: losses.append(1) or _cs_batch_loss(*args))
     tokens = {}
     for token in (-1, 7):  # below the table, and its size
         tokens[token] = batch.tokens.copy()
@@ -2398,188 +2333,95 @@ def test_a_bad_label_fails_the_oracle_before_any_share_runs(monkeypatch):
            (model, batch.subset([]), "bce", "cannot difference a loss over an empty batch"),
            (model, batch, "mse", "unknown loss 'mse'"),
            (wide, batch, "bce", re.escape("bce needs (B, 1) rows, got (3, 3)"))]
-    other = (small_model("lstm", 3, 4, seed=3822), token_batch(3823, B=2, T=3))
     for bad_model, wrong, loss_kind, reason in bad:
         with pytest.raises(ValueError, match=reason):
-            with_oracle(monkeypatch, bad_model, wrong, loss_kind)
-        for nets in ([(bad_model, wrong), other, other],
-                     [other, other, (bad_model, wrong)]):
-            with pytest.raises(ValueError, match=reason):
-                with_oracles(monkeypatch, nets, loss_kind)
+            finite_difference_model(bad_model, wrong, loss_kind)
     assert losses == []
-    assert (training._helper.pid if training._helper else None) == pid
-    no_child_left()
-
-
-# --------------------------------------------------------------------------
-# One oracle call over many nets, its passes dealt.
-# --------------------------------------------------------------------------
-
-def with_oracles(monkeypatch, nets, loss_kind, fork=None, first=None):
-    """finite_difference_models(nets, loss_kind, first=first): each net's
-    gradients' bytes, what each of its _helper_walk calls returned, and
-    per call the models and passes sent."""
-    result, walks, sent = oracle_walks(
-        monkeypatch, lambda: training.finite_difference_models(nets, loss_kind, first=first),
-        fork)
-    return [[(name, g.tobytes()) for name, g in grads.items()] for grads in result], walks, sent
-
-
-@pytest.mark.parametrize("inputs", ["trainable", "frozen"])
-@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
-@pytest.mark.parametrize("bidirectional", [False, True])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_one_cut_over_many_nets_gives_each_net_the_bits_of_its_own_call(
-        monkeypatch, tmp_path, variant, bidirectional, loss_kind, inputs):
-    # one dealt call sends the helper every net and every pass, largest
-    # first, in one request; each pass runs once, in either process, and
-    # gives the bits of its net's own call, at the default blocks and at
-    # FD_BLOCK 1, where nets of different sizes interleave
-    k = 1 if loss_kind == "bce" else 3
-
-    def net(seed, m, B, T):
-        model = small_model(variant, m, 2, seed=seed, act="tanh", out_dim=k,
-                            trainable_emb=inputs == "trainable",
-                            bidirectional=bidirectional)
-        return model, token_batch(seed + 1, B=B, T=T, n_classes=max(k, 2))
-
-    cases = [(training.FD_BLOCK, [net(3830, 2, 2, 2), net(3832, 2, 2, 2)]),
-             (1, [net(3834, 3, 2, 3), net(3836, 2, 1, 2), net(3838, 2, 2, 2)])]
-    wholes = [[oracle_fallback(monkeypatch, [net], loss_kind)[0] for net in nets]
-              for _, nets in cases]
-    for (block, nets), whole in zip(cases, wholes):
-        with monkeypatch.context() as mp:
-            mp.setattr(training, "FD_BLOCK", block)
-            training._stop_helper()
-            mp.setattr(training, "_can_fork", lambda: False)
-            fallback, walks, sent = with_oracles(mp, nets, loss_kind)
-            [(models, passes)] = sent
-            check_sent_order(nets, passes)
-        assert walks == [False]
-        assert fallback == whole, block
-        assert models == [model for model, _ in nets]
-    # one helper serves both calls, after walking a large model's batch: its
-    # mapping holds that model's values where the helper's entries now go;
-    # this process takes its passes once the helper has taken one
-    log = OraclePasses(monkeypatch, tmp_path / "passes")
-    large = small_model("lstm", 8, 30, seed=3786, vocab=400, bidirectional=True)
-    with_fork_gate(monkeypatch, 0, model_gradients, large, token_batch(3787, B=6, T=5), "bce")
-    for (block, nets), whole in zip(cases, wholes):
-        with monkeypatch.context() as mp:
-            mp.setattr(training, "FD_BLOCK", block)
-            helped, walks, _ = with_oracles(mp, nets, loss_kind, fork=refuse_fork,
-                                            first=log.wait_for_another_process)
-            log.check_dealt(nets)
-        assert walks == [training._can_fork()]
-        assert helped == whole, block
-    no_child_left()
+    finite_difference_model(model, batch, "bce")  # the spy sees a pass
+    assert losses
 
 
 def test_an_error_in_the_helpers_share_is_raised_here_and_the_helper_serves_on(
-        monkeypatch, tmp_path):
-    # the helper fails at the first pass it takes and stops taking: this
-    # process takes every other pass before the error is raised here
-    nets = [(small_model("lstm", 3, 4, seed=3840), token_batch(3841, B=3, T=3)),
-            (small_model("srnn", 2, 3, seed=3842), token_batch(3843, B=2, T=4))]
-    want = oracle_fallback(monkeypatch, nets, "bce")
-    log = OraclePasses(monkeypatch, tmp_path / "passes")
-    logged = training._ld_batch_loss
+        monkeypatch):
+    # the helper's share fails at its first forward: this process forwards
+    # its own share first, then raises the helper's error with the helper's
+    # traceback as its cause
+    model = small_model("lstm", 3, 4, seed=3840)
+    batch = token_batch(3841, B=6, T=3)
+    want = [x.hex() for x in evaluate_fallback(monkeypatch, model, batch, "bce")]
     parent = os.getpid()
-    failing = [True]  # the helper's copy empties at its first pass
+    real = training.embed_lookup
+    failing = [True]  # the helper's copy empties at its first lookup
+    here = []  # the inputs this process looked up, (T, b)
 
-    def loss_failing(*args):
+    def lookup_failing(emb, tokens):
         if os.getpid() != parent and failing and failing.pop():
-            raise FloatingPointError("the helper's pass went wrong")
-        return logged(*args)
+            raise FloatingPointError("the helper's share went wrong")
+        if os.getpid() == parent:
+            here.append(tokens.shape)
+        return real(emb, tokens)
 
-    def until_the_helper_replied():
-        if training._can_fork():
-            assert training._helper.replies.poll(10.0)
-
-    monkeypatch.setattr(training, "_ld_batch_loss", loss_failing)
-    with pytest.raises(FloatingPointError, match="^the helper's pass went wrong$") as caught:
-        with_oracles(monkeypatch, nets, "bce", first=until_the_helper_replied)
-    ran = log.read()
-    if not training._can_fork():
-        return  # every pass ran here, and none failed
-    everything = sum(len(training._oracle_passes(model)[1]) for model, _ in nets)
-    assert list(ran) == [parent] and len(ran[parent]) == everything - 1
+    monkeypatch.setattr(training, "embed_lookup", lookup_failing)
+    with pytest.raises(FloatingPointError,
+                       match="^the helper's share went wrong$") as caught:
+        with_gate(monkeypatch, 0, evaluate, model, batch, "bce")
+    assert here == [(3, 3)]
     assert isinstance(caught.value.__cause__, ChildProcessError)
-    assert "loss_failing" in str(caught.value.__cause__)
+    assert "lookup_failing" in str(caught.value.__cause__)
     helper = training._helper
-    got, walks, _ = with_oracles(monkeypatch, nets, "bce", fork=refuse_fork,
-                                 first=log.wait_for_another_process)
-    assert (got, walks) == (want, [True])
+    result, walks = with_gate(monkeypatch, 0, evaluate, model, batch, "bce",
+                              fork=refuse_fork)
+    assert ([x.hex() for x in result], walks) == (want, 1)
     assert training._helper is helper
-    log.check_dealt(nets)
     no_child_left()
 
 
-@pytest.mark.parametrize("holding", [False, True])
-def test_a_helper_killed_while_dealing_is_reported_and_replaced(monkeypatch, holding):
-    # the helper dies at the first pass it takes, or holding the counter's
-    # lock, which this process then waits on for a second: either way this
-    # process raises ChildProcessError, and the next call forks a new
-    # helper and gives the bits of a serial call
-    nets = [(small_model("lstm", 3, 4, seed=3844), token_batch(3845, B=3, T=3)),
-            (small_model("lstm_c6", 2, 3, seed=3846), token_batch(3847, B=2, T=4))]
-    want = oracle_fallback(monkeypatch, nets, "bce")
+def test_a_helper_killed_mid_job_is_reported_and_replaced(monkeypatch):
+    # the helper dies in its share: this process raises ChildProcessError,
+    # and the next call forks a new helper and gives the bits of a serial call
+    model = small_model("lstm_c6", 2, 3, seed=3846)
+    batch = token_batch(3847, B=4, T=4)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
     parent = os.getpid()
-    deals = []  # in the helper, its job's deal: its counter's taken
+    real = training._walk_chunks
 
-    @functools.wraps(training._oracle_job)  # pickled by the name it replaces
-    def dealing(deal, *args):
-        deals.append(deal)
-        return _oracle_job(deal, *args)
-
-    def loss_killing(*args):
+    def walk_killed(*args):
         if os.getpid() != parent:
-            if holding:
-                deals[-1].__self__.lock.acquire()
             os.kill(os.getpid(), signal.SIGKILL)
-        return _ld_batch_loss(*args)
+        return real(*args)
 
-    def until_the_helper_ended():
-        if training._can_fork():
-            assert training._helper.replies.poll(10.0)
-
-    training._stop_helper()
     with monkeypatch.context() as mp:
-        mp.setattr(training, "_ld_batch_loss", loss_killing)
-        mp.setattr(training, "_oracle_job", dealing)
+        mp.setattr(training, "_walk_chunks", walk_killed)
         if training._can_fork():
-            with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}"):
-                with_oracles(mp, nets, "bce", first=until_the_helper_ended)
+            with pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}$"):
+                with_fork_gate(mp, 0, model_gradients, model, batch, "bce")
             assert training._helper is None
-    got, walks, _ = with_oracles(monkeypatch, nets, "bce")
-    assert (got, walks) == (want, [training._can_fork()])
+    result, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, training._can_fork())
     no_child_left()
 
 
-@pytest.mark.parametrize("failing", ["lock", "count"])
-def test_an_oracle_call_whose_counter_cannot_be_made_runs_here(monkeypatch, failing):
-    nets = [(small_model("lstm6", 3, 4, seed=3848), token_batch(3849, B=3, T=3))] * 2
-    want = oracle_fallback(monkeypatch, nets, "bce")
-    training._stop_helper()
-    real = training.mmap.mmap
+def test_a_call_whose_mapping_cannot_be_made_runs_here(monkeypatch):
+    model = small_model("lstm6", 3, 4, seed=3848)
+    batch = token_batch(3849, B=6, T=3)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
 
     def refused(*args, **kwargs):
-        if failing == "lock" or args[1:] == (8,):
-            raise OSError(errno.ENOSPC, "no room for the counter")
-        return real(*args, **kwargs)
+        raise OSError(errno.ENOMEM, "no room for the mapping")
 
     with monkeypatch.context() as mp:
-        mp.setattr(multiprocessing.synchronize if failing == "lock" else training.mmap,
-                   "Lock" if failing == "lock" else "mmap", refused)
-        got, walks, sent = with_oracles(mp, nets, "bce", fork=refuse_fork)
-    assert (got, walks, len(sent)) == (want, [False], 1)
+        mp.setattr(training.mmap, "mmap", refused)
+        result, walks = with_fork_gate(mp, 0, model_gradients, model, batch, "bce",
+                                       fork=refuse_fork)
+    assert (gradient_bytes(result), walks) == (want, 0)
     assert training._helper is None
+    result, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, training._can_fork())
     no_child_left()
 
 
 def test_slimrnn_imports_where_no_lock_can_be_made():
-    # nothing is made at import: the counter and its lock come with the
-    # helper, and a call that cannot make them runs here
+    # nothing is made at import, and a gradient check starts no helper
     script = """
 import multiprocessing
 import multiprocessing.synchronize
@@ -2602,48 +2444,26 @@ print(ok, training._helper)
 
 def test_the_helpers_job_never_starts_a_helper_of_its_own(monkeypatch):
     # a split call inside the helper's job (here a model_gradients call at
-    # gate 0 from within each oracle pass) runs both halves in the helper:
-    # it finds its own lock held and never forks
-    nets = [(small_model("lstm6", 3, 4, seed=3850), token_batch(3851, B=4, T=3))] * 2
-    want = oracle_fallback(monkeypatch, nets, "bce")
+    # gate 0 from within its first walk) runs both halves in the helper: it
+    # finds its own lock held and never forks
+    model = small_model("lstm6", 3, 4, seed=3850)
+    batch = token_batch(3851, B=4, T=3)
+    want = fallback_bytes(monkeypatch, model, batch, "bce")
     parent = os.getpid()
-    model, batch = nets[0]
+    real = training._walk_chunks
+    nested = [True]  # the helper's copy empties at its first walk
 
-    def loss_with_a_split_call(*args):
-        if os.getpid() != parent:
+    def walk_with_a_split_call(*args):
+        if os.getpid() != parent and nested and nested.pop():
             training.model_gradients(model, batch, "bce")
             if training._helper is not None:
                 raise AssertionError("the helper started a helper")
-        return _ld_batch_loss(*args)
+        return real(*args)
 
-    monkeypatch.setattr(training, "_ld_batch_loss", loss_with_a_split_call)
-    monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", 0)
-    got, walks, _ = with_oracles(monkeypatch, nets, "bce")
-    assert (got, walks) == (want, [training._can_fork()])
+    monkeypatch.setattr(training, "_walk_chunks", walk_with_a_split_call)
+    result, walks = with_fork_gate(monkeypatch, 0, model_gradients, model, batch, "bce")
+    assert (gradient_bytes(result), walks) == (want, training._can_fork())
     no_child_left()
-
-
-def test_the_smallest_net_deals_its_passes_with_the_fallbacks_bits(monkeypatch):
-    # srnn at m = n = T = B = 1 over a vocabulary of 7 costs 20 copy-steps,
-    # the fewest of any one-net call timed serial against dealt: it too
-    # sends the helper its passes in one request
-    nets = [(small_model("srnn", 1, 1, seed=3852), token_batch(3853, B=1, T=1))]
-    assert sum(training._oracle_passes(nets[0][0])[2]) == 20
-    want = oracle_fallback(monkeypatch, nets, "bce")
-    got, walks, sent = with_oracles(monkeypatch, nets, "bce")
-    assert (got, walks) == (want, [training._can_fork()])
-    [(models, passes)] = sent
-    assert models == [nets[0][0]]
-    check_sent_order(nets, passes)
-    no_child_left()
-
-
-def test_an_oracle_call_over_no_nets_sends_no_request(monkeypatch):
-    # no pass to deal: nothing reaches _helper_walk, and no helper starts
-    training._stop_helper()
-    got, walks, sent = with_oracles(monkeypatch, [], "bce", fork=refuse_fork)
-    assert (got, walks, sent) == ([], [], [])
-    assert training._helper is None
 
 
 def synth_split(seed=3700, n=80, T=8, vocab=12):
