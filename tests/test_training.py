@@ -22,9 +22,10 @@ from slimrnn.cells import (ADAPTIVE_FIELDS, VARIANTS, gate_width, init_cell,
                            record_arrays, record_shapes, run_cell, run_steps,
                            stack_gates)
 from slimrnn import cells, training
-from slimrnn.data import EmbeddingTable, PAD_INDEX, SequenceBatch, init_embedding
+from slimrnn.data import (EmbeddingTable, PAD_INDEX, SequenceBatch, embed_lookup,
+                          init_embedding)
 from slimrnn.harness import _bare_names
-from slimrnn.numerics import ACTIVATIONS, make_rng
+from slimrnn.numerics import ACTIVATIONS, activate, activate_grad_from_output, make_rng
 from slimrnn.training import (
     MetricsRecord,
     OptimizerState,
@@ -39,6 +40,7 @@ from slimrnn.training import (
     optimizer_step,
     train_epoch,
     _backward_cell,
+    _cs_activate,
     _cs_batch_loss,
     _cs_losses,
 )
@@ -437,6 +439,63 @@ def test_oracle_skips_the_padding_row_and_a_frozen_embedding():
     assert np.all(numeric["emb.E"][used] != 0.0)
     frozen = small_model("srnn", 3, 4, seed=2930, trainable_emb=False)
     assert "emb.E" not in finite_difference_model(frozen, batch, "bce")
+
+
+def test_oracle_truncation_error_shrinks_quadratically(monkeypatch):
+    """The complex step has O(h^2) truncation error, so at steps large
+    enough to show it, doubling h should roughly quadruple the gap to the
+    analytic gradient."""
+    model = small_model("lstm6", 3, 3, seed=2600, act="tanh")
+    batch = token_batch(2601, B=2, T=3)
+    _, analytic = model_gradients(model, batch, "bce")
+
+    def gap(h):
+        monkeypatch.setattr(training, "_STEP", h)
+        numeric = finite_difference_model(model, batch, "bce")
+        return math.sqrt(sum(float(np.sum((analytic[k] - numeric[k]) ** 2))
+                             for k in analytic))
+
+    ratio = gap(2e-2) / gap(1e-2)
+    assert 3.0 < ratio < 5.5, f"error ratio {ratio} not ~4"
+
+
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_the_oracle_activations_extend_the_engine_ones(kind):
+    # on the real line each is the engine's activation, with no overflow
+    # where exp(|x|) would, and its complex step is the derivative to
+    # rounding: against closed forms in e = exp(-|x|), since the engine's
+    # y (1 - y) and 1 - y^2 lose digits to cancellation as y saturates
+    x = np.concatenate([np.linspace(-6.0, 6.0, 49), [-800.0, -40.0, 40.0, 800.0]])
+    y = activate(kind, x.copy())
+    e = np.exp(-np.abs(x))
+    slope = {"sigmoid": e / (1.0 + e) ** 2, "tanh": 4.0 * e * e / (1.0 + e * e) ** 2,
+             "relu": activate_grad_from_output("relu", y)}[kind]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        real = _cs_activate(kind, x.astype(complex))
+        stepped = _cs_activate(kind, x + 1e-30j)
+    assert np.all(real.imag == 0.0)
+    npt.assert_allclose(real.real, y, rtol=1e-15, atol=1e-300)
+    npt.assert_allclose(stepped.imag / 1e-30, slope, rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("loss_kind", ["bce", "cce"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_oracle_transcription_scores_each_sample_as_the_engine_does(
+        variant, bidirectional, loss_kind):
+    # with no imaginary part the complex transcription is the engine's
+    # forward pass and loss, written apart from it: rounding is all that
+    # may differ, for every activation
+    k = 1 if loss_kind == "bce" else 3
+    batch = token_batch(2951, B=5, T=4, n_classes=max(k, 2))
+    for act in ACTIVATIONS:
+        model = small_model(variant, 3, 4, seed=2950, act=act, out_dim=k,
+                            bidirectional=bidirectional)
+        y_raw, _ = model.forward(embed_lookup(model.emb, batch.tokens.T))
+        want, _ = loss_eval(loss_kind, y_raw, batch.labels)
+        (got,) = _cs_losses(model, cs_params(model), batch, loss_kind)
+        assert np.all(got.imag == 0.0), act
+        npt.assert_allclose(got.real, want, rtol=1e-13, atol=0, err_msg=act)
 
 
 def test_oracle_memory_stays_small_at_the_gradcheck_caps():
