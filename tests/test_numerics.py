@@ -5,9 +5,11 @@ initializer's determinism, range, and draw count."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import expit
 
 from slimrnn.numerics import (
     ACTIVATIONS,
+    SIGMOID_VECTOR_MIN,
     activate,
     activate_grad_from_output,
     init_matrix,
@@ -77,36 +79,76 @@ def test_matvec_over_a_batch_axis_applies_to_every_row():
         matvec(a, np.zeros((6, 3)))
 
 
-def test_activate_center_values():
-    npt.assert_array_equal(activate("sigmoid", np.array([0.0])), [0.5])
-    npt.assert_array_equal(activate("tanh", np.array([0.0])), [0.0])
-    npt.assert_array_equal(activate("relu", np.array([-1.0, 0.0, 2.0])),
-                           [0.0, 0.0, 2.0])
+# each sigmoid check runs on its own points, which take expit, and on the
+# same points tiled to SIGMOID_VECTOR_MIN entries, which take NumPy's exp
+SIGMOID_SIZES = pytest.mark.parametrize("entries", [None, SIGMOID_VECTOR_MIN],
+                                        ids=["own", "tiled"])
 
 
-def test_sigmoid_saturates_without_overflow():
+def tiled(x, entries):
+    return np.asarray(x, dtype=float) if entries is None else np.resize(x, entries)
+
+
+@SIGMOID_SIZES
+def test_activate_center_values(entries):
+    npt.assert_array_equal(activate("sigmoid", tiled([0.0], entries)), 0.5)
+    npt.assert_array_equal(activate("tanh", tiled([0.0], entries)), 0.0)
+    npt.assert_array_equal(activate("relu", tiled([-1.0, 0.0, 2.0], entries)),
+                           tiled([0.0, 0.0, 2.0], entries))
+
+
+@SIGMOID_SIZES
+def test_sigmoid_saturates_without_overflow(entries):
     # +/-1000 must neither warn nor produce NaN; the limits are exact.
     with np.errstate(over="raise", invalid="raise"):
-        y = activate("sigmoid", np.array([-1000.0, 1000.0]))
-    npt.assert_array_equal(y, [0.0, 1.0])
+        y = activate("sigmoid", tiled([-1000.0, 1000.0], entries))
+    npt.assert_array_equal(y, tiled([0.0, 1.0], entries))
 
 
-def test_sigmoid_saturates_to_exact_limits_under_every_floating_point_trap():
+@SIGMOID_SIZES
+def test_sigmoid_saturates_to_exact_limits_under_every_floating_point_trap(entries):
     # exp overflows past 709.78, and 1 / (1 + exp(-x)) then reads exactly 0
     # where a branch form would give a subnormal (4.48e-309 at -710)
-    x = np.array([-1000.0, -710.0, 710.0, 1000.0])
+    x = tiled([-1000.0, -710.0, 710.0, 1000.0], entries)
     with np.errstate(all="raise"):
         y = activate("sigmoid", x)
         into = activate("sigmoid", x, out=np.empty_like(x))
-    npt.assert_array_equal(y, [0.0, 0.0, 1.0, 1.0])
+    npt.assert_array_equal(y, tiled([0.0, 0.0, 1.0, 1.0], entries))
     npt.assert_array_equal(into, y)
 
 
-def test_sigmoid_symmetry():
+@SIGMOID_SIZES
+def test_sigmoid_symmetry(entries):
     rng = make_rng(103)
-    x = rng.uniform(-30.0, 30.0, size=500)
+    x = tiled(rng.uniform(-30.0, 30.0, size=500), entries)
     s = activate("sigmoid", x) + activate("sigmoid", -x)
     npt.assert_allclose(s, np.ones_like(s), rtol=0, atol=1e-12)
+
+
+def test_sigmoid_takes_expit_below_the_vector_size_and_numpys_exp_from_it():
+    # in place on lstm's gate view z[:, :3n] of a (b, 4n) array, as its step
+    # activates it, and on 1-D arrays either side of the constant; the
+    # points include where exp over- and underflows, under every trap
+    rng = make_rng(108)
+    edges = [-800.0, -745.5, -710.0, -709.0, -700.0, 36.0, 40.0, 800.0,
+             np.inf, -np.inf, np.nan]
+    cases = [(b, 3 * n) for b, n in ((1, 100), (3, 100), (2, 170), (4, 100), (16, 100))]
+    cases += [(1, SIGMOID_VECTOR_MIN - 1), (1, SIGMOID_VECTOR_MIN)]
+    for b, width in cases:
+        z = rng.uniform(-40.0, 40.0, size=(b, width + width // 3))
+        z[0, :len(edges)] = edges
+        x = z[:, :width].copy()
+        rest = z[:, width:].copy()
+        with np.errstate(over="ignore", under="ignore"):
+            want = (expit(x) if x.size < SIGMOID_VECTOR_MIN else
+                    1.0 / (1.0 + np.exp(-x)))
+        with np.errstate(all="raise"):
+            y = activate("sigmoid", z[:, :width], out=z[:, :width])
+        assert np.shares_memory(y, z)
+        npt.assert_array_equal(z[:, :width], want, err_msg=f"{b} x {width}")
+        npt.assert_array_equal(z[:, width:], rest)
+        npt.assert_allclose(want, expit(x), rtol=1e-15, atol=0)
+        npt.assert_array_equal(want[0, :len(edges)], expit(np.array(edges)))
 
 
 def test_tanh_is_odd():

@@ -25,7 +25,8 @@ from slimrnn import cells, training
 from slimrnn.data import (EmbeddingTable, PAD_INDEX, SequenceBatch, embed_lookup,
                           init_embedding)
 from slimrnn.harness import _bare_names
-from slimrnn.numerics import ACTIVATIONS, activate, activate_grad_from_output, make_rng
+from slimrnn.numerics import (ACTIVATIONS, SIGMOID_VECTOR_MIN, activate,
+                              activate_grad_from_output, make_rng)
 from slimrnn.training import (
     MetricsRecord,
     OptimizerState,
@@ -65,6 +66,22 @@ def token_batch(seed, B, T, vocab=7, n_classes=2):
     return SequenceBatch(tokens=rng.integers(0, vocab, size=(B, T)),
                          labels=rng.integers(0, n_classes, size=B),
                          n_classes=n_classes)
+
+
+def bench_models(shape, seed, B=None):
+    """perfbench's five models, keyed as it keys them, at one workload's
+    activation, m and n (drawn from seed + 1), and a batch of B samples of
+    its T tokens (drawn from seed; B defaults to its training batch)."""
+    act, m, n, T, batch = {"desk": ("tanh", 16, 32, 40, 32),
+                           "paper": ("sigmoid", 32, 100, 500, 32),
+                           "certify": ("sigmoid", 8, 8, 5, 8)}[shape]
+    models = {key: small_model(variant, m, n, seed=seed + 1, act=act, vocab=50,
+                               bidirectional=bidirectional)
+              for key, variant, bidirectional in [
+                  ("srnn", "srnn", False), ("lstm", "lstm", False),
+                  ("lstm6", "lstm6", False), ("lstm_c6", "lstm_c6", False),
+                  ("lstm6_bidir", "lstm6", True)]}
+    return models, token_batch(seed, B=B or batch, T=T, vocab=50)
 
 
 # --------------------------------------------------------------------------
@@ -465,17 +482,20 @@ def test_the_oracle_activations_extend_the_engine_ones(kind):
     # where exp(|x|) would, and its complex step is the derivative to
     # rounding: against closed forms in e = exp(-|x|), since the engine's
     # y (1 - y) and 1 - y^2 lose digits to cancellation as y saturates
-    x = np.concatenate([np.linspace(-6.0, 6.0, 49), [-800.0, -40.0, 40.0, 800.0]])
-    y = activate(kind, x.copy())
-    e = np.exp(-np.abs(x))
-    slope = {"sigmoid": e / (1.0 + e) ** 2, "tanh": 4.0 * e * e / (1.0 + e * e) ** 2,
-             "relu": activate_grad_from_output("relu", y)}[kind]
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        real = _cs_activate(kind, x.astype(complex))
-        stepped = _cs_activate(kind, x + 1e-30j)
-    assert np.all(real.imag == 0.0)
-    npt.assert_allclose(real.real, y, rtol=1e-15, atol=1e-300)
-    npt.assert_allclose(stepped.imag / 1e-30, slope, rtol=1e-14, atol=1e-300)
+    # (its points also tiled to SIGMOID_VECTOR_MIN entries, where the
+    # engine's sigmoid takes NumPy's exp instead of expit)
+    points = np.concatenate([np.linspace(-6.0, 6.0, 49), [-800.0, -40.0, 40.0, 800.0]])
+    for x in (points, np.resize(points, SIGMOID_VECTOR_MIN)):
+        y = activate(kind, x.copy())
+        e = np.exp(-np.abs(x))
+        slope = {"sigmoid": e / (1.0 + e) ** 2, "tanh": 4.0 * e * e / (1.0 + e * e) ** 2,
+                 "relu": activate_grad_from_output("relu", y)}[kind]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            real = _cs_activate(kind, x.astype(complex))
+            stepped = _cs_activate(kind, x + 1e-30j)
+        assert np.all(real.imag == 0.0)
+        npt.assert_allclose(real.real, y, rtol=1e-15, atol=1e-300)
+        npt.assert_allclose(stepped.imag / 1e-30, slope, rtol=1e-14, atol=1e-300)
 
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
@@ -1684,19 +1704,13 @@ def test_an_error_in_either_row_half_surfaces_here(monkeypatch, failing):
     ("certify", set())])
 def test_the_eval_gate_splits_the_benchmark_models_whose_slices_pay(monkeypatch, shape,
                                                                     halved):
-    # each workload's activation, m, n and T, and its test split's rows, one
-    # slice: the module's gate splits every desk and paper slice (20,000 and
-    # 16,000 sample-steps, twice that bidirectional) and no certify one (100)
-    act, m, n, T, rows = {"desk": ("tanh", 16, 32, 40, 500),
-                          "paper": ("sigmoid", 32, 100, 500, 32),
-                          "certify": ("sigmoid", 8, 8, 5, 20)}[shape]
-    batch = token_batch(3680, B=rows, T=T, vocab=50)
+    # each workload's test split's rows, one slice: the module's gate splits
+    # every desk and paper slice (20,000 and 16,000 sample-steps, twice that
+    # bidirectional) and no certify one (100)
+    models, batch = bench_models(shape, 3680, B={"desk": 500, "paper": 32,
+                                                 "certify": 20}[shape])
     split = set()
-    for key, variant, bidirectional in [
-            ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
-            ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
-        model = small_model(variant, m, n, seed=3681, act=act, vocab=50,
-                            bidirectional=bidirectional)
+    for key, model in models.items():
         _, walks = with_gate(monkeypatch, None, evaluate, model, batch, "bce")
         assert walks in (0, 1), key  # the split is one slice
         if walks:
@@ -2158,17 +2172,9 @@ def test_a_forked_child_closes_the_helper_it_inherits(monkeypatch):
     ("certify", set())])
 def test_the_gate_forks_the_benchmark_models_whose_batches_pay(monkeypatch, shape,
                                                                forked):
-    # each workload's activation, m, n, T and training batch
-    act, m, n, T, B = {"desk": ("tanh", 16, 32, 40, 32),
-                       "paper": ("sigmoid", 32, 100, 500, 32),
-                       "certify": ("sigmoid", 8, 8, 5, 8)}[shape]
-    batch = token_batch(3770, B=B, T=T, vocab=50)
+    models, batch = bench_models(shape, 3770)
     split = set()
-    for key, variant, bidirectional in [
-            ("srnn", "srnn", False), ("lstm", "lstm", False), ("lstm6", "lstm6", False),
-            ("lstm_c6", "lstm_c6", False), ("lstm6_bidir", "lstm6", True)]:
-        model = small_model(variant, m, n, seed=3771, act=act, vocab=50,
-                            bidirectional=bidirectional)
+    for key, model in models.items():
         _, walks = with_fork_gate(monkeypatch, training.FORK_MIN_SAMPLE_STEPS,
                                   model_gradients, model, batch, "bce")
         assert walks in (0, 1), key
@@ -2176,6 +2182,31 @@ def test_the_gate_forks_the_benchmark_models_whose_batches_pay(monkeypatch, shap
             split.add(key)
     assert split == (forked if training._can_fork() else set())
     no_child_left()
+
+
+@pytest.mark.parametrize("shape,sigmoids", [
+    ("desk", {"lstm"}),
+    ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
+    ("certify", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"})])
+def test_the_training_forward_keeps_expit_at_the_benchmark_shapes(monkeypatch, shape,
+                                                                  sigmoids):
+    # every array a training step hands the sigmoid is one sample's row, under
+    # SIGMOID_VECTOR_MIN entries, so it takes expit and each loss keeps its bits
+    models, batch = bench_models(shape, 3770)
+    sizes = {key: [] for key in models}
+
+    def spy(kind, x, out=None):
+        if kind == "sigmoid":
+            sizes[key].append(x.size)
+        return activate(kind, x, out=out)
+
+    monkeypatch.setattr(cells, "activate", spy)
+    monkeypatch.setattr(training, "FORK_MIN_SAMPLE_STEPS", math.inf)  # no helper
+    for key, model in models.items():
+        model_gradients(model, batch, "bce")
+    assert {key for key, seen in sizes.items() if seen} == sigmoids
+    for key, seen in sizes.items():
+        assert max(seen, default=0) < SIGMOID_VECTOR_MIN, key
 
 
 FORK_UNDER_BLAS_THREADS = """

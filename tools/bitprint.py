@@ -5,8 +5,10 @@
 For each of the fifteen models of perfbench's workloads (desk, paper and
 certify, five models each) it prints one `workload/model sha256` line. The
 hash covers, in order: the loss and every gradient of two minibatches, the
-parameters after the two Adam steps those gradients drive, and evaluate's
-loss and accuracy on the workload's test split. Two more lines hash the
+parameters after the two Adam steps those gradients drive, evaluate's
+loss and accuracy on the workload's test split, and the raw scores one
+SequenceClassifier.forward call gives over that split, whose bits the
+accuracy and a rounded loss can hide. Two more lines hash the
 reports of `cmd_gradcheck()` at its defaults and at its caps (m = n = 8,
 T = 5, B = 8, three seeds). The last three hash the files a run writes:
 a tiny one- and two-direction `cmd_train` run's config.txt (its temporary
@@ -14,11 +16,11 @@ path masked), model.ckpt and metrics.csv (without the seconds column), and
 a two-cell `cmd_sweep` run's summary.csv.
 
 Run it on two trees and compare the output: identical lines mean the change
-kept the bits of every loss, gradient, parameter and evaluate result, and
-the bytes of every file. Only perfbench.core's workload table is imported;
-no benchmark runs. BLAS is pinned to one thread, as perfbench/run.py pins
-it, and the engine is imported from the src/ directory next to tools/. It
-takes about 3 s on a 2-vCPU machine.
+kept the bits of every loss, gradient, parameter, evaluate result and raw
+score, and the bytes of every file. Only perfbench.core's workload table is
+imported; no benchmark runs. BLAS is pinned to one thread, as
+perfbench/run.py pins it, and the engine is imported from the src/
+directory next to tools/. It takes about 3 s on a 2-vCPU machine.
 """
 
 import os
@@ -38,6 +40,7 @@ import numpy as np  # noqa: E402
 
 import slimrnn  # noqa: E402
 from perfbench.core import WORKLOADS  # noqa: E402
+from slimrnn.data import embed_lookup  # noqa: E402
 from slimrnn.harness import SweepSpec, cmd_sweep, cmd_train  # noqa: E402
 
 STEPS = 2
@@ -71,6 +74,8 @@ def model_digest(workload, spec) -> str:
         _update(h, f"param {name}", arr)
     loss, acc = slimrnn.evaluate(model, test, cfg.loss)
     _update(h, "evaluate", [loss, acc])
+    scores, _ = model.forward(embed_lookup(model.emb, test.tokens.T))
+    _update(h, "scores", scores)
     return h.hexdigest()
 
 
