@@ -11,10 +11,16 @@ from its submodule (slimrnn.cells, .data, .harness, .numerics, .training).
 """
 
 import os
+import sys
 
 # One BLAS thread unless the environment names a count: a product that
 # OpenBLAS splits over threads moves gradient bits. It binds only where
 # NumPy is not loaded yet, so it comes before any submodule imports NumPy.
+# Where it did not bind, OpenBLAS keeps one thread per CPU, and a helper
+# process beside them would oversubscribe the CPUs: training._can_fork
+# refuses one.
+_blas_pin_bound = ("numpy" not in sys.modules
+                   or os.environ.get("OPENBLAS_NUM_THREADS") == "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cells import init_cell, output_layer_apply, run_cell, step_mac_count

@@ -21,12 +21,14 @@ the stacks' size. Each weight gradient is then one matrix product over
 all steps of the chunk, added into its view of the one flat gradient
 buffer a call returns. A batch of FORK_MIN_SAMPLE_STEPS sample-steps or
 more, or an evaluate slice of EVAL_FORK_MIN_SAMPLE_STEPS or more, runs
-in two row halves (_helper_walk), one here and one on the second core
-by a helper process, forked once and sent each call's parameters and
-inputs through a shared mapping that brings its outputs back, with the
-model's spec (model_spec), the model being rebuilt over the mapping as a
-checkpoint's loader does (model_from_arrays). An optimizer step runs its
-rule once over a flat copy of all the gradients.
+one job on two shares (_helper_walk), one here and one on the second
+core by a helper process, forked once and sent each call's parameters
+and inputs through a shared mapping that brings its outputs back, with
+the model's spec (model_spec), the model being rebuilt over the mapping
+as a checkpoint's loader does (model_from_arrays). A share is a row half
+of the batch or slice, or, for a bidirectional model's evaluate slice,
+one direction over every row. An optimizer step runs its rule once over
+a flat copy of all the gradients.
 Every gradient path here is certified against a complex-step oracle
 (finite_difference_model) in the test suite, so treat the two
 implementations as independent and never "fix" one by copying from the
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import _blas_pin_bound
 from .cells import (ADAPTIVE_FIELDS, CellParams, OutputLayer, gate_width, input_term,
                     output_layer_apply, record_arrays, record_shapes, run_cell,
                     run_steps, stack_gates)
@@ -94,13 +97,13 @@ EVAL_BUDGET = 21 << 18
 CACHE_BUDGET = 27 << 18
 
 # The sample-steps (rows x T x directions) from which model_gradients walks
-# the second row half of a batch, and evaluate forwards that of a slice, in
-# the helper process (_helper_walk). Each sits where every larger cell of
-# README's tables (tools/forkgate.py: serial over helper seconds, the five
-# benchmark models at the desk, certify and paper shapes) ran faster: training
-# from 640 (1.09-1.99x over six runs; 8 of 60 cells of 320 ran slower), a
-# forward, which costs less per sample-step, from 8,000 (1.11-1.96x over five
-# runs; 6 of 50 cells of 5,120 ran slower). Both split every desk and paper
+# the second row half of a batch, and evaluate forwards the second share of
+# a slice, in the helper process (_helper_walk). Each sits where every
+# larger cell of README's tables (tools/forkgate.py: serial over helper
+# seconds, the five benchmark models at the desk, certify and paper shapes)
+# ran faster: training from 640 (1.09-1.99x over six runs; 8 of 60 cells of
+# 320 ran slower), a forward, which costs less per sample-step, from 8,000
+# (1.11-1.96x over five runs; 6 of 50 cells of 5,120 ran slower). Both split every desk and paper
 # call and slice and keep the certify ones serial.
 FORK_MIN_SAMPLE_STEPS = 640
 EVAL_FORK_MIN_SAMPLE_STEPS = 8000
@@ -209,8 +212,8 @@ class SequenceClassifier:
         one sample being a batch of one: each direction's cell over xs in
         its time order, recording nothing, then the readout of their final
         states. Returns (y_raw, h), h = [h_fwd ; h_bwd] being what the
-        readout read. It runs in the calling process; evaluate puts row
-        halves of a large slice on two cores (_helper_walk)."""
+        readout read. It runs in the calling process; evaluate puts the
+        shares of a large slice on two cores (_helper_walk)."""
         hs = [run_cell(cell, xs[::step]) for cell, _, step in self.directions]
         h = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-1)
         return output_layer_apply(self.out, h), h
@@ -479,13 +482,15 @@ def _walk_chunks(model: SequenceClassifier, tokens: np.ndarray, labels: np.ndarr
 
 def _can_fork() -> bool:
     """Whether this process may fork a helper: the platform forks, this
-    process may run on two CPUs, no other Python thread is alive (a lock
-    such a thread held at the fork would never be released in the helper),
-    and multiprocessing did not start this process (a pool already spreads
-    its workers over the CPUs, and a worker leaves through os._exit, which
-    runs no exit handler to reap a helper)."""
+    process may run on two CPUs, the package's BLAS thread pin bound (else
+    OpenBLAS already runs a thread per CPU), no other Python thread is alive
+    (a lock such a thread held at the fork would never be released in the
+    helper), and multiprocessing did not start this process (a pool already
+    spreads its workers over the CPUs, and a worker leaves through os._exit,
+    which runs no exit handler to reap a helper)."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) >= 2 and _blas_pin_bound
+            and threading.active_count() == 1
             and multiprocessing.parent_process() is None)
 
 
@@ -614,13 +619,16 @@ def _helper_walk(model: SequenceClassifier, job, args: tuple, mine: tuple,
     writing into its outputs arrays, on both shares, each an (inputs,
     outputs) pair: theirs in this process's helper, over copies in the
     mapping and a model it rebuilds from the request, and mine here; then
-    copy theirs' outputs back and return True. args travel pickled, so a
-    job reads what its caller decided from them (the rows per chunk),
-    never module constants, which the helper holds as they were at its
-    fork. Where no helper can be used, run both shares here, mine first,
-    and return False: another thread is using the helper, or one must
-    start and _can_fork() refuses it or its mapping or os.fork fails
-    (EAGAIN under a process limit, say). A helper starts at the first
+    copy theirs' outputs back and return True. A caller cuts its work into
+    the shares: model_gradients a batch's row halves, evaluate a slice's
+    row halves or a bidirectional model's two directions, each share's
+    inputs then naming its direction. args travel pickled, so a job reads
+    what its caller decided from them (the rows per chunk), never module
+    constants, which the helper holds as they were at its fork. Where no
+    helper can be used, run both shares here, mine first, and return
+    False: another thread is using the helper, or one must start and
+    _can_fork() refuses it or its mapping or os.fork fails (EAGAIN under a
+    process limit, say). A helper starts at the first
     call, and again where a call does not fit the mapping, with twice the
     larger of its size and the call's need, so that an evaluate call's
     helper has room for a gradient buffer too.
@@ -713,10 +721,13 @@ def _gradient_job(model: SequenceClassifier, loss_kind: str, rows: int,
     _walk_chunks(model, tokens, labels, loss_kind, rows, _flat_views(buf, shapes), losses)
 
 
-def _forward_job(model: SequenceClassifier, tokens: np.ndarray, y_raw: np.ndarray):
-    """An evaluate row half: the model's raw outputs on the (b, T) samples
-    tokens into y_raw, (b, k)."""
-    y_raw[...] = model.forward(embed_lookup(model.emb, tokens.T))[0]
+def _states_job(model: SequenceClassifier, d: np.ndarray, tokens: np.ndarray,
+                h: np.ndarray):
+    """An evaluate share: the final states of direction d, a 0-d index into
+    model.directions, over the (b, T) samples tokens into h, (b, n). Its
+    cell runs over the inputs in its time order, as in forward."""
+    cell, _, step = model.directions[d]
+    h[...] = run_cell(cell, embed_lookup(model.emb, tokens.T)[::step])
 
 
 def model_gradients(model: SequenceClassifier, batch, loss_kind: str):
@@ -1043,11 +1054,15 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
     the labels are checked first (check_labels), before any slice runs.
 
     A slice of b >= 2 samples and at least EVAL_FORK_MIN_SAMPLE_STEPS
-    sample-steps (b T D) is forwarded in the row halves [0, b//2) and
-    [b//2, b) by _forward_job, the second in the helper as model_gradients'
-    is. The loss and the predictions read the whole slice's raw outputs,
-    which keep an unsplit slice's bits at the benchmark shapes; elsewhere
-    a cut may move them in the last bits.
+    sample-steps (b T D) runs _states_job on two shares, the second in the
+    helper as model_gradients' is: a bidirectional model's two directions,
+    fwd. here and bwd. there, each over every row, and one direction's row
+    halves [0, b//2) and [b//2, b). Each writes its final states into the
+    slice's (b, D n) states, whose readout is then one output_layer_apply
+    over the whole slice. A direction share computes the unsplit forward's
+    own products, so a split bidirectional slice keeps its bits at every
+    shape; a row half keeps them at the benchmark shapes, and elsewhere may
+    move them in the last bits.
 
     Binary predictions are class 1 where the raw score is >= 0, which is
     sigmoid >= 0.5 without expit rounding scores just below 0 up to 0.5;
@@ -1066,9 +1081,15 @@ def evaluate(model: SequenceClassifier, batch, loss_kind: str):
         tokens, labels = batch.tokens[rows], batch.labels[rows]
         b = len(tokens)
         if b >= 2 and b * batch.T * len(model.directions) >= EVAL_FORK_MIN_SAMPLE_STEPS:
-            y_raw, half = np.empty((b, len(model.out.b_y))), b // 2
-            _helper_walk(model, _forward_job, (), ([tokens[:half]], [y_raw[:half]]),
-                         ([tokens[half:]], [y_raw[half:]]))
+            n, half = model.cell.n, b // 2
+            h = np.empty((b, len(model.directions) * n))
+            if model.bidirectional:  # one direction each, over every row
+                shares = [([np.array(d), tokens], [h[:, d * n:(d + 1) * n]]) for d in (0, 1)]
+            else:
+                shares = [([np.array(0), tokens[part]], [h[part]])
+                          for part in (slice(None, half), slice(half, None))]
+            _helper_walk(model, _states_job, (), *shares)
+            y_raw = output_layer_apply(model.out, h)
         else:
             y_raw, _ = model.forward(embed_lookup(model.emb, tokens.T))
         losses, _ = loss_eval(loss_kind, y_raw, labels)

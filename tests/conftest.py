@@ -69,14 +69,15 @@ def recorded(p, xs):
 def helper_walks(monkeypatch) -> list:
     """Spy on _helper_walk through monkeypatch, a test's or one of its
     contexts, which then scopes the spy: a list that gathers (job, model,
-    args, walked) for each call that returned, walked being what it
-    returned (True where the helper ran its share)."""
+    args, shares, walked) for each call that returned, shares being its
+    (mine, theirs) and walked what it returned (True where the helper ran
+    its share)."""
     walks = []
     real = training._helper_walk
 
     def spy(model, job, args, *shares):
         walked = real(model, job, args, *shares)
-        walks.append((job, model, args, walked))
+        walks.append((job, model, args, shares, walked))
         return walked
 
     monkeypatch.setattr(training, "_helper_walk", spy)

@@ -649,9 +649,10 @@ def test_sweep_cells_use_per_cell_seeds(tmp_path):
 
 def test_parallel_sweep_equals_sequential_sweep(tmp_path, monkeypatch):
     grid = dict(hiddens=[4], etas=[2e-3], forgets=[0.59])
-    # every evaluate slice splits in row halves: the --workers 1 sweep
-    # forwards each second half in this process's helper, and the pool
-    # workers, which start no helper, forward it themselves
+    # every evaluate slice splits, by direction where bidirectional and in
+    # row halves otherwise: the --workers 1 sweep forwards each second share
+    # in this process's helper, and the pool workers, which start no helper,
+    # forward it themselves
     monkeypatch.setattr(training, "EVAL_FORK_MIN_SAMPLE_STEPS", 0)
     # counted in this process, in the --workers 1 sweep
     walks, evals = helper_walks(monkeypatch), []

@@ -1537,14 +1537,14 @@ def test_evaluate_slices_at_the_benchmark_shapes(monkeypatch, variant, bidirecti
 def with_gate(monkeypatch, gate, fn, *args, fork=None):
     """fn(*args) under EVAL_FORK_MIN_SAMPLE_STEPS = gate (0 splits every
     evaluate slice of two rows or more, math.inf none, None keeps the
-    module's gate), and the number of slices whose second half the helper
+    module's gate), and the number of slices whose second share the helper
     forwarded (fork, when given, stands in for os.fork)."""
     return with_fork_gate(monkeypatch, gate, fn, *args, fork=fork,
                           name="EVAL_FORK_MIN_SAMPLE_STEPS")
 
 
 def evaluate_fallback(monkeypatch, model, batch, loss_kind):
-    """evaluate with every slice split and both halves forwarded in this
+    """evaluate with every slice split and both shares forwarded in this
     process."""
     training._stop_helper()
     with monkeypatch.context() as mp:
@@ -1554,37 +1554,51 @@ def evaluate_fallback(monkeypatch, model, batch, loss_kind):
     return result
 
 
+@pytest.mark.parametrize("B", [2, 7, 32])
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_bidirectional_row_halves_keep_every_bit(monkeypatch, variant, loss_kind):
-    # a bidirectional model's row halves, each running both directions, give
-    # the bits of the in-process fallback; the forward concatenates each
-    # direction's own run
+def test_a_bidirectional_slice_split_by_direction_keeps_every_bit(monkeypatch, variant,
+                                                                 loss_kind, B):
+    # this process runs fwd. and the helper bwd., each over every row of the
+    # slice, and the readout reads their concatenated states: the raw scores
+    # are the unsplit forward's bytes, and the loss and accuracy an unsplit
+    # evaluate's, at any row count
     k = 1 if loss_kind == "bce" else 3
     model = small_model(variant, 3, 4, seed=3670, act="tanh", out_dim=k,
                         bidirectional=True)
-    batch = token_batch(3671, B=2 * 16 + 5, T=6, n_classes=max(k, 2))
-    monkeypatch.setattr(training, "EVAL_BUDGET", eval_budget(6, 3, 4, 16, variant, 2))
-    serial = evaluate_fallback(monkeypatch, model, batch, loss_kind)
-    helped, walks = with_gate(monkeypatch, 0, evaluate, model, batch, loss_kind)
-    assert walks == 3  # 16 + 16 + 5 rows
-    assert [x.hex() for x in helped] == [x.hex() for x in serial]
+    batch = token_batch(3671, B=B, T=6, n_classes=max(k, 2))
+    whole, none = with_gate(monkeypatch, math.inf, evaluate, model, batch, loss_kind)
+    seen = []
+
+    def spy(kind, y_raw, labels):
+        seen.append(y_raw.copy())
+        return loss_eval(kind, y_raw, labels)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training, "loss_eval", spy)
+        mp.setattr(training, "EVAL_FORK_MIN_SAMPLE_STEPS", 0)
+        walks = helper_walks(mp)
+        split = evaluate(model, batch, loss_kind)
+    (_, _, _, (mine, theirs), walked), = walks
+    assert none == 0 and walked == training._can_fork()
+    assert [(int(d), len(tokens)) for (d, tokens), _ in (mine, theirs)] == [(0, B), (1, B)]
+    assert [x.hex() for x in split] == [x.hex() for x in whole]
     xs = model.emb.E[batch.tokens.T]
     y, h = model.forward(xs)
+    assert [y_raw.tobytes() for y_raw in seen] == [y.tobytes()]
     want = np.concatenate([run_cell(model.cell, xs), run_cell(model.cell_bwd, xs[::-1])],
                           axis=-1)
     assert h.tobytes() == want.tobytes()
-    assert y.tobytes() == output_layer_apply(model.out, want).tobytes()
 
 
 @pytest.mark.parametrize("bidirectional,rows,walks", [
     (False, 15, 0),  # one direction: 15 x 5 = 75 sample-steps, below the gate
     (True, 7, 0),    # 7 x 5 x 2 = 70, below the gate
     (True, 8, 1)])   # 8 x 5 x 2 = 80, at the gate
-def test_only_a_bidirectional_slice_at_the_gate_sends_a_half_to_the_helper(
+def test_only_a_bidirectional_slice_at_the_gate_sends_a_share_to_the_helper(
         monkeypatch, bidirectional, rows, walks):
     # the evaluate gate counts sample-steps over both directions: at 80,
-    # only the bidirectional slice of 8 rows sends a half to the helper
+    # only the bidirectional slice of 8 rows sends a direction to the helper
     model = small_model("lstm6", 3, 4, seed=3672, bidirectional=bidirectional)
     batch = token_batch(3673, B=rows, T=5)
     assert with_gate(monkeypatch, 80, evaluate, model, batch, "bce")[1] == walks
@@ -1623,26 +1637,36 @@ def test_the_eval_gate_splits_at_its_sample_steps_at_n_100(monkeypatch, variant,
 
 @pytest.mark.parametrize("failing", ["fwd.", "bwd."])
 def test_an_error_in_either_direction_surfaces_and_reaps_the_helper(monkeypatch, failing):
-    # both directions of a row half run in one process: an error in either
-    # surfaces from this process's half, and the helper is killed and reaped
+    # a split bidirectional slice runs fwd. here and bwd. in the helper: an
+    # error in this process's direction kills and reaps the helper, and one
+    # in the helper's is raised here, with the helper's traceback as its
+    # cause, while the helper serves on
     model = small_model("lstm6", 3, 4, seed=3674, bidirectional=True)
-    bad = model.cell if failing == "fwd." else model.cell_bwd
+    bad = (model.cell if failing == "fwd." else model.cell_bwd).tensors["U_c"].tobytes()
     ran_on = []
 
     def run_cell_failing(cell, xs):
-        if cell is bad:  # never the helper's unpickled copy
+        # by value: the helper runs a copy rebuilt from its mapping
+        if cell.tensors["U_c"].tobytes() == bad:
             ran_on.append(os.getpid())
             raise FloatingPointError(f"{failing} went wrong")
         return run_cell(cell, xs)
 
     monkeypatch.setattr(training, "run_cell", run_cell_failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"^{failing} went wrong$"):
+    with pytest.raises(FloatingPointError, match=f"^{failing} went wrong$") as caught:
         with_gate(monkeypatch, 0, evaluate, model, token_batch(3675, B=9, T=5), "bce")
     assert threading.active_count() == before
-    assert ran_on == [os.getpid()] and training._helper is None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    if failing == "fwd.":
+        assert ran_on == [os.getpid()] and training._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    else:
+        assert ran_on == []
+        assert isinstance(caught.value.__cause__, ChildProcessError)
+        assert "run_cell_failing" in str(caught.value.__cause__)
+        assert training._helper is not None
+        no_child_left()
 
 
 @pytest.mark.parametrize("loss_kind", ["bce", "cce"])
@@ -1698,24 +1722,32 @@ def test_an_error_in_either_row_half_surfaces_here(monkeypatch, failing):
         no_child_left()
 
 
-@pytest.mark.parametrize("shape,halved", [
-    ("desk", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
-    ("paper", {"srnn", "lstm", "lstm6", "lstm_c6", "lstm6_bidir"}),
-    ("certify", set())])
+UNIDIRECTIONAL = {"srnn", "lstm", "lstm6", "lstm_c6"}
+
+
+@pytest.mark.parametrize("shape,by_direction,by_rows", [
+    ("desk", {"lstm6_bidir"}, UNIDIRECTIONAL),
+    ("paper", {"lstm6_bidir"}, UNIDIRECTIONAL),
+    ("certify", set(), set())])
 def test_the_eval_gate_splits_the_benchmark_models_whose_slices_pay(monkeypatch, shape,
-                                                                    halved):
+                                                                    by_direction, by_rows):
     # each workload's test split's rows, one slice: the module's gate splits
     # every desk and paper slice (20,000 and 16,000 sample-steps, twice that
-    # bidirectional) and no certify one (100)
-    models, batch = bench_models(shape, 3680, B={"desk": 500, "paper": 32,
-                                                 "certify": 20}[shape])
-    split = set()
+    # bidirectional), bidirectional lstm6's by direction over every row and
+    # the others' in row halves, and no certify one (100)
+    B = {"desk": 500, "paper": 32, "certify": 20}[shape]
+    models, batch = bench_models(shape, 3680, B=B)
+    split = {}
     for key, model in models.items():
-        _, walks = with_gate(monkeypatch, None, evaluate, model, batch, "bce")
-        assert walks in (0, 1), key  # the split is one slice
-        if walks:
-            split.add(key)
-    assert split == (halved if training._can_fork() else set())
+        with monkeypatch.context() as mp:
+            walks = helper_walks(mp)
+            evaluate(model, batch, "bce")
+        assert len(walks) <= 1, key  # the split is one slice
+        for _, _, _, shares, walked in walks:
+            assert walked == training._can_fork(), key
+            split[key] = [(int(d), len(tokens)) for (d, tokens), _ in shares]
+    assert split == {**dict.fromkeys(by_direction, [(0, B), (1, B)]),
+                     **dict.fromkeys(by_rows, [(0, B // 2), (0, B - B // 2)])}
     no_child_left()
 
 
@@ -2213,9 +2245,7 @@ FORK_UNDER_BLAS_THREADS = """
 import hashlib
 import os
 
-import numpy as np
-
-from slimrnn import training
+from slimrnn import training  # before NumPy loads, so that a helper may start
 from slimrnn.cells import init_cell, init_output
 from slimrnn.data import SequenceBatch, init_embedding
 from slimrnn.numerics import make_rng
@@ -2339,6 +2369,23 @@ def test_a_process_that_trains_a_split_batch_leaves_no_process_behind():
 def test_a_process_that_evaluates_a_split_slice_leaves_no_process_behind():
     # one slice of 8 rows at the module's evaluate gate
     helper_gone_after(EVALUATE_ONE_SPLIT_SLICE)
+
+
+@pytest.mark.parametrize("first,count,pinned", [
+    ("slimrnn", None, True),   # the package's pin binds
+    ("numpy", None, False),    # OpenBLAS already runs one thread per CPU
+    ("numpy", "1", True)])     # the count was one before NumPy loaded
+def test_a_helper_starts_only_where_the_blas_pin_bound(first, count, pinned):
+    # a batch that splits at the module's gate, in a process that imports
+    # NumPy or slimrnn first: where NumPy came first with the count unset,
+    # both halves run in the calling process
+    env = engine_env() if count is None else engine_env(OPENBLAS_NUM_THREADS=count)
+    if count is None:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    script = ("import numpy\n" if first == "numpy" else "") + TRAIN_ONE_SPLIT_BATCH
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert (int(out.stdout) != 0) == (pinned and training._can_fork())
 
 
 def helper_gone_after(script):

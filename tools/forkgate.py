@@ -15,12 +15,13 @@ prints:
   (FORK_MIN_SAMPLE_STEPS, EVAL_FORK_MIN_SAMPLE_STEPS) is compared with;
 - gate: what the call decides at the module's threshold;
 - serial/helper: the median over PAIRS (9) alternating pairs of serial
-  seconds over seconds with the second row half run in the helper
+  seconds over seconds with the second share (a row half, or a
+  bidirectional evaluate slice's bwd. direction) run in the helper
   process, above 1 where the helper pays, and the quartiles of those
   ratios;
 - one CPU: of those pairs, how many left the helper, after its call, last
   on the CPU this process runs on (field 39 of /proc/<pid>/stat), where
-  the two halves may not have run at once. A cell that reads near serial
+  the two shares may not have run at once. A cell that reads near serial
   speed with most of its pairs on one CPU says little about its gate.
 
 Serial and helper runs are forced the way the tests force them, by setting
