@@ -22,7 +22,7 @@ lstm's four gates are stacked, so a step makes one recurrent product.
 The D directions of a bidirectional model may step together: their
 recurrent tensors stacked as (D, n, w), their states as (D, B, n), one
 step call advances them all. run_steps is the one loop over steps,
-which run_cell, model_gradients and gradcheck's relu-kink check drive.
+which run_cell and model_gradients drive.
 Sequences are read strictly left to right; classification reads only the
 final hidden state through a single affine output layer.
 """

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cells import (ADAPTIVE_FIELDS, CellParams, VARIANTS, init_cell, init_output, input_term,
-                    param_count, record_arrays, run_steps, stack_gates, step_mac_count)
+from .cells import (ADAPTIVE_FIELDS, VARIANTS, init_cell, init_output, param_count,
+                    step_mac_count)
 from .data import (SequenceBatch, SYNTH_KINDS, build_vocab, encode_tokens, init_embedding,
                    load_tsv_corpus, pad_or_truncate, synth_generate)
 from .numerics import ACTIVATIONS, make_rng
@@ -480,26 +480,6 @@ def cmd_sweep(spec: SweepSpec):
     return {"summary": str(summary), "rows": rows}
 
 
-def _relu_kink_margin(p: CellParams, xs: np.ndarray) -> float:
-    """Smallest |pre-activation| a relu net sees over xs, (T, B, m).
-
-    relu has no derivative at its kink, so gradient checks skip a relu
-    net whose arguments come within 1e-4 of it.
-    The steps record over the input terms (run_steps), and the recorded H
-    then adds every step's recurrent term to them at once through the
-    cell's own layout (stack_gates); the last n columns are the ones relu
-    reads (lstm's candidate block, its gates being sigmoid). The cell
-    state c_t is itself the argument of the output squash.
-    """
-    W, R, b = stack_gates(p, transposed=True)
-    a = input_term(W, b, xs)
-    H, C, _ = stacks = record_arrays(p, len(xs), xs.shape[1])
-    run_steps(p, R, a, stacks)
-    a += H[:-1] * R if p.variant == "lstm_c6" else H[:-1] @ R
-    margin = float(np.min(np.abs(a[..., -p.n:])))
-    return margin if C is None else min(margin, float(np.min(np.abs(C[1:]))))
-
-
 def _bare_names(grads: dict) -> dict:
     """A one-cell model's gradients keyed by bare tensor names (E, W_c, ..., b_y)."""
     return {key.split(".", 1)[1]: g for key, g in grads.items()}
@@ -508,7 +488,7 @@ def _bare_names(grads: dict) -> dict:
 def _gradcheck_nets(m: int, n: int, seq_len: int, seeds: int, batch: int,
                     activations) -> dict:
     """cmd_gradcheck's nets: (variant, activation) -> the (model, batch)
-    pairs its seeds draw, relu nets grazing a kink left out, in draw order."""
+    pairs its seeds draw, in draw order."""
     vocab = 7
     drawn = {}
     for variant in VARIANTS:
@@ -525,8 +505,6 @@ def _gradcheck_nets(m: int, n: int, seq_len: int, seeds: int, batch: int,
                 out = init_output(rng, nn, 1)
                 tokens = rng.integers(0, vocab, size=(bb, tt))
                 labels = rng.integers(0, 2, size=bb)
-                if act == "relu" and _relu_kink_margin(cell, emb.E[tokens.T]) < 1e-4:
-                    continue
                 nets.append((SequenceClassifier(cell, out, emb),
                              SequenceBatch(tokens=tokens, labels=labels)))
     return drawn
@@ -542,16 +520,17 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     trainable embedding, and compares every tensor's gradient; a tensor
     passes at a worst relative error of at most 1e-6. Every net is drawn
     first; then each takes one bptt_gradients call and one oracle call
-    (finite_difference_model), both in this process. relu nets whose
-    pre-activations graze a kink (within 1e-4) are skipped. The
-    corrupt argument injects an error into one named tensor's analytic
-    gradient so the failure path itself stays testable; it takes a bare
-    name (E, W_hy, b_y or a cell tensor such as W_c), and any other
-    raises ValueError.
+    (finite_difference_model), both in this process. No net is skipped:
+    the complex step moves only imaginary parts, so both routes see every
+    relu argument on the same side of the kink, and both take relu's
+    derivative as 0 at exactly 0. The corrupt argument injects an error
+    into one named tensor's analytic gradient so the failure path itself
+    stays testable; it takes a bare name (E, W_hy, b_y or a cell tensor
+    such as W_c), and any other raises ValueError.
 
     Returns (report_rows, ok). Each row carries variant, activation,
     tensor group (the bare name, as corrupt takes it), worst relative
-    error, and a pass/fail/skip status.
+    error, and a pass or FAIL status.
     """
     if not 1 <= m <= 8 or not 1 <= n <= 8:
         raise ValueError(f"gradcheck dims are capped at 8, got m={m} n={n}")
@@ -570,11 +549,6 @@ def cmd_gradcheck(m: int = 4, n: int = 4, seq_len: int = 3, seeds: int = 3,
     ok = True
     for (variant, act), nets in _gradcheck_nets(m, n, seq_len, seeds, batch,
                                                 activations).items():
-        if not nets:
-            report.append({"variant": variant, "activation": act,
-                           "group": "-", "max_rel_err": float("nan"),
-                           "status": "skip"})
-            continue
         worst: dict[str, float] = {}
         for model, data in nets:
             analytic = _bare_names(bptt_gradients(model, data, "bce")[1])

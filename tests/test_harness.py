@@ -13,8 +13,7 @@ import pytest
 from dataclasses import fields, replace
 
 from slimrnn import harness, training
-from slimrnn.cells import (VARIANTS, init_cell, init_output, lstm6_step, lstm_step,
-                           srnn_step)
+from slimrnn.cells import VARIANTS, init_cell, init_output
 from slimrnn.cli import build_parser, main
 from slimrnn.data import EmbeddingTable, SequenceBatch, init_embedding, load_tsv_corpus
 from slimrnn.harness import (
@@ -35,13 +34,12 @@ from slimrnn.harness import (
     load_checkpoint,
     load_config_file,
     parse_config_text,
-    _relu_kink_margin,
     save_checkpoint,
 )
 from slimrnn.numerics import make_rng
 from slimrnn.training import MetricsRecord, SequenceClassifier, evaluate
 
-from conftest import helper_walks, operands
+from conftest import helper_walks
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -822,35 +820,13 @@ def test_failed_sweep_cell_without_a_writable_out_dir_still_reports(tmp_path, ca
 # Gradient-check and params commands.
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("variant", ["srnn", "lstm", "lstm6", "lstm_c6"])
-def test_relu_kink_margin_equals_a_per_step_recomputation(variant):
-    rng = make_rng(880)
-    cell = init_cell(variant, 3, 4, "relu", 0.59, rng)
-    xs = rng.uniform(-1, 1, size=(5, 2, 3))  # (T, B, m)
-    t = cell.tensors
-    want = np.inf
-    for b in range(2):
-        h, c = np.zeros((1, 4)), np.zeros((1, 4))  # one sample: a batch of one
-        for x in xs[:, b]:
-            if variant == "srnn":
-                a = t["W_hx"] @ x + t["W_hh"] @ h[0] + t["b_h"]
-                h = srnn_step(cell, *operands(cell, x[None]), h)
-                want = min(want, np.abs(a).min())
-                continue
-            recur = t["u_c"] * h[0] if variant == "lstm_c6" else t["U_c"] @ h[0]
-            a = t["W_c"] @ x + recur + t["b_c"]
-            step = lstm_step if variant == "lstm" else lstm6_step
-            h, c, _ = step(cell, *operands(cell, x[None]), h, c)
-            want = min(want, np.abs(a).min(), np.abs(c).min())
-    got = _relu_kink_margin(cell, xs)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
 def test_cmd_gradcheck_passes_on_healthy_gradients():
     report, ok = cmd_gradcheck(seeds=2)
     assert ok
-    checked = [r for r in report if r["status"] == "pass"]
-    assert {r["variant"] for r in checked} == {"srnn", "lstm", "lstm6", "lstm_c6"}
-    assert all(r["max_rel_err"] <= 1e-6 for r in checked)
+    assert all(r["status"] == "pass" for r in report)
+    assert {(r["variant"], r["activation"]) for r in report} == \
+        {(v, act) for v in VARIANTS for act in ("sigmoid", "tanh", "relu")}
+    assert all(r["max_rel_err"] <= 1e-6 for r in report)
 
 
 def test_cmd_gradcheck_detects_an_injected_error():
@@ -911,8 +887,8 @@ def test_cmd_gradcheck_rejects_a_corrupt_name_no_tensor_has(monkeypatch):
 
 def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
     # perfbench's harness.gradcheck_nets_used_ratio divides the calls of
-    # harness.bptt_gradients by the calls of harness.init_cell; each used
-    # net takes one oracle call
+    # harness.bptt_gradients by the calls of harness.init_cell; every drawn
+    # net, relu ones included, takes one BPTT call and one oracle call
     calls = dict.fromkeys(("bptt_gradients", "init_cell"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
@@ -924,22 +900,29 @@ def test_cmd_gradcheck_runs_each_route_once_per_drawn_net(monkeypatch):
     monkeypatch.setattr(harness, "finite_difference_oracle",
                         lambda *args, **kwargs: sets.append(oracle(*args, **kwargs)) or sets[-1])
     small = dict(m=3, n=3, seq_len=2, batch=1, seeds=2)
-    cmd_gradcheck(**small, activations=("sigmoid", "tanh"))
-    assert calls["init_cell"] == len(VARIANTS) * 2 * 2
+    report, _ = cmd_gradcheck(**small)
+    assert calls["init_cell"] == len(VARIANTS) * 3 * 2
     assert calls["bptt_gradients"] == calls["init_cell"]
     assert len(sets) == calls["init_cell"]
-
-    calls.update(dict.fromkeys(calls, 0))
-    sets.clear()
-    monkeypatch.setattr(harness, "_relu_kink_margin", lambda *args: 0.0)
-    report, _ = cmd_gradcheck(**small, activations=("relu",))
-    assert calls["bptt_gradients"] == len(sets) == 0
-    assert calls["init_cell"] == len(VARIANTS) * 2
-    assert [(r["variant"], r["status"]) for r in report] == \
-        [(v, "skip") for v in VARIANTS]
+    assert {r["status"] for r in report} == {"pass"}
 
 
 GRADCHECK_CAPS = dict(m=8, n=8, seq_len=5, batch=8, seeds=3)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_relu_derivative_of_1_at_the_kink_fails_the_check(monkeypatch, variant):
+    # both routes take relu's derivative as 0 at exactly 0, so a clipped
+    # argument given slope 1 in the reverse pass must fail every variant
+    grad = training.activate_grad_from_output
+
+    def kink_slope_1(kind, y, out=None):
+        return np.greater_equal(y, 0.0, out=out) if kind == "relu" else grad(kind, y, out)
+
+    monkeypatch.setattr(training, "activate_grad_from_output", kink_slope_1)
+    report, ok = cmd_gradcheck(**GRADCHECK_CAPS, activations=("relu",))
+    assert not ok
+    assert any(r["status"] == "FAIL" for r in report if r["variant"] == variant)
 
 
 def test_a_gradient_check_at_the_caps_starts_no_process(monkeypatch):
@@ -994,7 +977,7 @@ def test_cmd_gradcheck_enforces_desk_scale_caps():
         cmd_gradcheck(seq_len=6)
     with pytest.raises(ValueError, match="capped"):
         cmd_gradcheck(batch=9)
-    for seeds in (0, -2):  # no net drawn: every row would be a skip
+    for seeds in (0, -2):  # no net drawn: nothing would be certified
         with pytest.raises(ValueError, match=f"seeds >= 1, got {seeds}"):
             cmd_gradcheck(seeds=seeds)
     with pytest.raises(ValueError, match="at least one activation"):
